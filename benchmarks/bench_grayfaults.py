@@ -45,10 +45,10 @@ from repro.faults.netcampaign import (
     asymmetric_bridge,
     run_net_campaign,
 )
-from repro.net import LocalCluster, NetClient
+from repro.net import LocalCluster, probing_client
 from repro.net.client import HistoryRecorder
 from repro.net.faultfs import tear_tail
-from repro.smr.universal import UniversalFrontend, kv_store_adt
+from repro.smr.universal import kv_store_adt
 
 SILENT = lambda line: None  # noqa: E731
 
@@ -136,14 +136,8 @@ async def _torn_restart(kill_at=0.7, restart_at=1.2, deadline=2.4):
         await cluster.start()
         transport = cluster.client_transport("bench")
         recorder = HistoryRecorder(clock=lambda: transport.now)
-        client = NetClient(
-            "c0",
-            3,
-            transport,
-            {},
-            recorder,
-            UniversalFrontend(kv_store_adt()),
-            op_timeout=3.0,
+        client = probing_client(
+            "c0", 3, transport, recorder, op_timeout=3.0
         )
         committed = []
         start = loop.time()

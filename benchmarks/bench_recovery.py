@@ -31,9 +31,9 @@ import tempfile
 import time
 
 from repro.core.fastcheck import check_linearizable
-from repro.net import LocalCluster, NetClient, NodeWAL
+from repro.net import LocalCluster, NodeWAL, probing_client
 from repro.net.client import HistoryRecorder
-from repro.smr.universal import UniversalFrontend, kv_store_adt
+from repro.smr.universal import kv_store_adt
 
 #: every record folds onto one of ``length // SLOT_DIVISOR`` slots, the
 #: realistic shape (durable state is per-slot and overwritten in place),
@@ -120,14 +120,8 @@ async def _restart_dip(kill_at=0.7, restart_at=1.2, deadline=2.2):
         await cluster.start()
         transport = cluster.client_transport("bench")
         recorder = HistoryRecorder(clock=lambda: transport.now)
-        client = NetClient(
-            "c0",
-            3,
-            transport,
-            {},
-            recorder,
-            UniversalFrontend(kv_store_adt()),
-            op_timeout=3.0,
+        client = probing_client(
+            "c0", 3, transport, recorder, op_timeout=3.0
         )
         commits = []
         start = loop.time()

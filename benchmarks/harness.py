@@ -85,28 +85,11 @@ from repro.core.adt import (
 from repro.core.fastcheck import COMPOSITIONAL, check_linearizable
 from repro.core.linearizability import linearize
 from repro.core.traces import Trace
+from repro.stats import percentile
 
 #: default regression tolerance for gated ratio metrics; a check dict
 #: may override it with its own ``"tolerance"`` key
 TOLERANCE = 2.0
-
-
-def percentile(samples, q):
-    """The q-th percentile (0..100) by linear interpolation.
-
-    Tiny and dependency-free on purpose: every throughput benchmark and
-    the loadgen must agree on what "p99" means.
-    """
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    if len(ordered) == 1:
-        return float(ordered[0])
-    rank = (q / 100.0) * (len(ordered) - 1)
-    lo = int(rank)
-    hi = min(lo + 1, len(ordered) - 1)
-    frac = rank - lo
-    return float(ordered[lo] * (1 - frac) + ordered[hi] * frac)
 
 
 def throughput_metrics(latencies_s, duration_s, prefix=""):
@@ -118,12 +101,14 @@ def throughput_metrics(latencies_s, duration_s, prefix=""):
     side-by-side configurations in one report).
     """
     committed = len(latencies_s)
+    p50 = percentile(latencies_s, 0.50) or 0.0
+    p99 = percentile(latencies_s, 0.99) or 0.0
     return {
         f"{prefix}ops_per_s": (
             committed / duration_s if duration_s else 0.0
         ),
-        f"{prefix}latency_p50_ms": percentile(latencies_s, 50) * 1e3,
-        f"{prefix}latency_p99_ms": percentile(latencies_s, 99) * 1e3,
+        f"{prefix}latency_p50_ms": p50 * 1e3,
+        f"{prefix}latency_p99_ms": p99 * 1e3,
     }
 
 

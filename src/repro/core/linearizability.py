@@ -94,9 +94,10 @@ class LinearizationResult:
     (0-based position in the trace) to its commit history, and ``master``
     is the longest commit history (the full linearization).  On failure
     ``reason`` holds a human-readable explanation.  ``unknown`` is set
-    when the search gave up against an explicit ``state_limit`` budget
-    rather than proving non-linearizability: ``ok`` is False but the
-    verdict is *inconclusive*, not a violation.
+    when the search gave up against a budget (an explicit
+    ``state_limit``, or the interpreter's recursion limit) rather than
+    proving non-linearizability: ``ok`` is False but the verdict is
+    *inconclusive*, not a violation.
     """
 
     ok: bool
@@ -473,6 +474,8 @@ def linearize(
     the legacy contract); ``state_limit`` bounds the memo table instead
     and returns an ``unknown`` result rather than raising, so callers can
     treat a blown budget as inconclusive without exception plumbing.
+    A history deeper than the interpreter's recursion limit is the same
+    kind of ``unknown``, never a ``RecursionError``.
 
     All invocation inputs must belong to the ADT's input set: a trace
     containing an invocation outside ``I_T`` is not a trace of ``sigT``
@@ -526,6 +529,18 @@ def linearize(
             reason=(
                 f"linearization search exceeded the {state_limit}-state "
                 f"memo budget; verdict unknown"
+            ),
+        )
+    except RecursionError:
+        # the DFS recurses once per linearized input, so the
+        # interpreter's stack is a budget too: blowing it proves
+        # nothing about the trace
+        return LinearizationResult(
+            False,
+            unknown=True,
+            reason=(
+                f"linearization search of {len(responses)} responses "
+                f"exceeded the recursion limit; verdict unknown"
             ),
         )
     if found:

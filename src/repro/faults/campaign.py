@@ -45,6 +45,7 @@ from ..mp.paxos import PaxosAcceptor
 from ..mp.sim import NetworkStats
 from ..smr.kvstore import ReplicatedKVStore
 from ..smr.universal import kv_store_adt
+from ..stats import percentile
 from .mutants import AmnesiacAcceptor
 from .nemesis import (
     ACTION_CLASSES,
@@ -148,14 +149,6 @@ class RunResult:
             f"switch={self.switched} gave_up={self.gave_up} | "
             f"{self.stats_line()} | {self.schedule.describe()}"
         )
-
-
-def _percentile(values: Sequence[float], q: float) -> Optional[float]:
-    if not values:
-        return None
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))
-    return ordered[index]
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +484,8 @@ class CampaignReport:
             switched = sum(r.switched for r in results)
             gave_up = sum(r.gave_up for r in results)
             latencies = [l for r in results for l in r.latencies]
-            p50 = _percentile(latencies, 0.50)
-            p95 = _percentile(latencies, 0.95)
+            p50 = percentile(latencies, 0.50)
+            p95 = percentile(latencies, 0.95)
             top = max(latencies) if latencies else None
 
             def cell(value) -> str:

@@ -4,7 +4,8 @@ PR 1's campaign attacks the simulator; this module drives the same
 discipline — seeded declarative fault schedules, every recorded history
 checked for linearizability, ddmin shrinking of violating schedules —
 against :class:`~repro.net.cluster.LocalCluster` over real sockets,
-while closed-loop :class:`~repro.net.client.NetClient` traffic flows.
+while closed-loop :func:`~repro.net.pipeline.probing_client` traffic
+flows.
 
 The action vocabulary is the crash-recovery one the runtime now
 supports: :class:`KillNode`/:class:`RestartNode` pairs (restarts replay
@@ -35,9 +36,9 @@ fail-stop model cannot express:
 
 Two design points make violations observable rather than theoretical:
 
-* every client keeps its **own** decided-slot cache (unlike the
-  loadgen's shared log): if amnesia lets consensus fork, two clients
-  hold different logs and their recorded responses conflict;
+* every client keeps its **own** decided-slot log (a pipeline of its
+  own): if amnesia lets consensus fork, two clients hold different
+  logs and their recorded responses conflict;
 * every :class:`RestartNode` spawns a fresh **late-reader** client that
   probes the log from slot 0 — the reader's quorum round mixes the
   survivors' durable sticky accepts with the restarted node's answers,
@@ -61,33 +62,27 @@ import os
 import random
 import tempfile
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..analysis import sanitizer
 from ..analysis.sanitizer import InterleaveError, atomic_section
 from ..core.adt import counter_adt
 from ..mp.backoff import BackoffPolicy
 from ..core.fastcheck import check_linearizable
-from ..monitor import MonitorTap, StreamingMonitor
+from ..monitor import MonitorTap
 from ..net.client import (
     DEFAULT_QUORUM_TIMEOUT,
     HistoryRecorder,
-    NetClient,
     OperationTimeout,
 )
 from ..net.cluster import LocalCluster
 from ..net.faultfs import FaultyFS, flip_record_body, tear_tail
-from ..net.loadgen import (
-    DEFAULT_KEYS,
-    MONITOR_CONFIG_LIMIT,
-    MONITOR_NODE_LIMIT,
-    _command_stream,
-)
+from ..net.loadgen import DEFAULT_KEYS, _command_stream, budgeted_tap
 from ..net.overload import Overloaded
-from ..net.pipeline import PipelineClient, SlotPipeline
+from ..net.pipeline import PipelineClient, SlotPipeline, probing_client
 from ..net.wal import WALCorruptionError
 from ..smr.sessions import dedup_commands, seq_uid
-from ..smr.universal import UniversalFrontend, batch_commands, kv_store_adt
+from ..smr.universal import batch_commands, kv_store_adt
 from .netfaults import TransportFaults
 from .shrink import shrink_schedule
 
@@ -574,9 +569,9 @@ class _RunConfig:
     amnesiac: Optional[int] = None
     wal_fsync: bool = True
     #: drive main traffic through a shared SlotPipeline (batched,
-    #: windowed decrees) instead of one NetClient probe per op.  Late
-    #: readers always stay on NetClients with private decided-slot
-    #: caches — they are the fork detectors.
+    #: windowed decrees) instead of one probing client per driver.
+    #: Late readers always stay on probing clients with private
+    #: decided-slot logs — they are the fork detectors.
     pipelined: bool = False
     codec: Optional[str] = None
     window: int = 8
@@ -695,20 +690,13 @@ async def _run_schedule(
         )
         await cluster.start()
         transport = cluster.client_transport("clients")
-        tap: Optional[MonitorTap] = None
-        if config.monitor:
-            tap = MonitorTap(
-                StreamingMonitor(
-                    kv_store_adt(),
-                    node_limit=MONITOR_NODE_LIMIT,
-                    config_limit=MONITOR_CONFIG_LIMIT,
-                )
-            )
+        tap: Optional[MonitorTap] = (
+            budgeted_tap(kv_store_adt()) if config.monitor else None
+        )
         recorder = HistoryRecorder(
             clock=lambda: transport.now, tap=tap
         )
-        frontend = UniversalFrontend(kv_store_adt())
-        all_clients: List[Union[NetClient, PipelineClient]] = []
+        all_clients: List[PipelineClient] = []
         late_tasks: List[asyncio.Task] = []
         pipeline: Optional[SlotPipeline] = None
         if config.pipelined or config.race_mutant:
@@ -724,41 +712,31 @@ async def _run_schedule(
                 quorum_timeout=config.quorum_timeout,
             )
 
-        def make_client(name: str) -> NetClient:
-            # Per-client decided-slot caches: a forked consensus must
-            # surface as conflicting recorded responses, not be papered
-            # over by a shared log.
-            client = NetClient(
-                name,
-                config.replicas,
-                transport,
-                {},
-                recorder,
-                frontend,
-                quorum_timeout=config.quorum_timeout,
-                op_timeout=config.op_timeout,
-            )
-            all_clients.append(client)
-            return client
-
-        def make_driver(name: str) -> Union[NetClient, PipelineClient]:
-            # Main traffic rides the batching pipeline when configured;
-            # the closed-loop contract (invoke-before-effect, timeout →
-            # pending + poisoned identity) is identical either way, so
-            # the checker sees the same kind of history.
-            if pipeline is None:
-                return make_client(name)
-            client = PipelineClient(
-                name,
-                pipeline,
-                recorder,
-                op_timeout=config.op_timeout,
-            )
+        def make_client(
+            name: str, shared: Optional[SlotPipeline] = None
+        ) -> PipelineClient:
+            # Per-client decided-slot logs unless told to share: a
+            # forked consensus must surface as conflicting recorded
+            # responses, not be papered over by a shared log.
+            if shared is None:
+                client = probing_client(
+                    name,
+                    config.replicas,
+                    transport,
+                    recorder,
+                    quorum_timeout=config.quorum_timeout,
+                    op_timeout=config.op_timeout,
+                )
+            else:
+                client = PipelineClient(
+                    name, shared, recorder, op_timeout=config.op_timeout
+                )
             all_clients.append(client)
             return client
 
         async def drive(index: int) -> None:
-            client = make_driver(f"c{index}")
+            # main traffic rides the batching pipeline when configured
+            client = make_client(f"c{index}", pipeline)
             rng = random.Random(f"netload:{schedule.seed}:{index}")
             stream = _command_stream(rng, config.keys)
             for _ in range(config.ops_per_client):
@@ -988,8 +966,8 @@ def run_net_campaign(
     :class:`~repro.net.pipeline.SlotPipeline` (``window``/``batch``
     sized; ``codec``/``group_commit`` configure the cluster), which is
     how CI proves group commit and decree batching compose with the
-    chaos vocabulary.  Late readers stay on probing ``NetClient``\\ s
-    with private decided-slot caches either way — they are the fork
+    chaos vocabulary.  Late readers stay on probing clients with
+    private decided-slot logs either way — they are the fork
     detectors.
 
     ``monitor=True`` attaches a live
@@ -1278,15 +1256,9 @@ async def _run_retry_storm(
         )
         await cluster.start()
         transport = cluster.client_transport("clients")
-        tap: Optional[MonitorTap] = None
-        if monitor:
-            tap = MonitorTap(
-                StreamingMonitor(
-                    counter_adt(),
-                    node_limit=MONITOR_NODE_LIMIT,
-                    config_limit=MONITOR_CONFIG_LIMIT,
-                )
-            )
+        tap: Optional[MonitorTap] = (
+            budgeted_tap(counter_adt()) if monitor else None
+        )
         recorder = HistoryRecorder(clock=lambda: transport.now, tap=tap)
         # window sized so retried decrees actually propose while the
         # originals are still in flight (that concurrency is what

@@ -9,8 +9,8 @@ Two modes, both built on the same :class:`StreamingMonitor`:
   plane.  Exit code 0 = ok, 1 = violation, 2 = unknown.
 * **watch** — actively probe a *separately served* cluster (see
   ``python -m repro serve``) on a reserved canary key with a recording
-  :class:`~repro.net.client.NetClient` whose history is tapped straight
-  into the monitor.  An external watcher can only check what it
+  :func:`~repro.net.pipeline.probing_client` whose history is tapped
+  straight into the monitor.  An external watcher can only check what it
   observes, so this is canary monitoring: alternating writes and reads
   whose responses must linearize — exactly the probe discipline the
   chaos campaigns' late readers use to detect forked histories (an
@@ -27,9 +27,10 @@ import asyncio
 import json
 from typing import Any, List, Optional, Tuple
 
-from ..net.client import HistoryRecorder, NetClient, OperationTimeout
+from ..net.client import HistoryRecorder, OperationTimeout
+from ..net.pipeline import PipelineClient, probing_client
 from ..net.transport import AddressBook, AsyncTransport
-from ..smr.universal import UniversalFrontend, kv_store_adt
+from ..smr.universal import kv_store_adt
 from .streaming import MonitorReport, StreamingMonitor, compose_verdicts
 from .tap import MonitorTap
 
@@ -107,24 +108,18 @@ def make_probe(
     replicas: int,
     monitor: StreamingMonitor,
     op_timeout: float = 5.0,
-) -> Tuple[NetClient, MonitorTap]:
+) -> Tuple[PipelineClient, MonitorTap]:
     """A recording canary client whose history streams into ``monitor``."""
     tap = MonitorTap(monitor)
     recorder = HistoryRecorder(clock=lambda: transport.now, tap=tap)
-    client = NetClient(
-        "monitor-probe",
-        replicas,
-        transport,
-        {},
-        recorder,
-        UniversalFrontend(kv_store_adt()),
-        op_timeout=op_timeout,
+    client = probing_client(
+        "monitor-probe", replicas, transport, recorder, op_timeout=op_timeout
     )
     return client, tap
 
 
 async def probe_loop(
-    client: NetClient,
+    client: PipelineClient,
     tap: MonitorTap,
     ops: Optional[int],
     interval: float,

@@ -16,9 +16,13 @@ Modules:
   tuple-preserving and selectable per cluster, decoded uniformly via a
   magic-byte dispatch;
 * :mod:`repro.net.pipeline` — :class:`SlotPipeline` and
-  :class:`PipelineClient`, the high-throughput data plane: request
-  batching into decree batches, a window of in-flight slots,
-  multiplexed logical clients, incremental response derivation;
+  :class:`PipelineClient`, the one client library: Quorum fast path,
+  Backup switch, safe retry of the same ``(client, seq)`` op under
+  :class:`~repro.mp.backoff.BackoffPolicy`, hedging; request batching
+  into decree batches, a window of in-flight slots, multiplexed
+  logical clients, incremental response derivation.  The paper's
+  one-op-per-round client is :func:`probing_client` (window 1, batch
+  1, a pipeline of its own);
 * :mod:`repro.net.transport` — :class:`AsyncTransport`, the port
   implementation: pid routing, connection pooling, reply routes,
   transport-level fault injection, :class:`~repro.mp.sim.NetworkStats`;
@@ -26,11 +30,8 @@ Modules:
   (lazily instantiated per SMR slot) behind a TCP listener;
 * :mod:`repro.net.cluster` — :class:`LocalCluster`, an in-process
   n-replica launcher with clean shutdown and mid-run kill;
-* :mod:`repro.net.client` — :class:`NetClient`, the client library
-  (slot probing, Quorum fast path, Backup switch, safe retry of the
-  same ``(client, seq)`` op under :class:`~repro.mp.backoff.BackoffPolicy`,
-  coordinator failover, hedging) and the wire-level
-  :class:`HistoryRecorder`;
+* :mod:`repro.net.client` — the wire-level :class:`HistoryRecorder`
+  and the typed fate-unknown failures every client shares;
 * :mod:`repro.net.overload` — the typed :exc:`Overloaded` rejection
   and the :class:`CircuitBreaker` behind admission control;
 * :mod:`repro.net.loadgen` — the closed-loop multi-client load
@@ -44,13 +45,7 @@ Modules:
   acceptances and decided log intact.
 """
 
-from .client import (
-    HistoryRecorder,
-    NetClient,
-    OperationTimeout,
-    RequestTooLarge,
-    RetriesExhausted,
-)
+from .client import HistoryRecorder, OperationTimeout, RetriesExhausted
 from .cluster import LocalCluster, ShardedCluster, Supervisor, shard_of
 from .codec import (
     BINARY_CODEC,
@@ -68,10 +63,10 @@ from .loadgen import LoadReport, run_loadgen
 from .node import ReplicaNode
 from .overload import CircuitBreaker, Overloaded
 from .pipeline import (
-    DecreeAbandoned,
     PayloadTooLarge,
     PipelineClient,
     SlotPipeline,
+    probing_client,
 )
 from .transport import AddressBook, AsyncTransport
 from .wal import NodeWAL, RecoveredState, WriteAheadLog
@@ -81,7 +76,6 @@ __all__ = [
     "AsyncTransport",
     "BINARY_CODEC",
     "CircuitBreaker",
-    "DecreeAbandoned",
     "FrameDecoder",
     "FrameError",
     "FrameTooLarge",
@@ -90,7 +84,6 @@ __all__ = [
     "LoadReport",
     "LocalCluster",
     "MAX_FRAME",
-    "NetClient",
     "NodeWAL",
     "OperationTimeout",
     "Overloaded",
@@ -98,7 +91,6 @@ __all__ = [
     "PipelineClient",
     "RecoveredState",
     "ReplicaNode",
-    "RequestTooLarge",
     "RetriesExhausted",
     "ShardedCluster",
     "SlotPipeline",
@@ -108,6 +100,7 @@ __all__ = [
     "encode_frame",
     "encode_payload",
     "get_codec",
+    "probing_client",
     "run_loadgen",
     "shard_of",
 ]

@@ -1,66 +1,33 @@
-"""`NetClient`: the client library of the networked SMR deployment.
+"""What every wire client shares: history recording, results, timeouts.
 
-A client replicates KV commands by driving, per log slot, the same
-composed consensus the simulator runs — a
-:class:`~repro.mp.quorum.QuorumClient` first (fast path, two message
-delays) and, on a switch, a :class:`~repro.mp.backup.BackupClient`
-(Paxos, three delays) — over an :class:`~repro.net.transport.AsyncTransport`
-shared by every client of the process.  The slot-probing loop mirrors
-``SpeculativeSMR.submit``: propose on the first slot not known decided,
-apply the winner, retry on the next slot if the winner was someone
-else's command.
+The client itself lives in :mod:`repro.net.pipeline`: a
+:class:`~repro.net.pipeline.PipelineClient` over a
+:class:`~repro.net.pipeline.SlotPipeline`.  The paper's client — one
+composed Quorum→Backup consensus per log slot, one op per round, the
+response derived from the decided prefix — is that same pair built with
+``window=1, max_batch=1`` and a pipeline of its own
+(:func:`~repro.net.pipeline.probing_client`).
 
-The clients keep a **local** cache of decided slots instead of a shared
-server-side log; this is safe by Quorum's own unanimity rule: a fast
-decision requires identical accepts from *all* servers, so every
-switch value for that slot equals the decided value and Backup can only
-confirm it — whatever a client learned a slot decided is what the slot
-decided, forever.
+This module holds the parts that do not depend on the proposer:
 
-Responses follow Section 6's universal-ADT recipe: the KV output
-function applied to the untagged log prefix ending at the committed
-slot, **deduplicated** through the session rule
-(:func:`repro.smr.sessions.dedup_commands`) — a command that decided in
-two slots (a retried or hedged proposal whose first decree also
-landed) contributes exactly one application.
-
-Operations are bounded by ``op_timeout`` wall-clock seconds *in
-total*.  Within that budget a timed-out attempt is **safely retried**:
-the client re-proposes the *same* ``(client_id, seq)``-tagged command
-(duplicate decrees are suppressed by the session dedup), pacing
-attempts with its own :class:`~repro.mp.backoff.BackoffPolicy` copy,
-rotating the Backup coordinator list so repeated timeouts fail over to
-the successor coordinator, and — with ``hedge_after`` set — launching
-a duplicate probe chain once the first attempt looks slow.  All
-attempts are one invocation in the recorded history; the response is
-recorded once, whichever attempt commits first.
-
-Only when the retry budget or the deadline is exhausted does the op
-fail, with the typed :exc:`RetriesExhausted`: its fate is unknown, so
-the invocation is left **pending** in the history (which
-linearizability permits — the op may or may not have taken effect) and
-the identity is poisoned: a sequential client that cannot know whether
-its op happened must not issue another, exactly the Jepsen recording
-discipline the checker's pending-op handling expects.  Workloads keep
-the load flowing under :meth:`NetClient.successor` identities.
+* :class:`HistoryRecorder` — the Jepsen-style wire-level history.  One
+  op is one invocation and at most one response; a timed-out op leaves
+  its invocation **pending** (linearizability permits that — the op may
+  or may not have taken effect);
+* :class:`OpResult` — one committed op with the metrics benchmarks read;
+* :exc:`OperationTimeout` / :exc:`RetriesExhausted` — the typed
+  fate-unknown failure that poisons a client identity;
+* the wall-clock timer and backoff *templates* clients copy.
 """
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Hashable, List, Tuple
 
 from ..core.actions import Invocation, Response
 from ..core.traces import Trace
 from ..mp.backoff import BackoffPolicy
-from ..mp.backup import BackupClient
-from ..mp.quorum import QuorumClient
-from ..smr.sessions import dedup_commands, untag_command
-from ..smr.universal import UniversalFrontend, batch_commands, is_batch
-from .codec import FrameTooLarge
-from .overload import CircuitBreaker
-from .transport import AsyncTransport
 
 #: wall-clock Quorum timer (seconds): generous vs localhost RTTs, small
 #: vs the op timeout, so a contended slot switches to Backup quickly
@@ -91,17 +58,9 @@ class RetriesExhausted(OperationTimeout):
     """Safe retry gave up: every attempt within the op deadline and the
     retry budget timed out.  The op's fate is unknown — the invocation
     stays pending and the identity is poisoned (continue through
-    :meth:`NetClient.successor`).  A typed subclass of
-    :exc:`OperationTimeout` so existing fate-unknown handling applies.
-    """
-
-
-class RequestTooLarge(Exception):
-    """A single command cannot fit one wire frame.
-
-    Raised *before* the invocation is recorded or any byte leaves the
-    process: the history stays clean, the client is not poisoned, and
-    the connection is never torn by an oversized frame mid-write.
+    :meth:`~repro.net.pipeline.PipelineClient.successor`).  A typed
+    subclass of :exc:`OperationTimeout` so existing fate-unknown
+    handling applies.
     """
 
 
@@ -200,338 +159,3 @@ class HistoryRecorder:
             }
             for kind, client, command, response, at in self.events
         ]
-
-
-class NetClient:
-    """One sequential closed-loop client over a shared transport.
-
-    ``op_timeout`` bounds the whole operation; ``attempt_timeout``
-    (default: a quarter of it) slices the budget into attempts, each a
-    full probe run.  ``retry_backoff`` paces re-submission between
-    attempts, ``hedge_after`` (optional) launches a duplicate probe
-    chain inside an attempt once it looks slow, and a per-coordinator
-    :class:`~repro.net.overload.CircuitBreaker` steers the Backup
-    failover rotation away from endpoints that keep eating decrees.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        n_servers: int,
-        transport: AsyncTransport,
-        log: Dict[int, Hashable],
-        recorder: HistoryRecorder,
-        frontend: UniversalFrontend,
-        quorum_timeout: float = DEFAULT_QUORUM_TIMEOUT,
-        backoff: Optional[BackoffPolicy] = None,
-        op_timeout: float = 5.0,
-        attempt_timeout: Optional[float] = None,
-        retry_backoff: Optional[BackoffPolicy] = None,
-        hedge_after: Optional[float] = None,
-    ) -> None:
-        self.name = name
-        self.n_servers = n_servers
-        self.transport = transport
-        self.log = log
-        self.recorder = recorder
-        self.frontend = frontend
-        self.quorum_timeout = quorum_timeout
-        # Own copies, never the module-level templates: policy objects
-        # are per-client (a stateful policy shared between clients would
-        # couple their retry schedules).
-        self.backoff = replace(backoff) if backoff else replace(DEFAULT_BACKOFF)
-        self.retry_backoff = (
-            replace(retry_backoff)
-            if retry_backoff
-            else replace(DEFAULT_RETRY_BACKOFF)
-        )
-        self.op_timeout = op_timeout
-        self.attempt_timeout = (
-            attempt_timeout
-            if attempt_timeout is not None
-            else max(op_timeout / 4.0, 2.0 * quorum_timeout)
-        )
-        self.hedge_after = hedge_after
-        self.poisoned = False
-        self.results: List[OpResult] = []
-        #: attempt-level retries / hedged duplicate chains (transport
-        #: events, not history events)
-        self.retries = 0
-        self.hedges = 0
-        #: per-coordinator-endpoint breakers steering the failover order
-        self.breakers: Dict[int, CircuitBreaker] = {
-            j: CircuitBreaker(clock=lambda: self.transport.now)
-            for j in range(n_servers)
-        }
-        self._seq = 0
-        self._incarnation = 0
-
-    def successor(self) -> "NetClient":
-        """A fresh client identity continuing this client's workload.
-
-        An op whose retries are exhausted poisons a client id forever —
-        the invocation stays pending and a sequential client must not
-        issue another op under the same id.  Jepsen's discipline is to
-        keep the *load* going anyway: mint a new id (``c3`` → ``c3@1``
-        → ``c3@2`` …) that shares the transport, the decided-slot
-        cache, the recorder and the frontend, so the workload continues
-        through a fault window while the old id's pending op stays in
-        the history for the checker to account for.
-        """
-        root = self.name.split("@", 1)[0]
-        heir = NetClient(
-            f"{root}@{self._incarnation + 1}",
-            self.n_servers,
-            self.transport,
-            self.log,
-            self.recorder,
-            self.frontend,
-            quorum_timeout=self.quorum_timeout,
-            backoff=self.backoff,
-            op_timeout=self.op_timeout,
-            attempt_timeout=self.attempt_timeout,
-            retry_backoff=self.retry_backoff,
-            hedge_after=self.hedge_after,
-        )
-        heir._incarnation = self._incarnation + 1
-        return heir
-
-    def _prefix_response(self, slot: int) -> Hashable:
-        # decrees may be batches (a pipelined proposer shares the
-        # cluster): flatten each decided value to its commands, then
-        # apply the session rule — the first occurrence of each tagged
-        # command in log order is the one that applies, so a retried
-        # proposal that decided twice folds once
-        flattened = (
-            c
-            for s, v in sorted(self.log.items())
-            if s <= slot
-            for c in batch_commands(v)
-        )
-        history = tuple(
-            untag_command(c) for c in dedup_commands(flattened)
-        )
-        return self.frontend.respond(history)
-
-    def _find_win(self, tagged: Tuple) -> Optional[int]:
-        """The first slot whose decided value carries ``tagged``."""
-        wins = [
-            s
-            for s, v in self.log.items()
-            if v == tagged
-            or (is_batch(v) and tagged in batch_commands(v))
-        ]
-        return min(wins) if wins else None
-
-    def _coordinator_order(self, round_no: int) -> Tuple[int, ...]:
-        """Backup failover order for retry round ``round_no``.
-
-        Rotating by the round makes repeated timeouts try the successor
-        coordinator first; coordinators behind an open circuit breaker
-        are moved to the back of the line (never removed — with every
-        breaker open the op must still get its chance).
-        """
-        rotated = [
-            (round_no + j) % self.n_servers for j in range(self.n_servers)
-        ]
-        preferred = [j for j in rotated if self.breakers[j].allow()]
-        shunned = [j for j in rotated if j not in preferred]
-        return tuple(preferred + shunned)
-
-    async def submit(self, command: Tuple) -> Hashable:
-        """Replicate one KV command; return its derived response.
-
-        Raises :class:`RetriesExhausted` once the total ``op_timeout``
-        deadline or the retry budget is spent — the op stays pending in
-        the history and the client is poisoned.
-        """
-        if self.poisoned:
-            raise RuntimeError(
-                f"client {self.name!r} is poisoned by an op whose fate "
-                f"is unknown (retries exhausted)"
-            )
-        self._seq += 1
-        tagged = command + (("seq", (self.name, self._seq)),)
-        uid = (self.name, self._seq)
-        probe = (("qcli", (uid, 1)), ("qs", 0, 0), ("q-propose", tagged))
-        try:
-            self.transport.codec.encode_frame(probe)
-        except FrameTooLarge as exc:
-            # per-op failure, pre-invocation: surface it typed instead
-            # of letting the encoder blow up inside the proposer
-            self._seq -= 1
-            raise RequestTooLarge(
-                f"{self.name}: {command[:1]!r}... cannot fit one wire "
-                f"frame ({exc})"
-            ) from exc
-        start = self.transport.now
-        deadline = start + self.op_timeout
-        attempts = [0]
-        switched = [0]
-        self.recorder.invoke(self.name, command)
-        round_no = 0
-        while True:
-            budget = min(self.attempt_timeout, deadline - self.transport.now)
-            if budget <= 0:
-                self.poisoned = True
-                self.breakers[round_no % self.n_servers].record_failure()
-                raise RetriesExhausted(
-                    f"{self.name}: {command!r} still undecided after "
-                    f"{self.op_timeout}s across {round_no + 1} attempt(s)"
-                ) from None
-            try:
-                await self._attempt(
-                    tagged, uid, round_no, budget, attempts, switched
-                )
-                break
-            except asyncio.TimeoutError:
-                primary = self._coordinator_order(round_no)[0]
-                self.breakers[primary].record_failure()
-                if self.retry_backoff.exhausted(round_no):
-                    self.poisoned = True
-                    raise RetriesExhausted(
-                        f"{self.name}: {command!r} still undecided after "
-                        f"{round_no + 1} attempt(s); retry budget spent"
-                    ) from None
-                round_no += 1
-                self.retries += 1
-                pause = min(
-                    self.retry_backoff.delay(round_no, key=uid),
-                    max(0.0, deadline - self.transport.now),
-                )
-                if pause > 0:
-                    await asyncio.sleep(pause)
-        self.breakers[self._coordinator_order(round_no)[0]].record_success()
-        win = self._find_win(tagged)
-        assert win is not None  # _attempt resolved => the win is cached
-        response = self._prefix_response(win)
-        self.recorder.respond(self.name, command, response)
-        self.results.append(
-            OpResult(
-                client=self.name,
-                command=command,
-                response=response,
-                slot=win,
-                latency=self.transport.now - start,
-                attempts=attempts[0],
-                switched_slots=switched[0],
-            )
-        )
-        return response
-
-    async def _attempt(
-        self,
-        tagged: Tuple,
-        uid: Tuple,
-        round_no: int,
-        budget: float,
-        attempts: List[int],
-        switched: List[int],
-    ) -> int:
-        """One full probe run for ``tagged``, bounded by ``budget``.
-
-        Proposes on the first slot not known decided and walks forward
-        until ``tagged`` wins a slot.  With ``hedge_after`` set, a
-        duplicate probe chain launches once the attempt has gone that
-        long without resolving — a latecomer's decree is harmless
-        because the session dedup folds duplicate decrees once.
-        """
-        future: asyncio.Future = self.transport.loop.create_future()
-        op_pids: List[Hashable] = []
-        order = self._coordinator_order(round_no)
-        chains = [0]
-
-        def try_slot(slot: int, chain: int) -> None:
-            if future.done():
-                return
-            if slot in self.log:
-                advance(slot, self.log[slot], chain)
-                return
-            attempts[0] += 1
-            sub = (uid, round_no, chain, attempts[0])
-
-            def on_decide(winner: Hashable) -> None:
-                settle(slot, winner, chain)
-
-            def on_switch(switch_value: Hashable) -> None:
-                if future.done():
-                    return
-                switched[0] += 1
-                backup = BackupClient(
-                    ("bcli", sub),
-                    coordinators=[("coord", slot, j) for j in order],
-                    n_acceptors=self.n_servers,
-                    on_decide=lambda winner: settle(slot, winner, chain),
-                    backoff=self.backoff,
-                )
-                self.transport.register(backup)
-                op_pids.append(backup.pid)
-                for j in range(self.n_servers):
-                    self.transport.send(
-                        backup.pid,
-                        ("ctl", 0, j),
-                        ("register-learner", slot, backup.pid),
-                    )
-                backup.switch_to_backup(switch_value)
-
-            quorum = QuorumClient(
-                ("qcli", sub),
-                servers=[("qs", slot, j) for j in range(self.n_servers)],
-                on_decide=on_decide,
-                on_switch=on_switch,
-                timeout=self.quorum_timeout,
-            )
-            self.transport.register(quorum)
-            op_pids.append(quorum.pid)
-            quorum.propose(tagged)
-
-        def settle(slot: int, winner: Hashable, chain: int) -> None:
-            if slot not in self.log:
-                self.log[slot] = winner
-            advance(slot, self.log[slot], chain)
-
-        def advance(slot: int, winner: Hashable, chain: int) -> None:
-            if future.done():
-                return
-            if winner == tagged or (
-                is_batch(winner) and tagged in batch_commands(winner)
-            ):
-                future.set_result(slot)
-            else:
-                try_slot(slot + 1, chain)
-
-        def launch_chain(chain: int) -> None:
-            if future.done():
-                return
-            # A previous attempt's decree may have decided during the
-            # blackout and been learned into a (shared) log by another
-            # client: honour it rather than proposing yet another copy.
-            win = self._find_win(tagged)
-            if win is not None:
-                future.set_result(win)
-                return
-            first = 0
-            while first in self.log:
-                first += 1
-            try_slot(first, chain)
-
-        hedge_handle = None
-        if self.hedge_after is not None and self.hedge_after < budget:
-
-            def hedge() -> None:
-                if future.done():
-                    return
-                self.hedges += 1
-                chains[0] += 1
-                launch_chain(chains[0])
-
-            hedge_handle = self.transport.call_later(self.hedge_after, hedge)
-
-        launch_chain(0)
-        try:
-            return await asyncio.wait_for(future, budget)
-        finally:
-            if hedge_handle is not None:
-                hedge_handle.cancel()
-            for pid in op_pids:
-                self.transport.unregister(pid)

@@ -1,6 +1,6 @@
 """The closed-loop load generator for the networked deployment.
 
-``run_loadgen`` boots a :class:`~repro.net.cluster.LocalCluster`, runs
+``run_loadgen`` boots a :class:`~repro.net.cluster.ShardedCluster`, runs
 ``clients`` sequential closed-loop clients (each issues its next KV
 command only after the previous one committed — the paper's client
 model), and at the end feeds the wire-level recorded history through
@@ -25,16 +25,19 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.adt import ADT
 from ..core.fastcheck import check_linearizable
 from ..monitor import MonitorReport, MonitorTap, StreamingMonitor, compose_verdicts
-from ..smr.universal import UniversalFrontend, kv_store_adt
-from .client import HistoryRecorder, NetClient, OperationTimeout
-from .cluster import LocalCluster, ShardedCluster, shard_of
+from ..smr.universal import kv_store_adt
+from ..stats import percentile
+from .client import HistoryRecorder, OperationTimeout
+from .cluster import ShardedCluster, shard_of
 from .overload import Overloaded
 from .pipeline import PipelineClient, SlotPipeline
+from .transport import AsyncTransport
 
 #: keys the generated workload touches; small enough to create real
 #: slot contention, large enough for the P-compositional checker to
@@ -53,6 +56,17 @@ MONITOR_NODE_LIMIT = 200_000
 #: client count's worst case (16 clients on one hot key blows 4096)
 #: while still bounding a truly pathological frontier.
 MONITOR_CONFIG_LIMIT = 65_536
+
+
+def budgeted_tap(adt: ADT) -> MonitorTap:
+    """A live monitor over ``adt`` under the two budgets above."""
+    return MonitorTap(
+        StreamingMonitor(
+            adt,
+            node_limit=MONITOR_NODE_LIMIT,
+            config_limit=MONITOR_CONFIG_LIMIT,
+        )
+    )
 
 
 @dataclass
@@ -80,13 +94,14 @@ class LoadReport:
     hedges: int = 0
     shed: int = 0
     endpoint_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: data-plane configuration (defaults describe the seed path)
+    #: data-plane configuration; not ``pipelined`` is the paper's
+    #: client: window 1, batch 1, one pipeline per client
     shards: int = 1
     pipelined: bool = False
-    window: Optional[int] = None
-    batch: Optional[int] = None
+    window: int = 1
+    batch: int = 1
     codec: Optional[str] = None
-    #: per-shard linearizability verdicts, shard order (pipelined runs)
+    #: per-shard linearizability verdicts, shard order
     shard_verdicts: List[str] = field(default_factory=list)
     #: decrees proposed / ops they carried, summed over shards
     decrees: int = 0
@@ -112,11 +127,7 @@ class LoadReport:
 
     def percentile(self, q: float) -> Optional[float]:
         """The q-quantile (0..1) of commit latency, None with no data."""
-        if not self.latencies:
-            return None
-        ordered = sorted(self.latencies)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
+        return percentile(self.latencies, q)
 
     def summary(self) -> str:
         """Human-readable multi-line account of the run."""
@@ -176,46 +187,17 @@ class LoadReport:
         return "\n".join(lines)
 
     def to_jsonable(self) -> Dict[str, Any]:
-        """The report as a JSON-artifact-friendly dict."""
-        return {
-            "replicas": self.replicas,
-            "clients": self.clients,
-            "ops_requested": self.ops_requested,
-            "committed": self.committed,
-            "pending": self.pending,
-            "fast": self.fast,
-            "slow": self.slow,
-            "duration": self.duration,
-            "throughput": self.throughput,
-            "latency_p50": self.percentile(0.50),
-            "latency_p95": self.percentile(0.95),
-            "verdict": self.verdict,
-            "strategy": self.strategy,
-            "reason": self.reason,
-            "latency_p99": self.percentile(0.99),
-            "killed": self.killed,
-            "successors": self.successors,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "shed": self.shed,
-            "endpoint_stats": self.endpoint_stats,
-            "shards": self.shards,
-            "pipelined": self.pipelined,
-            "window": self.window,
-            "batch": self.batch,
-            "codec": self.codec,
-            "shard_verdicts": self.shard_verdicts,
-            "decrees": self.decrees,
-            "batched_ops": self.batched_ops,
-            "monitored": self.monitored,
-            "monitor_verdict": self.monitor_verdict,
-            "monitor_reason": self.monitor_reason,
-            "monitor_events": self.monitor_events,
-            "monitor_peak_retained": self.monitor_peak_retained,
-            "monitor_gc_drops": self.monitor_gc_drops,
-            "monitor_shard_verdicts": self.monitor_shard_verdicts,
-            "monitor_witness": self.monitor_witness,
-        }
+        """The report as a JSON-artifact-friendly dict: every field but
+        the raw latencies, plus the values derived from them."""
+        data = asdict(self)
+        del data["latencies"]
+        data.update(
+            throughput=self.throughput,
+            latency_p50=self.percentile(0.50),
+            latency_p95=self.percentile(0.95),
+            latency_p99=self.percentile(0.99),
+        )
+        return data
 
 
 def _command_stream(rng: random.Random, keys: Tuple[str, ...]):
@@ -233,6 +215,15 @@ def _command_stream(rng: random.Random, keys: Tuple[str, ...]):
             yield ("delete", key)
 
 
+def _link_stats(transport: AsyncTransport) -> Dict[str, int]:
+    stats = transport.stats
+    return {
+        "sent": stats.sent,
+        "delivered": stats.delivered,
+        "lost": stats.lost,
+    }
+
+
 async def _run(
     replicas: int,
     clients: int,
@@ -244,162 +235,8 @@ async def _run(
     quorum_timeout: float,
     keys: Tuple[str, ...],
     wal_root: Optional[str],
-    monitor: bool,
-    emit,
-) -> Tuple[LoadReport, HistoryRecorder]:
-    cluster = LocalCluster(n_servers=replicas, wal_root=wal_root)
-    await cluster.start()
-    transport = cluster.client_transport("clients")
-    tap: Optional[MonitorTap] = None
-    if monitor:
-        tap = MonitorTap(
-            StreamingMonitor(
-                kv_store_adt(),
-                node_limit=MONITOR_NODE_LIMIT,
-                config_limit=MONITOR_CONFIG_LIMIT,
-            )
-        )
-    recorder = HistoryRecorder(clock=lambda: transport.now, tap=tap)
-    frontend = UniversalFrontend(kv_store_adt())
-    shared_log: Dict[int, Any] = {}
-    committed = [0]
-    successors = [0]
-    killed = [False]
-    kill_threshold = max(1, int(ops * kill_after)) if kill is not None else None
-
-    net_clients = [
-        NetClient(
-            f"c{i}",
-            replicas,
-            transport,
-            shared_log,
-            recorder,
-            frontend,
-            quorum_timeout=quorum_timeout,
-            op_timeout=op_timeout,
-        )
-        for i in range(clients)
-    ]
-    #: every client incarnation that ran, successors included
-    all_clients = list(net_clients)
-
-    per_client = [ops // clients] * clients
-    for i in range(ops % clients):
-        per_client[i] += 1
-
-    async def drive(index: int) -> None:
-        client = net_clients[index]
-        stream = _command_stream(
-            random.Random(f"loadgen:{seed}:{index}"), keys
-        )
-        for _ in range(per_client[index]):
-            if tap is not None and tap.violated:
-                # fail fast: a violated prefix never becomes
-                # linearizable again, so further load is wasted work
-                return
-            command = next(stream)
-            try:
-                await client.submit(command)
-            except OperationTimeout:
-                # The op stays pending and this client id is poisoned;
-                # keep the load flowing under a fresh id (Jepsen-style)
-                # instead of stalling for the rest of the run.
-                successors[0] += 1
-                emit(
-                    f"  {client.name}: op timed out, left pending; "
-                    f"continuing as successor"
-                )
-                client = client.successor()
-                all_clients.append(client)
-                continue
-            committed[0] += 1
-            if (
-                kill_threshold is not None
-                and not killed[0]
-                and committed[0] >= kill_threshold
-            ):
-                killed[0] = True
-                emit(f"  killing node{kill} after {committed[0]} commits")
-                await cluster.kill(kill)
-
-    start = transport.now
-    await asyncio.gather(*(drive(i) for i in range(clients)))
-    duration = transport.now - start
-
-    monitor_report: Optional[MonitorReport] = None
-    if tap is not None:
-        monitor_report = await tap.close()
-        if monitor_report.verdict == "violation":
-            emit(f"  {monitor_report.summary()}")
-
-    endpoint_stats = {}
-    for node in cluster.nodes:
-        s = node.transport.stats
-        endpoint_stats[node.endpoint] = {
-            "sent": s.sent,
-            "delivered": s.delivered,
-            "lost": s.lost,
-        }
-    s = transport.stats
-    endpoint_stats[transport.endpoint] = {
-        "sent": s.sent,
-        "delivered": s.delivered,
-        "lost": s.lost,
-    }
-    await cluster.stop()
-
-    trace = recorder.trace()
-    check = check_linearizable(trace, kv_store_adt())
-    if check.unknown:
-        verdict, reason = "unknown", check.result.reason
-    elif check.ok:
-        verdict, reason = "linearizable", None
-    else:
-        verdict, reason = "violation", check.result.reason
-
-    results = [r for c in all_clients for r in c.results]
-    report = LoadReport(
-        replicas=replicas,
-        clients=clients,
-        ops_requested=ops,
-        committed=committed[0],
-        pending=len(recorder.pending_clients()),
-        fast=sum(1 for r in results if r.path == "fast"),
-        slow=sum(1 for r in results if r.path == "slow"),
-        duration=duration,
-        latencies=[r.latency for r in results],
-        verdict=verdict,
-        strategy=check.strategy,
-        reason=reason,
-        killed=kill if killed[0] else None,
-        successors=successors[0],
-        retries=sum(c.retries for c in all_clients),
-        hedges=sum(c.hedges for c in all_clients),
-        endpoint_stats=endpoint_stats,
-    )
-    if monitor_report is not None:
-        report.monitored = True
-        report.monitor_verdict = monitor_report.verdict
-        report.monitor_reason = monitor_report.reason
-        report.monitor_events = monitor_report.events
-        report.monitor_peak_retained = monitor_report.peak_retained
-        report.monitor_gc_drops = monitor_report.gc_drops
-        report.monitor_witness = monitor_report.witness
-    return report, recorder
-
-
-async def _run_pipelined(
-    replicas: int,
-    clients: int,
-    ops: int,
-    seed: int,
-    kill: Optional[int],
-    kill_after: float,
-    op_timeout: float,
-    quorum_timeout: float,
-    keys: Tuple[str, ...],
-    wal_root: Optional[str],
     shards: int,
+    pipeline: bool,
     window: int,
     batch: int,
     codec: Optional[str],
@@ -408,8 +245,13 @@ async def _run_pipelined(
     monitor: bool,
     emit,
 ) -> Tuple[LoadReport, List[HistoryRecorder]]:
-    """The high-volume data plane: sharded clusters, one batching
-    :class:`SlotPipeline` per shard, logical clients routed by key.
+    """The one load driver: sharded clusters, logical clients routed by
+    key, every client a :class:`PipelineClient`.
+
+    With ``pipeline`` the clients of a shard share one batching
+    :class:`SlotPipeline`; without it each client drives a pipeline of
+    its own at ``window``/``batch`` 1 (the caller passes 1, 1) — the
+    paper's one-op-per-round client, slot contention included.
 
     Commands route to ``shard_of(key, shards)`` — the same key the KV
     ADT's :class:`~repro.core.adt.PartitionSpec` partitions traces by —
@@ -426,35 +268,39 @@ async def _run_pipelined(
     )
     await sharded.start()
     transports = sharded.client_transports("clients")
-    taps: List[Optional[MonitorTap]] = [
-        MonitorTap(
-            StreamingMonitor(
-                kv_store_adt(),
-                node_limit=MONITOR_NODE_LIMIT,
-                config_limit=MONITOR_CONFIG_LIMIT,
-            )
-        )
+    taps: List[MonitorTap] = (
+        [budgeted_tap(kv_store_adt()) for _ in range(shards)]
         if monitor
-        else None
-        for _ in range(shards)
-    ]
+        else []
+    )
     recorders = [
         HistoryRecorder(
-            clock=(lambda t: (lambda: t.now))(transport), tap=taps[s]
+            clock=(lambda t: (lambda: t.now))(transport),
+            tap=taps[s] if monitor else None,
         )
         for s, transport in enumerate(transports)
     ]
-    pipelines = [
-        SlotPipeline(
-            f"shard{s}",
-            replicas,
-            transports[s],
-            window=window,
-            max_batch=batch,
-            quorum_timeout=quorum_timeout,
+    #: every proposer of the run: one per shard, or one per client of it
+    pipelines: List[SlotPipeline] = []
+
+    def open_pipeline(name: str, shard: int) -> SlotPipeline:
+        pipelines.append(
+            SlotPipeline(
+                name,
+                replicas,
+                transports[shard],
+                window=window,
+                max_batch=batch,
+                quorum_timeout=quorum_timeout,
+            )
         )
-        for s in range(shards)
-    ]
+        return pipelines[-1]
+
+    shared = (
+        [open_pipeline(f"shard{s}", s) for s in range(shards)]
+        if pipeline
+        else []
+    )
     committed = [0]
     successors = [0]
     killed = [False]
@@ -466,7 +312,7 @@ async def _run_pipelined(
         for s in range(shards):
             client = PipelineClient(
                 f"c{index}",
-                pipelines[s],
+                shared[s] if pipeline else open_pipeline(f"c{index}", s),
                 recorders[s],
                 op_timeout=op_timeout,
             )
@@ -484,9 +330,7 @@ async def _run_pipelined(
             random.Random(f"loadgen:{seed}:{index}"), keys
         )
         for _ in range(per_client[index]):
-            if monitor and any(
-                tap is not None and tap.violated for tap in taps
-            ):
+            if any(tap.violated for tap in taps):
                 # fail fast (prefix closure: the verdict cannot recover)
                 return
             command = next(stream)
@@ -533,24 +377,24 @@ async def _run_pipelined(
     await asyncio.gather(*(drive(i) for i in range(clients)))
     duration = transports[0].now - start
 
-    monitor_reports: List[MonitorReport] = []
-    if monitor:
-        for tap in taps:
-            assert tap is not None
-            monitor_reports.append(await tap.close())
-        for item in monitor_reports:
-            if item.verdict == "violation":
-                emit(f"  {item.summary()}")
+    monitor_reports: List[MonitorReport] = [
+        await tap.close() for tap in taps
+    ]
+    for item in monitor_reports:
+        if item.verdict == "violation":
+            emit(f"  {item.summary()}")
 
-    endpoint_stats = {}
-    for s, shard in enumerate(sharded.shards):
-        for node in shard.nodes:
-            st = node.transport.stats
-            endpoint_stats[f"shard{s}/{node.endpoint}"] = {
-                "sent": st.sent,
-                "delivered": st.delivered,
-                "lost": st.lost,
-            }
+    # artifact compatibility: the pipelined plane names endpoints by
+    # shard; the paper's client has one group and counts its own side
+    endpoint_stats = {
+        (f"shard{s}/" if pipeline else "") + node.endpoint: _link_stats(
+            node.transport
+        )
+        for s, shard in enumerate(sharded.shards)
+        for node in shard.nodes
+    }
+    if not pipeline:
+        endpoint_stats["clients"] = _link_stats(transports[0])
     await sharded.stop()
 
     shard_verdicts: List[str] = []
@@ -591,7 +435,7 @@ async def _run_pipelined(
         shed=sum(p.shed for p in pipelines),
         endpoint_stats=endpoint_stats,
         shards=shards,
-        pipelined=True,
+        pipelined=pipeline,
         window=window,
         batch=batch,
         codec=codec,
@@ -649,13 +493,16 @@ def run_loadgen(
     set the replicas persist their durable state under that directory
     (see :class:`~repro.net.wal.NodeWAL`).
 
+    By default every client is the paper's: one op per consensus
+    round, a :class:`~repro.net.pipeline.SlotPipeline` of its own at
+    window 1 and batch 1 (``window``/``batch`` are ignored).
     ``pipeline=True`` (implied by ``shards > 1``) switches to the
-    high-throughput data plane — per-shard batching
-    :class:`~repro.net.pipeline.SlotPipeline` proposers with ``window``
-    in-flight decrees and up to ``batch`` ops per decree, optional
-    ``codec="binary"`` frames and WAL ``group_commit`` — with every
-    shard's history checked independently (``check=False`` skips the
-    verdict for pure benchmarking).
+    high-throughput data plane — one batching pipeline per shard,
+    shared by its clients, with ``window`` in-flight decrees and up to
+    ``batch`` ops per decree.  Either way ``codec="binary"`` frames and
+    WAL ``group_commit`` are optional and every shard's history is
+    checked independently (``check=False`` skips the verdict for pure
+    benchmarking).
 
     ``monitor=True`` additionally streams every recorded event through
     an online :class:`~repro.monitor.StreamingMonitor` (one per shard,
@@ -669,68 +516,34 @@ def run_loadgen(
     """
     if shards > 1:
         pipeline = True
-    if pipeline:
-        report, recorders = asyncio.run(
-            _run_pipelined(
-                replicas=replicas,
-                clients=clients,
-                ops=ops,
-                seed=seed,
-                kill=kill,
-                kill_after=kill_after,
-                op_timeout=op_timeout,
-                quorum_timeout=quorum_timeout,
-                keys=keys,
-                wal_root=wal_root,
-                shards=shards,
-                window=window,
-                batch=batch,
-                codec=codec,
-                group_commit=group_commit,
-                check=check,
-                monitor=monitor,
-                emit=emit,
-            )
-        )
-        history: Any = [r.to_jsonable() for r in recorders]
-    else:
-        report, recorder = asyncio.run(
-            _run(
-                replicas=replicas,
-                clients=clients,
-                ops=ops,
-                seed=seed,
-                kill=kill,
-                kill_after=kill_after,
-                op_timeout=op_timeout,
-                quorum_timeout=quorum_timeout,
-                keys=keys,
-                wal_root=wal_root,
-                monitor=monitor,
-                emit=emit,
-            )
-        )
-        history = recorder.to_jsonable()
+    if not pipeline:
+        window = batch = 1
+    config = dict(
+        replicas=replicas,
+        clients=clients,
+        ops=ops,
+        seed=seed,
+        kill=kill,
+        kill_after=kill_after,
+        op_timeout=op_timeout,
+        quorum_timeout=quorum_timeout,
+        keys=keys,
+        wal_root=wal_root,
+        shards=shards,
+        pipeline=pipeline,
+        window=window,
+        batch=batch,
+        codec=codec,
+        group_commit=group_commit,
+        check=check,
+        monitor=monitor,
+    )
+    report, recorders = asyncio.run(_run(**config, emit=emit))
     if artifact:
         payload = {
-            "config": {
-                "replicas": replicas,
-                "clients": clients,
-                "ops": ops,
-                "seed": seed,
-                "kill": kill,
-                "kill_after": kill_after,
-                "wal_root": wal_root,
-                "shards": shards,
-                "pipeline": pipeline,
-                "window": window if pipeline else None,
-                "batch": batch if pipeline else None,
-                "codec": codec,
-                "group_commit": group_commit,
-                "monitor": monitor,
-            },
+            "config": config,
             "report": report.to_jsonable(),
-            "history": history,
+            "history": [r.to_jsonable() for r in recorders],
         }
         with open(artifact, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, default=repr)

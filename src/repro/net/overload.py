@@ -10,8 +10,7 @@ by unbounded buffering or a silently dying identity:
   refused to attempt);
 * **circuit breaking** — repeated decree give-ups against an endpoint
   open a :class:`CircuitBreaker`; while open, work against that
-  endpoint is shed (or, for a client with alternatives, failed over)
-  instead of queued behind a black hole.  After ``reset_after``
+  endpoint is shed instead of queued behind a black hole.  After ``reset_after``
   seconds the breaker goes half-open and admits one probe; a success
   closes it, a failure re-opens it;
 * **typed retry exhaustion** — a retried op that still cannot commit
@@ -19,10 +18,9 @@ by unbounded buffering or a silently dying identity:
   a shed op: its fate is unknown, its invocation stays pending.
 
 The shapes here are deliberately tiny and synchronous (the asyncio
-loop is single-threaded); policy lives in the callers —
-:class:`~repro.net.pipeline.SlotPipeline` guards admission,
-:class:`~repro.net.client.NetClient` keeps one breaker per coordinator
-endpoint and rotates failover around open ones.
+loop is single-threaded); policy lives in the caller —
+:class:`~repro.net.pipeline.SlotPipeline` guards admission with one
+breaker per replica group.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
-"""`SlotPipeline`: the high-throughput replication data plane.
+"""`SlotPipeline` + `PipelineClient`: the one wire client.
 
-:class:`~repro.net.client.NetClient` replicates one op per consensus
-round and probes slots one at a time — correct, and exactly the paper's
-client model, but it caps throughput at one op per protocol round trip.
-This module rebuilds the client side for volume while leaving the
-server roles and the consensus protocols untouched:
+A client replicates KV commands by driving, per log slot, the same
+composed consensus the simulator runs — a
+:class:`~repro.mp.quorum.QuorumClient` first (fast path, two message
+delays) and, on a switch, a :class:`~repro.mp.backup.BackupClient`
+(Paxos, three delays).  The paper's client does that for one op per
+round, probing slots one at a time: :func:`probing_client`, a pipeline
+of its own with ``window=1, max_batch=1``.  That caps throughput at one
+op per protocol round trip, so the same proposer scales up for volume
+while the server roles and the consensus protocols stay untouched:
 
 * **batching** — queued client ops are coalesced into a single decree
   value ``("batch", (op, ...))`` (:func:`repro.smr.universal.make_batch`),
@@ -22,9 +26,15 @@ server roles and the consensus protocols untouched:
   (:class:`~repro.smr.sessions.SessionedApplier`, O(1) amortized per
   op) instead of re-deriving each response from the whole log prefix.
 
-Safety rests on the same arguments as the probing client, with the
-session rule closing the retry gap:
+Safety rests on three arguments, the session rule closing the retry
+gap:
 
+* *local decided logs* — a pipeline caches the slots it learned decided
+  instead of asking a server-side log.  Safe by Quorum's unanimity
+  rule: a fast decision needs identical accepts from *all* servers, so
+  every switch value for that slot equals the decided value and Backup
+  can only confirm it — whatever a proposer learned a slot decided is
+  what the slot decided, forever;
 * *exactly-once application* — a retried or hedged op may ride two
   distinct decrees and decide at two slots; the
   :class:`~repro.smr.sessions.SessionedApplier` applies the first
@@ -105,18 +115,6 @@ class PayloadTooLarge(Exception):
     """
 
 
-class DecreeAbandoned(Exception):
-    """A decree exhausted its Backup retry budget at its slot.
-
-    Since the session seam made re-proposal safe (a second decree of
-    the same op folds once), the pipeline no longer fails waiters with
-    this: an abandoned slot is *reclaimed* — returned to the claimable
-    pool so the apply prefix can never wedge behind a permanent hole —
-    and its ops rejoin the queue for a fresh decree.  The type stays in
-    the module API for callers that still catch it.
-    """
-
-
 class _Entry:
     """One queued op: its tagged command, the caller's future, and the
     decree-level metrics accumulated on its way to a commit."""
@@ -136,9 +134,8 @@ def _probe_frame(value: Hashable) -> Tuple:
 
 
 def _swallow(future: asyncio.Future) -> None:
-    # late failure of an abandoned attempt (e.g. DecreeAbandoned after
-    # its waiter was superseded): retrieve it so asyncio never logs
-    # "exception was never retrieved"
+    # late failure of an abandoned attempt whose waiter was superseded:
+    # retrieve it so asyncio never logs "exception was never retrieved"
     if not future.cancelled():
         future.exception()
 
@@ -186,8 +183,8 @@ class SlotPipeline:
         self.breaker = breaker or CircuitBreaker(
             clock=lambda: self.transport.now
         )
-        #: slot → decided value (shared decided-log cache; safe by
-        #: Quorum unanimity, same argument as NetClient.log)
+        #: slot → decided value (this proposer's decided-log cache;
+        #: safe by Quorum unanimity, see the module docstring)
         self.log: Dict[int, Hashable] = {}
         self.queue: Deque[_Entry] = deque()
         #: slot → the entries riding the decree in flight there
@@ -486,16 +483,15 @@ class SlotPipeline:
 class PipelineClient:
     """One sequential logical client multiplexed onto a pipeline.
 
-    The closed-loop contract and recording discipline are identical to
-    :class:`~repro.net.client.NetClient` — invoke before any effect is
-    possible, respond only with a derived response — and so is the
-    retry story: an attempt that times out or whose decree is abandoned
-    is *safely re-submitted* with the same ``(client, seq)`` tag
-    (duplicates fold once through the pipeline's session seam), paced
-    by a per-client ``retry_backoff`` copy, with an optional hedged
-    duplicate enqueue after ``hedge_after`` seconds.  All attempts are
-    one invocation; only when the total ``op_timeout`` deadline or the
-    retry budget is spent does the op fail with
+    Closed loop, Jepsen recording discipline: invoke before any effect
+    is possible, respond only with a derived response.  An attempt that
+    times out or whose decree is abandoned is *safely re-submitted*
+    with the same ``(client, seq)`` tag (duplicates fold once through
+    the pipeline's session seam), paced by a per-client
+    ``retry_backoff`` copy, with an optional hedged duplicate enqueue
+    after ``hedge_after`` seconds.  All attempts are one invocation;
+    only when the total ``op_timeout`` deadline or the retry budget is
+    spent does the op fail with
     :exc:`~repro.net.client.RetriesExhausted`, leaving the invocation
     pending and the identity poisoned.
     """
@@ -520,8 +516,8 @@ class PipelineClient:
             else max(op_timeout / 4.0, 2.0 * pipeline.quorum_timeout)
         )
         self.hedge_after = hedge_after
-        # own copy, never the module template (satellite of the same
-        # rule NetClient follows: policy state must not couple clients)
+        # own copy, never the module template: policy state must not
+        # couple clients
         self.retry_backoff = (
             replace(retry_backoff)
             if retry_backoff
@@ -536,8 +532,16 @@ class PipelineClient:
         self._incarnation = 0
 
     def successor(self) -> "PipelineClient":
-        """A fresh identity continuing this client's workload (see
-        :meth:`NetClient.successor` for the Jepsen rationale)."""
+        """A fresh client identity continuing this client's workload.
+
+        An op whose retries are exhausted poisons a client id forever —
+        the invocation stays pending and a sequential client must not
+        issue another op under the same id.  Jepsen's discipline is to
+        keep the *load* going anyway: mint a new id (``c3`` → ``c3@1``
+        → ``c3@2`` …) on the same pipeline and recorder, so the
+        workload continues through a fault window while the old id's
+        pending op stays in the history for the checker to account for.
+        """
         root = self.name.split("@", 1)[0]
         heir = PipelineClient(
             f"{root}@{self._incarnation + 1}",
@@ -679,3 +683,32 @@ class PipelineClient:
             )
         )
         return output
+
+
+def probing_client(
+    name: str,
+    n_servers: int,
+    transport: AsyncTransport,
+    recorder: HistoryRecorder,
+    quorum_timeout: float = DEFAULT_QUORUM_TIMEOUT,
+    backoff: Optional[BackoffPolicy] = None,
+    **client_kwargs,
+) -> PipelineClient:
+    """The paper's client: one op per consensus round, slots probed one
+    at a time, over a pipeline (and so a decided-slot log) of its own.
+
+    A fresh one proposes at slot 0 and walks the decided prefix, so its
+    first response replays everything the cluster ever decided — which
+    makes late readers fork detectors in the chaos campaigns.
+    ``client_kwargs`` go to :class:`PipelineClient`.
+    """
+    pipeline = SlotPipeline(
+        name,
+        n_servers,
+        transport,
+        window=1,
+        max_batch=1,
+        quorum_timeout=quorum_timeout,
+        backoff=backoff,
+    )
+    return PipelineClient(name, pipeline, recorder, **client_kwargs)

@@ -12,9 +12,9 @@ answering the cached reply instead.
 
 In this codebase the replicated state is the decided log and ADT
 application happens in the *appliers* — :class:`~repro.net.pipeline.
-SlotPipeline`'s incremental fold and :class:`~repro.net.client.
-NetClient`'s prefix fold.  The session rule is therefore a property of
-the fold, and it is deterministic across every applier because every
+SlotPipeline`'s incremental fold on the wire, the simulator's
+``SpeculativeSMR`` beside it.  The session rule is therefore a property
+of the fold, and it is deterministic across every applier because every
 client op carries a unique ``("seq", (client, seq))`` tag (the same
 tag the pipeline already uses for multiplexing): **the first occurrence
 of a uid in log order applies; every later occurrence is a duplicate
@@ -55,7 +55,7 @@ def seq_uid(command: Hashable) -> Optional[Tuple]:
     """The ``(client, seq)`` uid of a tagged command, or None.
 
     A tagged command ends with ``("seq", (client, seq))`` — the shape
-    :meth:`NetClient.submit`/:meth:`PipelineClient.submit` append.
+    :meth:`PipelineClient.submit` appends.
     Untagged commands (spec-level inputs) have no session identity.
     """
     if not isinstance(command, tuple) or not command:
@@ -84,9 +84,8 @@ def dedup_commands(commands: Iterable[Tuple]) -> Iterator[Tuple]:
 
     Yields each command whose uid has not been seen before (untagged
     commands always pass).  This is the session rule as a pure stream
-    transform — prefix folds (:meth:`NetClient._prefix_response`) use
-    it so a retried command that decided in two slots contributes one
-    application to the derived history.
+    transform: the retry-storm witness counts the distinct increments
+    of a decided log with it, independently of any applier.
     """
     seen = set()
     for command in commands:

@@ -6,6 +6,7 @@ in the docs must exist.
 """
 
 import importlib
+import importlib.util
 import os
 import re
 
@@ -87,3 +88,18 @@ def test_theory_md_symbol_references():
                 if not re.search(rf"def {symbol}|class {symbol}|{symbol} =", handle.read()):
                     missing.append(f"{match.group(1)}::{symbol}")
     assert not missing, missing
+
+
+def test_performance_md_lists_every_harness_suite():
+    """PERFORMANCE.md §4's table is the harness registry, in order."""
+    spec = importlib.util.spec_from_file_location(
+        "harness", os.path.join(ROOT, "benchmarks", "harness.py")
+    )
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    text = doc_text("docs/PERFORMANCE.md")
+    section = text.split("## 4. The benchmark regression harness")[1]
+    section = section.split("\n## ")[0]
+    rows = re.findall(r"^\| `([a-z_]+)`", section, flags=re.MULTILINE)
+    assert rows == list(harness.BENCHES)
+    assert len(rows) == 10 and "runs ten suites" in section

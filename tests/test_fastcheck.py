@@ -365,6 +365,32 @@ class TestBudgets:
         assert report.unknown
         assert "partition" in report.result.reason
 
+    @staticmethod
+    def sequential_single_key_history(n_ops):
+        actions, previous = [], None
+        for i in range(n_ops):
+            actions.append(Invocation("c", 1, kv_put("k", i)))
+            actions.append(
+                Response("c", 1, kv_put("k", i), ("value", previous))
+            )
+            previous = i
+        return Trace(actions)
+
+    def test_history_deeper_than_the_stack_is_a_typed_unknown(self):
+        """The DFS recurses once per linearized op, so a 1200-op
+        sequential single-key history outruns the interpreter's stack
+        long before any memo budget: that is an ``unknown`` with a
+        reason, never a ``RecursionError`` (600 ops still decide)."""
+        adt = kv_store_adt()
+        assert check_linearizable(
+            self.sequential_single_key_history(600), adt
+        ).ok
+        report = check_linearizable(
+            self.sequential_single_key_history(1200), adt, state_limit=10_000
+        )
+        assert report.unknown and not report.ok
+        assert "recursion limit" in report.result.reason
+
 
 class TestPrepass:
     def test_singleton_explains_rejection(self):

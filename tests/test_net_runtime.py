@@ -18,13 +18,14 @@ from repro.faults.netfaults import TransportFaults
 from repro.mp.backoff import BackoffPolicy
 from repro.net import (
     FrameError,
+    LoadReport,
     LocalCluster,
-    NetClient,
     Supervisor,
+    probing_client,
     run_loadgen,
 )
 from repro.net.client import HistoryRecorder, OperationTimeout
-from repro.smr.universal import UniversalFrontend, kv_store_adt
+from repro.smr.universal import kv_store_adt
 
 FAST_BACKOFF = BackoffPolicy(
     base=0.1, factor=2.0, cap=0.5, jitter=0.25, max_retries=4
@@ -34,17 +35,12 @@ SILENT = lambda line: None  # noqa: E731
 
 
 def make_client(cluster, transport, recorder, name="c0", **kwargs):
+    """The paper's client: window 1, batch 1, a decided log of its own."""
     kwargs.setdefault("quorum_timeout", 0.15)
     kwargs.setdefault("backoff", FAST_BACKOFF)
     kwargs.setdefault("op_timeout", 3.0)
-    return NetClient(
-        name,
-        cluster.n_servers,
-        transport,
-        kwargs.pop("log", {}),
-        recorder,
-        UniversalFrontend(kv_store_adt()),
-        **kwargs,
+    return probing_client(
+        name, cluster.n_servers, transport, recorder, **kwargs
     )
 
 
@@ -90,6 +86,42 @@ class TestLoadgen:
         # With one of three replicas dead, Quorum unanimity is
         # impossible: post-kill slots must decide through Backup.
         assert report.slow > 0
+
+
+class TestLoadReport:
+    #: the artifact schema: every field but the raw latencies, plus the
+    #: values derived from them.  Adding a field is fine — add it here.
+    KEYS = {
+        "replicas", "clients", "ops_requested", "committed", "pending",
+        "fast", "slow", "duration", "throughput", "latency_p50",
+        "latency_p95", "latency_p99", "verdict", "strategy", "reason",
+        "killed", "successors", "retries", "hedges", "shed",
+        "endpoint_stats", "shards", "pipelined", "window", "batch",
+        "codec", "shard_verdicts", "decrees", "batched_ops", "monitored",
+        "monitor_verdict", "monitor_reason", "monitor_events",
+        "monitor_peak_retained", "monitor_gc_drops",
+        "monitor_shard_verdicts", "monitor_witness",
+    }
+
+    def report(self, latencies):
+        return LoadReport(
+            replicas=3, clients=2, ops_requested=4, committed=4, pending=0,
+            fast=4, slow=0, duration=2.0, latencies=latencies,
+        )
+
+    def test_to_jsonable_key_set_is_pinned(self):
+        data = self.report([0.4, 0.1, 0.3, 0.2]).to_jsonable()
+        assert set(data) == self.KEYS
+        assert data["throughput"] == 2.0
+        json.dumps(data)  # and it is JSON all the way down
+
+    def test_percentiles_are_nearest_rank_measured_values(self):
+        report = self.report([0.4, 0.1, 0.3, 0.2])
+        assert report.percentile(0.50) == 0.2
+        assert report.percentile(0.75) == 0.3
+        assert report.percentile(0.99) == report.percentile(1.0) == 0.4
+        assert report.to_jsonable()["latency_p50"] == 0.2
+        assert self.report([]).percentile(0.5) is None
 
 
 class TestClusterAndClients:
@@ -262,8 +294,20 @@ class TestCrashRecovery:
             try:
                 transport = cluster.client_transport("clients")
                 recorder = HistoryRecorder(clock=lambda: transport.now)
+                # A window-1 proposer holds its slot until the decree
+                # there settles or gives up, so the abandoned put's
+                # Backup budget (~0.85s) must end inside the heir's
+                # deadline: the give-up reclaims the slot and the
+                # re-proposal registers with the restarted nodes.
                 client = make_client(
-                    cluster, transport, recorder, op_timeout=0.8
+                    cluster,
+                    transport,
+                    recorder,
+                    op_timeout=0.8,
+                    backoff=BackoffPolicy(
+                        base=0.1, factor=2.0, cap=0.2, jitter=0.25,
+                        max_retries=3,
+                    ),
                 )
                 assert await client.submit(("put", "x", 1)) == (
                     "value",
@@ -276,7 +320,7 @@ class TestCrashRecovery:
                     await client.submit(("put", "x", 2))
                 heir = client.successor()
                 assert heir.name == "c0@1"
-                assert heir.log is client.log  # shared decided-slot cache
+                assert heir.pipeline is client.pipeline  # same decided log
                 await cluster.restart(1)
                 await cluster.restart(2)
                 # The heir keeps the load going; the pending op may or

@@ -16,11 +16,7 @@ import asyncio
 import pytest
 
 from repro.core.fastcheck import check_linearizable
-from repro.net.client import (
-    HistoryRecorder,
-    NetClient,
-    RequestTooLarge,
-)
+from repro.net.client import HistoryRecorder
 from repro.net.cluster import LocalCluster, shard_of
 from repro.net.codec import MAX_FRAME
 from repro.net.loadgen import run_loadgen
@@ -28,9 +24,10 @@ from repro.net.pipeline import (
     PayloadTooLarge,
     PipelineClient,
     SlotPipeline,
+    probing_client,
 )
 from repro.smr.replica import SpeculativeSMR
-from repro.smr.universal import UniversalFrontend, batch_commands, kv_store_adt
+from repro.smr.universal import batch_commands, kv_store_adt
 
 SILENT = lambda line: None  # noqa: E731
 
@@ -174,31 +171,6 @@ class TestSlotPipeline:
         assert out == ("value", None)  # first put on the fresh cell
         assert _check(recorder).ok
 
-    def test_netclient_oversized_op_is_a_typed_per_op_error(self):
-        """The probing client gets the same discipline: RequestTooLarge
-        pre-invocation, then business as usual on the same socket."""
-
-        async def scenario():
-            cluster = LocalCluster(n_servers=3)
-            await cluster.start()
-            transport = cluster.client_transport("clients")
-            recorder = HistoryRecorder(clock=lambda: transport.now)
-            frontend = UniversalFrontend(kv_store_adt())
-            client = NetClient(
-                "c0", 3, transport, {}, recorder, frontend,
-                quorum_timeout=0.15, op_timeout=5.0,
-            )
-            with pytest.raises(RequestTooLarge):
-                await client.submit(("put", "k", "x" * MAX_FRAME))
-            assert recorder.pending_clients() == ()
-            out = await client.submit(("put", "k", 2))
-            await cluster.stop()
-            return recorder, out
-
-        recorder, out = asyncio.run(scenario())
-        assert out == ("value", None)  # first put on the fresh cell
-        assert _check(recorder).ok
-
     def test_cancelled_submit_leaves_a_pending_invocation(self):
         """A submitter task killed mid-flight must leave the op as a
         *pending invocation* in the history — never an effect with no
@@ -241,6 +213,80 @@ class TestSlotPipeline:
         from repro.monitor import watch_trace
 
         assert watch_trace(recorder.trace(), kv_store_adt()).verdict == "ok"
+
+
+# ---------------------------------------------------------------------------
+# the paper's client: window 1, batch 1, a pipeline of its own
+# ---------------------------------------------------------------------------
+
+
+class TestProbingClient:
+    def test_contending_window_one_pipelines_commit_every_op(self):
+        """Two probing clients on one cluster fight over every slot:
+        the loser of a slot learns the winner's decree and re-proposes
+        at the next one, so decrees outnumber ops, every op still
+        commits, and the history is linearizable."""
+
+        async def scenario():
+            cluster = LocalCluster(n_servers=3)
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            clients = [
+                probing_client(
+                    f"c{i}", 3, transport, recorder, quorum_timeout=0.15
+                )
+                for i in range(2)
+            ]
+
+            async def drive(client, index):
+                for n in range(6):
+                    await client.submit(("put", "k", (index, n)))
+                    await client.submit(("get", "k"))
+
+            await asyncio.gather(
+                *(drive(c, i) for i, c in enumerate(clients))
+            )
+            await cluster.stop()
+            return clients, recorder
+
+        clients, recorder = asyncio.run(scenario())
+        a, b = (c.pipeline for c in clients)
+        assert a is not b and a.log is not b.log
+        assert (a.window, a.max_batch) == (1, 1)
+        ops = sum(len(c.results) for c in clients)
+        assert ops == 24 and recorder.pending_clients() == ()
+        assert a.batched_ops + b.batched_ops > ops  # lost slots re-propose
+        assert a.decrees + b.decrees > ops
+        # both private logs agree wherever both know a slot
+        assert all(a.log[s] == b.log[s] for s in a.log.keys() & b.log.keys())
+        assert _check(recorder).ok
+
+    def test_fresh_client_walks_the_decided_prefix_from_slot_zero(self):
+        """A late reader's first ``get`` proposes at slot 0, loses every
+        decided slot to its decree, folds the whole prefix and answers
+        with the last committed ``put`` — the fork-detector walk."""
+
+        async def scenario():
+            cluster = LocalCluster(n_servers=3)
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            writer = probing_client("w", 3, transport, recorder)
+            for n in range(5):
+                await writer.submit(("put", "k", n))
+            late = probing_client("late", 3, transport, recorder)
+            out = await late.submit(("get", "k"))
+            await cluster.stop()
+            return out, writer, late, recorder
+
+        out, writer, late, recorder = asyncio.run(scenario())
+        assert out == ("value", 4)
+        (result,) = late.results
+        assert result.slot == 5 and result.attempts == 6
+        assert late.pipeline.decrees == 6  # slots 0..4 lost, slot 5 won
+        assert {s: late.pipeline.log[s] for s in range(5)} == writer.pipeline.log
+        assert _check(recorder).ok
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,11 @@ from repro.monitor import MonitorTap, StreamingMonitor
 from repro.mp.backoff import BackoffPolicy
 from repro.net.client import (
     HistoryRecorder,
-    NetClient,
     OperationTimeout,
     RetriesExhausted,
 )
 from repro.net.cluster import LocalCluster
 from repro.net.pipeline import PipelineClient, SlotPipeline
-from repro.smr.universal import UniversalFrontend, kv_store_adt
 
 #: a patient per-op retry budget for tests that must survive a blackout
 PATIENT = BackoffPolicy(base=0.05, factor=2.0, cap=0.3, jitter=0.5,
@@ -51,7 +49,7 @@ def one_invocation(recorder, client, command):
 
 
 # ---------------------------------------------------------------------------
-# retried op = exactly one invocation (pipeline and probing clients)
+# retried op = exactly one invocation
 # ---------------------------------------------------------------------------
 
 
@@ -85,30 +83,6 @@ class TestRetryIsOneInvocation:
         assert len(one_invocation(recorder, "c0", ("inc", 1))) == 1
         assert check_linearizable(recorder.trace(), counter_adt()).ok
         assert report.verdict == "ok"
-
-    def test_net_client_retries_through_a_blackout(self):
-        async def scenario():
-            faults = TransportFaults(seed=4)
-            cluster = LocalCluster(n_servers=3, faults=faults)
-            await cluster.start()
-            transport = cluster.client_transport("clients")
-            recorder = HistoryRecorder(clock=lambda: transport.now)
-            client = NetClient(
-                "c0", 3, transport, {}, recorder,
-                UniversalFrontend(kv_store_adt()),
-                quorum_timeout=0.1, op_timeout=6.0, attempt_timeout=0.2,
-                retry_backoff=PATIENT,
-            )
-            blackout(faults, 0.5)
-            out = await client.submit(("put", "k", "v"))
-            await cluster.stop()
-            return out, client, recorder
-
-        out, client, recorder = asyncio.run(scenario())
-        assert out == ("value", None)
-        assert client.retries >= 1
-        assert len(one_invocation(recorder, "c0", ("put", "k", "v"))) == 1
-        assert check_linearizable(recorder.trace(), kv_store_adt()).ok
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,10 @@ from repro.core.adt import counter_adt
 from repro.core.fastcheck import check_linearizable
 from repro.faults.netfaults import TransportFaults
 from repro.mp.backoff import BackoffPolicy
-from repro.net.client import (
-    DEFAULT_BACKOFF,
-    HistoryRecorder,
-    NetClient,
-)
+from repro.net.client import DEFAULT_BACKOFF, HistoryRecorder
 from repro.net.cluster import LocalCluster
 from repro.net.overload import CircuitBreaker, Overloaded
-from repro.net.pipeline import PipelineClient, SlotPipeline
+from repro.net.pipeline import PipelineClient, SlotPipeline, probing_client
 from repro.net.wal import NodeWAL
 from repro.smr.sessions import (
     SessionTable,
@@ -37,11 +33,7 @@ from repro.smr.sessions import (
     sessioned_adt,
     untag_command,
 )
-from repro.smr.universal import (
-    UniversalFrontend,
-    batch_commands,
-    kv_store_adt,
-)
+from repro.smr.universal import batch_commands
 
 
 def tag(command, client, seq):
@@ -250,34 +242,6 @@ class TestWireDuplicateDelivery:
         assert pipeline._state == 12  # 3 clients x 4 acked incs, once each
         assert check_linearizable(recorder.trace(), counter_adt()).ok
 
-    def test_duplicate_decree_folds_once_in_prefix_fold(self):
-        """NetClient's prefix fold sees the same rule: a command
-        decided at two slots contributes one application to the
-        derived response (a counter makes double-apply observable)."""
-
-        async def scenario():
-            cluster = LocalCluster(n_servers=3)
-            await cluster.start()
-            transport = cluster.client_transport("clients")
-            recorder = HistoryRecorder(clock=lambda: transport.now)
-            client = NetClient(
-                "c0", 3, transport, {}, recorder,
-                UniversalFrontend(counter_adt()),
-            )
-            await client.submit(("inc", 1))
-            # simulate a duplicate decree: the same tagged command
-            # appears at a second slot (as after a retry whose first
-            # decree also landed)
-            dup_slot = max(client.log) + 1
-            client.log[dup_slot] = client.log[max(client.log)]
-            out = await client.submit(("cread",))
-            await cluster.stop()
-            return out, recorder
-
-        out, recorder = asyncio.run(scenario())
-        assert out == ("count", 1)  # not 2: the duplicate folded once
-        assert check_linearizable(recorder.trace(), counter_adt()).ok
-
 
 # ---------------------------------------------------------------------------
 # overload: typed shedding before any invocation, breaker mechanics
@@ -381,21 +345,18 @@ class TestCircuitBreaker:
 
 
 class TestBackoffCopies:
-    def _frontend(self):
-        return UniversalFrontend(kv_store_adt())
-
     def test_clients_never_share_the_module_template(self):
         """Regression for the shared-module-instance bug: every client
-        (and the pipeline proposer) owns a private policy copy, never
-        ``DEFAULT_BACKOFF`` itself."""
+        and every proposer (a probing client's own included) owns a
+        private policy copy, never ``DEFAULT_BACKOFF`` itself."""
 
         async def scenario():
             cluster = LocalCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
-            a = NetClient("a", 3, transport, {}, recorder, self._frontend())
-            b = NetClient("b", 3, transport, {}, recorder, self._frontend())
+            a = probing_client("a", 3, transport, recorder)
+            b = probing_client("b", 3, transport, recorder)
             pipeline = SlotPipeline("p", 3, transport)
             pc = PipelineClient("c", pipeline, recorder)
             await cluster.stop()
@@ -403,8 +364,8 @@ class TestBackoffCopies:
 
         a, b, pipeline, pc = asyncio.run(scenario())
         policies = [
-            a.backoff,
-            b.backoff,
+            a.pipeline.backoff,
+            b.pipeline.backoff,
             a.retry_backoff,
             b.retry_backoff,
             pipeline.backoff,
@@ -413,7 +374,8 @@ class TestBackoffCopies:
         assert all(p is not DEFAULT_BACKOFF for p in policies)
         assert len(set(map(id, policies))) == len(policies)
         # the copies still carry the template's parameters
-        assert a.backoff == DEFAULT_BACKOFF and b.backoff == DEFAULT_BACKOFF
+        assert a.pipeline.backoff == DEFAULT_BACKOFF
+        assert b.pipeline.backoff == DEFAULT_BACKOFF
 
     def test_explicit_policy_is_copied_not_aliased(self):
         async def scenario():
@@ -422,16 +384,10 @@ class TestBackoffCopies:
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
             shared = BackoffPolicy(base=0.1, max_retries=5)
-            a = NetClient(
-                "a", 3, transport, {}, recorder, self._frontend(),
-                backoff=shared,
-            )
-            b = NetClient(
-                "b", 3, transport, {}, recorder, self._frontend(),
-                backoff=shared,
-            )
+            a = probing_client("a", 3, transport, recorder, backoff=shared)
+            b = probing_client("b", 3, transport, recorder, backoff=shared)
             await cluster.stop()
-            return shared, a, b
+            return shared, a.pipeline, b.pipeline
 
         shared, a, b = asyncio.run(scenario())
         assert a.backoff is not shared and b.backoff is not shared
