@@ -154,7 +154,16 @@ class Process:
         return self.network.sim
 
     def send(self, dst: Hashable, message: Any) -> None:
-        """Send a message (dropped if this process has crashed)."""
+        """Send a message (dropped if this process has crashed).
+
+        **A message is never mutated after ``send``.**  The simulator
+        hands the sender's object to the receiver (and a duplicate, or
+        a broadcast, hands one object to several), and the TCP runtime
+        reuses the encoded body of a message it sees again, recognised
+        by identity.  Protocol messages are tuples of immutable values,
+        so the rule costs nothing; a role that must send a list or dict
+        it keeps using sends a copy.
+        """
         if not self.crashed:
             self.network.send(self.pid, dst, message)
 

@@ -37,14 +37,26 @@ Framing is a 4-byte big-endian length prefix followed by the body.
 emit an oversized frame (the typed :exc:`FrameTooLarge`, which the
 batching coordinator catches to split a decree batch) and the decoder
 refuses to buffer one announced by a corrupt or hostile peer (otherwise
-a single bogus length prefix could balloon memory).
+a single bogus length prefix could balloon memory).  Whatever else is
+wrong with a frame — bad UTF-8, an unhashable dict key, nesting past
+:data:`MAX_DEPTH` — the decoder raises :exc:`FrameError` and nothing
+else, so a reader can treat a corrupt peer like a dropped connection.
+
+A value should cross the codec once per hop.  For the layers above that
+would otherwise encode a second time just to learn something, each
+codec offers ``encode_body`` (a value as it sits inside a larger body),
+``sizeof`` (its byte count there), ``item_gap`` and ``journal_bound``
+(so a batch's size in this codec, and a bound on its size in the WAL's
+JSON, are sums), and ``encode_frame(envelope, memo)``, which splices
+the remembered body of a broadcast message behind each destination's
+header (:class:`BodyMemo`).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Iterator, List, Union
+from typing import Any, Iterator, List, Optional, Tuple, Union
 
 #: Maximum frame body size in bytes (1 MiB); both sides enforce it.
 MAX_FRAME = 1 << 20
@@ -54,6 +66,7 @@ _LEN = struct.Struct(">I")
 #: first byte of every binary-codec body; JSON bodies are ASCII, so the
 #: decoder dispatches on it without out-of-band configuration
 BINARY_MAGIC = 0xB1
+_MAGIC = bytes([BINARY_MAGIC])
 
 
 class FrameError(ValueError):
@@ -67,6 +80,18 @@ class FrameTooLarge(FrameError):
     decree batch and retry, and so a client can surface a single
     too-large operation as a per-op error — never a torn connection.
     """
+
+
+#: Containers nested deeper than this are refused by both decoders with
+#: a :exc:`FrameError`.  Protocol envelopes nest about eight deep (an
+#: envelope around a message around a batch of session-tagged ops); a
+#: hostile frame of thousands of nested one-tuples must not reach the
+#: interpreter's recursion limit.
+MAX_DEPTH = 64
+
+
+def _too_deep() -> FrameError:
+    return FrameError(f"payload nested deeper than MAX_DEPTH={MAX_DEPTH}")
 
 
 def encode_payload(value: Any) -> Any:
@@ -87,148 +112,216 @@ def encode_payload(value: Any) -> Any:
     raise FrameError(f"payload not wire-encodable: {value!r}")
 
 
+def _untag(value: Any, depth: int) -> Any:
+    if type(value) is not dict:
+        return value
+    if depth >= MAX_DEPTH:
+        raise _too_deep()
+    if len(value) != 1:
+        raise FrameError(f"bad container tag: {value!r}")
+    ((tag, items),) = value.items()
+    depth += 1
+    if tag == "t":
+        return tuple([_untag(v, depth) for v in items])
+    if tag == "l":
+        return [_untag(v, depth) for v in items]
+    if tag == "d":
+        return {_untag(k, depth): _untag(v, depth) for k, v in items}
+    raise FrameError(f"unknown container tag {tag!r}")
+
+
 def decode_payload(value: Any) -> Any:
-    """Invert :func:`encode_payload`."""
-    if isinstance(value, dict):
-        if len(value) != 1:
-            raise FrameError(f"bad container tag: {value!r}")
-        tag, items = next(iter(value.items()))
-        if tag == "t":
-            return tuple(decode_payload(v) for v in items)
-        if tag == "l":
-            return [decode_payload(v) for v in items]
-        if tag == "d":
-            return {
-                decode_payload(k): decode_payload(v) for k, v in items
-            }
-        raise FrameError(f"unknown container tag {tag!r}")
-    return value
+    """Invert :func:`encode_payload`; any malformed shape (an unknown
+    tag, a non-list under a tag, an unhashable dict key, nesting beyond
+    :data:`MAX_DEPTH`) is a :exc:`FrameError`."""
+    try:
+        return _untag(value, 0)
+    except FrameError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise FrameError(f"bad tagged payload: {exc}") from exc
+
+
+def dump_json(payload: Any) -> bytes:
+    """The one JSON body encoding: compact, ASCII-only, key order kept.
+
+    Wire frames, WAL records and the bytes a snapshot checksum covers
+    are all this function over an :func:`encode_payload` shape, so "the
+    journal encoding" the pipeline sizes against has one definition.
+    """
+    return json.dumps(
+        payload, separators=(",", ":"), ensure_ascii=True
+    ).encode("ascii")
 
 
 _I64 = struct.Struct(">q")
 _F64 = struct.Struct(">d")
 _U32 = struct.Struct(">I")
-_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+# one tag byte and its fixed-width field, packed in one call
+_TAG_U32 = struct.Struct(">cI")
+_TAG_I64 = struct.Struct(">cq")
+_TAG_F64 = struct.Struct(">cd")
 
 
 def _binary_encode(value: Any, out: bytearray) -> None:
-    # bool first: bool subclasses int and must not pack as one
-    if value is True:
-        out += b"T"
-    elif value is False:
-        out += b"F"
-    elif value is None:
-        out += b"N"
-    elif isinstance(value, int):
-        if _I64_MIN <= value <= _I64_MAX:
-            out += b"i"
-            out += _I64.pack(value)
-        else:
+    # exact-type dispatch, commonest leaves first (a decree is tuples of
+    # strs and ints); subclasses take the isinstance chain below
+    kind = type(value)
+    if kind is str:
+        raw = value.encode("utf-8")
+        out += _TAG_U32.pack(b"s", len(raw))
+        out += raw
+    elif kind is tuple:
+        out += _TAG_U32.pack(b"t", len(value))
+        for item in value:
+            _binary_encode(item, out)
+    elif kind is int:
+        try:
+            out += _TAG_I64.pack(b"i", value)
+        except struct.error:
             # arbitrary-precision escape hatch: decimal digits as bytes
             digits = str(value).encode("ascii")
-            out += b"I"
-            out += _U32.pack(len(digits))
+            out += _TAG_U32.pack(b"I", len(digits))
             out += digits
-    elif isinstance(value, float):
-        out += b"f"
-        out += _F64.pack(value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += b"s"
-        out += _U32.pack(len(raw))
-        out += raw
-    elif isinstance(value, tuple):
-        out += b"t"
-        out += _U32.pack(len(value))
+    elif value is None:
+        out += b"N"
+    elif kind is float:
+        out += _TAG_F64.pack(b"f", value)
+    elif kind is bool:
+        out += b"T" if value else b"F"
+    elif kind is list:
+        out += _TAG_U32.pack(b"l", len(value))
         for item in value:
             _binary_encode(item, out)
-    elif isinstance(value, list):
-        out += b"l"
-        out += _U32.pack(len(value))
-        for item in value:
-            _binary_encode(item, out)
-    elif isinstance(value, dict):
-        out += b"d"
-        out += _U32.pack(len(value))
+    elif kind is dict:
+        out += _TAG_U32.pack(b"d", len(value))
         for key, val in value.items():
             _binary_encode(key, out)
             _binary_encode(val, out)
     else:
+        # an instance of a subclass goes out as its builtin base (bool
+        # cannot be subclassed, so no bool is taken for an int here)
+        for base in (str, tuple, int, float, list, dict):
+            if isinstance(value, base):
+                _binary_encode(base(value), out)
+                return
         raise FrameError(f"payload not wire-encodable: {value!r}")
 
 
-class _BinaryReader:
-    __slots__ = ("_body", "_pos")
+_TAG_N, _TAG_T, _TAG_F = ord("N"), ord("T"), ord("F")
+_TAG_i, _TAG_I, _TAG_f, _TAG_s = ord("i"), ord("I"), ord("f"), ord("s")
+_TAG_t, _TAG_l, _TAG_d = ord("t"), ord("l"), ord("d")
 
-    def __init__(self, body: bytes) -> None:
-        self._body = body
-        self._pos = 0
 
-    def _take(self, n: int) -> bytes:
-        end = self._pos + n
-        if end > len(self._body):
-            raise FrameError("binary frame body truncated")
-        chunk = self._body[self._pos:end]
-        self._pos = end
-        return chunk
-
-    def read_value(self) -> Any:
-        tag = self._take(1)
-        if tag == b"N":
-            return None
-        if tag == b"T":
-            return True
-        if tag == b"F":
-            return False
-        if tag == b"i":
-            return _I64.unpack(self._take(_I64.size))[0]
-        if tag == b"I":
-            (size,) = _U32.unpack(self._take(_U32.size))
-            return int(self._take(size).decode("ascii"))
-        if tag == b"f":
-            return _F64.unpack(self._take(_F64.size))[0]
-        if tag == b"s":
-            (size,) = _U32.unpack(self._take(_U32.size))
-            return self._take(size).decode("utf-8")
-        if tag == b"t":
-            (count,) = _U32.unpack(self._take(_U32.size))
-            return tuple(self.read_value() for _ in range(count))
-        if tag == b"l":
-            (count,) = _U32.unpack(self._take(_U32.size))
-            return [self.read_value() for _ in range(count)]
-        if tag == b"d":
-            (count,) = _U32.unpack(self._take(_U32.size))
-            return {self.read_value(): self.read_value() for _ in range(count)}
-        raise FrameError(f"unknown binary tag {tag!r}")
-
-    def finish(self) -> None:
-        if self._pos != len(self._body):
-            raise FrameError(
-                f"binary frame has {len(self._body) - self._pos} "
-                "trailing bytes"
-            )
+def _binary_decode(body: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    """Decode the value at ``body[pos]``; return it and the offset after
+    it.  Running off the end raises ``IndexError`` / ``struct.error``,
+    which :func:`_decode_body` reports as a truncated frame."""
+    tag = body[pos]
+    pos += 1
+    if tag == _TAG_s:
+        (size,) = _U32.unpack_from(body, pos)
+        pos += 4
+        end = pos + size
+        if end > len(body):
+            raise IndexError(end)
+        return body[pos:end].decode("utf-8"), end
+    if tag == _TAG_t or tag == _TAG_l:
+        (count,) = _U32.unpack_from(body, pos)
+        pos += 4
+        if depth >= MAX_DEPTH:
+            raise _too_deep()
+        depth += 1
+        items = []
+        for _ in range(count):
+            item, pos = _binary_decode(body, pos, depth)
+            items.append(item)
+        return (tuple(items) if tag == _TAG_t else items), pos
+    if tag == _TAG_i:
+        return _I64.unpack_from(body, pos)[0], pos + 8
+    if tag == _TAG_N:
+        return None, pos
+    if tag == _TAG_f:
+        return _F64.unpack_from(body, pos)[0], pos + 8
+    if tag == _TAG_T:
+        return True, pos
+    if tag == _TAG_F:
+        return False, pos
+    if tag == _TAG_d:
+        (count,) = _U32.unpack_from(body, pos)
+        pos += 4
+        if depth >= MAX_DEPTH:
+            raise _too_deep()
+        depth += 1
+        table = {}
+        for _ in range(count):
+            key, pos = _binary_decode(body, pos, depth)
+            table[key], pos = _binary_decode(body, pos, depth)
+        return table, pos
+    if tag == _TAG_I:
+        (size,) = _U32.unpack_from(body, pos)
+        pos += 4
+        end = pos + size
+        if end > len(body):
+            raise IndexError(end)
+        return int(body[pos:end].decode("ascii")), end
+    raise FrameError(f"unknown binary tag {bytes([tag])!r}")
 
 
 def _decode_body(body: bytes) -> Any:
-    """Decode one frame body, dispatching on the magic byte."""
-    if body[:1] == bytes([BINARY_MAGIC]):
-        reader = _BinaryReader(body[1:])
-        value = reader.read_value()
-        reader.finish()
+    """Decode one frame body, dispatching on the magic byte.  Whatever
+    is wrong with the bytes, the caller sees a :exc:`FrameError`."""
+    if body[:1] == _MAGIC:
+        try:
+            value, pos = _binary_decode(body, 1, 0)
+        except FrameError:
+            raise
+        except (IndexError, struct.error) as exc:
+            raise FrameError("binary frame body truncated") from exc
+        except (ValueError, TypeError) as exc:
+            # invalid UTF-8, non-digits in a big int, unhashable dict key
+            raise FrameError(f"bad binary frame body: {exc}") from exc
+        if pos != len(body):
+            raise FrameError(
+                f"binary frame has {len(body) - pos} trailing bytes"
+            )
         return value
     try:
         raw = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are both ValueErrors
         raise FrameError(f"frame body is not JSON: {exc}") from exc
     return decode_payload(raw)
 
 
-def _frame(body: Union[bytes, bytearray]) -> bytes:
-    if len(body) > MAX_FRAME:
-        raise FrameTooLarge(
-            f"frame body of {len(body)} bytes exceeds MAX_FRAME={MAX_FRAME}"
-        )
-    return _LEN.pack(len(body)) + bytes(body)
+def _too_large(size: int) -> FrameTooLarge:
+    return FrameTooLarge(
+        f"frame body of {size} bytes exceeds MAX_FRAME={MAX_FRAME}"
+    )
+
+
+class BodyMemo:
+    """The encoded body of the last message one sender framed.
+
+    A broadcast hands the *same message object* to consecutive
+    destinations; passed to ``encode_frame``, the memo lets every frame
+    after the first splice the remembered body behind its own
+    ``(src, dst)`` header.  Keyed on object identity, which is sound
+    because a message is never mutated after ``send`` (the rule
+    :mod:`repro.mp.sim` states, and itself relies on).
+    """
+
+    __slots__ = ("message", "body")
+
+    def __init__(self) -> None:
+        self.message: Any = self  # matches no message
+        self.body = b""
+
+    def body_of(self, message: Any, codec: "Codec") -> bytes:
+        if message is not self.message:
+            self.body = codec.encode_body(message)
+            self.message = message
+        return self.body
 
 
 class JsonCodec:
@@ -236,11 +329,46 @@ class JsonCodec:
 
     name = "json"
 
-    def encode_frame(self, value: Any) -> bytes:
-        body = json.dumps(
-            encode_payload(value), separators=(",", ":"), ensure_ascii=True
-        ).encode("ascii")
-        return _frame(body)
+    #: bytes between two items of a container (a comma)
+    item_gap = 1
+
+    def encode_body(self, value: Any) -> bytes:
+        """``value`` as it appears inside a larger body."""
+        return dump_json(encode_payload(value))
+
+    def encode_frame(
+        self, value: Any, memo: Optional[BodyMemo] = None
+    ) -> bytes:
+        """One wire frame.  With ``memo``, ``value`` is an envelope
+        ``(src, dst, message)`` and the message body comes from (or is
+        left in) the memo; the bytes are the same either way."""
+        if memo is None:
+            body = self.encode_body(value)
+        else:
+            src, dst, message = value
+            body = b'{"t":[%b,%b,%b]}' % (
+                self.encode_body(src),
+                self.encode_body(dst),
+                memo.body_of(message, self),
+            )
+        if len(body) > MAX_FRAME:
+            raise _too_large(len(body))
+        return _LEN.pack(len(body)) + body
+
+    def sizeof(self, value: Any) -> int:
+        """Bytes of ``value`` inside a larger body (one encode)."""
+        return len(self.encode_frame(value)) - _LEN.size
+
+    def journal_bound(self, size: int) -> int:
+        """Upper bound on the JSON journal bytes, separator included,
+        of a value that takes ``size`` bytes here: itself and a comma."""
+        return size + 1
+
+
+#: what every binary frame starts from: a length prefix still to be
+#: filled in, then the magic byte
+_BINARY_HEAD = bytes(_LEN.size) + _MAGIC
+_ENVELOPE_HEAD = _TAG_U32.pack(b"t", 3)
 
 
 class BinaryCodec:
@@ -248,10 +376,54 @@ class BinaryCodec:
 
     name = "binary"
 
-    def encode_frame(self, value: Any) -> bytes:
-        body = bytearray([BINARY_MAGIC])
-        _binary_encode(value, body)
-        return _frame(body)
+    #: bytes between two items of a container (items self-delimit)
+    item_gap = 0
+
+    def encode_body(self, value: Any) -> bytearray:
+        """``value`` as it appears inside a larger body (no magic)."""
+        out = bytearray()
+        _binary_encode(value, out)
+        return out
+
+    def encode_frame(
+        self, value: Any, memo: Optional[BodyMemo] = None
+    ) -> bytes:
+        """One wire frame; ``memo`` as for :meth:`JsonCodec.encode_frame`."""
+        out = bytearray(_BINARY_HEAD)
+        if memo is None:
+            _binary_encode(value, out)
+        else:
+            src, dst, message = value
+            out += _ENVELOPE_HEAD
+            _binary_encode(src, out)
+            _binary_encode(dst, out)
+            out += memo.body_of(message, self)
+        size = len(out) - _LEN.size
+        if size > MAX_FRAME:
+            raise _too_large(size)
+        _LEN.pack_into(out, 0, size)
+        return bytes(out)
+
+    def sizeof(self, value: Any) -> int:
+        """Bytes of ``value`` inside a larger body (one encode)."""
+        return len(self.encode_frame(value)) - len(_BINARY_HEAD)
+
+    def journal_bound(self, size: int) -> int:
+        """Upper bound on the JSON journal bytes, separator included,
+        of a value that takes ``size`` bytes here.
+
+        By induction over the value space, ``json + 1 <= 6 * binary``:
+        ``False`` is 1 byte against ``false,``; an int64 9 against at
+        most 21; a float 9 against at most 25; a string ``5 + n``
+        against ``2 + 6n + 1`` (a control character or a two-byte
+        character is one six-byte ``\\uXXXX`` escape, a non-BMP one two
+        for four bytes); a container's 5 header bytes pay for its 8
+        bytes of tagging, and a dict pair's 2 bytes of brackets are paid
+        by its key (5 bytes at least, but for ``None``/``True``/``False``
+        of which one dict holds at most three).  The property test in
+        ``tests/test_net_codec.py`` checks it over the whole space.
+        """
+        return 6 * size
 
 
 JSON_CODEC = JsonCodec()
@@ -284,7 +456,8 @@ class FrameDecoder:
     glue several.  The decoder buffers across ``feed`` calls and yields
     each completed frame's decoded payload.  Each body self-describes
     its format (binary bodies start with :data:`BINARY_MAGIC`), so one
-    decoder accepts frames from peers on either codec.
+    decoder accepts frames from peers on either codec.  A frame that
+    does not decode raises :exc:`FrameError` and nothing else.
     """
 
     def __init__(self) -> None:
@@ -292,22 +465,27 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> Iterator[Any]:
         """Consume ``data``; yield every message completed by it."""
-        self._buffer.extend(data)
-        while True:
-            if len(self._buffer) < _LEN.size:
-                return
-            (length,) = _LEN.unpack_from(self._buffer)
-            if length > MAX_FRAME:
-                raise FrameError(
-                    f"peer announced a {length}-byte frame "
-                    f"(MAX_FRAME={MAX_FRAME})"
-                )
-            end = _LEN.size + length
-            if len(self._buffer) < end:
-                return
-            body = bytes(self._buffer[_LEN.size:end])
-            del self._buffer[:end]
-            yield _decode_body(body)
+        buffer = self._buffer
+        buffer += data
+        pos, size = 0, len(buffer)
+        try:
+            while size - pos >= _LEN.size:
+                (length,) = _LEN.unpack_from(buffer, pos)
+                if length > MAX_FRAME:
+                    raise FrameError(
+                        f"peer announced a {length}-byte frame "
+                        f"(MAX_FRAME={MAX_FRAME})"
+                    )
+                end = pos + _LEN.size + length
+                if end > size:
+                    return
+                body = bytes(buffer[pos + _LEN.size:end])
+                pos = end
+                yield _decode_body(body)
+        finally:
+            # consumed frames leave the buffer once per call, not once
+            # per frame
+            del buffer[:pos]
 
     def feed_all(self, data: bytes) -> List[Any]:
         """Eager convenience wrapper around :meth:`feed`."""
@@ -320,14 +498,17 @@ __all__ = [
     "BINARY_CODEC",
     "BINARY_MAGIC",
     "BinaryCodec",
+    "BodyMemo",
     "Codec",
     "FrameDecoder",
     "FrameError",
     "FrameTooLarge",
     "JSON_CODEC",
     "JsonCodec",
+    "MAX_DEPTH",
     "MAX_FRAME",
     "decode_payload",
+    "dump_json",
     "encode_frame",
     "encode_payload",
     "get_codec",

@@ -61,7 +61,10 @@ Oversized work never tears a connection (the typed
 :exc:`~repro.net.codec.FrameTooLarge` discipline): a batch whose frame
 would exceed ``MAX_FRAME`` is split in half and re-tried, and a single
 op that cannot fit a frame by itself fails with the per-op
-:exc:`PayloadTooLarge` *before* its invocation is recorded.
+:exc:`PayloadTooLarge` *before* its invocation is recorded.  Sizes are
+arithmetic: an op is encoded once, when it is submitted, its byte count
+rides its queue entry, and a decree's frame is the sum of its ops plus
+a constant (:meth:`SlotPipeline._fits`).
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ import asyncio
 import heapq
 from collections import deque
 from dataclasses import replace
-from typing import Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..analysis.sanitizer import atomic_section
 from ..core.adt import ADT
@@ -101,9 +104,18 @@ DEFAULT_MAX_BATCH = 16
 DEFAULT_MAX_QUEUE = 1024
 
 #: headroom between a size-checked frame and MAX_FRAME — covers the
-#: envelope-shape differences between the probe and the server-side
+#: envelope-shape differences between the sizing envelope and the real
 #: frames (phase-2 broadcasts, WAL records) that carry the same value
 FRAME_SLACK = 4096
+
+#: a representative wire envelope around an empty decree: a decree's
+#: frame is this many bytes plus its ops (plus the codec's item gaps)
+_EMPTY_DECREE = (
+    ("qcli", ("probe", 0, 0)), ("qs", 0, 0), ("q-propose", make_batch(()))
+)
+
+#: the same envelope as the WAL journals it (JSON, whatever the wire)
+_JOURNAL_BASE = len(JSON_CODEC.encode_frame(_EMPTY_DECREE))
 
 
 class PayloadTooLarge(Exception):
@@ -116,21 +128,20 @@ class PayloadTooLarge(Exception):
 
 
 class _Entry:
-    """One queued op: its tagged command, the caller's future, and the
-    decree-level metrics accumulated on its way to a commit."""
+    """One queued op: its tagged command and its size in the wire codec,
+    the caller's future, and the decree-level metrics accumulated on its
+    way to a commit."""
 
-    __slots__ = ("tagged", "future", "attempts", "switched")
+    __slots__ = ("tagged", "size", "future", "attempts", "switched")
 
-    def __init__(self, tagged: Tuple, future: asyncio.Future) -> None:
+    def __init__(
+        self, tagged: Tuple, size: int, future: asyncio.Future
+    ) -> None:
         self.tagged = tagged
+        self.size = size
         self.future = future
         self.attempts = 0
         self.switched = 0
-
-
-def _probe_frame(value: Hashable) -> Tuple:
-    """A representative wire envelope for size-checking ``value``."""
-    return (("qcli", ("probe", 0, 0)), ("qs", 0, 0), ("q-propose", value))
 
 
 def _swallow(future: asyncio.Future) -> None:
@@ -211,6 +222,11 @@ class SlotPipeline:
         #: abandoned slots re-claimed for a fresh decree (observability)
         self.reclaimed = 0
         self._pump_scheduled = False
+        #: wire bytes of the envelope around an empty decree
+        self._wire_base = len(transport.codec.encode_frame(_EMPTY_DECREE))
+        #: the last op :meth:`ensure_fits` passed, and its wire size:
+        #: ``submit`` checks an op and then enqueues that same object
+        self._measured: Tuple[Optional[Tuple], int] = (None, 0)
 
     @property
     def duplicates(self) -> int:
@@ -221,32 +237,71 @@ class SlotPipeline:
     # intake
     # ------------------------------------------------------------------
 
-    def fits(self, value: Hashable) -> bool:
-        """Whether ``value`` fits one frame in every encoding it rides.
+    def _decree_bytes(self, sizes: Sequence[int]) -> Tuple[int, int]:
+        """The wire frame of a decree whose ops take ``sizes`` bytes in
+        the wire codec (exact), and an upper bound on its JSON journal
+        record — arithmetic only, nothing is encoded."""
+        codec = self.transport.codec
+        wire = (
+            self._wire_base + sum(sizes) + (len(sizes) - 1) * codec.item_gap
+        )
+        return wire, _JOURNAL_BASE + sum(map(codec.journal_bound, sizes))
 
-        Checked against the *JSON* codec even when the wire runs binary:
-        the WAL logs decree values as JSON records under the same 1 MiB
-        bound, so the larger encoding is the binding one.
+    def _fits(self, sizes: Sequence[int], ops: Sequence[Tuple]) -> bool:
+        """Whether the decree of ``ops`` fits one frame in every encoding
+        it rides, given each op's ``sizes`` entry in the wire codec.
+
+        Two encodings bind: the wire frame, and the JSON record the WAL
+        journals a decree value as under the same 1 MiB bound whichever
+        codec the wire runs.  Only a decree too close to ``MAX_FRAME``
+        for the journal bound to settle it is encoded a second time, in
+        JSON, for the exact figure — so the answer is always the one an
+        exact encode in both codecs would give.
         """
+        wire, bound = self._decree_bytes(sizes)
+        if wire + FRAME_SLACK > MAX_FRAME:
+            return False
+        if bound + FRAME_SLACK <= MAX_FRAME:
+            return True
         try:
-            wire = self.transport.codec.encode_frame(_probe_frame(value))
-            journal = JSON_CODEC.encode_frame(_probe_frame(value))
+            journal = (
+                _JOURNAL_BASE
+                + sum(map(JSON_CODEC.sizeof, ops))
+                + len(ops) - 1
+            )
         except FrameTooLarge:
             return False
-        return max(len(wire), len(journal)) + FRAME_SLACK <= MAX_FRAME
+        return journal + FRAME_SLACK <= MAX_FRAME
+
+    def _measure(self, tagged: Tuple) -> int:
+        """The wire size of ``tagged``, or :exc:`PayloadTooLarge` if it
+        cannot frame even as a decree of one."""
+        checked, size = self._measured
+        if checked is tagged:
+            return size
+        try:
+            size = self.transport.codec.sizeof(tagged)
+            fits = self._fits((size,), (tagged,))
+        except FrameTooLarge:
+            fits = False
+        if not fits:
+            raise PayloadTooLarge(
+                f"operation {tagged[:-1]!r} cannot fit one wire frame "
+                f"(MAX_FRAME={MAX_FRAME})"
+            )
+        self._measured = (tagged, size)
+        return size
 
     def ensure_fits(self, tagged: Tuple) -> None:
         """Raise :exc:`PayloadTooLarge` unless ``tagged`` can frame alone.
 
         Callers run this *before* recording the invocation: an
         unframeable op must fail per-op with the history and the client
-        untouched, and nothing of it may ever be queued or sent.
+        untouched, and nothing of it may ever be queued or sent.  This
+        is the one place an op is encoded on the client side before its
+        decree is: :meth:`enqueue` of the same object reuses the size.
         """
-        if not self.fits(make_batch((tagged,))):
-            raise PayloadTooLarge(
-                f"operation {tagged[:-1]!r} cannot fit one wire frame "
-                f"(MAX_FRAME={MAX_FRAME})"
-            )
+        self._measure(tagged)
 
     def admit(self) -> None:
         """Admission control: raise :exc:`Overloaded` instead of queueing.
@@ -279,9 +334,9 @@ class SlotPipeline:
         queued older copy is dropped by the pump, and duplicate decrees
         fold once through the session seam.
         """
-        self.ensure_fits(tagged)
+        size = self._measure(tagged)
         future: asyncio.Future = self.transport.loop.create_future()
-        entry = _Entry(tagged, future)
+        entry = _Entry(tagged, size, future)
         self.queue.append(entry)
         self._waiters[tagged] = entry
         # defer the pump one loop tick: every op enqueued in this tick
@@ -332,16 +387,18 @@ class SlotPipeline:
                 group.append(entry)
             if not group:
                 continue
-            value = make_batch(tuple(entry.tagged for entry in group))
-            while len(group) > 1 and not self.fits(value):
+            ops = tuple(entry.tagged for entry in group)
+            while len(group) > 1 and not self._fits(
+                [entry.size for entry in group], ops
+            ):
                 # split-and-retry: halve until the batch frames; the
                 # cut tail rejoins the queue head.  Terminates because
                 # a singleton always fits (the enqueue pre-check).
                 self.splits += 1
                 half = (len(group) + 1) // 2
                 self.queue.extendleft(reversed(group[half:]))
-                group = group[:half]
-                value = make_batch(tuple(entry.tagged for entry in group))
+                group, ops = group[:half], ops[:half]
+            value = make_batch(ops)
             self.decrees += 1
             self.batched_ops += len(group)
             for entry in group:

@@ -17,7 +17,9 @@ A :class:`~repro.mp.sim.Process` holds a reference to its substrate in
 ``self.network`` and uses only:
 
 * ``network.send(src, dst, message)`` — fire-and-forget asynchronous
-  message passing (the substrate may lose, duplicate or delay);
+  message passing (the substrate may lose, duplicate or delay); the
+  sender never mutates ``message`` afterwards (both substrates keep the
+  object: see :meth:`repro.mp.sim.Process.send`);
 * ``network.call_later(delay, callback) -> handle`` — one-shot timers;
   the handle has ``cancel()``;
 * ``network.now`` — the substrate clock (virtual or wall);

@@ -6,8 +6,12 @@ protocol code runs against it and against the simulator because both
 implement the port of :mod:`repro.net.port`:
 
 * ``send(src, dst, message)`` resolves ``dst`` to an endpoint, encodes
-  the envelope ``(src, dst, message)`` with the length-prefixed JSON
-  codec and writes it to a pooled TCP connection (opened on demand);
+  the envelope ``(src, dst, message)`` as one length-prefixed frame of
+  the endpoint's codec (JSON or binary, :mod:`repro.net.codec`) and
+  writes it to a pooled TCP connection (opened on demand).  A broadcast
+  sends one message object to several destinations; its body is
+  encoded once and spliced behind each ``(src, dst)`` header, which is
+  sound because a message is never mutated after ``send``;
 * ``call_later`` is ``loop.call_later`` behind a cancellable handle;
 * ``now`` is the event-loop wall clock.
 
@@ -42,7 +46,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..faults.netfaults import TransportFaults
 from ..mp.sim import NetworkStats
-from .codec import JSON_CODEC, Codec, FrameDecoder, FrameError
+from .codec import JSON_CODEC, BodyMemo, Codec, FrameDecoder, FrameError
 
 logger = logging.getLogger(__name__)
 
@@ -143,6 +147,8 @@ class AsyncTransport:
         #: outbound wire format; inbound frames self-describe, so peers
         #: on different codecs interoperate during a rollout
         self.codec: Codec = codec if codec is not None else JSON_CODEC
+        #: body of the last message framed: a broadcast encodes it once
+        self._body_memo = BodyMemo()
         try:
             self.loop = asyncio.get_running_loop()
         except RuntimeError:
@@ -261,7 +267,9 @@ class AsyncTransport:
             return
         link = self.stats.link(self.endpoint, dst_ep)
         try:
-            frame = self.codec.encode_frame((src, dst, message))
+            frame = self.codec.encode_frame(
+                (src, dst, message), self._body_memo
+            )
         except FrameError:
             logger.exception("unencodable message from %r to %r", src, dst)
             raise

@@ -64,7 +64,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from .codec import decode_payload, encode_payload
+from .codec import JSON_CODEC, decode_payload, dump_json
 from .faultfs import FaultFS
 
 #: record header: payload length, crc32 of the payload (big-endian u32s)
@@ -146,8 +146,10 @@ class WriteAheadLog:
         except (OSError, ValueError):
             return None
         if isinstance(raw, dict) and set(raw) == {"crc32", "snapshot"}:
-            body = _snapshot_body(raw["snapshot"])
-            if zlib.crc32(body) != raw["crc32"]:
+            # the checksum covers the payload's canonical bytes, which a
+            # loads/dumps round trip reproduces (JSON objects keep
+            # document key order)
+            if zlib.crc32(dump_json(raw["snapshot"])) != raw["crc32"]:
                 raise WALCorruptionError(
                     f"snapshot checksum mismatch in {self.snapshot_path}"
                 )
@@ -230,9 +232,7 @@ class WriteAheadLog:
         unsynced records, never a middle one: replay always recovers a
         prefix, which is exactly the torn-tail contract.
         """
-        body = json.dumps(
-            encode_payload(value), separators=(",", ":"), ensure_ascii=True
-        ).encode("ascii")
+        body = JSON_CODEC.encode_body(value)
         frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
         try:
             self.fs.append(self._handle, frame)
@@ -264,13 +264,12 @@ class WriteAheadLog:
         + full log, which replays to the same state (slot records are
         idempotent overwrites).
         """
-        payload = encode_payload(snapshot_value)
-        wrapped = {"crc32": zlib.crc32(_snapshot_body(payload)),
-                   "snapshot": payload}
+        body = JSON_CODEC.encode_body(snapshot_value)
         tmp_path = self.snapshot_path + ".tmp"
         self.fs.write_text(
             tmp_path,
-            json.dumps(wrapped, separators=(",", ":"), ensure_ascii=True),
+            '{"crc32":%d,"snapshot":%s}'
+            % (zlib.crc32(body), body.decode("ascii")),
             fsync=self.fsync,
         )
         self.fs.replace(tmp_path, self.snapshot_path)
@@ -290,15 +289,6 @@ class WriteAheadLog:
     def close(self) -> None:
         """Close the log file handle (idempotent)."""
         self.fs.close(self._handle)
-
-
-def _snapshot_body(payload: Any) -> bytes:
-    """The canonical bytes a snapshot checksum covers (compact JSON —
-    deterministic across a loads/dumps round trip because JSON objects
-    preserve document key order)."""
-    return json.dumps(
-        payload, separators=(",", ":"), ensure_ascii=True
-    ).encode("ascii")
 
 
 @dataclass

@@ -22,10 +22,12 @@ from hypothesis import strategies as st
 from repro.net.codec import (
     BINARY_CODEC,
     BINARY_MAGIC,
+    BodyMemo,
     FrameDecoder,
     FrameError,
     FrameTooLarge,
     JSON_CODEC,
+    MAX_DEPTH,
     MAX_FRAME,
     decode_payload,
     encode_frame,
@@ -323,3 +325,245 @@ def test_binary_unknown_tag_refused():
     body = bytes([BINARY_MAGIC]) + b"Z"
     with pytest.raises(FrameError, match="unknown binary tag"):
         _decode_one(struct.pack(">I", len(body)) + body)
+
+
+# ---------------------------------------------------------------------------
+# typed degradation: whatever the bytes, FrameError and nothing else
+# ---------------------------------------------------------------------------
+
+
+def _binary_frame(body):
+    body = bytes([BINARY_MAGIC]) + body
+    return struct.pack(">I", len(body)) + body
+
+
+def _json_frame(body):
+    return struct.pack(">I", len(body)) + body
+
+
+MALFORMED = {
+    "invalid-utf8-in-s": _binary_frame(b"s" + struct.pack(">I", 2) + b"\xff\xfe"),
+    "non-digits-in-I": _binary_frame(b"I" + struct.pack(">I", 3) + b"12x"),
+    "list-as-d-key": _binary_frame(
+        b"d" + struct.pack(">I", 1) + b"l" + struct.pack(">I", 0) + b"N"
+    ),
+    "5000-nested-tuples": _binary_frame(
+        (b"t" + struct.pack(">I", 1)) * 5000 + b"N"
+    ),
+    "json-invalid-utf8": _json_frame(b"\xff\xff"),
+    "json-100000-brackets": _json_frame(b"[" * 100_000),
+    "json-list-as-d-key": _json_frame(b'{"d":[[{"l":[]},1]]}'),
+    "json-non-list-under-tag": _json_frame(b'{"t":5}'),
+    "json-nested-past-max-depth": _json_frame(
+        b'{"t":[' * 200 + b"]}" * 200
+    ),
+    "empty-body": _json_frame(b""),
+}
+
+
+@pytest.mark.parametrize("frame", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_frame_is_a_frame_error(frame):
+    with pytest.raises(FrameError):
+        FrameDecoder().feed_all(frame)
+
+
+def test_nesting_is_capped_at_max_depth_in_both_codecs():
+    def nested(depth):
+        value = None
+        for _ in range(depth):
+            value = (value,)
+        return value
+
+    for codec in (JSON_CODEC, BINARY_CODEC):
+        at_cap = codec.encode_frame(nested(MAX_DEPTH))
+        assert _decode_one(at_cap) == nested(MAX_DEPTH)
+        with pytest.raises(FrameError, match="MAX_DEPTH"):
+            _decode_one(codec.encode_frame(nested(MAX_DEPTH + 1)))
+
+
+def test_malformed_frame_ends_the_read_loop_quietly():
+    """The transport's reader treats a bad frame like a dropped
+    connection; an untyped exception would kill the task unretrieved."""
+    import asyncio
+
+    from repro.net.transport import AddressBook, AsyncTransport
+
+    async def scenario():
+        book = AddressBook()
+        server = AsyncTransport("node0", book)
+        host, port = await server.start_server()
+        _reader, writer = await asyncio.open_connection(host, port)
+        writer.write(MALFORMED["invalid-utf8-in-s"])
+        await writer.drain()
+        await asyncio.sleep(0.05)
+        # the server hung up on us; its loop saw no stray exception
+        closed = await _reader.read()
+        writer.close()
+        await server.close()
+        return closed
+
+    errors = []
+    loop = asyncio.new_event_loop()
+    loop.set_exception_handler(lambda _loop, context: errors.append(context))
+    try:
+        assert loop.run_until_complete(scenario()) == b""
+    finally:
+        loop.close()
+    assert errors == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads, st.sampled_from(["json", "binary"]), st.data())
+def test_any_mutation_or_truncation_decodes_or_raises_frame_error(
+    value, codec_name, data
+):
+    """Fuzz: one flipped byte or a cut anywhere in a valid frame of
+    either codec yields a value, an incomplete frame, or FrameError."""
+    frame = bytearray(get_codec(codec_name).encode_frame(value))
+    if data.draw(st.booleans()):
+        index = data.draw(st.integers(0, len(frame) - 1))
+        frame[index] = data.draw(st.integers(0, 255))
+    else:
+        cut = data.draw(st.integers(4, len(frame)))
+        # keep the announced length: the body is what is cut short
+        frame[:4] = struct.pack(">I", cut - 4)
+        del frame[cut:]
+    try:
+        FrameDecoder().feed_all(bytes(frame))
+    except FrameError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# the sizing contract the pipeline's arithmetic rests on
+# ---------------------------------------------------------------------------
+
+#: the codec's whole value space, the awkward corners included
+wide_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2 ** 80), max_value=2 ** 80)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=20)
+    | st.text(alphabet=st.characters(max_codepoint=0x1F), max_size=20)
+    | st.text(alphabet=st.characters(min_codepoint=0x10000), max_size=8)
+)
+wide_hashable = st.recursive(
+    wide_scalars.filter(lambda v: v == v),  # nan keys never compare equal
+    lambda children: st.lists(children, max_size=4).map(tuple),
+    max_leaves=8,
+)
+wide_payloads = st.recursive(
+    wide_scalars,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(wide_hashable, children, max_size=5)
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_payloads)
+def test_json_body_is_at_most_six_times_the_binary_body(value):
+    binary = BINARY_CODEC.sizeof(value)
+    journal = JSON_CODEC.sizeof(value)
+    assert len(BINARY_CODEC.encode_body(value)) == binary
+    assert len(JSON_CODEC.encode_body(value)) == journal
+    # the bound covers the value and the comma that may follow it
+    assert journal + 1 <= BINARY_CODEC.journal_bound(binary)
+    assert journal + 1 <= JSON_CODEC.journal_bound(journal)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        False,
+        [False] * 50,
+        {None: False, True: False, False: False},
+        "\x00" * 40,
+        "\x7f\x1f" * 20,
+        "🧪" * 40,
+        "é" * 40,
+        -(2 ** 63),
+        -1.7976931348623157e308,
+        (),
+        [[], [[]], {}],
+        {"": ""},
+    ],
+    ids=repr,
+)
+def test_six_times_bound_at_its_worst_cases(value):
+    assert (
+        JSON_CODEC.sizeof(value) + 1
+        <= BINARY_CODEC.journal_bound(BINARY_CODEC.sizeof(value))
+    )
+
+
+# ---------------------------------------------------------------------------
+# the broadcast splice
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["json", "binary"]),
+    st.lists(
+        st.tuples(
+            hashable_payloads, hashable_payloads, st.integers(0, 2)
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.lists(payloads, min_size=3, max_size=3),
+)
+def test_spliced_frame_equals_plain_frame(codec_name, sends, messages):
+    """Whatever the order of sends — the same message to consecutive
+    destinations, or again after a different one — a frame built
+    through the memo is byte for byte the plain frame."""
+    codec = get_codec(codec_name)
+    memo = BodyMemo()
+    for src, dst, which in sends:
+        envelope = (src, dst, messages[which])
+        assert codec.encode_frame(envelope, memo) == codec.encode_frame(
+            envelope
+        )
+
+
+def test_memo_encodes_a_broadcast_body_once():
+    message = ("q-propose", ("batch", tuple(KV_COMMANDS)))
+    for codec in (JSON_CODEC, BINARY_CODEC):
+        calls = []
+        memo = BodyMemo()
+
+        class Spy(type(codec)):
+            def encode_body(self, value):
+                calls.append(value)
+                return super().encode_body(value)
+
+        spy = Spy()
+        for i in range(3):
+            spy.encode_frame((PIDS[-1], ("qs", 3, i), message), memo)
+        assert [v for v in calls if v is message] == [message]
+
+
+def test_subclass_instances_encode_as_their_builtin_base():
+    """The binary encoder dispatches on exact type; a namedtuple, an
+    IntEnum or a str subclass must still take its base's path."""
+    import collections
+    import enum
+
+    Point = collections.namedtuple("Point", "x y")
+
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    class Name(str):
+        pass
+
+    value = (Point(1, 2), Level.HIGH, Name("n"), collections.OrderedDict(a=1))
+    plain = ((1, 2), 3, "n", {"a": 1})
+    for codec in (JSON_CODEC, BINARY_CODEC):
+        assert codec.encode_frame(value) == codec.encode_frame(plain)

@@ -14,20 +14,33 @@ is covered here too, so the two data planes stay behaviourally aligned.
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.fastcheck import check_linearizable
 from repro.net.client import HistoryRecorder
 from repro.net.cluster import LocalCluster, shard_of
-from repro.net.codec import MAX_FRAME
+from repro.net.codec import (
+    JSON_CODEC,
+    MAX_FRAME,
+    BinaryCodec,
+    FrameTooLarge,
+    JsonCodec,
+    get_codec,
+)
 from repro.net.loadgen import run_loadgen
 from repro.net.pipeline import (
+    FRAME_SLACK,
     PayloadTooLarge,
     PipelineClient,
     SlotPipeline,
     probing_client,
 )
+from repro.net.transport import AddressBook, AsyncTransport
 from repro.smr.replica import SpeculativeSMR
-from repro.smr.universal import batch_commands, kv_store_adt
+from repro.smr.universal import batch_commands, kv_store_adt, make_batch
+
+from .test_net_codec import wide_payloads
 
 SILENT = lambda line: None  # noqa: E731
 
@@ -348,3 +361,214 @@ class TestPipelinedLoadgen:
         assert shards == {0, 1}
         for k in keys:
             assert shard_of(k, 2) == shard_of(k, 2)  # deterministic
+
+
+# ---------------------------------------------------------------------------
+# the sizing contract: arithmetic, and never a different answer
+# ---------------------------------------------------------------------------
+
+
+def _reference_envelope(ops):
+    """The envelope an exact size check encodes around a decree."""
+    return (
+        ("qcli", ("probe", 0, 0)), ("qs", 0, 0),
+        ("q-propose", make_batch(tuple(ops))),
+    )
+
+
+def _exact_fits(codec, ops):
+    """The oracle: encode the decree in the wire codec *and* in JSON."""
+    envelope = _reference_envelope(ops)
+    try:
+        wire = codec.encode_frame(envelope)
+        journal = JSON_CODEC.encode_frame(envelope)
+    except FrameTooLarge:
+        return False
+    return max(len(wire), len(journal)) + FRAME_SLACK <= MAX_FRAME
+
+
+def _offline_pipeline(codec_name):
+    """A pipeline over an unconnected transport: sizing needs no peer.
+    Built inside a running loop, which the transport looks up."""
+
+    async def build():
+        transport = AsyncTransport(
+            "clients", AddressBook(), codec=get_codec(codec_name)
+        )
+        return SlotPipeline("main", 3, transport)
+
+    return asyncio.run(build())
+
+
+PIPELINES = {name: _offline_pipeline(name) for name in ("json", "binary")}
+
+
+def _tag(command, seq=1):
+    return command + (("seq", ("c0", seq)),)
+
+
+#: payload families and what binds them: plain text (JSON a little
+#: larger), control characters (JSON six times the binary: the case the
+#: journal bound is tight on), floats (the binary frame is the larger)
+PAYLOAD_FAMILIES = {
+    "ascii": lambda n: "x" * n,
+    "control": lambda n: "\x01" * n,
+    "floats": lambda n: (0.0,) * n,
+}
+
+
+class TestSizingContract:
+    @pytest.mark.parametrize("family", sorted(PAYLOAD_FAMILIES))
+    @pytest.mark.parametrize("codec_name", ["json", "binary"])
+    def test_ensure_fits_flips_exactly_where_a_double_encode_does(
+        self, codec_name, family
+    ):
+        pipeline = PIPELINES[codec_name]
+        codec = pipeline.transport.codec
+        payload = PAYLOAD_FAMILIES[family]
+
+        def op(n):
+            return _tag(("put", "k", payload(n)))
+
+        # from one unit on, every family grows by a fixed number of
+        # bytes per unit, so the largest payload that fits follows from
+        # two encodes in each codec
+        def grow(codec_):
+            one = len(codec_.encode_frame(_reference_envelope([op(1)])))
+            nine = len(codec_.encode_frame(_reference_envelope([op(9)])))
+            return one, (nine - one) // 8
+
+        room = MAX_FRAME - FRAME_SLACK
+        low = 1 + min(
+            (room - one) // per_unit
+            for one, per_unit in (grow(codec), grow(JSON_CODEC))
+        )
+        for n in (0, low // 2, low - 1, low, low + 1, low + 2, MAX_FRAME):
+            expected = _exact_fits(codec, [op(n)])
+            assert expected == (n <= low)
+            if expected:
+                pipeline.ensure_fits(op(n))
+            else:
+                with pytest.raises(PayloadTooLarge):
+                    pipeline.ensure_fits(op(n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["json", "binary"]),
+        st.lists(wide_payloads, min_size=1, max_size=6),
+    )
+    def test_decree_bytes_cover_both_exact_encodings(
+        self, codec_name, values
+    ):
+        pipeline = PIPELINES[codec_name]
+        codec = pipeline.transport.codec
+        ops = [_tag(("put", "k", v), i) for i, v in enumerate(values)]
+        wire, journal = pipeline._decree_bytes(
+            [codec.sizeof(op) for op in ops]
+        )
+        envelope = _reference_envelope(ops)
+        assert wire == len(codec.encode_frame(envelope))
+        assert journal >= len(JSON_CODEC.encode_frame(envelope))
+
+    @pytest.mark.parametrize("codec_name", ["json", "binary"])
+    def test_split_decisions_match_a_double_encode(self, codec_name):
+        """Batches of large ops around the frame bound: `_fits` answers
+        what encoding the whole decree twice would."""
+        pipeline = PIPELINES[codec_name]
+        codec = pipeline.transport.codec
+        for family in ("ascii", "control"):
+            payload = PAYLOAD_FAMILIES[family]
+            for n in (43_000, 86_000, 170_000, 260_000):
+                for count in (1, 2, 4, 6, 12):
+                    ops = [
+                        _tag(("put", f"k{i}", payload(n)), i)
+                        for i in range(count)
+                    ]
+                    try:
+                        sizes = [codec.sizeof(op) for op in ops]
+                    except FrameTooLarge:
+                        # an op that cannot be sized never got an entry
+                        assert not _exact_fits(codec, ops[:1])
+                        continue
+                    assert pipeline._fits(sizes, ops) == _exact_fits(
+                        codec, ops
+                    ), (family, n, count)
+
+
+# ---------------------------------------------------------------------------
+# the gain, pinned: a decree crosses the codec once per hop
+# ---------------------------------------------------------------------------
+
+
+def _is_envelope(value):
+    return (
+        isinstance(value, tuple)
+        and len(value) == 3
+        and isinstance(value[0], tuple)
+    )
+
+
+class TestEncodeOnce:
+    def test_no_sizing_encode_beyond_one_per_op_and_one_body_per_broadcast(
+        self, monkeypatch
+    ):
+        frames = {"binary": [], "json": []}
+        bodies = []
+        for kind in (BinaryCodec, JsonCodec):
+            def spy_frame(
+                self, value, memo=None, _real=kind.encode_frame
+            ):
+                frames[self.name].append(value)
+                return _real(self, value, memo)
+
+            monkeypatch.setattr(kind, "encode_frame", spy_frame)
+
+        def spy_body(self, value, _real=BinaryCodec.encode_body):
+            bodies.append(value)
+            return _real(self, value)
+
+        monkeypatch.setattr(BinaryCodec, "encode_body", spy_body)
+
+        async def scenario():
+            cluster = LocalCluster(n_servers=3, codec="binary")
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            pipeline = SlotPipeline(
+                "main", 3, transport, window=4, max_batch=16,
+                quorum_timeout=0.5,
+            )
+            clients = [
+                PipelineClient(f"c{i}", pipeline, recorder, op_timeout=5.0)
+                for i in range(8)
+            ]
+
+            async def drive(client, index):
+                for n in range(8):
+                    await client.submit(("put", f"k{index}", n))
+
+            await asyncio.gather(
+                *(drive(c, i) for i, c in enumerate(clients))
+            )
+            await cluster.stop()
+            return pipeline, recorder
+
+        pipeline, recorder = asyncio.run(scenario())
+        assert pipeline.batched_ops == 64 and _check(recorder).ok
+        # sizing: one encode per op, in the wire codec, and none in JSON
+        sizing = [v for v in frames["binary"] if not _is_envelope(v)]
+        assert len(sizing) == 64
+        assert frames["json"] == []
+        # every wire frame still comes out of encode_frame ...
+        proposals = [
+            v for v in frames["binary"]
+            if _is_envelope(v) and v[2][0] == "q-propose"
+        ]
+        # (+1: the envelope the pipeline sized once, at construction)
+        assert len(proposals) == 3 * pipeline.decrees + 1
+        # ... but the body of a 3-server broadcast is encoded once
+        proposed = [
+            v for v in bodies
+            if isinstance(v, tuple) and v and v[0] == "q-propose"
+        ]
+        assert len(proposed) == pipeline.decrees
