@@ -38,7 +38,6 @@ from repro.core.fastcheck import check_linearizable
 from repro.faults.campaign import SMRTarget
 from repro.faults.nemesis import ClockSkew, FaultSchedule, SlowNode, TimerDrift
 from repro.faults.netcampaign import (
-    NetSchedule,
     NetSlowNode,
     RestartNode,
     WALTearTail,
@@ -100,8 +99,8 @@ def _fast_ratio(run):
 
 def live_fast_path(ops_per_client=8, clients=3):
     """Fast-path ratio healthy vs under a gray burst, on real sockets."""
-    healthy = NetSchedule(seed=20, actions=(), horizon=3.0)
-    gray = NetSchedule(
+    healthy = FaultSchedule(seed=20, actions=(), horizon=3.0)
+    gray = FaultSchedule(
         seed=20,
         actions=(
             # the hold exceeds the client's 0.15s quorum timeout once

@@ -4,8 +4,10 @@ Every nemesis/chaos campaign line, every ddmin-shrunk reproducer and
 every benchmark baseline in this repo is a *seed*: re-running it must
 reproduce the execution bit-for-bit.  That only holds if the simulated
 layers (``repro/mp``, ``repro/sm``, ``repro/faults``, ``repro/core``)
-never consult a wall clock or an unseeded randomness source.  RD01
-flags:
+and the wire substrate's seeded transport-fault seam
+(``repro/net/netfaults.py`` — a schedule's seed must fix every frame
+fault it draws) never consult a wall clock or an unseeded randomness
+source.  RD01 flags:
 
 * wall-clock reads — ``time.time()``, ``time.monotonic()``,
   ``datetime.now()`` and friends (simulated time is the scheduler's
@@ -119,7 +121,13 @@ class Rd01Determinism(Rule):
 
     id = "RD01"
     title = "seeded determinism"
-    scope = ("repro/mp/", "repro/sm/", "repro/faults/", "repro/core/")
+    scope = (
+        "repro/mp/",
+        "repro/sm/",
+        "repro/faults/",
+        "repro/core/",
+        "repro/net/netfaults.py",
+    )
     example_bad = """\
 def jitter(self):
     return time.time() % 1      # wall clock: replay diverges

@@ -55,12 +55,11 @@ Two artifacts live here:
      singleton commit histories, and consistency of the must-commit-before
      order — without entering the exponential search at all.
 
-   Search effort is bounded two ways: ``node_limit`` raises
-   :class:`SearchBudgetExceeded` (the legacy contract used by the fault
-   campaigns), while ``state_limit`` bounds the memo table and makes the
-   checker report ``unknown`` (see :class:`LinearizationResult`) instead
-   of thrashing — the caller can then retry with a bigger budget or treat
-   the run as inconclusive.
+   Search effort is bounded two ways — ``node_limit`` caps the nodes
+   expanded, ``state_limit`` the memo table — and either budget running
+   out makes the checker report ``unknown`` (see
+   :class:`LinearizationResult`) instead of thrashing: the caller can
+   then retry with a bigger budget or treat the run as inconclusive.
 """
 
 from __future__ import annotations
@@ -277,12 +276,9 @@ class _SearchContext:
     state_limit: Optional[int] = None
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """Raised when the linearization search exceeds its node budget."""
-
-
-class _StateBudgetExceeded(Exception):
-    """Internal: the memo table outgrew ``state_limit`` (-> unknown)."""
+class _BudgetExceeded(Exception):
+    """Internal: the search outgrew ``node_limit`` or ``state_limit``;
+    the message names which (-> an ``unknown`` result)."""
 
 
 def _must_precede_cycle(
@@ -374,12 +370,10 @@ def _search(
         ctx.state_limit is not None
         and len(ctx.visited) > ctx.state_limit
     ):
-        raise _StateBudgetExceeded
+        raise _BudgetExceeded(f"the {ctx.state_limit}-state memo budget")
     ctx.nodes += 1
     if ctx.node_limit is not None and ctx.nodes > ctx.node_limit:
-        raise SearchBudgetExceeded(
-            f"linearization search exceeded {ctx.node_limit} nodes"
-        )
+        raise _BudgetExceeded(f"the {ctx.node_limit}-node budget")
 
     min_uncommitted = len(ctx.trace)
     max_uncommitted = -1
@@ -470,10 +464,10 @@ def linearize(
 
     Returns a :class:`LinearizationResult`; on success the witness can be
     re-validated with :func:`check_linearization_function`.  ``node_limit``
-    optionally bounds the search (raising :class:`SearchBudgetExceeded`,
-    the legacy contract); ``state_limit`` bounds the memo table instead
-    and returns an ``unknown`` result rather than raising, so callers can
-    treat a blown budget as inconclusive without exception plumbing.
+    optionally bounds the nodes the search expands and ``state_limit``
+    its memo table; running out of either returns an ``unknown`` result
+    whose reason names the budget, so callers can treat a blown budget
+    as inconclusive without exception plumbing.
     A history deeper than the interpreter's recursion limit is the same
     kind of ``unknown``, never a ``RecursionError``.
 
@@ -522,13 +516,12 @@ def linearize(
     )
     try:
         found = _search(ctx, (), adt.initial_state, frozenset(), -1)
-    except _StateBudgetExceeded:
+    except _BudgetExceeded as budget:
         return LinearizationResult(
             False,
             unknown=True,
             reason=(
-                f"linearization search exceeded the {state_limit}-state "
-                f"memo budget; verdict unknown"
+                f"linearization search exceeded {budget}; verdict unknown"
             ),
         )
     except RecursionError:

@@ -1,22 +1,26 @@
 """Fault injection: nemesis schedules, campaigns, shrinking, mutants.
 
-The resilience layer of the reproduction.  :mod:`repro.faults.nemesis`
-defines declarative, seeded fault schedules; :mod:`repro.faults.campaign`
-runs them against the real deployments and checks every trace for
-linearizability; :mod:`repro.faults.shrink` reduces violating schedules
-to minimal reproducers; :mod:`repro.faults.mutants` supplies
-intentionally broken processes that prove the harness catches real bugs.
-:mod:`repro.faults.netfaults` injects loss, loss bursts and
-partition-then-heal windows at the TCP transport layer, and
-:mod:`repro.faults.netcampaign` drives the same seeded-schedule /
-check-every-history / shrink-on-violation discipline against the *live*
-socket cluster, including kill/restart churn and the WAL-disabled
-amnesiac-node canary.  :func:`~repro.faults.netcampaign.run_retry_storm`
-is the exactly-once campaign: duplicate-delivery bursts, client
-blackouts and kill/restart churn against retrying/hedging clients on a
-counter object, with a mechanical applied-exactly-once witness and a
-dedup-disabled mutant canary.
-:class:`~repro.faults.netcampaign.RacySlotPipeline` is the
+The resilience layer of the reproduction, one chaos framework over two
+substrates.  :mod:`repro.faults.nemesis` defines declarative, seeded
+fault schedules — one :class:`FaultSchedule` type whose
+:class:`FaultAction` s apply themselves to a :class:`NemesisTarget` —
+and the simulator's vocabulary; :mod:`repro.faults.campaign` runs them
+against the simulated deployments and checks every trace for
+linearizability; :mod:`repro.faults.shrink` reduces violating
+schedules to minimal reproducers and files them (one
+:class:`Violation`, either substrate); :mod:`repro.faults.mutants`
+supplies intentionally broken processes that prove the harness catches
+real bugs.  :mod:`repro.faults.netcampaign` is the same discipline —
+seeded schedule / check every history / shrink on violation — against
+the *live* socket cluster: the wire vocabulary (kill/restart churn,
+transport windows on :class:`repro.net.netfaults.TransportFaults`,
+at-rest WAL corruption), its target, and the WAL-disabled amnesiac-node
+canary.  :func:`~repro.faults.netcampaign.run_retry_storm` is a
+workload of that campaign, not a second one: duplicate-delivery bursts,
+client blackouts and kill/restart churn against retrying/hedging
+clients on a counter object, with a mechanical applied-exactly-once
+witness and a dedup-disabled mutant canary.
+:class:`~repro.faults.mutants.RacySlotPipeline` is the
 interleaving-race mutant: its slot claims suspend mid-critical-section,
 and the campaign run with ``race_mutant=True, sanitize=True`` must see
 the runtime interleaving sanitizer catch it live — the dynamic
@@ -32,10 +36,9 @@ from .campaign import (
     RunResult,
     SMRTarget,
     TARGETS,
-    Violation,
     run_campaign,
 )
-from .mutants import AmnesiacAcceptor
+from .mutants import AmnesiacAcceptor, RacySlotPipeline
 from .nemesis import (
     ACTION_CLASSES,
     BurstLoss,
@@ -52,49 +55,27 @@ from .nemesis import (
     TimerDrift,
     random_schedule,
 )
-from .netfaults import TransportFaults
-from .shrink import shrink_schedule
-
-#: netcampaign names resolved lazily (PEP 562): the module imports
-#: repro.net, which imports repro.faults.netfaults back — importing it
-#: eagerly here would deadlock package initialization when repro.net is
-#: imported first.
-_NETCAMPAIGN_NAMES = frozenset(
-    {
-        "KillNode",
-        "NET_ACTION_CLASSES",
-        "NetCampaignReport",
-        "NetDupBurst",
-        "NetLossBurst",
-        "NetPartition",
-        "NetRunResult",
-        "NetSchedule",
-        "NetSlowNode",
-        "NetViolation",
-        "RacySlotPipeline",
-        "RestartNode",
-        "RetryStormResult",
-        "WALBitFlip",
-        "WALNoSpace",
-        "WALTearTail",
-        "asymmetric_bridge",
-        "random_net_schedule",
-        "retry_storm_schedule",
-        "run_net_campaign",
-        "run_retry_storm",
-    }
+from .netcampaign import (
+    KillNode,
+    NET_ACTION_CLASSES,
+    NetCampaignReport,
+    NetDupBurst,
+    NetLossBurst,
+    NetPartition,
+    NetRunResult,
+    NetSlowNode,
+    NetTarget,
+    RestartNode,
+    WALBitFlip,
+    WALNoSpace,
+    WALTearTail,
+    asymmetric_bridge,
+    random_net_schedule,
+    retry_storm_schedule,
+    run_net_campaign,
+    run_retry_storm,
 )
-
-
-def __getattr__(name):
-    if name in _NETCAMPAIGN_NAMES:
-        from . import netcampaign
-
-        return getattr(netcampaign, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
+from .shrink import Violation, shrink_schedule
 
 __all__ = [
     "ACTION_CLASSES",
@@ -119,20 +100,17 @@ __all__ = [
     "NetLossBurst",
     "NetPartition",
     "NetRunResult",
-    "NetSchedule",
     "NetSlowNode",
-    "NetViolation",
+    "NetTarget",
     "PartitionServers",
     "RacySlotPipeline",
     "RecoverServer",
     "RestartNode",
-    "RetryStormResult",
     "RunResult",
     "SMRTarget",
     "SlowNode",
     "TARGETS",
     "TimerDrift",
-    "TransportFaults",
     "Violation",
     "WALBitFlip",
     "WALNoSpace",

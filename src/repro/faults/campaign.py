@@ -36,7 +36,6 @@ from typing import (
 from .. import engine
 from ..core.adt import consensus_adt
 from ..core.fastcheck import check_linearizable
-from ..core.linearizability import SearchBudgetExceeded
 from ..core.traces import strip_phase_tags
 from ..mp.backoff import BackoffPolicy
 from ..mp.composed import ComposedConsensus
@@ -57,7 +56,7 @@ from .nemesis import (
     RecoverServer,
     random_schedule,
 )
-from .shrink import shrink_schedule
+from .shrink import Violation, record_violation
 
 CONSENSUS = consensus_adt()
 KV = kv_store_adt()
@@ -90,6 +89,11 @@ class RunResult:
     gave_up: int = 0
     latencies: List[float] = field(default_factory=list)
     stats: Optional[NetworkStats] = None
+
+    @property
+    def violation(self) -> bool:
+        """The checker refuted the trace (not merely ran out of budget)."""
+        return not self.ok and not self.inconclusive
 
     @property
     def commit_rate(self) -> float:
@@ -199,23 +203,25 @@ class _ConsensusAdapter(NemesisTarget):
         return pids.__contains__
 
 
-class ComposedTarget(CampaignTarget):
-    """Quorum+Backup under nemesis: the Section 2 composed consensus."""
-
-    name = "composed"
+class _ConsensusTarget(CampaignTarget):
+    """A one-shot consensus deployment under nemesis: every client
+    proposes once, the trace is checked against the consensus ADT."""
 
     def __init__(self, n_servers: int = 3, n_clients: int = 4) -> None:
         self.n_servers = n_servers
         self.n_clients = n_clients
 
+    def build(self, schedule: FaultSchedule, mutant: bool):
+        """The deployment for one run, seeded from the schedule."""
+        raise NotImplementedError
+
+    @staticmethod
+    def switched(outcome) -> bool:
+        """Whether this client left its first phase."""
+        raise NotImplementedError
+
     def run(self, schedule, mutant=False, node_limit=200_000) -> RunResult:
-        system = ComposedConsensus(
-            n_servers=self.n_servers,
-            seed=schedule.seed,
-            expected_clients=self.n_clients,
-            backoff=CAMPAIGN_BACKOFF,
-            acceptor_cls=AmnesiacAcceptor if mutant else PaxosAcceptor,
-        )
+        system = self.build(schedule, mutant)
         schedule.inject(_ConsensusAdapter(system))
         rng = _workload_rng(schedule)
         # Spread proposals across the fault span so the chaos actually
@@ -235,16 +241,35 @@ class ComposedTarget(CampaignTarget):
             ok=True,
             total=len(outcomes),
             committed=sum(1 for o in outcomes if o.decided_value is not None),
-            switched=sum(1 for o in outcomes if o.switched),
+            switched=sum(1 for o in outcomes if self.switched(o)),
             gave_up=sum(1 for o in outcomes if o.gave_up),
             latencies=[o.latency for o in outcomes if o.latency is not None],
-            stats=system.stats,
+            stats=system.network.stats,
         )
         _check(result, strip_phase_tags(system.trace()), CONSENSUS, node_limit)
         return result
 
 
-class MultiphaseTarget(CampaignTarget):
+class ComposedTarget(_ConsensusTarget):
+    """Quorum+Backup under nemesis: the Section 2 composed consensus."""
+
+    name = "composed"
+
+    def build(self, schedule, mutant):
+        return ComposedConsensus(
+            n_servers=self.n_servers,
+            seed=schedule.seed,
+            expected_clients=self.n_clients,
+            backoff=CAMPAIGN_BACKOFF,
+            acceptor_cls=AmnesiacAcceptor if mutant else PaxosAcceptor,
+        )
+
+    @staticmethod
+    def switched(outcome) -> bool:
+        return outcome.switched
+
+
+class MultiphaseTarget(_ConsensusTarget):
     """SubQuorum → Quorum → Backup under nemesis."""
 
     name = "multiphase"
@@ -255,42 +280,21 @@ class MultiphaseTarget(CampaignTarget):
         sub_servers: int = 2,
         n_clients: int = 4,
     ) -> None:
-        self.n_servers = n_servers
+        super().__init__(n_servers, n_clients)
         self.sub_servers = sub_servers
-        self.n_clients = n_clients
 
-    def run(self, schedule, mutant=False, node_limit=200_000) -> RunResult:
-        system = ThreePhaseConsensus(
+    def build(self, schedule, mutant):
+        return ThreePhaseConsensus(
             n_servers=self.n_servers,
             sub_servers=self.sub_servers,
             seed=schedule.seed,
             expected_clients=self.n_clients,
             backoff=CAMPAIGN_BACKOFF,
         )
-        schedule.inject(_ConsensusAdapter(system))
-        rng = _workload_rng(schedule)
-        outcomes = [
-            system.propose(
-                f"c{i}",
-                f"v{i}",
-                at=round(rng.uniform(0.0, schedule.horizon * 0.4), 1),
-            )
-            for i in range(self.n_clients)
-        ]
-        system.run(until=schedule.horizon)
-        result = RunResult(
-            target=self.name,
-            schedule=schedule,
-            ok=True,
-            total=len(outcomes),
-            committed=sum(1 for o in outcomes if o.decided_value is not None),
-            switched=sum(1 for o in outcomes if o.switch_values),
-            gave_up=sum(1 for o in outcomes if o.gave_up),
-            latencies=[o.latency for o in outcomes if o.latency is not None],
-            stats=system.network.stats,
-        )
-        _check(result, strip_phase_tags(system.trace()), CONSENSUS, node_limit)
-        return result
+
+    @staticmethod
+    def switched(outcome) -> bool:
+        return bool(outcome.switch_values)
 
 
 class _SMRAdapter(NemesisTarget):
@@ -388,16 +392,10 @@ def _check(result: RunResult, trace, adt, node_limit) -> None:
 
     Uses the P-compositional fast path (:mod:`repro.core.fastcheck`) —
     the KV target decomposes per key, the consensus targets fall through
-    to the monolithic search.  A blown budget (either the legacy
-    ``node_limit`` exception or an ``unknown`` verdict) marks the run
-    inconclusive rather than failing it.
+    to the monolithic search.  A blown budget (an ``unknown`` verdict)
+    marks the run inconclusive rather than failing it.
     """
-    try:
-        report = check_linearizable(trace, adt, node_limit=node_limit)
-    except SearchBudgetExceeded as exceeded:
-        result.inconclusive = True
-        result.reason = str(exceeded)
-        return
+    report = check_linearizable(trace, adt, node_limit=node_limit)
     if report.unknown:
         result.inconclusive = True
         result.reason = report.result.reason
@@ -421,26 +419,6 @@ MUTANT_ACTIONS = (
     PartitionServers,
     BurstLoss,
 )
-
-
-@dataclass
-class Violation:
-    """A failing run together with its shrunk minimal reproducer."""
-
-    result: RunResult
-    shrunk: FaultSchedule
-    shrunk_reason: str
-
-    def report(self) -> str:
-        lines = [
-            f"VIOLATION on [{self.result.target}]: {self.result.reason}",
-            f"  full schedule: {self.result.schedule.describe()}",
-            f"  minimal reproducer ({len(self.shrunk.actions)} of "
-            f"{len(self.result.schedule.actions)} actions): "
-            f"{self.shrunk.describe()}",
-            f"  minimal-run checker verdict: {self.shrunk_reason}",
-        ]
-        return "\n".join(lines)
 
 
 @dataclass
@@ -579,27 +557,15 @@ def run_campaign(
         report.results.append(result)
         if verbose:
             emit(result.line())
-        if not result.ok and not result.inconclusive:
+        if result.violation:
             target = _build_target(name, n_servers)
-            shrunk = schedule
-            if shrink:
-
-                def still_fails(candidate: FaultSchedule) -> bool:
-                    probe = target.run(
-                        candidate, mutant=mutant, node_limit=node_limit
-                    )
-                    return not probe.ok and not probe.inconclusive
-
-                shrunk = shrink_schedule(schedule, still_fails)
-            final = target.run(
-                shrunk, mutant=mutant, node_limit=node_limit
+            record_violation(
+                report,
+                result,
+                lambda candidate: target.run(
+                    candidate, mutant=mutant, node_limit=node_limit
+                ),
+                shrink,
+                emit,
             )
-            report.violations.append(
-                Violation(
-                    result=result,
-                    shrunk=shrunk,
-                    shrunk_reason=final.reason,
-                )
-            )
-            emit(report.violations[-1].report())
     return report

@@ -10,15 +10,12 @@ minimal reproducer.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Tuple
+import asyncio
+from typing import Any, Hashable, List, Optional, Tuple
 
+from ..analysis.sanitizer import InterleaveError, atomic_section
 from ..mp.paxos import PaxosAcceptor
-
-# RacySlotPipeline — the interleaving-race mutant — lives in
-# :mod:`repro.faults.netcampaign` beside the campaign that drives it:
-# it subclasses the live pipeline, and importing repro.net from here
-# would recreate the circular package initialization the lazy
-# netcampaign loader in ``faults/__init__`` exists to avoid.
+from ..net.pipeline import SlotPipeline
 
 
 class AmnesiacAcceptor(PaxosAcceptor):
@@ -40,3 +37,57 @@ class AmnesiacAcceptor(PaxosAcceptor):
 
     def on_recover(self, durable) -> None:
         self.promised, self.accepted_ballot, self.accepted_value = durable
+
+
+class RacySlotPipeline(SlotPipeline):
+    """A :class:`~repro.net.pipeline.SlotPipeline` with a seeded race.
+
+    Every :meth:`enqueue` spawns a pair of claim tasks that read
+    ``_next_slot``, suspend, and write the stale value back — each is a
+    no-op alone, but when two interleave (they always do: the pair
+    starts in the same loop tick) the write-back rolls back slots the
+    real pump claimed meanwhile, so later decrees land on slots already
+    in flight.  The claim sits inside the same ``"slot-claim"``
+    :func:`~repro.analysis.sanitizer.atomic_section` the real pipeline
+    declares, which is the point of the mutant: statically it is an
+    RD08 canary (a copy of this shape is linted in the test suite), and
+    dynamically the armed sanitizer must record the interleave the
+    moment the second task enters the held section.  The wire campaign
+    drives it with ``run_net_campaign(race_mutant=True, sanitize=True)``.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._racy_tasks: List[asyncio.Task] = []
+
+    def enqueue(self, tagged: Tuple) -> asyncio.Future:
+        future = super().enqueue(tagged)
+        for _ in range(2):
+            task = self.transport.loop.create_task(self._racy_claim())
+            self._racy_tasks.append(task)
+            task.add_done_callback(self._racy_tasks.remove)
+        return future
+
+    async def _racy_claim(self) -> None:
+        try:
+            with atomic_section(self, "slot-claim"):
+                claimed = self._next_slot
+                await asyncio.sleep(0)  # the interleaving window
+                self._next_slot = claimed
+        except InterleaveError:
+            # Recorded on the sanitizer's violation list; swallowed so
+            # the run (and the checker's history) survives the catch.
+            pass
+
+    def _claim_slot(self) -> int:
+        try:
+            return super()._claim_slot()
+        except InterleaveError:
+            # The pump barged into a claim a racy task left suspended —
+            # the violation is recorded; fall back to a bare unguarded
+            # bump so the run keeps making progress.
+            slot = self._next_slot
+            while slot in self.log:
+                slot += 1
+            self._next_slot = slot + 1
+            return slot

@@ -1,13 +1,17 @@
-"""The nemesis: declarative, seeded fault schedules for the simulator.
+"""The nemesis: declarative, seeded fault schedules for both substrates.
 
 The paper's guarantees are quantified over *all* schedules — crashes,
 message loss, duplication, asynchrony.  The seed code exercised
 hand-picked fault points (a fixed ``crash_at``, a constant
 ``loss_rate``); this module turns fault injection into data.  A
 :class:`FaultSchedule` is an immutable value: a seed plus a tuple of
-:class:`FaultAction` objects, each of which knows how to arm itself
-against a deployment through the small :class:`NemesisTarget` interface.
-Because schedules are plain data,
+:class:`FaultAction` objects, each of which knows how to apply itself
+to a deployment through the small :class:`NemesisTarget` interface —
+the nemesis port, beside the substrate port the protocols run on.  The
+simulator's vocabulary is below; the live TCP cluster's
+(:mod:`repro.faults.netcampaign`) subclasses the same base, so one
+schedule type, one shrinker and one report line serve both.  Because
+schedules are plain data,
 
 * identical seeds reproduce identical chaos (the campaign's contract);
 * a schedule can be *shrunk* — delta-debugging over the action tuple
@@ -16,7 +20,7 @@ Because schedules are plain data,
 * a schedule prints as one line, so a violation report is replayable
   from the printed line alone.
 
-Action vocabulary (all times are virtual, i.e. message-delay units):
+Simulator vocabulary (all times are virtual, i.e. message-delay units):
 
 ========================  =================================================
 :class:`CrashServer`       crash-stop every role of one physical server
@@ -50,13 +54,21 @@ from typing import Callable, Hashable, Iterable, List, Tuple
 class NemesisTarget:
     """What a deployment must expose for the nemesis to attack it.
 
-    Concrete adapters (see :mod:`repro.faults.campaign`) wrap
+    The simulator adapters (see :mod:`repro.faults.campaign`) wrap
     :class:`~repro.mp.composed.ComposedConsensus`,
-    :class:`~repro.mp.multiphase.ThreePhaseConsensus` and the SMR stack.
+    :class:`~repro.mp.multiphase.ThreePhaseConsensus` and the SMR stack
+    and implement the members below: virtual time lets every action be
+    armed before the run starts.  The live cluster's target
+    (:class:`repro.faults.netcampaign.NetTarget`) shares only the two
+    attributes — its actions are applied *at* their time, through
+    primitives of its own.
     """
 
     #: number of physical servers (fault actions address servers by index)
     n_servers: int
+    #: named transport endpoints a partition may cut (the wire has
+    #: them; the simulator partitions by server index instead)
+    endpoints: Tuple[str, ...] = ()
 
     @property
     def sim(self):
@@ -90,8 +102,19 @@ class FaultAction:
     at: float
 
     def apply(self, target: NemesisTarget) -> None:
-        """Arm this action against ``target`` (called before the run)."""
+        """Inflict this action on ``target``: the simulator's actions
+        arm themselves before the run, the wire's are coroutines
+        awaited at ``at``."""
         raise NotImplementedError
+
+    def servers_named(self) -> Tuple[int, ...]:
+        """The server indices this action addresses
+        (:meth:`FaultSchedule.check` holds them to the target)."""
+        return ()
+
+    def endpoints_named(self) -> Tuple[str, ...]:
+        """The transport endpoints this action addresses."""
+        return ()
 
     def describe(self) -> str:
         """One compact token for schedule lines and shrink reports."""
@@ -103,20 +126,26 @@ class FaultAction:
 
 
 @dataclass(frozen=True)
-class CrashServer(FaultAction):
-    """Crash-stop every role of physical server ``server`` at ``at``."""
+class _OnServer(FaultAction):
+    """Shared plumbing for actions aimed at one physical server."""
 
     server: int = 0
+
+    def servers_named(self) -> Tuple[int, ...]:
+        return (self.server,)
+
+
+@dataclass(frozen=True)
+class CrashServer(_OnServer):
+    """Crash-stop every role of physical server ``server`` at ``at``."""
 
     def apply(self, target: NemesisTarget) -> None:
         target.crash_server(self.server, self.at)
 
 
 @dataclass(frozen=True)
-class RecoverServer(FaultAction):
+class RecoverServer(_OnServer):
     """Restart server ``server`` at ``at`` with its durable state."""
-
-    server: int = 0
 
     def apply(self, target: NemesisTarget) -> None:
         target.recover_server(self.server, self.at)
@@ -134,6 +163,9 @@ class PartitionServers(FaultAction):
     servers: Tuple[int, ...] = ()
     duration: float = 10.0
     one_way: bool = False
+
+    def servers_named(self) -> Tuple[int, ...]:
+        return self.servers
 
     def apply(self, target: NemesisTarget) -> None:
         target.network.partition(
@@ -207,7 +239,7 @@ class DuplicationStorm(_Window):
 
 
 @dataclass(frozen=True)
-class SlowNode(FaultAction):
+class SlowNode(_OnServer):
     """Gray failure: server ``server`` stays alive and correct, but
     every message it sends or receives takes ``factor``× as long during
     the window.  Unlike :class:`DelaySpike` (cluster-wide), this skews
@@ -215,7 +247,6 @@ class SlowNode(FaultAction):
     while Backup's majority does not.
     """
 
-    server: int = 0
     factor: float = 4.0
     duration: float = 10.0
 
@@ -229,14 +260,13 @@ class SlowNode(FaultAction):
 
 
 @dataclass(frozen=True)
-class TimerDrift(FaultAction):
+class TimerDrift(_OnServer):
     """Gray failure: server ``server``'s local tick runs at ``rate``×
     real speed during the window (timers armed while it is active fire
     ``rate``× later for rate > 1, earlier for rate < 1) — retransmit
     and coordinator-retry timers drift against the cluster.
     """
 
-    server: int = 0
     rate: float = 2.0
     duration: float = 10.0
 
@@ -250,14 +280,13 @@ class TimerDrift(FaultAction):
 
 
 @dataclass(frozen=True)
-class ClockSkew(FaultAction):
+class ClockSkew(_OnServer):
     """Gray failure: server ``server``'s local clock reads ``offset``
     units away from true time during the window.  Scheduling is
     untouched — the lie is visible only through ``local_now``, which is
     exactly why protocols must never gate safety on wall clocks.
     """
 
-    server: int = 0
     offset: float = 25.0
     duration: float = 10.0
 
@@ -288,17 +317,52 @@ ACTION_CLASSES = (
 class FaultSchedule:
     """A seed plus an ordered tuple of fault actions.
 
-    The seed drives *everything* about a campaign run — the simulator,
-    the workload and the chaos — so the schedule line printed by the
-    campaign is a complete reproducer.
+    The seed drives *everything* about a campaign run — the simulator
+    (on the wire: the transport and storage fault draws), the workload
+    and the chaos — so the schedule line printed by the campaign is a
+    complete reproducer (modulo real-network timing on the wire, which
+    is the point of running on sockets).  ``horizon`` is in the
+    substrate's time unit: message delays for the simulator (the
+    default), seconds for the live cluster (its generators say 3–4).
     """
 
     seed: int
     actions: Tuple[FaultAction, ...] = ()
     horizon: float = 400.0
 
+    def check(self, target: NemesisTarget) -> None:
+        """Hold every action to what ``target`` actually has.
+
+        A schedule is plain data and may name a server or endpoint the
+        deployment lacks; that is rejected here, once, where the
+        schedule is bound to a target and before anything runs — as one
+        ``ValueError`` naming the action, not as whichever
+        ``IndexError`` the substrate would hit mid-run.
+        """
+        for action in self.actions:
+            strangers = [
+                i
+                for i in action.servers_named()
+                if not 0 <= i < target.n_servers
+            ] + [
+                e
+                for e in action.endpoints_named()
+                if e not in target.endpoints
+            ]
+            if strangers:
+                raise ValueError(
+                    f"{action.describe()} names {strangers!r}, but the "
+                    f"deployment has servers 0..{target.n_servers - 1}"
+                    + (
+                        f", endpoints {', '.join(target.endpoints)}"
+                        if target.endpoints
+                        else ""
+                    )
+                )
+
     def inject(self, target: NemesisTarget) -> None:
-        """Arm every action against ``target``."""
+        """Arm every action against a simulator ``target``."""
+        self.check(target)
         for action in self.actions:
             action.apply(target)
 

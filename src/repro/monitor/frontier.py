@@ -53,6 +53,7 @@ from ..core.linearizability import (
     frontier_step,
     initial_frontier,
 )
+from ..ddmin import ProbeBudgetExceeded, ddmin
 
 WATCHING = "watching"
 VIOLATION = "violation"
@@ -96,36 +97,16 @@ def ddmin_ops(
 ) -> List[Hashable]:
     """Minimize a list of removable items while ``fails`` stays true.
 
-    Classic delta debugging over ``candidates`` (the always-kept failing
-    operation is *not* among them; ``fails`` adds it back internally).
-    ``fails(subset)`` must be true for the full list; the return value is
-    a subset on which it is still true, 1-minimal when the probe budget
-    allows.  Mirrors :func:`repro.faults.shrink.shrink_schedule`, which
-    is typed to fault schedules and so not reusable here.
+    :func:`repro.ddmin.ddmin` over ``candidates`` (the always-kept
+    failing operation is *not* among them; ``fails`` adds it back
+    internally), except that a witness is best-effort: when the probe
+    budget runs out the smallest failing subset found so far is the
+    answer, not an error.
     """
-    current = list(candidates)
-    if fails([]):
-        return []
-    granularity = 2
-    probes = 0
-    while len(current) >= 2 and probes < max_probes:
-        chunk = max(1, len(current) // granularity)
-        reduced = False
-        for start in range(0, len(current), chunk):
-            probes += 1
-            candidate = current[:start] + current[start + chunk:]
-            if fails(candidate):
-                current = candidate
-                granularity = max(2, granularity - 1)
-                reduced = True
-                break
-            if probes >= max_probes:
-                break
-        if not reduced:
-            if chunk == 1:
-                break
-            granularity = min(len(current), granularity * 2)
-    return current
+    try:
+        return ddmin(candidates, fails, max_probes)
+    except ProbeBudgetExceeded as exceeded:
+        return exceeded.best
 
 
 class KeyFrontier:

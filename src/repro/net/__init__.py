@@ -26,6 +26,11 @@ Modules:
 * :mod:`repro.net.transport` — :class:`AsyncTransport`, the port
   implementation: pid routing, connection pooling, reply routes,
   transport-level fault injection, :class:`~repro.mp.sim.NetworkStats`;
+* :mod:`repro.net.netfaults` — :class:`~repro.net.netfaults.TransportFaults`,
+  the seeded per-frame fault seam the transport consults (loss and
+  duplicate bursts, cuts, slow endpoints); like
+  :mod:`repro.net.faultfs` under the WAL it is part of the substrate,
+  and the nemesis in :mod:`repro.faults` only drives it;
 * :mod:`repro.net.node` — :class:`ReplicaNode`, one server's roles
   (lazily instantiated per SMR slot) behind a TCP listener;
 * :mod:`repro.net.cluster` — :class:`LocalCluster`, an in-process

@@ -42,9 +42,9 @@ import os
 import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..faults.netfaults import TransportFaults
 from .codec import Codec, get_codec
 from .faultfs import FaultFS
+from .netfaults import TransportFaults
 from .node import COORDINATOR_RETRY_DELAY, ReplicaNode
 from .transport import AddressBook, AsyncTransport
 from .wal import NodeWAL, WALCorruptionError
@@ -62,7 +62,6 @@ class LocalCluster:
         port_base: Optional[int] = None,
         wal_root: Optional[str] = None,
         amnesiac: Sequence[int] = (),
-        wal_fsync: bool = True,
         wal_fs: Optional[Dict[int, FaultFS]] = None,
         codec: Optional[str] = None,
         group_commit: bool = False,
@@ -75,7 +74,6 @@ class LocalCluster:
         self.port_base = port_base
         self.wal_root = wal_root
         self.amnesiac = frozenset(amnesiac)
-        self.wal_fsync = wal_fsync
         self.wal_fs = wal_fs or {}
         self.codec_name = codec
         self.codec: Optional[Codec] = (
@@ -94,7 +92,6 @@ class LocalCluster:
         if self.wal_root is not None and index not in self.amnesiac:
             wal = NodeWAL(
                 os.path.join(self.wal_root, f"node{index}"),
-                fsync=self.wal_fsync,
                 fs=self.wal_fs.get(index),
                 group_commit=self.group_commit,
             )

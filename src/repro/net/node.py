@@ -49,12 +49,12 @@ import logging
 from typing import Any, Dict, Hashable, List, Optional, TYPE_CHECKING, Tuple
 
 from ..analysis.sanitizer import atomic_section
-from ..faults.netfaults import TransportFaults
 from ..mp.backoff import BackoffPolicy
 from ..mp.paxos import PaxosAcceptor, PaxosCoordinator
 from ..mp.quorum import QuorumServer
 from ..mp.sim import Process
 from .codec import Codec
+from .netfaults import TransportFaults
 from .transport import AddressBook, AsyncTransport
 from .wal import NodeWAL, RecoveredState, WALFullError
 

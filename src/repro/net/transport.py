@@ -33,7 +33,7 @@ roles keep in-process latency, but every message the system ever emits
 is proven wire-encodable.
 
 Faults are injected before a frame reaches a socket via
-:class:`repro.faults.netfaults.TransportFaults`; counters — aggregate
+:class:`repro.net.netfaults.TransportFaults`; counters — aggregate
 and per-link at endpoint granularity — land in the same
 :class:`~repro.mp.sim.NetworkStats` shape the simulator reports.
 """
@@ -44,9 +44,9 @@ import asyncio
 import logging
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
-from ..faults.netfaults import TransportFaults
 from ..mp.sim import NetworkStats
 from .codec import JSON_CODEC, BodyMemo, Codec, FrameDecoder, FrameError
+from .netfaults import TransportFaults
 
 logger = logging.getLogger(__name__)
 

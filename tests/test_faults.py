@@ -207,6 +207,26 @@ class TestFaultSchedules:
         assert schedule.fault_classes() == ("BurstLoss", "CrashServer")
         assert FaultSchedule(seed=0).fault_classes() == ("None",)
 
+    @pytest.mark.parametrize("target", [ComposedTarget(), SMRTarget()])
+    @pytest.mark.parametrize(
+        "action",
+        [
+            CrashServer(at=1.0, server=7),
+            RecoverServer(at=1.0, server=-1),
+            PartitionServers(at=1.0, servers=(0, 3)),
+        ],
+    )
+    def test_a_schedule_naming_a_missing_server_is_refused(
+        self, target, action
+    ):
+        """Binding a schedule to a deployment validates it once: one
+        ValueError naming the action, on every simulated target (not an
+        IndexError from deep inside whichever substrate)."""
+        with pytest.raises(ValueError) as refused:
+            target.run(FaultSchedule(seed=1, actions=(action,)))
+        assert action.describe() in str(refused.value)
+        assert "servers 0..2" in str(refused.value)
+
 
 class TestShrinker:
     def make(self, n=6):

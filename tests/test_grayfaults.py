@@ -28,7 +28,6 @@ from repro.faults import (
 from repro.faults.campaign import SMRTarget
 from repro.faults.netcampaign import (
     NetPartition,
-    NetSchedule,
     NetSlowNode,
     RestartNode,
     WALBitFlip,
@@ -401,7 +400,7 @@ class TestLiveGrayCampaign:
     def test_gray_burst_campaign_stays_linearizable(self):
         """Slow node + asymmetric bridge + torn-tail WAL restart, all in
         one live run: every recorded history must still linearize."""
-        schedule = NetSchedule(
+        schedule = FaultSchedule(
             seed=0,
             actions=(
                 NetSlowNode(at=0.3, node=1, delay=0.03, duration=0.8),
@@ -429,7 +428,7 @@ class TestLiveGrayCampaign:
         """A flipped record body must keep the node dead: the restart
         raises WALCorruptionError, the run counts a failstop, and the
         surviving majority keeps the history linearizable."""
-        schedule = NetSchedule(
+        schedule = FaultSchedule(
             seed=1,
             actions=(
                 WALBitFlip(at=0.7, node=2),
@@ -455,7 +454,7 @@ class TestLiveGrayCampaign:
         """ENOSPC on one replica's WAL: held replies and backoff retries
         on that node, Backup progress through the others — and no reply
         about unpersisted state, so the history linearizes."""
-        schedule = NetSchedule(
+        schedule = FaultSchedule(
             seed=2,
             actions=(WALNoSpace(at=0.4, node=1, count=3),),
             horizon=3.0,

@@ -746,11 +746,10 @@ def test_reset_clears_recorded_violations(armed):
 
 
 def _quiet_campaign(**kwargs):
-    from repro.faults import run_net_campaign
-    from repro.faults.netcampaign import NetSchedule
+    from repro.faults import FaultSchedule, run_net_campaign
 
     return run_net_campaign(
-        schedules=[NetSchedule(seed=3, actions=(), horizon=1.0)],
+        schedules=[FaultSchedule(seed=3, actions=(), horizon=1.0)],
         ops_per_client=3,
         shrink=False,
         emit=lambda *_: None,

@@ -1,7 +1,5 @@
 """Tests for the paper's new definition of linearizability (Section 4)."""
 
-import pytest
-
 from repro.core.actions import inv, res
 from repro.core.adt import (
     consensus_adt,
@@ -15,7 +13,6 @@ from repro.core.adt import (
     register_adt,
 )
 from repro.core.linearizability import (
-    SearchBudgetExceeded,
     check_linearization_function,
     is_linearizable,
     lin_trace_property_contains,
@@ -251,8 +248,11 @@ class TestSearchBehaviour:
         for i in range(6):
             actions.append(res(f"c{i}", 1, P(f"v{i}"), D("v0")))
         t = Trace(actions)
-        with pytest.raises(SearchBudgetExceeded):
-            linearize(t, CONS, node_limit=1)
+        # a spent node budget is the same typed ``unknown`` as a spent
+        # state budget, not an exception
+        result = linearize(t, CONS, node_limit=1)
+        assert result.unknown and not result.ok
+        assert "1-node budget" in result.reason
 
     def test_master_is_longest_commit_history(self):
         t = Trace(

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.core.fastcheck import check_linearizable
-from repro.faults.netfaults import TransportFaults
+from repro.net.netfaults import TransportFaults
 from repro.mp.backoff import BackoffPolicy
 from repro.net import (
     FrameError,

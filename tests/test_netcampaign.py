@@ -8,23 +8,48 @@ whole layer: disabling one replica's WAL must surface as a checker
 violation with a shrunk reproducer, not as silence.
 """
 
+import asyncio
+import json
+import os
+from dataclasses import dataclass
+
+import pytest
+
+from repro.analysis import sanitizer
+from repro.faults.nemesis import FaultAction, FaultSchedule
 from repro.faults.netcampaign import (
     KillNode,
     NET_ACTION_CLASSES,
+    NetDupBurst,
     NetLossBurst,
     NetPartition,
-    NetSchedule,
+    NetRunResult,
+    NetSlowNode,
     RestartNode,
+    WALBitFlip,
+    WALNoSpace,
+    WALTearTail,
     random_net_schedule,
+    retry_storm_schedule,
     run_net_campaign,
+    run_retry_storm,
 )
+from repro.net.faultfs import flip_record_body, tear_tail
 
 SILENT = lambda line: None  # noqa: E731
+
+#: captured from the parent of the one-framework refactor (a4a4b6b):
+#: schedule lines for seeds 0..19 and the keys of both artifact reports
+with open(
+    os.path.join(os.path.dirname(__file__), "golden", "net_schedules.json"),
+    encoding="utf-8",
+) as _handle:
+    GOLDEN = json.load(_handle)
 
 #: the directed kill/restart pair of the durability canary: traffic is
 #: still flowing at the kill, and the restart leaves the tail of the
 #: horizon to the late reader that probes the recovered prefix
-CANARY = lambda seed: NetSchedule(  # noqa: E731
+CANARY = lambda seed: FaultSchedule(  # noqa: E731
     seed=seed,
     actions=(KillNode(at=0.7, node=2), RestartNode(at=1.2, node=2)),
     horizon=3.0,
@@ -94,7 +119,7 @@ class TestScheduleGeneration:
             assert ats == sorted(ats)
 
     def test_subset_preserves_metadata(self):
-        schedule = NetSchedule(
+        schedule = FaultSchedule(
             seed=3,
             actions=(
                 KillNode(at=0.5, node=1),
@@ -103,18 +128,204 @@ class TestScheduleGeneration:
                 NetPartition(at=0.4),
             ),
             horizon=5.0,
-            majority_preserving=False,
         )
         sub = schedule.subset([0, 2])
         assert sub.seed == 3
         assert sub.horizon == 5.0
-        assert sub.majority_preserving is False
         assert sub.actions == (KillNode(at=0.5, node=1), NetLossBurst(at=0.2))
         assert schedule.subset(range(4)) == schedule
 
     def test_describe_names_every_action_class(self):
         for cls in NET_ACTION_CLASSES:
             assert cls.__name__ in cls(at=0.1).describe()
+
+    def test_seeded_generators_are_byte_identical_to_the_parent(self):
+        seeds = range(20)
+        drawn = {
+            "random_net_schedule": [random_net_schedule(s) for s in seeds],
+            "random_net_schedule(must_restart=1)": [
+                random_net_schedule(s, must_restart=1) for s in seeds
+            ],
+            "random_net_schedule(storage_faults=True)": [
+                random_net_schedule(s, storage_faults=True) for s in seeds
+            ],
+            "retry_storm_schedule": [retry_storm_schedule(s) for s in seeds],
+        }
+        for name, schedules in drawn.items():
+            assert [s.describe() for s in schedules] == GOLDEN[name], name
+            assert all(type(s) is FaultSchedule for s in schedules)
+
+    def test_the_one_result_keeps_every_key_of_both_old_artifacts(self):
+        keys = set(NetRunResult(schedule=FaultSchedule(seed=0)).to_jsonable())
+        assert set(GOLDEN["net_run_report_keys"]) <= keys
+        assert set(GOLDEN["retry_storm_report_keys"]) <= keys
+
+
+class _Recorder:
+    """Records every call made on it, as ``(name, args, kwargs)``."""
+
+    def __init__(self, calls, prefix=""):
+        self._calls, self._prefix = calls, prefix
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self._calls.append((self._prefix + name, args, kwargs))
+
+        return call
+
+
+class _FakeTarget:
+    """A socket-free stand-in for NetTarget: every primitive records."""
+
+    seed = 9
+
+    def __init__(self):
+        self.calls = []
+        self.faults = _Recorder(self.calls, "faults.")
+        self.wal_fs = {1: _Recorder(self.calls, "wal_fs[1].")}
+
+    async def kill(self, node):
+        self.calls.append(("kill", (node,), {}))
+
+    async def restart(self, node):
+        self.calls.append(("restart", (node,), {}))
+
+    async def mutate_wal(self, node, mutate, **how):
+        self.calls.append(("mutate_wal", (node, mutate), how))
+
+
+class TestActionsApplyThemselves:
+    #: action → the one primitive it must call, with what
+    TABLE = [
+        (KillNode(at=0.1, node=1), ("kill", (1,), {})),
+        (RestartNode(at=0.1, node=1), ("restart", (1,), {})),
+        (
+            NetLossBurst(at=0.1, duration=0.4, rate=0.3),
+            ("faults.burst_loss", (0.3, 0.4), {}),
+        ),
+        (
+            NetDupBurst(at=0.1, duration=0.4, rate=0.3),
+            ("faults.burst_duplicate", (0.3, 0.4), {}),
+        ),
+        (
+            NetPartition(at=0.1, a="clients", b="node2", duration=0.2),
+            (
+                "faults.partition",
+                ("clients", "node2"),
+                {"symmetric": True, "duration": 0.2},
+            ),
+        ),
+        (
+            NetPartition(at=0.1, a="node0", b="node1", one_way=True),
+            (
+                "faults.partition",
+                ("node0", "node1"),
+                {"symmetric": False, "duration": 0.5},
+            ),
+        ),
+        (
+            NetSlowNode(at=0.1, node=1, delay=0.04, duration=0.7),
+            ("faults.slow", ("node1", 0.04), {"duration": 0.7}),
+        ),
+        (
+            WALTearTail(at=0.1, node=1, cut=5),
+            ("mutate_wal", (1, tear_tail), {"cut": 5}),
+        ),
+        (
+            WALBitFlip(at=0.1, node=1),
+            ("mutate_wal", (1, flip_record_body), {"seed": 9}),
+        ),
+        (
+            WALNoSpace(at=0.1, node=1, count=3),
+            ("wal_fs[1].fail_appends", (3,), {}),
+        ),
+    ]
+
+    def test_every_action_calls_exactly_its_primitive(self):
+        assert {type(a) for a, _ in self.TABLE} == set(NET_ACTION_CLASSES)
+        for action, expected in self.TABLE:
+            target = _FakeTarget()
+            asyncio.run(action.apply(target))
+            assert target.calls == [expected], action.describe()
+
+
+@dataclass(frozen=True)
+class _Explode(FaultAction):
+    """A custom action whose ``apply`` raises mid-run, keeping hold of
+    the target so the test can look at what it left behind."""
+
+    seen = []
+
+    async def apply(self, target):
+        self.seen.append(target)
+        raise RuntimeError("boom")
+
+
+class TestBindingAndTeardown:
+    def test_a_schedule_naming_a_missing_server_is_refused(self):
+        """One ValueError naming the action, before anything starts —
+        and the process-global sanitizer is left as it was found."""
+        assert not sanitizer.enabled()
+        schedule = FaultSchedule(
+            seed=1, actions=(RestartNode(at=0.1, node=7),), horizon=1.0
+        )
+        with pytest.raises(ValueError, match=r"RestartNode\(at=0.1, node=7\)"):
+            run_net_campaign(schedules=[schedule], sanitize=True, emit=SILENT)
+        assert not sanitizer.enabled()
+
+    def test_a_schedule_naming_a_missing_endpoint_is_refused(self):
+        schedule = FaultSchedule(
+            seed=1,
+            actions=(NetPartition(at=0.1, a="clients", b="node9"),),
+            horizon=1.0,
+        )
+        with pytest.raises(ValueError, match="node9"):
+            run_net_campaign(schedules=[schedule], emit=SILENT)
+
+    def test_a_raising_action_leaves_no_listener_and_no_armed_sanitizer(
+        self,
+    ):
+        del _Explode.seen[:]
+        assert not sanitizer.enabled()
+        schedule = FaultSchedule(
+            seed=2, actions=(_Explode(at=0.2),), horizon=1.0
+        )
+        with pytest.raises(RuntimeError, match="boom"):
+            run_net_campaign(
+                schedules=[schedule],
+                clients=2,
+                ops_per_client=40,
+                sanitize=True,
+                emit=SILENT,
+            )
+        (target,) = _Explode.seen
+        assert target.cluster.stopped and target.cluster.alive() == []
+        assert not os.path.exists(target.wal_root)
+        assert not sanitizer.enabled()
+
+    def test_a_storage_fault_that_did_nothing_is_counted(self):
+        """The amnesiac node has no WAL file: tearing its tail tears
+        nothing, and the run says so instead of staying silent."""
+        schedule = FaultSchedule(
+            seed=4,
+            actions=(
+                WALTearTail(at=0.3, node=2, cut=3),
+                RestartNode(at=0.6, node=2),
+            ),
+            horizon=1.5,
+        )
+        report = run_net_campaign(
+            schedules=[schedule],
+            amnesiac=2,
+            clients=1,
+            ops_per_client=2,
+            shrink=False,
+            emit=SILENT,
+        )
+        (run,) = report.runs
+        assert run.kills == 1 and run.storage_noops == 1
+        assert "storage_noops=1" in run.line()
+        assert run.to_jsonable()["storage_noops"] == 1
 
 
 class TestLiveCampaign:
@@ -221,3 +432,55 @@ class TestLiveCampaign:
             tmp_path / f"net-monitor-witness-{run.schedule.seed}.json"
         )
         assert witness.exists()
+
+
+class TestRetryStorm:
+    """The exactly-once workload of the same campaign loop.  The mutant
+    *catch* is timing-dependent and stays a CI canary; here the healthy
+    storm must hold, and the mutant's report must have its shape."""
+
+    def test_dedup_on_storm_is_exactly_once_and_linearizable(
+        self, tmp_path
+    ):
+        (run,) = run_retry_storm(
+            n_schedules=1,
+            base_seed=5,
+            clients=3,
+            ops_per_client=6,
+            artifact_dir=str(tmp_path),
+            emit=SILENT,
+        )
+        assert run.ok and run.exactly_once and not run.caught
+        assert run.verdict == "linearizable"
+        assert run.monitored and run.monitor_verdict == "ok"
+        assert run.schedule == retry_storm_schedule(5)
+        assert run.kills == 1 and run.restarts == 1
+        assert run.late_readers == 0  # late readers are the KV workload's
+        assert run.dup_frames > 0
+        assert run.applied_count == run.distinct_incs <= run.raw_incs
+        with open(tmp_path / "retry-storm-5.json", encoding="utf-8") as f:
+            report = json.load(f)["report"]
+        assert set(GOLDEN["retry_storm_report_keys"]) <= set(report)
+        assert report["exactly_once"] is True and report["dedup"] is True
+
+    def test_dedup_off_result_has_the_mutant_shape(self):
+        (run,) = run_retry_storm(
+            n_schedules=1,
+            base_seed=5,
+            clients=2,
+            ops_per_client=3,
+            dedup=False,
+            emit=SILENT,
+        )
+        assert run.dedup is False
+        assert run.duplicates_folded == 0  # the seam is off: nothing folds
+        line = run.line()
+        assert "MUTANT(dedup-off)" in line
+        assert f"applied={run.applied_count}/{run.distinct_incs}" in line
+        data = run.to_jsonable()
+        assert data["dedup"] is False
+        assert data["exactly_once"] == run.exactly_once
+        assert data["schedule"] == retry_storm_schedule(5).describe()
+        assert "monitor_witness" not in data
+        # ok / caught are the storm's two exits and cannot both hold
+        assert not (run.ok and run.caught)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.adt import counter_adt
 from repro.core.fastcheck import check_linearizable
-from repro.faults.netfaults import TransportFaults
+from repro.net.netfaults import TransportFaults
 from repro.monitor import MonitorTap, StreamingMonitor
 from repro.mp.backoff import BackoffPolicy
 from repro.net.client import (

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.adt import counter_adt
 from repro.core.fastcheck import check_linearizable
-from repro.faults.netfaults import TransportFaults
+from repro.net.netfaults import TransportFaults
 from repro.mp.backoff import BackoffPolicy
 from repro.net.client import DEFAULT_BACKOFF, HistoryRecorder
 from repro.net.cluster import LocalCluster
