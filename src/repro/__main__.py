@@ -337,7 +337,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             print(f"  witness written to {args.witness}")
 
     if args.replay:
-        shards = load_history(args.replay)
+        try:
+            shards = load_history(args.replay)
+        except ValueError as error:
+            print(f"monitor: {error}")
+            return 2
         verdict, reason, reports = replay_history(
             shards,
             node_limit=args.node_limit,

@@ -56,7 +56,6 @@ from .fastcheck import (
     CheckReport,
     check_linearizable,
     is_linearizable_fast,
-    partition_trace,
 )
 from .invariants import (
     check_first_phase_invariants,
@@ -158,7 +157,6 @@ __all__ = [
     "linearize_classical",
     "longest_common_prefix",
     "parallel_composition_sweep",
-    "partition_trace",
     "pending_invocations",
     "product_adt",
     "propose",

@@ -64,6 +64,17 @@ class PartitionSpec:
         lambda key, payload: payload
     )
 
+    def route(self, payload: Input) -> Tuple[Hashable, Input]:
+        """Key one input and rewrite it into its component's alphabet.
+
+        Returns ``(key, projected_input)``; raises whatever the spec's
+        callables raise on a payload outside the declared shape.  An
+        operation's response has its invocation's input, so it lives
+        under the same key and only its output is left to project.
+        """
+        key = self.key_of(payload)
+        return key, self.project_input(key, payload)
+
 
 class ADT:
     """A deterministic abstract data type given as a state machine.

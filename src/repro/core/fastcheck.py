@@ -13,39 +13,52 @@ exponential into a sum of much smaller exponentials.
 
 An ADT opts in by carrying a :class:`~repro.core.adt.PartitionSpec`
 (products built by :func:`~repro.core.adt.product_adt` and the replicated
-KV-store ADT do).  The engine:
+KV-store ADT do).  Its traces are then decided by the one engine that
+decides wire histories, :class:`~repro.monitor.streaming.StreamingMonitor`
+— global well-formedness, invalid-input rejection, key routing, one
+:class:`~repro.monitor.frontier.KeyFrontier` per key, typed ``unknown``
+— fed the finished trace event by event.  After the split a partition
+is a single-object history, which the frontier decides in time bounded
+by the concurrent window, not by the length.
 
-1. verifies the **whole** trace is well-formed (projections of a
-   well-formed trace are well-formed, but not conversely — a client with
-   two pending invocations on different keys is ill-formed globally while
-   every projection looks fine, so this check cannot be delegated);
-2. partitions the trace by the spec's key function, rewriting payloads
-   into each component's alphabet;
-3. checks every projection independently with the monolithic search;
-4. **falls back to the monolithic checker** whenever the trace does not
-   fit the declared partition shape (unexpected payloads, switch
-   actions, cross-tagged outputs) — the fallback is always sound, a
-   missed partition only costs speed.
+What a post-hoc caller adds is the future: :func:`recorded_answers`
+pairs every invocation with the response the history holds for it, so
+:func:`~repro.core.linearizability.frontier_step` never creates a
+speculative linearization that the operation's own recorded response
+refutes.  It would be killed at that response anyway, so verdicts are
+the online monitor's; only the work differs (ten puts pending on one
+key: 986,410 configurations at the first response online, one told).
 
-Soundness of step 3 is exactly the locality theorem: real-time order
+The monolithic search (:func:`~repro.core.linearizability.linearize`,
+the paper's Defs 5-15) decides what the engine cannot: ADTs without a
+spec, and traces with a globally valid event the spec cannot route —
+the fallback is always sound, a missed partition only costs speed.
+
+Soundness of the split is exactly the locality theorem: real-time order
 between same-key operations is preserved by projection (projection keeps
 relative order), and per-key witnesses merge into a global witness
 because distinct keys never constrain each other — the trace is a trace
 of the product of the components, and the product of linearizable parts
-is linearizable.  The equivalence with the monolithic verdict is tested
-over random multi-object trace families in ``tests/test_fastcheck.py``,
-including a non-local mutant ADT that must force the fallback.
+is linearizable.  Well-formedness is the one thing projections cannot
+police (a client with two pending invocations on different keys is
+ill-formed globally while every projection looks fine), which is why the
+engine tracks it across keys.  The equivalence with the monolithic
+verdict is tested over random multi-object trace families in
+``tests/test_fastcheck.py``, including a non-local mutant ADT that must
+force the fallback, and against every other decider in
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
+from ..monitor.streaming import StreamingMonitor
 from .actions import Invocation, Response
-from .adt import ADT, PartitionSpec
-from .linearizability import LinearizationResult, linearize
-from .traces import Trace, is_wellformed
+from .adt import ADT
+from .linearizability import NEVER_ANSWERED, LinearizationResult, linearize
+from .traces import Trace
 
 MONOLITHIC = "monolithic"
 COMPOSITIONAL = "compositional"
@@ -57,11 +70,12 @@ class CheckReport:
 
     ``strategy`` is :data:`COMPOSITIONAL` when the P-compositional
     decomposition applied, :data:`MONOLITHIC` otherwise.  ``parts`` lists
-    ``(key, action_count)`` per partition (empty for monolithic runs).
-    On a compositional success the result carries no merged witness
-    (``witness is None``) — per-part witnesses exist but renumbering them
-    into global trace positions is not needed by any caller; the verdict
-    and ``unknown`` flag are authoritative.
+    ``(key, action_count)`` per partition the engine opened (empty for
+    monolithic runs; the engine stops counting at a violation).  A
+    compositional success carries no linearization witness
+    (``witness is None``) — the frontier folds the decided prefix into
+    its states instead of keeping it; the verdict and ``unknown`` flag
+    are authoritative.
     """
 
     result: LinearizationResult
@@ -76,64 +90,78 @@ class CheckReport:
     def unknown(self) -> bool:
         return self.result.unknown
 
+    @property
+    def verdict(self) -> str:
+        """``ok`` / ``violation`` / ``unknown``, the monitor's three."""
+        if self.result.unknown:
+            return "unknown"
+        return "ok" if self.result.ok else "violation"
+
+    @property
+    def reason(self) -> Optional[str]:
+        return self.result.reason or None
+
     def __bool__(self) -> bool:
         return self.result.ok
 
 
-class _Unpartitionable(Exception):
-    """Internal: the trace does not fit the declared partition shape."""
+def recorded_answers(trace: Trace) -> Dict[int, object]:
+    """What a finished history says about each operation's future.
 
-
-def route_action(spec: PartitionSpec, action) -> Tuple[Hashable, object]:
-    """Key one action and rewrite it into the component's alphabet.
-
-    Returns ``(key, projected_action)``.  Raises (``_Unpartitionable``
-    for non-invocation/response actions, or whatever the spec's callables
-    raise on payloads they reject) when the action does not fit the
-    declared partition shape — :func:`partition_trace` turns that into a
-    monolithic fallback, while the streaming monitor turns it into an
-    *unknown* verdict (it cannot fall back mid-stream after GC).
+    Maps every invocation's index to the :class:`Response` that answers
+    it later in ``trace``, or to :data:`NEVER_ANSWERED`.  Only pairs a
+    well-formed trace would form are made (same client, same input, no
+    second invocation in between); where the trace is ill-formed the
+    engine rejects it at that event, whatever it was told before.
     """
-    if isinstance(action, Invocation):
-        key = spec.key_of(action.input)
-        return key, Invocation(
-            action.client,
-            action.phase,
-            spec.project_input(key, action.input),
-        )
-    if isinstance(action, Response):
-        key = spec.key_of(action.input)
-        return key, Response(
-            action.client,
-            action.phase,
-            spec.project_input(key, action.input),
-            spec.project_output(key, action.output),
-        )
-    raise _Unpartitionable(action)
+    answers: Dict[int, object] = {}
+    open_at: Dict[Hashable, int] = {}
+    for index, action in enumerate(trace):
+        if isinstance(action, Invocation):
+            open_at[action.client] = index
+            answers[index] = NEVER_ANSWERED
+        elif isinstance(action, Response):
+            asked = open_at.pop(action.client, None)
+            if asked is not None and trace[asked].input == action.input:
+                answers[asked] = action
+    return answers
 
 
-def partition_trace(
-    trace: Trace, spec: PartitionSpec
-) -> Optional[Dict[Hashable, Trace]]:
-    """Split ``trace`` into per-key projections, or None when it doesn't fit.
+def _stream(
+    trace: Trace,
+    adt: ADT,
+    node_limit: Optional[int],
+    state_limit: Optional[int],
+) -> Optional[CheckReport]:
+    """Decide ``trace`` with the streaming engine, told the future.
 
-    Every action must be an invocation or a response whose payloads the
-    spec can key and project; anything else (switch actions, unexpected
-    payload shapes, a response whose output is tagged with a different
-    key than its input) makes the whole trace unpartitionable and the
-    caller falls back to the monolithic checker.
+    None when some globally valid event does not fit the partition spec:
+    the engine cannot decide that (online it degrades to ``unknown``),
+    but this caller still holds the whole trace.
     """
-    parts: Dict[Hashable, List] = {}
-    try:
-        for action in trace:
-            key, projected = route_action(spec, action)
-            parts.setdefault(key, []).append(projected)
-    except _Unpartitionable:
-        return None
-    except Exception:
-        # The spec's callables reject the payload shape: not partitionable.
-        return None
-    return {key: Trace(actions) for key, actions in parts.items()}
+    monitor = StreamingMonitor(
+        adt, node_limit=node_limit, config_limit=state_limit
+    )
+    answers = recorded_answers(trace)
+    for index, action in enumerate(trace):
+        monitor.observe(action, answers.get(index))
+        if monitor.unroutable:
+            return None
+    report = monitor.report()
+    return CheckReport(
+        result=LinearizationResult(
+            report.ok,
+            reason=report.reason or "",
+            unknown=report.verdict == "unknown",
+        ),
+        strategy=COMPOSITIONAL,
+        parts=tuple(
+            (frontier.key, frontier.events)
+            for frontier in sorted(
+                monitor.frontiers.values(), key=lambda f: repr(f.key)
+            )
+        ),
+    )
 
 
 def check_linearizable(
@@ -144,78 +172,25 @@ def check_linearizable(
 ) -> CheckReport:
     """Linearizability with the P-compositional fast path.
 
-    Equivalent to ``linearize(trace, adt, ...)`` in verdict, but when the
-    ADT carries a partition spec and the trace fits it, each per-key
-    projection is checked independently — the budgets then apply *per
-    projection*.  Verdict semantics on decomposed runs: any failing part
-    fails the trace (with the offending key in the reason); if no part
-    fails but some part blew its ``state_limit``, the whole verdict is
-    ``unknown``.
+    Equivalent to ``linearize(trace, adt, ...)`` in verdict.  When the
+    ADT carries a partition spec and the trace fits it, the trace runs
+    through :class:`~repro.monitor.streaming.StreamingMonitor`, the one
+    engine that decides wire histories: ``node_limit`` then bounds the
+    search at one response and ``state_limit`` the configurations one
+    partition's frontier holds at once.  Any failing partition fails the
+    trace (with the offending key in the reason); if none fails but one
+    spent a budget, the verdict is ``unknown`` and the reason names the
+    partition.  Everything else is decided by the monolithic search.
     """
-    spec = adt.partition
-    if spec is None:
-        return CheckReport(
-            result=linearize(
-                trace, adt, node_limit=node_limit, state_limit=state_limit
-            ),
-            strategy=MONOLITHIC,
-        )
-
-    # Global well-formedness cannot be delegated to the projections (see
-    # the module docstring); it is also what the monolithic path checks
-    # first, so verdicts stay aligned.
-    if not is_wellformed(trace):
-        return CheckReport(
-            result=LinearizationResult(
-                False, reason="trace is not well-formed"
-            ),
-            strategy=COMPOSITIONAL,
-        )
-
-    parts = partition_trace(trace, spec)
-    if parts is None:
-        return CheckReport(
-            result=linearize(
-                trace, adt, node_limit=node_limit, state_limit=state_limit
-            ),
-            strategy=MONOLITHIC,
-        )
-
-    shape = tuple(
-        (key, len(parts[key])) for key in sorted(parts, key=repr)
-    )
-    unknown_reason = ""
-    for key, _count in shape:
-        component = spec.component(key)
-        verdict = linearize(
-            parts[key],
-            component,
-            node_limit=node_limit,
-            state_limit=state_limit,
-        )
-        if verdict.unknown:
-            unknown_reason = f"partition {key!r}: {verdict.reason}"
-            continue
-        if not verdict.ok:
-            return CheckReport(
-                result=LinearizationResult(
-                    False, reason=f"partition {key!r}: {verdict.reason}"
-                ),
-                strategy=COMPOSITIONAL,
-                parts=shape,
-            )
-    if unknown_reason:
-        return CheckReport(
-            result=LinearizationResult(
-                False, unknown=True, reason=unknown_reason
-            ),
-            strategy=COMPOSITIONAL,
-            parts=shape,
-        )
+    if adt.partition is not None:
+        report = _stream(trace, adt, node_limit, state_limit)
+        if report is not None:
+            return report
     return CheckReport(
-        result=LinearizationResult(True),
-        strategy=COMPOSITIONAL,
-        parts=shape,
+        result=linearize(
+            trace, adt, node_limit=node_limit, state_limit=state_limit
+        ),
+        strategy=MONOLITHIC,
     )
 
 

@@ -78,7 +78,7 @@ from typing import (
     Tuple,
 )
 
-from .actions import Input, Invocation, Response
+from .actions import Input, Invocation, Response, Switch
 from .adt import ADT, History
 from .multisets import elems
 from .sequences import is_strict_prefix
@@ -129,8 +129,6 @@ def invocation_positions(trace: Trace) -> Dict[int, int]:
     operations that completed mid-flight, wrongly rejecting composed
     traces (caught by the exhaustive sweep in ``test_enumeration.py``).
     """
-    from .actions import Switch
-
     start: Dict[object, int] = {}
     open_now: Dict[object, bool] = {}
     pairing: Dict[int, int] = {}
@@ -156,11 +154,10 @@ def _realtime_pairs_ok(
         for j in histories:
             if i == j:
                 continue
-            if i < inv_pos[j]:
-                from .sequences import is_strict_prefix as _strict
-
-                if not _strict(histories[i], histories[j]):
-                    return (i, j)
+            if i < inv_pos[j] and not is_strict_prefix(
+                histories[i], histories[j]
+            ):
+                return (i, j)
     return None
 
 
@@ -254,7 +251,6 @@ class _SearchContext:
     """Internal state shared across the DFS."""
 
     trace: Trace
-    adt: ADT
     responses: List[int]
     # Position of the invocation answered by each response position.
     inv_pos: Dict[int, int]
@@ -503,7 +499,6 @@ def linearize(
 
     ctx = _SearchContext(
         trace=trace,
-        adt=adt,
         responses=responses,
         inv_pos=inv_pos,
         inv_positions={
@@ -566,6 +561,10 @@ class FrontierBudgetExceeded(Exception):
     """
 
 
+#: In ``recorded``: the recorded history ends with this operation open.
+NEVER_ANSWERED = ("never answered",)
+
+
 def initial_frontier(adt: ADT) -> FrozenSet[FrontierConfig]:
     """The frontier of the empty stream: initial state, no promises."""
     return frozenset({(adt.initial_state, frozenset())})
@@ -578,6 +577,7 @@ def frontier_step(
     respond_id: Hashable,
     output: Hashable,
     node_limit: Optional[int] = None,
+    recorded: Optional[Mapping[Hashable, Hashable]] = None,
 ) -> FrozenSet[FrontierConfig]:
     """Advance a linearization frontier past one response event.
 
@@ -609,6 +609,17 @@ def frontier_step(
     ``node_limit`` bounds the configurations explored in this one step;
     exceeding it raises :class:`FrontierBudgetExceeded` (verdict
     *unknown*, not a violation).
+
+    ``recorded`` is what only a post-hoc caller has: for open operations
+    it maps the id to the output their own response carries later in
+    the recorded history (or to :data:`NEVER_ANSWERED`).  A speculative
+    linearization whose output contradicts it is cut at creation rather
+    than carried to that response and killed there, and the promise of
+    an operation that never answers carries no output, because nothing
+    will ever check it.  Neither changes which frontiers are empty, so
+    verdicts are those of the online step (``recorded=None``); only the
+    nodes and configurations spent on what the history already refutes
+    are saved.
     """
     respond_input = open_inputs[respond_id]
     survivors: Set[FrontierConfig] = set()
@@ -646,6 +657,12 @@ def frontier_step(
                 if op_id == respond_id or op_id in linearized:
                     continue
                 spec_state, spec_out = step(base_state, payload)
+                if recorded:
+                    answer = recorded.get(op_id, spec_out)
+                    if answer is NEVER_ANSWERED:
+                        spec_out = NEVER_ANSWERED
+                    elif answer != spec_out:
+                        continue
                 candidate = (
                     spec_state,
                     base_promises | {(op_id, spec_out)},

@@ -1077,14 +1077,11 @@ async def _run_schedule(
 
     check = check_linearizable(recorder.trace(), workload.adt())
     result.strategy = check.strategy
+    result.verdict = "linearizable" if check.ok else check.verdict
     if check.unknown:
-        result.verdict = "unknown"
-        result.reason = result.reason or check.result.reason
-    elif check.ok:
-        result.verdict = "linearizable"
-    else:
-        result.verdict = "violation"
-        result.reason = check.result.reason
+        result.reason = result.reason or check.reason
+    elif not check.ok:
+        result.reason = check.reason
     return result, recorder
 
 
@@ -1119,6 +1116,7 @@ def _campaign(
             run_name,
             schedule.seed,
             {
+                "adt": config.workload.adt().name,
                 "report": result.to_jsonable(),
                 "history": recorder.to_jsonable(),
             },

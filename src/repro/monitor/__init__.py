@@ -3,9 +3,9 @@
 The post-hoc pipeline (`loadgen` → record everything →
 :func:`repro.core.fastcheck.check_linearizable`) needs memory linear in
 the run and only yields a verdict after the run ends.  This package
-checks the *same* property online: a :class:`StreamingMonitor` consumes
-invocation/response events as they happen, keeps one incremental
-search frontier per partition key (:class:`KeyFrontier`, advanced by
+is the engine under it, and runs it online: a
+:class:`StreamingMonitor` consumes invocation/response events as they
+happen, keeps one incremental search frontier per partition key (:class:`KeyFrontier`, advanced by
 :func:`repro.core.linearizability.frontier_step`), garbage-collects
 every decided prefix so memory stays O(concurrent window), and flips to
 ``violation`` — with a ddmin-shrunken witness — the moment some

@@ -27,6 +27,7 @@ import asyncio
 import json
 from typing import Any, List, Optional, Tuple
 
+from ..core.adt import counter_adt
 from ..net.client import HistoryRecorder, OperationTimeout
 from ..net.pipeline import PipelineClient, probing_client
 from ..net.transport import AddressBook, AsyncTransport
@@ -36,6 +37,18 @@ from .tap import MonitorTap
 
 #: the reserved canary key probes live on, outside the loadgen keyspace
 CANARY_KEY = "__monitor__"
+
+#: the objects a run artifact can say it recorded, by ``ADT.name``
+REPLAY_ADTS = {"kv_store": kv_store_adt, "counter": counter_adt}
+
+
+class History(list):
+    """One event list per shard, plus the name of the object they are a
+    history of: the KV store, unless the artifact says otherwise."""
+
+    def __init__(self, shards=(), adt: str = "kv_store") -> None:
+        super().__init__(shards)
+        self.adt = adt
 
 
 def _detuple(value: Any) -> Any:
@@ -55,43 +68,53 @@ def _event_from_jsonable(entry: dict) -> Tuple:
     )
 
 
-def load_history(path: str) -> List[List[Tuple]]:
+def load_history(path: str) -> History:
     """Read a history artifact; returns one event list per shard.
 
     Accepts the ``loadgen`` artifact shape (``{"history": ...}`` with a
     flat event list or a per-shard list of lists), the ``nemesis`` net
-    artifact (``{"events": ...}``), or a bare JSON list of events.
+    artifact (``{"events": ...}``), or a bare JSON list of events.  An
+    artifact's ``"adt"`` names the replicated object; a name that is not
+    in :data:`REPLAY_ADTS` is a ``ValueError``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
-    if isinstance(payload, dict):
-        history = payload.get("history", payload.get("events"))
-    else:
-        history = payload
+    if not isinstance(payload, dict):
+        payload = {"history": payload}
+    history = payload.get("history", payload.get("events"))
+    adt = payload.get("adt", "kv_store")
     if history is None:
         raise ValueError(f"{path}: no 'history' or 'events' field")
+    if adt not in REPLAY_ADTS:
+        raise ValueError(
+            f"{path}: unknown adt {adt!r} (known: {sorted(REPLAY_ADTS)})"
+        )
     if history and isinstance(history[0], list):
         shards = history
     else:
         shards = [history]
-    return [
-        [_event_from_jsonable(entry) for entry in shard] for shard in shards
-    ]
+    return History(
+        ([_event_from_jsonable(entry) for entry in shard] for shard in shards),
+        adt,
+    )
 
 
 def replay_history(
     shards: List[List[Tuple]],
     node_limit: Optional[int] = None,
     config_limit: Optional[int] = None,
-    witness_limit: Optional[int] = None,
 ) -> Tuple[str, Optional[str], List[MonitorReport]]:
-    """Stream each shard's events through its own monitor; compose."""
-    kwargs = {"node_limit": node_limit, "config_limit": config_limit}
-    if witness_limit is not None:
-        kwargs["witness_limit"] = witness_limit
+    """Stream each shard's events through its own monitor; compose.
+
+    The object is the one a :class:`History` names; plain lists of
+    events are histories of the KV store.
+    """
+    adt = REPLAY_ADTS[getattr(shards, "adt", "kv_store")]
     reports = []
     for events in shards:
-        monitor = StreamingMonitor(kv_store_adt(), **kwargs)
+        monitor = StreamingMonitor(
+            adt(), node_limit=node_limit, config_limit=config_limit
+        )
         for event in events:
             monitor.feed(event)
         reports.append(monitor.report())

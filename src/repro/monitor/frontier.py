@@ -26,11 +26,12 @@ Three outcomes per key:
   and reports the minimal witness.  Removing complete operations from a
   history preserves linearizability, so a still-failing subset is a
   genuine smaller counterexample.
-* **unknown** — a per-event node budget or the frontier-size budget was
-  exceeded.  The frontier degrades instead of thrashing: it keeps
-  tracking open/closed operations (so well-formedness is still policed
-  upstream) and can *resync* from an authoritative snapshot state at
-  the next quiescent point, but the key's final verdict stays
+* **unknown** — a per-event node budget or the configuration budget
+  (the frontier a step replaces plus its successor: what the step holds
+  at once) was exceeded.  The frontier degrades instead of thrashing: it
+  keeps tracking open/closed operations (so well-formedness is still
+  policed upstream) and can *resync* from an authoritative snapshot
+  state at the next quiescent point, but the key's final verdict stays
   ``unknown`` — a gap went unchecked.
 
 Quiescence — no open operations — is when the frontier garbage-collects:
@@ -131,6 +132,8 @@ class KeyFrontier:
         #: replay base: the frontier at the last quiescent point
         self.base: FrozenSet[FrontierConfig] = self.configs
         self.open_inputs: Dict[Hashable, Any] = {}
+        #: what a post-hoc caller foretold: open op -> its recorded output
+        self.recorded: Dict[Hashable, Any] = {}
         #: events since the last quiescent point, for witness replay
         self.window: List[tuple] = []
         self.truncated = False
@@ -155,6 +158,14 @@ class KeyFrontier:
         self._retain(("inv", op_id, client, payload))
         self.open_inputs[op_id] = payload
 
+    def foretell(self, op_id: Hashable, output: Any) -> None:
+        """A post-hoc caller read ahead: open operation ``op_id`` is
+        answered ``output`` later in the recorded history (or is
+        :data:`~repro.core.linearizability.NEVER_ANSWERED`), so
+        :func:`frontier_step` need not speculate otherwise.  An online
+        caller cannot know and never calls this."""
+        self.recorded[op_id] = output
+
     def respond(
         self, op_id: Hashable, client: Hashable, payload: Any, output: Any
     ) -> None:
@@ -168,6 +179,7 @@ class KeyFrontier:
             # defensively a violation, never a crash
             self._fail(f"response for unknown operation {op_id!r}")
             return
+        self.recorded.pop(op_id, None)
         if self.status == UNKNOWN:
             del self.open_inputs[op_id]
             self._maybe_quiesce()
@@ -180,6 +192,7 @@ class KeyFrontier:
                 op_id,
                 output,
                 node_limit=self.node_limit,
+                recorded=self.recorded,
             )
         except FrontierBudgetExceeded as exc:
             del self.open_inputs[op_id]
@@ -193,9 +206,11 @@ class KeyFrontier:
                 f"explains {client!r}'s {payload!r} -> {output!r}"
             )
             return
+        # the budget bounds what this step held at once: the frontier it
+        # replaced plus its successor
         if (
             self.config_limit is not None
-            and len(survivors) > self.config_limit
+            and len(self.configs) + len(survivors) > self.config_limit
         ):
             self._degrade(
                 f"frontier grew past the {self.config_limit}-configuration "
@@ -216,6 +231,7 @@ class KeyFrontier:
         """
         self.events += 1
         self.open_inputs.pop(op_id, None)
+        self.recorded.pop(op_id, None)
         if self.status != VIOLATION:
             self._degrade(reason)
             self._maybe_quiesce()
@@ -230,18 +246,6 @@ class KeyFrontier:
         """
         self._staged_resync = (state,)
         self._maybe_quiesce()
-
-    # ------------------------------------------------------------------
-    # verdict
-    # ------------------------------------------------------------------
-
-    @property
-    def verdict(self) -> str:
-        if self.status == VIOLATION:
-            return "violation"
-        if self.degraded:
-            return "unknown"
-        return "ok"
 
     # ------------------------------------------------------------------
     # internals

@@ -1,9 +1,7 @@
 """`StreamingMonitor`: the online linearizability verdict for one stream.
 
 The monitor consumes invocation/response events *as they happen* and
-maintains, at every instant, the same three-way verdict the post-hoc
-checker (:func:`repro.core.fastcheck.check_linearizable`) would return
-on the history so far:
+maintains, at every instant, a three-way verdict on the history so far:
 
 * ``ok`` — every prefix admits a linearization;
 * ``violation`` — some prefix does not (and, by prefix closure of
@@ -12,29 +10,33 @@ on the history so far:
 * ``unknown`` — a search or routing budget was exceeded and the monitor
   degraded rather than guessed.
 
-Structure mirrors the fast-path checker exactly, which is what makes
-the streaming verdict agree with the post-hoc one (property-tested in
-``tests/test_monitor.py``):
+It is also the engine behind the post-hoc verdict:
+:func:`repro.core.fastcheck.check_linearizable` feeds a finished trace
+through this class, so the two cannot drift apart — what they are
+checked against is the monolithic search, the classical checker and a
+brute-force reference (``tests/oracle.py``).  The post-hoc caller adds
+one thing, the recorded response of every operation (``observe``'s
+``answer``); a live monitor has no future to be told.
 
 * **Global well-formedness** is tracked at the monitor level — one open
   invocation per client, response input equal to the invocation input
   (Definition 14).  Projections cannot police this (a client with two
-  pending invocations on different keys looks fine per key), which is
-  why `fastcheck` checks it globally too.
+  pending invocations on different keys looks fine per key).
 * **Globally invalid inputs** (``adt.is_input`` false on the raw
   payload) are a violation at the event that carries them, matching the
   monolithic checker's invalid-input rejection — this check runs
   *before* key routing, because an invalid payload is typically also
-  unroutable and the two checkers must agree on the verdict.
+  unroutable.
 * **Per-key frontiers** (:class:`~repro.monitor.frontier.KeyFrontier`)
   do the incremental search, one per partition key via
-  :func:`repro.core.fastcheck.route_action`; without a partition spec a
+  :meth:`repro.core.adt.PartitionSpec.route`; without a partition spec a
   single monolithic frontier watches everything.
 * **Routing failures on globally-valid events** degrade the verdict to
-  ``unknown``.  This is the one honest divergence from the post-hoc
-  checker, which falls back to a monolithic search over the *whole*
-  trace — impossible online after the prefix has been garbage
-  collected.  ``unknown`` never masks a violation: violation dominates.
+  ``unknown`` and set :attr:`StreamingMonitor.unroutable`.  Online that
+  is all that can be said — the prefix has been garbage collected; the
+  post-hoc caller still holds the whole trace and falls back to the
+  monolithic search on it.  ``unknown`` never masks a violation:
+  violation dominates.
 
 Composition across shards (one monitor per shard in the pipelined data
 plane) is :func:`compose_verdicts` — the same conjunction `loadgen`
@@ -43,21 +45,19 @@ applies to post-hoc per-shard verdicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 from ..core.actions import Invocation, Response
-from ..core.adt import ADT
-from ..core.fastcheck import route_action
+from ..core.adt import ADT, PartitionSpec
+from ..core.linearizability import NEVER_ANSWERED
 from ..core.traces import Trace
-from .frontier import (
-    DEFAULT_WITNESS_LIMIT,
-    VIOLATION,
-    KeyFrontier,
-    RetainedGauge,
-)
+from .frontier import VIOLATION, KeyFrontier, RetainedGauge
 
 OK = "ok"
+
+#: partition key of an open operation whose invocation did not route
+UNROUTABLE = ("unroutable",)
 
 
 @dataclass
@@ -77,7 +77,6 @@ class MonitorReport:
     gc_drops: int = 0
     violation_key: Optional[Hashable] = None
     witness: Optional[Dict[str, Any]] = None
-    per_key: List[Tuple[Hashable, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -93,21 +92,6 @@ class MonitorReport:
             line += f" -- {self.reason}"
         return line
 
-    def to_jsonable(self) -> Dict[str, Any]:
-        return {
-            "verdict": self.verdict,
-            "reason": self.reason,
-            "events": self.events,
-            "ops": self.ops,
-            "frontiers": self.frontiers,
-            "retained": self.retained,
-            "peak_retained": self.peak_retained,
-            "gc_drops": self.gc_drops,
-            "violation_key": self.violation_key,
-            "witness": self.witness,
-            "per_key": [[key, status] for key, status in self.per_key],
-        }
-
 
 class StreamingMonitor:
     """Online linearizability monitoring of one event stream."""
@@ -117,28 +101,29 @@ class StreamingMonitor:
         adt: ADT,
         node_limit: Optional[int] = None,
         config_limit: Optional[int] = None,
-        witness_limit: Optional[int] = DEFAULT_WITNESS_LIMIT,
         on_violation: Optional[Callable[["StreamingMonitor"], None]] = None,
-        name: str = "monitor",
     ) -> None:
         self.adt = adt
-        self.spec = adt.partition
+        #: an object without a spec is its own one partition, key None
+        self.spec = adt.partition or PartitionSpec(
+            key_of=lambda payload: None, component=lambda key: adt
+        )
         self.node_limit = node_limit
         self.config_limit = config_limit
-        self.witness_limit = witness_limit
         self.on_violation = on_violation
-        self.name = name
         self.gauge = RetainedGauge()
         self.frontiers: Dict[Hashable, KeyFrontier] = {}
-        #: client -> raw (unprojected) input of its open invocation
-        self._open_command: Dict[Hashable, Any] = {}
-        #: client -> (op id, partition key); key None = unroutable op
-        self._open_meta: Dict[Hashable, Tuple[int, Optional[Hashable]]] = {}
+        #: client -> (raw input, op id, partition key, projected input)
+        #: of its open invocation; key ``UNROUTABLE`` = not being checked
+        self._open: Dict[Hashable, Tuple[Any, int, Hashable, Any]] = {}
         self._op_counter = 0
         self.events = 0
         self.status = OK
         self.reason: Optional[str] = None
         self.degraded = False
+        #: a globally valid event did not fit the partition spec: what a
+        #: caller that still holds the whole trace falls back on
+        self.unroutable = False
         self.violation_key: Optional[Hashable] = None
         self.witness: Optional[Dict[str, Any]] = None
 
@@ -159,104 +144,84 @@ class StreamingMonitor:
         else:
             self.observe(Response(client, 1, command, response))
 
-    def observe(self, action: Any) -> None:
-        """Consume one interface action (Invocation or Response)."""
+    def observe(self, action: Any, answer: Any = None) -> None:
+        """Consume one interface action (Invocation or Response).
+
+        ``answer`` is for the caller that holds the finished history
+        (:func:`repro.core.fastcheck.check_linearizable`): with an
+        invocation it passes the :class:`Response` that answers it later
+        in the trace, or :data:`NEVER_ANSWERED`, and the frontier stops
+        speculating on outputs the history already refutes.  Verdicts do
+        not depend on it; an online caller has nothing to pass.
+        """
         index = self.events
         self.events += 1
         if self.status == VIOLATION:
             return
         if isinstance(action, Invocation):
-            self._observe_invocation(action, index)
+            self._observe_invocation(action, index, answer)
         elif isinstance(action, Response):
             self._observe_response(action, index)
         else:
             # anything else (switch actions, garbage) is ill-formed at
-            # the interface; the post-hoc checker rejects it the same way
-            self._fail(None, "trace is not well-formed", witness=None)
+            # the interface; the monolithic checker rejects it the same way
+            self._fail("trace is not well-formed")
 
-    def _observe_invocation(self, action: Invocation, index: int) -> None:
+    def _observe_invocation(
+        self, action: Invocation, index: int, answer: Any
+    ) -> None:
         client, payload = action.client, action.input
-        if client in self._open_command:
-            self._fail(None, "trace is not well-formed", witness=None)
+        if client in self._open:
+            self._fail("trace is not well-formed")
             return
         if not self.adt.is_input(payload):
-            self._fail(
-                None, f"invalid ADT input at index {index}", witness=None
-            )
+            self._fail(f"invalid ADT input at index {index}")
             return
         op_id = self._op_counter
         self._op_counter += 1
-        self._open_command[client] = payload
-        if self.spec is None:
-            key: Optional[Hashable] = None
-            projected_input = payload
-        else:
-            try:
-                key, projected = route_action(self.spec, action)
-                projected_input = projected.input
-            except Exception:
-                self._degrade(
-                    f"event at index {index} does not fit the partition "
-                    f"spec; verdict unknown"
-                )
-                self._open_meta[client] = (op_id, None)
-                return
-        self._open_meta[client] = (op_id, key)
-        self._frontier(key).invoke(op_id, client, projected_input)
+        try:
+            key, projected_input = self.spec.route(payload)
+            if answer is not None and answer is not NEVER_ANSWERED:
+                answer = self.spec.project_output(key, answer.output)
+        except Exception:
+            self._unroutable(index)
+            self._open[client] = (payload, op_id, UNROUTABLE, None)
+            return
+        self._open[client] = (payload, op_id, key, projected_input)
+        frontier = self._frontier(key)
+        frontier.invoke(op_id, client, projected_input)
+        if answer is not None:
+            frontier.foretell(op_id, answer)
 
     def _observe_response(self, action: Response, index: int) -> None:
-        client, payload, output = action.client, action.input, action.output
-        if (
-            client not in self._open_command
-            or self._open_command[client] != payload
-        ):
-            self._fail(None, "trace is not well-formed", witness=None)
+        client = action.client
+        opened = self._open.get(client)
+        if opened is None or opened[0] != action.input:
+            self._fail("trace is not well-formed")
             return
-        if not self.adt.is_input(payload):
-            self._fail(
-                None, f"invalid ADT input at index {index}", witness=None
+        # same input as the invocation: valid, and routed where it was
+        del self._open[client]
+        _, op_id, key, projected_input = opened
+        if key is UNROUTABLE:
+            return  # already degraded at the invocation
+        try:
+            output = self.spec.project_output(key, action.output)
+        except Exception:
+            self._unroutable(index)
+            self.frontiers[key].forget(
+                op_id,
+                "a response on this partition could not be "
+                "projected; verdict unknown",
             )
             return
-        del self._open_command[client]
-        op_id, key = self._open_meta.pop(client)
-        if key is None and self.spec is not None:
-            # the invocation was unroutable; already degraded there
-            return
-        if self.spec is None:
-            projected_input, projected_output = payload, output
-        else:
-            try:
-                _, projected = route_action(self.spec, action)
-                projected_input = projected.input
-                projected_output = projected.output
-            except Exception:
-                self._degrade(
-                    f"event at index {index} does not fit the partition "
-                    f"spec; verdict unknown"
-                )
-                frontier = self.frontiers.get(key)
-                if frontier is not None:
-                    frontier.forget(
-                        op_id,
-                        "a response on this partition could not be "
-                        "projected; verdict unknown",
-                    )
-                return
-        frontier = self._frontier(key)
-        frontier.respond(op_id, client, projected_input, projected_output)
+        frontier = self.frontiers[key]
+        frontier.respond(op_id, client, projected_input, output)
         if frontier.status == VIOLATION:
-            reason = (
-                frontier.reason
-                if self.spec is None
-                else f"partition {key!r}: {frontier.reason}"
+            self._fail(
+                self._of_partition(key, frontier.reason), key, frontier.witness
             )
-            self._fail(key, reason, witness=frontier.witness)
         elif frontier.degraded and not self.degraded:
-            self._degrade(
-                frontier.reason
-                if self.spec is None
-                else f"partition {key!r}: {frontier.reason}"
-            )
+            self._degrade(self._of_partition(key, frontier.reason))
 
     # ------------------------------------------------------------------
     # recovery
@@ -299,10 +264,6 @@ class StreamingMonitor:
             gc_drops=sum(f.gc_drops for f in self.frontiers.values()),
             violation_key=self.violation_key,
             witness=self.witness,
-            per_key=sorted(
-                ((f.key, f.verdict) for f in self.frontiers.values()),
-                key=lambda pair: repr(pair[0]),
-            ),
         )
 
     # ------------------------------------------------------------------
@@ -312,19 +273,27 @@ class StreamingMonitor:
     def _frontier(self, key: Optional[Hashable]) -> KeyFrontier:
         frontier = self.frontiers.get(key)
         if frontier is None:
-            component = (
-                self.adt if self.spec is None else self.spec.component(key)
-            )
             frontier = KeyFrontier(
                 key,
-                component,
+                self.spec.component(key),
                 node_limit=self.node_limit,
                 config_limit=self.config_limit,
-                witness_limit=self.witness_limit,
                 gauge=self.gauge,
             )
             self.frontiers[key] = frontier
         return frontier
+
+    def _of_partition(self, key: Hashable, reason: Optional[str]) -> str:
+        if self.adt.partition is None:
+            return reason
+        return f"partition {key!r}: {reason}"
+
+    def _unroutable(self, index: int) -> None:
+        self.unroutable = True
+        self._degrade(
+            f"event at index {index} does not fit the partition spec; "
+            f"verdict unknown"
+        )
 
     def _degrade(self, reason: str) -> None:
         if self.status == VIOLATION:
@@ -335,9 +304,9 @@ class StreamingMonitor:
 
     def _fail(
         self,
-        key: Optional[Hashable],
         reason: str,
-        witness: Optional[Dict[str, Any]],
+        key: Optional[Hashable] = None,
+        witness: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.status = VIOLATION
         self.reason = reason
@@ -352,29 +321,28 @@ def watch_trace(
     adt: ADT,
     node_limit: Optional[int] = None,
     config_limit: Optional[int] = None,
-    witness_limit: Optional[int] = DEFAULT_WITNESS_LIMIT,
 ) -> MonitorReport:
     """Run the streaming monitor over a finished trace, event by event.
 
-    The replay path of ``python -m repro monitor`` and the reference
-    the equivalence property test drives: the verdict must match
-    :func:`repro.core.fastcheck.check_linearizable` on the same trace.
+    The online engine on a recorded trace: told nothing about the
+    future, it must still say what
+    :func:`repro.core.fastcheck.check_linearizable` (told everything)
+    says on the same trace, or a typed ``unknown``.
     """
     monitor = StreamingMonitor(
-        adt,
-        node_limit=node_limit,
-        config_limit=config_limit,
-        witness_limit=witness_limit,
+        adt, node_limit=node_limit, config_limit=config_limit
     )
     for action in trace:
         monitor.observe(action)
     return monitor.report()
 
 
-def compose_verdicts(
-    reports: Iterable[MonitorReport],
-) -> Tuple[str, Optional[str]]:
-    """Conjoin per-shard monitor verdicts: violation > unknown > ok."""
+def compose_verdicts(reports: Iterable[Any]) -> Tuple[str, Optional[str]]:
+    """Conjoin per-shard verdicts: violation > unknown > ok.
+
+    ``reports`` say ``verdict`` and ``reason``: :class:`MonitorReport`
+    does, and so does the post-hoc ``CheckReport``.
+    """
     verdict: str = OK
     reason: Optional[str] = None
     for item in reports:

@@ -400,19 +400,15 @@ async def _run(
     shard_verdicts: List[str] = []
     verdict, strategy, reason = "skipped", "", None
     if check:
-        verdict, strategy, reason = "linearizable", "", None
-        for s, recorder in enumerate(recorders):
-            result = check_linearizable(recorder.trace(), kv_store_adt())
-            if result.unknown:
-                shard_verdicts.append("unknown")
-                if verdict == "linearizable":
-                    verdict, reason = "unknown", result.result.reason
-            elif result.ok:
-                shard_verdicts.append("linearizable")
-            else:
-                shard_verdicts.append("violation")
-                verdict, reason = "violation", result.result.reason
-            strategy = strategy or result.strategy
+        checks = [
+            check_linearizable(recorder.trace(), kv_store_adt())
+            for recorder in recorders
+        ]
+        word = {"ok": "linearizable"}  # what artifacts call a post-hoc ok
+        composed, reason = compose_verdicts(checks)
+        verdict = word.get(composed, composed)
+        shard_verdicts = [word.get(c.verdict, c.verdict) for c in checks]
+        strategy = checks[0].strategy
 
     results = [r for c in all_clients for r in c.results]
     report = LoadReport(

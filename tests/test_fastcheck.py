@@ -12,6 +12,8 @@ search itself.
 
 import random
 
+import pytest
+
 from repro.core.actions import Invocation, Response, Switch
 from repro.core.adt import (
     ADT,
@@ -30,7 +32,6 @@ from repro.core.fastcheck import (
     MONOLITHIC,
     check_linearizable,
     is_linearizable_fast,
-    partition_trace,
 )
 from repro.core.linearizability import (
     _must_precede_cycle,
@@ -277,26 +278,52 @@ class TestNonLocalMutantFallback:
 
 class TestPartitionTrace:
     def test_switch_actions_are_unpartitionable(self):
-        spec = kv_store_adt().partition
         trace = Trace(
             [
                 Invocation("c1", 1, kv_put("a", 1)),
                 Switch("c1", 2, kv_put("a", 1), "v"),
             ]
         )
-        assert partition_trace(trace, spec) is None
-        # The engine's verdict still matches the monolithic checker's
-        # (here: rejected as ill-formed for the phase-1 property).
+        # A switch is no action of the phase-1 interface: the engine
+        # rejects it where it stands, as the monolithic checker rejects
+        # the whole trace as ill-formed.
         report = check_linearizable(trace, kv_store_adt())
-        assert report.ok == linearize(trace, kv_store_adt()).ok
+        assert not report.ok and not report.unknown
+        assert report.result.reason == linearize(trace, kv_store_adt()).reason
+        assert report.result.reason == "trace is not well-formed"
 
     def test_unexpected_payload_shapes_fall_back(self):
         spec = kv_store_adt().partition
+        with pytest.raises(ValueError):
+            spec.route(("bogus",))
+        # the store rejects the payload before anyone routes it...
         trace = Trace([Invocation("c1", 1, ("bogus",))])
-        assert partition_trace(trace, spec) is None
+        report = check_linearizable(trace, kv_store_adt())
+        assert report.result.reason == "invalid ADT input at index 0"
+        assert report.result.reason == linearize(trace, kv_store_adt()).reason
+        # ...and an ADT that accepts what its spec cannot route is
+        # decided by the monolithic search over the whole trace
+        lax = ADT(
+            "lax_kv",
+            (),
+            lambda state, payload: (state, ("value", None)),
+            lambda payload: True,
+            lambda payload: True,
+            partition=spec,
+        )
+        trace = Trace(
+            [
+                Invocation("c1", 1, kv_get("a")),
+                Response("c1", 1, kv_get("a"), ("value", None)),
+                Invocation("c1", 1, ("bogus",)),
+                Response("c1", 1, ("bogus",), ("value", None)),
+            ]
+        )
+        report = check_linearizable(trace, lax)
+        assert report.ok and report.strategy == MONOLITHIC
+        assert report.parts == ()
 
     def test_projection_preserves_per_key_order(self):
-        spec = kv_store_adt().partition
         trace = Trace(
             [
                 Invocation("c1", 1, kv_put("a", 1)),
@@ -305,12 +332,14 @@ class TestPartitionTrace:
                 Response("c2", 1, kv_put("b", 2), ("value", None)),
             ]
         )
-        parts = partition_trace(trace, spec)
-        assert set(parts) == {"a", "b"}
-        assert [type(a).__name__ for a in parts["a"].actions] == [
-            "Invocation",
-            "Response",
-        ]
+        report = check_linearizable(trace, kv_store_adt())
+        assert report.ok and report.strategy == COMPOSITIONAL
+        assert report.parts == (("a", 2), ("b", 2))
+        # order within a key is kept: swap a's two events and the
+        # response precedes its invocation
+        actions = list(trace.actions)
+        actions[0], actions[2] = actions[2], actions[0]
+        assert not check_linearizable(Trace(actions), kv_store_adt()).ok
 
 
 class TestBudgets:
@@ -348,9 +377,8 @@ class TestBudgets:
         assert report.unknown
         assert not report.ok
 
-    def test_compositional_unknown_is_reported(self):
-        adt = kv_store_adt()
-        n = 8
+    @staticmethod
+    def bogus_burst(n=8):
         actions = [
             Invocation(f"c{i}", 1, kv_put("a", i)) for i in range(n)
         ]
@@ -360,10 +388,42 @@ class TestBudgets:
             for i in range(n)
         ]
         actions.append(Response("r", 1, kv_get("a"), ("value", "bogus")))
-        trace = Trace(actions)
-        report = check_linearizable(trace, adt, state_limit=5)
-        assert report.unknown
-        assert "partition" in report.result.reason
+        return Trace(actions)
+
+    def test_compositional_unknown_is_reported(self):
+        """Eight puts all answered with a value nobody wrote: the
+        reference search spends a 5-state memo before it can refute
+        them, and says ``unknown``..."""
+        trace = self.bogus_burst()
+        verdict = linearize(trace, kv_store_adt(), state_limit=5)
+        assert verdict.unknown and not verdict.ok
+        assert "state memo budget" in verdict.reason
+
+    def test_bogus_burst_is_a_violation_naming_the_partition(self):
+        """...while the engine, told every recorded response, never
+        creates a configuration the history refutes: the first response
+        empties the frontier within the same budget."""
+        report = check_linearizable(
+            self.bogus_burst(), kv_store_adt(), state_limit=5
+        )
+        assert not report.ok and not report.unknown
+        assert report.strategy == COMPOSITIONAL
+        assert report.result.reason.startswith("partition 'a': ")
+        assert not linearize(self.bogus_burst(), kv_store_adt()).ok
+
+    def test_a_spent_budget_is_an_unknown_naming_the_partition(self):
+        trace = Trace(
+            [
+                Invocation("c1", 1, kv_put("a", 1)),
+                Response("c1", 1, kv_put("a", 1), ("value", None)),
+            ]
+        )
+        # one step holds the frontier it replaces plus its successor
+        report = check_linearizable(trace, kv_store_adt(), state_limit=1)
+        assert report.unknown and not report.ok
+        assert report.result.reason.startswith("partition 'a': ")
+        assert "budget" in report.result.reason
+        assert check_linearizable(trace, kv_store_adt(), state_limit=2).ok
 
     @staticmethod
     def sequential_single_key_history(n_ops):
@@ -377,19 +437,35 @@ class TestBudgets:
         return Trace(actions)
 
     def test_history_deeper_than_the_stack_is_a_typed_unknown(self):
-        """The DFS recurses once per linearized op, so a 1200-op
-        sequential single-key history outruns the interpreter's stack
-        long before any memo budget: that is an ``unknown`` with a
+        """The reference DFS recurses once per linearized op, so a
+        1200-op sequential single-key history outruns the interpreter's
+        stack long before any memo budget: that is an ``unknown`` with a
         reason, never a ``RecursionError`` (600 ops still decide)."""
         adt = kv_store_adt()
-        assert check_linearizable(
-            self.sequential_single_key_history(600), adt
-        ).ok
-        report = check_linearizable(
+        assert linearize(self.sequential_single_key_history(600), adt).ok
+        verdict = linearize(
             self.sequential_single_key_history(1200), adt, state_limit=10_000
         )
-        assert report.unknown and not report.ok
-        assert "recursion limit" in report.result.reason
+        assert verdict.unknown and not verdict.ok
+        assert "recursion limit" in verdict.reason
+
+    def test_the_engine_decides_by_window_not_by_depth(self):
+        """The same shape through ``check_linearizable``: the frontier
+        folds the decided prefix into one state, so 1,200 and 12,000
+        sequential ops on one key decide ``ok`` under the ledger's
+        budget, holding two configurations at most."""
+        adt = kv_store_adt()
+        for n_ops in (1_200, 12_000):
+            report = check_linearizable(
+                self.sequential_single_key_history(n_ops),
+                adt,
+                state_limit=10_000,
+            )
+            assert report.ok and not report.unknown
+            assert report.parts == (("k", 2 * n_ops),)
+        assert check_linearizable(
+            self.sequential_single_key_history(12_000), adt, state_limit=2
+        ).ok
 
 
 class TestPrepass:

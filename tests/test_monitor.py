@@ -3,12 +3,18 @@
 Three contracts under test, mirroring docs/MONITORING.md:
 
 * **agreement** — on any finite trace the streaming verdict must match
-  the post-hoc :func:`~repro.core.fastcheck.check_linearizable`
-  verdict *category* (ok / violation / unknown), including pending
-  invocations, per-key partitioning and the budget-degraded case.
-  Directed traces pin the interesting shapes; a Hypothesis sweep over
-  well-formed random traces (honest and dishonest outputs) pins the
-  equivalence in bulk.
+  the verdict *category* (ok / violation / unknown) of the independent
+  references: the paper's definition as a search
+  (:func:`~repro.core.linearizability.linearize`), which the classical
+  one (:func:`~repro.core.classical.linearize_classical`) must second.
+  The post-hoc :func:`~repro.core.fastcheck.check_linearizable` *is*
+  the streaming engine, so comparing the two would compare it with
+  itself; what is pinned between them is that telling the engine the
+  recorded responses never changes a verdict.  Directed traces pin the
+  interesting shapes; Hypothesis sweeps pin the equivalence in bulk,
+  the widest through ``tests/oracle.py``: pending operations, repeated
+  values, several keys, every decider, and a brute-force transcription
+  of Herlihy-Wing at five operations or fewer.
 * **bounded memory** — the retained-event gauge peaks at the size of
   the concurrent window, never the run length: decided prefixes are
   garbage-collected at every quiescent cut.
@@ -22,9 +28,13 @@ import asyncio
 
 from hypothesis import given, settings
 
+import oracle
+from oracle import assert_deciders_agree, histories, is_linearizable_naive
 from repro.core.actions import Invocation, Response
-from repro.core.adt import register_adt
+from repro.core.adt import counter_adt, queue_adt, register_adt
+from repro.core.classical import linearize_classical
 from repro.core.fastcheck import check_linearizable
+from repro.core.linearizability import linearize
 from repro.core.strategies import wellformed_traces
 from repro.core.traces import Trace
 from repro.monitor import (
@@ -61,11 +71,18 @@ def res(client, payload, output):
     return Response(client, 1, payload, output)
 
 
-def posthoc_verdict(trace, adt, **kwargs):
-    check = check_linearizable(trace, adt, **kwargs)
-    if check.unknown:
+def posthoc_verdict(trace, adt, **budget):
+    """What the references say: the classical checker's verdict, unless
+    the definition's search was cut short.  The two are held to Theorem
+    1: classical implies the definition always, and the converse on
+    unique inputs (DESIGN.md, deviation 8)."""
+    definition = linearize(trace, adt, **budget)
+    if definition.unknown:
         return "unknown"
-    return "ok" if check.ok else "violation"
+    classical = linearize_classical(trace, adt).ok
+    assert definition.ok or not classical
+    assert definition.ok == classical or not oracle.has_unique_inputs(trace)
+    return "ok" if classical else "violation"
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +185,126 @@ class TestPropertyAgreement:
         assert watch_trace(trace, REG).verdict == posthoc_verdict(trace, REG)
 
 
+VALUES = [("value", v) for v in (None, 1, 2)]
+QUEUE_INPUTS = [("enq", 1), ("enq", 2), ("deq",)]
+QUEUE_OUTPUTS = [("ok",), ("empty",), ("value", 1), ("value", 2)]
+COUNTER_INPUTS = [("inc", 1), ("inc", 2), ("cread",)]
+COUNTER_OUTPUTS = [("count", n) for n in range(4)]
+
+
+class TestDifferentialOracle:
+    """ROADMAP 1(b), first slice: pending operations, repeated values,
+    several keys; every decider agrees or the history is shrunk."""
+
+    @given(histories(KV, KV_INPUTS, VALUES, max_ops=5))
+    @settings(max_examples=150, deadline=None)
+    def test_every_decider_and_herlihy_wing_agree_at_small_scope(self, trace):
+        assert_deciders_agree(trace, KV)
+
+    @given(histories(KV, KV_INPUTS, VALUES, max_ops=9, clients=5))
+    @settings(max_examples=100, deadline=None)
+    def test_every_decider_agrees_on_wider_kv_histories(self, trace):
+        assert_deciders_agree(trace, KV)
+
+    @given(histories(queue_adt(), QUEUE_INPUTS, QUEUE_OUTPUTS, max_ops=6))
+    @settings(max_examples=100, deadline=None)
+    def test_order_sensitive_object_without_a_partition(self, trace):
+        # a queue remembers the order of what it was told: the promise
+        # of an operation that never answers may lose its output, never
+        # its place
+        assert_deciders_agree(trace, queue_adt())
+
+    @given(
+        histories(counter_adt(), COUNTER_INPUTS, COUNTER_OUTPUTS, max_ops=6)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_storm_workload_object(self, trace):
+        assert_deciders_agree(trace, counter_adt())
+
+    @given(histories(KV, KV_INPUTS, VALUES, max_ops=12, clients=6))
+    @settings(max_examples=100, deadline=None)
+    def test_the_recorded_response_cut_never_changes_a_verdict(self, trace):
+        told = check_linearizable(trace, KV)
+        assert told.verdict == watch_trace(trace, KV).verdict
+        assert told.strategy == "compositional"
+
+    def test_the_definition_is_coarser_on_repeated_inputs(self):
+        """Found by this oracle: three identical puts, and a real-time
+        edge laundered through the duplicate.  c1's put can only have
+        read 1 from c2's (c0's is invoked after c1 answered), and then
+        c2's own put read None, not 1.  The paper's definition cannot
+        tell the three inputs apart and accepts; so did the per-key
+        search that decided wire histories before the engine did."""
+        put = ("put", "a", 1)
+        trace = Trace(
+            [
+                inv("c1", put),
+                inv("c2", put),
+                res("c1", put, ("value", 1)),
+                inv("c0", put),
+                res("c2", put, ("value", 1)),
+            ]
+        )
+        assert linearize(trace, KV).ok
+        assert not linearize_classical(trace, KV).ok
+        assert not is_linearizable_naive(trace, KV)
+        assert check_linearizable(trace, KV).verdict == "violation"
+        assert watch_trace(trace, KV).verdict == "violation"
+        assert assert_deciders_agree(trace, KV) == "violation"
+
+    def test_herlihy_wing_reference_on_the_textbook_shapes(self):
+        stale = Trace(
+            [
+                inv("c1", ("put", "a", 1)),
+                res("c1", ("put", "a", 1), ("value", None)),
+                inv("c2", ("get", "a")),
+                res("c2", ("get", "a"), ("value", None)),
+            ]
+        )
+        assert not is_linearizable_naive(stale, KV)
+        # the same read overlapping the write may miss it...
+        overlap = Trace([stale[0], stale[2], stale[3], stale[1]])
+        assert is_linearizable_naive(overlap, KV)
+        # ...and a write that never answers may have taken effect
+        pending = Trace(
+            [
+                inv("c1", ("put", "a", 1)),
+                inv("c2", ("get", "a")),
+                res("c2", ("get", "a"), ("value", 1)),
+            ]
+        )
+        assert is_linearizable_naive(pending, KV)
+
+    def test_a_disagreement_is_shrunk_to_a_minimal_history(self, monkeypatch):
+        """Plant a decider that is wrong about one read; the oracle must
+        hand back that read alone, not the noise around it."""
+        def wrong(trace, adt):
+            honest = watch_trace(trace, adt).verdict
+            poisoned = any(a.input == ("get", "b") for a in trace)
+            return "violation" if poisoned else honest
+
+        monkeypatch.setattr(oracle, "told_verdict", wrong)
+        actions, previous = [], None
+        for i in range(6):
+            actions += [
+                inv("c1", ("put", "a", i)),
+                res("c1", ("put", "a", i), ("value", previous)),
+            ]
+            previous = i
+        actions[6:6] = [
+            inv("c2", ("get", "b")),
+            res("c2", ("get", "b"), ("value", None)),
+        ]
+        try:
+            assert_deciders_agree(Trace(actions), KV)
+        except AssertionError as error:
+            report = str(error)
+        else:
+            raise AssertionError("the planted disagreement went unnoticed")
+        assert "minimal history" in report and "'told': 'violation'" in report
+        assert report.count("inv[1]") == 1 and "put" not in report
+
+
 class TestBudgetsAndResync:
     def ambiguous_burst(self, n_open=5):
         """Five open puts, then a get answered by one of them: every
@@ -222,6 +359,59 @@ class TestBudgetsAndResync:
         monitor.observe(inv("c9", ("get", "a")))
         monitor.observe(res("c9", ("get", "a"), ("value", 77)))
         assert monitor.verdict == "violation"
+
+
+class TestKnowingTheFuture:
+    """The tail the ledger caught (`--workload monitored --seed 12`,
+    round 12004): ten puts pending on one key, each answered with its
+    predecessor's value.  Online, the first response must consider every
+    order of the other nine (986,410 of them); told the recorded
+    responses, the engine creates none that the history refutes."""
+
+    @staticmethod
+    def waves(n_waves=5, width=10):
+        actions, previous = [], None
+        for wave in range(n_waves):
+            values = [wave * width + i for i in range(width)]
+            actions += [inv(f"c{v % width}", ("put", "k", v)) for v in values]
+            for v in values:
+                actions.append(
+                    res(f"c{v % width}", ("put", "k", v), ("value", previous))
+                )
+                previous = v
+        return Trace(actions)
+
+    def test_online_degrades_where_post_hoc_decides(self):
+        trace = self.waves()
+        online = watch_trace(trace, KV, node_limit=1000)
+        assert online.verdict == "unknown"  # degrades, does not guess
+        assert "exceeded 1000 nodes" in online.reason
+        told = check_linearizable(
+            trace, KV, node_limit=1000, state_limit=10_000
+        )
+        assert told.verdict == "ok" and told.parts == (("k", 100),)
+        assert posthoc_verdict(trace, KV) == "ok"
+
+    def test_the_cut_costs_nothing_it_would_not_have_killed(self):
+        # one wrong answer in the last wave: still found, same budgets
+        actions = list(self.waves().actions)
+        last = actions[-1]
+        actions[-1] = res(last.client, last.input, ("value", 0))
+        trace = Trace(actions)
+        told = check_linearizable(
+            trace, KV, node_limit=1000, state_limit=10_000
+        )
+        assert told.verdict == "violation"
+        assert told.reason.startswith("partition 'k': frontier emptied")
+        # the classical checker seconds it; the definition's search is
+        # the other tail (a refutation costs it 8x per unit of width:
+        # 15 s at width 7), which is why it no longer decides histories
+        assert not linearize_classical(trace, KV).ok
+
+    def test_a_width_the_window_can_hold_agrees_online(self):
+        trace = self.waves(n_waves=3, width=5)
+        assert watch_trace(trace, KV).verdict == "ok"
+        assert check_linearizable(trace, KV).verdict == "ok"
 
 
 # ---------------------------------------------------------------------------

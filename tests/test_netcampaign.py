@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from repro.__main__ import main as repro_main
 from repro.analysis import sanitizer
 from repro.faults.nemesis import FaultAction, FaultSchedule
 from repro.faults.netcampaign import (
@@ -34,6 +35,7 @@ from repro.faults.netcampaign import (
     run_net_campaign,
     run_retry_storm,
 )
+from repro.monitor.cli import load_history, replay_history
 from repro.net.faultfs import flip_record_body, tear_tail
 
 SILENT = lambda line: None  # noqa: E731
@@ -462,6 +464,45 @@ class TestRetryStorm:
             report = json.load(f)["report"]
         assert set(GOLDEN["retry_storm_report_keys"]) <= set(report)
         assert report["exactly_once"] is True and report["dedup"] is True
+
+    def test_a_storm_artifact_replays_ok_as_a_counter_history(
+        self, tmp_path, capsys
+    ):
+        """The run artifact names its object, so ``monitor --replay``
+        reads a storm as the counter history it is (it used to read
+        every artifact as a KV history: `invalid ADT input at index 0`
+        on a run that was judged linearizable)."""
+        (run,) = run_retry_storm(
+            n_schedules=1,
+            base_seed=5,
+            clients=2,
+            ops_per_client=3,
+            artifact_dir=str(tmp_path),
+            emit=SILENT,
+        )
+        assert run.verdict == "linearizable" and run.monitor_verdict == "ok"
+        path = tmp_path / "retry-storm-5.json"
+        history = load_history(str(path))
+        assert history.adt == "counter" and len(history) == 1
+        verdict, reason, _reports = replay_history(history)
+        assert (verdict, reason) == ("ok", None)
+        assert repro_main(["monitor", "--replay", str(path)]) == 0
+        assert "monitor replay: ok" in capsys.readouterr().out
+        # an artifact that does not say is a KV history, as before...
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        del payload["adt"]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert load_history(str(path)).adt == "kv_store"
+        assert replay_history(load_history(str(path)))[0] == "violation"
+        # ...and one that names an object nobody can replay is a usage
+        # error, not a verdict
+        payload["adt"] = "stack"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown adt 'stack'"):
+            load_history(str(path))
+        assert repro_main(["monitor", "--replay", str(path)]) == 2
+        assert "unknown adt 'stack'" in capsys.readouterr().out
 
     def test_dedup_off_result_has_the_mutant_shape(self):
         (run,) = run_retry_storm(
