@@ -38,9 +38,11 @@ N_SERVERS = 3
 
 async def _quorum_samples(cluster, transport, n_samples):
     """Fast-path decision latency, one fresh uncontended slot each."""
-    # Touch every slot first (materializes the roles and warms the
-    # connection pool) so the timed window covers only the protocol
-    # round trip — symmetric with the Backup pre-touch below.
+    # Touch every slot first (warms the connection pool) so the timed
+    # window covers only the protocol round trip — symmetric with the
+    # Backup pre-touch below.  Roles are materialized one at a time, so
+    # the timed q-propose still builds the slot's Quorum server: an
+    # object construction, microseconds against a socket round trip.
     for i in range(n_samples):
         for j in range(N_SERVERS):
             transport.send(
@@ -72,8 +74,9 @@ async def _quorum_samples(cluster, transport, n_samples):
 
 async def _backup_samples(cluster, transport, n_samples, slot_base):
     """Backup-path decision latency, pre-prepared coordinator."""
-    # Touch every slot first so node 0's coordinator finishes phase 1
-    # before the timed request — the steady state of the paper's claim.
+    # Touch every slot first so the acceptors and coordinators exist
+    # before the timed request — the steady state of the paper's claim
+    # (node 0's coordinator holds ballot 0 without running phase 1).
     for i in range(n_samples):
         slot = slot_base + i
         for j in range(N_SERVERS):

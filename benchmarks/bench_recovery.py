@@ -65,8 +65,8 @@ def _reopen_seconds(directory, repeats):
 def replay_costs(lengths, repeats=3):
     """(length, full_replay_s, compacted_replay_s, folds_equal) rows.
 
-    The full log never compacts (threshold above ``length``); the
-    compacted one snapshots every ``length // 8`` records, so recovery
+    The full log never compacts (threshold above ``length`` records
+    plus the open's incarnation marker); the compacted one snapshots every ``length // 8`` records, so recovery
     is snapshot + a short tail.  Both must fold to identical state.
     """
     rows = []
@@ -74,7 +74,7 @@ def replay_costs(lengths, repeats=3):
         with tempfile.TemporaryDirectory() as root:
             full_dir = os.path.join(root, "full")
             compact_dir = os.path.join(root, "compacted")
-            _write_log(full_dir, length, compact_threshold=length + 1)
+            _write_log(full_dir, length, compact_threshold=length + 2)
             _write_log(
                 compact_dir, length, compact_threshold=max(8, length // 8)
             )
@@ -97,7 +97,7 @@ def torn_tail_tolerated(length=200):
     """Cut the final record mid-body; replay must keep the prefix."""
     with tempfile.TemporaryDirectory() as root:
         directory = os.path.join(root, "torn")
-        _write_log(directory, length, compact_threshold=length + 1)
+        _write_log(directory, length, compact_threshold=length + 2)
         path = os.path.join(directory, "wal.log")
         with open(path, "rb") as handle:
             data = handle.read()

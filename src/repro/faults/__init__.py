@@ -25,6 +25,8 @@ interleaving-race mutant: its slot claims suspend mid-critical-section,
 and the campaign run with ``race_mutant=True, sanitize=True`` must see
 the runtime interleaving sanitizer catch it live — the dynamic
 cross-check of the static RD08 lint rule.
+:class:`~repro.faults.mutants.ReusedBallotCoordinator` reclaims ballot
+0 after a restart; the enumerated restart test is its catcher.
 """
 
 from .campaign import (
@@ -38,7 +40,11 @@ from .campaign import (
     TARGETS,
     run_campaign,
 )
-from .mutants import AmnesiacAcceptor, RacySlotPipeline
+from .mutants import (
+    AmnesiacAcceptor,
+    RacySlotPipeline,
+    ReusedBallotCoordinator,
+)
 from .nemesis import (
     ACTION_CLASSES,
     BurstLoss,
@@ -106,6 +112,7 @@ __all__ = [
     "RacySlotPipeline",
     "RecoverServer",
     "RestartNode",
+    "ReusedBallotCoordinator",
     "RunResult",
     "SMRTarget",
     "SlowNode",

@@ -14,7 +14,7 @@ import asyncio
 from typing import Any, Hashable, List, Optional, Tuple
 
 from ..analysis.sanitizer import InterleaveError, atomic_section
-from ..mp.paxos import PaxosAcceptor
+from ..mp.paxos import PaxosAcceptor, PaxosCoordinator
 from ..net.pipeline import SlotPipeline
 
 
@@ -37,6 +37,26 @@ class AmnesiacAcceptor(PaxosAcceptor):
 
     def on_recover(self, durable) -> None:
         self.promised, self.accepted_ballot, self.accepted_value = durable
+
+
+class ReusedBallotCoordinator(PaxosCoordinator):
+    """A coordinator that claims ballot 0 whatever its incarnation.
+
+    Skipping phase 1 of ballot 0 is sound only while that ballot
+    carries one value, so the real coordinator leaves it behind on
+    every restart (``on_recover`` bumps the round; the TCP runtime
+    starts from the WAL's incarnation).  This mutant ignores both and
+    sends ``accept(0, v2)`` over a chosen ``accept(0, v1)``: the
+    enumerated restart test in ``tests/test_paxos.py`` must find that
+    disagreement, which is what shows the test can fail.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **{**kwargs, "first_round": 0})
+
+    def on_recover(self, durable) -> None:
+        super().on_recover(durable)
+        self.round, self.ballot, self.has_quorum = 0, 0, True
 
 
 class RacySlotPipeline(SlotPipeline):

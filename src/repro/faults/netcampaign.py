@@ -34,9 +34,9 @@ fail-stop model cannot express:
 
 * :class:`NetSlowNode` — one replica stays alive and correct but every
   frame touching it is held before the wire (``TransportFaults.slow``);
-* :class:`WALTearTail` — kill a node and tear the final bytes off its
-  at-rest WAL (crash mid-append); the restart must *tolerate* the tear
-  and serve the intact prefix;
+* :class:`WALTearTail` — kill a node and leave a torn record at the
+  end of its at-rest WAL (crash mid-append); the restart must
+  *tolerate* the tear and serve the intact prefix;
 * :class:`WALBitFlip` — kill a node and flip one seeded bit inside a
   complete WAL record body; the restart must *fail-stop*
   (:exc:`~repro.net.wal.WALCorruptionError`), counted in
@@ -99,7 +99,7 @@ from ..net.netfaults import TransportFaults
 from ..net.overload import Overloaded
 from ..net.pipeline import PipelineClient, SlotPipeline, probing_client
 from ..net.transport import AsyncTransport
-from ..net.wal import WALCorruptionError
+from ..net.wal import WALError
 from ..smr.sessions import dedup_commands, seq_uid
 from ..smr.universal import batch_commands, kv_store_adt
 from .mutants import RacySlotPipeline
@@ -214,10 +214,11 @@ class NetTarget(NemesisTarget):
             return
         try:
             await self.cluster.restart(node)
-        except WALCorruptionError:
-            # Provably corrupt stable storage: the node fail-stops
-            # instead of recovering.  It stays dead for the rest of the
-            # run — no late reader, the survivors carry the majority.
+        except WALError:
+            # Provably corrupt stable storage, or a disk too full to
+            # record the incarnation: the node fail-stops instead of
+            # recovering.  It stays dead — no late reader, the
+            # survivors carry the majority.
             self.result.failstops += 1
             return
         self.result.restarts += 1
@@ -335,10 +336,10 @@ class NetSlowNode(_OnNode):
 
 @dataclass(frozen=True)
 class WALTearTail(_OnNode):
-    """Kill replica ``node`` and tear the last ``cut`` bytes off its
-    at-rest WAL — the crash-mid-append torn write.  A later
-    :class:`RestartNode` must tolerate the tear: replay truncates the
-    incomplete record and serves the intact prefix."""
+    """Kill replica ``node`` and leave a record torn ``cut`` bytes
+    short at the end of its at-rest WAL — the crash-mid-append torn
+    write.  A later :class:`RestartNode` must tolerate the tear: replay
+    truncates the incomplete record and serves the intact prefix."""
 
     cut: int = 3
 

@@ -15,9 +15,12 @@ module implements the full protocol:
   coordinator runs phase 1 (prepare/promise), picks the value of the
   highest-ballot acceptance reported in its promise quorum (or the first
   client request it queued), and drives phase 2 (accept/accepted).  With
-  ``pre_prepare`` the first coordinator performs phase 1 before any
+  ``pre_prepare`` a coordinator holds its promise quorum before any
   request arrives — the standard steady-state optimization the paper's
-  latency claim refers to.
+  latency claim refers to.  The owner of ballot 0 holds it for free:
+  no acceptor can have voted below the lowest ballot, so phase 1 of
+  ballot 0 has nothing to learn and is never run.  Every other ballot
+  pre-prepares with a real prepare/promise round.
 * **Clients** (:class:`PaxosClient`) submit a value to the coordinator
   they believe is in charge, retrying round-robin on timeout, and decide
   as learners when a majority of acceptors report the same
@@ -122,13 +125,20 @@ class PaxosCoordinator(Process):
         acceptors: Sequence[Hashable],
         pre_prepare: bool = False,
         retry_delay: float = 8.0,
+        first_round: int = 0,
     ) -> None:
         super().__init__(pid)
         self.rank = rank
         self.n_coordinators = n_coordinators
         self.acceptors = tuple(acceptors)
         self.retry_delay = retry_delay
-        self.round = 0
+        #: A ballot must never carry two values, also across restarts of
+        #: its diskless owner.  Re-preparing a ballot is safe (acceptors
+        #: that saw it nack, and they intersect every quorum); ballot 0
+        #: is claimed below without a prepare, so only a first
+        #: incarnation may start at round 0: ``on_recover`` bumps it,
+        #: the TCP runtime passes the incarnation its WAL recorded.
+        self.round = first_round
         self.ballot: Optional[int] = None
         self.promises: Dict[Hashable, Tuple[int, Optional[Hashable]]] = {}
         self.has_quorum = False
@@ -138,11 +148,23 @@ class PaxosCoordinator(Process):
         self.decision: Optional[Hashable] = None
         self._pre_prepare = pre_prepare
         self._retry_timer: Optional[Timer] = None
+        if pre_prepare and self._own_ballot() == 0:
+            # Phase 1 of ballot 0 is vacuous (it asks what was accepted
+            # below the lowest ballot), so its owner starts with the
+            # empty promise quorum in hand: no message, no timer, and no
+            # promise record — ``accept(0, v)`` passes ``ballot >=
+            # promised`` exactly when no higher ballot was promised.
+            self.ballot = 0
+            self.has_quorum = True
 
     def attach(self, network) -> None:  # noqa: D102 - inherited behaviour
         super().attach(network)
-        if self._pre_prepare:
-            self.call_soon(self.start_prepare)
+        if self._pre_prepare and not self.has_quorum:
+            self.call_soon(self._start_pre_prepare)
+
+    def _start_pre_prepare(self) -> None:
+        if self.ballot is None:  # else a request got here first
+            self.start_prepare()
 
     def adopt_decision(self, value: Hashable) -> None:
         """Install an externally learned decision.

@@ -27,6 +27,10 @@ nodes' WALs — the storage-fault campaigns inject ``ENOSPC`` and torn
 writes through it.  A restart whose WAL replay finds provable
 corruption propagates :exc:`~repro.net.wal.WALCorruptionError`: the
 node fail-stops (stays dead) rather than serve from a corrupt fold.
+A disk too full for the WAL's incarnation marker propagates
+:exc:`~repro.net.wal.WALFullError` the same way: the node stays dead
+(it must not claim ballot 0 on an incarnation it could not record)
+until a later ``restart`` finds room.
 
 :class:`Supervisor` automates the relaunch: a watch task polls for dead
 nodes and calls ``restart`` on each after ``restart_delay`` — unless
@@ -47,7 +51,7 @@ from .faultfs import FaultFS
 from .netfaults import TransportFaults
 from .node import COORDINATOR_RETRY_DELAY, ReplicaNode
 from .transport import AddressBook, AsyncTransport
-from .wal import NodeWAL, WALCorruptionError
+from .wal import NodeWAL, WALCorruptionError, WALFullError
 
 
 class LocalCluster:
@@ -301,4 +305,6 @@ class Supervisor:
                     self.failstopped.append(index)
                     self.held.add(index)
                     continue
+                except WALFullError:
+                    continue  # no room for the marker: retry next poll
                 self.restarted.append((now, index))

@@ -34,7 +34,7 @@ import errno
 import os
 import random
 import struct
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 #: mirror of the WAL's record header (length u32, crc32 u32); kept here
 #: so the at-rest mutators can walk frames without importing wal.py
@@ -270,15 +270,32 @@ class FaultyFS(FaultFS):
 
 
 def tear_tail(path: str, cut: int = 3) -> bool:
-    """Truncate the last ``cut`` bytes of ``path`` — the canonical
-    crash-mid-append tear.  Returns False if the file is too short."""
+    """Leave ``path`` as a crash mid-append leaves it: every complete
+    record intact, then a copy of the final one short of its last
+    ``cut`` bytes.  Returns False if there is no record that long.
+
+    The torn frame stands for a record nobody was answered about.
+    Cutting into the final *complete* record would instead lose a
+    record that persist-before-reply may already have acknowledged (a
+    fast-path log ends with a sticky acceptance, not a Backup promise):
+    that is the lying fsync's failure, not the tear's.
+    """
     try:
-        size = os.path.getsize(path)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError:
         return False
-    if size <= cut:
+    spans = _record_spans(data)
+    if not spans:
         return False
-    os.truncate(path, size - cut)
+    start, length = spans[-1]
+    frame = data[start - _HEADER.size : start + length]
+    if len(frame) <= cut:
+        return False
+    with open(path, "ab") as handle:
+        handle.write(frame[:-cut])
+        handle.flush()
+        os.fsync(handle.fileno())
     return True
 
 
@@ -306,9 +323,8 @@ def flip_record_body(path: str, seed: int = 0) -> bool:
     return True
 
 
-def _flip_body_bit(data: bytes, rng: random.Random) -> Optional[bytes]:
-    """Return ``data`` with one bit flipped in a random complete record
-    body, or None if no complete record (or empty body) exists."""
+def _record_spans(data: bytes) -> List[Tuple[int, int]]:
+    """``(body_start, length)`` of every complete, non-empty record."""
     spans = []
     offset = 0
     while offset + _HEADER.size <= len(data):
@@ -319,6 +335,13 @@ def _flip_body_bit(data: bytes, rng: random.Random) -> Optional[bytes]:
         if length > 0:
             spans.append((body_start, length))
         offset = body_start + length
+    return spans
+
+
+def _flip_body_bit(data: bytes, rng: random.Random) -> Optional[bytes]:
+    """Return ``data`` with one bit flipped in a random complete record
+    body, or None if no complete record (or empty body) exists."""
+    spans = _record_spans(data)
     if not spans:
         return None
     start, length = rng.choice(spans)

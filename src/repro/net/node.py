@@ -10,13 +10,22 @@ every SMR slot — exactly the roles a physical server hosts in
   memory);
 * a :class:`~repro.mp.paxos.PaxosCoordinator` ranked by node index, with
   node 0 pre-preparing (the steady-state phase-1 optimization behind the
-  paper's 3-delay Backup latency).
+  paper's 3-delay Backup latency).  On node 0's first incarnation that
+  costs nothing: the coordinator owns ballot 0, whose phase 1 is
+  vacuous.  A restarted node starts its coordinators from a round
+  derived from the WAL's incarnation marker and buys its promise with a
+  real prepare, because a ballot must never carry two values across
+  incarnations of its owner.
 
-Slots are unbounded, so roles are created **lazily**: the transport's
-miss handler fires on the first frame addressed to any role of an
-unknown slot and instantiates all three roles for it at once.  This is
+Slots are unbounded, so roles are created **lazily and one at a time**:
+the transport's miss handler fires on the first frame addressed to a
+role that does not exist yet and builds that role only.  A decree that
+decides on the fast path therefore costs a node one
+:class:`DurableQuorumServer` and nothing else; the acceptor and the
+coordinator appear when Backup first speaks to them (a ``prepare``,
+``accept`` or ``request`` frame, or a ``register-learner``).  This is
 the networked analogue of ``SpeculativeSMR._ensure_slot`` — except no
-global coordinator exists; each node materializes slots independently,
+global coordinator exists; each node materializes roles independently,
 driven purely by the frames that reach it.
 
 With a :class:`~repro.net.wal.NodeWAL` attached the roles become
@@ -26,12 +35,15 @@ message while a handler runs, appends the role's changed
 the classical persist-before-reply rule, so no acknowledgement ever
 refers to state that a crash could erase.  On ``start()`` a node
 replays its WAL *before* binding the listener: every recovered slot is
-materialized, acceptor triples and sticky Quorum acceptances are
-restored via the roles' ``on_recover`` hooks, and decided values are
-installed with ``PaxosCoordinator.adopt_decision`` — only then can a
-frame reach the node.  Without a WAL the node is **amnesiac**: it
-restarts blank, which is the intentional safety bug the net nemesis
-campaign exists to catch (:mod:`repro.faults.netcampaign`).
+materialized, and each role restores its own part of the fold as it is
+built — acceptor triples and sticky Quorum acceptances via the roles'
+``on_recover`` hooks, decided values with
+``PaxosCoordinator.adopt_decision`` — only then can a frame reach the
+node.  Without a WAL the node is **amnesiac**: it restarts blank, which
+is the intentional safety bug the net nemesis campaign exists to catch
+(:mod:`repro.faults.netcampaign`).  Blank includes the incarnation: an
+amnesiac node 0 claims ballot 0 on every restart, one more way for
+that canary to fork and not a supported configuration.
 
 The per-node control role ``("ctl", 0, index)`` handles the one piece of
 wiring that is configuration rather than protocol: Backup clients
@@ -303,14 +315,16 @@ class ReplicaNode:
         self.port = port
         self.retry_delay = retry_delay
         self.wal = wal
-        self.recovered: Optional[RecoveredState] = (
-            wal.recovered if wal is not None else None
+        #: the fold as of open time; blank (incarnation 0) without a WAL
+        self.recovered: RecoveredState = (
+            wal.recovered if wal is not None else RecoveredState()
         )
         self.transport = AsyncTransport(
             f"node{index}", book, faults, codec=codec
         )
         self.transport.miss_handler = self._on_miss
-        #: slot → learner pids currently registered on this node's acceptor
+        #: slot → learner pids currently registered on this node's
+        #: acceptor (an entry exists iff the acceptor does)
         self.slot_learners: Dict[int, List[Hashable]] = {}
         self.transport.register(_ControlRole(("ctl", 0, index), self))
 
@@ -326,9 +340,8 @@ class ReplicaNode:
         the WAL mentions is materialized with its durable state
         restored, so no frame can race a half-recovered node.
         """
-        if self.recovered is not None:
-            for slot in self.recovered.slots():
-                self.ensure_slot(slot)
+        for slot in self.recovered.slots():
+            self.ensure_slot(slot)
         host, port = await self.transport.start_server(self.host, self.port)
         self.port = port
         self.transport.book.add(self.endpoint, host, port)
@@ -341,45 +354,55 @@ class ReplicaNode:
             self.wal.close()
 
     # ------------------------------------------------------------------
-    # lazy slot materialization
+    # lazy role materialization
     # ------------------------------------------------------------------
 
-    def ensure_slot(self, slot: int) -> None:
-        """Host this node's three roles for ``slot`` (idempotent)."""
-        if slot in self.slot_learners:
-            return
-        i = self.index
-        qs = self.transport.register(
-            DurableQuorumServer(("qs", slot, i), wal=self.wal)
-        )
-        acceptor = self.transport.register(
-            DurableAcceptor(("acc", slot, i), wal=self.wal)
-        )
-        coordinator = self.transport.register(
-            RecordingCoordinator(
-                ("coord", slot, i),
-                rank=i,
+    def _role(self, kind: str, slot: int) -> Any:
+        """This node's ``kind`` role of ``slot``, built on first use.
+
+        A role restores its own part of the recovered fold as it is
+        built, so it does not matter whether recovery or a frame
+        materializes it, nor in what order.
+        """
+        pid = (kind, slot, self.index)
+        role = self.transport.processes.get(pid)
+        if role is not None:
+            return role
+        if kind == "qs":
+            role = DurableQuorumServer(pid, wal=self.wal)
+            sticky = self.recovered.quorum.get(slot)
+            if sticky is not None:
+                role.restore(sticky)
+        elif kind == "acc":
+            role = DurableAcceptor(pid, wal=self.wal)
+            triple = self.recovered.acceptors.get(slot)
+            if triple is not None:
+                role.restore(triple)
+            learners = [("coord", slot, j) for j in range(self.n_servers)]
+            self.slot_learners[slot] = learners
+            role.register_learners(learners)
+        else:
+            role = RecordingCoordinator(
+                pid,
+                rank=self.index,
                 n_coordinators=self.n_servers,
                 acceptors=[("acc", slot, j) for j in range(self.n_servers)],
-                pre_prepare=(i == 0),
+                pre_prepare=(self.index == 0),
                 retry_delay=self.retry_delay,
+                first_round=self.recovered.incarnation,
                 wal=self.wal,
                 slot=slot,
             )
-        )
-        if self.recovered is not None:
-            triple = self.recovered.acceptors.get(slot)
-            if triple is not None:
-                acceptor.restore(triple)
-            sticky = self.recovered.quorum.get(slot)
-            if sticky is not None:
-                qs.restore(sticky)
             decided = self.recovered.decided.get(slot)
             if decided is not None:
-                coordinator.adopt_decision(decided)
-        learners = [("coord", slot, j) for j in range(self.n_servers)]
-        self.slot_learners[slot] = learners
-        acceptor.register_learners(learners)
+                role.adopt_decision(decided)
+        return self.transport.register(role)
+
+    def ensure_slot(self, slot: int) -> None:
+        """Host all three roles of ``slot`` (idempotent): what recovery
+        does for every slot the WAL mentions."""
+        for kind in ("qs", "acc", "coord"):
+            self._role(kind, slot)
 
     def register_learner(self, slot: int, learner: Hashable) -> None:
         """Add a Backup client as a learner on this slot's acceptor.
@@ -388,11 +411,13 @@ class ReplicaNode:
         registration that loses the race against phase 2 still hears the
         vote (duplicates are harmless: learners count votes in sets).
         """
-        self.ensure_slot(slot)
+        acceptor = self._role("acc", slot)
+        # Backup is starting on this slot: a coordinator that has a
+        # promise to buy (any but ballot 0's first owner) starts now
+        self._role("coord", slot)
         learners = self.slot_learners[slot]
         if learner not in learners:
             learners.append(learner)
-        acceptor = self.transport.processes[("acc", slot, self.index)]
         acceptor.register_learners(learners)
         if acceptor.accepted_ballot >= 0:
             acceptor.send(
@@ -405,7 +430,7 @@ class ReplicaNode:
             )
 
     def _on_miss(self, src: Hashable, dst: Hashable, message: Any) -> None:
-        """Materialize the slot of an unknown role pid, then deliver."""
+        """Materialize the role an unknown pid names, then deliver."""
         if (
             isinstance(dst, tuple)
             and len(dst) == 3
@@ -413,11 +438,8 @@ class ReplicaNode:
             and dst[2] == self.index
             and isinstance(dst[1], int)
         ):
-            self.ensure_slot(dst[1])
-            process = self.transport.processes.get(dst)
-            if process is not None:
-                self.transport.stats.delivered += 1
-                process.on_message(src, message)
-                return
+            self.transport.stats.delivered += 1
+            self._role(dst[0], dst[1]).on_message(src, message)
+            return
         logger.debug("node%d dropping frame for %r", self.index, dst)
         self.transport.stats.dropped_crashed += 1

@@ -26,6 +26,7 @@ Routing has two sources:
    announcements to registered learners, decisions) rides the client's
    own connections, exactly like a request/response socket protocol
    with server push.
+   The table keeps the :data:`MAX_ROUTES` youngest pids.
 
 Delivery between two roles hosted on the *same* endpoint still
 round-trips through the codec (encode → decode, no socket): colocated
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..mp.sim import NetworkStats
@@ -53,6 +55,13 @@ logger = logging.getLogger(__name__)
 #: roles hosted by replica nodes; pid shape ("role", slot, node_index).
 #: "ctl" is the node's control role (learner registration), one per node.
 SERVER_ROLES = frozenset({"qs", "acc", "coord", "ctl"})
+
+#: learned reply routes an endpoint keeps.  A pipelined client mints a
+#: fresh pid per decree, so the table must forget: beyond the bound the
+#: oldest route goes, and a reply to it degrades to a lost frame (a
+#: server pid falls back to its static endpoint), which every role
+#: tolerates and the stats count.
+MAX_ROUTES = 4096
 
 #: time an unreachable endpoint stays blacklisted before a reconnect
 #: attempt (seconds); sends during the cooldown are counted as lost
@@ -121,6 +130,10 @@ class _TimerHandle:
         self._handle.cancel()
 
 
+#: a learned reply route: the connection and its label in the link stats
+_Route = Tuple[asyncio.StreamWriter, str]
+
+
 class _Peer:
     """One outbound connection to a remote endpoint, opened lazily."""
 
@@ -163,8 +176,8 @@ class AsyncTransport:
         ] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._peers: Dict[str, _Peer] = {}
-        self._routes: Dict[Hashable, asyncio.StreamWriter] = {}
-        self._route_labels: Dict[Hashable, str] = {}
+        #: pid → (connection, its stats label), oldest first
+        self._routes: "OrderedDict[Hashable, _Route]" = OrderedDict()
         self._reader_tasks: List[asyncio.Task] = []
 
     # ------------------------------------------------------------------
@@ -202,12 +215,12 @@ class AsyncTransport:
         """Drop a finished role; late frames to it count as dropped."""
         self.processes.pop(pid, None)
 
-    def _route_of(self, dst: Hashable) -> Optional[asyncio.StreamWriter]:
-        writer = self._routes.get(dst)
-        if writer is not None and writer.is_closing():
+    def _route_of(self, dst: Hashable) -> Optional[_Route]:
+        route = self._routes.get(dst)
+        if route is not None and route[0].is_closing():
             del self._routes[dst]
             return None
-        return writer
+        return route
 
     def send(self, src: Hashable, dst: Hashable, message: Any) -> None:
         """Route one protocol message (fire-and-forget, may be lost).
@@ -223,7 +236,7 @@ class AsyncTransport:
         self.stats.sent += 1
         route = None if dst in self.processes else self._route_of(dst)
         if route is not None:
-            dst_ep = self._route_labels.get(dst, "peer")
+            dst_ep = route[1]
         else:
             dst_ep = endpoint_of_pid(dst) or self.endpoint
         if dst in self.processes:
@@ -279,7 +292,7 @@ class AsyncTransport:
             return
         route = self._route_of(dst)
         if route is not None:
-            self._write(route, frame, link)
+            self._write(route[0], frame, link)
             return
         if endpoint_of_pid(dst) is None:
             # A remote client pid with no live reply route: on a real
@@ -371,13 +384,15 @@ class AsyncTransport:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         decoder = FrameDecoder()
+        peer = writer.get_extra_info("peername")
+        route = (writer, f"{peer[0]}:{peer[1]}" if peer else "peer")
         try:
             while not self.closed:
                 data = await reader.read(65536)
                 if not data:
                     return
                 for envelope in decoder.feed(data):
-                    self._dispatch(envelope, writer)
+                    self._dispatch(envelope, route)
         except (ConnectionError, FrameError, asyncio.CancelledError):
             return
         finally:
@@ -385,10 +400,11 @@ class AsyncTransport:
             self._forget_peer(writer)
 
     def _forget_routes(self, writer: asyncio.StreamWriter) -> None:
-        stale = [pid for pid, w in self._routes.items() if w is writer]
+        stale = [
+            pid for pid, route in self._routes.items() if route[0] is writer
+        ]
         for pid in stale:
             del self._routes[pid]
-            self._route_labels.pop(pid, None)
 
     def _forget_peer(self, writer: asyncio.StreamWriter) -> None:
         """Drop a pooled connection whose remote end hung up.
@@ -407,17 +423,15 @@ class AsyncTransport:
             if peer.writer is writer:
                 peer.writer = None
 
-    def _dispatch(self, envelope: Any, writer: asyncio.StreamWriter) -> None:
+    def _dispatch(self, envelope: Any, route: _Route) -> None:
         if not (isinstance(envelope, tuple) and len(envelope) == 3):
             raise FrameError(f"bad envelope: {envelope!r}")
         src, dst, message = envelope
         # Learn the reply route: answers to `src` ride this connection.
-        if self._routes.get(src) is not writer:
-            self._routes[src] = writer
-            peer = writer.get_extra_info("peername")
-            self._route_labels[src] = (
-                f"{peer[0]}:{peer[1]}" if peer else "peer"
-            )
+        if self._routes.get(src) is not route:
+            self._routes[src] = route
+            if len(self._routes) > MAX_ROUTES:
+                self._routes.popitem(last=False)
         self._deliver(src, dst, message)
 
     def _deliver_frame(self, frame: bytes) -> None:
@@ -464,6 +478,5 @@ class AsyncTransport:
             if peer.writer is not None and not peer.writer.is_closing():
                 peer.writer.close()
         self._routes.clear()
-        self._route_labels.clear()
         self.book.remove(self.endpoint)
         await asyncio.sleep(0)

@@ -4,7 +4,8 @@ The simulator fakes durability (``Process.crash`` snapshots
 ``durable_state()`` in memory); a real node must survive losing its
 process, so the TCP runtime writes the same durable facts to disk
 *before* any reply leaves the node — the classical Paxos stable-storage
-rule, now literal.  Three kinds of fact are logged, all per SMR slot:
+rule, now literal.  Three kinds of fact are logged per SMR slot, and a
+fourth once per open:
 
 * ``("acc", slot, (promised, accepted_ballot, accepted_value))`` — the
   acceptor triple of :class:`~repro.mp.paxos.PaxosAcceptor`;
@@ -12,7 +13,16 @@ rule, now literal.  Three kinds of fact are logged, all per SMR slot:
   :class:`~repro.mp.quorum.QuorumServer` (Quorum's unanimity argument
   assumes servers never forget their first acceptance);
 * ``("dec", slot, value)`` — the decided log, so a recovered
-  coordinator answers requests instead of re-running Paxos.
+  coordinator answers requests instead of re-running Paxos;
+* ``("inc", 0, k)`` — the **incarnation marker**: k opens of the
+  directory came before the one that wrote it (the slot field is
+  unused).  :class:`NodeWAL` appends and fsyncs one before its
+  constructor returns, so before the node can bind a listener.  It is
+  what lets node 0 skip phase 1 of ballot 0
+  (:class:`~repro.mp.paxos.PaxosCoordinator`): a diskless coordinator
+  cannot know what an earlier self sent under that ballot, so only an
+  incarnation that can prove none existed may claim it unasked.  One
+  record per process lifetime, nothing per slot.
 
 The on-disk format is deliberately boring: an append-only file of
 ``[length u32][crc32 u32][payload]`` records, each payload the compact
@@ -304,7 +314,10 @@ class RecoveredState:
     #: slot → decided value (the SMR decided log)
     decided: Dict[int, Hashable] = field(default_factory=dict)
     torn_tail: bool = False
+    #: slot facts replayed from the log tail (markers not counted)
     records_replayed: int = 0
+    #: how many opens of the directory came before this one
+    incarnation: int = 0
 
     def slots(self) -> List[int]:
         """Every slot any recovered fact mentions, ascending."""
@@ -326,6 +339,14 @@ class NodeWAL:
     accumulated the fold is snapshotted and the log truncated.
     ``recovered`` is the fold as of open time — what a restarting
     :class:`~repro.net.node.ReplicaNode` rebuilds its roles from.
+
+    Every open appends its incarnation marker (module docstring).
+    ``recovered.incarnation`` is 0 only for a directory that proves it
+    was never opened: no marker, record, snapshot or torn tail — so a
+    log from before markers, or one whose only marker tore, counts as
+    opened before.  ``ENOSPC`` on the marker is a :exc:`WALFullError`
+    out of the constructor: a node that cannot record its incarnation
+    must not serve.
 
     With ``group_commit=True``, :meth:`record_durable` coalesces every
     append issued in one event-loop tick into a *single* fsync: records
@@ -353,14 +374,14 @@ class NodeWAL:
         #: observability: group flushes performed / records they covered
         self.group_flushes = 0
         self.group_records = 0
-        state = RecoveredState(
-            torn_tail=self.wal.torn_tail,
-            records_replayed=len(self.wal.records),
-        )
+        state = RecoveredState(torn_tail=self.wal.torn_tail)
         if self.wal.snapshot is not None:
             self._apply_snapshot(state, self.wal.snapshot)
         for record in self.wal.records:
             self._apply(state, record)
+        state.records_replayed = sum(r[0] != "inc" for r in self.wal.records)
+        if not state.incarnation and (self.wal.records or state.torn_tail):
+            state.incarnation = 1  # pre-marker log, or a torn first marker
         self.state = state
         self.recovered = RecoveredState(
             acceptors=dict(state.acceptors),
@@ -368,7 +389,13 @@ class NodeWAL:
             decided=dict(state.decided),
             torn_tail=state.torn_tail,
             records_replayed=state.records_replayed,
+            incarnation=state.incarnation,
         )
+        try:
+            self.wal.append(("inc", 0, state.incarnation))
+        except BaseException:
+            self.wal.close()  # never opened: the caller gets no handle
+            raise
 
     @property
     def directory(self) -> str:
@@ -383,12 +410,16 @@ class NodeWAL:
             state.quorum[slot] = payload
         elif kind == "dec":
             state.decided[slot] = payload
+        elif kind == "inc":
+            state.incarnation = payload + 1
 
     @staticmethod
     def _apply_snapshot(state: RecoveredState, snapshot: Any) -> None:
         state.acceptors.update(snapshot.get("acc", {}))
         state.quorum.update(snapshot.get("qs", {}))
         state.decided.update(snapshot.get("dec", {}))
+        # any snapshot proves an earlier open, marker field or not
+        state.incarnation = snapshot.get("inc", 0) + 1
 
     def record(self, kind: str, slot: int, payload: Any) -> None:
         """Durably log one fact; returns only after it is on disk.
@@ -486,6 +517,7 @@ class NodeWAL:
                 "acc": dict(self.state.acceptors),
                 "qs": dict(self.state.quorum),
                 "dec": dict(self.state.decided),
+                "inc": self.state.incarnation,
             }
         )
 

@@ -183,16 +183,29 @@ class TestWALFaultMatrix:
 
     def test_torn_tail_is_tolerated_and_reopens_clean(self, tmp_path):
         path = self.seeded_log(tmp_path)
+        whole = os.path.getsize(path)
         assert tear_tail(path, cut=3)
+        # a crash mid-append: the complete (possibly acknowledged)
+        # records are all there, the torn one is the append in flight
+        assert whole < os.path.getsize(path) < whole + whole // 3
         wal = WriteAheadLog(str(tmp_path))
         assert wal.torn_tail
-        assert [r[2] for r in wal.records] == ["v0", "v1"]
+        assert [r[2] for r in wal.records] == ["v0", "v1", "v2"]
         wal.append(("qs", 9, "post-tear"))
         wal.close()
         again = WriteAheadLog(str(tmp_path))
         assert not again.torn_tail
-        assert [r[2] for r in again.records] == ["v0", "v1", "post-tear"]
+        assert [r[2] for r in again.records] == [
+            "v0", "v1", "v2", "post-tear",
+        ]
         again.close()
+
+    def test_a_tear_needs_a_record_longer_than_the_cut(self, tmp_path):
+        path = self.seeded_log(tmp_path, n=0)
+        assert not tear_tail(path, cut=3)  # empty log
+        assert not tear_tail(str(tmp_path / "absent.log"))
+        path = self.seeded_log(tmp_path, n=1)
+        assert not tear_tail(path, cut=os.path.getsize(path))
 
     def test_bit_flip_fail_stops_replay(self, tmp_path):
         path = self.seeded_log(tmp_path)

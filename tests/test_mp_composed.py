@@ -38,6 +38,21 @@ class TestFastPath:
         assert {o.decided_value for o in outcomes} == {"v0"}
 
 
+    @pytest.mark.parametrize("n_servers", [3, 5])
+    def test_fast_path_pays_nothing_for_backup(self, n_servers):
+        # §2.1: the common case pays for the common case only.  The
+        # pre-preparing coordinator owns ballot 0 and holds its quorum
+        # without a message, so a fast decision is n q-proposes and n
+        # q-accepts, and no coordinator timer is left behind.
+        system = ComposedConsensus(n_servers=n_servers, seed=0)
+        outcome = system.propose("c1", "v1", at=0.0)
+        system.run()
+        assert outcome.path == "fast"
+        assert system.stats.sent == 2 * n_servers
+        assert system.coordinators[0].has_quorum
+        assert all(c._retry_timer is None for c in system.coordinators)
+
+
 class TestSlowPath:
     def test_crash_falls_back_to_backup(self):
         system = ComposedConsensus(n_servers=3, seed=0)

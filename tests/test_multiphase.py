@@ -36,14 +36,20 @@ class TestFastPath:
 
     def test_subquorum_message_economy(self):
         # SubQuorum's fast path uses 2*sub_servers messages versus
-        # 2*n_servers for the full Quorum.  Background traffic: the
-        # pre-prepared Paxos coordinator's phase-1 (n prepares + n
-        # promises) runs once regardless of the fast path.
+        # 2*n_servers for the full Quorum, and nothing else moves: the
+        # pre-preparing coordinator owns ballot 0, whose phase 1 is
+        # vacuous, so Backup costs the fast path no background message
+        # and no timer.
         system = ThreePhaseConsensus(n_servers=4, sub_servers=2, seed=0)
         system.propose("c1", "v1", at=0.0)
         system.run()
-        background = 2 * system.n_servers
-        assert system.network.stats.sent - background == 4
+        assert system.network.stats.sent == 2 * system.sub_servers
+        coordinators = [
+            system.network.processes[("coord", i)]
+            for i in range(system.n_servers)
+        ]
+        assert coordinators[0].has_quorum
+        assert all(c._retry_timer is None for c in coordinators)
 
     def test_sequential_clients_agree_in_phase1(self):
         system = ThreePhaseConsensus(seed=0)

@@ -10,11 +10,12 @@ Timeouts are kept tight so the whole module stays in CI-smoke range.
 
 import asyncio
 import json
+from collections import Counter
 
 import pytest
 
+import repro.net.transport as transport_module
 from repro.core.fastcheck import check_linearizable
-from repro.net.netfaults import TransportFaults
 from repro.mp.backoff import BackoffPolicy
 from repro.net import (
     FrameError,
@@ -25,6 +26,11 @@ from repro.net import (
     run_loadgen,
 )
 from repro.net.client import HistoryRecorder, OperationTimeout
+from repro.net.faultfs import FaultyFS, tear_tail
+from repro.net.netfaults import TransportFaults
+from repro.net.node import ReplicaNode
+from repro.net.transport import AddressBook
+from repro.net.wal import NodeWAL, WALFullError, WriteAheadLog
 from repro.smr.universal import kv_store_adt
 
 FAST_BACKOFF = BackoffPolicy(
@@ -287,6 +293,39 @@ class TestCrashRecovery:
 
         asyncio.run(scenario())
 
+    def test_a_node_that_cannot_record_its_incarnation_never_serves(
+        self, tmp_path
+    ):
+        async def scenario():
+            fs = FaultyFS(seed=0)
+            cluster = LocalCluster(
+                n_servers=3, wal_root=str(tmp_path), wal_fs={0: fs}
+            )
+            await cluster.start()
+            supervisor = Supervisor(cluster, poll_interval=0.02)
+            try:
+                await cluster.kill(0)
+                fs.fail_appends(3)
+                with pytest.raises(WALFullError):
+                    await cluster.restart(0)
+                assert cluster.alive() == [1, 2]
+                assert cluster.nodes[0].transport.closed
+                # the supervisor keeps trying until the disk has room
+                supervisor.start()
+                for _ in range(100):
+                    if supervisor.restarted:
+                        break
+                    await asyncio.sleep(0.02)
+                assert cluster.alive() == [0, 1, 2]
+                assert fs.stats["enospc"] == 3
+                # refused opens were not incarnations; this one is
+                assert cluster.nodes[0].recovered.incarnation == 1
+            finally:
+                await supervisor.stop()
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
     def test_successor_continues_the_workload(self, tmp_path):
         async def scenario():
             cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
@@ -403,4 +442,241 @@ class TestPendingOps:
                 await cluster.stop()
 
         recorder = asyncio.run(scenario())
+        assert check_linearizable(recorder.trace(), kv_store_adt()).ok
+
+
+def log_kinds(wal_dir):
+    """Record kinds in a node's at-rest log (``WriteAheadLog`` adds no
+    marker of its own, so reading does not change what is counted)."""
+    log = WriteAheadLog(str(wal_dir))
+    log.close()
+    return Counter(record[0] for record in log.records)
+
+
+class TestRoleMaterialization:
+    """A slot materialises only the roles that are spoken to, and the
+    fast path pays nothing for Backup."""
+
+    def test_fast_decrees_cost_one_role_one_record_one_frame(self, tmp_path):
+        decrees = 6
+
+        async def scenario():
+            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            await cluster.start()
+            try:
+                transport = cluster.client_transport("clients")
+                recorder = HistoryRecorder(clock=lambda: transport.now)
+                client = make_client(cluster, transport, recorder)
+                for value in range(decrees):
+                    await client.submit(("put", "k", value))
+                assert all(r.path == "fast" for r in client.results)
+                await asyncio.sleep(0.05)  # nothing is still in flight
+                for node in cluster.nodes:
+                    hosted = Counter(pid[0] for pid in node.transport.processes)
+                    assert hosted == {"qs": decrees, "ctl": 1}
+                    # one q-accept per decree and nothing else
+                    assert node.transport.stats.sent == decrees
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
+        for index in range(3):
+            kinds = log_kinds(tmp_path / f"node{index}")
+            assert kinds == {"inc": 1, "qs": decrees}
+
+    def test_a_torn_tail_costs_no_acknowledged_acceptance(self, tmp_path):
+        # A fast-path log ends with an acknowledged ``qs`` record (it
+        # used to end with a Backup promise nobody relied on), so the
+        # at-rest tear must be the append in flight, never that record:
+        # forgetting it lets a late reader steal a decided slot.
+        async def scenario():
+            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            await cluster.start()
+            try:
+                transport = cluster.client_transport("clients")
+                recorder = HistoryRecorder(clock=lambda: transport.now)
+                client = make_client(cluster, transport, recorder)
+                for value in range(4):
+                    await client.submit(("put", "k", value))
+                await cluster.kill(2)
+                assert tear_tail(str(tmp_path / "node2" / "wal.log"), cut=3)
+                node = await cluster.restart(2)
+                assert node.recovered.torn_tail
+                assert sorted(node.recovered.quorum) == [
+                    r.slot for r in client.results
+                ]
+                late = make_client(cluster, transport, recorder, name="late")
+                assert await late.submit(("get", "k")) == ("value", 3)
+                return recorder
+            finally:
+                await cluster.stop()
+
+        recorder = asyncio.run(scenario())
+        assert check_linearizable(recorder.trace(), kv_store_adt()).ok
+
+    def test_node_zero_claims_ballot_zero_only_on_a_first_open(self, tmp_path):
+        async def scenario():
+            node = ReplicaNode(0, 3, AddressBook(), wal=NodeWAL(str(tmp_path)))
+            first = node._role("coord", 7)
+            assert first.has_quorum and first.ballot == 0
+            await asyncio.sleep(0.01)
+            assert node.transport.stats.sent == 0  # no prepare, and
+            assert first._retry_timer is None  # no timer
+            await node.stop()
+            # the same directory again: a later incarnation of node 0
+            node = ReplicaNode(0, 3, AddressBook(), wal=NodeWAL(str(tmp_path)))
+            again = node._role("coord", 7)
+            assert not again.has_quorum and again.ballot is None
+            await asyncio.sleep(0.01)  # the deferred pre-prepare runs
+            # it buys its promise the classical way, above ballot 0
+            assert (again.round, again.ballot) == (1, 3)
+            assert node.transport.stats.sent == 3
+            await node.stop()
+            # other ranks never owned ballot 0
+            node = ReplicaNode(1, 3, AddressBook())
+            assert not node._role("coord", 7).has_quorum
+            await node.stop()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("first_frame", ["accept", "register-learner"])
+    def test_acceptor_materialises_on_its_first_backup_frame(
+        self, first_frame
+    ):
+        async def scenario():
+            node = ReplicaNode(2, 3, AddressBook())
+            acc, coord, learner = ("acc", 4, 2), ("coord", 4, 2), ("bcli", "x")
+            if first_frame == "accept":
+                node.transport._deliver(
+                    ("coord", 4, 0), acc, ("accept", 0, "v")
+                )
+                assert coord not in node.transport.processes
+            else:
+                node.transport._deliver(
+                    learner, ("ctl", 0, 2), ("register-learner", 4, learner)
+                )
+                assert coord in node.transport.processes
+                assert learner in node.slot_learners[4]
+                node.transport._deliver(
+                    ("coord", 4, 0), acc, ("accept", 0, "v")
+                )
+            acceptor = node.transport.processes[acc]
+            assert acceptor.accepted_value == "v"
+            assert ("coord", 4, 0) in acceptor.learners
+            assert ("qs", 4, 2) not in node.transport.processes
+            await node.stop()
+
+        asyncio.run(scenario())
+
+    def test_backup_with_a_dead_replica_decides_over_lazy_roles(self, tmp_path):
+        async def scenario():
+            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            await cluster.start()
+            try:
+                await cluster.kill(1)
+                transport = cluster.client_transport("clients")
+                recorder = HistoryRecorder(clock=lambda: transport.now)
+                client = make_client(cluster, transport, recorder)
+                assert await client.submit(("put", "k", 1)) == ("value", None)
+                assert [r.path for r in client.results] == ["slow"]
+                slot = client.results[0].slot
+                for index in (0, 2):
+                    hosted = cluster.nodes[index].transport.processes
+                    assert {("qs", slot, index), ("acc", slot, index)} <= set(
+                        hosted
+                    )
+                # ballot 0, held without a phase 1, carried the decree
+                coordinator = cluster.nodes[0].transport.processes[
+                    ("coord", slot, 0)
+                ]
+                assert coordinator.decision is not None
+                assert coordinator.ballot == 0
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
+        assert log_kinds(tmp_path / "node0")["acc"] >= 1
+
+    def test_restart_of_node_zero_recovers_roles_and_leaves_ballot_zero(
+        self, tmp_path
+    ):
+        async def scenario():
+            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            await cluster.start()
+            try:
+                transport = cluster.client_transport("clients")
+                recorder = HistoryRecorder(clock=lambda: transport.now)
+                client = make_client(cluster, transport, recorder)
+                for value in range(3):
+                    await client.submit(("put", "k", value))
+                await cluster.kill(0)
+                node = await cluster.restart(0)
+                assert node.recovered.incarnation == 1
+                # recovery is all three roles of every recovered slot,
+                # each restored from its own part of the fold
+                slots = node.recovered.slots()
+                assert slots == [r.slot for r in client.results]
+                for slot in slots:
+                    hosted = node.transport.processes
+                    assert hosted[("qs", slot, 0)].accepted is not None
+                    assert ("acc", slot, 0) in hosted
+                    assert not hosted[("coord", slot, 0)].has_quorum
+                # with node 2 gone every new decree needs Backup, led
+                # by the restarted node 0 from a ballot above 0
+                await cluster.kill(2)
+                for value in range(3, 6):
+                    await client.submit(("put", "k", value))
+                assert [r.path for r in client.results[3:]] == ["slow"] * 3
+                for result in client.results[3:]:
+                    coordinator = node.transport.processes[
+                        ("coord", result.slot, 0)
+                    ]
+                    assert coordinator.round >= 1 and coordinator.ballot >= 3
+                assert await client.submit(("get", "k")) == ("value", 5)
+                return recorder
+            finally:
+                await cluster.stop()
+
+        recorder = asyncio.run(scenario())
+        assert check_linearizable(recorder.trace(), kv_store_adt()).ok
+
+
+class TestRouteTable:
+    """Reply routes are learned per pid and a pipelined client mints a
+    pid per decree: the table is bounded, oldest first."""
+
+    def test_table_stays_bounded_and_an_evicted_reply_is_lost(
+        self, monkeypatch
+    ):
+        bound = 8
+        monkeypatch.setattr(transport_module, "MAX_ROUTES", bound)
+
+        async def scenario():
+            cluster = LocalCluster(n_servers=3)
+            await cluster.start()
+            try:
+                transport = cluster.client_transport("clients")
+                recorder = HistoryRecorder(clock=lambda: transport.now)
+                client = make_client(cluster, transport, recorder)
+                for value in range(10 * bound):
+                    assert await client.submit(("put", "k", value)) == (
+                        "value", value - 1 if value else None,
+                    )
+                assert len({r.slot for r in client.results}) == 10 * bound
+                server = cluster.nodes[0].transport
+                for node in cluster.nodes:
+                    assert 0 < len(node.transport._routes) <= bound
+                # the first decree's client pid was forgotten long ago:
+                # a late reply to it is a lost frame, counted, not raised
+                forgotten = ("qcli", (client.pipeline.name, 0))
+                assert forgotten not in server._routes
+                lost = server.stats.lost
+                server.send(("qs", 0, 0), forgotten, ("q-accept", "late"))
+                assert server.stats.lost == lost + 1
+                return recorder
+            finally:
+                await cluster.stop()
+
+        recorder = asyncio.run(scenario())
+        assert not recorder.pending_clients()
         assert check_linearizable(recorder.trace(), kv_store_adt()).ok

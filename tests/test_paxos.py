@@ -1,8 +1,14 @@
 """Tests for the single-decree Paxos implementation (the Backup engine)."""
 
+import itertools
+
+import pytest
+
+from repro.faults.mutants import ReusedBallotCoordinator
 from repro.mp.composed import PaxosOnly
 from repro.mp.paxos import PaxosAcceptor, PaxosCoordinator
 from repro.mp.sim import Network, Process, Simulator
+from repro.net.wal import NodeWAL
 
 
 class Collector(Process):
@@ -202,17 +208,18 @@ class TestSafetyInvariants:
 class TestCoordinatorInternals:
     """Driving the coordinator role directly through targeted schedules."""
 
-    def _rig(self, n=3, pre_prepare=False):
+    def _rig(self, n=3, pre_prepare=False, rank=0, **coordinator_kwargs):
         sim = Simulator()
         net = Network(sim)
         acceptors = [net.register(PaxosAcceptor(("a", i))) for i in range(n)]
         coordinator = net.register(
             PaxosCoordinator(
                 "coord",
-                rank=0,
+                rank=rank,
                 n_coordinators=n,
                 acceptors=[("a", i) for i in range(n)],
                 pre_prepare=pre_prepare,
+                **coordinator_kwargs,
             )
         )
         probe = net.register(Collector("probe"))
@@ -266,15 +273,267 @@ class TestCoordinatorInternals:
         assert coordinator.decision == "v"
         assert coordinator.ballot >= 9
 
+    # Ballot 0's owner pre-prepares for free (TestBallotZero below), so
+    # the explicit prepare/promise path is pinned on a rank-1 owner.
+
     def test_phase1_preprepare_runs_without_requests(self):
-        sim, net, acceptors, coordinator, probe = self._rig(pre_prepare=True)
+        sim, net, acceptors, coordinator, probe = self._rig(
+            pre_prepare=True, rank=1
+        )
+        assert not coordinator.has_quorum
         sim.run()
         assert coordinator.has_quorum
+        assert coordinator.ballot == 1
+        assert [a.promised for a in acceptors] == [1, 1, 1]
+        assert net.stats.sent == 2 * len(acceptors)  # prepares + promises
         assert coordinator.decision is None  # nothing to propose yet
 
     def test_retry_timer_noop_without_pending_requests(self):
-        sim, net, acceptors, coordinator, probe = self._rig(pre_prepare=True)
+        sim, net, acceptors, coordinator, probe = self._rig(
+            pre_prepare=True, rank=1
+        )
         sim.run()
+        assert coordinator._retry_timer is not None  # armed by the prepare
         round_before = coordinator.round
         sim.run(until=100.0)
         assert coordinator.round == round_before
+
+    def test_restarted_preparer_is_promised_on_its_first_broadcast(self):
+        # A restarted node 0 used to re-prepare ballot 0 on slots the
+        # survivors had already promised: nacked, the nack ignored
+        # while nothing was pending, and a request then waited out the
+        # retry timer (sent at t=3, accepted at t=12 with
+        # retry_delay=8).  Starting from the incarnation's round, the
+        # first prepare outbids the promise of 0.
+        sim, net, acceptors, coordinator, probe = self._rig(
+            pre_prepare=True, first_round=1
+        )
+        for acceptor in acceptors:
+            acceptor.promised = 0
+        sim.run(until=2.5)
+        assert coordinator.has_quorum
+        assert (coordinator.round, coordinator.ballot) == (1, 3)
+        sim.run(until=3.0)
+        probe.send("coord", ("request", "v"))
+        sim.run(until=5.0)  # request lands at 4, accept at 5
+        assert [a.accepted_value for a in acceptors] == ["v", "v", "v"]
+        assert [a.accepted_ballot for a in acceptors] == [3, 3, 3]
+
+
+class TestBallotZero:
+    """Phase 1 of ballot 0 is vacuous; its owner never runs it."""
+
+    _rig = TestCoordinatorInternals._rig
+
+    def test_owner_holds_the_quorum_without_a_message_or_a_timer(self):
+        sim, net, acceptors, coordinator, probe = self._rig(pre_prepare=True)
+        assert coordinator.has_quorum and coordinator.ballot == 0
+        sim.run()
+        assert net.stats.sent == 0
+        assert coordinator._retry_timer is None
+        assert [a.promised for a in acceptors] == [-1, -1, -1]
+
+    def test_first_request_goes_straight_to_phase_two(self):
+        sim, net, acceptors, coordinator, probe = self._rig(pre_prepare=True)
+        probe.send("coord", ("request", "v"))
+        sim.run(until=2.0)  # request lands at 1, accept(0, v) at 2
+        assert [a.accepted_ballot for a in acceptors] == [0, 0, 0]
+        sim.run()
+        assert coordinator.decision == "v"
+        assert (("a", 0), ("accepted", 0, "v")) in probe.received
+
+    def test_a_higher_promise_nacks_the_implicit_ballot(self):
+        sim, net, acceptors, coordinator, probe = self._rig(pre_prepare=True)
+        for acceptor in acceptors[:2]:
+            acceptor.promised = 1
+            acceptor.accepted_ballot = 1
+            acceptor.accepted_value = "theirs"
+        probe.send("coord", ("request", "mine"))
+        sim.run()
+        assert coordinator.ballot > 1
+        assert coordinator.decision == "theirs"
+
+    def test_only_round_zero_of_rank_zero_is_implicit(self):
+        for rank, first_round in ((1, 0), (0, 1), (2, 3)):
+            *_, coordinator, _probe = self._rig(
+                pre_prepare=True, rank=rank, first_round=first_round
+            )
+            assert not coordinator.has_quorum
+            assert coordinator.ballot is None
+        *_, cold, _probe = self._rig(pre_prepare=False)
+        assert not cold.has_quorum  # opt-in, as before
+
+
+class HandNetwork:
+    """The substrate port with no clock: sends pile up in an outbox and
+    the test delivers exactly those its schedule names.  Zero-delay
+    callbacks (``call_soon``) run on :meth:`settle`; retry timers never
+    fire, so nothing depends on timing."""
+
+    now = 0.0
+
+    class _Handle:
+        def cancel(self):
+            pass
+
+    def __init__(self):
+        self.processes = {}
+        self.outbox = []
+        self.soon = []
+
+    def register(self, process):
+        self.processes[process.pid] = process
+        process.attach(self)
+        return process
+
+    def send(self, src, dst, message):
+        self.outbox.append((src, dst, message))
+
+    def call_later(self, delay, callback):
+        if delay == 0.0:
+            self.soon.append(callback)
+        return self._Handle()
+
+    def timer_scale(self, pid):
+        return 1.0
+
+    def local_now(self, pid):
+        return self.now
+
+    def settle(self, deaf):
+        """Deliver until quiet; frames to a pid in ``deaf`` (or to one
+        that is not hosted here) are lost."""
+        while self.outbox or self.soon:
+            for callback in self.soon:
+                callback()
+            self.soon = []
+            pending, self.outbox = self.outbox, []
+            for src, dst, message in pending:
+                if dst in self.processes and dst not in deaf:
+                    self.processes[dst].on_message(src, message)
+
+
+ACCEPTORS = frozenset(("a", i) for i in range(3))
+SUBSETS = [
+    frozenset(c)
+    for k in range(4)
+    for c in itertools.combinations(sorted(ACCEPTORS), k)
+]
+
+
+def first_incarnation_of(tmp_path_factory):
+    """What a restarted ``ReplicaNode`` passes as ``first_round``: the
+    incarnation of a WAL directory opened for the second time."""
+    directory = str(tmp_path_factory.mktemp("wal"))
+    NodeWAL(directory).close()
+    reopened = NodeWAL(directory)
+    reopened.close()
+    return reopened.recovered.incarnation
+
+
+class TestRestartedOwnerOfBallotZero:
+    """One value per ballot, across incarnations of the ballot's owner.
+
+    The implicit ballot 0 gives up the one thing its phase 1 bought: a
+    restarted diskless coordinator re-preparing ballot 0 was nacked by
+    quorum intersection.  The guard that replaces it (a restart leaves
+    ballot 0 behind) is load-bearing, so the whole small scope is
+    enumerated, and the same enumeration must *find* the disagreement
+    for the mutant that drops the guard.
+    """
+
+    def _run(self, coordinator_cls, restart, took_v1, reachable, v2):
+        """Agreed values after: ``accept(0, v1)`` reaches ``took_v1``,
+        the coordinator restarts, ``request(v2)`` arrives and only the
+        acceptors in ``reachable`` answer from then on."""
+        net = HandNetwork()
+        learner = net.register(Collector("learner"))
+        for pid in ACCEPTORS:
+            acceptor = net.register(PaxosAcceptor(pid))
+            acceptor.register_learners(["learner", "coord"])
+
+        def build(first_round):
+            return coordinator_cls(
+                "coord",
+                rank=0,
+                n_coordinators=3,
+                acceptors=sorted(ACCEPTORS),
+                pre_prepare=True,
+                first_round=first_round,
+            )
+
+        coordinator = net.register(build(0))
+        coordinator.on_message("client", ("request", "v1"))
+        assert net.outbox == [
+            ("coord", pid, ("accept", 0, "v1")) for pid in sorted(ACCEPTORS)
+        ]
+        # the old incarnation hears nothing back: it dies first
+        net.settle(deaf=(ACCEPTORS - took_v1) | {"coord"})
+        coordinator = restart(net, coordinator, build)
+        coordinator.on_message("client", ("request", v2))
+        net.settle(deaf=ACCEPTORS - reachable)
+        votes = {}
+        for src, (_kind, ballot, value) in learner.received:
+            votes.setdefault((ballot, value), set()).add(src)
+        chosen = {
+            value for (_b, value), who in votes.items() if len(who) >= 2
+        }
+        if coordinator.decision is not None:
+            chosen.add(coordinator.decision)
+        return chosen
+
+    @staticmethod
+    def sim_restart(net, coordinator, build):
+        coordinator.crash()
+        coordinator.recover()
+        return coordinator
+
+    def _enumerate(self, coordinator_cls, restart):
+        """(took_v1, reachable, v2) -> chosen values, whole scope."""
+        majorities = [s for s in SUBSETS if len(s) >= 2]
+        return {
+            (took_v1, reachable, v2): self._run(
+                coordinator_cls, restart, took_v1, reachable, v2
+            )
+            for took_v1 in SUBSETS
+            for reachable in majorities
+            for v2 in ("v1", "v2")
+        }
+
+    @pytest.fixture(scope="class")
+    def wire_restart(self, tmp_path_factory):
+        incarnation = first_incarnation_of(tmp_path_factory)
+        assert incarnation == 1
+
+        def restart(net, coordinator, build):
+            coordinator.crash()
+            return net.register(build(incarnation))
+
+        return restart
+
+    @pytest.mark.parametrize("substrate", ["sim", "wire"])
+    def test_agreement_validity_and_chosen_value_survive(
+        self, substrate, wire_restart
+    ):
+        restart = self.sim_restart if substrate == "sim" else wire_restart
+        outcomes = self._enumerate(PaxosCoordinator, restart)
+        assert len(outcomes) == 8 * 4 * 2
+        for (took_v1, reachable, v2), chosen in outcomes.items():
+            case = (sorted(took_v1), sorted(reachable), v2)
+            assert len(chosen) == 1, case  # I4, and the majority decides
+            assert chosen <= {"v1", v2}, case  # I5
+            if len(took_v1) >= 2:
+                assert chosen == {"v1"}, case
+
+    @pytest.mark.parametrize("substrate", ["sim", "wire"])
+    def test_the_enumeration_catches_a_reused_ballot(
+        self, substrate, wire_restart
+    ):
+        restart = self.sim_restart if substrate == "sim" else wire_restart
+        outcomes = self._enumerate(ReusedBallotCoordinator, restart)
+        forks = [case for case, chosen in outcomes.items() if len(chosen) > 1]
+        assert forks
+        # every fork is the predicted one: v1 was chosen under ballot 0,
+        # then the reused ballot carried v2 to a majority
+        for took_v1, _reachable, v2 in forks:
+            assert len(took_v1) >= 2 and v2 == "v2"

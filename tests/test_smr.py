@@ -67,6 +67,34 @@ class TestSpeculativeSMR:
         assert o2.path == "fast" and o2.latency == 2.0
         assert (o1.slot, o2.slot) == (0, 1)
 
+    def test_fast_path_pays_nothing_for_backup(self):
+        # with server 0 live every slot's pre-preparer owns ballot 0:
+        # 2n messages per fast command, no coordinator timer armed
+        smr = SpeculativeSMR(n_servers=3, seed=0)
+        outcomes = [smr.submit("c1", "A", at=0.0), smr.submit("c2", "B", at=10.0)]
+        smr.run()
+        assert [o.path for o in outcomes] == ["fast", "fast"]
+        assert smr.network.stats.sent == 2 * (2 * smr.n_servers)
+        coordinators = [
+            smr.network.processes[pid]
+            for slot in smr.slots.values()
+            for pid in slot.coordinator_pids
+        ]
+        assert len(coordinators) == 6
+        assert all(c._retry_timer is None for c in coordinators)
+
+    def test_a_pre_preparer_of_another_rank_still_buys_its_promise(self):
+        # server 0 down: the pre-preparer is rank 1, its first ballot is
+        # 1, and that one needs a real phase 1
+        smr = SpeculativeSMR(n_servers=3, seed=0)
+        smr.crash_server(0, at=0.0)
+        outcome = smr.submit("c1", "A", at=1.0)
+        smr.run()
+        assert outcome.path == "slow" and smr.committed_log() == ["A"]
+        coordinator = smr.network.processes[("coord", outcome.slot, 1)]
+        assert coordinator.ballot == 1 and coordinator.decision == "A"
+        assert smr.network.processes[("acc", outcome.slot, 2)].promised == 1
+
     @pytest.mark.parametrize("seed", range(6))
     def test_concurrent_commands_all_commit_distinct_slots(self, seed):
         smr = SpeculativeSMR(n_servers=3, seed=seed, delay=jitter)

@@ -16,12 +16,13 @@ import struct
 
 import pytest
 
-from repro.net.faultfs import FaultyFS
+from repro.net.faultfs import FaultyFS, TornWriteCrash, flip_record_body
 from repro.net.wal import (
     DEFAULT_COMPACT_THRESHOLD,
     NodeWAL,
     RecoveredState,
     WALCorruptionError,
+    WALFullError,
     WriteAheadLog,
 )
 
@@ -220,6 +221,104 @@ class TestNodeWAL:
         reopened.close()
 
 
+def incarnations(directory, opens, **kwargs):
+    """Open and close ``directory`` ``opens`` times; what each open was."""
+    seen = []
+    for _ in range(opens):
+        wal = NodeWAL(str(directory), **kwargs)
+        seen.append(wal.recovered.incarnation)
+        wal.close()
+    return seen
+
+
+class TestIncarnationMarker:
+    """One durable marker per open: only a directory that proves it was
+    never opened is incarnation 0 (and may claim ballot 0 unasked)."""
+
+    def test_each_open_is_counted_and_fsynced(self, tmp_path):
+        fs = FaultyFS(seed=0)
+        wal = NodeWAL(str(tmp_path), fs=fs)
+        # durable before the constructor returns: before any listener
+        assert fs.stats == {**fs.stats, "appends": 1, "fsyncs": 1}
+        assert wal.recovered.incarnation == 0 and wal.recovered.empty
+        wal.close()
+        assert incarnations(tmp_path, 3) == [1, 2, 3]
+        log = WriteAheadLog(str(tmp_path))
+        assert log.records == [("inc", 0, k) for k in range(4)]
+        log.close()
+
+    def test_markers_are_not_slot_facts(self, tmp_path):
+        assert incarnations(tmp_path, 2) == [0, 1]
+        wal = NodeWAL(str(tmp_path))
+        assert wal.recovered.empty and wal.recovered.slots() == []
+        assert wal.recovered.records_replayed == 0
+        wal.close()
+
+    def test_compaction_carries_the_incarnation(self, tmp_path):
+        for expected in range(3):
+            wal = NodeWAL(str(tmp_path), compact_threshold=4)
+            assert wal.recovered.incarnation == expected
+            for slot in range(3):
+                wal.record_decided(slot, expected)
+            # marker + 3 facts reached the threshold: the snapshot
+            # swallowed the marker with the rest of the log
+            assert log_bytes(tmp_path) == b""
+            wal.close()
+        assert incarnations(tmp_path, 1) == [3]
+
+    def test_a_log_from_before_markers_counts_as_opened_before(self, tmp_path):
+        # what the parent commit left on disk: records, no marker
+        old = WriteAheadLog(str(tmp_path))
+        old.append(("qs", 0, ("put", "x", 1)))
+        old.append(("acc", 0, (0, 0, ("put", "x", 1))))
+        old.close()
+        wal = NodeWAL(str(tmp_path))
+        assert wal.recovered.incarnation == 1
+        assert wal.recovered.quorum == {0: ("put", "x", 1)}
+        assert wal.recovered.acceptors == {0: (0, 0, ("put", "x", 1))}
+        assert wal.recovered.records_replayed == 2
+        wal.close()
+
+    def test_a_snapshot_from_before_markers_counts_too(self, tmp_path):
+        old = WriteAheadLog(str(tmp_path))
+        old.compact({"acc": {}, "qs": {0: "v"}, "dec": {}})
+        old.close()
+        assert incarnations(tmp_path, 2) == [1, 2]
+
+    def test_enospc_on_the_marker_refuses_the_open(self, tmp_path):
+        fs = FaultyFS(seed=0)
+        fs.fail_appends(1, partial=True)
+        with pytest.raises(WALFullError):
+            NodeWAL(str(tmp_path), fs=fs)
+        # rolled back, and the refused open was never an incarnation
+        assert log_bytes(tmp_path) == b""
+        assert incarnations(tmp_path, 2, fs=fs) == [0, 1]
+
+    def test_a_torn_marker_is_a_torn_tail_and_an_earlier_open(self, tmp_path):
+        fs = FaultyFS(seed=0)
+        fs.tear_next_append()
+        with pytest.raises(TornWriteCrash):
+            NodeWAL(str(tmp_path), fs=fs)
+        whole = len(log_bytes(tmp_path))
+        assert whole > 0
+        wal = NodeWAL(str(tmp_path))
+        # nobody can tell how far that open got: never incarnation 0
+        assert wal.recovered.torn_tail
+        assert wal.recovered.incarnation == 1
+        wal.close()
+        # the tear was truncated away, the new marker is complete
+        log = WriteAheadLog(str(tmp_path))
+        assert log.records == [("inc", 0, 1)] and not log.torn_tail
+        assert len(log_bytes(tmp_path)) > whole
+        log.close()
+
+    def test_a_corrupt_marker_fail_stops_like_any_record(self, tmp_path):
+        assert incarnations(tmp_path, 1) == [0]
+        assert flip_record_body(os.path.join(str(tmp_path), "wal.log"))
+        with pytest.raises(WALCorruptionError):
+            NodeWAL(str(tmp_path))
+
+
 class TestGroupCommit:
     def test_one_fsync_covers_a_ticks_appends(self, tmp_path):
         fs = FaultyFS(seed=0)
@@ -259,15 +358,18 @@ class TestGroupCommit:
     def test_group_commit_off_is_record_plus_callback(self, tmp_path):
         fs = FaultyFS(seed=0)
         wal = NodeWAL(str(tmp_path), fs=fs, group_commit=False)
+        opened = fs.stats["fsyncs"]  # the incarnation marker's own
         released = []
         wal.record_durable("dec", 0, "v", lambda: released.append(0))
         wal.record_durable("dec", 1, "w", lambda: released.append(1))
         assert released == [0, 1]
-        assert fs.stats["fsyncs"] == 2  # one per record, the seed path
+        # one per record, the seed path
+        assert fs.stats["fsyncs"] == opened + 2
         wal.close()
 
     def test_crash_mid_group_replays_to_prefix_never_a_hole(self, tmp_path):
         wal = NodeWAL(str(tmp_path), group_commit=True)
+        head = len(log_bytes(tmp_path))  # the incarnation marker
         released = []
 
         async def crash_before_flush():
@@ -288,7 +390,7 @@ class TestGroupCommit:
         with open(path, "rb") as handle:
             data = handle.read()
         with open(path, "wb") as handle:
-            handle.write(data[: len(data) * 2 // 5])
+            handle.write(data[: head + (len(data) - head) * 2 // 5])
         reopened = NodeWAL(str(tmp_path))
         # record 0 survives, records 1 and 2 are gone together — the
         # decided map is a prefix of the group, not {0, 2}
