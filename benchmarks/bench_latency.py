@@ -54,7 +54,7 @@ def three_phase_latency(n_servers: int) -> float:
     system = ThreePhaseConsensus(n_servers=n_servers, sub_servers=2, seed=0)
     outcome = system.propose("c", "v", at=0.0)
     system.run()
-    assert outcome.path == "phase1"
+    assert outcome.decided_phase == 1
     return outcome.latency
 
 

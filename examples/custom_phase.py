@@ -10,10 +10,14 @@ single-server consensus that is even cheaper than Quorum (one server
 instead of all), speculating that the sequencer stays up.  The workflow:
 
 1. implement the phase against the message-passing substrate;
-2. record its interface trace with phase-tagged actions;
-3. check the paper's invariants I1-I3 on the traces;
-4. check speculative linearizability SLin(1,2) directly;
-5. compose with Backup (Paxos) and check the composed trace.
+2. describe it as one ``Phase`` value: what it hosts on which server,
+   and how a client enters it;
+3. compose it with Backup (Paxos) by writing the two-element list
+   ``[sequencer(), backup(n)]`` — the deployment, the walk from phase to
+   phase and the phase-tagged trace recording are the framework's;
+4. check the paper's invariants I1-I3 on the traces;
+5. check speculative linearizability SLin(1,2) directly;
+6. check the composed trace.
 
 The example ships the phase with a deliberately *unsafe* timeout rule
 (switch with your own proposal) alongside the fixed one, and shows the
@@ -24,17 +28,15 @@ Run with:  python examples/custom_phase.py
 """
 
 from repro.core import (
-    TraceRecorder,
     consensus_adt,
     consensus_rinit,
     check_composition_theorem,
     is_speculatively_linearizable,
 )
-from repro.core.adt import decide, propose
 from repro.core.invariants import check_first_phase_invariants
-from repro.mp.backup import BackupClient
-from repro.mp.paxos import PaxosAcceptor, PaxosCoordinator
-from repro.mp.sim import Network, Process, Simulator
+from repro.mp import Phase, PhasedConsensus
+from repro.mp.phases import backup
+from repro.mp.sim import Process
 
 ADT = consensus_adt()
 
@@ -107,98 +109,48 @@ class SequencerClient(Process):
             self.timer_expired = True  # wait for an echo to switch safely
 
 
-class SequencerPlusBackup:
+def sequencer(unsafe=False):
+    """The Sequencer phase as a value: one role, on server 0, and
+    :class:`SequencerClient` as the way in."""
+
+    def hosts(server):
+        return (SequencerServer("seq"),) if server == 0 else ()
+
+    def enter(net, pid, value, timeout, backoff, decide, switch, give_up):
+        net.register(
+            SequencerClient(pid, "seq", decide, switch, timeout, unsafe)
+        ).propose(value)
+
+    return Phase("s", hosts, enter, timeout=4.0)
+
+
+def sequencer_plus_backup(
+    n_servers=3, seed=0, crash_sequencer_at=None, unsafe=False
+):
     """The composed deployment: Sequencer fast path, Paxos backup."""
-
-    def __init__(
-        self, n_servers=3, seed=0, crash_sequencer_at=None, unsafe=False
-    ):
-        self.unsafe = unsafe
-        self.sim = Simulator(seed=seed)
-        self.network = Network(self.sim)
-        self.n_servers = n_servers
-        self.recorder = TraceRecorder(phase_bounds=(1, 3))
-        self.network.register(SequencerServer("seq"))
-        self.acceptors = [
-            self.network.register(PaxosAcceptor(("acc", i)))
-            for i in range(n_servers)
-        ]
-        self.coordinators = [
-            self.network.register(
-                PaxosCoordinator(
-                    ("coord", i),
-                    rank=i,
-                    n_coordinators=n_servers,
-                    acceptors=[("acc", j) for j in range(n_servers)],
-                    pre_prepare=(i == 0),
-                )
-            )
-            for i in range(n_servers)
-        ]
-        self._learners = [("b", i) for i in range(8)] + [
-            ("coord", i) for i in range(n_servers)
-        ]
-        for acceptor in self.acceptors:
-            acceptor.register_learners(self._learners)
-        if crash_sequencer_at is not None:
-            self.network.crash_at("seq", crash_sequencer_at)
-        self._count = 0
-        self.decisions = {}
-
-    def propose(self, client, value, at=0.0):
-        index = self._count
-        self._count += 1
-        input = propose(value)
-
-        def on_decide(v):
-            self.decisions[client] = v
-            self.recorder.respond(client, 1, input, decide(v))
-
-        def on_switch(sv):
-            self.recorder.switch(client, 2, input, sv)
-            backup = BackupClient(
-                ("b", index),
-                coordinators=[("coord", i) for i in range(self.n_servers)],
-                n_acceptors=self.n_servers,
-                on_decide=on_backup_decide,
-            )
-            self.network.register(backup)
-            backup.switch_to_backup(sv)
-
-        def on_backup_decide(v):
-            self.decisions[client] = v
-            self.recorder.respond(client, 2, input, decide(v))
-
-        def start():
-            self.recorder.invoke(client, 1, input)
-            quorum = SequencerClient(
-                ("s", index),
-                "seq",
-                on_decide,
-                on_switch,
-                unsafe=self.unsafe,
-            )
-            self.network.register(quorum)
-            quorum.propose(value)
-
-        self.sim.schedule(at, start)
-
-    def run(self):
-        self.sim.run(max_events=100000)
+    system = PhasedConsensus(
+        [sequencer(unsafe), backup(n_servers, client="b")], n_servers, seed
+    )
+    if crash_sequencer_at is not None:
+        system.network.crash_at("seq", crash_sequencer_at)
+    return system
 
 
 def check(system, values, label):
     system.run()
-    trace = system.recorder.trace()
+    trace = system.trace()
     rinit = consensus_rinit(values, max_extra=1)
-    from repro.core.actions import sig_phase
-
-    phase1 = trace.project(sig_phase(1, 2).contains)
+    phase1 = system.first_phase_trace()
     inv_ok = all(r.ok for r in check_first_phase_invariants(phase1, 2))
     slin_ok = is_speculatively_linearizable(phase1, 1, 2, ADT, rinit)
     comp_ok, why = check_composition_theorem(trace, 1, 2, 3, ADT, rinit)
     print(f"--- {label} ---")
-    print("  decisions:", system.decisions)
+    decisions = {
+        client: outcome.decided_value
+        for client, outcome in system.outcomes.items()
+        if outcome.decided_value is not None
+    }
+    print("  decisions:", decisions)
     print("  invariants I1-I3:", inv_ok)
     print("  Sequencer phase is SLin(1,2):", slin_ok)
     print("  composed trace passes Theorem 5 check:", comp_ok, "-", why)
@@ -206,7 +158,7 @@ def check(system, values, label):
 
 def adversarial_schedule(unsafe):
     """The killer schedule: echo c1 (it decides), crash, starve c2."""
-    system = SequencerPlusBackup(
+    system = sequencer_plus_backup(
         seed=0, crash_sequencer_at=2.5, unsafe=unsafe
     )
     system.propose("c1", "v1", at=0.0)   # echo arrives at t=2: decides v1
@@ -216,7 +168,7 @@ def adversarial_schedule(unsafe):
 
 if __name__ == "__main__":
     # Happy case: the sequencer is up, one message round trip decides.
-    system = SequencerPlusBackup(seed=0)
+    system = sequencer_plus_backup(seed=0)
     system.propose("c1", "v1", at=0.0)
     system.propose("c2", "v2", at=0.5)
     check(system, ["v1", "v2"], "sequencer alive (safe rule)")
@@ -224,7 +176,7 @@ if __name__ == "__main__":
     # Speculation fails before anyone decided: Backup serves everyone.
     # (With the safe rule a silent sequencer would block, so this demo
     # uses the unsafe rule in a schedule where it happens to be benign.)
-    system = SequencerPlusBackup(seed=0, crash_sequencer_at=0.0, unsafe=True)
+    system = sequencer_plus_backup(seed=0, crash_sequencer_at=0.0, unsafe=True)
     system.propose("c1", "v1", at=1.0)
     system.propose("c2", "v2", at=1.5)
     check(system, ["v1", "v2"], "sequencer dead on arrival (benign)")

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
-    Hashable,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -38,7 +36,7 @@ from ..core.adt import consensus_adt
 from ..core.fastcheck import check_linearizable
 from ..core.traces import strip_phase_tags
 from ..mp.backoff import BackoffPolicy
-from ..mp.composed import ComposedConsensus
+from ..mp.composed import ComposedConsensus, PhasedConsensus
 from ..mp.multiphase import ThreePhaseConsensus
 from ..mp.paxos import PaxosAcceptor
 from ..mp.sim import NetworkStats
@@ -51,7 +49,6 @@ from .nemesis import (
     BurstLoss,
     CrashServer,
     FaultSchedule,
-    NemesisTarget,
     PartitionServers,
     RecoverServer,
     random_schedule,
@@ -94,16 +91,6 @@ class RunResult:
     def violation(self) -> bool:
         """The checker refuted the trace (not merely ran out of budget)."""
         return not self.ok and not self.inconclusive
-
-    @property
-    def commit_rate(self) -> float:
-        """Fraction of issued operations that committed by the horizon."""
-        return self.committed / self.total if self.total else 1.0
-
-    @property
-    def switch_rate(self) -> float:
-        """Fraction of issued operations that left their first phase."""
-        return self.switched / self.total if self.total else 0.0
 
     #: how many worst-hit links a report line names explicitly
     LINKS_SHOWN = 3
@@ -175,34 +162,6 @@ class CampaignTarget:
         raise NotImplementedError
 
 
-class _ConsensusAdapter(NemesisTarget):
-    """Nemesis view of the consensus deployments (explicit server pids)."""
-
-    def __init__(self, system) -> None:
-        self.system = system
-        self.n_servers = system.n_servers
-
-    @property
-    def sim(self):
-        return self.system.sim
-
-    @property
-    def network(self):
-        return self.system.network
-
-    def crash_server(self, index: int, at: float) -> None:
-        self.system.crash_server(index, at)
-
-    def recover_server(self, index: int, at: float) -> None:
-        self.system.recover_server(index, at)
-
-    def server_membership(self, indices: Iterable[int]):
-        pids = frozenset(
-            pid for i in indices for pid in self.system.server_pids(i)
-        )
-        return pids.__contains__
-
-
 class _ConsensusTarget(CampaignTarget):
     """A one-shot consensus deployment under nemesis: every client
     proposes once, the trace is checked against the consensus ADT."""
@@ -211,18 +170,15 @@ class _ConsensusTarget(CampaignTarget):
         self.n_servers = n_servers
         self.n_clients = n_clients
 
-    def build(self, schedule: FaultSchedule, mutant: bool):
+    def build(
+        self, schedule: FaultSchedule, mutant: bool
+    ) -> PhasedConsensus:
         """The deployment for one run, seeded from the schedule."""
-        raise NotImplementedError
-
-    @staticmethod
-    def switched(outcome) -> bool:
-        """Whether this client left its first phase."""
         raise NotImplementedError
 
     def run(self, schedule, mutant=False, node_limit=200_000) -> RunResult:
         system = self.build(schedule, mutant)
-        schedule.inject(_ConsensusAdapter(system))
+        schedule.inject(system)
         rng = _workload_rng(schedule)
         # Spread proposals across the fault span so the chaos actually
         # overlaps protocol activity (backoff stretches it further).
@@ -241,7 +197,7 @@ class _ConsensusTarget(CampaignTarget):
             ok=True,
             total=len(outcomes),
             committed=sum(1 for o in outcomes if o.decided_value is not None),
-            switched=sum(1 for o in outcomes if self.switched(o)),
+            switched=sum(1 for o in outcomes if o.switched),
             gave_up=sum(1 for o in outcomes if o.gave_up),
             latencies=[o.latency for o in outcomes if o.latency is not None],
             stats=system.network.stats,
@@ -263,10 +219,6 @@ class ComposedTarget(_ConsensusTarget):
             backoff=CAMPAIGN_BACKOFF,
             acceptor_cls=AmnesiacAcceptor if mutant else PaxosAcceptor,
         )
-
-    @staticmethod
-    def switched(outcome) -> bool:
-        return outcome.switched
 
 
 class MultiphaseTarget(_ConsensusTarget):
@@ -292,50 +244,6 @@ class MultiphaseTarget(_ConsensusTarget):
             backoff=CAMPAIGN_BACKOFF,
         )
 
-    @staticmethod
-    def switched(outcome) -> bool:
-        return bool(outcome.switch_values)
-
-
-class _SMRAdapter(NemesisTarget):
-    """Nemesis view of the SMR stack (per-slot roles appear lazily)."""
-
-    _SERVER_ROLES = frozenset({"qs", "acc", "coord"})
-
-    def __init__(self, kv: ReplicatedKVStore) -> None:
-        self.kv = kv
-        self.n_servers = kv.smr.n_servers
-
-    @property
-    def sim(self):
-        return self.kv.smr.sim
-
-    @property
-    def network(self):
-        return self.kv.smr.network
-
-    def crash_server(self, index: int, at: float) -> None:
-        self.kv.smr.crash_server(index, at)
-
-    def recover_server(self, index: int, at: float) -> None:
-        self.kv.smr.recover_server(index, at)
-
-    def server_membership(self, indices: Iterable[int]):
-        wanted = frozenset(indices)
-        roles = self._SERVER_ROLES
-
-        def member(pid: Hashable) -> bool:
-            # Slot roles are ("qs"|"acc"|"coord", slot, server); clients
-            # are 2-tuples, so the arity check keeps them out.
-            return (
-                isinstance(pid, tuple)
-                and len(pid) == 3
-                and pid[0] in roles
-                and pid[2] in wanted
-            )
-
-        return member
-
 
 class SMRTarget(CampaignTarget):
     """The replicated KV store over speculative SMR under nemesis."""
@@ -352,7 +260,7 @@ class SMRTarget(CampaignTarget):
             seed=schedule.seed,
             backoff=CAMPAIGN_BACKOFF,
         )
-        schedule.inject(_SMRAdapter(kv))
+        schedule.inject(kv.smr)
         rng = _workload_rng(schedule)
         keys = ["x", "y"]
         for i in range(self.n_clients):

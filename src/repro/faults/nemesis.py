@@ -54,11 +54,12 @@ from typing import Callable, Hashable, Iterable, List, Tuple
 class NemesisTarget:
     """What a deployment must expose for the nemesis to attack it.
 
-    The simulator adapters (see :mod:`repro.faults.campaign`) wrap
-    :class:`~repro.mp.composed.ComposedConsensus`,
-    :class:`~repro.mp.multiphase.ThreePhaseConsensus` and the SMR stack
-    and implement the members below: virtual time lets every action be
-    armed before the run starts.  The live cluster's target
+    The simulated deployments are this shape themselves, structurally
+    (``repro.mp`` does not import this package): every chain of phases
+    (:class:`~repro.mp.composed.PhasedConsensus`) and the SMR stack
+    (:class:`~repro.smr.replica.SpeculativeSMR`) implement the members
+    below, and virtual time lets every action be armed before the run
+    starts.  The live cluster's target
     (:class:`repro.faults.netcampaign.NetTarget`) shares only the two
     attributes — its actions are applied *at* their time, through
     primitives of its own.
@@ -339,23 +340,22 @@ class FaultSchedule:
         ``ValueError`` naming the action, not as whichever
         ``IndexError`` the substrate would hit mid-run.
         """
+        # a simulated deployment is a target by shape alone and has no
+        # named endpoints to declare
+        endpoints = getattr(target, "endpoints", ())
         for action in self.actions:
             strangers = [
                 i
                 for i in action.servers_named()
                 if not 0 <= i < target.n_servers
-            ] + [
-                e
-                for e in action.endpoints_named()
-                if e not in target.endpoints
-            ]
+            ] + [e for e in action.endpoints_named() if e not in endpoints]
             if strangers:
                 raise ValueError(
                     f"{action.describe()} names {strangers!r}, but the "
                     f"deployment has servers 0..{target.n_servers - 1}"
                     + (
-                        f", endpoints {', '.join(target.endpoints)}"
-                        if target.endpoints
+                        f", endpoints {', '.join(endpoints)}"
+                        if endpoints
                         else ""
                     )
                 )

@@ -2,9 +2,10 @@
 
 A deterministic discrete-event simulator (:mod:`repro.mp.sim`) hosts the
 Quorum phase (:mod:`repro.mp.quorum`), full single-decree Paxos
-(:mod:`repro.mp.paxos`), the Backup wrapper (:mod:`repro.mp.backup`) and
-the composed speculative consensus deployments
-(:mod:`repro.mp.composed`).
+(:mod:`repro.mp.paxos`), the Backup wrapper (:mod:`repro.mp.backup`), the
+phases as values with the one walk along a chain of them
+(:mod:`repro.mp.phases`) and the deployments built from such chains
+(:mod:`repro.mp.composed`, :mod:`repro.mp.multiphase`).
 """
 
 from .backoff import BackoffPolicy
@@ -13,10 +14,12 @@ from .composed import (
     ClientOutcome,
     ComposedConsensus,
     PaxosOnly,
+    PhasedConsensus,
     QuorumOnly,
 )
-from .multiphase import ThreePhaseConsensus, ThreePhaseOutcome
+from .multiphase import ThreePhaseConsensus
 from .paxos import PaxosAcceptor, PaxosClient, PaxosCoordinator
+from .phases import Phase
 from .quorum import QuorumClient, QuorumServer
 from .sim import Network, NetworkStats, Process, Simulator, Timer
 
@@ -31,12 +34,13 @@ __all__ = [
     "PaxosClient",
     "PaxosCoordinator",
     "PaxosOnly",
+    "Phase",
+    "PhasedConsensus",
     "Process",
     "QuorumClient",
     "QuorumOnly",
     "QuorumServer",
     "Simulator",
     "ThreePhaseConsensus",
-    "ThreePhaseOutcome",
     "Timer",
 ]

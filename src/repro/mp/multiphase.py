@@ -5,7 +5,10 @@ system may choose between many different options, or speculation phases,
 in order to closely match a changing common case", and adding a phase
 must not require touching the existing ones.  This module demonstrates
 exactly that: a *third* phase is added in front of Quorum+Backup with
-zero changes to either.
+zero changes to either — the deployment is the three-element list
+``[quorum(sub_servers, "sq", "sqcli"), quorum(n), backup(n)]`` handed to
+the same :class:`~repro.mp.composed.PhasedConsensus` that runs the
+two-phase object.
 
 **SubQuorum** is the Quorum algorithm run over a fixed 2-server subset:
 same code (:class:`~repro.mp.quorum.QuorumClient` /
@@ -32,48 +35,14 @@ pairwise composition theorem, and Theorem 2's projection.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Optional
 
-from ..core.adt import decide, propose
-from ..core.recording import TraceRecorder
-from ..core.traces import Trace
 from .backoff import BackoffPolicy
-from .backup import BackupClient
-from .paxos import PaxosAcceptor, PaxosCoordinator
-from .quorum import QuorumClient, QuorumServer
-from .sim import Network, Simulator
+from .composed import PhasedConsensus
+from .phases import backup, quorum
 
 
-class ThreePhaseOutcome:
-    """Per-proposal record for the three-phase deployment."""
-
-    def __init__(self, client: Hashable, value: Hashable, start: float):
-        self.client = client
-        self.value = value
-        self.start = start
-        self.decided_value: Optional[Hashable] = None
-        self.decide_time: Optional[float] = None
-        self.decided_phase: Optional[int] = None
-        self.switch_values: List[Hashable] = []
-        self.gave_up = False
-        self.give_up_time: Optional[float] = None
-
-    @property
-    def latency(self) -> Optional[float]:
-        """Virtual-time latency (message delays on a unit network)."""
-        if self.decide_time is None:
-            return None
-        return self.decide_time - self.start
-
-    @property
-    def path(self) -> str:
-        """'phase1' | 'phase2' | 'phase3' | 'gave_up' | 'none'."""
-        if self.decided_phase is None:
-            return "gave_up" if self.gave_up else "none"
-        return f"phase{self.decided_phase}"
-
-
-class ThreePhaseConsensus:
+class ThreePhaseConsensus(PhasedConsensus):
     """SubQuorum → Quorum → Backup over one simulated cluster.
 
     ``sub_servers`` selects how many servers host the SubQuorum phase
@@ -98,146 +67,18 @@ class ThreePhaseConsensus:
     ) -> None:
         if not 1 <= sub_servers <= n_servers:
             raise ValueError("sub_servers must be within the cluster")
-        self.sim = Simulator(seed=seed)
-        self.network = Network(
-            self.sim,
-            delay=delay,
-            loss_rate=loss_rate,
-            duplicate_rate=duplicate_rate,
+        super().__init__(
+            [
+                quorum(sub_servers, "sq", "sqcli", timeout=sub_timeout),
+                quorum(n_servers, timeout=quorum_timeout),
+                backup(n_servers, expected_clients),
+            ],
+            n_servers,
+            seed,
+            delay,
+            loss_rate,
+            duplicate_rate,
+            backoff,
+            expected_clients,
         )
-        self.n_servers = n_servers
         self.sub_servers = sub_servers
-        self.sub_timeout = sub_timeout
-        self.quorum_timeout = quorum_timeout
-        self.backoff = backoff
-        self.recorder = TraceRecorder(phase_bounds=(1, 4))
-        self.outcomes: Dict[Hashable, ThreePhaseOutcome] = {}
-
-        for i in range(sub_servers):
-            self.network.register(QuorumServer(("sq", i)))
-        for i in range(n_servers):
-            self.network.register(QuorumServer(("qs", i)))
-            self.network.register(PaxosAcceptor(("acc", i)))
-            self.network.register(
-                PaxosCoordinator(
-                    ("coord", i),
-                    rank=i,
-                    n_coordinators=n_servers,
-                    acceptors=[("acc", j) for j in range(n_servers)],
-                    pre_prepare=(i == 0),
-                )
-            )
-        learners = [("bcli", c) for c in range(expected_clients)] + [
-            ("coord", i) for i in range(n_servers)
-        ]
-        for i in range(n_servers):
-            self.network.processes[("acc", i)].register_learners(learners)
-        self._count = 0
-        self.expected_clients = expected_clients
-
-    def server_pids(self, index: int) -> List[Hashable]:
-        """The pids of every role hosted by physical server ``index``."""
-        pids = [("qs", index), ("acc", index), ("coord", index)]
-        if index < self.sub_servers:
-            pids.append(("sq", index))
-        return pids
-
-    def crash_server(self, index: int, at: float) -> None:
-        """Crash every role hosted by physical server ``index``."""
-        for pid in self.server_pids(index):
-            self.network.crash_at(pid, at)
-
-    def recover_server(self, index: int, at: float) -> None:
-        """Restart every role of server ``index`` with durable state."""
-        for pid in self.server_pids(index):
-            self.network.recover_at(pid, at)
-
-    def propose(
-        self, client: Hashable, value: Hashable, at: float = 0.0
-    ) -> ThreePhaseOutcome:
-        """Schedule ``client`` to propose ``value`` at virtual time ``at``."""
-        index = self._count
-        self._count += 1
-        if index >= self.expected_clients:
-            raise ValueError("raise expected_clients for more proposals")
-        outcome = ThreePhaseOutcome(client, value, at)
-        self.outcomes[client] = outcome
-        input = propose(value)
-
-        def decided(phase: int):
-            def handler(decision: Hashable) -> None:
-                outcome.decided_value = decision
-                outcome.decide_time = self.sim.now
-                outcome.decided_phase = phase
-                self.recorder.respond(client, phase, input, decide(decision))
-
-            return handler
-
-        def phase_timeout(default: float, key: Hashable, attempt: int) -> float:
-            if self.backoff is None:
-                return default
-            return self.backoff.delay(attempt, key=key)
-
-        def switch_to_quorum(switch_value: Hashable) -> None:
-            outcome.switch_values.append(switch_value)
-            self.recorder.switch(client, 2, input, switch_value)
-            quorum = QuorumClient(
-                ("qcli", index),
-                servers=[("qs", i) for i in range(self.n_servers)],
-                on_decide=decided(2),
-                on_switch=switch_to_backup,
-                timeout=phase_timeout(
-                    self.quorum_timeout, ("qcli", index), 1
-                ),
-            )
-            self.network.register(quorum)
-            # The second phase treats the incoming switch value as its
-            # proposal (the paper's rule for Backup, applied uniformly).
-            quorum.propose(switch_value)
-
-        def switch_to_backup(switch_value: Hashable) -> None:
-            outcome.switch_values.append(switch_value)
-            self.recorder.switch(client, 3, input, switch_value)
-            backup = BackupClient(
-                ("bcli", index),
-                coordinators=[("coord", i) for i in range(self.n_servers)],
-                n_acceptors=self.n_servers,
-                on_decide=decided(3),
-                backoff=self.backoff,
-                on_give_up=give_up,
-            )
-            self.network.register(backup)
-            backup.switch_to_backup(switch_value)
-
-        def give_up() -> None:
-            outcome.gave_up = True
-            outcome.give_up_time = self.sim.now
-
-        def start() -> None:
-            self.recorder.invoke(client, 1, input)
-            sub = QuorumClient(
-                ("sqcli", index),
-                servers=[("sq", i) for i in range(self.sub_servers)],
-                on_decide=decided(1),
-                on_switch=switch_to_quorum,
-                timeout=phase_timeout(self.sub_timeout, ("sqcli", index), 0),
-            )
-            self.network.register(sub)
-            sub.propose(value)
-
-        self.sim.schedule(at, start)
-        return outcome
-
-    def run(self, until: Optional[float] = None, max_events: int = 300000) -> None:
-        """Drive the simulation to quiescence (or the horizon)."""
-        self.sim.run(until=until, max_events=max_events)
-
-    def trace(self) -> Trace:
-        """The recorded (1,4) interface trace."""
-        return self.recorder.trace()
-
-    def phase_trace(self, m: int, n: int) -> Trace:
-        """Projection onto one phase's signature."""
-        from ..core.actions import sig_phase
-
-        return self.trace().project(sig_phase(m, n).contains)

@@ -93,23 +93,19 @@ class HistoryRecorder:
     and hedged attempts are *transport*-level events, not history
     events: one op is one invocation and at most one response, however
     many times its decree rode the wire.
+
+    Every event is also streamed to ``tap`` (a callable of one event),
+    which is how the online monitor observes the run: the tap is called
+    synchronously with each raw ``(kind, client, command, response,
+    at)`` tuple *after* it is appended, so it sees exactly the history
+    the post-hoc checker will see, in the same order (see
+    :class:`repro.monitor.MonitorTap`).
     """
 
     def __init__(self, clock, tap=None) -> None:
         self._clock = clock
         self._tap = tap
         self.events: List[Tuple[str, Hashable, Tuple, Any, float]] = []
-
-    def attach_tap(self, tap) -> None:
-        """Stream every future event to ``tap`` (a callable of one event).
-
-        This is how the online monitor observes the run: the tap is
-        called synchronously with each raw ``(kind, client, command,
-        response, at)`` tuple *after* it is appended, so the tap sees
-        exactly the history the post-hoc checker will see, in the same
-        order (see :class:`repro.monitor.MonitorTap`).
-        """
-        self._tap = tap
 
     def invoke(self, client: Hashable, command: Tuple) -> None:
         """Record an invocation at the current wall-clock instant."""

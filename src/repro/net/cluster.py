@@ -33,9 +33,9 @@ A disk too full for the WAL's incarnation marker propagates
 until a later ``restart`` finds room.
 
 :class:`Supervisor` automates the relaunch: a watch task polls for dead
-nodes and calls ``restart`` on each after ``restart_delay`` — unless
-the index is held via :meth:`Supervisor.hold`, which is how chaos
-schedules keep a node down for a controlled window.
+nodes and calls ``restart`` on each — unless the index is held via
+:meth:`Supervisor.hold`, which is how chaos schedules keep a node down
+for a controlled window.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .codec import Codec, get_codec
 from .faultfs import FaultFS
 from .netfaults import TransportFaults
-from .node import COORDINATOR_RETRY_DELAY, ReplicaNode
+from .node import ReplicaNode
 from .transport import AddressBook, AsyncTransport
 from .wal import NodeWAL, WALCorruptionError, WALFullError
 
@@ -61,7 +61,6 @@ class LocalCluster:
         self,
         n_servers: int = 3,
         faults: Optional[TransportFaults] = None,
-        retry_delay: float = COORDINATOR_RETRY_DELAY,
         host: str = "127.0.0.1",
         port_base: Optional[int] = None,
         wal_root: Optional[str] = None,
@@ -73,7 +72,6 @@ class LocalCluster:
         self.n_servers = n_servers
         self.book = AddressBook()
         self.faults = faults
-        self.retry_delay = retry_delay
         self.host = host
         self.port_base = port_base
         self.wal_root = wal_root
@@ -104,7 +102,6 @@ class LocalCluster:
             self.n_servers,
             self.book,
             faults=self.faults,
-            retry_delay=self.retry_delay,
             host=self.host,
             port=0 if self.port_base is None else self.port_base + index,
             wal=wal,
@@ -220,10 +217,6 @@ class ShardedCluster:
         for shard in self.shards:
             await shard.stop()
 
-    def shard_for_key(self, key: object) -> LocalCluster:
-        """The replica group serving ``key``."""
-        return self.shards[shard_of(key, self.n_shards)]
-
     def client_transports(self, name: str = "client") -> List[AsyncTransport]:
         """One client transport per shard, in shard order."""
         return [
@@ -236,8 +229,8 @@ class Supervisor:
     """Detects dead nodes and relaunches them from their WAL directories.
 
     The watch task polls ``cluster.nodes`` every ``poll_interval``
-    seconds; a node found dead (and not held) for at least
-    ``restart_delay`` is restarted via :meth:`LocalCluster.restart`.
+    seconds; a node found dead (and not held) is restarted via
+    :meth:`LocalCluster.restart`.
     ``hold(i)``/``release(i)`` exempt an index — chaos schedules hold a
     node before killing it so the down window stays *theirs*, then
     release it (or restart it themselves).  ``restarted`` accumulates
@@ -248,17 +241,14 @@ class Supervisor:
         self,
         cluster: LocalCluster,
         poll_interval: float = 0.05,
-        restart_delay: float = 0.0,
     ) -> None:
         self.cluster = cluster
         self.poll_interval = poll_interval
-        self.restart_delay = restart_delay
         self.held: set = set()
         self.restarted: List[Tuple[float, int]] = []
         #: indices whose restart hit provable WAL corruption; the
         #: supervisor holds them (fail-stop) instead of retrying forever
         self.failstopped: List[int] = []
-        self._down_since: dict = {}
         self._task: Optional[asyncio.Task] = None
 
     def start(self) -> None:
@@ -272,7 +262,6 @@ class Supervisor:
     def release(self, index: int) -> None:
         """Resume supervising ``index``."""
         self.held.discard(index)
-        self._down_since.pop(index, None)
 
     async def stop(self) -> None:
         """Cancel the watch task (idempotent)."""
@@ -291,14 +280,9 @@ class Supervisor:
             for node in list(self.cluster.nodes):
                 index = node.index
                 if not node.transport.closed:
-                    self._down_since.pop(index, None)
                     continue
                 if index in self.held or self.cluster.stopped:
                     continue
-                since = self._down_since.setdefault(index, now)
-                if now - since < self.restart_delay:
-                    continue
-                self._down_since.pop(index, None)
                 try:
                     await self.cluster.restart(index)
                 except WALCorruptionError:

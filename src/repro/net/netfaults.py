@@ -82,32 +82,9 @@ class TransportFaults:
         if symmetric:
             self._cuts[(b, a)] = heal_at
 
-    def isolate(
-        self, endpoint: str, others, duration: Optional[float] = None
-    ) -> None:
-        """Cut ``endpoint`` off from every endpoint in ``others``."""
-        for other in others:
-            if other != endpoint:
-                self.partition(endpoint, other, duration=duration)
-
-    def heal(
-        self, a: Optional[str] = None, b: Optional[str] = None
-    ) -> None:
-        """Remove cuts.  No arguments heals everything; ``(a, b)`` heals
-        that pair in both directions; ``(a,)`` heals every cut touching
-        ``a``."""
-        if a is None:
-            self._cuts.clear()
-            return
-        if b is not None:
-            self._cuts.pop((a, b), None)
-            self._cuts.pop((b, a), None)
-            return
-        self._cuts = {
-            pair: heal_at
-            for pair, heal_at in self._cuts.items()
-            if a not in pair
-        }
+    def heal(self) -> None:
+        """Remove every cut."""
+        self._cuts.clear()
 
     def burst_loss(self, rate: float, duration: float) -> None:
         """Add i.i.d. loss at ``rate`` for the next ``duration`` seconds
@@ -172,10 +149,6 @@ class TransportFaults:
             raise ValueError("slow-node delay must be non-negative")
         expiry = math.inf if duration is None else self.clock() + duration
         self._slow[endpoint] = (delay, expiry)
-
-    def quicken(self, endpoint: str) -> None:
-        """Lift a slow-node window before its expiry."""
-        self._slow.pop(endpoint, None)
 
     def frame_delay(self, src_ep: str, dst_ep: str) -> float:
         """Seconds to hold a frame on the ``src_ep → dst_ep`` link — the

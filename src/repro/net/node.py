@@ -24,8 +24,9 @@ decides on the fast path therefore costs a node one
 :class:`DurableQuorumServer` and nothing else; the acceptor and the
 coordinator appear when Backup first speaks to them (a ``prepare``,
 ``accept`` or ``request`` frame, or a ``register-learner``).  This is
-the networked analogue of ``SpeculativeSMR._ensure_slot`` — except no
-global coordinator exists; each node materializes roles independently,
+the networked analogue of ``SpeculativeSMR._ensure_slot`` (which hosts
+a slot's whole phase chain at once, :func:`repro.mp.phases.host`) —
+except no global coordinator exists; each node materializes roles independently,
 driven purely by the frames that reach it.
 
 With a :class:`~repro.net.wal.NodeWAL` attached the roles become
@@ -303,7 +304,6 @@ class ReplicaNode:
         n_servers: int,
         book: AddressBook,
         faults: Optional[TransportFaults] = None,
-        retry_delay: float = COORDINATOR_RETRY_DELAY,
         host: str = "127.0.0.1",
         port: int = 0,
         wal: Optional[NodeWAL] = None,
@@ -313,7 +313,6 @@ class ReplicaNode:
         self.n_servers = n_servers
         self.host = host
         self.port = port
-        self.retry_delay = retry_delay
         self.wal = wal
         #: the fold as of open time; blank (incarnation 0) without a WAL
         self.recovered: RecoveredState = (
@@ -388,7 +387,7 @@ class ReplicaNode:
                 n_coordinators=self.n_servers,
                 acceptors=[("acc", slot, j) for j in range(self.n_servers)],
                 pre_prepare=(self.index == 0),
-                retry_delay=self.retry_delay,
+                retry_delay=COORDINATOR_RETRY_DELAY,
                 first_round=self.recovered.incarnation,
                 wal=self.wal,
                 slot=slot,

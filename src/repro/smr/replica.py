@@ -4,7 +4,9 @@ Section 6 motivates the framework with SMR: "The speculative approach to
 SMR protocols has been shown to yield some of the most efficient SMR
 protocols in practice."  This module builds a multi-slot replicated log
 where **each slot is an independent instance of the Section 2 composed
-consensus** (Quorum fast path + Paxos backup):
+consensus** (Quorum fast path + Paxos backup) — the same
+``[quorum(n), backup(n)]`` phase chain (:mod:`repro.mp.phases`), hosted
+on the slot's own pids and walked once per decree:
 
 * a client submits a command, proposing it for the first log slot it does
   not know to be decided;
@@ -27,13 +29,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from ..mp.backoff import BackoffPolicy
-from ..mp.backup import BackupClient
-from ..mp.paxos import PaxosAcceptor, PaxosCoordinator
-from ..mp.quorum import QuorumClient, QuorumServer
-from ..mp.sim import Network, Simulator
+from ..mp.phases import Phase, backup, host, quorum, walk
+from ..mp.sim import Network, Process, Simulator
 from .universal import make_batch
 
 
@@ -67,55 +77,6 @@ class CommandOutcome:
         return "slow" if self.switched_slots else "fast"
 
 
-class _SlotInstance:
-    """Server-side processes of one consensus slot."""
-
-    def __init__(self, smr: "SpeculativeSMR", slot: int) -> None:
-        self.slot = slot
-        self.quorum_pids = []
-        self.coordinator_pids = []
-        self.acceptor_pids = []
-        for i in range(smr.n_servers):
-            if smr.server_crashed[i]:
-                # A crashed physical server contributes no live roles to
-                # new slots either; crash() (not a bare flag) so a later
-                # recover_server restarts these roles uniformly.
-                qs = QuorumServer(("qs", slot, i))
-                qs.crash()
-                acc = PaxosAcceptor(("acc", slot, i))
-                acc.crash()
-                coord = PaxosCoordinator(
-                    ("coord", slot, i),
-                    rank=i,
-                    n_coordinators=smr.n_servers,
-                    acceptors=[("acc", slot, j) for j in range(smr.n_servers)],
-                )
-                coord.crash()
-            else:
-                qs = QuorumServer(("qs", slot, i))
-                acc = PaxosAcceptor(("acc", slot, i))
-                coord = PaxosCoordinator(
-                    ("coord", slot, i),
-                    rank=i,
-                    n_coordinators=smr.n_servers,
-                    acceptors=[("acc", slot, j) for j in range(smr.n_servers)],
-                    pre_prepare=(i == smr.first_live_server()),
-                )
-            smr.network.register(qs)
-            smr.network.register(acc)
-            smr.network.register(coord)
-            self.quorum_pids.append(qs.pid)
-            self.acceptor_pids.append(acc.pid)
-            self.coordinator_pids.append(coord.pid)
-        self.learners: List[Hashable] = list(self.coordinator_pids)
-        self.decided: Optional[Hashable] = None
-
-    def register_learner(self, smr: "SpeculativeSMR", pid: Hashable) -> None:
-        self.learners.append(pid)
-        for acc_pid in self.acceptor_pids:
-            smr.network.processes[acc_pid].register_learners(self.learners)
-
-
 class SpeculativeSMR:
     """A replicated log: one composed-consensus instance per slot."""
 
@@ -139,36 +100,40 @@ class SpeculativeSMR:
         self.n_servers = n_servers
         self.quorum_timeout = quorum_timeout
         self.backoff = backoff
-        self.server_crashed = [False] * n_servers
-        self.slots: Dict[int, _SlotInstance] = {}
+        self.crashed_servers: Set[int] = set()
+        #: slot -> its phase chain, hosted on the slot's own pids
+        self.slots: Dict[int, List[Phase]] = {}
         self.log: Dict[int, Hashable] = {}
         self.outcomes: List[CommandOutcome] = []
         self._uid = 0
+        #: which physical server hosts each slot role, every slot so far
+        self._server_of: Dict[Hashable, int] = {}
         self.on_commit: Optional[Callable[[CommandOutcome], None]] = None
 
     def first_live_server(self) -> int:
         """Index of the lowest-ranked non-crashed server."""
-        for i, crashed in enumerate(self.server_crashed):
-            if not crashed:
+        for i in range(self.n_servers):
+            if i not in self.crashed_servers:
                 return i
         return 0
+
+    def _roles_of(self, index: int) -> List[Process]:
+        return [
+            self.network.processes[pid]
+            for pid, server in self._server_of.items()
+            if server == index
+        ]
 
     def crash_server(self, index: int, at: float = 0.0) -> None:
         """Crash a physical server: all its roles in all current and
         future slots."""
 
-        def do_crash() -> None:
-            self.server_crashed[index] = True
-            for slot in self.slots.values():
-                for pid in (
-                    ("qs", slot.slot, index),
-                    ("acc", slot.slot, index),
-                    ("coord", slot.slot, index),
-                ):
-                    if pid in self.network.processes:
-                        self.network.processes[pid].crash()
+        def crash() -> None:
+            self.crashed_servers.add(index)
+            for role in self._roles_of(index):
+                role.crash()
 
-        self.network.call_later(max(0.0, at - self.network.now), do_crash)
+        self.network.call_later(max(0.0, at - self.network.now), crash)
 
     def recover_server(self, index: int, at: float = 0.0) -> None:
         """Restart a physical server: its roles in every current slot
@@ -176,92 +141,132 @@ class SpeculativeSMR:
         the quorum servers' sticky acceptances), and slots created from
         now on host live roles again."""
 
-        def do_recover() -> None:
-            self.server_crashed[index] = False
-            for slot in self.slots.values():
-                for pid in (
-                    ("qs", slot.slot, index),
-                    ("acc", slot.slot, index),
-                    ("coord", slot.slot, index),
-                ):
-                    if pid in self.network.processes:
-                        self.network.processes[pid].recover()
+        def recover() -> None:
+            self.crashed_servers.discard(index)
+            for role in self._roles_of(index):
+                role.recover()
 
-        self.network.call_later(max(0.0, at - self.network.now), do_recover)
+        self.network.call_later(max(0.0, at - self.network.now), recover)
 
-    def _ensure_slot(self, slot: int) -> _SlotInstance:
+    def server_membership(
+        self, indices: Iterable[int]
+    ) -> Callable[[Hashable], bool]:
+        """A pid predicate for "any role of any server in ``indices``",
+        in any slot — including slots created after the call, which is
+        what lets the nemesis arm a partition before the run."""
+        wanted = frozenset(indices)
+        return lambda pid: self._server_of.get(pid) in wanted
+
+    def _ensure_slot(self, slot: int) -> List[Phase]:
+        """The slot's phase chain — Quorum then Backup, on the slot's
+        own pids — hosted on first use.  A crashed physical server
+        contributes no live roles to new slots either."""
         if slot not in self.slots:
-            self.slots[slot] = _SlotInstance(self, slot)
+            phases = self.slots[slot] = [
+                quorum(
+                    self.n_servers, timeout=self.quorum_timeout, scope=(slot,)
+                ),
+                # a slot cannot know which clients will switch into it:
+                # each is wired as a learner when it enters
+                backup(
+                    self.n_servers,
+                    expected_clients=0,
+                    pre_preparer=self.first_live_server(),
+                    scope=(slot,),
+                ),
+            ]
+            servers = host(
+                self.network, phases, self.n_servers, self.crashed_servers
+            )
+            for index, roles in enumerate(servers):
+                for role in roles:
+                    self._server_of[role.pid] = index
         return self.slots[slot]
+
+    def _decree(
+        self,
+        slot: int,
+        value: Hashable,
+        group: Sequence[CommandOutcome],
+        settled: Callable[[Hashable], None],
+        abandoned: Callable[[], None],
+    ) -> None:
+        """Propose ``value`` at ``slot`` on behalf of ``group``, through
+        the slot's phase chain.
+
+        ``settled(winner)`` fires once the slot is decided — with the
+        slot's winner (``log[slot]``), which need not be ``value``.  If
+        Backup exhausts its retry budget the group is marked ``gave_up``
+        and ``abandoned()`` fires instead: the slot is unreachable, and
+        the commands report failure rather than hanging silently.
+        """
+        phases = self._ensure_slot(slot)
+        for outcome in group:
+            outcome.attempts += 1
+        self._uid += 1
+
+        def decided(position: int, winner: Hashable) -> None:
+            settled(self.log.setdefault(slot, winner))
+
+        def switched(position: int, switch_value: Hashable) -> None:
+            for outcome in group:
+                outcome.switched_slots += 1
+
+        def gave_up() -> None:
+            for outcome in group:
+                outcome.gave_up = True
+                outcome.give_up_time = self.network.now
+            abandoned()
+
+        walk(
+            self.network,
+            phases,
+            self._uid,
+            value,
+            self.backoff,
+            decided,
+            switched,
+            gave_up,
+        )
+
+    def _commit(self, outcome: CommandOutcome, slot: int) -> None:
+        outcome.slot = slot
+        outcome.commit_time = self.network.now
+        if self.on_commit is not None:
+            self.on_commit(outcome)
 
     def submit(
         self, client: Hashable, command: Hashable, at: float = 0.0
     ) -> CommandOutcome:
-        """Schedule ``client`` to replicate ``command`` at time ``at``."""
+        """Schedule ``client`` to replicate ``command`` at time ``at``.
+
+        The client probes one slot at a time.  If a slot stays
+        unreachable within the retry budget the command reports
+        ``gave_up`` rather than probing further slots against the same
+        dead cluster.
+        """
         outcome = CommandOutcome(client=client, command=command, start=at)
         self.outcomes.append(outcome)
 
         def try_slot(slot: int) -> None:
-            instance = self._ensure_slot(slot)
-            if instance.decided is not None:
+            if slot in self.log:
                 # Known decided: skip forward without a consensus round.
-                advance(slot, instance.decided)
+                advance(slot, self.log[slot])
                 return
-            outcome.attempts += 1
-            self._uid += 1
-            uid = self._uid
-
-            def on_decide(winner: Hashable) -> None:
-                settle(slot, winner, switched=False)
-
-            def on_switch(switch_value: Hashable) -> None:
-                outcome.switched_slots += 1
-                backup = BackupClient(
-                    ("bcli", uid),
-                    coordinators=instance.coordinator_pids,
-                    n_acceptors=self.n_servers,
-                    on_decide=lambda winner: settle(slot, winner, switched=True),
-                    backoff=self.backoff,
-                    on_give_up=on_give_up,
-                )
-                self.network.register(backup)
-                instance.register_learner(self, backup.pid)
-                backup.switch_to_backup(switch_value)
-
-            def on_give_up() -> None:
-                # The slot is unreachable within the retry budget; the
-                # command reports failure rather than probing further
-                # slots against the same dead cluster.
-                outcome.gave_up = True
-                outcome.give_up_time = self.network.now
-
-            def settle(slot: int, winner: Hashable, switched: bool) -> None:
-                instance = self.slots[slot]
-                if instance.decided is None:
-                    instance.decided = winner
-                    self.log[slot] = winner
-                advance(slot, instance.decided)
-
-            timeout = self.quorum_timeout
-            if self.backoff is not None:
-                timeout = self.backoff.delay(0, key=("qcli", uid))
-            quorum = QuorumClient(
-                ("qcli", uid),
-                servers=instance.quorum_pids,
-                on_decide=on_decide,
-                on_switch=on_switch,
-                timeout=timeout,
+            self._decree(
+                slot,
+                command,
+                [outcome],
+                lambda winner: advance(slot, winner),
+                lambda: None,
             )
-            self.network.register(quorum)
-            quorum.propose(command)
 
         def advance(slot: int, winner: Hashable) -> None:
-            if winner == command and outcome.commit_time is None:
-                outcome.slot = slot
-                outcome.commit_time = self.network.now
-                if self.on_commit is not None:
-                    self.on_commit(outcome)
-            elif outcome.commit_time is None:
+            if outcome.commit_time is not None:
+                return
+            if winner == command:
+                self._commit(outcome, slot)
+            else:
                 try_slot(slot + 1)
 
         def start() -> None:
@@ -269,10 +274,7 @@ class SpeculativeSMR:
             # time when submissions happen mid-simulation (e.g. queued
             # client operations of the KV store).
             outcome.start = self.network.now
-            next_slot = 0
-            while next_slot in self.log:
-                next_slot += 1
-            try_slot(next_slot)
+            try_slot(self._first_open_slot())
 
         self.network.call_later(at, start)
         return outcome
@@ -296,6 +298,12 @@ class SpeculativeSMR:
         are claimed from a monotonic counter that skips known-decided
         ones, so the committed log stays a contiguous prefix.
 
+        Unlike :meth:`submit`, a pipelined client keeps proposing after
+        a decree gave up: the commands of that decree are marked
+        ``gave_up``, its place in the window is freed and the queue
+        moves on, so every command ends committed or ``gave_up`` — none
+        is left silently pending behind a failed one.
+
         Safety is :meth:`submit`'s argument verbatim: a batch value is
         proposed at one slot at a time and re-proposed only after its
         slot demonstrably decided a different winner, so no value is
@@ -313,9 +321,7 @@ class SpeculativeSMR:
 
         def claim_slot() -> int:
             slot = next_slot[0]
-            while slot in self.log or (
-                slot in self.slots and self.slots[slot].decided is not None
-            ):
+            while slot in self.log:
                 slot += 1
             next_slot[0] = slot + 1
             return slot
@@ -329,83 +335,29 @@ class SpeculativeSMR:
                 in_flight[0] += 1
                 propose(claim_slot(), group)
 
-        def propose(slot: int, group: List[CommandOutcome]) -> None:
-            instance = self._ensure_slot(slot)
-            value = make_batch(tuple(o.command for o in group))
-            for outcome in group:
-                outcome.attempts += 1
-            self._uid += 1
-            uid = self._uid
-            settled = [False]
+        def release() -> None:
+            in_flight[0] -= 1
+            pump()
 
-            def settle(winner: Hashable, switched: bool) -> None:
-                # one accounting pass per decree, however many of the
-                # quorum/backup callbacks eventually hear the decision
-                if settled[0]:
-                    return
-                settled[0] = True
-                if instance.decided is None:
-                    instance.decided = winner
-                    self.log[slot] = winner
-                won = instance.decided == value
-                if switched:
+        def propose(slot: int, group: List[CommandOutcome]) -> None:
+            value = make_batch(tuple(o.command for o in group))
+
+            def settled(winner: Hashable) -> None:
+                if winner == value:
                     for outcome in group:
-                        outcome.switched_slots += 1
-                for outcome in group:
-                    if won and outcome.commit_time is None:
-                        outcome.slot = slot
-                        outcome.commit_time = self.network.now
-                        if self.on_commit is not None:
-                            self.on_commit(outcome)
-                if not won:
+                        self._commit(outcome, slot)
+                else:
                     # losers rejoin at the head: their invocations are
                     # oldest, and head placement keeps client order
                     queue.extendleft(reversed(group))
-                in_flight[0] -= 1
-                pump()
+                release()
 
-            def on_switch(switch_value: Hashable) -> None:
-                backup = BackupClient(
-                    ("bcli", uid),
-                    coordinators=instance.coordinator_pids,
-                    n_acceptors=self.n_servers,
-                    on_decide=lambda winner: settle(winner, switched=True),
-                    backoff=self.backoff,
-                    on_give_up=on_give_up,
-                )
-                self.network.register(backup)
-                instance.register_learner(self, backup.pid)
-                backup.switch_to_backup(switch_value)
-
-            def on_give_up() -> None:
-                if settled[0]:
-                    return
-                settled[0] = True
-                for outcome in group:
-                    outcome.gave_up = True
-                    outcome.give_up_time = self.network.now
-                in_flight[0] -= 1
-
-            timeout = self.quorum_timeout
-            if self.backoff is not None:
-                timeout = self.backoff.delay(0, key=("qcli", uid))
-            quorum = QuorumClient(
-                ("qcli", uid),
-                servers=instance.quorum_pids,
-                on_decide=lambda winner: settle(winner, switched=False),
-                on_switch=on_switch,
-                timeout=timeout,
-            )
-            self.network.register(quorum)
-            quorum.propose(value)
+            self._decree(slot, value, group, settled, release)
 
         def start() -> None:
             for outcome in outcomes:
                 outcome.start = self.network.now
-            slot = 0
-            while slot in self.log:
-                slot += 1
-            next_slot[0] = slot
+            next_slot[0] = self._first_open_slot()
             pump()
 
         self.network.call_later(at, start)
@@ -415,11 +367,13 @@ class SpeculativeSMR:
         """Drive the simulation to quiescence (or the given horizon)."""
         self.sim.run(until=until, max_events=max_events)
 
-    def committed_log(self) -> List[Hashable]:
-        """The decided commands of the contiguous log prefix, in order."""
-        result = []
+    def _first_open_slot(self) -> int:
+        """The length of the contiguous decided prefix of the log."""
         slot = 0
         while slot in self.log:
-            result.append(self.log[slot])
             slot += 1
-        return result
+        return slot
+
+    def committed_log(self) -> List[Hashable]:
+        """The decided commands of the contiguous log prefix, in order."""
+        return [self.log[slot] for slot in range(self._first_open_slot())]

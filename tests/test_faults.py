@@ -21,6 +21,7 @@ from repro.faults import (
     FaultSchedule,
     PartitionServers,
     RecoverServer,
+    SlowNode,
     random_schedule,
     run_campaign,
     shrink_schedule,
@@ -30,10 +31,14 @@ from repro.faults.campaign import (
     CONSENSUS,
     ComposedTarget,
     SMRTarget,
-    _ConsensusAdapter,
 )
 from repro.mp.backoff import BackoffPolicy
-from repro.mp.composed import ComposedConsensus
+from repro.mp import (
+    ComposedConsensus,
+    PaxosOnly,
+    QuorumOnly,
+    ThreePhaseConsensus,
+)
 from repro.mp.sim import Network, Process, Simulator
 
 
@@ -227,6 +232,35 @@ class TestFaultSchedules:
         assert action.describe() in str(refused.value)
         assert "servers 0..2" in str(refused.value)
 
+    @pytest.mark.parametrize(
+        "deployment",
+        [ComposedConsensus, QuorumOnly, PaxosOnly, ThreePhaseConsensus],
+    )
+    def test_every_deployment_takes_every_schedule(self, deployment):
+        """A deployment is its own nemesis target, whatever its phases:
+        crash, recovery, a partition and a gray failure inject into it
+        directly and address whole physical servers."""
+        system = deployment(n_servers=3, seed=2)
+        schedule = FaultSchedule(
+            seed=2,
+            actions=(
+                CrashServer(at=0.5, server=1),
+                PartitionServers(at=2.0, servers=(2,), duration=15.0),
+                SlowNode(at=3.0, server=0, factor=3.0, duration=20.0),
+                RecoverServer(at=30.0, server=1),
+            ),
+        )
+        schedule.inject(system)
+        for i in range(3):
+            system.propose(f"c{i}", f"v{i}", at=1.0 + i)
+        system.run(until=schedule.horizon)
+        assert system.stats.dropped_crashed and system.stats.partitioned
+        assert not any(role.crashed for role in system.servers[1])
+        verdict = linearize(
+            strip_phase_tags(system.trace()), CONSENSUS, node_limit=200000
+        )
+        assert verdict.ok, verdict.reason
+
 
 class TestShrinker:
     def make(self, n=6):
@@ -280,7 +314,7 @@ def directed_run(schedule, *, delay=1.0, proposals=((1.0, "v0"), (80.0, "v1"))):
         expected_clients=len(proposals),
         backoff=CAMPAIGN_BACKOFF,
     )
-    schedule.inject(_ConsensusAdapter(system))
+    schedule.inject(system)
     outcomes = [
         system.propose(f"c{i}", value, at=at)
         for i, (at, value) in enumerate(proposals)

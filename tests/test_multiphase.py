@@ -6,7 +6,10 @@ linearizability via the composition theorem — applied twice.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.actions import Response, Switch
 from repro.core.adt import consensus_adt
 from repro.core.composition import check_composition_theorem, check_theorem_2
 from repro.core.invariants import (
@@ -16,7 +19,8 @@ from repro.core.invariants import (
 from repro.core.linearizability import is_linearizable
 from repro.core.speculative import consensus_rinit, is_speculatively_linearizable
 from repro.core.traces import is_phase_wellformed, strip_phase_tags
-from repro.mp import ThreePhaseConsensus
+from repro.mp import PhasedConsensus, ThreePhaseConsensus
+from repro.mp.phases import backup, quorum
 
 CONS = consensus_adt()
 
@@ -30,7 +34,7 @@ class TestFastPath:
         system = ThreePhaseConsensus(seed=0)
         outcome = system.propose("c1", "v1", at=0.0)
         system.run()
-        assert outcome.path == "phase1"
+        assert outcome.decided_phase == 1
         assert outcome.latency == 2.0
         assert outcome.decided_value == "v1"
 
@@ -57,7 +61,7 @@ class TestFastPath:
             system.propose(f"c{i}", f"v{i}", at=10.0 * i) for i in range(3)
         ]
         system.run()
-        assert all(o.path == "phase1" for o in outcomes)
+        assert all(o.decided_phase == 1 for o in outcomes)
         assert {o.decided_value for o in outcomes} == {"v0"}
 
 
@@ -69,7 +73,7 @@ class TestEscalation:
         system.crash_server(1, at=0.0)
         outcome = system.propose("c1", "v1", at=1.0)
         system.run()
-        assert outcome.path == "phase3"
+        assert outcome.decided_phase == 3
         assert outcome.decided_value == "v1"
         assert len(outcome.switch_values) == 2
 
@@ -80,7 +84,7 @@ class TestEscalation:
         system.network.crash_at(("sq", 1), 0.0)
         outcome = system.propose("c1", "v1", at=1.0)
         system.run()
-        assert outcome.path == "phase2"
+        assert outcome.decided_phase == 2
         assert outcome.decided_value == "v1"
 
     @pytest.mark.parametrize("seed", range(6))
@@ -159,3 +163,68 @@ class TestTraceTheory:
             system.phase_trace(3, 4), 3
         ):
             assert report.ok, report
+
+
+class TestAChainNobodyHardCoded:
+    """The deployment is a list: any number of quorum phases of any
+    width in front of Backup is a correct object, by the same theorems,
+    with no code written for that particular chain."""
+
+    N = 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, N), max_size=3),
+        seed=st.integers(0, 10_000),
+        n_clients=st.integers(2, 4),
+        # server 0 is in every quorum phase and stays up: a Quorum
+        # client whose servers are all dead never sees the accept it
+        # must switch with (conditional wait-freedom)
+        crashed=st.none() | st.integers(1, N - 1),
+    )
+    def test_any_chain_is_a_correct_object(
+        self, widths, seed, n_clients, crashed
+    ):
+        phases = [
+            quorum(k, f"q{j}", f"q{j}cli", timeout=4.0 + 3.0 * j)
+            for j, k in enumerate(widths)
+        ] + [backup(self.N)]
+        system = PhasedConsensus(phases, self.N, seed, delay=jitter)
+        if crashed is not None:
+            system.crash_server(crashed, at=0.0)
+        values = [f"v{i}" for i in range(n_clients)]
+        outcomes = [
+            system.propose(f"c{i}", v, at=0.3 * i)
+            for i, v in enumerate(values)
+        ]
+        system.run()
+        trace = system.trace()
+        rinit = consensus_rinit(values, max_extra=1)
+        last = len(phases) + 1
+
+        assert is_phase_wellformed(trace, 1, last)
+        assert is_linearizable(strip_phase_tags(trace), CONS)
+        assert is_speculatively_linearizable(trace, 1, last, CONS, rinit)
+        for boundary in range(2, last):
+            ok, why = check_composition_theorem(
+                trace, 1, boundary, last, CONS, rinit
+            )
+            assert ok, (boundary, why)
+        ok, why = check_theorem_2(trace, last, CONS, rinit)
+        assert ok, why
+
+        # a crashed minority costs Backup nothing: everyone decides,
+        # and on one value
+        assert len({o.decided_value for o in outcomes}) == 1
+        assert outcomes[0].decided_value in values
+        for outcome in outcomes:
+            mine = trace.client_subtrace(outcome.client)
+            assert [
+                a.phase for a in mine if isinstance(a, Response)
+            ] == [outcome.decided_phase]
+            switches = [a for a in mine if isinstance(a, Switch)]
+            assert [a.value for a in switches] == outcome.switch_values
+            # a client decides in the phase after its last switch
+            assert [a.phase for a in switches] == list(
+                range(2, outcome.decided_phase + 1)
+            )

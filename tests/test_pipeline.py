@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fastcheck import check_linearizable
+from repro.mp.backoff import BackoffPolicy
 from repro.net.client import HistoryRecorder
 from repro.net.cluster import LocalCluster, shard_of
 from repro.net.codec import (
@@ -82,6 +83,31 @@ class TestSimPipelined:
         smr.crash_server(2, at=5.0)
         smr.run()
         assert all(o.commit_time is not None for o in outcomes)
+
+    def test_a_given_up_decree_does_not_strand_the_queue(self):
+        # a dead majority: every decree exhausts Backup's retry budget.
+        # The window slot a given-up decree held is freed and the queue
+        # moves on, so no command is left silently pending behind it.
+        smr = SpeculativeSMR(
+            n_servers=3,
+            seed=1,
+            backoff=BackoffPolicy(
+                base=2.0, factor=2.0, cap=8.0, jitter=0.0, max_retries=2
+            ),
+        )
+        smr.crash_server(1, at=0.0)
+        smr.crash_server(2, at=0.0)
+        outcomes = smr.submit_pipelined(
+            "c",
+            [("put", "k", i) for i in range(6)],
+            at=1.0,
+            window=1,
+            max_batch=2,
+        )
+        smr.run(until=2000.0)
+        assert [o.path for o in outcomes] == ["gave_up"] * 6
+        assert all(o.give_up_time is not None for o in outcomes)
+        assert smr.log == {}
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.faults import (
     RecoverServer,
     shrink_schedule,
 )
-from repro.faults.campaign import CAMPAIGN_BACKOFF, CONSENSUS, _ConsensusAdapter
+from repro.faults.campaign import CAMPAIGN_BACKOFF, CONSENSUS
 from repro.mp.composed import ComposedConsensus
 from repro.mp.paxos import PaxosAcceptor
 from repro.mp.quorum import QuorumServer
@@ -169,7 +169,7 @@ def wiped_quorum_run(acceptor_cls, schedule=WIPE_SCHEDULE):
         backoff=CAMPAIGN_BACKOFF,
         acceptor_cls=acceptor_cls,
     )
-    schedule.inject(_ConsensusAdapter(system))
+    schedule.inject(system)
     early = system.propose("c0", "v0", at=1.0)
     late = system.propose("c1", "v1", at=80.0)
     system.run(until=schedule.horizon)

@@ -76,9 +76,9 @@ class TestSpeculativeSMR:
         assert [o.path for o in outcomes] == ["fast", "fast"]
         assert smr.network.stats.sent == 2 * (2 * smr.n_servers)
         coordinators = [
-            smr.network.processes[pid]
-            for slot in smr.slots.values()
-            for pid in slot.coordinator_pids
+            process
+            for pid, process in smr.network.processes.items()
+            if pid[0] == "coord"
         ]
         assert len(coordinators) == 6
         assert all(c._retry_timer is None for c in coordinators)
