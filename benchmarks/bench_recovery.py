@@ -26,7 +26,6 @@ Run standalone:  python benchmarks/bench_recovery.py
 
 import asyncio
 import os
-import statistics
 import tempfile
 import time
 
@@ -53,13 +52,17 @@ def _write_log(directory, length, compact_threshold):
 
 
 def _reopen_seconds(directory, repeats):
+    """The fastest of ``repeats`` opens.  A compacted open is half a
+    millisecond, the size of one scheduler hiccup: the median of three
+    moved the gated ratio 10-30x between runs of the same code, the
+    minimum is the open's own cost."""
     samples = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         wal = NodeWAL(directory, fsync=False)
         samples.append(time.perf_counter() - t0)
         wal.close()
-    return statistics.median(samples)
+    return min(samples)
 
 
 def replay_costs(lengths, repeats=3):

@@ -13,9 +13,10 @@ exponential into a sum of much smaller exponentials.
 
 An ADT opts in by carrying a :class:`~repro.core.adt.PartitionSpec`
 (products built by :func:`~repro.core.adt.product_adt` and the replicated
-KV-store ADT do).  Its traces are then decided by the one engine that
-decides wire histories, :class:`~repro.monitor.streaming.StreamingMonitor`
-— global well-formedness, invalid-input rejection, key routing, one
+KV-store ADT do); one without a spec is its own one partition.  Either
+way the trace is decided by the one engine that decides wire histories,
+:class:`~repro.monitor.streaming.StreamingMonitor` — global
+well-formedness, invalid-input rejection, key routing, one
 :class:`~repro.monitor.frontier.KeyFrontier` per key, typed ``unknown``
 — fed the finished trace event by event.  After the split a partition
 is a single-object history, which the frontier decides in time bounded
@@ -30,9 +31,13 @@ the online monitor's; only the work differs (ten puts pending on one
 key: 986,410 configurations at the first response online, one told).
 
 The monolithic search (:func:`~repro.core.linearizability.linearize`,
-the paper's Defs 5-15) decides what the engine cannot: ADTs without a
-spec, and traces with a globally valid event the spec cannot route —
-the fallback is always sound, a missed partition only costs speed.
+the paper's Defs 5-15) decides only what the engine cannot: traces with
+a globally valid event the spec cannot route.  It is not the decider of
+an ADT without a spec, because the paper's definition is coarser than
+Herlihy-Wing when an input repeats: it matches responses to inputs, not
+to operations, and on an order-sensitive object (a queue) accepts
+histories that no legal sequential history explains
+(``tests/test_fastcheck.py::TestRepeatedInputs``).
 
 Soundness of the split is exactly the locality theorem: real-time order
 between same-key operations is preserved by projection (projection keeps
@@ -68,8 +73,9 @@ COMPOSITIONAL = "compositional"
 class CheckReport:
     """Verdict plus how it was obtained.
 
-    ``strategy`` is :data:`COMPOSITIONAL` when the P-compositional
-    decomposition applied, :data:`MONOLITHIC` otherwise.  ``parts`` lists
+    ``strategy`` is :data:`COMPOSITIONAL` when the streaming engine
+    decided (an ADT without a spec being one partition, key ``None``),
+    :data:`MONOLITHIC` otherwise.  ``parts`` lists
     ``(key, action_count)`` per partition the engine opened (empty for
     monolithic runs; the engine stops counting at a violation).  A
     compositional success carries no linearization witness
@@ -172,20 +178,19 @@ def check_linearizable(
 ) -> CheckReport:
     """Linearizability with the P-compositional fast path.
 
-    Equivalent to ``linearize(trace, adt, ...)`` in verdict.  When the
-    ADT carries a partition spec and the trace fits it, the trace runs
-    through :class:`~repro.monitor.streaming.StreamingMonitor`, the one
-    engine that decides wire histories: ``node_limit`` then bounds the
-    search at one response and ``state_limit`` the configurations one
-    partition's frontier holds at once.  Any failing partition fails the
-    trace (with the offending key in the reason); if none fails but one
-    spent a budget, the verdict is ``unknown`` and the reason names the
-    partition.  Everything else is decided by the monolithic search.
+    The trace runs through
+    :class:`~repro.monitor.streaming.StreamingMonitor`, the one engine
+    that decides wire histories: ``node_limit`` bounds the search at one
+    response and ``state_limit`` the configurations one partition's
+    frontier holds at once.  Any failing partition fails the trace (with
+    the offending key in the reason); if none fails but one spent a
+    budget, the verdict is ``unknown`` and the reason names the
+    partition.  A trace that does not fit the ADT's partition spec is
+    decided by the monolithic search.
     """
-    if adt.partition is not None:
-        report = _stream(trace, adt, node_limit, state_limit)
-        if report is not None:
-            return report
+    report = _stream(trace, adt, node_limit, state_limit)
+    if report is not None:
+        return report
     return CheckReport(
         result=linearize(
             trace, adt, node_limit=node_limit, state_limit=state_limit

@@ -299,12 +299,11 @@ def _check(result: RunResult, trace, adt, node_limit) -> None:
     """Run the linearizability checker and fold its verdict in.
 
     Uses the P-compositional fast path (:mod:`repro.core.fastcheck`) —
-    the KV target decomposes per key and runs the streaming engine,
-    where ``node_limit`` bounds the search at one response, not the
-    whole history's; the consensus targets fall through to the
-    monolithic search, whose nodes it counts as before.  A blown budget
-    (an ``unknown`` verdict) marks the run inconclusive rather than
-    failing it.
+    the KV target decomposes per key, a consensus target is one
+    partition, and both run the streaming engine, where ``node_limit``
+    bounds the search at one response, not the whole history's.  A
+    blown budget (an ``unknown`` verdict) marks the run inconclusive
+    rather than failing it.
     """
     report = check_linearizable(trace, adt, node_limit=node_limit)
     if report.unknown:

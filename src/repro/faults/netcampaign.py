@@ -97,11 +97,16 @@ from ..net.faultfs import FaultyFS, flip_record_body, tear_tail
 from ..net.loadgen import DEFAULT_KEYS, _command_stream, budgeted_tap
 from ..net.netfaults import TransportFaults
 from ..net.overload import Overloaded
-from ..net.pipeline import PipelineClient, SlotPipeline, probing_client
+from ..net.pipeline import (
+    PipelineClient,
+    SlotPipeline,
+    decided_commands,
+    probing_client,
+)
 from ..net.transport import AsyncTransport
 from ..net.wal import WALError
 from ..smr.sessions import dedup_commands, seq_uid
-from ..smr.universal import batch_commands, kv_store_adt
+from ..smr.universal import kv_store_adt
 from .mutants import RacySlotPipeline
 from .nemesis import FaultAction, FaultSchedule, NemesisTarget
 from .shrink import Violation, record_violation
@@ -956,7 +961,7 @@ def _storm_traffic(run: _LiveRun) -> List[Coroutine]:
         incs = [
             c
             for slot in range(pipeline._applied_upto)
-            for c in batch_commands(pipeline.log[slot])
+            for c in decided_commands(pipeline.log[slot])
             if c[:1] == ("inc",)
         ]
         run.result.raw_incs = len(incs)

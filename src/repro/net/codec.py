@@ -16,12 +16,13 @@ Two codecs implement the same contract and are selectable per cluster:
   tuple     ``{"t": [items...]}``
   list      ``{"l": [items...]}``
   dict      ``{"d": [[key, value], ...]}``
+  packed    ``{"p": "<strict base64 of the bytes>"}``
   scalar    itself (str / int / float / bool / None)
   ========  =======================================
 
 * the **binary codec** struct-packs the same value space with one tag
   byte per value (``N``/``T``/``F``/``i``/``I``/``f``/``s``/
-  ``t``/``l``/``d``) — no quoting, no base-10 round trips, roughly
+  ``t``/``l``/``d``/``p``) — no quoting, no base-10 round trips, roughly
   2-3x smaller and cheaper to encode on the replication hot path.
   Binary bodies open with :data:`BINARY_MAGIC`, a byte no JSON body
   can start with, so a single :class:`FrameDecoder` handles either
@@ -34,29 +35,32 @@ over every concrete message family the protocols emit.
 
 Framing is a 4-byte big-endian length prefix followed by the body.
 :data:`MAX_FRAME` bounds the body on both sides: the encoder refuses to
-emit an oversized frame (the typed :exc:`FrameTooLarge`, which the
-batching coordinator catches to split a decree batch) and the decoder
+emit an oversized frame (the typed :exc:`FrameTooLarge`; the batching
+coordinator sizes a decree beforehand and splits it first) and the decoder
 refuses to buffer one announced by a corrupt or hostile peer (otherwise
 a single bogus length prefix could balloon memory).  Whatever else is
 wrong with a frame — bad UTF-8, an unhashable dict key, nesting past
 :data:`MAX_DEPTH` — the decoder raises :exc:`FrameError` and nothing
 else, so a reader can treat a corrupt peer like a dropped connection.
 
-A value should cross the codec once per hop.  For the layers above that
-would otherwise encode a second time just to learn something, each
-codec offers ``encode_body`` (a value as it sits inside a larger body),
-``sizeof`` (its byte count there), ``item_gap`` and ``journal_bound``
-(so a batch's size in this codec, and a bound on its size in the WAL's
-JSON, are sums), and ``encode_frame(envelope, memo)``, which splices
-the remembered body of a broadcast message behind each destination's
-header (:class:`BodyMemo`).
+A value that consensus only stores, compares and echoes should cross
+the codec once in its life.  :class:`Packed` holds such a value as the
+bytes of its binary body.  Both codecs move those bytes unread (``p``,
+a u32 length, the bytes; base64 in JSON, so a WAL record holding one is
+still the JSON codec over a value, under its CRC); only
+:meth:`Packed.unpack` parses them, as strictly as a frame.  A producer
+builds one from bodies it has (``encode_body``, :func:`tuple_body`) and
+sizes it by ``len`` and ``packed_size``.  Per hop,
+``encode_frame(envelope, memo)`` splices the remembered body of a
+broadcast message behind each destination's header (:class:`BodyMemo`).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import struct
-from typing import Any, Iterator, List, Optional, Tuple, Union
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: Maximum frame body size in bytes (1 MiB); both sides enforce it.
 MAX_FRAME = 1 << 20
@@ -76,9 +80,9 @@ class FrameError(ValueError):
 class FrameTooLarge(FrameError):
     """An encoded frame body would exceed :data:`MAX_FRAME`.
 
-    Typed separately so the batching coordinator can split an oversized
-    decree batch and retry, and so a client can surface a single
-    too-large operation as a per-op error — never a torn connection.
+    Typed apart from a malformed value.  The batching coordinator sizes
+    by arithmetic and splits a decree, or refuses a single too-large
+    operation per op, before this is raised — never a torn connection.
     """
 
 
@@ -92,6 +96,35 @@ MAX_DEPTH = 64
 
 def _too_deep() -> FrameError:
     return FrameError(f"payload nested deeper than MAX_DEPTH={MAX_DEPTH}")
+
+
+_UNREAD = object()
+
+
+class Packed(bytes):
+    """A value held as the bytes of its binary body (no magic byte).
+
+    Equal and hashed as those bytes, which is finer than ``==`` on the
+    values (``1`` and ``1.0`` pack differently): for consensus that can
+    only turn an agreement into a spurious switch, never into a wrong
+    decision.  Whoever packs a value it holds attaches it, and never
+    pays to read it back.
+    """
+
+    _value: Any
+
+    def __new__(cls, body: bytes, value: Any = _UNREAD) -> "Packed":
+        self = super().__new__(cls, body)
+        self._value = value
+        return self
+
+    def unpack(self) -> Any:
+        """The value, decoded on first use and kept: what a frame with
+        this body decodes to, so bytes that are not exactly one binary
+        body are a :exc:`FrameError` (every time, a failure is not kept)."""
+        if self._value is _UNREAD:
+            self._value = _decode_body(_MAGIC + self)
+        return self._value
 
 
 def encode_payload(value: Any) -> Any:
@@ -109,17 +142,22 @@ def encode_payload(value: Any) -> Any:
         }
     if value is None or isinstance(value, (str, int, float, bool)):
         return value
+    if type(value) is Packed:
+        return {"p": base64.b64encode(value).decode("ascii")}
     raise FrameError(f"payload not wire-encodable: {value!r}")
 
 
 def _untag(value: Any, depth: int) -> Any:
     if type(value) is not dict:
         return value
-    if depth >= MAX_DEPTH:
-        raise _too_deep()
     if len(value) != 1:
         raise FrameError(f"bad container tag: {value!r}")
     ((tag, items),) = value.items()
+    if tag == "p":
+        # a leaf, like the string it travels as: nothing to descend into
+        return Packed(base64.b64decode(items, validate=True))
+    if depth >= MAX_DEPTH:
+        raise _too_deep()
     depth += 1
     if tag == "t":
         return tuple([_untag(v, depth) for v in items])
@@ -132,8 +170,8 @@ def _untag(value: Any, depth: int) -> Any:
 
 def decode_payload(value: Any) -> Any:
     """Invert :func:`encode_payload`; any malformed shape (an unknown
-    tag, a non-list under a tag, an unhashable dict key, nesting beyond
-    :data:`MAX_DEPTH`) is a :exc:`FrameError`."""
+    tag, a non-list under a tag, an unhashable dict key, base64 that is
+    not strict, nesting beyond :data:`MAX_DEPTH`) is a :exc:`FrameError`."""
     try:
         return _untag(value, 0)
     except FrameError:
@@ -183,6 +221,9 @@ def _binary_encode(value: Any, out: bytearray) -> None:
             digits = str(value).encode("ascii")
             out += _TAG_U32.pack(b"I", len(digits))
             out += digits
+    elif kind is Packed:
+        out += _TAG_U32.pack(b"p", len(value))
+        out += value
     elif value is None:
         out += b"N"
     elif kind is float:
@@ -210,7 +251,7 @@ def _binary_encode(value: Any, out: bytearray) -> None:
 
 _TAG_N, _TAG_T, _TAG_F = ord("N"), ord("T"), ord("F")
 _TAG_i, _TAG_I, _TAG_f, _TAG_s = ord("i"), ord("I"), ord("f"), ord("s")
-_TAG_t, _TAG_l, _TAG_d = ord("t"), ord("l"), ord("d")
+_TAG_t, _TAG_l, _TAG_d, _TAG_p = ord("t"), ord("l"), ord("d"), ord("p")
 
 
 def _binary_decode(body: bytes, pos: int, depth: int) -> Tuple[Any, int]:
@@ -239,6 +280,13 @@ def _binary_decode(body: bytes, pos: int, depth: int) -> Tuple[Any, int]:
         return (tuple(items) if tag == _TAG_t else items), pos
     if tag == _TAG_i:
         return _I64.unpack_from(body, pos)[0], pos + 8
+    if tag == _TAG_p:
+        (size,) = _U32.unpack_from(body, pos)
+        pos += 4
+        end = pos + size
+        if end > len(body):
+            raise IndexError(end)
+        return Packed(body[pos:end]), end
     if tag == _TAG_N:
         return None, pos
     if tag == _TAG_f:
@@ -329,9 +377,6 @@ class JsonCodec:
 
     name = "json"
 
-    #: bytes between two items of a container (a comma)
-    item_gap = 1
-
     def encode_body(self, value: Any) -> bytes:
         """``value`` as it appears inside a larger body."""
         return dump_json(encode_payload(value))
@@ -355,14 +400,9 @@ class JsonCodec:
             raise _too_large(len(body))
         return _LEN.pack(len(body)) + body
 
-    def sizeof(self, value: Any) -> int:
-        """Bytes of ``value`` inside a larger body (one encode)."""
-        return len(self.encode_frame(value)) - _LEN.size
-
-    def journal_bound(self, size: int) -> int:
-        """Upper bound on the JSON journal bytes, separator included,
-        of a value that takes ``size`` bytes here: itself and a comma."""
-        return size + 1
+    def packed_size(self, size: int) -> int:
+        """Body bytes of a :class:`Packed` of ``size``: tag and base64."""
+        return len('{"p":""}') + 4 * ((size + 2) // 3)
 
 
 #: what every binary frame starts from: a length prefix still to be
@@ -375,9 +415,6 @@ class BinaryCodec:
     """Struct-packed bodies, one tag byte per value, magic-prefixed."""
 
     name = "binary"
-
-    #: bytes between two items of a container (items self-delimit)
-    item_gap = 0
 
     def encode_body(self, value: Any) -> bytearray:
         """``value`` as it appears inside a larger body (no magic)."""
@@ -404,26 +441,15 @@ class BinaryCodec:
         _LEN.pack_into(out, 0, size)
         return bytes(out)
 
-    def sizeof(self, value: Any) -> int:
-        """Bytes of ``value`` inside a larger body (one encode)."""
-        return len(self.encode_frame(value)) - len(_BINARY_HEAD)
+    def packed_size(self, size: int) -> int:
+        """Body bytes of a :class:`Packed` of ``size``: tag, u32, bytes."""
+        return _TAG_U32.size + size
 
-    def journal_bound(self, size: int) -> int:
-        """Upper bound on the JSON journal bytes, separator included,
-        of a value that takes ``size`` bytes here.
 
-        By induction over the value space, ``json + 1 <= 6 * binary``:
-        ``False`` is 1 byte against ``false,``; an int64 9 against at
-        most 21; a float 9 against at most 25; a string ``5 + n``
-        against ``2 + 6n + 1`` (a control character or a two-byte
-        character is one six-byte ``\\uXXXX`` escape, a non-BMP one two
-        for four bytes); a container's 5 header bytes pay for its 8
-        bytes of tagging, and a dict pair's 2 bytes of brackets are paid
-        by its key (5 bytes at least, but for ``None``/``True``/``False``
-        of which one dict holds at most three).  The property test in
-        ``tests/test_net_codec.py`` checks it over the whole space.
-        """
-        return 6 * size
+def tuple_body(items: Sequence[bytes]) -> bytes:
+    """The binary body of the tuple whose items have the bodies
+    ``items``: how a :class:`Packed` is built from parts already encoded."""
+    return _TAG_U32.pack(b"t", len(items)) + b"".join(items)
 
 
 JSON_CODEC = JsonCodec()
@@ -507,9 +533,11 @@ __all__ = [
     "JsonCodec",
     "MAX_DEPTH",
     "MAX_FRAME",
+    "Packed",
     "decode_payload",
     "dump_json",
     "encode_frame",
     "encode_payload",
     "get_codec",
+    "tuple_body",
 ]

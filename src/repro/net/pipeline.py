@@ -12,7 +12,12 @@ while the server roles and the consensus protocols stay untouched:
 
 * **batching** — queued client ops are coalesced into a single decree
   value ``("batch", (op, ...))`` (:func:`repro.smr.universal.make_batch`),
-  so one Quorum/Backup round decides many operations;
+  so one Quorum/Backup round decides many operations.  On the wire a
+  decree is that value as a :class:`~repro.net.codec.Packed`: the bytes
+  each op was encoded to when submitted, concatenated.  Servers, their
+  WAL and the replies carry them unparsed (consensus only stores,
+  compares and echoes); only an applier of someone else's decree
+  decodes it, once (:func:`decided_commands`);
 * **slot pipelining** — up to ``window`` consecutive slots are kept in
   flight at once instead of probing the next slot only after the
   previous one settled;
@@ -62,9 +67,9 @@ Oversized work never tears a connection (the typed
 would exceed ``MAX_FRAME`` is split in half and re-tried, and a single
 op that cannot fit a frame by itself fails with the per-op
 :exc:`PayloadTooLarge` *before* its invocation is recorded.  Sizes are
-arithmetic: an op is encoded once, when it is submitted, its byte count
-rides its queue entry, and a decree's frame is the sum of its ops plus
-a constant (:meth:`SlotPipeline._fits`).
+``len``s: an op's bytes ride its queue entry, and a decree's wire frame
+and journal record are exact arithmetic on their sum
+(:meth:`SlotPipeline._fits`).
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from ..mp.backoff import BackoffPolicy
 from ..mp.backup import BackupClient
 from ..mp.quorum import QuorumClient
 from ..smr.sessions import SessionedApplier
-from ..smr.universal import batch_commands, kv_store_adt, make_batch
+from ..smr.universal import BATCH_TAG, batch_commands, kv_store_adt, make_batch
 from .client import (
     DEFAULT_BACKOFF,
     DEFAULT_QUORUM_TIMEOUT,
@@ -90,7 +95,7 @@ from .client import (
     OpResult,
     RetriesExhausted,
 )
-from .codec import JSON_CODEC, MAX_FRAME, FrameTooLarge
+from .codec import BINARY_CODEC, JSON_CODEC, MAX_FRAME, Packed, tuple_body
 from .overload import CircuitBreaker, Overloaded
 from .transport import AsyncTransport
 
@@ -108,14 +113,16 @@ DEFAULT_MAX_QUEUE = 1024
 #: frames (phase-2 broadcasts, WAL records) that carry the same value
 FRAME_SLACK = 4096
 
-#: a representative wire envelope around an empty decree: a decree's
-#: frame is this many bytes plus its ops (plus the codec's item gaps)
-_EMPTY_DECREE = (
-    ("qcli", ("probe", 0, 0)), ("qs", 0, 0), ("q-propose", make_batch(()))
+#: a representative frame carrying a decree of no bytes, and the record
+#: the WAL journals its acceptance as (JSON, whatever the wire): a
+#: decree's frame and record are these plus ``packed_size`` of its bytes
+_NO_DECREE = Packed(b"")
+_PROPOSAL = (
+    ("qcli", ("probe", 0, 0)), ("qs", 0, 0), ("q-propose", _NO_DECREE)
 )
-
-#: the same envelope as the WAL journals it (JSON, whatever the wire)
-_JOURNAL_BASE = len(JSON_CODEC.encode_frame(_EMPTY_DECREE))
+_JOURNAL_BASE = len(
+    JSON_CODEC.encode_frame(("qs", 0, _NO_DECREE))
+) - JSON_CODEC.packed_size(0)
 
 
 class PayloadTooLarge(Exception):
@@ -127,21 +134,56 @@ class PayloadTooLarge(Exception):
     """
 
 
-class _Entry:
-    """One queued op: its tagged command and its size in the wire codec,
-    the caller's future, and the decree-level metrics accumulated on its
-    way to a commit."""
+class BadDecree(Exception):
+    """A decided slot holds what no applier can fold: bytes that do not
+    decode, or a value that is no command of the ADT.
 
-    __slots__ = ("tagged", "size", "future", "attempts", "switched")
+    The log cannot be applied past it, so every op waiting on the
+    pipeline fails with this (invocation left pending, client poisoned);
+    connections and slots in flight are untouched.
+    """
+
+
+class _Entry:
+    """One queued op: its tagged command and the bytes of its binary
+    body, the caller's future, and the decree-level metrics accumulated
+    on its way to a commit."""
+
+    __slots__ = ("tagged", "body", "future", "attempts", "switched")
 
     def __init__(
-        self, tagged: Tuple, size: int, future: asyncio.Future
+        self, tagged: Tuple, body: bytes, future: asyncio.Future
     ) -> None:
         self.tagged = tagged
-        self.size = size
+        self.body = body
         self.future = future
         self.attempts = 0
         self.switched = 0
+
+
+_BATCH_TAG = bytes(BINARY_CODEC.encode_body(BATCH_TAG))
+
+
+def _decree(group: Sequence[_Entry]) -> Packed:
+    """The decree of ``group``'s ops: their :func:`make_batch`, packed by
+    concatenating the bytes each op was encoded to when submitted, with
+    the batch attached so that its proposer never decodes it."""
+    return Packed(
+        tuple_body((_BATCH_TAG, tuple_body([e.body for e in group]))),
+        make_batch(tuple(e.tagged for e in group)),
+    )
+
+
+#: bytes of a decree besides its ops' own
+_DECREE_HEAD = len(_decree(()))
+
+
+def decided_commands(value: Hashable) -> Tuple:
+    """The commands a decided slot carries: a decree off the wire is
+    packed and decoded here on first use (:exc:`~repro.net.codec.FrameError`
+    if it cannot be); a log from before decrees were packed holds plain
+    values, which apply next to packed ones."""
+    return batch_commands(value.unpack() if type(value) is Packed else value)
 
 
 def _swallow(future: asyncio.Future) -> None:
@@ -222,11 +264,13 @@ class SlotPipeline:
         #: abandoned slots re-claimed for a fresh decree (observability)
         self.reclaimed = 0
         self._pump_scheduled = False
-        #: wire bytes of the envelope around an empty decree
-        self._wire_base = len(transport.codec.encode_frame(_EMPTY_DECREE))
-        #: the last op :meth:`ensure_fits` passed, and its wire size:
+        #: wire bytes of the frame around a decree, its own excluded
+        self._wire_base = len(
+            transport.codec.encode_frame(_PROPOSAL)
+        ) - transport.codec.packed_size(0)
+        #: the last op :meth:`ensure_fits` passed, and its bytes:
         #: ``submit`` checks an op and then enqueues that same object
-        self._measured: Tuple[Optional[Tuple], int] = (None, 0)
+        self._measured: Tuple[Optional[Tuple], bytes] = (None, b"")
 
     @property
     def duplicates(self) -> int:
@@ -237,60 +281,35 @@ class SlotPipeline:
     # intake
     # ------------------------------------------------------------------
 
-    def _decree_bytes(self, sizes: Sequence[int]) -> Tuple[int, int]:
-        """The wire frame of a decree whose ops take ``sizes`` bytes in
-        the wire codec (exact), and an upper bound on its JSON journal
-        record — arithmetic only, nothing is encoded."""
-        codec = self.transport.codec
-        wire = (
-            self._wire_base + sum(sizes) + (len(sizes) - 1) * codec.item_gap
-        )
-        return wire, _JOURNAL_BASE + sum(map(codec.journal_bound, sizes))
-
-    def _fits(self, sizes: Sequence[int], ops: Sequence[Tuple]) -> bool:
-        """Whether the decree of ``ops`` fits one frame in every encoding
-        it rides, given each op's ``sizes`` entry in the wire codec.
+    def _fits(self, size: int) -> bool:
+        """Whether a decree of ops taking ``size`` bytes together fits
+        one frame in every encoding it rides.
 
         Two encodings bind: the wire frame, and the JSON record the WAL
-        journals a decree value as under the same 1 MiB bound whichever
-        codec the wire runs.  Only a decree too close to ``MAX_FRAME``
-        for the journal bound to settle it is encoded a second time, in
-        JSON, for the exact figure — so the answer is always the one an
-        exact encode in both codecs would give.
+        journals a decree as under the same 1 MiB bound whichever codec
+        the wire runs (base64 there, a third larger).  Both are exact
+        and neither is encoded: the size of packed bytes is arithmetic.
         """
-        wire, bound = self._decree_bytes(sizes)
-        if wire + FRAME_SLACK > MAX_FRAME:
-            return False
-        if bound + FRAME_SLACK <= MAX_FRAME:
-            return True
-        try:
-            journal = (
-                _JOURNAL_BASE
-                + sum(map(JSON_CODEC.sizeof, ops))
-                + len(ops) - 1
-            )
-        except FrameTooLarge:
-            return False
-        return journal + FRAME_SLACK <= MAX_FRAME
+        size += _DECREE_HEAD
+        return max(
+            self._wire_base + self.transport.codec.packed_size(size),
+            _JOURNAL_BASE + JSON_CODEC.packed_size(size),
+        ) + FRAME_SLACK <= MAX_FRAME
 
-    def _measure(self, tagged: Tuple) -> int:
-        """The wire size of ``tagged``, or :exc:`PayloadTooLarge` if it
+    def _measure(self, tagged: Tuple) -> bytes:
+        """The bytes of ``tagged``, or :exc:`PayloadTooLarge` if it
         cannot frame even as a decree of one."""
-        checked, size = self._measured
+        checked, body = self._measured
         if checked is tagged:
-            return size
-        try:
-            size = self.transport.codec.sizeof(tagged)
-            fits = self._fits((size,), (tagged,))
-        except FrameTooLarge:
-            fits = False
-        if not fits:
+            return body
+        body = BINARY_CODEC.encode_body(tagged)
+        if not self._fits(len(body)):
             raise PayloadTooLarge(
                 f"operation {tagged[:-1]!r} cannot fit one wire frame "
                 f"(MAX_FRAME={MAX_FRAME})"
             )
-        self._measured = (tagged, size)
-        return size
+        self._measured = (tagged, body)
+        return body
 
     def ensure_fits(self, tagged: Tuple) -> None:
         """Raise :exc:`PayloadTooLarge` unless ``tagged`` can frame alone.
@@ -298,8 +317,9 @@ class SlotPipeline:
         Callers run this *before* recording the invocation: an
         unframeable op must fail per-op with the history and the client
         untouched, and nothing of it may ever be queued or sent.  This
-        is the one place an op is encoded on the client side before its
-        decree is: :meth:`enqueue` of the same object reuses the size.
+        is the one place an op is encoded on the client side:
+        :meth:`enqueue` of the same object reuses the bytes, and its
+        decree is those bytes.
         """
         self._measure(tagged)
 
@@ -334,9 +354,9 @@ class SlotPipeline:
         queued older copy is dropped by the pump, and duplicate decrees
         fold once through the session seam.
         """
-        size = self._measure(tagged)
+        body = self._measure(tagged)
         future: asyncio.Future = self.transport.loop.create_future()
-        entry = _Entry(tagged, size, future)
+        entry = _Entry(tagged, body, future)
         self.queue.append(entry)
         self._waiters[tagged] = entry
         # defer the pump one loop tick: every op enqueued in this tick
@@ -387,9 +407,8 @@ class SlotPipeline:
                 group.append(entry)
             if not group:
                 continue
-            ops = tuple(entry.tagged for entry in group)
             while len(group) > 1 and not self._fits(
-                [entry.size for entry in group], ops
+                sum(len(entry.body) for entry in group)
             ):
                 # split-and-retry: halve until the batch frames; the
                 # cut tail rejoins the queue head.  Terminates because
@@ -397,8 +416,8 @@ class SlotPipeline:
                 self.splits += 1
                 half = (len(group) + 1) // 2
                 self.queue.extendleft(reversed(group[half:]))
-                group, ops = group[:half], ops[:half]
-            value = make_batch(ops)
+                group = group[:half]
+            value = _decree(group)
             self.decrees += 1
             self.batched_ops += len(group)
             for entry in group:
@@ -416,7 +435,7 @@ class SlotPipeline:
             if slot in self.log or slot in self.in_flight:
                 continue
             self.decrees += 1
-            self._propose(slot, make_batch(()), [])
+            self._propose(slot, _decree(()), [])
 
     def _propose(
         self, slot: int, value: Hashable, group: List[_Entry]
@@ -434,7 +453,8 @@ class SlotPipeline:
             for pid in op_pids:
                 self.transport.unregister(pid)
             if slot not in self.log:
-                self.log[slot] = winner
+                # our own object where we won: it holds the batch
+                self.log[slot] = value if winner == value else winner
             group_ = self.in_flight.pop(slot, [])
             if self.log[slot] != value:
                 # lost the slot: the winner is someone else's decree;
@@ -521,20 +541,33 @@ class SlotPipeline:
         pipeline owns.  A duplicate occurrence (retried/hedged op whose
         earlier decree also decided) leaves the state unchanged and
         answers its waiter — if one is still live — with the cached
-        reply its first occurrence produced."""
-        while self._applied_upto in self.log:
-            value = self.log[self._applied_upto]
-            for command in batch_commands(value):
-                self._state, output, _fresh = self.applier.apply(
-                    self._state, command
-                )
-                entry = self._waiters.pop(command, None)
-                if entry is not None and not entry.future.done():
-                    entry.future.set_result(
-                        (output, self._applied_upto,
-                         entry.attempts, entry.switched)
+        reply its first occurrence produced.
+
+        A slot that cannot be folded stops the prefix and fails every
+        waiter with :exc:`BadDecree`.  Raised from here, under the
+        transport's read loop, a :exc:`~repro.net.codec.FrameError`
+        would cost a server that only echoed bytes its connection."""
+        try:
+            while self._applied_upto in self.log:
+                value = self.log[self._applied_upto]
+                for command in decided_commands(value):
+                    self._state, output, _fresh = self.applier.apply(
+                        self._state, command
                     )
-            self._applied_upto += 1
+                    entry = self._waiters.pop(command, None)
+                    if entry is not None and not entry.future.done():
+                        entry.future.set_result(
+                            (output, self._applied_upto,
+                             entry.attempts, entry.switched)
+                        )
+                self._applied_upto += 1
+        except ValueError as exc:
+            # undecodable bytes (FrameError) or no input of the ADT
+            error = BadDecree(f"slot {self._applied_upto}: {exc}")
+            for entry in self._waiters.values():
+                if not entry.future.done():
+                    entry.future.set_exception(error)
+            self._waiters.clear()
 
 
 class PipelineClient:
@@ -627,7 +660,8 @@ class PipelineClient:
         :exc:`~repro.net.overload.Overloaded` when admission sheds it —
         both per-op, pre-invocation, non-poisoning — and
         :exc:`~repro.net.client.RetriesExhausted` when every attempt
-        within the deadline failed (op left pending, client poisoned).
+        within the deadline failed, or :exc:`BadDecree` when the log can
+        no longer be applied (op left pending, client poisoned).
         """
         if self.poisoned:
             raise RuntimeError(
@@ -680,9 +714,13 @@ class PipelineClient:
                     return_when=asyncio.FIRST_COMPLETED,
                 )
                 for f in done:
-                    if f.exception() is None:
+                    error = f.exception()
+                    if error is None:
                         outcome = f.result()
                         break
+                    if isinstance(error, BadDecree):
+                        self._retire(futures)
+                        raise error
                 if outcome is not None:
                     break
             now = self.pipeline.transport.now

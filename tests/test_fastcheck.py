@@ -243,12 +243,15 @@ class TestNonLocalMutantFallback:
         )
 
     def test_mutant_without_spec_stays_monolithic(self):
+        # no spec, no split: the whole object is one partition of the
+        # engine (key None), never projected per name
         adt = linked_registers_adt()
         trace = self.trace_write_x_read_y()
         report = check_linearizable(trace, adt)
-        assert report.strategy == MONOLITHIC
+        assert report.strategy == COMPOSITIONAL
+        assert report.parts == ((None, len(trace)),)
         # Linearizable for the linked semantics: the write to x set y.
-        assert report.ok
+        assert report.verdict == "ok"
 
     def test_naive_partition_of_mutant_would_flip_the_verdict(self):
         # Attach the per-name partition the alphabet *suggests* to the
@@ -274,6 +277,44 @@ class TestNonLocalMutantFallback:
         report = check_linearizable(trace, naive)
         assert report.strategy == COMPOSITIONAL
         assert not report.ok  # projection of y sees read(1) from nowhere
+
+
+class TestRepeatedInputs:
+    def test_a_queue_history_the_definition_accepts_is_a_violation(self):
+        """Found by the differential oracle (a tier-1 flake until it was
+        pinned here).  c0's first deq read 1, so enq(1) took effect
+        before it, and enq(2) before that (c2 is sequential): the queue
+        held [2, 1] and a deq reads 2 first.  Only c1's deq is left to
+        have read it, and c1 answers ``empty``.  The paper's definition
+        matches responses to inputs, not to operations, cannot tell the
+        three deqs apart, and accepts; an object without a partition
+        spec was decided by it until this history."""
+        from repro.core.adt import EMPTY, deq, enq, queue_adt
+        from repro.core.classical import linearize_classical
+
+        def inv(client, payload):
+            return Invocation(client, 1, payload)
+
+        def res(client, payload, output):
+            return Response(client, 1, payload, output)
+
+        trace = Trace(
+            [
+                inv("c1", deq()),
+                inv("c0", deq()),
+                inv("c2", enq(2)),
+                res("c2", enq(2), ("ok",)),
+                inv("c2", enq(1)),
+                res("c0", deq(), ("value", 1)),
+                inv("c0", deq()),
+                res("c1", deq(), EMPTY),
+            ]
+        )
+        assert linearize(trace, queue_adt()).ok
+        assert not linearize_classical(trace, queue_adt()).ok
+        report = check_linearizable(trace, queue_adt())
+        assert report.verdict == "violation"
+        assert report.strategy == COMPOSITIONAL
 
 
 class TestPartitionTrace:

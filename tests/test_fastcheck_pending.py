@@ -5,8 +5,8 @@ client timed out stays in the trace as an invocation with no response.
 Linearizability gives such an operation a choice — it may have taken
 effect at any point after its invocation, or never.  These tests pin
 that semantics through :func:`repro.core.fastcheck.check_linearizable`
-on both strategies (the KV store partitions per key → compositional; a
-single cell has no partition spec → monolithic):
+with and without a split (the KV store partitions per key; a single
+cell has no partition spec and is the engine's one partition):
 
 * a pending write whose effect *is* visible must be linearizable;
 * a pending write whose effect is *not* visible must be linearizable
@@ -17,11 +17,7 @@ single cell has no partition spec → monolithic):
 """
 
 from repro.core.actions import Invocation, Response
-from repro.core.fastcheck import (
-    COMPOSITIONAL,
-    MONOLITHIC,
-    check_linearizable,
-)
+from repro.core.fastcheck import COMPOSITIONAL, check_linearizable
 from repro.core.traces import Trace
 from repro.smr.universal import kv_cell_adt, kv_get, kv_put, kv_store_adt
 
@@ -130,7 +126,8 @@ class TestPendingKVStore:
 
 
 class TestPendingMonolithic:
-    """The same semantics on the monolithic engine (no partition spec)."""
+    """The same semantics on an object without a partition spec: the
+    engine's one partition, the whole object."""
 
     def test_pending_write_visible(self):
         trace = Trace(
@@ -141,8 +138,9 @@ class TestPendingMonolithic:
             ]
         )
         report = check_linearizable(trace, kv_cell_adt("x"))
-        assert report.ok
-        assert report.strategy == MONOLITHIC
+        assert report.verdict == "ok"
+        assert report.strategy == COMPOSITIONAL
+        assert report.parts == ((None, 3),)
 
     def test_pending_write_invisible(self):
         trace = Trace(
@@ -153,8 +151,9 @@ class TestPendingMonolithic:
             ]
         )
         report = check_linearizable(trace, kv_cell_adt("x"))
-        assert report.ok
-        assert report.strategy == MONOLITHIC
+        assert report.verdict == "ok"
+        assert report.strategy == COMPOSITIONAL
+        assert report.parts == ((None, 3),)
 
     def test_unexplained_output_still_fails(self):
         trace = Trace(

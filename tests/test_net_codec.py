@@ -11,8 +11,14 @@ binary format), so on top of each codec's round trip the *parity*
 properties check they agree value-for-value, that one decoder handles
 a mixed-codec stream via the magic-byte dispatch, and that both raise
 the typed :exc:`FrameTooLarge` at the frame bound.
+
+:class:`Packed` values (bytes both codecs carry without reading) are
+leaves of every randomized payload below, well-formed, nested and
+arbitrary alike: carrying them is the codecs' job, parsing them is
+``unpack``'s, with the same typed failures as a frame.
 """
 
+import base64
 import struct
 
 import pytest
@@ -29,23 +35,40 @@ from repro.net.codec import (
     JSON_CODEC,
     MAX_DEPTH,
     MAX_FRAME,
+    Packed,
     decode_payload,
     encode_frame,
     encode_payload,
     get_codec,
+    tuple_body,
 )
 
 # ---------------------------------------------------------------------------
 # randomized payloads
 # ---------------------------------------------------------------------------
 
-scalars = (
+plain_scalars = (
     st.none()
     | st.booleans()
     | st.integers(min_value=-(2 ** 53), max_value=2 ** 53)
     | st.floats(allow_nan=False, allow_infinity=False)
     | st.text(max_size=20)
 )
+
+
+def pack(value):
+    return Packed(bytes(BINARY_CODEC.encode_body(value)))
+
+
+#: packed leaves: a value's body, a body around a packed body (a nested
+#: span), and bytes that are no body at all (the codecs carry those too)
+packed = (
+    st.recursive(plain_scalars, lambda inner: inner.map(pack), max_leaves=3)
+    .map(pack)
+    | st.binary(max_size=20).map(Packed)
+)
+
+scalars = plain_scalars | packed
 
 #: hashable payloads usable as dict keys and set-free tuple members
 hashable_payloads = st.recursive(
@@ -358,6 +381,14 @@ MALFORMED = {
         b'{"t":[' * 200 + b"]}" * 200
     ),
     "empty-body": _json_frame(b""),
+    "p-length-past-the-frame": _binary_frame(
+        b"t" + struct.pack(">I", 2) + b"p" + struct.pack(">I", 4) + b"NNN"
+    ),
+    "p-length-missing": _binary_frame(b"p\x00\x00"),
+    "json-p-outside-the-alphabet": _json_frame(b'{"p":"Tk5O!"}'),
+    "json-p-bad-padding": _json_frame(b'{"p":"Tk5"}'),
+    "json-p-not-a-string": _json_frame(b'{"p":[78]}'),
+    "json-p-non-ascii": _json_frame(b'{"p":"Tk5\\u00e9"}'),
 }
 
 
@@ -412,13 +443,27 @@ def test_malformed_frame_ends_the_read_loop_quietly():
     assert errors == []
 
 
+def _unpack_all(value):
+    """Unpack every :class:`Packed` in ``value``, and those inside."""
+    if type(value) is Packed:
+        _unpack_all(value.unpack())
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _unpack_all(item)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _unpack_all(key)
+            _unpack_all(item)
+
+
 @settings(max_examples=300, deadline=None)
 @given(payloads, st.sampled_from(["json", "binary"]), st.data())
 def test_any_mutation_or_truncation_decodes_or_raises_frame_error(
     value, codec_name, data
 ):
     """Fuzz: one flipped byte or a cut anywhere in a valid frame of
-    either codec yields a value, an incomplete frame, or FrameError."""
+    either codec yields a value, an incomplete frame, or FrameError,
+    and so does unpacking whatever packed bytes the value carries."""
     frame = bytearray(get_codec(codec_name).encode_frame(value))
     if data.draw(st.booleans()):
         index = data.draw(st.integers(0, len(frame) - 1))
@@ -429,13 +474,15 @@ def test_any_mutation_or_truncation_decodes_or_raises_frame_error(
         frame[:4] = struct.pack(">I", cut - 4)
         del frame[cut:]
     try:
-        FrameDecoder().feed_all(bytes(frame))
+        for decoded in FrameDecoder().feed_all(bytes(frame)):
+            _unpack_all(decoded)
     except FrameError:
         pass
 
 
 # ---------------------------------------------------------------------------
-# the sizing contract the pipeline's arithmetic rests on
+# how the two formats compare in size (no code rests on it since decrees
+# are packed: a fact about plain values, which old WALs still hold)
 # ---------------------------------------------------------------------------
 
 #: the codec's whole value space, the awkward corners included
@@ -468,13 +515,12 @@ wide_payloads = st.recursive(
 @settings(max_examples=500, deadline=None)
 @given(wide_payloads)
 def test_json_body_is_at_most_six_times_the_binary_body(value):
-    binary = BINARY_CODEC.sizeof(value)
-    journal = JSON_CODEC.sizeof(value)
-    assert len(BINARY_CODEC.encode_body(value)) == binary
-    assert len(JSON_CODEC.encode_body(value)) == journal
-    # the bound covers the value and the comma that may follow it
-    assert journal + 1 <= BINARY_CODEC.journal_bound(binary)
-    assert journal + 1 <= JSON_CODEC.journal_bound(journal)
+    binary = len(BINARY_CODEC.encode_body(value))
+    journal = len(JSON_CODEC.encode_body(value))
+    assert len(BINARY_CODEC.encode_frame(value)) == 4 + 1 + binary
+    assert len(JSON_CODEC.encode_frame(value)) == 4 + journal
+    # the value and the comma that may follow it
+    assert journal + 1 <= 6 * binary
 
 
 @pytest.mark.parametrize(
@@ -496,10 +542,109 @@ def test_json_body_is_at_most_six_times_the_binary_body(value):
     ids=repr,
 )
 def test_six_times_bound_at_its_worst_cases(value):
-    assert (
-        JSON_CODEC.sizeof(value) + 1
-        <= BINARY_CODEC.journal_bound(BINARY_CODEC.sizeof(value))
+    assert len(JSON_CODEC.encode_body(value)) + 1 <= 6 * len(
+        BINARY_CODEC.encode_body(value)
     )
+
+
+# ---------------------------------------------------------------------------
+# packed values: carried as bytes, parsed on demand
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads)
+def test_packed_value_crosses_both_codecs_unread_and_unpacks(value):
+    whole = pack(value)
+    for codec in (JSON_CODEC, BINARY_CODEC):
+        carried = _decode_one(codec.encode_frame(("q-accept", whole)))[1]
+        assert type(carried) is Packed and carried == whole
+        assert hash(carried) == hash(whole)
+        assert carried._value is not value  # nothing was parsed on the way
+        assert carried.unpack() == value
+        assert carried.unpack() is carried.unpack()  # decoded once, kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=100))
+def test_packed_size_is_the_size_in_a_body(raw):
+    for codec in (JSON_CODEC, BINARY_CODEC):
+        assert codec.packed_size(len(raw)) == len(
+            codec.encode_body(Packed(raw))
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(payloads, max_size=5))
+def test_tuple_body_of_bodies_is_the_body_of_the_tuple(values):
+    assert tuple_body(
+        [BINARY_CODEC.encode_body(v) for v in values]
+    ) == BINARY_CODEC.encode_body(tuple(values))
+
+
+def test_packed_is_equal_and_hashed_by_its_bytes():
+    one, same, real = pack(1), pack(1), pack(1.0)
+    assert one == same and hash(one) == hash(same)
+    assert len({one, same, real}) == 2
+    # finer than == on the values, and never equal to a plain value
+    assert one.unpack() == real.unpack() and one != real
+    assert one != 1 and one != (1,)
+    # an attached value is trusted and never decoded
+    assert Packed(b"\xff", "kept").unpack() == "kept"
+    assert Packed(b"\xff", "kept") == Packed(b"\xff")
+
+
+#: bytes the codecs carry and ``unpack`` refuses: the frame decoder's
+#: whole taxonomy, one of each
+UNPACKABLE = {
+    "empty": b"",
+    "truncated": b"t" + struct.pack(">I", 3) + b"N",
+    "bad-utf8": b"s" + struct.pack(">I", 2) + b"\xff\xfe",
+    "unknown-tag": b"Z",
+    "trailing-bytes": b"NN",
+    "past-max-depth": (b"t" + struct.pack(">I", 1)) * (MAX_DEPTH + 1) + b"N",
+    "magic-byte-included": bytes([BINARY_MAGIC]) + b"N",
+    "inner-length-past-the-end": b"p" + struct.pack(">I", 9) + b"N",
+}
+
+
+@pytest.mark.parametrize("raw", UNPACKABLE.values(), ids=UNPACKABLE.keys())
+def test_unpacking_bad_bytes_is_a_frame_error_and_carrying_them_is_not(raw):
+    for codec in (JSON_CODEC, BINARY_CODEC):
+        carried = _decode_one(codec.encode_frame((Packed(raw),)))[0]
+        assert carried == raw
+        for _ in range(2):  # a failure is not cached as a value
+            with pytest.raises(FrameError):
+                carried.unpack()
+
+
+def test_nested_packed_values_unpack_one_level_at_a_time():
+    """Depth is counted per ``unpack``: bytes in bytes a thousand deep
+    cost the interpreter no stack, and a packed leaf under
+    ``MAX_DEPTH`` containers is a leaf in both codecs."""
+    value = "core"
+    for _ in range(1000):
+        value = pack(("layer", value))
+    for codec in (JSON_CODEC, BINARY_CODEC):
+        if codec.packed_size(len(value)) > MAX_FRAME:
+            continue
+        carried = _decode_one(codec.encode_frame(value))
+        for _ in range(1000):
+            layer, carried = carried.unpack()
+            assert layer == "layer"
+        assert carried == "core"
+    leaf = pack(("x", 1))
+    for _ in range(MAX_DEPTH):
+        leaf = (leaf,)
+    for codec in (JSON_CODEC, BINARY_CODEC):
+        assert _decode_one(codec.encode_frame(leaf)) == leaf
+
+
+def test_strict_base64_is_what_the_json_codec_writes():
+    raw = bytes(range(256))
+    body = JSON_CODEC.encode_body(Packed(raw))
+    assert body == b'{"p":"%b"}' % base64.b64encode(raw)
+    assert decode_payload({"p": ""}) == Packed(b"")
 
 
 # ---------------------------------------------------------------------------

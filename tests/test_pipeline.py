@@ -19,25 +19,35 @@ from hypothesis import strategies as st
 
 from repro.core.fastcheck import check_linearizable
 from repro.mp.backoff import BackoffPolicy
+from repro.mp.quorum import QuorumClient
 from repro.net.client import HistoryRecorder
 from repro.net.cluster import LocalCluster, shard_of
 from repro.net.codec import (
-    JSON_CODEC,
-    MAX_FRAME,
+    BINARY_CODEC,
     BinaryCodec,
     FrameTooLarge,
+    JSON_CODEC,
     JsonCodec,
+    MAX_FRAME,
+    Packed,
+    _UNREAD,
     get_codec,
 )
 from repro.net.loadgen import run_loadgen
 from repro.net.pipeline import (
+    BadDecree,
     FRAME_SLACK,
     PayloadTooLarge,
     PipelineClient,
     SlotPipeline,
+    _DECREE_HEAD,
+    _Entry,
+    _JOURNAL_BASE,
+    _decree,
     probing_client,
 )
 from repro.net.transport import AddressBook, AsyncTransport
+from repro.net.wal import NodeWAL
 from repro.smr.replica import SpeculativeSMR
 from repro.smr.universal import batch_commands, kv_store_adt, make_batch
 
@@ -394,23 +404,32 @@ class TestPipelinedLoadgen:
 # ---------------------------------------------------------------------------
 
 
-def _reference_envelope(ops):
-    """The envelope an exact size check encodes around a decree."""
+def _real_decree(ops):
+    """A decree as a proposer builds it: the ops' binary bodies joined."""
+    return _decree(
+        [_Entry(op, BINARY_CODEC.encode_body(op), None) for op in ops]
+    )
+
+
+def _real_sizes(codec, decree):
+    """The oracle: the frame that carries ``decree`` to a Quorum server
+    in the wire codec, and the JSON frame of the record that server's
+    WAL journals its acceptance as, both actually encoded."""
+    proposal = (
+        ("qcli", ("probe", 0, 0)), ("qs", 0, 0), ("q-propose", decree)
+    )
     return (
-        ("qcli", ("probe", 0, 0)), ("qs", 0, 0),
-        ("q-propose", make_batch(tuple(ops))),
+        len(codec.encode_frame(proposal)),
+        len(JSON_CODEC.encode_frame(("qs", 0, decree))),
     )
 
 
 def _exact_fits(codec, ops):
-    """The oracle: encode the decree in the wire codec *and* in JSON."""
-    envelope = _reference_envelope(ops)
     try:
-        wire = codec.encode_frame(envelope)
-        journal = JSON_CODEC.encode_frame(envelope)
+        sizes = _real_sizes(codec, _real_decree(ops))
     except FrameTooLarge:
         return False
-    return max(len(wire), len(journal)) + FRAME_SLACK <= MAX_FRAME
+    return max(sizes) + FRAME_SLACK <= MAX_FRAME
 
 
 def _offline_pipeline(codec_name):
@@ -433,9 +452,9 @@ def _tag(command, seq=1):
     return command + (("seq", ("c0", seq)),)
 
 
-#: payload families and what binds them: plain text (JSON a little
-#: larger), control characters (JSON six times the binary: the case the
-#: journal bound is tight on), floats (the binary frame is the larger)
+#: payload families: plain text, control characters (six times larger
+#: in a JSON value than in a binary one, and no larger in a decree,
+#: whose bytes are binary whatever carries them), floats
 PAYLOAD_FAMILIES = {
     "ascii": lambda n: "x" * n,
     "control": lambda n: "\x01" * n,
@@ -456,23 +475,23 @@ class TestSizingContract:
         def op(n):
             return _tag(("put", "k", payload(n)))
 
-        # from one unit on, every family grows by a fixed number of
-        # bytes per unit, so the largest payload that fits follows from
-        # two encodes in each codec
-        def grow(codec_):
-            one = len(codec_.encode_frame(_reference_envelope([op(1)])))
-            nine = len(codec_.encode_frame(_reference_envelope([op(9)])))
-            return one, (nine - one) // 8
-
-        room = MAX_FRAME - FRAME_SLACK
-        low = 1 + min(
-            (room - one) // per_unit
-            for one, per_unit in (grow(codec), grow(JSON_CODEC))
-        )
-        for n in (0, low // 2, low - 1, low, low + 1, low + 2, MAX_FRAME):
-            expected = _exact_fits(codec, [op(n)])
-            assert expected == (n <= low)
-            if expected:
+        # the first payload size that no longer fits, by bisection on
+        # the real encodings (fitting is monotone in the size)
+        low, high = 0, MAX_FRAME
+        assert _exact_fits(codec, [op(low)])
+        assert not _exact_fits(codec, [op(high)])
+        while high - low > 1:
+            mid = (low + high) // 2
+            if _exact_fits(codec, [op(mid)]):
+                low = mid
+            else:
+                high = mid
+        # what binds is the journal, where the bytes are base64: three
+        # quarters of a frame is all a decree may take
+        size = len(_real_decree([op(low)]))
+        assert 0 < 3 * MAX_FRAME // 4 - size < FRAME_SLACK
+        for n in (0, low // 2, low - 1, low, high, high + 1, MAX_FRAME):
+            if n <= low:
                 pipeline.ensure_fits(op(n))
             else:
                 with pytest.raises(PayloadTooLarge):
@@ -481,20 +500,31 @@ class TestSizingContract:
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from(["json", "binary"]),
-        st.lists(wide_payloads, min_size=1, max_size=6),
+        st.lists(wide_payloads, min_size=0, max_size=6),
     )
     def test_decree_bytes_cover_both_exact_encodings(
         self, codec_name, values
     ):
+        """The arithmetic of `_fits` is the real frame and the real
+        record, to the byte, and the decree decodes to its batch."""
         pipeline = PIPELINES[codec_name]
         codec = pipeline.transport.codec
         ops = [_tag(("put", "k", v), i) for i, v in enumerate(values)]
-        wire, journal = pipeline._decree_bytes(
-            [codec.sizeof(op) for op in ops]
+        decree = _real_decree(ops)
+        size = len(decree)
+        assert _real_sizes(codec, decree) == (
+            pipeline._wire_base + codec.packed_size(size),
+            _JOURNAL_BASE + JSON_CODEC.packed_size(size),
         )
-        envelope = _reference_envelope(ops)
-        assert wire == len(codec.encode_frame(envelope))
-        assert journal >= len(JSON_CODEC.encode_frame(envelope))
+        assert size == _DECREE_HEAD + sum(
+            len(BINARY_CODEC.encode_body(op)) for op in ops
+        )
+        # a reader decodes the proposer's batch (compared as bytes:
+        # nan != nan)
+        assert decree.unpack() == make_batch(tuple(ops))
+        assert BINARY_CODEC.encode_body(
+            Packed(decree).unpack()
+        ) == BINARY_CODEC.encode_body(make_batch(tuple(ops)))
 
     @pytest.mark.parametrize("codec_name", ["json", "binary"])
     def test_split_decisions_match_a_double_encode(self, codec_name):
@@ -502,23 +532,23 @@ class TestSizingContract:
         what encoding the whole decree twice would."""
         pipeline = PIPELINES[codec_name]
         codec = pipeline.transport.codec
-        for family in ("ascii", "control"):
+        answers = set()
+        for family in sorted(PAYLOAD_FAMILIES):
             payload = PAYLOAD_FAMILIES[family]
-            for n in (43_000, 86_000, 170_000, 260_000):
-                for count in (1, 2, 4, 6, 12):
+            # a float is nine bytes of a decree, a character one
+            unit = 9 if family == "floats" else 1
+            for n in (43_000, 86_000, 130_000, 260_000):
+                for count in (1, 2, 3, 4, 6, 12):
                     ops = [
-                        _tag(("put", f"k{i}", payload(n)), i)
+                        _tag(("put", f"k{i}", payload(n // unit)), i)
                         for i in range(count)
                     ]
-                    try:
-                        sizes = [codec.sizeof(op) for op in ops]
-                    except FrameTooLarge:
-                        # an op that cannot be sized never got an entry
-                        assert not _exact_fits(codec, ops[:1])
-                        continue
-                    assert pipeline._fits(sizes, ops) == _exact_fits(
-                        codec, ops
-                    ), (family, n, count)
+                    fits = pipeline._fits(
+                        sum(len(BINARY_CODEC.encode_body(op)) for op in ops)
+                    )
+                    assert fits == _exact_fits(codec, ops), (family, n, count)
+                    answers.add(fits)
+        assert answers == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +566,11 @@ def _is_envelope(value):
 
 class TestEncodeOnce:
     def test_no_sizing_encode_beyond_one_per_op_and_one_body_per_broadcast(
-        self, monkeypatch
+        self, monkeypatch, tmp_path
     ):
         frames = {"binary": [], "json": []}
         bodies = []
+        decodes = []
         for kind in (BinaryCodec, JsonCodec):
             def spy_frame(
                 self, value, memo=None, _real=kind.encode_frame
@@ -555,8 +586,18 @@ class TestEncodeOnce:
 
         monkeypatch.setattr(BinaryCodec, "encode_body", spy_body)
 
+        def spy_unpack(self, _real=Packed.unpack):
+            if self._value is _UNREAD:
+                decodes.append(bytes(self))
+            return _real(self)
+
+        monkeypatch.setattr(Packed, "unpack", spy_unpack)
+
         async def scenario():
-            cluster = LocalCluster(n_servers=3, codec="binary")
+            cluster = LocalCluster(
+                n_servers=3, codec="binary", wal_root=str(tmp_path),
+                group_commit=True,
+            )
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -576,25 +617,209 @@ class TestEncodeOnce:
             await asyncio.gather(
                 *(drive(c, i) for i, c in enumerate(clients))
             )
+            fault_free = len(decodes)
+            # a late reader walks the decided prefix from slot 0
+            late = probing_client("late", 3, transport, recorder)
+            out = await late.submit(("get", "k0"))
             await cluster.stop()
-            return pipeline, recorder
+            return pipeline, late.pipeline, recorder, fault_free, out
 
-        pipeline, recorder = asyncio.run(scenario())
+        pipeline, reader, recorder, fault_free, out = asyncio.run(scenario())
         assert pipeline.batched_ops == 64 and _check(recorder).ok
-        # sizing: one encode per op, in the wire codec, and none in JSON
-        sizing = [v for v in frames["binary"] if not _is_envelope(v)]
-        assert len(sizing) == 64
+        # each op is encoded once, as a body, when it is submitted ...
+        ops = [
+            v for v in bodies
+            if isinstance(v, tuple) and isinstance(v[-1], tuple)
+            and v[-1][:1] == ("seq",)
+        ]
+        assert len(ops) == len(set(ops)) == 64 + 1
+        # ... and nothing is encoded to be sized, in either codec
+        assert [v for v in frames["binary"] if not _is_envelope(v)] == []
         assert frames["json"] == []
         # every wire frame still comes out of encode_frame ...
         proposals = [
             v for v in frames["binary"]
             if _is_envelope(v) and v[2][0] == "q-propose"
         ]
-        # (+1: the envelope the pipeline sized once, at construction)
-        assert len(proposals) == 3 * pipeline.decrees + 1
+        # (+1 per pipeline: the frame it sized once, at construction)
+        assert len(proposals) == 3 * (pipeline.decrees + reader.decrees) + 2
         # ... but the body of a 3-server broadcast is encoded once
         proposed = [
             v for v in bodies
             if isinstance(v, tuple) and v and v[0] == "q-propose"
         ]
-        assert len(proposed) == pipeline.decrees
+        assert len(proposed) == pipeline.decrees + reader.decrees
+        # nobody parsed a decree while the proposer was alone: not the
+        # servers, not their WALs, not the proposer settling its own
+        assert fault_free == 0
+        # the reader lost every decided slot to a decree it did not
+        # propose, and decoded each exactly once to fold it
+        assert out == ("value", 7)
+        assert sorted(decodes) == sorted(
+            pipeline.log[slot] for slot in range(pipeline.decrees)
+        )
+        assert len(set(decodes)) == pipeline.decrees == reader.decrees - 1
+
+
+# ---------------------------------------------------------------------------
+# a decree nobody can fold: typed, and contained
+# ---------------------------------------------------------------------------
+
+UNFOLDABLE = {
+    "undecodable-bytes": Packed(b"\xff"),
+    "packed-non-command": Packed(bytes(BINARY_CODEC.encode_body(("bogus",)))),
+    "plain-non-command": ("bogus",),
+}
+
+
+def _decide_raw(transport, slot, value):
+    """Decide ``value`` at ``slot`` as a proposer outside the library
+    would: a bare Quorum client, no pipeline, no sizing, no batch."""
+    decided = transport.loop.create_future()
+    raw = QuorumClient(
+        ("qcli", ("raw", slot)),
+        servers=[("qs", slot, j) for j in range(3)],
+        on_decide=decided.set_result,
+        on_switch=decided.set_result,
+        timeout=2.0,
+    )
+    transport.register(raw)
+    raw.propose(value)
+    return asyncio.wait_for(decided, 5.0)
+
+
+class TestBadDecree:
+    @pytest.mark.parametrize(
+        "garbage", UNFOLDABLE.values(), ids=UNFOLDABLE.keys()
+    )
+    @pytest.mark.parametrize("codec_name", ["json", "binary"])
+    def test_an_unfoldable_decree_fails_the_op_and_nothing_else(
+        self, codec_name, garbage
+    ):
+        """The servers echo the bytes they were given; the reader that
+        walks onto the slot is the first to parse them.  Its op fails
+        with the typed error.  The error must not reach the transport's
+        read loop, which would take it for a corrupt peer and hang up
+        on a server that did nothing wrong."""
+
+        async def scenario():
+            cluster = LocalCluster(n_servers=3, codec=codec_name)
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            assert await _decide_raw(transport, 0, garbage) == garbage
+            writers = {
+                name: peer.writer for name, peer in transport._peers.items()
+            }
+            late = probing_client(
+                "late", 3, transport, recorder, quorum_timeout=0.15
+            )
+            with pytest.raises(BadDecree, match="slot 0"):
+                await late.submit(("get", "k"))
+            # same connections, still open, and they still carry slots
+            assert len(writers) == 3
+            for name, peer in transport._peers.items():
+                assert peer.writer is writers[name]
+                assert not peer.writer.is_closing()
+            good = _decree(())
+            assert await _decide_raw(transport, 1, good) == good
+            await cluster.stop()
+            return late, recorder
+
+        errors = []
+        loop = asyncio.new_event_loop()
+        loop.set_exception_handler(lambda _loop, ctx: errors.append(ctx))
+        try:
+            late, recorder = loop.run_until_complete(scenario())
+        finally:
+            loop.close()
+        assert errors == []
+        # fate unknown: the invocation stays open, the identity is done
+        assert recorder.pending_clients() == ("late",)
+        assert late.poisoned and late.results == []
+        assert late.pipeline.log[0] == garbage
+        assert late.pipeline._applied_upto == 0
+
+
+# ---------------------------------------------------------------------------
+# a log written before decrees were packed is supported input
+# ---------------------------------------------------------------------------
+
+
+class TestOldLogs:
+    def test_plain_decrees_replay_are_served_and_apply_next_to_packed_ones(
+        self, tmp_path
+    ):
+        def old(seq, command):
+            return command + (("seq", ("old", seq)),)
+
+        fast = [
+            make_batch((old(1, ("put", "a", 1)), old(2, ("put", "b", 2)))),
+            make_batch(()),
+            old(3, ("put", "a", 3)),  # the seed client's unbatched decree
+        ]
+        # slot 3 went through Backup: the Quorum servers disagreed
+        backup, loser = (
+            make_batch((old(4, ("put", "b", 4)),)),
+            make_batch((old(5, ("put", "b", 5)),)),
+        )
+        for index in range(3):
+            wal = NodeWAL(str(tmp_path / f"node{index}"))
+            for slot, value in enumerate(fast):
+                wal.record_quorum(slot, value)
+            wal.record_quorum(3, loser if index == 1 else backup)
+            wal.record_acceptor(3, (0, 0, backup))
+            if index == 0:
+                wal.record_decided(3, backup)
+            wal.close()
+
+        async def scenario():
+            cluster = LocalCluster(
+                n_servers=3, codec="binary", wal_root=str(tmp_path),
+                group_commit=True,
+            )
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            # what the old clients saw, in log order
+            for command, previous in (
+                (("put", "a", 1), None), (("put", "b", 2), None),
+                (("put", "a", 3), 1), (("put", "b", 4), 2),
+            ):
+                recorder.invoke("old", command)
+                recorder.respond("old", command, ("value", previous))
+            pipeline = SlotPipeline(
+                "main", 3, transport, window=4, max_batch=16,
+                quorum_timeout=0.15,
+            )
+            writers = [
+                PipelineClient(f"w{i}", pipeline, recorder, op_timeout=10.0)
+                for i in range(4)
+            ]
+            prober = probing_client(
+                "late", 3, transport, recorder, quorum_timeout=0.15,
+                op_timeout=10.0,
+            )
+
+            async def drive(client, index):
+                for n in range(6):
+                    await client.submit(("put", "ab"[index % 2], (index, n)))
+                    await client.submit(("get", "ab"[n % 2]))
+
+            first, *_ = await asyncio.gather(
+                prober.submit(("get", "a")),
+                *(drive(c, i) for i, c in enumerate(writers)),
+            )
+            last = await prober.submit(("get", "b"))
+            await cluster.stop()
+            return pipeline, prober.pipeline, recorder, first, last
+
+        pipeline, walked, recorder, first, last = asyncio.run(scenario())
+        assert recorder.pending_clients() == ()
+        assert _check(recorder).ok
+        for log in (pipeline.log, walked.log):
+            assert [log[slot] for slot in range(3)] == fast
+            assert log[3] == backup
+            assert all(type(log[slot]) is Packed for slot in log if slot > 3)
+        assert len(walked.log) > 4
+        assert first[0] == "value" and last[0] == "value"
