@@ -330,7 +330,7 @@ async def _run(
             random.Random(f"loadgen:{seed}:{index}"), keys
         )
         for _ in range(per_client[index]):
-            if any(tap.violated for tap in taps):
+            if taps and any(tap.violated for tap in taps):
                 # fail fast (prefix closure: the verdict cannot recover)
                 return
             command = next(stream)

@@ -341,8 +341,8 @@ class ReplicaNode:
         """
         for slot in self.recovered.slots():
             self.ensure_slot(slot)
+        # self.port stays the port asked for: the bound one is published
         host, port = await self.transport.start_server(self.host, self.port)
-        self.port = port
         self.transport.book.add(self.endpoint, host, port)
         return host, port
 

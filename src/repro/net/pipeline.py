@@ -186,11 +186,10 @@ def decided_commands(value: Hashable) -> Tuple:
     return batch_commands(value.unpack() if type(value) is Packed else value)
 
 
-def _swallow(future: asyncio.Future) -> None:
-    # late failure of an abandoned attempt whose waiter was superseded:
-    # retrieve it so asyncio never logs "exception was never retrieved"
-    if not future.cancelled():
-        future.exception()
+#: what the watchdog resolves the future of a slow attempt with: it
+#: wakes the submitter and decides nothing, since everything that
+#: answers, fails or requeues an entry skips a future already done
+_SLOW = object()
 
 
 class SlotPipeline:
@@ -545,7 +544,7 @@ class SlotPipeline:
 
         A slot that cannot be folded stops the prefix and fails every
         waiter with :exc:`BadDecree`.  Raised from here, under the
-        transport's read loop, a :exc:`~repro.net.codec.FrameError`
+        transport's read side, a :exc:`~repro.net.codec.FrameError`
         would cost a server that only echoed bytes its connection."""
         try:
             while self._applied_upto in self.log:
@@ -584,6 +583,14 @@ class PipelineClient:
     spent does the op fail with
     :exc:`~repro.net.client.RetriesExhausted`, leaving the invocation
     pending and the identity poisoned.
+
+    An op is one future and one wake-up: :meth:`submit` awaits the
+    future :meth:`SlotPipeline.enqueue` returned and nothing else.  The
+    attempt, hedge and op deadlines are kept by one watchdog timer per
+    client, which wakes a slow submitter by resolving that future with
+    a sentinel (never a decision).  Cancelling a submitter cancels its
+    future: the invocation stays pending, the decree still decides and
+    folds, and the decree's other ops are answered.
     """
 
     def __init__(
@@ -620,6 +627,10 @@ class PipelineClient:
         self.hedges = 0
         self._seq = 0
         self._incarnation = 0
+        #: the watchdog's one timer, and the wait it guards: the future
+        #: :meth:`submit` awaits and when to wake it undecided
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._wait: Tuple[asyncio.Future, float]
 
     def successor(self) -> "PipelineClient":
         """A fresh client identity continuing this client's workload.
@@ -645,13 +656,27 @@ class PipelineClient:
         heir._incarnation = self._incarnation + 1
         return heir
 
-    def _retire(self, futures: List[asyncio.Future]) -> None:
+    def _retire(self) -> None:
         # fate unknown: the op may still decide and take effect, so the
-        # invocation stays pending and the identity is done.  Abandoned
-        # attempt futures may still fail later — swallow those.
+        # invocation stays pending and the identity is done
         self.poisoned = True
-        for f in futures:
-            f.add_done_callback(_swallow)
+
+    def _arm(self, wake: float) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+        self._timer = self.pipeline.transport.loop.call_at(wake, self._watch)
+
+    def _watch(self) -> None:
+        """The watchdog fired: wake the submitter whose time has come,
+        or re-arm for the wait in progress, or (nobody waiting) stop."""
+        armed_for, self._timer = self._timer.when(), None
+        future, wake = self._wait
+        if future.done():
+            return
+        if wake > armed_for:
+            self._arm(wake)
+        else:
+            future.set_result(_SLOW)
 
     async def submit(self, command: Tuple) -> Hashable:
         """Replicate one KV command; return its derived response.
@@ -682,88 +707,71 @@ class PipelineClient:
         start = self.pipeline.transport.now
         deadline = start + self.op_timeout
         self.recorder.invoke(self.name, command)
-        futures: List[asyncio.Future] = [self.pipeline.enqueue(tagged)]
-        attempt_started = start
-        hedged = False
-        round_no = 0
-        outcome = None
-        while outcome is None:
-            # a future may have resolved while we slept in backoff or
-            # enqueued a new attempt: harvest before waiting again
-            for f in futures:
-                if f.done() and not f.cancelled() and f.exception() is None:
-                    outcome = f.result()
-                    break
-            if outcome is not None:
+        # Only the newest entry of a tagged op is ever resolved (enqueue
+        # supersedes the older one in the waiter map), so the op has one
+        # live future at a time and awaiting it is the whole wait.
+        future = self.pipeline.enqueue(tagged)
+        # when the attempt in flight (or the pause after it) is over,
+        # and when to launch the one hedge (never = at the deadline)
+        retry_at = start + self.attempt_timeout
+        hedge_at = deadline
+        if self.hedge_after is not None:
+            hedge_at = start + self.hedge_after
+        round_no, pausing = 0, False
+        while True:
+            # the timer moves only to wake earlier than it is armed for:
+            # a healthy op arms and cancels none
+            wake = min(retry_at, hedge_at, deadline)
+            self._wait = (future, wake)
+            if self._timer is None or wake < self._timer.when():
+                self._arm(wake)
+            try:
+                outcome = await future
+            except BadDecree:
+                self._retire()
+                raise
+            if outcome is not _SLOW:
                 break
-            now = self.pipeline.transport.now
-            if now >= deadline:
-                self._retire(futures)
+            if wake >= deadline:
+                self._retire()
                 raise RetriesExhausted(
                     f"{self.name}: {command!r} still undecided after "
                     f"{self.op_timeout}s across {round_no + 1} attempt(s)"
-                ) from None
-            wake = min(attempt_started + self.attempt_timeout, deadline)
-            if self.hedge_after is not None and not hedged:
-                wake = min(wake, attempt_started + self.hedge_after)
-            pending = [f for f in futures if not f.done()]
-            if pending:
-                done, _ = await asyncio.wait(
-                    pending,
-                    timeout=max(wake - now, 0.0),
-                    return_when=asyncio.FIRST_COMPLETED,
                 )
-                for f in done:
-                    error = f.exception()
-                    if error is None:
-                        outcome = f.result()
-                        break
-                    if isinstance(error, BadDecree):
-                        self._retire(futures)
-                        raise error
-                if outcome is not None:
-                    break
-            now = self.pipeline.transport.now
-            all_failed = all(
-                f.done() and f.exception() is not None for f in futures
-            )
-            if (
-                not all_failed
-                and self.hedge_after is not None
-                and not hedged
-                and now >= attempt_started + self.hedge_after
-            ):
-                # the attempt looks slow: launch one duplicate enqueue;
+            if wake >= hedge_at:
+                # the op looks slow: launch one duplicate enqueue;
                 # whichever decree decides first answers, the other
                 # folds as a duplicate
-                hedged = True
+                hedge_at = deadline
                 self.hedges += 1
-                futures.append(self.pipeline.enqueue(tagged))
-                continue
-            if all_failed or now >= attempt_started + self.attempt_timeout:
-                # attempt over (timed out, or every in-flight copy was
-                # abandoned): re-submit the same tagged op if budget
-                # and deadline allow
-                if self.retry_backoff.exhausted(round_no):
-                    self._retire(futures)
-                    raise RetriesExhausted(
-                        f"{self.name}: {command!r} still undecided after "
-                        f"{round_no + 1} attempt(s); retry budget spent"
-                    ) from None
+                future = self.pipeline.enqueue(tagged)
+            elif pausing:
+                # the pause is over: re-submit the same tagged op
+                pausing = False
+                retry_at = self.pipeline.transport.now + self.attempt_timeout
+                future = self.pipeline.enqueue(tagged)
+            elif self.retry_backoff.exhausted(round_no):
+                self._retire()
+                raise RetriesExhausted(
+                    f"{self.name}: {command!r} still undecided after "
+                    f"{round_no + 1} attempt(s); retry budget spent"
+                )
+            else:
+                # the attempt timed out: pause, then retry.  The pause
+                # listens: the entry in flight gets a live future again,
+                # so a decree that decides meanwhile answers the op and
+                # no second one is proposed
                 round_no += 1
                 self.retries += 1
-                pause = min(
-                    self.retry_backoff.delay(
-                        round_no, key=(self.name, self._seq)
-                    ),
-                    max(deadline - now, 0.0),
+                pausing = True
+                hedge_at = deadline  # a hedge rides the first attempt only
+                retry_at = wake + self.retry_backoff.delay(
+                    round_no, key=(self.name, self._seq)
                 )
-                if pause > 0:
-                    await asyncio.sleep(pause)
-                attempt_started = self.pipeline.transport.now
-                futures.append(self.pipeline.enqueue(tagged))
-        for f in futures:
-            f.add_done_callback(_swallow)
+                future = self.pipeline.transport.loop.create_future()
+                entry = self.pipeline._waiters.get(tagged)
+                if entry is not None:
+                    entry.future = future
         output, slot, attempts, switched = outcome
         self.recorder.respond(self.name, command, output)
         self.results.append(

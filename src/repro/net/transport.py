@@ -12,6 +12,11 @@ implement the port of :mod:`repro.net.port`:
   sends one message object to several destinations; its body is
   encoded once and spliced behind each ``(src, dst)`` header, which is
   sound because a message is never mutated after ``send``;
+* inbound, each connection is an :class:`asyncio.Protocol`: the bytes
+  a socket read returns are fed to that connection's
+  :class:`~repro.net.codec.FrameDecoder` (the one buffer, and the one
+  place a length, a tag or a depth is checked) and every frame they
+  complete is dispatched there and then, in the same callback;
 * ``call_later`` is ``loop.call_later`` behind a cancellable handle;
 * ``now`` is the event-loop wall clock.
 
@@ -44,7 +49,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..mp.sim import NetworkStats
 from .codec import JSON_CODEC, BodyMemo, Codec, FrameDecoder, FrameError
@@ -131,17 +136,51 @@ class _TimerHandle:
 
 
 #: a learned reply route: the connection and its label in the link stats
-_Route = Tuple[asyncio.StreamWriter, str]
+_Route = Tuple[asyncio.Transport, str]
 
 
 class _Peer:
     """One outbound connection to a remote endpoint, opened lazily."""
 
     def __init__(self) -> None:
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.writer: Optional[asyncio.Transport] = None
         self.queue: List[bytes] = []
         self.task: Optional[asyncio.Task] = None
         self.dead_until: float = 0.0
+
+
+class _Connection(asyncio.Protocol):
+    """One TCP connection of an endpoint, dialled or accepted."""
+
+    def __init__(self, owner: "AsyncTransport") -> None:
+        self.owner = owner
+        self.decoder = FrameDecoder()
+
+    def connection_made(self, transport) -> None:
+        peer = transport.get_extra_info("peername")
+        label = f"{peer[0]}:{peer[1]}" if peer else "peer"
+        #: the reply route that frames arriving here teach the owner
+        self.route: _Route = (transport, label)
+        self.owner._connections.add(transport)
+        if self.owner.closed:  # accepted while the endpoint was closing
+            transport.close()
+
+    def data_received(self, data: bytes) -> None:
+        if self.owner.closed:
+            return
+        try:
+            for envelope in self.decoder.feed(data):
+                self.owner._dispatch(envelope, self.route)
+        except (ConnectionError, FrameError):
+            # a malformed frame or a reset costs this connection, quietly;
+            # anything else a handler raises costs it too, and asyncio
+            # reports that one once through the loop's exception handler
+            self.route[0].close()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.owner._connections.discard(self.route[0])
+        self.owner._forget_routes(self.route[0])
+        self.owner._forget_peer(self.route[0])
 
 
 class AsyncTransport:
@@ -178,7 +217,8 @@ class AsyncTransport:
         self._peers: Dict[str, _Peer] = {}
         #: pid → (connection, its stats label), oldest first
         self._routes: "OrderedDict[Hashable, _Route]" = OrderedDict()
-        self._reader_tasks: List[asyncio.Task] = []
+        #: every open connection, dialled or accepted
+        self._connections: Set[asyncio.Transport] = set()
 
     # ------------------------------------------------------------------
     # the substrate port
@@ -306,7 +346,7 @@ class AsyncTransport:
     # outbound plumbing
     # ------------------------------------------------------------------
 
-    def _write(self, writer: asyncio.StreamWriter, frame: bytes, link) -> None:
+    def _write(self, writer: asyncio.Transport, frame: bytes, link) -> None:
         try:
             writer.write(frame)
         except (ConnectionError, RuntimeError):
@@ -340,7 +380,11 @@ class AsyncTransport:
             self._drop_queue(dst_ep, peer)
             return
         try:
-            reader, writer = await asyncio.open_connection(*address)
+            # Answers may come back over this same connection (the remote
+            # endpoint learns reply routes from our src pids).
+            writer, _ = await self.loop.create_connection(
+                lambda: _Connection(self), *address
+            )
         except OSError:
             peer.dead_until = self.now + RECONNECT_COOLDOWN
             self._drop_queue(dst_ep, peer)
@@ -350,11 +394,6 @@ class AsyncTransport:
         link = self.stats.link(self.endpoint, dst_ep)
         for frame in pending:
             self._write(writer, frame, link)
-        # Answers may come back over this same connection (the remote
-        # endpoint learns reply routes from our src pids).
-        self._reader_tasks.append(
-            self.loop.create_task(self._read_loop(reader, writer))
-        )
 
     def _drop_queue(self, dst_ep: str, peer: _Peer) -> None:
         link = self.stats.link(self.endpoint, dst_ep)
@@ -369,56 +408,29 @@ class AsyncTransport:
 
     async def start_server(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
         """Listen for inbound connections; returns the bound address."""
-        self._server = await asyncio.start_server(
-            self._on_connection, host, port
+        self._server = await self.loop.create_server(
+            lambda: _Connection(self), host, port
         )
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await self._read_loop(reader, writer)
-
-    async def _read_loop(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        decoder = FrameDecoder()
-        peer = writer.get_extra_info("peername")
-        route = (writer, f"{peer[0]}:{peer[1]}" if peer else "peer")
-        try:
-            while not self.closed:
-                data = await reader.read(65536)
-                if not data:
-                    return
-                for envelope in decoder.feed(data):
-                    self._dispatch(envelope, route)
-        except (ConnectionError, FrameError, asyncio.CancelledError):
-            return
-        finally:
-            self._forget_routes(writer)
-            self._forget_peer(writer)
-
-    def _forget_routes(self, writer: asyncio.StreamWriter) -> None:
+    def _forget_routes(self, writer: asyncio.Transport) -> None:
         stale = [
             pid for pid, route in self._routes.items() if route[0] is writer
         ]
         for pid in stale:
             del self._routes[pid]
 
-    def _forget_peer(self, writer: asyncio.StreamWriter) -> None:
-        """Drop a pooled connection whose remote end hung up.
+    def _forget_peer(self, writer: asyncio.Transport) -> None:
+        """Unpool a connection that was lost.
 
-        TCP half-close makes this necessary: a killed node's FIN ends our
-        read loop, but the write side of the socket still looks open, so
-        without this hook later sends would pour frames into the dead
-        connection instead of re-dialing — and a *restarted* node (new
-        port in the address book) would stay unreachable until the stale
-        writer finally errored.  EOF carries no cooldown; if the endpoint
+        A killed node's FIN closes the connection under us.  Unpooling
+        it here carries no cooldown, so the next send re-dials at once
+        and a *restarted* node (new port in the address book) is
+        reachable again; a writer that :meth:`_send_to_endpoint` finds
+        closing costs a cooldown of lost frames first.  If the endpoint
         is really gone the next dial fails and sets one.
         """
-        if not writer.is_closing():
-            writer.close()
         for peer in self._peers.values():
             if peer.writer is writer:
                 peer.writer = None
@@ -470,13 +482,11 @@ class AsyncTransport:
         self.closed = True
         if self._server is not None:
             self._server.close()
-        for task in self._reader_tasks:
-            task.cancel()
         for peer in self._peers.values():
             if peer.task is not None:
                 peer.task.cancel()
-            if peer.writer is not None and not peer.writer.is_closing():
-                peer.writer.close()
+        for connection in list(self._connections):
+            connection.close()
         self._routes.clear()
         self.book.remove(self.endpoint)
         await asyncio.sleep(0)

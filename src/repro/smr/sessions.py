@@ -120,25 +120,30 @@ class SessionTable:
     def __len__(self) -> int:
         return len(self._sessions)
 
+    def seen(self, uid: Tuple) -> Optional[Tuple[int, Hashable]]:
+        """The client's ``(last seq, cached reply)`` if ``uid`` is a
+        duplicate occurrence (counted), None if it must be applied."""
+        if self.enabled:
+            last = self._sessions.get(uid[0])
+            if last is not None and uid[1] <= last[0]:
+                self.duplicates += 1
+                return last
+        return None
+
+    def store(self, uid: Tuple, reply: Hashable) -> None:
+        """Remember the reply the first occurrence of ``uid`` made."""
+        self._sessions[uid[0]] = (uid[1], reply)
+
     def fresh(self, command: Tuple) -> bool:
         """True iff ``command`` must be applied (first occurrence)."""
         uid = seq_uid(command)
-        if uid is None or not self.enabled:
-            return True
-        client, seq = uid
-        last = self._sessions.get(client)
-        if last is not None and seq <= last[0]:
-            self.duplicates += 1
-            return False
-        return True
+        return uid is None or self.seen(uid) is None
 
     def record(self, command: Tuple, reply: Hashable) -> None:
-        """Remember the reply the first occurrence of ``command`` made."""
+        """:meth:`store` for a command; an untagged one has no session."""
         uid = seq_uid(command)
-        if uid is None:
-            return
-        client, seq = uid
-        self._sessions[client] = (seq, reply)
+        if uid is not None:
+            self.store(uid, reply)
 
     def cached_reply(self, command: Tuple) -> Hashable:
         """The remembered reply for a duplicate of ``command``.
@@ -201,10 +206,14 @@ class SessionedApplier:
         produced (the waiter of a retried/hedged op still gets the
         canonical answer).
         """
-        if not self.table.fresh(command):
-            return state, self.table.cached_reply(command), False
-        state, reply = self.adt.transition(state, untag_command(command))
-        self.table.record(command, reply)
+        uid = seq_uid(command)  # the tag is parsed here, once per command
+        if uid is None:
+            return self.adt.transition(state, command) + (True,)
+        last = self.table.seen(uid)
+        if last is not None:
+            return state, last[1], False
+        state, reply = self.adt.transition(state, command[:-1])
+        self.table.store(uid, reply)
         return state, reply, True
 
 
@@ -231,10 +240,11 @@ def sessioned_adt(base: ADT) -> ADT:
             inner, output = base.transition(inner, payload)
             return (inner, snapshot), output
         table = SessionTable.restore(snapshot)
-        if not table.fresh(payload):
-            return state, table.cached_reply(payload)
-        inner, output = base.transition(inner, untag_command(payload))
-        table.record(payload, output)
+        last = table.seen(uid)
+        if last is not None:
+            return state, last[1]
+        inner, output = base.transition(inner, payload[:-1])
+        table.store(uid, output)
         return (inner, table.snapshot()), output
 
     return ADT(

@@ -135,12 +135,20 @@ def kv_store_adt() -> ADT:
     """A replicated key-value store as an ADT (the Gaios/Chubby shape the
     paper cites as consensus use cases).
 
-    State is a tuple of (key, value) pairs; all commands answer
-    ``("value", previous_or_current)``.  Every command touches exactly one
-    key and its output depends only on that key's sub-history, so the ADT
-    carries a :class:`~repro.core.adt.PartitionSpec` keyed on the command's
-    key with :func:`kv_cell_adt` components — the P-compositional checker
-    in :mod:`repro.core.fastcheck` decomposes traces per key.
+    All commands answer ``("value", previous_or_current)``.  Every command
+    touches exactly one key and its output depends only on that key's
+    sub-history, so the ADT carries a
+    :class:`~repro.core.adt.PartitionSpec` keyed on the command's key
+    with :func:`kv_cell_adt` components — the P-compositional checker in
+    :mod:`repro.core.fastcheck` decomposes traces per key.
+
+    State is the tuple of (key, value) pairs sorted by ``repr(key)``:
+    canonical, so equal stores are equal states in every process.  A
+    write splices its one pair in and rebuilds nothing: a held key is
+    found by equality (``1``, ``1.0`` and ``True`` are one key, as in
+    ``dict`` and in the checker's partitioning) and keeps its place and
+    its key object; only a key not yet held is bisected in, so a write
+    costs log K ``repr`` calls and no sort.
     """
 
     def is_input(payload) -> bool:
@@ -160,19 +168,23 @@ def kv_store_adt() -> ADT:
         )
 
     def transition(state, input):
-        mapping = dict(state)
-        op = input[0]
-        if op == "put":
-            _, key, value = input
-            previous = mapping.get(key)
-            mapping[key] = value
-            return tuple(sorted(mapping.items(), key=repr)), ("value", previous)
-        if op == "get":
-            _, key = input
-            return state, ("value", mapping.get(key))
-        _, key = input
-        previous = mapping.pop(key, None)
-        return tuple(sorted(mapping.items(), key=repr)), ("value", previous)
+        op, key = input[0], input[1]
+        held = dict(state)
+        previous = held.get(key)
+        if op == "get" or (op == "delete" and key not in held):
+            return state, ("value", previous)
+        if key in held:
+            at = list(held).index(key)
+            pair = ((state[at][0], input[2]),) if op == "put" else ()
+            return state[:at] + pair + state[at + 1:], ("value", previous)
+        mark, at, end = repr(key), 0, len(state)
+        while at < end:
+            mid = (at + end) // 2
+            if repr(state[mid][0]) < mark:
+                at = mid + 1
+            else:
+                end = mid
+        return state[:at] + ((key, input[2]),) + state[at:], ("value", None)
 
     def key_of(payload):
         if payload[0] == "put" and len(payload) == 3:

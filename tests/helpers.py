@@ -108,3 +108,35 @@ def random_linearizable_trace(
     return random_wellformed_trace(
         rng, adt, inputs, n_clients, n_steps, honest_bias=1.1
     )
+
+
+def run_quiet(scenario):
+    """Run ``scenario()`` on a fresh event loop; returns its result and
+    every context the loop's exception handler was handed (a stray task
+    failure, a callback or a protocol that raised): ``[]`` when quiet."""
+    import asyncio
+
+    errors = []
+    loop = asyncio.new_event_loop()
+    loop.set_exception_handler(lambda _loop, context: errors.append(context))
+    try:
+        return loop.run_until_complete(scenario()), errors
+    finally:
+        loop.close()
+
+
+def client_timers(loop):
+    """Start recording the wake time of every timer a
+    :class:`~repro.net.pipeline.PipelineClient` arms on ``loop`` (its
+    watchdog; the per-decree quorum timer is protocol and not meant)."""
+    from repro.net.pipeline import PipelineClient
+
+    armed, call_at = [], loop.call_at
+
+    def counting(when, callback, *args, **kwargs):
+        if isinstance(getattr(callback, "__self__", None), PipelineClient):
+            armed.append(when)
+        return call_at(when, callback, *args, **kwargs)
+
+    loop.call_at = counting
+    return armed

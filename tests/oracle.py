@@ -230,3 +230,56 @@ def histories(draw, adt, inputs, outputs, max_ops=6, clients=4):
                 output = draw(st.sampled_from(outputs))
             actions.append(Response(client, 1, payload, output))
     return Trace(actions)
+
+
+# ---------------------------------------------------------------------------
+# the KV store, rebuilt on every write
+# ---------------------------------------------------------------------------
+
+
+def kv_rebuild_transition(state, input):
+    """The KV store's transition as it was before a write became a
+    splice: copy the store, apply the command, sort every pair again.
+    Linear in the store where :func:`repro.smr.universal.kv_store_adt`
+    is logarithmic, and too plain to be wrong: the reference."""
+    mapping = dict(state)
+    op = input[0]
+    if op == "put":
+        _, key, value = input
+        previous = mapping.get(key)
+        mapping[key] = value
+        return tuple(sorted(mapping.items(), key=repr)), ("value", previous)
+    if op == "get":
+        _, key = input
+        return state, ("value", mapping.get(key))
+    _, key = input
+    previous = mapping.pop(key, None)
+    return tuple(sorted(mapping.items(), key=repr)), ("value", previous)
+
+
+def _kv_keys():
+    """Keys that stress the splice: strings that share prefixes and hold
+    quotes and commas (the order is ``repr``'s), and keys equal across
+    types (``1``, ``1.0``, ``True``), which are one key."""
+    text = st.text(alphabet="ab',\" ", max_size=3)
+    scalar = st.one_of(
+        text,
+        st.integers(-2, 11),
+        st.sampled_from([0.0, 1.0, 1.5, -1.0, 10.0, 1e20]),
+        st.booleans(),
+        st.none(),
+    )
+    return st.one_of(scalar, st.tuples(scalar), st.tuples(scalar, scalar))
+
+
+def kv_command_sequences(max_size=40):
+    """Put / get / delete sequences over :func:`_kv_keys`."""
+    key, value = _kv_keys(), st.integers(0, 3)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("put"), key, value),
+            st.tuples(st.just("get"), key),
+            st.tuples(st.just("delete"), key),
+        ),
+        max_size=max_size,
+    )

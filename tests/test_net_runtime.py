@@ -17,6 +17,7 @@ import pytest
 import repro.net.transport as transport_module
 from repro.core.fastcheck import check_linearizable
 from repro.mp.backoff import BackoffPolicy
+from repro.mp.sim import Process
 from repro.net import (
     FrameError,
     LoadReport,
@@ -26,12 +27,15 @@ from repro.net import (
     run_loadgen,
 )
 from repro.net.client import HistoryRecorder, OperationTimeout
+from repro.net.codec import BINARY_CODEC
 from repro.net.faultfs import FaultyFS, tear_tail
 from repro.net.netfaults import TransportFaults
 from repro.net.node import ReplicaNode
-from repro.net.transport import AddressBook
+from repro.net.transport import AddressBook, AsyncTransport
 from repro.net.wal import NodeWAL, WALFullError, WriteAheadLog
 from repro.smr.universal import kv_store_adt
+
+from helpers import run_quiet
 
 FAST_BACKOFF = BackoffPolicy(
     base=0.1, factor=2.0, cap=0.5, jitter=0.25, max_retries=4
@@ -680,3 +684,172 @@ class TestRouteTable:
         recorder = asyncio.run(scenario())
         assert not recorder.pending_clients()
         assert check_linearizable(recorder.trace(), kv_store_adt()).ok
+
+
+# ---------------------------------------------------------------------------
+# the read side: a frame is dispatched in the callback that received it
+# ---------------------------------------------------------------------------
+
+
+class _Sink(Process):
+    """A role that keeps what it is sent; ``fuse`` many of its first
+    messages blow up in the handler instead (a bug in a role)."""
+
+    def __init__(self, pid, fuse=0, reply_to=None):
+        super().__init__(pid)
+        self.got, self.fuse, self.reply_to = [], fuse, reply_to
+
+    def on_message(self, src, message):
+        if self.fuse:
+            self.fuse -= 1
+            raise RuntimeError(f"{self.pid} cannot take {message!r}")
+        self.got.append(message)
+        if self.reply_to is not None:
+            self.send(self.reply_to, ("echo", message))
+
+
+class TestReadSide:
+    SERVER_PID = ("qs", 0, 0)  # resolves statically to node0
+
+    async def _server(self, **sink_kwargs):
+        book = AddressBook()
+        server = AsyncTransport("node0", book, codec=BINARY_CODEC)
+        sink = server.register(_Sink(self.SERVER_PID, **sink_kwargs))
+        book.add("node0", *await server.start_server())
+        return book, server, sink
+
+    def test_frames_are_dispatched_whole_and_in_order(self):
+        """Three frames in one write, then one frame in three writes:
+        the decoder is the only buffer between the socket and the role."""
+
+        def frame(n):
+            return BINARY_CODEC.encode_frame(
+                (("raw", 0), self.SERVER_PID, ("m", n, "x" * 50))
+            )
+
+        async def scenario():
+            book, server, sink = await self._server()
+            _reader, writer = await asyncio.open_connection(
+                *book.lookup("node0")
+            )
+            writer.write(frame(0) + frame(1) + frame(2))
+            await writer.drain()
+            await asyncio.sleep(0.05)
+            first = list(sink.got)
+            last = frame(3)
+            for part in (last[:3], last[3:40], last[40:]):
+                assert [m[1] for m in sink.got] == [0, 1, 2]
+                writer.write(part)
+                await writer.drain()
+                await asyncio.sleep(0.05)
+            writer.close()
+            await server.close()
+            return first, sink.got, server.stats.delivered
+
+        (first, got, delivered), errors = run_quiet(scenario)
+        assert errors == []
+        assert [m[1] for m in first] == [0, 1, 2]
+        assert [m[1] for m in got] == [0, 1, 2, 3] and delivered == 4
+
+    def test_a_raising_role_costs_the_listening_end_one_connection(self):
+        """Whatever a handler raises that is no ``FrameError`` is a bug,
+        not a bad peer: the connection it arrived on is closed, the
+        loop's exception handler hears of it exactly once, and the next
+        send dials a new connection and is delivered."""
+
+        async def scenario():
+            book, server, sink = await self._server(fuse=1)
+            client = AsyncTransport("cli", book, codec=BINARY_CODEC)
+            client.send(("cli", 0), self.SERVER_PID, "first")
+            await asyncio.sleep(0.1)
+            routes, pooled = dict(server._routes), client._peers["node0"].writer
+            client.send(("cli", 0), self.SERVER_PID, "second")
+            await asyncio.sleep(0.1)
+            redialled = client._peers["node0"].writer
+            await client.close()
+            await server.close()
+            return sink.got, routes, pooled, redialled
+
+        (got, routes, pooled, redialled), errors = run_quiet(scenario)
+        assert len(errors) == 1
+        assert isinstance(errors[0]["exception"], RuntimeError)
+        # _forget_routes ran on the server, _forget_peer on the client
+        # (which saw the hang-up): nothing points at the dead connection
+        assert routes == {} and pooled is None
+        assert got == ["second"] and redialled is not None
+
+    def test_a_raising_role_costs_the_dialling_end_one_connection(self):
+        async def scenario():
+            book, server, sink = await self._server(reply_to=("cli", 0))
+            client = AsyncTransport("cli", book, codec=BINARY_CODEC)
+            mine = client.register(_Sink(("cli", 0), fuse=1))
+            mine.send(self.SERVER_PID, "first")  # its echo blows up here
+            await asyncio.sleep(0.1)
+            routes, pooled = dict(client._routes), client._peers["node0"].writer
+            mine.send(self.SERVER_PID, "second")
+            await asyncio.sleep(0.1)
+            await client.close()
+            await server.close()
+            return sink.got, mine.got, routes, pooled
+
+        (served, echoed, routes, pooled), errors = run_quiet(scenario)
+        assert len(errors) == 1
+        assert isinstance(errors[0]["exception"], RuntimeError)
+        assert routes == {} and pooled is None
+        assert served == ["first", "second"]
+        assert echoed == [("echo", "second")]
+
+    def test_bytes_after_close_deliver_nothing(self):
+        async def scenario():
+            book, server, sink = await self._server()
+            _reader, writer = await asyncio.open_connection(
+                *book.lookup("node0")
+            )
+            await asyncio.sleep(0.05)
+            (connection,) = server._connections
+            protocol = connection.get_protocol()
+            frame = BINARY_CODEC.encode_frame(
+                (("raw", 0), self.SERVER_PID, "late")
+            )
+            await server.close()
+            protocol.data_received(frame)  # read before close ran
+            writer.write(frame)  # and one off the socket
+            await asyncio.sleep(0.05)
+            hung_up = await _reader.read()
+            writer.close()
+            return sink.got, server.stats.delivered, hung_up
+
+        (got, delivered, hung_up), errors = run_quiet(scenario)
+        assert errors == []
+        assert got == [] and delivered == 0 and hung_up == b""
+
+    def test_a_connection_accepted_while_closing_is_hung_up_on(
+        self, monkeypatch
+    ):
+        """``close()`` can run between an accept and its
+        ``connection_made``, when the connection is in no table yet.
+        Left open, its dialler would keep pouring frames into a dead
+        endpoint instead of re-dialling the restarted one."""
+        closers = []
+
+        class ClosesAtAccept(transport_module._Connection):
+            def __init__(self, owner):
+                super().__init__(owner)
+                closers.append(asyncio.ensure_future(owner.close()))
+
+        async def scenario():
+            book, server, _sink = await self._server()
+            address = book.lookup("node0")
+            monkeypatch.setattr(
+                transport_module, "_Connection", ClosesAtAccept
+            )
+            reader, writer = await asyncio.open_connection(*address)
+            hung_up = await asyncio.wait_for(reader.read(), 2.0)
+            writer.close()
+            await asyncio.gather(*closers)
+            await asyncio.sleep(0)
+            return hung_up, server.closed, set(server._connections)
+
+        (hung_up, closed, left), errors = run_quiet(scenario)
+        assert errors == []
+        assert closed and hung_up == b"" and left == set()

@@ -51,6 +51,7 @@ from repro.net.wal import NodeWAL
 from repro.smr.replica import SpeculativeSMR
 from repro.smr.universal import batch_commands, kv_store_adt, make_batch
 
+from helpers import client_timers, run_quiet
 from .test_net_codec import wide_payloads
 
 SILENT = lambda line: None  # noqa: E731
@@ -262,6 +263,110 @@ class TestSlotPipeline:
         from repro.monitor import watch_trace
 
         assert watch_trace(recorder.trace(), kv_store_adt()).verdict == "ok"
+
+    def test_a_cancelled_submitter_costs_its_decree_nothing(self):
+        """``submit`` awaits the entry's future directly, so cancelling
+        the submitter cancels that future (``asyncio.wait`` used to
+        shield it).  Everything that resolves a future skips a done
+        one: the decree still decides and folds, the ops it shares the
+        decree with are answered, and the loop sees no stray error."""
+
+        async def scenario():
+            cluster = LocalCluster(n_servers=3, codec="binary")
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            pipeline = SlotPipeline(
+                "main", 3, transport, window=4, max_batch=16,
+                quorum_timeout=0.15,
+            )
+            clients = [
+                PipelineClient(f"c{i}", pipeline, recorder, op_timeout=5.0)
+                for i in range(4)
+            ]
+            tasks = [
+                asyncio.ensure_future(c.submit(("put", f"k{i}", i)))
+                for i, c in enumerate(clients)
+            ]
+            await asyncio.sleep(0)  # all four enqueued, one decree
+            tasks[1].cancel()
+            outs = await asyncio.gather(*tasks, return_exceptions=True)
+            reader = PipelineClient("r", pipeline, recorder, op_timeout=5.0)
+            seen = await reader.submit(("get", "k1"))
+            await cluster.stop()
+            return pipeline, recorder, clients, outs, seen
+
+        (pipeline, recorder, clients, outs, seen), errors = run_quiet(
+            scenario
+        )
+        assert errors == []
+        assert isinstance(outs[1], asyncio.CancelledError)
+        assert [outs[i] for i in (0, 2, 3)] == [("value", None)] * 3
+        # one decree carried all four, the cancelled op included
+        assert pipeline.decrees == 2 and pipeline.batched_ops == 5
+        assert seen == ("value", 1)
+        assert recorder.pending_clients() == ("c1",)
+        assert not clients[1].poisoned and clients[1].results == []
+        assert _check(recorder).ok
+
+
+# ---------------------------------------------------------------------------
+# an op is one future and one wake-up
+# ---------------------------------------------------------------------------
+
+
+class TestOneWakeUp:
+    N_CLIENTS = 4
+
+    def _healthy_run(self, ops_each):
+        async def scenario():
+            cluster = LocalCluster(n_servers=3, codec="binary")
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            pipeline = SlotPipeline(
+                "main", 3, transport, window=8, max_batch=16,
+                quorum_timeout=2.0,
+            )
+            # attempt_timeout = op_timeout / 4: far beyond the run, so
+            # no watchdog comes due while it lasts
+            clients = [
+                PipelineClient(f"c{i}", pipeline, recorder, op_timeout=120.0)
+                for i in range(self.N_CLIENTS)
+            ]
+            armed = client_timers(transport.loop)
+
+            async def drive(index, client):
+                for op in range(ops_each):
+                    await client.submit(("put", f"k{index}", op))
+
+            await asyncio.gather(
+                *(drive(i, c) for i, c in enumerate(clients))
+            )
+            await cluster.stop()
+            return armed, recorder, clients
+
+        (armed, recorder, clients), errors = run_quiet(scenario)
+        assert errors == []
+        assert all(len(c.results) == ops_each for c in clients)
+        assert _check(recorder).ok
+        return len(armed)
+
+    def test_timers_grow_with_the_clients_not_with_the_ops(
+        self, monkeypatch
+    ):
+        """A healthy op arms and cancels no timer: each client's
+        watchdog is armed once, for its first op, and every later wait
+        finds it armed for an earlier time than its own.  And no op
+        goes through ``asyncio.wait``."""
+
+        def no_wait(*args, **kwargs):
+            raise AssertionError("asyncio.wait on the data plane")
+
+        monkeypatch.setattr(asyncio, "wait", no_wait)
+        few, many = self._healthy_run(50), self._healthy_run(400)
+        assert 1 <= few <= 2 * self.N_CLIENTS
+        assert abs(many - few) <= self.N_CLIENTS
 
 
 # ---------------------------------------------------------------------------

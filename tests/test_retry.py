@@ -30,6 +30,8 @@ from repro.net.client import (
 from repro.net.cluster import LocalCluster
 from repro.net.pipeline import PipelineClient, SlotPipeline
 
+from helpers import client_timers, run_quiet
+
 #: a patient per-op retry budget for tests that must survive a blackout
 PATIENT = BackoffPolicy(base=0.05, factor=2.0, cap=0.3, jitter=0.5,
                         max_retries=10)
@@ -169,6 +171,153 @@ class TestRetriesExhausted:
     def test_retries_exhausted_is_an_operation_timeout(self):
         # call sites written against the old contract keep working
         assert issubclass(RetriesExhausted, OperationTimeout)
+
+
+# ---------------------------------------------------------------------------
+# the watchdog: one lazily re-armed timer keeps every deadline
+# ---------------------------------------------------------------------------
+
+
+class TestWatchdog:
+    """Every frame the client endpoint sends is held ``hold`` seconds
+    (a slow-node gray failure), so a decree decides ``hold`` after it
+    was proposed and every deadline below falls at a known time."""
+
+    async def _held_cluster(self, hold, **client_kwargs):
+        faults = TransportFaults(seed=11)
+        cluster = LocalCluster(n_servers=3, faults=faults)
+        await cluster.start()
+        transport = cluster.client_transport("clients")
+        recorder = HistoryRecorder(clock=lambda: transport.now)
+        pipeline = SlotPipeline(
+            "wd", 3, transport, adt=counter_adt(), quorum_timeout=5.0
+        )
+        client = PipelineClient("c0", pipeline, recorder, **client_kwargs)
+        faults.slow("clients", hold)
+        return cluster, pipeline, client, recorder
+
+    def test_an_attempt_times_out_at_attempt_timeout_and_is_counted(self):
+        pace = BackoffPolicy(base=0.2, factor=1.0, cap=0.2, jitter=0.0,
+                             max_retries=5)
+
+        async def scenario():
+            cluster, pipeline, client, recorder = await self._held_cluster(
+                0.5, op_timeout=5.0, attempt_timeout=0.2, retry_backoff=pace,
+                hedge_after=0.35,
+            )
+            seen, clock = [], pipeline.transport
+            started = clock.now
+
+            async def observe():
+                for at in (0.1, 0.3, 0.46):
+                    await asyncio.sleep(started + at - clock.now)
+                    seen.append((client.retries, pipeline.decrees))
+
+            watcher = asyncio.ensure_future(observe())
+            out = await client.submit(("inc", 1))
+            await watcher
+            await asyncio.sleep(0.6)  # the re-submitted decree folds too
+            await cluster.stop()
+            return out, seen, client, pipeline, recorder
+
+        (out, seen, client, pipeline, recorder), errors = run_quiet(scenario)
+        assert errors == []
+        assert out == ("count", 0)
+        # 0.2 s: the attempt is over and counted; the re-submission
+        # waits out the 0.2 s pause and goes out at 0.4 s
+        assert seen == [(0, 1), (1, 1), (1, 2)]
+        # answered at 0.5 s from the first decree, not at 0.9 s
+        assert client.results[0].latency < 0.8
+        assert client.retries == 1 and pipeline.duplicates == 1
+        # a hedge rides the first attempt or none: one due later than
+        # the attempt's own timeout never fires, here inside the pause
+        assert client.hedges == 0
+        assert len(one_invocation(recorder, "c0", ("inc", 1))) == 1
+        assert check_linearizable(recorder.trace(), counter_adt()).ok
+
+    def test_a_hedge_fires_once_on_time_by_moving_the_timer_earlier(self):
+        async def scenario():
+            cluster, pipeline, client, recorder = await self._held_cluster(
+                0.0, op_timeout=20.0, attempt_timeout=5.0
+            )
+            armed = client_timers(pipeline.transport.loop)
+            started = pipeline.transport.now
+            await client.submit(("inc", 1))  # healthy: armed for +5 s
+            client.hedge_after = 0.1
+            pipeline.transport.faults.slow("clients", 0.3)
+            out = await client.submit(("inc", 1))
+            latency = client.results[-1].latency
+            await asyncio.sleep(0.4)  # the hedged decree folds too
+            await cluster.stop()
+            return out, latency, armed, started, client, pipeline, recorder
+
+        (
+            (out, latency, armed, started, client, pipeline, recorder),
+            errors,
+        ) = run_quiet(scenario)
+        assert errors == []
+        assert out == ("count", 1)
+        assert client.hedges == 1 and client.retries == 0
+        # the duplicate went out at 0.1 s and decided at 0.4 s, after
+        # the original had answered at 0.3 s
+        assert 0.25 < latency < 0.39
+        assert pipeline.decrees == 3 and pipeline.duplicates == 1
+        # armed for the first op's attempt timeout, moved 4.9 s earlier
+        # for the hedge, and back out once the hedge was spent
+        offsets = [round(when - started, 1) for when in armed]
+        assert offsets == [5.0, 0.1, 5.0]
+        assert check_linearizable(recorder.trace(), counter_adt()).ok
+
+    def test_the_deadline_leaves_the_op_pending_and_the_client_poisoned(self):
+        async def scenario():
+            cluster, pipeline, client, recorder = await self._held_cluster(
+                0.6, op_timeout=0.3, attempt_timeout=5.0
+            )
+            started = pipeline.transport.now
+            with pytest.raises(RetriesExhausted, match="1 attempt"):
+                await client.submit(("inc", 1))
+            waited = pipeline.transport.now - started
+            assert client.poisoned and client.results == []
+            # the op decides behind the client's back, hurting nobody
+            await asyncio.sleep(0.5)
+            heir = client.successor()
+            pipeline.transport.faults.slow("clients", 0.0)
+            out = await heir.submit(("cread",))
+            await cluster.stop()
+            return waited, out, client, pipeline, recorder
+
+        (waited, out, client, pipeline, recorder), errors = run_quiet(
+            scenario
+        )
+        assert errors == []
+        assert 0.29 < waited < 0.5
+        assert out == ("count", 1)
+        assert client.retries == 0 and pipeline.decrees == 2
+        assert recorder.pending_clients() == ("c0",)
+        assert check_linearizable(recorder.trace(), counter_adt()).ok
+
+    def test_an_op_decided_during_the_backoff_pause_is_answered(self):
+        """The pause before a retry still listens: the decree in flight
+        decides at 0.3 s, inside the pause that runs from 0.1 s to
+        0.9 s, and answers the op.  No second decree is proposed."""
+        pace = BackoffPolicy(base=0.8, factor=1.0, cap=0.8, jitter=0.0,
+                             max_retries=5)
+
+        async def scenario():
+            cluster, pipeline, client, recorder = await self._held_cluster(
+                0.3, op_timeout=5.0, attempt_timeout=0.1, retry_backoff=pace
+            )
+            out = await client.submit(("inc", 1))
+            await cluster.stop()
+            return out, client, pipeline, recorder
+
+        (out, client, pipeline, recorder), errors = run_quiet(scenario)
+        assert errors == []
+        assert out == ("count", 0)
+        assert client.retries == 1  # the attempt did time out
+        assert 0.25 < client.results[0].latency < 0.8
+        assert pipeline.decrees == 1 and pipeline.duplicates == 0
+        assert check_linearizable(recorder.trace(), counter_adt()).ok
 
 
 # ---------------------------------------------------------------------------

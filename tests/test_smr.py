@@ -1,7 +1,9 @@
 """Tests for speculative SMR and the replicated KV store (§6 application)."""
 
 import pytest
+from hypothesis import given, settings
 
+from oracle import kv_command_sequences, kv_rebuild_transition
 from repro.core.linearizability import is_linearizable
 from repro.smr.kvstore import ReplicatedKVStore
 from repro.smr.replica import SpeculativeSMR
@@ -42,6 +44,83 @@ class TestKVAdt:
         s1, _ = adt.run((kv_put("a", 1), kv_put("b", 2)))
         s2, _ = adt.run((kv_put("b", 2), kv_put("a", 1)))
         assert s1 == s2
+
+    @settings(max_examples=300, deadline=None)
+    @given(kv_command_sequences())
+    def test_a_write_is_a_splice_and_the_same_function(self, commands):
+        """The splice against the rebuild, step by step: same outputs,
+        same store, and a state in canonical form whatever order the
+        keys arrived in.  On these keys the two orders (``repr`` of the
+        key, ``repr`` of the pair) coincide, so the tuples are equal."""
+        adt = kv_store_adt()
+        state = reference = adt.initial_state
+        for command in commands:
+            state, output = adt.transition(state, command)
+            reference, expected = kv_rebuild_transition(reference, command)
+            assert output == expected
+            assert dict(state) == dict(reference)
+            assert len(state) == len(dict(state))  # one pair per key
+            assert state == tuple(
+                sorted(state, key=lambda pair: repr(pair[0]))
+            )
+            assert state == reference
+            assert [type(k) for k, _ in state] == [
+                type(k) for k, _ in reference
+            ]
+
+    def test_keys_equal_across_types_are_one_key(self):
+        adt = kv_store_adt()
+        state, outputs = adt.initial_state, []
+        for command in (
+            kv_put(1, "a"), kv_put(1.0, "b"), kv_get(True), kv_put("1", "c")
+        ):
+            state, output = adt.transition(state, command)
+            outputs.append(output[1])
+        assert outputs == [None, "a", "b", None]
+        # the key object first held stays, as in a dict
+        assert state == (("1", "c"), (1, "b"))
+        assert [type(k) for k, _ in state] == [str, int]
+        state, _ = adt.transition(state, kv_delete(True))
+        assert state == (("1", "c"),)
+
+    def test_a_write_costs_log_k_reprs_not_k(self):
+        """At 256 held keys a put, an overwrite and a delete each call
+        ``repr`` at most about twice log2(256) times: the key bisected
+        in, one probe per halving.  The rebuild called it 256 times."""
+
+        class Key:
+            calls = 0
+
+            def __init__(self, n):
+                self.n = n
+
+            def __repr__(self):
+                Key.calls += 1
+                return f"Key({self.n:04d})"
+
+            def __eq__(self, other):
+                return isinstance(other, Key) and other.n == self.n
+
+            def __hash__(self):
+                return hash(self.n)
+
+        adt = kv_store_adt()
+        state = adt.initial_state
+        for n in range(0, 512, 2):
+            state, _ = adt.transition(state, kv_put(Key(n), n))
+        assert [k.n for k, _ in state] == list(range(0, 512, 2))
+        for command in (
+            kv_put(Key(301), "new"),
+            kv_put(Key(300), "over"),
+            kv_get(Key(300)),
+            kv_delete(Key(300)),
+            kv_delete(Key(999)),
+        ):
+            Key.calls = 0
+            state, _ = adt.transition(state, command)
+            assert Key.calls <= 18, (command[0], Key.calls)
+        assert len(state) == 256
+        assert [k.n for k, _ in state] == sorted(k.n for k, _ in state)
 
 
 class TestUniversalFrontend:
