@@ -249,14 +249,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print("  supervisor: dead replicas restart from their WALs")
         probe = tap = None
         if args.monitor:
-            from repro.monitor import StreamingMonitor
             from repro.monitor.cli import make_probe
-            from repro.smr.universal import kv_store_adt
 
             probe, tap = make_probe(
-                cluster.client_transport("monitor-probe"),
-                args.replicas,
-                StreamingMonitor(kv_store_adt()),
+                cluster.client_transport("monitor-probe"), args.replicas
             )
             print(
                 f"  monitor: streaming canary probes every "

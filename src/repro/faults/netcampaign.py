@@ -620,6 +620,8 @@ class NetRunResult:
     monitor_verdict: Optional[str] = None
     monitor_reason: Optional[str] = None
     monitor_events: int = 0
+    #: 1 if the certificate missed: the live verdict is a search's
+    monitor_certificate_misses: int = 0
     monitor_witness: Optional[Dict[str, Any]] = None
     #: the run drove the RacySlotPipeline mutant (awaits mid-claim)
     race_mutant: bool = False
@@ -683,6 +685,8 @@ class NetRunResult:
             )
         if self.monitored:
             extra += f" monitor={self.monitor_verdict}"
+            if self.monitor_certificate_misses:
+                extra += "(searched: certificate miss)"
         if self.race_mutant:
             extra += " race-mutant"
         if self.sanitized:
@@ -1016,11 +1020,9 @@ async def _run_schedule(
             try:
                 await target.cluster.start()
                 transport = target.cluster.client_transport("clients")
+                recorder = HistoryRecorder(clock=lambda: transport.now)
                 if config.monitor:
-                    tap = budgeted_tap(workload.adt())
-                recorder = HistoryRecorder(
-                    clock=lambda: transport.now, tap=tap
-                )
+                    tap = budgeted_tap(workload.adt(), recorder)
                 run = _LiveRun(
                     schedule, config, result, target, transport, recorder,
                     tap, late=late,
@@ -1052,12 +1054,13 @@ async def _run_schedule(
                 await asyncio.gather(*tasks, *late, return_exceptions=True)
                 await target.cluster.stop()
                 if tap is not None:
-                    monitor_report = await tap.close()
+                    live = await tap.close()
                     result.monitored = True
-                    result.monitor_verdict = monitor_report.verdict
-                    result.monitor_reason = monitor_report.reason
-                    result.monitor_events = monitor_report.events
-                    result.monitor_witness = monitor_report.witness
+                    result.monitor_verdict = live.verdict
+                    result.monitor_reason = live.reason
+                    result.monitor_events = live.events
+                    result.monitor_certificate_misses = live.certificate_misses
+                    result.monitor_witness = live.witness
     finally:
         if config.sanitize:
             result.sanitized = True

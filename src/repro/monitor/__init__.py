@@ -10,8 +10,9 @@ happen, keeps one incremental search frontier per partition key (:class:`KeyFron
 every decided prefix so memory stays O(concurrent window), and flips to
 ``violation`` — with a ddmin-shrunken witness — the moment some
 response cannot be explained.  Budgets degrade the verdict to
-``unknown`` instead of OOMing; :meth:`StreamingMonitor.resync` resumes
-watching from an authoritative snapshot.
+``unknown`` instead of OOMing.  Beside a live data plane the search is
+the fallback: a monitor built with the recorder's history checks the
+decided log as a certificate, O(1) per event, until that fails.
 
 Wiring: :class:`MonitorTap` bridges a live
 :class:`~repro.net.client.HistoryRecorder` to a monitor through an

@@ -29,6 +29,7 @@ from typing import Any, List, Optional, Tuple
 
 from ..core.adt import counter_adt
 from ..net.client import HistoryRecorder, OperationTimeout
+from ..net.loadgen import budgeted_tap
 from ..net.pipeline import PipelineClient, probing_client
 from ..net.transport import AddressBook, AsyncTransport
 from ..smr.universal import kv_store_adt
@@ -129,12 +130,15 @@ def exit_code(verdict: str) -> int:
 def make_probe(
     transport: AsyncTransport,
     replicas: int,
-    monitor: StreamingMonitor,
     op_timeout: float = 5.0,
+    node_limit: Optional[int] = None,
+    config_limit: Optional[int] = None,
 ) -> Tuple[PipelineClient, MonitorTap]:
-    """A recording canary client whose history streams into ``monitor``."""
-    tap = MonitorTap(monitor)
-    recorder = HistoryRecorder(clock=lambda: transport.now, tap=tap)
+    """A recording canary client whose history streams into a live
+    monitor: certified while the canary is the cluster's only client (a
+    decided command nobody recorded invoking is a miss), budgeted after."""
+    recorder = HistoryRecorder(clock=lambda: transport.now)
+    tap = budgeted_tap(kv_store_adt(), recorder, node_limit, config_limit)
     client = probing_client(
         "monitor-probe", replicas, transport, recorder, op_timeout=op_timeout
     )
@@ -195,11 +199,8 @@ async def watch_cluster(
     for index in range(replicas):
         book.add(f"node{index}", host, port_base + index)
     transport = AsyncTransport("monitor-watch", book)
-    monitor = StreamingMonitor(
-        kv_store_adt(), node_limit=node_limit, config_limit=config_limit
-    )
     client, tap = make_probe(
-        transport, replicas, monitor, op_timeout=op_timeout
+        transport, replicas, op_timeout, node_limit, config_limit
     )
     try:
         report = await probe_loop(client, tap, ops, interval, emit=emit)

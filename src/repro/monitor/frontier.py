@@ -30,14 +30,12 @@ Three outcomes per key:
   (the frontier a step replaces plus its successor: what the step holds
   at once) was exceeded.  The frontier degrades instead of thrashing: it
   keeps tracking open/closed operations (so well-formedness is still
-  policed upstream) and can *resync* from an authoritative snapshot
-  state at the next quiescent point, but the key's final verdict stays
-  ``unknown`` — a gap went unchecked.
+  policed upstream), and the key's final verdict stays ``unknown`` — a
+  gap went unchecked.
 
 Quiescence — no open operations — is when the frontier garbage-collects:
-the surviving configurations become the new replay base, the witness
-window is cleared, and (if degraded and a resync state is staged)
-watching resumes.  If the window outgrows ``witness_limit`` before a
+the surviving configurations become the new replay base and the witness
+window is cleared.  If the window outgrows ``witness_limit`` before a
 quiescent point, the oldest events are dropped and the window is marked
 truncated; a truncated window skips the ddmin pass (its replay base is
 stale) and is reported raw.
@@ -144,7 +142,6 @@ class KeyFrontier:
         self.gc_drops = 0
         self.events = 0
         self.witness: Optional[Dict[str, Any]] = None
-        self._staged_resync: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # event intake
@@ -182,7 +179,6 @@ class KeyFrontier:
         self.recorded.pop(op_id, None)
         if self.status == UNKNOWN:
             del self.open_inputs[op_id]
-            self._maybe_quiesce()
             return
         try:
             survivors = frontier_step(
@@ -196,8 +192,7 @@ class KeyFrontier:
             )
         except FrontierBudgetExceeded as exc:
             del self.open_inputs[op_id]
-            self._degrade(f"{exc}; verdict unknown, resync from a snapshot")
-            self._maybe_quiesce()
+            self._degrade(f"{exc}; verdict unknown")
             return
         del self.open_inputs[op_id]
         if not survivors:
@@ -214,9 +209,8 @@ class KeyFrontier:
         ):
             self._degrade(
                 f"frontier grew past the {self.config_limit}-configuration "
-                f"budget; verdict unknown, resync from a snapshot"
+                f"budget; verdict unknown"
             )
-            self._maybe_quiesce()
             return
         self.configs = survivors
         self._maybe_quiesce()
@@ -234,18 +228,6 @@ class KeyFrontier:
         self.recorded.pop(op_id, None)
         if self.status != VIOLATION:
             self._degrade(reason)
-            self._maybe_quiesce()
-
-    def resync(self, state: Hashable) -> None:
-        """Stage an authoritative snapshot state for recovery.
-
-        Applied at the next quiescent point: the frontier re-seeds from
-        ``state`` with no promises and resumes watching.  The key stays
-        ``degraded`` — a gap went unchecked, so its final verdict is
-        ``unknown`` unless a later violation (which dominates) appears.
-        """
-        self._staged_resync = (state,)
-        self._maybe_quiesce()
 
     # ------------------------------------------------------------------
     # internals
@@ -271,18 +253,9 @@ class KeyFrontier:
         self.truncated = False
 
     def _maybe_quiesce(self) -> None:
-        if self.open_inputs:
-            return
-        if self.status == WATCHING:
+        if not self.open_inputs:
             self.base = self.configs
             self._clear_window()
-        elif self.status == UNKNOWN and self._staged_resync is not None:
-            (state,) = self._staged_resync
-            self._staged_resync = None
-            self.configs = frozenset({(state, frozenset())})
-            self.base = self.configs
-            self._clear_window()
-            self.status = WATCHING
 
     def _degrade(self, reason: str) -> None:
         if self.status != WATCHING:

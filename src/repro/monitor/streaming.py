@@ -16,7 +16,11 @@ through this class, so the two cannot drift apart — what they are
 checked against is the monolithic search, the classical checker and a
 brute-force reference (``tests/oracle.py``).  The post-hoc caller adds
 one thing, the recorded response of every operation (``observe``'s
-``answer``); a live monitor has no future to be told.
+``answer``); a live monitor has no future to be told.  What it can be
+told is the past: built with the recorder's ``history``, it checks the
+decided log as a certificate (``lin`` events, :meth:`StreamingMonitor.
+feed`) in O(1) per event, which can only say ``ok``, and becomes the
+searching engine at the first *miss* (docs/MONITORING.md §7).
 
 * **Global well-formedness** is tracked at the monitor level — one open
   invocation per client, response input equal to the invocation input
@@ -52,12 +56,25 @@ from ..core.actions import Invocation, Response
 from ..core.adt import ADT, PartitionSpec
 from ..core.linearizability import NEVER_ANSWERED
 from ..core.traces import Trace
+from ..smr.sessions import seq_uid
 from .frontier import VIOLATION, KeyFrontier, RetainedGauge
 
 OK = "ok"
 
 #: partition key of an open operation whose invocation did not route
 UNROUTABLE = ("unroutable",)
+
+#: the output of an open operation no ``lin`` event has reached yet
+_UNCLAIMED = object()
+
+
+def _action(event: Tuple) -> Any:
+    """The action an ``inv`` / ``res`` event records (phase 1, as the
+    recorder's own ``trace()`` tags it)."""
+    kind, client, command, response = event[:4]
+    if kind == "inv":
+        return Invocation(client, 1, command)
+    return Response(client, 1, command, response)
 
 
 @dataclass
@@ -77,6 +94,9 @@ class MonitorReport:
     gc_drops: int = 0
     violation_key: Optional[Hashable] = None
     witness: Optional[Dict[str, Any]] = None
+    #: 1 once the certificate missed (searched since), and what missed
+    certificate_misses: int = 0
+    miss_reason: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -90,6 +110,8 @@ class MonitorReport:
         )
         if self.reason:
             line += f" -- {self.reason}"
+        if self.certificate_misses:
+            line += f" [certificate missed, searched: {self.miss_reason}]"
         return line
 
 
@@ -102,6 +124,7 @@ class StreamingMonitor:
         node_limit: Optional[int] = None,
         config_limit: Optional[int] = None,
         on_violation: Optional[Callable[["StreamingMonitor"], None]] = None,
+        history: Optional[list] = None,
     ) -> None:
         self.adt = adt
         #: an object without a spec is its own one partition, key None
@@ -126,6 +149,17 @@ class StreamingMonitor:
         self.unroutable = False
         self.violation_key: Optional[Hashable] = None
         self.witness: Optional[Dict[str, Any]] = None
+        #: the recorder's own list: with it :meth:`feed` checks certificates
+        #: and reads it only after a miss; without, this is the frontier engine
+        self._history = history
+        self.certificate_misses = 0
+        self.miss_reason: Optional[str] = None
+        #: client -> [command, key, projected input, output or _UNCLAIMED]
+        #: open; client -> last linearized seq; key -> [step, state]
+        self._claims: Dict[Hashable, list] = {}
+        self._linearized: Dict[Hashable, int] = {}
+        self._cells: Dict[Hashable, list] = {}
+        self._next_slot = self._released = 0
 
     # ------------------------------------------------------------------
     # event intake
@@ -135,14 +169,97 @@ class StreamingMonitor:
         """Consume one raw `HistoryRecorder` event tuple.
 
         ``event`` is ``(kind, client, command, response, at)`` exactly as
-        the recorder appends (and streams through its tap); the phase tag
-        matches the recorder's own ``trace()``.
+        the recorder appends (and streams through its tap), or the tap's
+        third kind, ``("lin", slot, commands)``: a decided slot some
+        pipeline folded, which only the certificate reads.
         """
-        kind, client, command, response = event[0], event[1], event[2], event[3]
+        if self._history is not None:
+            try:
+                miss = self._certify(event)
+            except Exception as exc:  # ill-formed event, or the spec raised
+                miss = f"{type(exc).__name__}: {exc}"
+            if miss is None:
+                return
+            self._fall_back(miss)
+        if event[0] != "lin":
+            self.observe(_action(event))
+
+    def _certify(self, event: Tuple) -> Optional[str]:
+        """None if ``event`` checks, else why not (a *miss*: no proof of
+        anything).  Accepted ``lin`` events name each operation at most
+        once, after its invocation and before its response, and every
+        response equals this monitor's own fold in that order: a
+        linearization, whoever supplied the ``lin`` events."""
+        if event[0] == "lin":
+            _, slot, commands = event
+            if slot < self._next_slot:
+                return None  # a pipeline of its own, folding the log again
+            if slot > self._next_slot:
+                return f"slot {slot} folded before slot {self._next_slot}"
+            self._next_slot += 1
+            for tagged in commands:
+                uid = seq_uid(tagged)
+                if uid is None:
+                    return f"slot {slot}: {tagged!r} has no session tag"
+                client, seq = uid
+                if seq <= self._linearized.get(client, 0):
+                    continue  # a duplicate occurrence: the seam skips it
+                claim = self._claims.get(client)
+                if claim is None or claim[0] != tagged[:-1]:
+                    return f"slot {slot}: {tagged!r} is no open operation"
+                if claim[3] is not _UNCLAIMED:
+                    return f"slot {slot}: {tagged!r} is linearized twice"
+                self._linearized[client] = seq
+                cell = self._cells.get(claim[1])
+                if cell is None:
+                    part = self.spec.component(claim[1])
+                    cell = [part.step, part.initial_state]
+                    self._cells[claim[1]] = cell
+                cell[1], claim[3] = cell[0](cell[1], claim[2])
+            return None
+        kind, client, command, response = event[:4]
+        claim = self._claims.get(client)
         if kind == "inv":
-            self.observe(Invocation(client, 1, command))
+            if claim is not None or not self.adt.is_input(command):
+                return f"{client!r} invokes {command!r}: open, or no input"
+            key, projected = self.spec.route(command)
+            self._claims[client] = [command, key, projected, _UNCLAIMED]
+            self._op_counter += 1
+            self.gauge.add(1)
+        elif kind != "res" or claim is None or claim[0] != command:
+            return f"{client!r} has no open {command!r} to answer"
+        elif claim[3] is _UNCLAIMED:
+            return f"{client!r}'s {command!r} answered, never linearized"
+        elif self.spec.project_output(claim[1], response) != claim[3]:
+            return f"{client!r}: {response!r}, the log says {claim[3]!r}"
         else:
-            self.observe(Response(client, 1, command, response))
+            del self._claims[client]
+            self.gauge.sub(1)
+            self._released += 2
+        self.events += 1
+        return None
+
+    def _fall_back(self, miss: str) -> None:
+        """Become the frontier engine, replaying the prefix consumed so
+        far (the recorder's list may run ahead of the drain) with each
+        answered invocation foretold its response and each open one
+        nothing: it may yet answer.  Not seeded from the fold: two
+        concurrent puts leave two reachable states, the fold knows one."""
+        actions = [_action(event) for event in self._history[: self.events]]
+        self._history = None
+        self.certificate_misses += 1
+        self.miss_reason = miss
+        self._claims, self._linearized, self._cells = {}, {}, {}
+        self.events = self._op_counter = self._released = self.gauge.value = 0
+        answers: Dict[int, Response] = {}
+        opened: Dict[Hashable, int] = {}
+        for index, action in enumerate(actions):
+            if isinstance(action, Invocation):
+                opened[action.client] = index
+            else:
+                answers[opened.pop(action.client)] = action
+        for index, action in enumerate(actions):
+            self.observe(action, answers.get(index))
 
     def observe(self, action: Any, answer: Any = None) -> None:
         """Consume one interface action (Invocation or Response).
@@ -224,19 +341,6 @@ class StreamingMonitor:
             self._degrade(self._of_partition(key, frontier.reason))
 
     # ------------------------------------------------------------------
-    # recovery
-    # ------------------------------------------------------------------
-
-    def resync(self, key: Optional[Hashable], state: Hashable) -> None:
-        """Stage an authoritative snapshot state for a degraded key.
-
-        The final verdict stays ``unknown`` (a gap went unchecked), but
-        the frontier resumes *watching* from ``state`` at its next
-        quiescent point, so later violations are still caught.
-        """
-        self._frontier(key).resync(state)
-
-    # ------------------------------------------------------------------
     # verdict
     # ------------------------------------------------------------------
 
@@ -261,9 +365,12 @@ class StreamingMonitor:
             frontiers=len(self.frontiers),
             retained=self.gauge.value,
             peak_retained=self.gauge.peak,
-            gc_drops=sum(f.gc_drops for f in self.frontiers.values()),
+            gc_drops=self._released
+            + sum(f.gc_drops for f in self.frontiers.values()),
             violation_key=self.violation_key,
             witness=self.witness,
+            certificate_misses=self.certificate_misses,
+            miss_reason=self.miss_reason,
         )
 
     # ------------------------------------------------------------------

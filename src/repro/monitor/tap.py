@@ -10,7 +10,8 @@ background asyncio task that drains the queue in batches, feeding the
 Ordering is preserved end to end — the recorder appends on a single
 asyncio loop, the deque is FIFO, and the drain task is the only
 consumer — so the monitor sees exactly the event sequence the post-hoc
-checker will read from ``recorder.events``.
+checker will read from ``recorder.events``, with the decided slots
+(``lin`` events, never recorded) between them where they were folded.
 
 Fail-fast protocol: drivers poll :attr:`MonitorTap.violated` between
 operations (or register the monitor's ``on_violation`` callback) and

@@ -99,27 +99,33 @@ class HistoryRecorder:
     synchronously with each raw ``(kind, client, command, response,
     at)`` tuple *after* it is appended, so it sees exactly the history
     the post-hoc checker will see, in the same order (see
-    :class:`repro.monitor.MonitorTap`).
+    :class:`repro.monitor.MonitorTap`).  The tap alone also hears, in
+    the same FIFO, every decided slot a pipeline of this recorder's
+    clients folds (:meth:`decided`): no part of the history.
     """
 
     def __init__(self, clock, tap=None) -> None:
         self._clock = clock
-        self._tap = tap
+        self.tap = tap
         self.events: List[Tuple[str, Hashable, Tuple, Any, float]] = []
 
     def invoke(self, client: Hashable, command: Tuple) -> None:
         """Record an invocation at the current wall-clock instant."""
         event = ("inv", client, command, None, self._clock())
         self.events.append(event)
-        if self._tap is not None:
-            self._tap(event)
+        if self.tap is not None:
+            self.tap(event)
 
     def respond(self, client: Hashable, command: Tuple, response: Any) -> None:
         """Record the matching response."""
         event = ("res", client, command, response, self._clock())
         self.events.append(event)
-        if self._tap is not None:
-            self._tap(event)
+        if self.tap is not None:
+            self.tap(event)
+
+    def decided(self, slot: int, commands: Tuple) -> None:
+        """A pipeline folds ``slot``: tell the tap, record nothing."""
+        self.tap(("lin", slot, commands))
 
     def trace(self) -> Trace:
         """The recorded history as a checkable interface trace."""

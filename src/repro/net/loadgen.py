@@ -50,6 +50,8 @@ DEFAULT_KEYS = ("alpha", "beta", "gamma", "delta", "epsilon")
 MONITOR_NODE_LIMIT = 200_000
 
 #: cap on surviving frontier configurations per key (same degradation).
+#: Both budgets bound the fallback only, the search a certificate miss
+#: starts: a monitor whose certificate checks holds one state per key.
 #: Speculation is combinatorial in the *open window*: k concurrent
 #: writers on one key can transiently hold a promise set per
 #: linearization order, so the cap must dominate the closed-loop
@@ -58,15 +60,24 @@ MONITOR_NODE_LIMIT = 200_000
 MONITOR_CONFIG_LIMIT = 65_536
 
 
-def budgeted_tap(adt: ADT) -> MonitorTap:
-    """A live monitor over ``adt`` under the two budgets above."""
-    return MonitorTap(
+def budgeted_tap(
+    adt: ADT,
+    recorder: HistoryRecorder,
+    node_limit: Optional[int] = None,
+    config_limit: Optional[int] = None,
+) -> MonitorTap:
+    """The one way to build a live monitor: tapped into ``recorder``
+    (before its clients are built), checking the decided log and, once
+    that misses, searching ``recorder``'s history under these budgets."""
+    recorder.tap = MonitorTap(
         StreamingMonitor(
             adt,
-            node_limit=MONITOR_NODE_LIMIT,
-            config_limit=MONITOR_CONFIG_LIMIT,
+            node_limit=node_limit or MONITOR_NODE_LIMIT,
+            config_limit=config_limit or MONITOR_CONFIG_LIMIT,
+            history=recorder.events,
         )
     )
+    return recorder.tap
 
 
 @dataclass
@@ -113,6 +124,8 @@ class LoadReport:
     monitor_events: int = 0
     monitor_peak_retained: int = 0
     monitor_gc_drops: int = 0
+    #: shards whose certificate missed: their verdict is a search's
+    monitor_certificate_misses: int = 0
     monitor_shard_verdicts: List[str] = field(default_factory=list)
     monitor_witness: Optional[Dict[str, Any]] = None
 
@@ -171,6 +184,8 @@ class LoadReport:
             )
             if self.monitor_reason:
                 monitor_line += f"; {self.monitor_reason}"
+            if self.monitor_certificate_misses:
+                monitor_line += "; certificate missed, searched instead"
             if self.monitor_shard_verdicts:
                 monitor_line += (
                     f" [shards: {', '.join(self.monitor_shard_verdicts)}]"
@@ -268,18 +283,15 @@ async def _run(
     )
     await sharded.start()
     transports = sharded.client_transports("clients")
+    recorders = [
+        HistoryRecorder(clock=(lambda t: (lambda: t.now))(transport))
+        for transport in transports
+    ]
     taps: List[MonitorTap] = (
-        [budgeted_tap(kv_store_adt()) for _ in range(shards)]
+        [budgeted_tap(kv_store_adt(), recorder) for recorder in recorders]
         if monitor
         else []
     )
-    recorders = [
-        HistoryRecorder(
-            clock=(lambda t: (lambda: t.now))(transport),
-            tap=taps[s] if monitor else None,
-        )
-        for s, transport in enumerate(transports)
-    ]
     #: every proposer of the run: one per shard, or one per client of it
     pipelines: List[SlotPipeline] = []
 
@@ -449,6 +461,9 @@ async def _run(
             r.peak_retained for r in monitor_reports
         )
         report.monitor_gc_drops = sum(r.gc_drops for r in monitor_reports)
+        report.monitor_certificate_misses = sum(
+            r.certificate_misses for r in monitor_reports
+        )
         report.monitor_shard_verdicts = [
             r.verdict for r in monitor_reports
         ]

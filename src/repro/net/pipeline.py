@@ -254,6 +254,8 @@ class SlotPipeline:
         self._free_slots: List[int] = []
         self._applied_upto = 0
         self._state = self.adt.initial_state
+        #: the clients' recorder, if its tap is to hear every slot folded
+        self.tapped: Optional[HistoryRecorder] = None
         #: decrees proposed / ops they carried (observability)
         self.decrees = 0
         self.batched_ops = 0
@@ -548,8 +550,11 @@ class SlotPipeline:
         would cost a server that only echoed bytes its connection."""
         try:
             while self._applied_upto in self.log:
-                value = self.log[self._applied_upto]
-                for command in decided_commands(value):
+                commands = decided_commands(self.log[self._applied_upto])
+                if self.tapped is not None:
+                    # before any future below resolves: inv < lin < res
+                    self.tapped.decided(self._applied_upto, commands)
+                for command in commands:
                     self._state, output, _fresh = self.applier.apply(
                         self._state, command
                     )
@@ -606,6 +611,8 @@ class PipelineClient:
         self.name = name
         self.pipeline = pipeline
         self.recorder = recorder
+        if recorder.tap is not None:
+            pipeline.tapped = recorder
         self.op_timeout = op_timeout
         self.attempt_timeout = (
             attempt_timeout

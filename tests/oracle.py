@@ -1,6 +1,6 @@
 """The differential oracle: every decider answers to every other.
 
-The repo's product is a verdict, and five things produce one:
+The repo's product is a verdict, and six things produce one:
 
 * ``definition`` — the paper's Defs 5-15 as a search
   (:func:`repro.core.linearizability.linearize`).  Its commit histories
@@ -17,6 +17,12 @@ The repo's product is a verdict, and five things produce one:
   nothing;
 * ``told`` — the engine told the future on *any* ADT, partitioned or
   not (``check_linearizable`` only runs it where a partition spec fits);
+* ``certified`` — the live monitor's front end
+  (:func:`certified_report`): the history interleaved with ``lin``
+  events, checked as a certificate.  Its word binds differently: given
+  the reference's own witness it must say ``ok`` without a search, and
+  given *any* ``lin`` events at all it must end where the reference
+  does or at a typed ``unknown`` (:func:`assert_certificate_sound`);
 
 and, at five operations or fewer, ``herlihy-wing`` — a deliberately
 naive transcription of the definition as the TLA+ ``IsLinearizable`` of
@@ -39,7 +45,7 @@ from repro.core.linearizability import linearize
 from repro.core.pretty import format_trace
 from repro.core.traces import Trace
 from repro.ddmin import ddmin
-from repro.monitor import watch_trace
+from repro.monitor import StreamingMonitor, watch_trace
 
 #: the brute force below is factorial: beyond this it is not asked
 NAIVE_MAX_OPS = 5
@@ -77,6 +83,12 @@ def is_linearizable_naive(trace, adt):
     ``trace`` must be well-formed.  Every clause is checked as stated:
     nothing is pruned, memoised or ordered cleverly.
     """
+    return naive_witness(trace, adt) is not None
+
+
+def naive_witness(trace, adt):
+    """The S that :func:`is_linearizable_naive` found, as the operations
+    of ``trace`` in S's order, or None if there is none."""
     ops = operations(trace)
     done = [op for op in ops if op[1] is not None]
     pending = [op for op in ops if op[1] is None]
@@ -118,8 +130,8 @@ def is_linearizable_naive(trace, adt):
                 if a in position and b in position
             )
             if same_processes and keeps_order:
-                return True
-    return False
+                return order
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +201,185 @@ def assert_deciders_agree(trace, adt):
         + format_trace(minimal)
         + f"\n{verdicts(minimal, adt)}"
     )
+
+
+# ---------------------------------------------------------------------------
+# the sixth decider: the history with its certificate
+# ---------------------------------------------------------------------------
+#
+# A *stream* is what a live monitor's tap carries: indices into the
+# trace (its ``inv`` / ``res`` events, in order) with ``("lin", slot,
+# commands)`` events anywhere between them.
+
+
+def tagged_commands(trace):
+    """``{invocation index: its command as a pipeline would tag it}``:
+    a client's k-th operation carries ``("seq", (client, k))``."""
+    counts, tagged = {}, {}
+    for index, action in enumerate(trace):
+        if isinstance(action, Invocation):
+            counts[action.client] = counts.get(action.client, 0) + 1
+            tagged[index] = action.input + (
+                ("seq", (action.client, counts[action.client])),
+            )
+    return tagged
+
+
+def honest_stream(trace, order):
+    """``trace`` with one ``lin`` event per operation of ``order``, in
+    that order and each as late as it may be: just before the first
+    response that needs it.  ``order`` must be a witness (it respects
+    real time, so whatever precedes a responding operation in it has
+    been invoked by then)."""
+    tagged, stream, upcoming = tagged_commands(trace), [], list(order)
+    placed = set()
+
+    def linearize_through(op):
+        while op not in placed:
+            following = upcoming.pop(0)
+            stream.append(("lin", len(placed), (tagged[following[0]],)))
+            placed.add(following)
+
+    by_response = {op[1]: op for op in order}
+    for index in range(len(trace)):
+        if index in by_response:
+            linearize_through(by_response[index])
+        stream.append(index)
+    if upcoming:
+        linearize_through(upcoming[-1])
+    return stream
+
+
+def recorded(action):
+    """``action`` as the event tuple a recorder appends for it."""
+    if isinstance(action, Invocation):
+        return ("inv", action.client, action.input, None, 0.0)
+    return ("res", action.client, action.input, action.output, 0.0)
+
+
+def certified_report(trace, adt, stream, **budget):
+    """The live monitor's report on ``stream``: fed as a tap feeds it,
+    behind a recorder whose history is the fallback's."""
+    history = []
+    monitor = StreamingMonitor(adt, history=history, **budget)
+    for item in stream:
+        if isinstance(item, int):
+            item = recorded(trace[item])
+            history.append(item)
+        monitor.feed(item)
+    return monitor.report()
+
+
+def restrict_stream(stream, kept):
+    """``stream`` with only the operations in ``kept``, renumbered as
+    :func:`restrict` renumbers the trace; every ``lin`` event stays."""
+    indices = sorted(i for pair in kept for i in pair if i is not None)
+    renumbered = {old: new for new, old in enumerate(indices)}
+    return [
+        renumbered[item] if isinstance(item, int) else item
+        for item in stream
+        if not isinstance(item, int) or item in renumbered
+    ]
+
+
+def certificate_unsound(trace, adt, stream):
+    """Why the certified verdict on ``stream`` is not one the reference
+    allows, or None: it must be the reference's or ``unknown``, and only
+    the fallback's search may have said anything but ``ok``."""
+    report = certified_report(trace, adt, stream)
+    accepted = "ok" if is_linearizable_naive(trace, adt) else "violation"
+    if report.verdict not in (accepted, "unknown"):
+        return f"certified says {report.verdict!r}, herlihy-wing {accepted!r}"
+    if report.verdict != "ok" and not report.certificate_misses:
+        return f"{report.verdict!r} without a miss: the front end judged"
+    return None
+
+
+def assert_certificate_sound(trace, adt, stream):
+    """Whatever ``lin`` events ``stream`` holds, the live monitor ends
+    where the reference does, or abstains.  A counterexample is shrunk
+    over whole operations, as :func:`assert_deciders_agree` shrinks."""
+    if certificate_unsound(trace, adt, stream) is None:
+        return
+    kept = ddmin(
+        operations(trace),
+        lambda kept: certificate_unsound(
+            restrict(trace, kept), adt, restrict_stream(stream, kept)
+        ) is not None,
+    )
+    minimal, lesser = restrict(trace, kept), restrict_stream(stream, kept)
+    raise AssertionError(
+        "the certificate front end is unsound; a minimal history:\n"
+        + format_trace(minimal)
+        + f"\nstream: {lesser}\n{certificate_unsound(minimal, adt, lesser)}"
+    )
+
+
+@st.composite
+def lin_streams(draw, trace, inputs):
+    """``trace`` with arbitrary ``lin`` events: the operations' own
+    tagged commands shuffled, dropped and duplicated, forged clients,
+    wrong commands, untagged ones; slots mostly in order, now and then
+    repeated or skipped; placed anywhere, before invocations and after
+    responses included."""
+    own = list(tagged_commands(trace).values())
+    clients = sorted({tag[-1][1][0] for tag in own}) + ["ghost"]
+    forged = st.builds(
+        lambda payload, client, seq: payload + (("seq", (client, seq)),),
+        st.sampled_from(inputs),
+        st.sampled_from(clients),
+        st.integers(0, 3),
+    )
+    command = st.one_of(
+        *([st.sampled_from(own)] if own else []),
+        forged,
+        st.sampled_from(inputs),
+    )
+    decrees = draw(
+        st.lists(st.lists(command, max_size=2), max_size=len(own) + 3)
+    )
+    places = sorted(
+        draw(st.integers(0, len(trace))) for _decree in decrees
+    )
+    stream, slot = list(range(len(trace))), 0
+    for place, decree in reversed(list(zip(places, decrees))):
+        stream.insert(place, ["lin", None, tuple(decree)])
+    for item in stream:
+        if not isinstance(item, int):
+            item[1] = slot
+            slot += draw(st.sampled_from([1, 1, 1, 1, 1, 0, 2]))
+    return [item if isinstance(item, int) else tuple(item) for item in stream]
+
+
+@st.composite
+def bent_streams(draw, trace, adt):
+    """A certificate that was honest once: the reference's witness (any
+    order, where it has none) with a few ``lin`` events dropped,
+    repeated, swapped or moved, and the slots now and then renumbered
+    to hide it."""
+    order = naive_witness(trace, adt)
+    stream = honest_stream(trace, operations(trace) if order is None else order)
+    for _ in range(draw(st.integers(0, 3))):
+        lins = [i for i, item in enumerate(stream) if not isinstance(item, int)]
+        if not lins:
+            break
+        at, how = draw(st.sampled_from(lins)), draw(st.integers(0, 3))
+        if how == 0:
+            del stream[at]
+        elif how == 1:
+            stream.insert(draw(st.integers(0, len(stream))), stream[at])
+        elif how == 2:
+            other = draw(st.sampled_from(lins))
+            stream[at], stream[other] = stream[other], stream[at]
+        else:
+            stream.insert(draw(st.integers(0, len(stream) - 1)), stream.pop(at))
+    if draw(st.booleans()):
+        slots = iter(range(len(stream)))
+        stream = [
+            item if isinstance(item, int) else ("lin", next(slots), item[2])
+            for item in stream
+        ]
+    return stream
 
 
 # ---------------------------------------------------------------------------

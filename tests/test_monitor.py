@@ -19,17 +19,33 @@ Three contracts under test, mirroring docs/MONITORING.md:
   the concurrent window, never the run length: decided prefixes are
   garbage-collected at every quiescent cut.
 * **operational wiring** — fail-fast violation reporting with a
-  ddmin-shrunken witness, resync-after-degrade, the async recorder
-  tap, `loadgen --monitor` (single and sharded planes) and the chaos
-  campaign's live monitor must all surface the same verdicts.
+  ddmin-shrunken witness, the async recorder tap, `loadgen --monitor`
+  (single and sharded planes) and the chaos campaign's live monitor
+  must all surface the same verdicts.
 """
 
+import ast
 import asyncio
+import pathlib
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from oracle import assert_deciders_agree, histories, is_linearizable_naive
+from oracle import (
+    assert_certificate_sound,
+    assert_deciders_agree,
+    bent_streams,
+    certified_report,
+    histories,
+    honest_stream,
+    is_linearizable_naive,
+    lin_streams,
+    naive_witness,
+    operations,
+    recorded,
+)
 from repro.core.actions import Invocation, Response
 from repro.core.adt import counter_adt, queue_adt, register_adt
 from repro.core.classical import linearize_classical
@@ -44,8 +60,12 @@ from repro.monitor import (
     ddmin_ops,
     watch_trace,
 )
+from repro.monitor import frontier as frontier_module
+from repro.monitor.cli import make_probe
 from repro.net.client import HistoryRecorder
-from repro.net.loadgen import run_loadgen
+from repro.net.cluster import LocalCluster
+from repro.net.loadgen import budgeted_tap, run_loadgen
+from repro.net.pipeline import PipelineClient, SlotPipeline
 from repro.smr.universal import kv_store_adt
 
 SILENT = lambda line: None  # noqa: E731
@@ -315,8 +335,8 @@ class TestBudgetsAndResync:
             inv("cg", ("get", "a")),
             res("cg", ("get", "a"), ("value", 3)),
         ]
-        # close the puts too, so the stream can quiesce for the resync
-        # test; once degraded these land on the unchecked path
+        # close the puts too, so the stream can quiesce; once degraded
+        # these land on the unchecked path
         actions += [
             res(f"c{i}", ("put", "a", i + 1), ("value", None))
             for i in range(n_open)
@@ -342,23 +362,6 @@ class TestBudgetsAndResync:
     def test_node_budget_degrades_per_event_search(self):
         report = watch_trace(self.ambiguous_burst(), KV, node_limit=3)
         assert report.verdict == "unknown"
-
-    def test_resync_resumes_watching_from_a_snapshot(self):
-        monitor = StreamingMonitor(KV, config_limit=2)
-        for action in self.ambiguous_burst():
-            monitor.observe(action)
-        assert monitor.degraded and monitor.verdict == "unknown"
-        # an operator hands the monitor an authoritative snapshot of
-        # the cell ("a" holds 5); watching resumes at quiescence
-        monitor.resync("a", 5)
-        monitor.observe(inv("c9", ("get", "a")))
-        monitor.observe(res("c9", ("get", "a"), ("value", 5)))
-        # the verdict stays unknown (the gap is unobserved forever)...
-        assert monitor.verdict == "unknown"
-        # ...but new violations are still caught from the snapshot
-        monitor.observe(inv("c9", ("get", "a")))
-        monitor.observe(res("c9", ("get", "a"), ("value", 77)))
-        assert monitor.verdict == "violation"
 
 
 class TestKnowingTheFuture:
@@ -412,6 +415,376 @@ class TestKnowingTheFuture:
         trace = self.waves(n_waves=3, width=5)
         assert watch_trace(trace, KV).verdict == "ok"
         assert check_linearizable(trace, KV).verdict == "ok"
+
+
+# ---------------------------------------------------------------------------
+# the certificate: the decided log checked, not searched for
+# ---------------------------------------------------------------------------
+
+
+def with_stream(traces, streams):
+    """Pairs ``(trace, stream)``: a generated history and ``lin`` events
+    drawn for it."""
+    return traces.flatmap(
+        lambda trace: st.tuples(st.just(trace), streams(trace))
+    )
+
+
+def tagged(command, client, seq):
+    return command + (("seq", (client, seq)),)
+
+
+class TestTheCertificateIsTheSixthDecider:
+    """The front end against the brute-force reference: ``ok`` without a
+    search on the reference's own witness, and never past the reference
+    whatever ``lin`` events it is fed."""
+
+    @given(histories(KV, KV_INPUTS, VALUES, max_ops=5))
+    @settings(max_examples=150, deadline=None)
+    def test_the_references_witness_checks_without_a_search(self, trace):
+        order = naive_witness(trace, KV)
+        if order is None:
+            return
+        report = certified_report(trace, KV, honest_stream(trace, order))
+        assert report.verdict == "ok"
+        assert report.certificate_misses == 0 and report.frontiers == 0
+        assert report.events == len(trace)
+
+    @given(
+        with_stream(
+            histories(KV, KV_INPUTS, VALUES, max_ops=5),
+            lambda trace: lin_streams(trace, KV_INPUTS),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_lin_events_never_buy_a_wrong_verdict(self, pair):
+        assert_certificate_sound(pair[0], KV, pair[1])
+
+    @given(
+        with_stream(
+            histories(KV, KV_INPUTS, VALUES, max_ops=5),
+            lambda trace: bent_streams(trace, KV),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_bent_certificate_never_buys_a_wrong_verdict(self, pair):
+        assert_certificate_sound(pair[0], KV, pair[1])
+
+    @given(
+        with_stream(
+            histories(
+                counter_adt(), COUNTER_INPUTS, COUNTER_OUTPUTS, max_ops=5
+            ),
+            lambda trace: st.one_of(
+                bent_streams(trace, counter_adt()),
+                lin_streams(trace, COUNTER_INPUTS),
+            ),
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_an_object_without_a_partition(self, pair):
+        assert_certificate_sound(pair[0], counter_adt(), pair[1])
+
+    def test_an_unsound_front_end_is_shrunk_to_a_minimal_history(
+        self, monkeypatch
+    ):
+        """Plant a front end that believes any read of ``b``; the oracle
+        must hand back that one read, not the writes around it."""
+        honest = oracle.certified_report
+
+        def gullible(trace, adt, stream, **budget):
+            report = honest(trace, adt, stream, **budget)
+            if any(a.input == ("get", "b") for a in trace):
+                report.verdict = "ok"
+            return report
+
+        monkeypatch.setattr(oracle, "certified_report", gullible)
+        actions = list(TestTheCertificate.sequential_puts(6))
+        actions[6:6] = [
+            inv("c2", ("get", "b")),
+            res("c2", ("get", "b"), ("value", 7)),  # never written
+        ]
+        trace = Trace(actions)
+        with pytest.raises(AssertionError) as caught:
+            assert_certificate_sound(
+                trace, KV, honest_stream(trace, operations(trace))
+            )
+        report = str(caught.value)
+        assert "minimal history" in report and "certified says 'ok'" in report
+        assert report.count("inv[1]") == 1 and "put" not in report.split(
+            "stream:"
+        )[0]
+
+
+class TestTheCertificate:
+    """The cases that motivated it, and the ones that break it."""
+
+    def test_ten_pending_puts_decide_live_without_a_search(self, monkeypatch):
+        # TestKnowingTheFuture's shape: 986,410 nodes online for the
+        # first response.  The decided log says where each put went.
+        def searched(*args, **kwargs):
+            raise AssertionError("the certificate path searched")
+
+        monkeypatch.setattr(frontier_module, "frontier_step", searched)
+        trace = TestKnowingTheFuture.waves()
+        stream = honest_stream(trace, operations(trace))
+        report = certified_report(trace, KV, stream, node_limit=1000)
+        assert report.verdict == "ok" and report.certificate_misses == 0
+        assert report.events == len(trace) and report.ops == 50
+        # memory is the open window: ten puts, never the run
+        assert report.peak_retained == 10 and report.retained == 0
+        assert report.gc_drops == report.events
+
+    def test_sixteen_clients_on_five_keys_keep_the_fast_path(self, tmp_path):
+        # on the frontier engine this load stalled the loop until
+        # quorum replies missed their timer: unknown, Backup switches
+        report = run_loadgen(
+            replicas=3, clients=16, ops=1600, seed=3, shards=2,
+            codec="binary", group_commit=True, pipeline=True,
+            wal_root=str(tmp_path), monitor=True, emit=SILENT,
+        )
+        assert report.linearizable and report.monitor_verdict == "ok"
+        assert report.monitor_certificate_misses == 0
+        assert report.slow == 0 and report.committed == 1600
+        assert report.monitor_events == 3200
+        assert report.monitor_peak_retained <= 16
+
+    @staticmethod
+    def sequential_puts(n):
+        actions, previous = [], None
+        for i in range(n):
+            actions += [
+                inv("c1", ("put", "a", i)),
+                res("c1", ("put", "a", i), ("value", previous)),
+            ]
+            previous = i
+        return Trace(actions)
+
+    def test_a_miss_replays_exactly_the_prefix_it_consumed(self):
+        # the drain runs behind the recorder: its list already holds
+        # the whole run when the monitor, six events in, meets a miss
+        trace = self.sequential_puts(10)
+        history = [recorded(action) for action in trace]
+        stream = honest_stream(trace, operations(trace))
+        seen = []
+        monitor = StreamingMonitor(KV, history=history)
+        observe = monitor.observe
+        monitor.observe = lambda action, answer=None: (
+            seen.append((action, answer)), observe(action, answer)
+        )
+        for item in stream[:9]:  # three whole operations
+            monitor.feed(history[item] if isinstance(item, int) else item)
+        assert monitor.events == 6 and seen == []
+        monitor.feed(history[6])  # c1 invokes the fourth
+        monitor.feed(("lin", 7, ()))  # a gap: slot 3 never came
+        assert monitor.certificate_misses == 1
+        assert "slot 7" in monitor.miss_reason
+        # the six events, each invocation told its recorded response,
+        # then the open one, told nothing; not the thirteen unread
+        assert [action for action, _ in seen] == list(trace[:7])
+        assert [answer for _, answer in seen] == [
+            trace[1], None, trace[3], None, trace[5], None, None
+        ]
+        assert monitor.events == 7 and monitor.report().ops == 4
+        for item in stream[10:]:
+            monitor.feed(history[item] if isinstance(item, int) else item)
+        report = monitor.report()
+        assert report.verdict == "ok" and report.events == 20
+        assert report.certificate_misses == 1 and report.frontiers == 1
+        assert "certificate miss" in report.summary()
+
+    def test_after_a_miss_a_late_violation_is_caught_and_shrunk(self):
+        trace = self.sequential_puts(30)
+        actions = list(trace) + [
+            inv("c3", ("put", "a", 100)),
+            inv("c4", ("put", "a", 101)),
+            inv("c2", ("get", "a")),
+            res("c2", ("get", "a"), ("value", 3)),  # 29, 100 or 101
+        ]
+        history, fired = [], []
+        monitor = StreamingMonitor(
+            KV, history=history, on_violation=fired.append
+        )
+        history.append(recorded(actions[0]))
+        monitor.feed(history[0])
+        monitor.feed(("lin", 0, (("put", "a", 0),)))  # untagged: a miss
+        assert monitor.certificate_misses == 1 and monitor.verdict == "ok"
+        for action in actions[1:]:
+            assert not monitor.violated
+            history.append(recorded(action))
+            monitor.feed(history[-1])
+        assert len(history) > 50 and monitor.violated and len(fired) == 1
+        report = monitor.report()
+        assert report.verdict == "violation" and report.violation_key == "a"
+        assert report.witness["shrunk"]
+        assert [e["client"] for e in report.witness["events"]] == ["c2", "c2"]
+
+    def test_the_front_end_alone_never_says_violation(self):
+        # a response from nowhere: the certificate only misses, and the
+        # engine it falls back on is the one that judges
+        history = [
+            ("inv", "c1", ("get", "a"), None, 0.0),
+            ("res", "c1", ("get", "a"), ("value", 41), 0.0),
+        ]
+        monitor = StreamingMonitor(KV, history=history)
+        monitor.feed(history[0])
+        monitor.feed(("lin", 0, (tagged(("get", "a"), "c1", 1),)))
+        assert monitor.certificate_misses == 0
+        monitor.feed(history[1])
+        assert monitor.certificate_misses == 1
+        assert "the log says ('value', None)" in monitor.miss_reason
+        assert monitor.verdict == "violation"
+
+    def test_a_monitor_without_a_history_is_the_frontier_engine(self):
+        monitor = StreamingMonitor(KV)
+        monitor.feed(("inv", "c1", ("put", "a", 1), None, 0.0))
+        monitor.feed(("lin", 0, (tagged(("put", "a", 1), "c1", 1),)))
+        monitor.feed(("res", "c1", ("put", "a", 1), ("value", None), 0.0))
+        report = monitor.report()
+        assert report.verdict == "ok" and report.events == 2
+        assert report.frontiers == 1 and report.certificate_misses == 0
+
+    def test_lin_events_reach_the_tap_and_never_the_history(self):
+        async def scenario():
+            cluster = LocalCluster(n_servers=3)
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            tap = budgeted_tap(KV, recorder)
+            heard = []
+            recorder.tap = lambda event: (heard.append(event), tap(event))
+            pipeline = SlotPipeline("lin", 3, transport, quorum_timeout=0.15)
+            client = PipelineClient("c1", pipeline, recorder)
+            await client.submit(("put", "a", 1))
+            await client.submit(("get", "a"))
+            report = await tap.close()
+            await cluster.stop()
+            return heard, recorder, report
+
+        heard, recorder, report = asyncio.run(scenario())
+        assert [event[0] for event in heard] == ["inv", "lin", "res"] * 2
+        assert heard[1][1:] == (0, (tagged(("put", "a", 1), "c1", 1),))
+        assert [event[0] for event in recorder.events] == ["inv", "res"] * 2
+        assert "lin" not in str(recorder.to_jsonable())
+        assert len(recorder.trace()) == 4
+        assert report.verdict == "ok" and report.events == 4
+        assert report.certificate_misses == 0 and report.frontiers == 0
+
+    def test_a_forked_log_misses_and_then_the_search_judges(self):
+        """Two replica groups that never met stand in for a fork: their
+        pipelines report different commands for slot 0."""
+        async def scenario():
+            left, right = LocalCluster(n_servers=3), LocalCluster(n_servers=3)
+            await left.start()
+            await right.start()
+            transport = left.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            tap = budgeted_tap(KV, recorder)
+            writer = PipelineClient(
+                "c1",
+                SlotPipeline("l", 3, transport, quorum_timeout=0.15),
+                recorder,
+            )
+            reader = PipelineClient(
+                "c2",
+                SlotPipeline(
+                    "r", 3, right.client_transport("clients"),
+                    quorum_timeout=0.15,
+                ),
+                recorder,
+            )
+            await writer.submit(("put", "a", 1))
+            out = await reader.submit(("get", "a"))
+            report = await tap.close()
+            await left.stop()
+            await right.stop()
+            return out, recorder, report
+
+        out, recorder, report = asyncio.run(scenario())
+        assert out == ("value", None)  # the fork: the put is not there
+        assert report.certificate_misses == 1
+        assert "never linearized" in report.miss_reason
+        posthoc = check_linearizable(recorder.trace(), KV)
+        assert report.verdict == posthoc.verdict == "violation"
+        assert report.witness is not None
+
+    def test_a_double_apply_misses_and_then_the_search_judges(self):
+        """``dedup=False``: the system folds a duplicate decree twice,
+        the monitor's own fold skips it as the session seam would."""
+        async def scenario():
+            cluster = LocalCluster(n_servers=3)
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            tap = budgeted_tap(counter_adt(), recorder)
+            pipeline = SlotPipeline(
+                "dd", 3, transport, adt=counter_adt(),
+                quorum_timeout=0.15, dedup=False,
+            )
+            c1 = PipelineClient("c1", pipeline, recorder)
+            c2 = PipelineClient("c2", pipeline, recorder)
+            await c1.submit(("inc", 1))
+            await pipeline.enqueue(tagged(("inc", 1), "c1", 1))
+            out = await c2.submit(("cread",))
+            report = await tap.close()
+            await cluster.stop()
+            return out, recorder, report
+
+        out, recorder, report = asyncio.run(scenario())
+        assert out == ("count", 2)  # one inc, counted twice
+        assert report.certificate_misses == 1
+        assert "the log says ('count', 1)" in report.miss_reason
+        posthoc = check_linearizable(recorder.trace(), counter_adt())
+        assert report.verdict == posthoc.verdict == "violation"
+
+
+class TestOneWayToBuildALiveMonitor:
+    """A search beside a server is budgeted, and what it falls back on
+    is the history of the recorder it taps."""
+
+    def test_no_live_site_builds_a_monitor_of_its_own(self):
+        root = pathlib.Path(__file__).parent.parent / "src" / "repro"
+        taps, certified = [], []
+        for path in sorted(root.rglob("*.py")):
+            module = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                keywords = {keyword.arg for keyword in node.keywords}
+                if name == "MonitorTap":
+                    taps.append(module)
+                if name == "StreamingMonitor" and "history" in keywords:
+                    certified.append(module)
+                    assert {"node_limit", "config_limit"} <= keywords
+        # every tap and every certificate checker comes out of budgeted_tap
+        assert taps == certified == ["net/loadgen.py"]
+
+    def test_budgets_are_never_none_and_the_history_is_the_recorders(self):
+        recorder = HistoryRecorder(clock=lambda: 0.0)
+        tap = budgeted_tap(KV, recorder, node_limit=None, config_limit=None)
+        assert recorder.tap is tap
+        assert tap.monitor.node_limit and tap.monitor.config_limit
+        assert tap.monitor._history is recorder.events
+        tight = budgeted_tap(KV, recorder, node_limit=7, config_limit=9)
+        assert (tight.monitor.node_limit, tight.monitor.config_limit) == (7, 9)
+
+    def test_the_canary_probe_is_certified_and_budgeted(self):
+        async def scenario():
+            cluster = LocalCluster(n_servers=3)
+            await cluster.start()
+            client, tap = make_probe(cluster.client_transport("probe"), 3)
+            await client.submit(("put", "k", 1))
+            await client.submit(("get", "k"))
+            report = await tap.close()
+            await cluster.stop()
+            return client, tap, report
+
+        client, tap, report = asyncio.run(scenario())
+        assert tap.monitor.node_limit and tap.monitor.config_limit
+        assert client.recorder.tap is tap
+        assert report.verdict == "ok" and report.events == 4
+        assert report.certificate_misses == 0 and report.frontiers == 0
 
 
 # ---------------------------------------------------------------------------

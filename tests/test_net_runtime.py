@@ -110,6 +110,7 @@ class TestLoadReport:
         "codec", "shard_verdicts", "decrees", "batched_ops", "monitored",
         "monitor_verdict", "monitor_reason", "monitor_events",
         "monitor_peak_retained", "monitor_gc_drops",
+        "monitor_certificate_misses",
         "monitor_shard_verdicts", "monitor_witness",
     }
 
