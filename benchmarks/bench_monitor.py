@@ -47,7 +47,7 @@ GC_PEAK_BOUND = 8 * GC_CLIENTS
 
 
 def run_burst(ops, monitor, clients=16, shards=2):
-    """One pipelined burst on the rebuilt data plane, monitor on/off.
+    """One burst on the default (pipelined) data plane, monitor on/off.
 
     ``check=False`` keeps the post-hoc checker out of both timings so
     the delta is the monitor alone.
@@ -62,11 +62,6 @@ def run_burst(ops, monitor, clients=16, shards=2):
             keys=KEYS,
             wal_root=wal_root,
             shards=shards,
-            pipeline=True,
-            window=8,
-            batch=16,
-            codec="binary",
-            group_commit=True,
             check=False,
             monitor=monitor,
             emit=SILENT,

@@ -3,8 +3,8 @@
 E1 measures the claim in virtual time, where a message delay is a unit
 by construction.  This experiment re-measures it on the asyncio
 networked runtime (`repro.net`): the same protocol code, but messages
-are length-prefixed JSON frames on localhost TCP and latency is
-wall-clock.
+are length-prefixed frames on localhost TCP (binary, the transport's
+default) and latency is wall-clock.
 
 Phase latencies are isolated per consensus slot, steady state:
 

@@ -43,7 +43,11 @@ catch) — the live cross-check of the static RD08 rule.
 (``benchmarks/harness.py``), writing machine-readable ``BENCH_*.json``.
 ``serve`` hosts a replica cluster on real TCP ports until interrupted;
 ``loadgen`` drives a closed-loop workload against a fresh cluster and
-checks the recorded wire-level history for linearizability.
+checks the recorded wire-level history for linearizability.  Both, and
+the clusters ``nemesis --net`` attacks, run the plane the benchmark
+ledger measures with no flag: binary frames, WAL group commit and (for
+``loadgen``) batching pipelines shared per shard; ``--shards``,
+``--window`` and ``--batch`` size it.
 ``--monitor`` (on both) additionally streams every event through the
 online :mod:`repro.monitor` checker *during* the run — fail-fast on the
 first violation, bounded memory via GC of decided prefixes — and
@@ -183,8 +187,6 @@ def cmd_nemesis(args: argparse.Namespace) -> int:
             shrink=not args.no_shrink,
             artifact_dir=args.artifact_dir,
             pipelined=args.pipelined,
-            codec=args.codec,
-            group_commit=args.group_commit,
             monitor=args.monitor,
             race_mutant=args.race_mutant,
             sanitize=args.sanitize or args.race_mutant,
@@ -298,11 +300,8 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
         artifact=args.artifact,
         wal_root=args.wal_dir,
         shards=args.shards,
-        pipeline=args.pipeline,
         window=args.window,
         batch=args.batch,
-        codec=args.codec,
-        group_commit=args.group_commit,
         check=not args.no_check,
         monitor=args.monitor,
     )
@@ -440,17 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         "SlotPipeline instead of per-op probing clients",
     )
     p_nem.add_argument(
-        "--codec",
-        choices=("json", "binary"),
-        default=None,
-        help="with --net: wire codec for the cluster under attack",
-    )
-    p_nem.add_argument(
-        "--group-commit",
-        action="store_true",
-        help="with --net: coalesce WAL appends into shared fsyncs",
-    )
-    p_nem.add_argument(
         "--monitor",
         action="store_true",
         help="with --net: stream every run's history through a live "
@@ -553,35 +541,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="independent replica groups routed by key (implies --pipeline)",
-    )
-    p_load.add_argument(
-        "--pipeline",
-        action="store_true",
-        help="use the batching SlotPipeline data plane",
+        help="independent replica groups routed by key",
     )
     p_load.add_argument(
         "--window",
         type=int,
         default=8,
-        help="in-flight decrees per shard (pipeline mode)",
+        help="in-flight decrees per shard",
     )
     p_load.add_argument(
         "--batch",
         type=int,
         default=16,
-        help="max ops coalesced into one decree (pipeline mode)",
-    )
-    p_load.add_argument(
-        "--codec",
-        choices=("json", "binary"),
-        default=None,
-        help="wire codec (default: json)",
-    )
-    p_load.add_argument(
-        "--group-commit",
-        action="store_true",
-        help="coalesce WAL fsyncs per event-loop tick",
+        help="max ops coalesced into one decree",
     )
     p_load.add_argument(
         "--no-check",

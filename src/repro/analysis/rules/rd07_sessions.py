@@ -29,6 +29,9 @@ application site), and ``repro/smr/lockservice.py`` replays the
 committed log only inside verification helpers (``table``,
 ``mutual_exclusion_holds``) that assert invariants over the decided
 history — they serve no client response and no retry path feeds them.
+The simulator's one frontend (``ReplicatedObject.adt_state`` in
+``repro/smr/replica.py``) folds the committed log the same way for the
+same purpose and carries the tree's one inline ``disable=RD07``.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ well-formedness, invalid-input rejection, key routing, one
 is a single-object history, which the frontier decides in time bounded
 by the concurrent window, not by the length.
 
-What a post-hoc caller adds is the future: :func:`recorded_answers`
-pairs every invocation with the response the history holds for it, so
+What a post-hoc caller adds is the future:
+:func:`~repro.monitor.streaming.foretold` pairs every invocation with
+the response the history holds for it, so
 :func:`~repro.core.linearizability.frontier_step` never creates a
 speculative linearization that the operation's own recorded response
 refutes.  It would be killed at that response anyway, so verdicts are
@@ -57,12 +58,11 @@ force the fallback, and against every other decider in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
-from ..monitor.streaming import StreamingMonitor
-from .actions import Invocation, Response
+from ..monitor.streaming import StreamingMonitor, foretold
 from .adt import ADT
-from .linearizability import NEVER_ANSWERED, LinearizationResult, linearize
+from .linearizability import LinearizationResult, linearize
 from .traces import Trace
 
 MONOLITHIC = "monolithic"
@@ -111,28 +111,6 @@ class CheckReport:
         return self.result.ok
 
 
-def recorded_answers(trace: Trace) -> Dict[int, object]:
-    """What a finished history says about each operation's future.
-
-    Maps every invocation's index to the :class:`Response` that answers
-    it later in ``trace``, or to :data:`NEVER_ANSWERED`.  Only pairs a
-    well-formed trace would form are made (same client, same input, no
-    second invocation in between); where the trace is ill-formed the
-    engine rejects it at that event, whatever it was told before.
-    """
-    answers: Dict[int, object] = {}
-    open_at: Dict[Hashable, int] = {}
-    for index, action in enumerate(trace):
-        if isinstance(action, Invocation):
-            open_at[action.client] = index
-            answers[index] = NEVER_ANSWERED
-        elif isinstance(action, Response):
-            asked = open_at.pop(action.client, None)
-            if asked is not None and trace[asked].input == action.input:
-                answers[asked] = action
-    return answers
-
-
 def _stream(
     trace: Trace,
     adt: ADT,
@@ -148,9 +126,8 @@ def _stream(
     monitor = StreamingMonitor(
         adt, node_limit=node_limit, config_limit=state_limit
     )
-    answers = recorded_answers(trace)
-    for index, action in enumerate(trace):
-        monitor.observe(action, answers.get(index))
+    for action, answer in foretold(trace):
+        monitor.observe(action, answer)
         if monitor.unroutable:
             return None
     report = monitor.report()

@@ -52,15 +52,14 @@ def parallel_map(
     task: Callable[[Item], Result],
     items: Iterable[Item],
     jobs: Optional[int] = None,
-    chunksize: Optional[int] = None,
 ) -> List[Result]:
     """Map ``task`` over ``items`` across ``jobs`` processes, in order.
 
     ``task`` must be an importable module-level function and every item
     picklable (the ``spawn`` start method is used).  ``jobs=None`` means
     :func:`default_jobs`; ``jobs <= 1`` or fewer than two items runs
-    serially in-process.  ``chunksize`` tunes work-stealing granularity
-    (default: ~4 chunks per worker).
+    serially in-process.  Work is stolen in about four chunks per
+    worker.
     """
     work = list(items)
     if jobs is None:
@@ -68,8 +67,7 @@ def parallel_map(
     jobs = min(max(1, jobs), len(work)) if work else 1
     if jobs <= 1:
         return [task(item) for item in work]
-    if chunksize is None:
-        chunksize = max(1, len(work) // (jobs * 4))
+    chunksize = max(1, len(work) // (jobs * 4))
     context = multiprocessing.get_context("spawn")
     with context.Pool(processes=jobs) as pool:
         return pool.map(task, work, chunksize)

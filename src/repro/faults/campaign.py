@@ -151,6 +151,9 @@ class CampaignTarget:
     """One deployment kind: build it, load it, perturb it, check it."""
 
     name: str = "?"
+    #: ``run_campaign(n_servers=)`` overwrites the first on an instance
+    n_servers = 3
+    n_clients = 4
 
     def run(
         self,
@@ -165,10 +168,6 @@ class CampaignTarget:
 class _ConsensusTarget(CampaignTarget):
     """A one-shot consensus deployment under nemesis: every client
     proposes once, the trace is checked against the consensus ADT."""
-
-    def __init__(self, n_servers: int = 3, n_clients: int = 4) -> None:
-        self.n_servers = n_servers
-        self.n_clients = n_clients
 
     def build(
         self, schedule: FaultSchedule, mutant: bool
@@ -225,15 +224,8 @@ class MultiphaseTarget(_ConsensusTarget):
     """SubQuorum → Quorum → Backup under nemesis."""
 
     name = "multiphase"
-
-    def __init__(
-        self,
-        n_servers: int = 4,
-        sub_servers: int = 2,
-        n_clients: int = 4,
-    ) -> None:
-        super().__init__(n_servers, n_clients)
-        self.sub_servers = sub_servers
+    n_servers = 4
+    sub_servers = 2
 
     def build(self, schedule, mutant):
         return ThreePhaseConsensus(
@@ -249,10 +241,6 @@ class SMRTarget(CampaignTarget):
     """The replicated KV store over speculative SMR under nemesis."""
 
     name = "smr"
-
-    def __init__(self, n_servers: int = 3, n_clients: int = 4) -> None:
-        self.n_servers = n_servers
-        self.n_clients = n_clients
 
     def run(self, schedule, mutant=False, node_limit=200_000) -> RunResult:
         kv = ReplicatedKVStore(

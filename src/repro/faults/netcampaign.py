@@ -183,8 +183,6 @@ class NetTarget(NemesisTarget):
             if config.amnesiac is None
             else (config.amnesiac,),
             wal_fs=self.wal_fs,
-            codec=config.codec,
-            group_commit=config.group_commit,
         )
 
     async def play(self, schedule: FaultSchedule) -> None:
@@ -393,14 +391,13 @@ NET_ACTION_CLASSES = (
 
 
 def asymmetric_bridge(
-    at: float,
-    endpoints: Tuple[str, ...] = ("node0", "node1", "node2"),
-    duration: float = 0.5,
+    at: float, duration: float = 0.5
 ) -> Tuple[NetPartition, ...]:
-    """A ring of one-way cuts: each endpoint cannot send to the next,
+    """A ring of one-way cuts: each replica cannot send to the next,
     yet every pair stays mutually reachable through the asymmetric
     remainder — the classic gray partition in which no node looks dead
     from everywhere at once."""
+    endpoints = [f"node{i}" for i in range(REPLICAS)]
     return tuple(
         NetPartition(
             at=at,
@@ -416,9 +413,7 @@ def asymmetric_bridge(
 def random_net_schedule(
     seed: int,
     n_servers: int = REPLICAS,
-    horizon: float = 4.0,
     max_kills: int = 2,
-    max_net_actions: int = 2,
     must_restart: Optional[int] = None,
     storage_faults: bool = False,
 ) -> FaultSchedule:
@@ -438,7 +433,7 @@ def random_net_schedule(
     """
     rng = random.Random(f"netcampaign:{seed}")
     minority = max(1, (n_servers - 1) // 2)
-    span = max(0.8, min(horizon * 0.5, 2.0))
+    span = 2.0  # of the 4 s horizon
     actions: List[FaultAction] = []
     down: List[Tuple[float, float, int]] = []  # (start, end, node)
 
@@ -475,7 +470,7 @@ def random_net_schedule(
         add_pair(rng.randrange(n_servers))
 
     endpoints = _endpoints(n_servers)
-    for _ in range(rng.randint(0, max_net_actions)):
+    for _ in range(rng.randint(0, 2)):
         at = round(rng.uniform(0.1, span), 2)
         kind = rng.random()
         if kind < 0.4:
@@ -510,12 +505,10 @@ def random_net_schedule(
     if not actions:
         actions.append(NetLossBurst(at=0.3, duration=0.4, rate=0.15))
     actions.sort(key=lambda a: a.at)
-    return FaultSchedule(seed=seed, actions=tuple(actions), horizon=horizon)
+    return FaultSchedule(seed=seed, actions=tuple(actions), horizon=4.0)
 
 
-def retry_storm_schedule(
-    seed: int, n_servers: int = REPLICAS, horizon: float = 3.0
-) -> FaultSchedule:
+def retry_storm_schedule(seed: int) -> FaultSchedule:
     """A directed schedule that manufactures every duplicate source at
     once: a long duplicate-delivery window (redelivered decrees), loss
     bursts violent enough to force op timeouts → client retries →
@@ -523,7 +516,7 @@ def retry_storm_schedule(
     fail over to a successor coordinator.  Deterministic in ``seed``.
     """
     rng = random.Random(f"retrystorm:{seed}")
-    span = min(horizon * 0.5, 1.6)
+    span = 1.5  # of the 3 s horizon
     actions: List[FaultAction] = [
         # duplicates run through most of the storm window
         NetDupBurst(
@@ -548,7 +541,7 @@ def retry_storm_schedule(
     # manufacturing the duplicate-decree case the session seam folds)
     blackout_at = round(rng.uniform(0.25, 0.5), 2)
     blackout = round(rng.uniform(0.25, 0.4), 2)
-    for j in range(n_servers):
+    for j in range(REPLICAS):
         actions.append(
             NetPartition(
                 at=blackout_at,
@@ -557,14 +550,14 @@ def retry_storm_schedule(
                 duration=blackout,
             )
         )
-    node = rng.randrange(n_servers)
+    node = rng.randrange(REPLICAS)
     kill_at = round(rng.uniform(0.4, 0.8), 2)
     actions.append(KillNode(at=kill_at, node=node))
     actions.append(
         RestartNode(at=round(kill_at + rng.uniform(0.5, 0.9), 2), node=node)
     )
     actions.sort(key=lambda a: a.at)
-    return FaultSchedule(seed=seed, actions=tuple(actions), horizon=horizon)
+    return FaultSchedule(seed=seed, actions=tuple(actions), horizon=3.0)
 
 
 # ----------------------------------------------------------------------
@@ -769,8 +762,6 @@ class _RunConfig:
     #: Late readers always stay on probing clients with private
     #: decided-slot logs — they are the fork detectors.
     pipelined: bool = False
-    codec: Optional[str] = None
-    group_commit: bool = False
     #: run a live StreamingMonitor on the recorded history: the drivers
     #: stop as soon as it flips to violation (fail-fast, mid-run), and
     #: the run result carries the online verdict next to the post-hoc
@@ -1169,8 +1160,6 @@ def run_net_campaign(
     schedules: Optional[List[FaultSchedule]] = None,
     artifact_dir: Optional[str] = None,
     pipelined: bool = False,
-    codec: Optional[str] = None,
-    group_commit: bool = False,
     monitor: bool = False,
     race_mutant: bool = False,
     sanitize: bool = False,
@@ -1190,12 +1179,13 @@ def run_net_campaign(
     kill/restart pair.  With ``artifact_dir`` every run writes its
     history + verdict JSON, and every violation its shrunk schedule.
 
-    ``pipelined=True`` swaps the main traffic onto a shared batching
-    :class:`~repro.net.pipeline.SlotPipeline` (``codec``/
-    ``group_commit`` configure the cluster), which is how CI proves
-    group commit and decree batching compose with the chaos vocabulary.
-    Late readers stay on probing clients with private decided-slot logs
-    either way — they are the fork detectors.
+    The cluster under attack is the default one, the plane the ledger
+    measures: binary frames, group-committed WALs.  ``pipelined=True``
+    swaps the main traffic onto a shared batching
+    :class:`~repro.net.pipeline.SlotPipeline`, which is how CI proves
+    decree batching composes with the chaos vocabulary.  Late readers
+    stay on probing clients with private decided-slot logs either way —
+    they are the fork detectors.
 
     ``monitor=True`` attaches a live
     :class:`~repro.monitor.StreamingMonitor` to every run's recorder:
@@ -1220,8 +1210,6 @@ def run_net_campaign(
         ops_per_client=ops_per_client,
         amnesiac=amnesiac,
         pipelined=pipelined or race_mutant,
-        codec=codec,
-        group_commit=group_commit,
         monitor=monitor,
         race_mutant=race_mutant,
         sanitize=sanitize,

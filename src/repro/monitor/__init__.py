@@ -24,7 +24,7 @@ docs/MONITORING.md.
 """
 
 from .frontier import (
-    DEFAULT_WITNESS_LIMIT,
+    WITNESS_LIMIT,
     KeyFrontier,
     RetainedGauge,
     ddmin_ops,
@@ -38,7 +38,7 @@ from .streaming import (
 from .tap import MonitorTap
 
 __all__ = [
-    "DEFAULT_WITNESS_LIMIT",
+    "WITNESS_LIMIT",
     "KeyFrontier",
     "MonitorReport",
     "MonitorTap",

@@ -35,7 +35,7 @@ Three outcomes per key:
 
 Quiescence — no open operations — is when the frontier garbage-collects:
 the surviving configurations become the new replay base and the witness
-window is cleared.  If the window outgrows ``witness_limit`` before a
+window is cleared.  If the window outgrows :data:`WITNESS_LIMIT` before a
 quiescent point, the oldest events are dropped and the window is marked
 truncated; a truncated window skips the ddmin pass (its replay base is
 stale) and is reported raw.
@@ -58,9 +58,9 @@ WATCHING = "watching"
 VIOLATION = "violation"
 UNKNOWN = "unknown"
 
-#: default cap on the witness window (events retained per key between
+#: cap on the witness window (events retained per key between
 #: quiescent points); beyond it the window truncates oldest-first
-DEFAULT_WITNESS_LIMIT = 512
+WITNESS_LIMIT = 512
 
 #: probe budget for the ddmin witness shrink
 DEFAULT_SHRINK_PROBES = 256
@@ -117,14 +117,12 @@ class KeyFrontier:
         adt: ADT,
         node_limit: Optional[int] = None,
         config_limit: Optional[int] = None,
-        witness_limit: Optional[int] = DEFAULT_WITNESS_LIMIT,
         gauge: Optional[RetainedGauge] = None,
     ) -> None:
         self.key = key
         self.adt = adt
         self.node_limit = node_limit
         self.config_limit = config_limit
-        self.witness_limit = witness_limit
         self.gauge = gauge if gauge is not None else RetainedGauge()
         self.configs: FrozenSet[FrontierConfig] = initial_frontier(adt)
         #: replay base: the frontier at the last quiescent point
@@ -236,11 +234,8 @@ class KeyFrontier:
     def _retain(self, event: tuple) -> None:
         self.window.append(event)
         self.gauge.add(1)
-        if (
-            self.witness_limit is not None
-            and len(self.window) > self.witness_limit
-        ):
-            drop = len(self.window) - self.witness_limit
+        if len(self.window) > WITNESS_LIMIT:
+            drop = len(self.window) - WITNESS_LIMIT
             del self.window[:drop]
             self.gauge.sub(drop)
             self.gc_drops += drop

@@ -50,7 +50,17 @@ applies to post-hoc per-shard verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.actions import Invocation, Response
 from ..core.adt import ADT, PartitionSpec
@@ -68,13 +78,41 @@ UNROUTABLE = ("unroutable",)
 _UNCLAIMED = object()
 
 
-def _action(event: Tuple) -> Any:
+def event_action(event: Tuple) -> Any:
     """The action an ``inv`` / ``res`` event records (phase 1, as the
     recorder's own ``trace()`` tags it)."""
     kind, client, command, response = event[:4]
     if kind == "inv":
         return Invocation(client, 1, command)
     return Response(client, 1, command, response)
+
+
+def foretold(
+    actions: Sequence[Any], unanswered: Any = NEVER_ANSWERED
+) -> Iterator[Tuple[Any, Any]]:
+    """What a held history says about each operation's future.
+
+    Yields every action of ``actions`` with its ``answer`` for
+    :meth:`StreamingMonitor.observe`: an invocation is paired with the
+    :class:`Response` that answers it later in ``actions``, or with
+    ``unanswered`` (:data:`NEVER_ANSWERED` for a finished history, None
+    for a live prefix whose open operations may yet answer); anything
+    else with None.  Only pairs a well-formed history would form are
+    made (same client, same input, no second invocation in between);
+    where the history is ill-formed the engine rejects it at that event,
+    whatever it was told before.
+    """
+    answers: Dict[int, Any] = {}
+    open_at: Dict[Hashable, int] = {}
+    for index, action in enumerate(actions):
+        if isinstance(action, Invocation):
+            open_at[action.client] = index
+            answers[index] = unanswered
+        elif isinstance(action, Response):
+            asked = open_at.pop(action.client, None)
+            if asked is not None and actions[asked].input == action.input:
+                answers[asked] = action
+    return ((action, answers.get(i)) for i, action in enumerate(actions))
 
 
 @dataclass
@@ -182,7 +220,7 @@ class StreamingMonitor:
                 return
             self._fall_back(miss)
         if event[0] != "lin":
-            self.observe(_action(event))
+            self.observe(event_action(event))
 
     def _certify(self, event: Tuple) -> Optional[str]:
         """None if ``event`` checks, else why not (a *miss*: no proof of
@@ -245,21 +283,14 @@ class StreamingMonitor:
         answered invocation foretold its response and each open one
         nothing: it may yet answer.  Not seeded from the fold: two
         concurrent puts leave two reachable states, the fold knows one."""
-        actions = [_action(event) for event in self._history[: self.events]]
+        actions = [event_action(e) for e in self._history[: self.events]]
         self._history = None
         self.certificate_misses += 1
         self.miss_reason = miss
         self._claims, self._linearized, self._cells = {}, {}, {}
         self.events = self._op_counter = self._released = self.gauge.value = 0
-        answers: Dict[int, Response] = {}
-        opened: Dict[Hashable, int] = {}
-        for index, action in enumerate(actions):
-            if isinstance(action, Invocation):
-                opened[action.client] = index
-            else:
-                answers[opened.pop(action.client)] = action
-        for index, action in enumerate(actions):
-            self.observe(action, answers.get(index))
+        for action, answer in foretold(actions, unanswered=None):
+            self.observe(action, answer)
 
     def observe(self, action: Any, answer: Any = None) -> None:
         """Consume one interface action (Invocation or Response).

@@ -28,19 +28,14 @@ from typing import Deque, Optional, Tuple
 from .streaming import MonitorReport, StreamingMonitor
 
 #: events fed per scheduler tick; bounds monitor-induced loop stalls
-DEFAULT_DRAIN_BATCH = 256
+DRAIN_BATCH = 256
 
 
 class MonitorTap:
     """Bridge a `HistoryRecorder` to a monitor via a background drain."""
 
-    def __init__(
-        self,
-        monitor: StreamingMonitor,
-        batch: int = DEFAULT_DRAIN_BATCH,
-    ) -> None:
+    def __init__(self, monitor: StreamingMonitor) -> None:
         self.monitor = monitor
-        self.batch = batch
         self._queue: Deque[Tuple] = deque()
         self._wake: Optional[asyncio.Event] = None
         self._task: Optional[asyncio.Task] = None
@@ -100,7 +95,7 @@ class MonitorTap:
                     continue
                 await self._wake.wait()
                 continue
-            for _ in range(min(self.batch, len(self._queue))):
+            for _ in range(min(DRAIN_BATCH, len(self._queue))):
                 self.monitor.feed(self._queue.popleft())
             # yield so the data plane never stalls behind the checker
             await asyncio.sleep(0)

@@ -4,7 +4,10 @@ Each replica is a :class:`~repro.net.node.ReplicaNode` with its own
 :class:`~repro.net.transport.AsyncTransport` and listener on an
 ephemeral port; all of them (and any client transports handed out by
 :meth:`client_transport`) share one :class:`AddressBook`, which is the
-cluster's entire static configuration.
+cluster's entire static configuration.  Unless told otherwise a cluster
+is the measured plane: binary frames and group-committed WALs
+(``codec="json"``, ``group_commit=False`` are the seed's, kept as the
+instrument of ``bench_throughput.run_seed_config``).
 
 ``kill(i)`` closes a node's transport mid-run — listener gone,
 connections severed, address withdrawn — which is how the loadgen and
@@ -66,8 +69,8 @@ class LocalCluster:
         wal_root: Optional[str] = None,
         amnesiac: Sequence[int] = (),
         wal_fs: Optional[Dict[int, FaultFS]] = None,
-        codec: Optional[str] = None,
-        group_commit: bool = False,
+        codec: str = "binary",
+        group_commit: bool = True,
     ) -> None:
         self.n_servers = n_servers
         self.book = AddressBook()
@@ -77,10 +80,7 @@ class LocalCluster:
         self.wal_root = wal_root
         self.amnesiac = frozenset(amnesiac)
         self.wal_fs = wal_fs or {}
-        self.codec_name = codec
-        self.codec: Optional[Codec] = (
-            get_codec(codec) if codec is not None else None
-        )
+        self.codec: Codec = get_codec(codec)
         self.group_commit = group_commit
         self.stopped = False
         self.nodes: List[ReplicaNode] = [

@@ -108,10 +108,10 @@ class LoadReport:
     #: data-plane configuration; not ``pipelined`` is the paper's
     #: client: window 1, batch 1, one pipeline per client
     shards: int = 1
-    pipelined: bool = False
-    window: int = 1
-    batch: int = 1
-    codec: Optional[str] = None
+    pipelined: bool = True
+    window: int = 8
+    batch: int = 16
+    codec: str = "binary"
     #: per-shard linearizability verdicts, shard order
     shard_verdicts: List[str] = field(default_factory=list)
     #: decrees proposed / ops they carried, summed over shards
@@ -173,7 +173,7 @@ class LoadReport:
             avg = self.batched_ops / self.decrees if self.decrees else 0.0
             lines.append(
                 f"  data plane: {self.shards} shard(s), window={self.window} "
-                f"batch<={self.batch} codec={self.codec or 'json'}; "
+                f"batch<={self.batch} codec={self.codec}; "
                 f"{self.decrees} decrees, {avg:.1f} ops/decree"
             )
         if self.monitored:
@@ -254,7 +254,7 @@ async def _run(
     pipeline: bool,
     window: int,
     batch: int,
-    codec: Optional[str],
+    codec: str,
     group_commit: bool,
     check: bool,
     monitor: bool,
@@ -396,17 +396,11 @@ async def _run(
         if item.verdict == "violation":
             emit(f"  {item.summary()}")
 
-    # artifact compatibility: the pipelined plane names endpoints by
-    # shard; the paper's client has one group and counts its own side
     endpoint_stats = {
-        (f"shard{s}/" if pipeline else "") + node.endpoint: _link_stats(
-            node.transport
-        )
+        f"shard{s}/{node.endpoint}": _link_stats(node.transport)
         for s, shard in enumerate(sharded.shards)
         for node in shard.nodes
     }
-    if not pipeline:
-        endpoint_stats["clients"] = _link_stats(transports[0])
     await sharded.stop()
 
     shard_verdicts: List[str] = []
@@ -487,11 +481,11 @@ def run_loadgen(
     wal_root: Optional[str] = None,
     artifact: Optional[str] = None,
     shards: int = 1,
-    pipeline: bool = False,
+    pipeline: bool = True,
     window: int = 8,
     batch: int = 16,
-    codec: Optional[str] = None,
-    group_commit: bool = False,
+    codec: str = "binary",
+    group_commit: bool = True,
     check: bool = True,
     monitor: bool = False,
     emit=print,
@@ -504,15 +498,17 @@ def run_loadgen(
     set the replicas persist their durable state under that directory
     (see :class:`~repro.net.wal.NodeWAL`).
 
-    By default every client is the paper's: one op per consensus
-    round, a :class:`~repro.net.pipeline.SlotPipeline` of its own at
-    window 1 and batch 1 (``window``/``batch`` are ignored).
-    ``pipeline=True`` (implied by ``shards > 1``) switches to the
-    high-throughput data plane — one batching pipeline per shard,
-    shared by its clients, with ``window`` in-flight decrees and up to
-    ``batch`` ops per decree.  Either way ``codec="binary"`` frames and
-    WAL ``group_commit`` are optional and every shard's history is
-    checked independently (``check=False`` skips the verdict for pure
+    The defaults are the plane ``benchmarks/ledger`` measures: one
+    batching :class:`~repro.net.pipeline.SlotPipeline` per shard, shared
+    by its clients, with ``window`` in-flight decrees and up to ``batch``
+    ops per decree, binary frames and WAL group commit.
+    ``pipeline=False`` is the paper's client instead — one op per
+    consensus round, a pipeline of its own at window 1 and batch 1
+    (``window``/``batch`` are ignored) — and with ``codec="json"`` and
+    ``group_commit=False`` the seed's configuration, which
+    ``bench_throughput.run_seed_config`` keeps as the instrument of the
+    >=10x gate.  Either way every shard's history is checked
+    independently (``check=False`` skips the verdict for pure
     benchmarking).
 
     ``monitor=True`` additionally streams every recorded event through
@@ -525,8 +521,6 @@ def run_loadgen(
     two verdicts agree, so ``monitor`` without ``check`` is the
     bounded-memory configuration for unbounded runs.
     """
-    if shards > 1:
-        pipeline = True
     if not pipeline:
         window = batch = 1
     config = dict(

@@ -44,17 +44,10 @@ class TransportFaults:
     (drop, count as loss) or ``"cut"`` (drop, count as partitioned).
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        loss_rate: float = 0.0,
-        clock=time.monotonic,
-    ) -> None:
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError("loss_rate must be in [0, 1]")
+    def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
-        self.loss_rate = loss_rate
-        self.clock = clock
+        #: the fault clock every window expires on
+        self.clock = time.monotonic
         #: directed endpoint pair → heal time (``math.inf`` = explicit)
         self._cuts: Dict[Tuple[str, str], float] = {}
         #: additive loss windows: (rate, expiry time)
@@ -94,15 +87,13 @@ class TransportFaults:
         self._bursts.append((rate, self.clock() + duration))
 
     def effective_loss_rate(self) -> float:
-        """Baseline loss plus every still-open burst window."""
+        """Sum of every still-open loss window."""
         if self._bursts:
             now = self.clock()
             self._bursts = [
                 burst for burst in self._bursts if burst[1] > now
             ]
-        return min(
-            1.0, self.loss_rate + sum(rate for rate, _ in self._bursts)
-        )
+        return min(1.0, sum(rate for rate, _ in self._bursts))
 
     def burst_duplicate(self, rate: float, duration: float) -> None:
         """Duplicate frames i.i.d. at ``rate`` for ``duration`` seconds.

@@ -52,7 +52,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 from ..mp.sim import NetworkStats
-from .codec import JSON_CODEC, BodyMemo, Codec, FrameDecoder, FrameError
+from .codec import BINARY_CODEC, BodyMemo, Codec, FrameDecoder, FrameError
 from .netfaults import TransportFaults
 
 logger = logging.getLogger(__name__)
@@ -196,9 +196,10 @@ class AsyncTransport:
         self.endpoint = endpoint
         self.book = book
         self.faults = faults
-        #: outbound wire format; inbound frames self-describe, so peers
-        #: on different codecs interoperate during a rollout
-        self.codec: Codec = codec if codec is not None else JSON_CODEC
+        #: outbound wire format (binary unless told otherwise); inbound
+        #: frames self-describe, so peers on different codecs interoperate
+        #: during a rollout
+        self.codec: Codec = codec if codec is not None else BINARY_CODEC
         #: body of the last message framed: a broadcast encodes it once
         self._body_memo = BodyMemo()
         try:

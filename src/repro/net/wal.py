@@ -348,13 +348,14 @@ class NodeWAL:
     out of the constructor: a node that cannot record its incarnation
     must not serve.
 
-    With ``group_commit=True``, :meth:`record_durable` coalesces every
-    append issued in one event-loop tick into a *single* fsync: records
-    are written unsynced, their ``on_durable`` callbacks queue, and one
-    scheduled flush syncs the batch then releases all callbacks.
+    With ``group_commit`` (the default), :meth:`record_durable` coalesces
+    every append issued in one event-loop tick into a *single* fsync:
+    records are written unsynced, their ``on_durable`` callbacks queue,
+    and one scheduled flush syncs the batch then releases all callbacks.
     Persist-before-reply is preserved — no callback (and therefore no
     buffered reply) fires before the fsync that covers its record — it
     is only the fsync *count* that drops from N to 1 per tick.
+    ``group_commit=False`` is one fsync per append, the seed's policy.
     """
 
     def __init__(
@@ -363,7 +364,7 @@ class NodeWAL:
         fsync: bool = True,
         compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
         fs: Optional[FaultFS] = None,
-        group_commit: bool = False,
+        group_commit: bool = True,
     ) -> None:
         self.wal = WriteAheadLog(directory, fsync=fsync, fs=fs)
         self.compact_threshold = compact_threshold

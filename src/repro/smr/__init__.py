@@ -2,13 +2,15 @@
 
 The universal ADT and ADT-derivation glue (:mod:`repro.smr.universal`),
 the multi-slot replicated log where every slot is a composed Quorum+Backup
-consensus instance (:mod:`repro.smr.replica`), and a replicated key-value
-store built on top (:mod:`repro.smr.kvstore`).
+consensus instance (:mod:`repro.smr.replica`), the one frontend that
+derives any ADT from it (:class:`~repro.smr.replica.ReplicatedObject`),
+and a replicated key-value store and a lock service that are its named
+operations (:mod:`repro.smr.kvstore`, :mod:`repro.smr.lockservice`).
 """
 
 from .kvstore import KVResult, ReplicatedKVStore
 from .lockservice import LockResult, LockService, lock_table_adt
-from .replica import CommandOutcome, SpeculativeSMR
+from .replica import CommandOutcome, ReplicatedObject, SpeculativeSMR
 from .sessions import (
     SessionTable,
     SessionedApplier,
@@ -31,6 +33,7 @@ __all__ = [
     "LockResult",
     "LockService",
     "ReplicatedKVStore",
+    "ReplicatedObject",
     "SessionTable",
     "SessionedApplier",
     "SpeculativeSMR",

@@ -5,37 +5,28 @@ clients issue ``put``/``get``/``delete`` operations, the speculative SMR
 layer linearizes them into the replicated log, and responses are derived
 by applying the KV ADT's output function to the log prefix ending at the
 client's committed command — exactly the universal-ADT recipe of
-Section 6.
+Section 6, written once in :class:`~repro.smr.replica.ReplicatedObject`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable
 
-from ..core.actions import Invocation, Response
-from ..core.traces import Trace
-from .replica import CommandOutcome, SpeculativeSMR
-from .universal import UniversalFrontend, kv_delete, kv_get, kv_put, kv_store_adt
+from .replica import OperationResult, ReplicatedObject, SpeculativeSMR
+from .universal import kv_delete, kv_get, kv_put, kv_store_adt
 
-
-@dataclass
-class KVResult:
-    """A completed KV operation with its derived response."""
-
-    client: Hashable
-    command: Tuple
-    response: Optional[Hashable]
-    outcome: CommandOutcome
+#: a completed KV operation with its derived response
+KVResult = OperationResult
 
 
-class ReplicatedKVStore:
+class ReplicatedKVStore(ReplicatedObject):
     """Client-facing KV API over :class:`SpeculativeSMR`.
 
     Each operation is tagged with a unique sequence number before
     replication so identical commands from different clients occupy
     distinct log slots; responses strip the tag and apply the KV
-    semantics to the linearized prefix.
+    semantics to the linearized prefix
+    (:class:`~repro.smr.replica.ReplicatedObject` does both).
     """
 
     def __init__(
@@ -43,117 +34,27 @@ class ReplicatedKVStore:
         n_servers: int = 3,
         seed: int = 0,
         delay: Any = 1.0,
-        loss_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
         backoff: Any = None,
     ) -> None:
-        self.smr = SpeculativeSMR(
-            n_servers=n_servers,
-            seed=seed,
-            delay=delay,
-            loss_rate=loss_rate,
-            duplicate_rate=duplicate_rate,
-            backoff=backoff,
+        super().__init__(
+            kv_store_adt(),
+            SpeculativeSMR(
+                n_servers=n_servers, seed=seed, delay=delay, backoff=backoff
+            ),
         )
-        self.frontend = UniversalFrontend(kv_store_adt())
-        self.results: List[KVResult] = []
-        self._seq = 0
-        self.smr.on_commit = self._on_commit
-        self._pending: Dict[Hashable, Tuple[Hashable, Tuple]] = {}
-        self._events: List[Tuple[str, Hashable, Tuple, Optional[Hashable]]] = []
-        self._busy: Dict[Hashable, bool] = {}
-        self._queues: Dict[Hashable, List[Tuple]] = {}
-
-    def _tagged(self, command: Tuple) -> Tuple:
-        self._seq += 1
-        return command + (("seq", self._seq),)
-
-    @staticmethod
-    def _untag(command: Tuple) -> Tuple:
-        return command[:-1]
-
-    def _submit(self, client: Hashable, command: Tuple, at: float) -> None:
-        # Clients are sequential (the paper's client model): an operation
-        # scheduled while the client's previous one is still in flight is
-        # queued and starts when the response arrives.
-        def arrive() -> None:
-            if self._busy.get(client):
-                self._queues.setdefault(client, []).append(command)
-            else:
-                self._start(client, command)
-
-        self.smr.sim.schedule(at, arrive)
-
-    def _start(self, client: Hashable, command: Tuple) -> None:
-        self._busy[client] = True
-        tagged = self._tagged(command)
-        self._pending[tagged] = (client, command)
-        self._events.append(("inv", client, command, None))
-        self.smr.submit(client, tagged, at=0.0)
 
     def put(self, client: Hashable, key: Hashable, value: Hashable, at: float = 0.0) -> None:
         """Schedule a replicated ``put``."""
-        self._submit(client, kv_put(key, value), at)
+        self.invoke(client, kv_put(key, value), at)
 
     def get(self, client: Hashable, key: Hashable, at: float = 0.0) -> None:
         """Schedule a replicated ``get``."""
-        self._submit(client, kv_get(key), at)
+        self.invoke(client, kv_get(key), at)
 
     def delete(self, client: Hashable, key: Hashable, at: float = 0.0) -> None:
         """Schedule a replicated ``delete``."""
-        self._submit(client, kv_delete(key), at)
-
-    def _on_commit(self, outcome: CommandOutcome) -> None:
-        client, command = self._pending[outcome.command]
-        # The log prefix up to and including the committed slot is the
-        # universal-object history; applying the KV ADT yields the
-        # response (Section 6's recipe).
-        history = tuple(
-            self._untag(c)
-            for slot, c in sorted(self.smr.log.items())
-            if slot <= outcome.slot
-        )
-        response = self.frontend.respond(history)
-        self.results.append(
-            KVResult(
-                client=client,
-                command=command,
-                response=response,
-                outcome=outcome,
-            )
-        )
-        self._events.append(("res", client, command, response))
-        self._busy[client] = False
-        queued = self._queues.get(client)
-        if queued:
-            self._start(client, queued.pop(0))
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Drive the underlying simulation."""
-        self.smr.run(until=until)
-
-    def interface_trace(self) -> Trace:
-        """The client-level trace of KV invocations and responses.
-
-        Suitable for checking against ``Lin[kv_store]``: the KV store
-        built on a linearizable universal object must itself be
-        linearizable.
-        """
-        actions = []
-        for kind, client, command, response in self._events:
-            if kind == "inv":
-                actions.append(Invocation(client, 1, command))
-            else:
-                actions.append(Response(client, 1, command, response))
-        return Trace(actions)
+        self.invoke(client, kv_delete(key), at)
 
     def state(self) -> Dict[Hashable, Hashable]:
         """The KV state after applying the committed log prefix."""
-        mapping: Dict[Hashable, Hashable] = {}
-        for command in self.smr.committed_log():
-            untagged = self._untag(command)
-            if untagged[0] == "put":
-                mapping[untagged[1]] = untagged[2]
-            elif untagged[0] == "delete":
-                mapping.pop(untagged[1], None)
-        return mapping
+        return dict(self.adt_state())

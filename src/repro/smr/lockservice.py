@@ -5,7 +5,8 @@ application: "Notable use cases of consensus in message-passing systems
 include Google's Chubby distributed lock service".  This module derives a
 lock service from the replicated log the same way the KV store is derived
 — define the lock-table ADT, replicate the commands, apply the output
-function to the linearized prefix (Section 6's universal-ADT recipe).
+function to the linearized prefix (Section 6's universal-ADT recipe,
+:class:`~repro.smr.replica.ReplicatedObject`).
 
 Lock semantics (test-and-set style, no leases — the simulator has no
 client failures to expire):
@@ -23,14 +24,10 @@ checked as an invariant over the applied log in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, Tuple
 
-from ..core.actions import Invocation, Response
 from ..core.adt import ADT
-from ..core.traces import Trace
-from .replica import CommandOutcome, SpeculativeSMR
-from .universal import UniversalFrontend
+from .replica import OperationResult, ReplicatedObject, SpeculativeSMR
 
 
 def acquire(lock: Hashable, owner: Hashable) -> Tuple:
@@ -92,17 +89,11 @@ def _freeze(table: Dict) -> Tuple:
     return tuple(sorted(table.items(), key=repr))
 
 
-@dataclass
-class LockResult:
-    """A completed lock operation with its derived response."""
-
-    client: Hashable
-    command: Tuple
-    response: Tuple
-    outcome: CommandOutcome
+#: a completed lock operation with its derived response
+LockResult = OperationResult
 
 
-class LockService:
+class LockService(ReplicatedObject):
     """Client-facing lock API over :class:`SpeculativeSMR`.
 
     Operations of one client are serialized (the paper's sequential-client
@@ -111,99 +102,28 @@ class LockService:
     """
 
     def __init__(
-        self,
-        n_servers: int = 3,
-        seed: int = 0,
-        delay: Any = 1.0,
-        loss_rate: float = 0.0,
+        self, n_servers: int = 3, seed: int = 0, delay: Any = 1.0
     ) -> None:
-        self.smr = SpeculativeSMR(
-            n_servers=n_servers, seed=seed, delay=delay, loss_rate=loss_rate
+        super().__init__(
+            lock_table_adt(),
+            SpeculativeSMR(n_servers=n_servers, seed=seed, delay=delay),
         )
-        self.frontend = UniversalFrontend(lock_table_adt())
-        self.results: List[LockResult] = []
-        self.smr.on_commit = self._on_commit
-        self._seq = 0
-        self._pending: Dict[Tuple, Tuple[Hashable, Tuple]] = {}
-        self._busy: Dict[Hashable, bool] = {}
-        self._queues: Dict[Hashable, List[Tuple]] = {}
-        self._events: List[Tuple] = []
-
-    # -- client API ---------------------------------------------------------
 
     def acquire(self, client: Hashable, lock: Hashable, at: float = 0.0) -> None:
         """Schedule an acquire attempt (owner = the calling client)."""
-        self._submit(client, acquire(lock, client), at)
+        self.invoke(client, acquire(lock, client), at)
 
     def release(self, client: Hashable, lock: Hashable, at: float = 0.0) -> None:
         """Schedule a release (only succeeds for the holder)."""
-        self._submit(client, release(lock, client), at)
+        self.invoke(client, release(lock, client), at)
 
     def holder_of(self, client: Hashable, lock: Hashable, at: float = 0.0) -> None:
         """Schedule a holder query."""
-        self._submit(client, holder(lock), at)
-
-    # -- plumbing -----------------------------------------------------------
-
-    def _submit(self, client: Hashable, command: Tuple, at: float) -> None:
-        def arrive() -> None:
-            if self._busy.get(client):
-                self._queues.setdefault(client, []).append(command)
-            else:
-                self._start(client, command)
-
-        self.smr.sim.schedule(at, arrive)
-
-    def _start(self, client: Hashable, command: Tuple) -> None:
-        self._busy[client] = True
-        self._seq += 1
-        tagged = command + (("seq", self._seq),)
-        self._pending[tagged] = (client, command)
-        self._events.append(("inv", client, command, None))
-        self.smr.submit(client, tagged, at=0.0)
-
-    def _on_commit(self, outcome: CommandOutcome) -> None:
-        client, command = self._pending[outcome.command]
-        history = tuple(
-            c[:-1]
-            for slot, c in sorted(self.smr.log.items())
-            if slot <= outcome.slot
-        )
-        response = self.frontend.respond(history)
-        self.results.append(
-            LockResult(
-                client=client,
-                command=command,
-                response=response,
-                outcome=outcome,
-            )
-        )
-        self._events.append(("res", client, command, response))
-        self._busy[client] = False
-        queued = self._queues.get(client)
-        if queued:
-            self._start(client, queued.pop(0))
-
-    def run(self, until: Optional[float] = None) -> None:
-        """Drive the underlying simulation."""
-        self.smr.run(until=until)
-
-    def interface_trace(self) -> Trace:
-        """The client-level trace, checkable against Lin[lock_table]."""
-        actions = []
-        for kind, client, command, response in self._events:
-            if kind == "inv":
-                actions.append(Invocation(client, 1, command))
-            else:
-                actions.append(Response(client, 1, command, response))
-        return Trace(actions)
+        self.invoke(client, holder(lock), at)
 
     def table(self) -> Dict[Hashable, Hashable]:
         """The lock table after the committed log prefix."""
-        adt = lock_table_adt()
-        history = tuple(c[:-1] for c in self.smr.committed_log())
-        state, _ = adt.run(history)
-        return dict(state)
+        return dict(self.adt_state())
 
     def mutual_exclusion_holds(self) -> bool:
         """At every log prefix, each lock has at most one holder.
@@ -212,7 +132,7 @@ class LockService:
         adds is that *grants* are exclusive: replaying the log, no
         successful acquire happens while the lock is held.
         """
-        adt = lock_table_adt()
+        adt = self.frontend.adt
         state = adt.initial_state
         for command in self.smr.committed_log():
             untagged = command[:-1]

@@ -39,12 +39,16 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
+from ..core.actions import Invocation, Response
+from ..core.adt import ADT
+from ..core.traces import Trace
 from ..mp.backoff import BackoffPolicy
 from ..mp.phases import Phase, backup, host, quorum, walk
 from ..mp.sim import Network, Process, Simulator
-from .universal import make_batch
+from .universal import UniversalFrontend, make_batch
 
 
 @dataclass
@@ -85,20 +89,11 @@ class SpeculativeSMR:
         n_servers: int = 3,
         seed: int = 0,
         delay: Any = 1.0,
-        loss_rate: float = 0.0,
-        quorum_timeout: float = 6.0,
-        duplicate_rate: float = 0.0,
         backoff: Optional[BackoffPolicy] = None,
     ) -> None:
         self.sim = Simulator(seed=seed)
-        self.network = Network(
-            self.sim,
-            delay=delay,
-            loss_rate=loss_rate,
-            duplicate_rate=duplicate_rate,
-        )
+        self.network = Network(self.sim, delay=delay)
         self.n_servers = n_servers
-        self.quorum_timeout = quorum_timeout
         self.backoff = backoff
         self.crashed_servers: Set[int] = set()
         #: slot -> its phase chain, hosted on the slot's own pids
@@ -163,9 +158,7 @@ class SpeculativeSMR:
         contributes no live roles to new slots either."""
         if slot not in self.slots:
             phases = self.slots[slot] = [
-                quorum(
-                    self.n_servers, timeout=self.quorum_timeout, scope=(slot,)
-                ),
+                quorum(self.n_servers, scope=(slot,)),
                 # a slot cannot know which clients will switch into it:
                 # each is wired as a learner when it enters
                 backup(
@@ -377,3 +370,103 @@ class SpeculativeSMR:
     def committed_log(self) -> List[Hashable]:
         """The decided commands of the contiguous log prefix, in order."""
         return [self.log[slot] for slot in range(self._first_open_slot())]
+
+
+@dataclass
+class OperationResult:
+    """A completed operation with its derived response."""
+
+    client: Hashable
+    command: Tuple
+    response: Hashable
+    outcome: CommandOutcome
+
+
+class ReplicatedObject:
+    """Any ADT on :class:`SpeculativeSMR`: Section 6's recipe, once.
+
+    Each operation is tagged with a unique sequence number before
+    replication, so identical commands from different clients occupy
+    distinct log slots; its response strips the tags and applies the
+    ADT's output function to the log prefix ending at the committed
+    command (:class:`~repro.smr.universal.UniversalFrontend`).  Clients
+    are sequential (the paper's client model): an operation scheduled
+    while the client's previous one is still in flight is queued and
+    starts when the response arrives.  The KV store and the lock service
+    are this class with named operations.
+    """
+
+    def __init__(self, adt: ADT, smr: SpeculativeSMR) -> None:
+        self.smr = smr
+        smr.on_commit = self._on_commit
+        self.frontend = UniversalFrontend(adt)
+        self.results: List[OperationResult] = []
+        self._seq = 0
+        self._pending: Dict[Tuple, Tuple[Hashable, Tuple]] = {}
+        self._events: List[Tuple[str, Hashable, Tuple, Hashable]] = []
+        self._busy: Dict[Hashable, bool] = {}
+        self._queues: Dict[Hashable, List[Tuple]] = {}
+
+    def invoke(
+        self, client: Hashable, command: Tuple, at: float = 0.0
+    ) -> None:
+        """Schedule ``client`` to issue ``command`` at time ``at``."""
+
+        def arrive() -> None:
+            if self._busy.get(client):
+                self._queues.setdefault(client, []).append(command)
+            else:
+                self._start(client, command)
+
+        self.smr.sim.schedule(at, arrive)
+
+    def _start(self, client: Hashable, command: Tuple) -> None:
+        self._busy[client] = True
+        self._seq += 1
+        tagged = command + (("seq", self._seq),)
+        self._pending[tagged] = (client, command)
+        self._events.append(("inv", client, command, None))
+        self.smr.submit(client, tagged, at=0.0)
+
+    def _on_commit(self, outcome: CommandOutcome) -> None:
+        client, command = self._pending[outcome.command]
+        # The log prefix up to and including the committed slot is the
+        # universal-object history; applying the ADT yields the response.
+        history = tuple(
+            c[:-1]
+            for slot, c in sorted(self.smr.log.items())
+            if slot <= outcome.slot
+        )
+        response = self.frontend.respond(history)
+        self.results.append(
+            OperationResult(client, command, response, outcome)
+        )
+        self._events.append(("res", client, command, response))
+        self._busy[client] = False
+        queued = self._queues.get(client)
+        if queued:
+            self._start(client, queued.pop(0))
+
+    def run(self, until: Optional[float] = None) -> None:
+        """Drive the underlying simulation."""
+        self.smr.run(until=until)
+
+    def interface_trace(self) -> Trace:
+        """The client-level trace of invocations and responses.
+
+        Suitable for checking against ``Lin[adt]``: an object built on a
+        linearizable universal object must itself be linearizable.
+        """
+        return Trace(
+            Invocation(client, 1, command)
+            if kind == "inv"
+            else Response(client, 1, command, response)
+            for kind, client, command, response in self._events
+        )
+
+    def adt_state(self) -> Hashable:
+        """The ADT folded over the committed log prefix.  A verification
+        helper: it answers no client, and the simulator's log carries
+        every operation once (unique tags, no retry path)."""
+        history = tuple(c[:-1] for c in self.smr.committed_log())
+        return self.frontend.adt.run(history)[0]  # repro: disable=RD07

@@ -168,9 +168,9 @@ class SessionTable:
         )
 
     @classmethod
-    def restore(cls, snapshot: Tuple, enabled: bool = True) -> "SessionTable":
+    def restore(cls, snapshot: Tuple) -> "SessionTable":
         """Rebuild a table from :meth:`snapshot`."""
-        table = cls(enabled=enabled)
+        table = cls()
         for client, seq, reply in snapshot:
             table._sessions[client] = (seq, reply)
         return table

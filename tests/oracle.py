@@ -1,6 +1,6 @@
 """The differential oracle: every decider answers to every other.
 
-The repo's product is a verdict, and six things produce one:
+The repo's product is a verdict, and seven things produce one:
 
 * ``definition`` — the paper's Defs 5-15 as a search
   (:func:`repro.core.linearizability.linearize`).  Its commit histories
@@ -17,6 +17,9 @@ The repo's product is a verdict, and six things produce one:
   nothing;
 * ``told`` — the engine told the future on *any* ADT, partitioned or
   not (``check_linearizable`` only runs it where a partition spec fits);
+* ``replay`` — :func:`repro.monitor.cli.replay_history`, what ``monitor
+  --replay`` and the ledger run on an artifact: the history as recorder
+  events, told its own answers, on the objects an artifact can name;
 * ``certified`` — the live monitor's front end
   (:func:`certified_report`): the history interleaved with ``lin``
   events, checked as a certificate.  Its word binds differently: given
@@ -46,6 +49,7 @@ from repro.core.pretty import format_trace
 from repro.core.traces import Trace
 from repro.ddmin import ddmin
 from repro.monitor import StreamingMonitor, watch_trace
+from repro.monitor.cli import REPLAY_ADTS, History, replay_history
 
 #: the brute force below is factorial: beyond this it is not asked
 NAIVE_MAX_OPS = 5
@@ -167,6 +171,9 @@ def verdicts(trace, adt):
         "online": watch_trace(trace, adt).verdict,
         "told": told_verdict(trace, adt),
     }
+    if adt.name in REPLAY_ADTS:
+        events = [recorded(action) for action in trace]
+        said["replay"] = replay_history(History([events], adt.name))[0]
     if len(operations(trace)) <= NAIVE_MAX_OPS:
         said["herlihy-wing"] = (
             "ok" if is_linearizable_naive(trace, adt) else "violation"

@@ -1,8 +1,14 @@
 """Tests for the `python -m repro` experiment runner."""
 
+import inspect
 import os
 import subprocess
 import sys
+
+import pytest
+
+from repro.__main__ import build_parser
+from repro.faults.netcampaign import _RunConfig, run_net_campaign
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
@@ -40,3 +46,36 @@ def test_runs_multiple_experiments():
     result = run_cli("f1", "e1")
     assert result.returncode == 0
     assert "E1: decision latency" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["loadgen", "--pipeline"],
+        ["loadgen", "--codec", "binary"],
+        ["loadgen", "--group-commit"],
+        ["nemesis", "1", "0", "--net", "--codec", "binary"],
+        ["nemesis", "1", "0", "--net", "--group-commit"],
+    ],
+)
+def test_flags_that_only_opted_in_to_the_default_plane_are_gone(argv, capsys):
+    with pytest.raises(SystemExit) as refused:
+        build_parser().parse_args(argv)
+    assert refused.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_the_plane_is_sized_not_selected():
+    parse = build_parser().parse_args
+    args = parse(["loadgen", "--shards", "2", "--window", "4"])
+    assert not {"pipeline", "codec", "group_commit"} & set(vars(args))
+    assert parse(["nemesis", "--net", "--pipelined"]).pipelined
+
+
+def test_the_campaign_has_no_cluster_configuration_to_pass():
+    assert not {"codec", "group_commit"} & set(
+        inspect.signature(run_net_campaign).parameters
+    )
+    assert not {"codec", "group_commit"} & set(
+        inspect.signature(_RunConfig).parameters
+    )

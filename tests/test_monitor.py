@@ -61,7 +61,7 @@ from repro.monitor import (
     watch_trace,
 )
 from repro.monitor import frontier as frontier_module
-from repro.monitor.cli import make_probe
+from repro.monitor.cli import make_probe, replay_history
 from repro.net.client import HistoryRecorder
 from repro.net.cluster import LocalCluster
 from repro.net.loadgen import budgeted_tap, run_loadgen
@@ -416,6 +416,41 @@ class TestKnowingTheFuture:
         assert watch_trace(trace, KV).verdict == "ok"
         assert check_linearizable(trace, KV).verdict == "ok"
 
+    def test_a_replayed_artifact_is_told_its_own_answers(self, monkeypatch):
+        # `monitor --replay` and the ledger hold a finished history: one
+        # wave cost the untold replay 986,410 nodes at its first response
+        # (12.7 s; a hard `monitored` seed, gigabytes).  Work is counted,
+        # not timed: one surviving configuration per response, and the
+        # ADT stepped 10 + 9 + ... + 1 times.
+        steps, survivors = [0], []
+        search = frontier_module.frontier_step
+
+        def counted(step, *args, **kwargs):
+            def stepped(*state_and_input):
+                steps[0] += 1
+                return step(*state_and_input)
+
+            survivors.append(search(stepped, *args, **kwargs))
+            return survivors[-1]
+
+        monkeypatch.setattr(frontier_module, "frontier_step", counted)
+        events = [oracle.recorded(a) for a in self.waves(n_waves=1)]
+        verdict, reason, (report,) = replay_history([events])
+        assert (verdict, reason) == ("ok", None)
+        assert report.events == 20 and report.ops == 10
+        assert [len(s) for s in survivors] == [1] * 10 and steps[0] == 55
+        # budgets passed by `monitor --replay` still bind: puts that
+        # never answer stay in the window whatever the replay is told
+        silent = [
+            ("inv", f"s{i}", ("put", "k", i), None, 0.0) for i in range(6)
+        ]
+        read = [oracle.recorded(a) for a in (
+            inv("r", ("get", "k")), res("r", ("get", "k"), ("value", 3)),
+        )]
+        assert replay_history([silent + read])[0] == "ok"
+        verdict, reason, _ = replay_history([silent + read], node_limit=5)
+        assert verdict == "unknown" and "exceeded 5 nodes" in reason
+
 
 # ---------------------------------------------------------------------------
 # the certificate: the decided log checked, not searched for
@@ -540,7 +575,6 @@ class TestTheCertificate:
         # quorum replies missed their timer: unknown, Backup switches
         report = run_loadgen(
             replicas=3, clients=16, ops=1600, seed=3, shards=2,
-            codec="binary", group_commit=True, pipeline=True,
             wal_root=str(tmp_path), monitor=True, emit=SILENT,
         )
         assert report.linearizable and report.monitor_verdict == "ok"
@@ -946,7 +980,6 @@ class TestLoadgenIntegration:
             ops=48,
             seed=6,
             shards=2,
-            codec="binary",
             wal_root=str(tmp_path),
             monitor=True,
             emit=SILENT,

@@ -54,7 +54,16 @@ def make_client(cluster, transport, recorder, name="c0", **kwargs):
     )
 
 
+#: the seed's plane, named: the paper's one-op-per-round client on JSON
+#: frames with one fsync per append (what ``run_loadgen`` ran by default
+#: before the measured plane became the default)
+PAPER_CLIENT = dict(pipeline=False, codec="json", group_commit=False)
+
+
 class TestLoadgen:
+    """``run_loadgen`` driving the paper's client: a window-1, batch-1
+    pipeline per client, slot contention included."""
+
     def test_end_to_end_linearizable(self, tmp_path):
         artifact = tmp_path / "run.json"
         report = run_loadgen(
@@ -63,18 +72,23 @@ class TestLoadgen:
             ops=30,
             seed=0,
             artifact=str(artifact),
+            wal_root=str(tmp_path / "wal"),
             emit=SILENT,
+            **PAPER_CLIENT,
         )
         assert report.linearizable
         assert report.committed == 30
         assert report.pending == 0
         assert report.fast + report.slow == 30
         assert report.percentile(0.5) is not None
+        assert not report.pipelined and report.codec == "json"
+        assert (report.window, report.batch) == (1, 1)
+        # one op per round, and contended rounds are lost
+        assert report.batched_ops == report.decrees >= 30
         assert set(report.endpoint_stats) == {
-            "node0",
-            "node1",
-            "node2",
-            "clients",
+            "shard0/node0",
+            "shard0/node1",
+            "shard0/node2",
         }
         payload = json.loads(artifact.read_text())
         assert payload["report"]["verdict"] == "linearizable"
@@ -89,6 +103,7 @@ class TestLoadgen:
             kill=1,
             kill_after=0.25,
             emit=SILENT,
+            **PAPER_CLIENT,
         )
         assert report.linearizable
         assert report.killed == 1

@@ -448,6 +448,74 @@ class TestProbingClient:
 # ---------------------------------------------------------------------------
 
 
+class TestTheDefaultPlaneIsTheMeasuredOne:
+    """Saying nothing gets what ``benchmarks/ledger`` measures: batching
+    pipelines, binary frames, WAL group commit (DESIGN.md, "Defaults are
+    the measured plane")."""
+
+    def test_run_loadgen_with_no_plane_argument(self, tmp_path):
+        report = run_loadgen(ops=96, wal_root=str(tmp_path), emit=SILENT)
+        assert report.linearizable and report.committed == 96
+        assert report.pipelined and report.codec == "binary"
+        assert (report.window, report.batch) == (8, 16)
+        assert report.batched_ops > report.decrees > 0
+
+    def test_a_default_cluster_group_commits_binary_frames(self, tmp_path):
+        async def scenario():
+            cluster = LocalCluster(wal_root=str(tmp_path))
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            client = probing_client("c0", 3, transport, recorder)
+            await client.submit(("put", "k", 1))
+            wals = [node.wal for node in cluster.nodes]
+            await cluster.stop()
+            bare = AsyncTransport("bare", AddressBook())
+            return cluster, transport, wals, bare
+
+        cluster, transport, wals, bare = asyncio.run(scenario())
+        assert transport.codec is bare.codec is BINARY_CODEC
+        assert all(n.transport.codec is BINARY_CODEC for n in cluster.nodes)
+        assert all(wal.group_commit and wal.group_flushes > 0 for wal in wals)
+        assert NodeWAL(str(tmp_path / "fresh")).group_commit
+
+    @pytest.mark.parametrize(
+        "cluster_codec, client_codec",
+        [("json", BINARY_CODEC), ("binary", JSON_CODEC)],
+    )
+    def test_peers_on_different_codecs_interoperate(
+        self, cluster_codec, client_codec
+    ):
+        """The rollout claim in ``AsyncTransport``: inbound frames
+        self-describe, so a default client commits against a JSON
+        cluster and a JSON client against a default one."""
+
+        async def scenario():
+            cluster = LocalCluster(n_servers=3, codec=cluster_codec)
+            await cluster.start()
+            transport = AsyncTransport(
+                "clients", cluster.book, codec=client_codec
+            )
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            pipeline = SlotPipeline("main", 3, transport, quorum_timeout=0.15)
+            clients = [
+                PipelineClient(f"c{i}", pipeline, recorder) for i in range(4)
+            ]
+            outs = await asyncio.gather(
+                *(c.submit(("put", "k", i)) for i, c in enumerate(clients)),
+            )
+            outs.append(await clients[0].submit(("get", "k")))
+            await transport.close()
+            await cluster.stop()
+            return cluster, recorder, outs
+
+        cluster, recorder, outs = asyncio.run(scenario())
+        assert cluster.codec is get_codec(cluster_codec) is not client_codec
+        assert len(outs) == 5 and outs[-1][1] in range(4)
+        assert not recorder.pending_clients()
+        assert _check(recorder).ok
+
+
 class TestPipelinedLoadgen:
     def test_sharded_pipelined_run_is_linearizable(self, tmp_path):
         report = run_loadgen(
@@ -458,8 +526,6 @@ class TestPipelinedLoadgen:
             shards=2,
             window=8,
             batch=16,
-            codec="binary",
-            group_commit=True,
             wal_root=str(tmp_path),
             emit=SILENT,
         )
@@ -481,8 +547,6 @@ class TestPipelinedLoadgen:
             kill=2,
             kill_after=0.3,
             shards=2,
-            codec="binary",
-            group_commit=True,
             wal_root=str(tmp_path),
             op_timeout=20.0,
             emit=SILENT,
