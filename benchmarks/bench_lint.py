@@ -1,21 +1,14 @@
-"""Deep-lint latency: the interprocedural pass must stay tool-speed.
+"""Lint latency: the interprocedural pass must stay tool-speed.
 
-``python -m repro lint --deep`` runs in CI on every push, so its cost
-is part of the edit-compile-test loop: the budget is **10 seconds**
-wall clock over the full ``src/`` tree (call-graph construction plus
-every CFG/fixpoint rule), enforced as a boolean gate so it transfers
-across machines.  Two measurements:
-
-* **shallow** — the per-module AST pass alone (the pre-engine
-  baseline shape);
-* **deep** — two-phase interprocedural mode: parse everything, build
-  the project call graph with may-suspend summaries, then run the full
-  rule set (RD08 races, path-sensitive RD02) per module.
-
-The ratio ``deep_overhead`` isolates what the dataflow engine itself
-costs on top of parsing and matching; the committed tree must also
-lint *clean* in both modes (the self-hosting gate, duplicated here so
-a perf run cannot pass on a tree the gate would reject).
+``python -m repro lint`` runs in CI on every push, so its cost is part
+of the edit-compile-test loop: the budget is **10 seconds** wall clock
+over the full ``src/`` tree (parse everything, build the project call
+graph with may-suspend summaries, then run every rule per module — the
+CFG/fixpoint ones, RD08 races and path-sensitive RD02, included),
+enforced as a boolean gate so it transfers across machines.  The
+committed tree must also lint *clean* (the self-hosting gate,
+duplicated here so a perf run cannot pass on a tree the gate would
+reject).
 
 Run standalone:  python benchmarks/bench_lint.py
 """
@@ -31,43 +24,38 @@ if SRC not in sys.path:  # standalone runs: make repro importable
 
 from repro.analysis import run_lint  # noqa: E402
 
-#: the CI budget for the deep pass over src/, in seconds
-DEEP_BUDGET_S = 10.0
+#: the CI budget for the pass over src/, in seconds
+BUDGET_S = 10.0
 
 
-def time_lint(deep, repeats):
+def time_lint(repeats):
     """Best-of-``repeats`` wall time and the last report."""
     best = float("inf")
     report = None
     for _ in range(repeats):
         start = time.perf_counter()
-        report = run_lint([SRC], deep=deep)
+        report = run_lint([SRC])
         best = min(best, time.perf_counter() - start)
     return best, report
 
 
 def harness_report(quick):
     """The harness entry: metrics + regression gates for ``lint``."""
-    repeats = 1 if quick else 3
-    shallow_s, shallow = time_lint(deep=False, repeats=repeats)
-    deep_s, deep = time_lint(deep=True, repeats=repeats)
-
+    lint_s, report = time_lint(repeats=1 if quick else 3)
     metrics = {
-        "checked_files": deep.checked_files,
-        "shallow_s": shallow_s,
-        "deep_s": deep_s,
-        "deep_overhead": deep_s / shallow_s if shallow_s else 0.0,
-        "deep_budget_s": DEEP_BUDGET_S,
-        "deep_within_budget": deep_s <= DEEP_BUDGET_S,
-        "tree_clean": shallow.clean and deep.clean,
-        "deep_findings": len(deep.findings),
+        "checked_files": report.checked_files,
+        "lint_s": lint_s,
+        "budget_s": BUDGET_S,
+        "within_budget": lint_s <= BUDGET_S,
+        "tree_clean": report.clean,
+        "findings": len(report.findings),
     }
     checks = [
-        {"metric": "deep_within_budget", "mode": "bool"},
+        {"metric": "within_budget", "mode": "bool"},
         {"metric": "tree_clean", "mode": "bool"},
         # wall times vary across runners; the hard gate is the budget
         # bool above, the ratio check just catches silent blowups
-        {"metric": "deep_s", "mode": "lower_better", "tolerance": 4.0},
+        {"metric": "lint_s", "mode": "lower_better", "tolerance": 4.0},
     ]
     return {
         "name": "lint",
@@ -78,19 +66,15 @@ def harness_report(quick):
 
 
 def main():
-    print("deep-lint latency over src/ (budget: "
-          f"{DEEP_BUDGET_S:.0f}s wall clock)")
+    print(f"lint latency over src/ (budget: {BUDGET_S:.0f}s wall clock)")
     report = harness_report(quick=True)
     m = report["metrics"]
-    print(
-        f"  {m['checked_files']} files: shallow {m['shallow_s']:.2f}s, "
-        f"deep {m['deep_s']:.2f}s ({m['deep_overhead']:.1f}x)"
+    print(f"  {m['checked_files']} files: {m['lint_s']:.2f}s")
+    assert m["tree_clean"], "the committed tree must lint clean"
+    assert m["within_budget"], (
+        f"lint took {m['lint_s']:.2f}s (budget {BUDGET_S}s)"
     )
-    assert m["tree_clean"], "the committed tree must deep-lint clean"
-    assert m["deep_within_budget"], (
-        f"deep lint took {m['deep_s']:.2f}s (budget {DEEP_BUDGET_S}s)"
-    )
-    print("  tree clean in both modes; within budget")
+    print("  tree clean; within budget")
     return 0
 
 

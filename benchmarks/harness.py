@@ -458,7 +458,7 @@ def bench_sessions(quick):
 
 
 def bench_lint(quick):
-    """Deep-lint latency over src/ (delegates to bench_lint.py)."""
+    """Lint latency over src/ (delegates to bench_lint.py)."""
     return _delegated("bench_lint")(quick)
 
 

@@ -17,7 +17,7 @@ Usage::
     python -m repro loadgen --shards 2 --monitor        # checked live
     python -m repro monitor --replay artifact.json      # stream a trace
     python -m repro monitor --watch --port-base 9000    # probe a cluster
-    python -m repro lint [--deep] [--rules IDS] [--baseline] [PATH...]
+    python -m repro lint [--rules IDS] [--baseline] [PATH...]
     python -m repro lint --explain RD08                 # rule doc + examples
 
 Each experiment prints the table/series described in EXPERIMENTS.md.
@@ -56,11 +56,12 @@ a recorded artifact, ``--watch`` probes a separately-served cluster
 with a recording canary client (see docs/MONITORING.md).
 ``lint`` runs the protocol-aware static analysis pass
 (:mod:`repro.analysis`) — determinism, durability, atomicity,
-async-hygiene and IOA well-formedness rules — over ``src/``, exiting
-nonzero on any non-baselined finding; ``--deep`` builds the project
-call graph and adds the interprocedural rules (RD08 interleaving
-races, path-sensitive RD02 durability), ``--rules``/``--explain``
-select and document individual rules (see docs/ANALYSIS.md).
+async-hygiene and IOA well-formedness rules, the interprocedural ones
+over the project call graph (RD08 interleaving races, path-sensitive
+RD02 durability) and the architecture invariants (RD09) — over
+``src/``, exiting nonzero on any non-baselined finding;
+``--rules``/``--explain`` select and document individual rules (see
+docs/ANALYSIS.md).
 """
 
 from __future__ import annotations
@@ -316,7 +317,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 def cmd_monitor(args: argparse.Namespace) -> int:
     """Run the streaming monitor standalone: replay or live watch."""
     import asyncio
-    import json
 
     from repro.monitor.cli import (
         exit_code,
@@ -324,11 +324,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         replay_history,
         watch_cluster,
     )
+    from repro.net.loadgen import write_artifact
 
     def write_witness(witness) -> None:
         if args.witness and witness is not None:
-            with open(args.witness, "w", encoding="utf-8") as handle:
-                json.dump(witness, handle, indent=2, default=repr)
+            write_artifact(args.witness, witness)
             print(f"  witness written to {args.witness}")
 
     if args.replay:

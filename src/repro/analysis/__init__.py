@@ -5,11 +5,11 @@ system cannot see: seeded determinism in the simulated layers (RD01),
 persist-before-reply durability in the TCP runtime (RD02, checked as a
 typestate property over CFG paths), atomic-only shared-memory access in
 ``sm/`` (RD03), asyncio hygiene in ``net/`` (RD04), I/O-automaton
-well-formedness in ``ioa/`` (RD05), and — under ``--deep`` — the RD08
-interleaving race detector built on the whole-program dataflow engine
-(:mod:`.cfg` / :mod:`.dataflow` / :mod:`.callgraph`).
+well-formedness in ``ioa/`` (RD05), and the RD08 interleaving race
+detector built on the whole-program dataflow engine (:mod:`.cfg` /
+:mod:`.dataflow` / :mod:`.callgraph`).
 
-Run it as ``python -m repro lint [--deep] [--format text|json]
+Run it as ``python -m repro lint [--format text|json]
 [--rules RD01,RD08] [--explain RDxx] [--baseline]``; findings can be
 suppressed inline with ``# repro: disable=RD01`` (file-wide with
 ``# repro: disable-file=RD01``) or grandfathered in the committed

@@ -176,9 +176,9 @@ class CallGraph:
 
 
 class ProjectContext:
-    """What deep rules may ask about the whole program.
+    """What interprocedural rules may ask about the whole program.
 
-    Built once per ``lint --deep`` run from every parsed module and
+    Built once per ``lint`` run from every parsed module and
     handed to rules through
     :class:`~repro.analysis.registry.ModuleContext`.
     """

@@ -1,6 +1,6 @@
 """Control-flow graphs with explicit await/yield points.
 
-The deep rules (path-based RD02, the RD08 interleaving detector) need
+The path rules (path-based RD02, the RD08 interleaving detector) need
 *paths*, not source order: persist-before-reply is violated by a reply
 that beats the fsync on **any** execution path, and a read-modify-write
 race exists only when a suspension point sits *between* the read and
@@ -25,7 +25,7 @@ Design choices, all in service of the rules:
 * **exceptions over-approximate** — inside a ``try``, every statement
   gets an edge to every handler, and a bare ``raise``/unhandled path
   flows to the function exit.  More paths can only make a path property
-  easier to violate, which is the conservative direction for both deep
+  easier to violate, which is the conservative direction for both path
   rules;
 * **guard context is structural** — nodes remember whether they sit
   inside a lock-shaped ``with`` (``…lock``/``…mutex``/``…sem``) or an

@@ -3,7 +3,6 @@
 Self-hosted usage (the CI lint job)::
 
     python -m repro lint                      # lint src/, text report
-    python -m repro lint --deep               # + interprocedural rules (RD08)
     python -m repro lint --format json        # machine-readable artifact
     python -m repro lint --rules RD01,RD08    # run a subset of rules
     python -m repro lint --explain RD08       # rule doc + bad/good example
@@ -62,12 +61,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="report format (json is the CI artifact shape)",
     )
     parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="build the project call graph and run interprocedural "
-        "rules (RD08, path-sensitive RD02)",
-    )
-    parser.add_argument(
         "--rules",
         default=None,
         metavar="IDS",
@@ -118,12 +111,7 @@ def run_from_args(args: argparse.Namespace) -> int:
     paths: List[str] = args.paths or [default_src_root()]
     baseline_file: str = args.baseline_file or default_baseline_path()
     try:
-        report = run_lint(
-            paths,
-            rules=rules,
-            baseline_path=baseline_file,
-            deep=getattr(args, "deep", False),
-        )
+        report = run_lint(paths, rules=rules, baseline_path=baseline_file)
     except BaselineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

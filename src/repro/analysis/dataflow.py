@@ -8,10 +8,10 @@ fixpoint and returns the fact *entering* and *leaving* every node.
 Facts are ordinary immutable Python values compared with ``==`` —
 ``frozenset`` is the workhorse.  Termination is the analysis's promise:
 ``join`` must be monotone-growing over a finite domain (for the
-set-union analyses the deep rules use, that is automatic: there are
+set-union analyses the path rules use, that is automatic: there are
 finitely many (variable, location, flag) triples per function).
 
-Both deep rules are two-phase on purpose: :func:`solve` first, then a
+Both path rules are two-phase on purpose: :func:`solve` first, then a
 reporting sweep that re-applies ``transfer`` with the solved entry
 facts and asks the analysis what it saw.  Keeping reporting out of the
 fixpoint loop means a finding is emitted exactly once per program

@@ -1,10 +1,11 @@
 """The lint engine: walk files, run rules, apply suppressions + baseline.
 
 The engine is deliberately dumb plumbing — every protocol-aware idea
-lives in the rules (``repro/analysis/rules/``).  It parses each module
-once, hands the AST to every rule whose scope matches, filters the raw
-findings through inline suppressions and the committed baseline, and
-folds the result into a :class:`LintReport` that renders as text or
+lives in the rules (``repro/analysis/rules/``).  It parses every module,
+folds them into the project call graph, hands each AST (and that
+:class:`ProjectContext`) to every rule whose scope matches, filters the
+raw findings through inline suppressions and the committed baseline,
+and folds the result into a :class:`LintReport` that renders as text or
 JSON (the CI artifact format).
 
 Scoping is by *package-relative* path: ``…/src/repro/mp/sim.py`` is
@@ -65,7 +66,6 @@ class LintReport:
     suppressed: List[Finding] = field(default_factory=list)
     checked_files: int = 0
     parse_errors: List[str] = field(default_factory=list)
-    deep: bool = False  #: whether the interprocedural rules ran
 
     @property
     def clean(self) -> bool:
@@ -103,7 +103,6 @@ class LintReport:
                 "suppressed": len(self.suppressed),
                 "baselined": len(self.baselined),
                 "clean": self.clean,
-                "deep": self.deep,
             },
         }
 
@@ -118,9 +117,9 @@ def analyze_source(
 
     ``relpath`` should be package-relative (``repro/...``) — it decides
     which rules run.  Raises ``SyntaxError`` if the source cannot parse.
-    With no ``project``, interprocedural rules (``requires_project``)
-    are skipped; pass ``project`` (or use :func:`run_lint` with
-    ``deep=True``) to run them.
+    With no ``project`` (a lone snippet) an interprocedural rule sees
+    no call graph and must stay sound without it: RD08 then treats
+    every call it cannot resolve as suspending.
     """
     if rules is None:
         rules = all_rules()
@@ -130,8 +129,6 @@ def analyze_source(
     )
     raw: List[Finding] = []
     for rule in rules:
-        if rule.requires_project and project is None:
-            continue
         if rule.applies(relpath):
             raw.extend(rule.check(ctx))
     active, suppressed = split_suppressed(sorted(raw), ctx.lines)
@@ -142,7 +139,6 @@ def run_lint(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
     baseline_path: Optional[str] = None,
-    deep: bool = False,
 ) -> LintReport:
     """Lint every python file under ``paths`` against the active rules.
 
@@ -150,15 +146,14 @@ def run_lint(
     it are reported separately as grandfathered (:class:`LintReport`'s
     ``baselined``) and do not fail the run.
 
-    ``deep=True`` is the two-phase interprocedural mode: every module is
-    parsed first and folded into a project-wide call graph with
-    may-suspend summaries (:mod:`~repro.analysis.callgraph`), then the
-    full rule set — including ``requires_project`` rules like RD08 —
-    runs per module with that :class:`ProjectContext` in hand.
+    The pass has two phases: every module is parsed first and folded
+    into a project-wide call graph with may-suspend summaries
+    (:mod:`~repro.analysis.callgraph`), then the rule set runs per
+    module with that :class:`ProjectContext` in hand.
     """
     if rules is None:
         rules = all_rules()
-    report = LintReport(deep=deep)
+    report = LintReport()
     # Phase 1: parse everything (a parse failure just drops the module
     # from the call graph; it is still reported as a parse error below).
     modules: List["tuple[str, str, str]"] = []  #: (path, relpath, source)
@@ -173,13 +168,12 @@ def run_lint(
                 report.parse_errors.append(f"{path}: {exc}")
                 continue
             modules.append((path, relpath, source))
-            if deep:
-                try:
-                    parsed.append((relpath, ast.parse(source, filename=path)))
-                except SyntaxError:
-                    pass  # reported by analyze_source below
-    project = build_project(parsed) if deep else None
-    # Phase 2: per-module rule runs (deep rules see the whole program).
+            try:
+                parsed.append((relpath, ast.parse(source, filename=path)))
+            except SyntaxError:
+                pass  # reported by analyze_source below
+    project = build_project(parsed)
+    # Phase 2: per-module rule runs (rules see the whole program).
     collected: List[Finding] = []
     for path, relpath, source in modules:
         try:

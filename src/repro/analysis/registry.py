@@ -28,7 +28,8 @@ class ModuleContext:
     source: str
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
-    #: whole-program context (call graph); set only on ``lint --deep``
+    #: whole-program context (call graph); None for a lone
+    #: :func:`~repro.analysis.engine.analyze_source` snippet
     project: Optional["ProjectContext"] = None
 
     def __post_init__(self) -> None:
@@ -50,10 +51,6 @@ class Rule:
     title: str = ""
     scope: Tuple[str, ...] = ()
     exclude: Tuple[str, ...] = ()
-    #: deep rules need the project call graph; the engine only runs them
-    #: when a :class:`~repro.analysis.callgraph.ProjectContext` is built
-    #: (``lint --deep``)
-    requires_project: bool = False
     #: minimal violating / conforming snippets shown by ``--explain``
     example_bad: str = ""
     example_good: str = ""

@@ -11,7 +11,9 @@ Importing this package registers every rule with
 * :mod:`.rd06_monitor` — responses recorded only after an awaited reply
 * :mod:`.rd07_sessions` — replicated applies route through session dedup
 * :mod:`.rd08_interleaving` — no read-modify-write of shared state
-  across an await (interprocedural; runs under ``lint --deep``)
+  across an await (interprocedural: reads the project call graph)
+* :mod:`.rd09_architecture` — the layering table: who may import,
+  construct, read or name what, and why
 """
 
 from . import (  # noqa: F401
@@ -23,4 +25,5 @@ from . import (  # noqa: F401
     rd06_monitor,
     rd07_sessions,
     rd08_interleaving,
+    rd09_architecture,
 )

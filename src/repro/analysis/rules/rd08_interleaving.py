@@ -305,7 +305,6 @@ class InterleavingRaceRule(Rule):
     id = "RD08"
     title = "read-modify-write of shared state across an await"
     scope = ("repro/net/", "repro/smr/", "repro/monitor/")
-    requires_project = True
     example_bad = """\
 async def claim(self):
     slot = self._next_slot          # read shared state

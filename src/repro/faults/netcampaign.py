@@ -65,21 +65,24 @@ schedule — typically down to the kill/restart pair of the amnesiac
 node.  That closed loop (mechanism → end-to-end checked guarantee) is
 the point of the whole layer.
 
-One skeleton (:func:`_run_schedule`) brings a cluster up, plays the
-schedule, drives a *workload* through it, tears everything down in a
-``finally`` and folds the monitors' and the checker's verdicts; two
-workloads plug in.  The KV workload is the one above.  The retry storm
-(:func:`run_retry_storm`, :func:`retry_storm_schedule`) is the other:
-a replicated counter behind a sessioned pipeline, hedging and retrying
-clients, and the mechanical witness ``applied_count == distinct_incs``
-— with ``dedup=False`` the session seam is off and the same campaign
-loop must *catch* the double-apply.
+A run is :func:`repro.net.loadgen.live_run`, the skeleton the load
+generator runs on too: it starts the cluster, opens recorder and tap,
+tears everything down in its one ``finally`` and tallies clients,
+monitors and the checker into the result.  :func:`_run_schedule`
+contributes what is the campaign's own — the :class:`NetTarget`, the
+schedule played beside the traffic, the wall-clock budget, the
+sanitizer — and two *workloads* plug in.  The KV workload is the one
+above.  The retry storm (:func:`run_retry_storm`,
+:func:`retry_storm_schedule`) is the other: a replicated counter behind
+a sessioned pipeline, hedging and retrying clients, and the mechanical
+witness ``applied_count == distinct_incs`` — with ``dedup=False`` the
+session seam is off and the same campaign loop must *catch* the
+double-apply.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import random
 import tempfile
@@ -88,13 +91,18 @@ from typing import Any, Callable, Coroutine, Dict, List, Optional, Tuple
 
 from ..analysis import sanitizer
 from ..core.adt import ADT, counter_adt
-from ..core.fastcheck import check_linearizable
-from ..monitor import MonitorTap
 from ..mp.backoff import BackoffPolicy
-from ..net.client import HistoryRecorder, OperationTimeout
+from ..net.client import HistoryRecorder
 from ..net.cluster import LocalCluster
 from ..net.faultfs import FaultyFS, flip_record_body, tear_tail
-from ..net.loadgen import DEFAULT_KEYS, _command_stream, budgeted_tap
+from ..net.loadgen import (
+    DEFAULT_KEYS,
+    LiveRun,
+    RunReport,
+    _command_stream,
+    live_run,
+    write_artifact,
+)
 from ..net.netfaults import TransportFaults
 from ..net.overload import Overloaded
 from ..net.pipeline import (
@@ -103,7 +111,6 @@ from ..net.pipeline import (
     decided_commands,
     probing_client,
 )
-from ..net.transport import AsyncTransport
 from ..net.wal import WALError
 from ..smr.sessions import dedup_commands, seq_uid
 from ..smr.universal import kv_store_adt
@@ -565,23 +572,11 @@ def retry_storm_schedule(seed: int) -> FaultSchedule:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class NetRunResult:
+@dataclass(kw_only=True)
+class NetRunResult(RunReport):
     """One live-cluster run: what happened, and the checker's verdict."""
 
     schedule: FaultSchedule
-    verdict: str = "unknown"
-    strategy: str = ""
-    reason: Optional[str] = None
-    committed: int = 0
-    pending: int = 0
-    successors: int = 0
-    #: attempts re-submitted under the same op identity / hedged
-    #: duplicate enqueues / ops shed pre-invocation by admission
-    #: control, summed over every client identity of the run
-    retries: int = 0
-    hedges: int = 0
-    shed: int = 0
     kills: int = 0
     restarts: int = 0
     skipped_kills: int = 0
@@ -590,8 +585,6 @@ class NetRunResult:
     #: missing or too short): the action ran, the fault did not happen
     storage_noops: int = 0
     late_readers: int = 0
-    fast: int = 0
-    slow: int = 0
     #: frames the transport delivered twice
     dup_frames: int = 0
     #: duplicate decree occurrences the session seam folded away
@@ -602,20 +595,9 @@ class NetRunResult:
     applied_count: int = 0
     distinct_incs: int = 0
     raw_incs: int = 0
-    duration: float = 0.0
     amnesiac: Optional[int] = None
     #: False: the session seam was off (the retry storm's mutant)
     dedup: bool = True
-    pipelined: bool = False
-    decrees: int = 0
-    batched_ops: int = 0
-    monitored: bool = False
-    monitor_verdict: Optional[str] = None
-    monitor_reason: Optional[str] = None
-    monitor_events: int = 0
-    #: 1 if the certificate missed: the live verdict is a search's
-    monitor_certificate_misses: int = 0
-    monitor_witness: Optional[Dict[str, Any]] = None
     #: the run drove the RacySlotPipeline mutant (awaits mid-claim)
     race_mutant: bool = False
     #: the runtime interleaving sanitizer was armed for this run
@@ -732,7 +714,7 @@ class NetCampaignReport:
 
 
 # ----------------------------------------------------------------------
-# the runner: one live-run skeleton, two workloads
+# the runner: the campaign's half of a live run, two workloads
 # ----------------------------------------------------------------------
 
 
@@ -742,11 +724,13 @@ class _Workload:
     it, and what its artifacts are called."""
 
     adt: Callable[[], ADT]
-    #: builds the clients on a :class:`_LiveRun`; answers the drivers
-    traffic: Callable[["_LiveRun"], List[Coroutine]]
+    #: builds the clients on the run; answers the drivers
+    traffic: Callable[[LiveRun, NetTarget, "_RunConfig"], List[Coroutine]]
     op_timeout: float
     #: artifact names: the run, the monitor's witness, a violation
     artifacts: Tuple[str, str, str]
+    #: the workload's own post-run observations, folded into the result
+    fold: Callable[[LiveRun, NetRunResult], None] = lambda run, result: None
 
 
 @dataclass
@@ -778,65 +762,25 @@ class _RunConfig:
     dedup: bool = True
 
 
-@dataclass
-class _LiveRun:
-    """The live pieces of one run, as a traffic function sees them."""
-
-    schedule: FaultSchedule
-    config: _RunConfig
-    result: NetRunResult
-    target: NetTarget
-    transport: AsyncTransport
-    recorder: HistoryRecorder
-    tap: Optional[MonitorTap]
-    #: every client identity the run minted, successors included
-    clients: List[PipelineClient] = field(default_factory=list)
-    #: the shared main-traffic pipeline, when the workload has one
-    pipeline: Optional[SlotPipeline] = None
-    #: tasks spawned mid-run (late readers), awaited after the drivers
-    late: List[asyncio.Task] = field(default_factory=list)
-    #: the workload's own post-run observations, folded into ``result``
-    fold: Callable[[], None] = lambda: None
-
-    @property
-    def violated(self) -> bool:
-        """Fail-fast: the live monitor already holds a witness."""
-        return self.tap is not None and self.tap.violated
-
-    def adopt(self, client: PipelineClient) -> PipelineClient:
-        self.clients.append(client)
-        return client
-
-    async def submit(
-        self, client: PipelineClient, command: Tuple
-    ) -> PipelineClient:
-        """One closed-loop op; answers the identity to continue under —
-        a successor once a timeout left the op pending (Jepsen's
-        discipline: the load goes on, the old id's fate stays open)."""
-        try:
-            await client.submit(command)
-            self.result.committed += 1
-        except OperationTimeout:
-            self.result.successors += 1
-            client = self.adopt(client.successor())
-        return client
-
-
-def _kv_traffic(run: _LiveRun) -> List[Coroutine]:
+def _kv_traffic(
+    run: LiveRun, target: NetTarget, config: _RunConfig
+) -> List[Coroutine]:
     """The KV workload: seeded put/get/delete drivers, and a late reader
     per restart."""
-    config, seed = run.config, run.schedule.seed
     timeout = config.workload.op_timeout
+    transport, recorder = run.transports[0], run.recorders[0]
     if config.pipelined:
         pipeline_cls = (
             RacySlotPipeline if config.race_mutant else SlotPipeline
         )
-        run.pipeline = pipeline_cls(
-            "main",
-            REPLICAS,
-            run.transport,
-            window=PIPELINE_WINDOW,
-            max_batch=PIPELINE_BATCH,
+        run.pipelines.append(
+            pipeline_cls(
+                "main",
+                REPLICAS,
+                transport,
+                window=PIPELINE_WINDOW,
+                max_batch=PIPELINE_BATCH,
+            )
         )
 
     def probing(name: str) -> PipelineClient:
@@ -845,11 +789,7 @@ def _kv_traffic(run: _LiveRun) -> List[Coroutine]:
         # shared log.
         return run.adopt(
             probing_client(
-                name,
-                REPLICAS,
-                run.transport,
-                run.recorder,
-                op_timeout=timeout,
+                name, REPLICAS, transport, recorder, op_timeout=timeout
             )
         )
 
@@ -857,15 +797,15 @@ def _kv_traffic(run: _LiveRun) -> List[Coroutine]:
         # main traffic rides the batching pipeline when configured
         name = f"c{index}"
         client = (
-            probing(name)
-            if run.pipeline is None
-            else run.adopt(
+            run.adopt(
                 PipelineClient(
-                    name, run.pipeline, run.recorder, op_timeout=timeout
+                    name, run.pipelines[0], recorder, op_timeout=timeout
                 )
             )
+            if run.pipelines
+            else probing(name)
         )
-        rng = random.Random(f"netload:{seed}:{index}")
+        rng = random.Random(f"netload:{target.seed}:{index}")
         stream = _command_stream(rng, DEFAULT_KEYS)
         for _ in range(config.ops_per_client):
             if run.violated:
@@ -884,29 +824,26 @@ def _kv_traffic(run: _LiveRun) -> List[Coroutine]:
             client = await run.submit(client, ("get", key))
 
     def spawn_late_reader() -> None:
-        run.result.late_readers += 1
-        run.late.append(
-            asyncio.get_running_loop().create_task(
-                read_back(run.result.late_readers)
-            )
-        )
+        target.result.late_readers += 1
+        run.spawn(read_back(target.result.late_readers))
 
-    run.target.on_restart = spawn_late_reader
+    target.on_restart = spawn_late_reader
     return [drive(i) for i in range(config.clients)]
 
 
-def _storm_traffic(run: _LiveRun) -> List[Coroutine]:
+def _storm_traffic(
+    run: LiveRun, target: NetTarget, config: _RunConfig
+) -> List[Coroutine]:
     """The retry-storm workload: a replicated counter under duplicate
     delivery, forced timeouts with safe retry + hedging, and a
     coordinator kill/restart.  ``config.dedup=False`` is the mutant."""
-    config, seed = run.config, run.schedule.seed
     # window sized so retried decrees actually propose while the
     # originals are still in flight (that concurrency is what
     # manufactures the duplicate-decree case the seam must fold)
-    pipeline = run.pipeline = SlotPipeline(
+    pipeline = SlotPipeline(
         "storm",
         REPLICAS,
-        run.transport,
+        run.transports[0],
         adt=counter_adt(),
         window=4 * config.clients,
         quorum_timeout=0.08,
@@ -918,6 +855,7 @@ def _storm_traffic(run: _LiveRun) -> List[Coroutine]:
             base=0.08, factor=2.0, cap=0.5, jitter=0.5, max_retries=14
         ),
     )
+    run.pipelines.append(pipeline)
     # a deep retry budget: the op deadline is the binding limit,
     # so a storm-tossed op keeps re-proposing until time runs out
     storm_backoff = BackoffPolicy(
@@ -929,14 +867,14 @@ def _storm_traffic(run: _LiveRun) -> List[Coroutine]:
             PipelineClient(
                 f"c{index}",
                 pipeline,
-                run.recorder,
+                run.recorders[0],
                 op_timeout=config.workload.op_timeout,
                 attempt_timeout=0.3,
                 hedge_after=0.2,
                 retry_backoff=storm_backoff,
             )
         )
-        rng = random.Random(f"storm:{seed}:{index}")
+        rng = random.Random(f"storm:{target.seed}:{index}")
         done = 0
         while done < config.ops_per_client and not run.violated:
             await asyncio.sleep(rng.uniform(*OP_GAP))
@@ -949,24 +887,25 @@ def _storm_traffic(run: _LiveRun) -> List[Coroutine]:
                 # yield and try again later
                 await asyncio.sleep(0.05)
 
-    def witness() -> None:
-        # the mechanical exactly-once witness, straight off the
-        # *applied* contiguous decided prefix (slots past a decide gap
-        # never folded into the state, so they don't participate)
-        incs = [
-            c
-            for slot in range(pipeline._applied_upto)
-            for c in decided_commands(pipeline.log[slot])
-            if c[:1] == ("inc",)
-        ]
-        run.result.raw_incs = len(incs)
-        run.result.distinct_incs = len(
-            {seq_uid(c) or id(c) for c in dedup_commands(incs)}
-        )
-        run.result.applied_count = pipeline._state
-
-    run.fold = witness
     return [drive(i) for i in range(config.clients)]
+
+
+def _storm_witness(run: LiveRun, result: NetRunResult) -> None:
+    """The mechanical exactly-once witness, straight off the *applied*
+    contiguous decided prefix (slots past a decide gap never folded
+    into the state, so they don't participate)."""
+    (pipeline,) = run.pipelines
+    incs = [
+        c
+        for slot in range(pipeline._applied_upto)
+        for c in decided_commands(pipeline.log[slot])
+        if c[:1] == ("inc",)
+    ]
+    result.raw_incs = len(incs)
+    result.distinct_incs = len(
+        {seq_uid(c) or id(c) for c in dedup_commands(incs)}
+    )
+    result.applied_count = pipeline._state
 
 
 KV_WORKLOAD = _Workload(
@@ -981,6 +920,7 @@ STORM_WORKLOAD = _Workload(
     traffic=_storm_traffic,
     op_timeout=2.5,
     artifacts=("retry-storm", "retry-storm-witness", "retry-storm-violation"),
+    fold=_storm_witness,
 )
 
 
@@ -988,7 +928,6 @@ async def _run_schedule(
     schedule: FaultSchedule, config: _RunConfig
 ) -> Tuple[NetRunResult, HistoryRecorder]:
     """One live run: cluster up, traffic + nemesis, tear down, check."""
-    loop = asyncio.get_running_loop()
     workload = config.workload
     result = NetRunResult(
         schedule=schedule,
@@ -1002,56 +941,32 @@ async def _run_schedule(
         # leak into the next schedule's count (or vice versa).
         sanitizer.reset()
         sanitizer.enable()
-    tasks: List[asyncio.Task] = []
-    late: List[asyncio.Task] = []  # spawned mid-run (late readers)
-    tap: Optional[MonitorTap] = None
     try:
         with tempfile.TemporaryDirectory(prefix="repro-net-wal-") as wal_root:
             target = NetTarget(schedule, config, wal_root, result)
-            try:
-                await target.cluster.start()
-                transport = target.cluster.client_transport("clients")
-                recorder = HistoryRecorder(clock=lambda: transport.now)
-                if config.monitor:
-                    tap = budgeted_tap(workload.adt(), recorder)
-                run = _LiveRun(
-                    schedule, config, result, target, transport, recorder,
-                    tap, late=late,
-                )
-                drivers = workload.traffic(run)
-                start = transport.now
+            async with live_run(
+                target.cluster, workload.adt, config.monitor
+            ) as run:
                 tasks = [
-                    loop.create_task(work)
-                    for work in (target.play(schedule), *drivers)
+                    run.spawn(work)
+                    for work in (
+                        target.play(schedule),
+                        *workload.traffic(run, target, config),
+                    )
                 ]
                 budget = schedule.horizon + workload.op_timeout + RUN_GRACE
                 try:
                     await asyncio.wait_for(
                         asyncio.gather(*tasks), timeout=budget
                     )
+                    # spawned mid-run, after the drivers: late readers
+                    late = run.tasks[len(tasks):]
                     if late:
                         await asyncio.wait_for(
                             asyncio.gather(*late), timeout=budget
                         )
                 except asyncio.TimeoutError:
                     result.reason = "run exceeded its wall-clock budget"
-                result.duration = transport.now - start
-            finally:
-                # also the way out of a raising action or driver: no
-                # task, listener or monitor outlives the run, and the
-                # WAL directory is only removed under stopped nodes
-                for task in tasks + late:
-                    task.cancel()
-                await asyncio.gather(*tasks, *late, return_exceptions=True)
-                await target.cluster.stop()
-                if tap is not None:
-                    live = await tap.close()
-                    result.monitored = True
-                    result.monitor_verdict = live.verdict
-                    result.monitor_reason = live.reason
-                    result.monitor_events = live.events
-                    result.monitor_certificate_misses = live.certificate_misses
-                    result.monitor_witness = live.witness
     finally:
         if config.sanitize:
             result.sanitized = True
@@ -1059,30 +974,14 @@ async def _run_schedule(
             if not sanitizer_was_enabled:
                 sanitizer.disable()
 
-    pipelines = {client.pipeline for client in run.clients}
-    ops = [r for client in run.clients for r in client.results]
-    result.pending = len(recorder.pending_clients())
-    result.fast = sum(1 for r in ops if r.path == "fast")
-    result.slow = sum(1 for r in ops if r.path == "slow")
-    result.retries = sum(client.retries for client in run.clients)
-    result.hedges = sum(client.hedges for client in run.clients)
-    result.shed = sum(pipeline.shed for pipeline in pipelines)
+    run.fill(result)
+    result.pipelined = bool(run.pipelines)
     result.dup_frames = target.faults.duplicated
-    result.duplicates_folded = sum(p.duplicates for p in pipelines)
-    if run.pipeline is not None:
-        result.pipelined = True
-        result.decrees = run.pipeline.decrees
-        result.batched_ops = run.pipeline.batched_ops
-    run.fold()
-
-    check = check_linearizable(recorder.trace(), workload.adt())
-    result.strategy = check.strategy
-    result.verdict = "linearizable" if check.ok else check.verdict
-    if check.unknown:
-        result.reason = result.reason or check.reason
-    elif not check.ok:
-        result.reason = check.reason
-    return result, recorder
+    result.duplicates_folded = sum(
+        p.duplicates for p in {client.pipeline for client in run.clients}
+    )
+    workload.fold(run, result)
+    return result, run.recorders[0]
 
 
 def _campaign(
@@ -1104,9 +1003,9 @@ def _campaign(
         if not artifact_dir:
             return
         os.makedirs(artifact_dir, exist_ok=True)
-        path = os.path.join(artifact_dir, f"{name}-{seed}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, default=repr)
+        write_artifact(
+            os.path.join(artifact_dir, f"{name}-{seed}.json"), payload
+        )
 
     for schedule in schedules:
         result, recorder = asyncio.run(_run_schedule(schedule, config))

@@ -126,6 +126,12 @@ class LocalCluster:
         self._client_transports.append(transport)
         return transport
 
+    def client_transports(self, name: str = "client") -> List[AsyncTransport]:
+        """A one-shard deployment's answer to
+        :meth:`ShardedCluster.client_transports`: one transport, named
+        ``name`` itself (the endpoint a partition action cuts)."""
+        return [self.client_transport(name)]
+
     async def kill(self, index: int) -> None:
         """Kill replica ``index`` (crash semantics, no clean handover)."""
         await self.nodes[index].stop()

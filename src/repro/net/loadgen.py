@@ -1,4 +1,5 @@
-"""The closed-loop load generator for the networked deployment.
+"""The closed-loop load generator for the networked deployment, and the
+live-run skeleton it shares with the chaos campaign.
 
 ``run_loadgen`` boots a :class:`~repro.net.cluster.ShardedCluster`, runs
 ``clients`` sequential closed-loop clients (each issues its next KV
@@ -18,15 +19,29 @@ which is the point of the exercise.
 committed — the resilience demonstration: with one of three replicas
 dead Quorum unanimity is impossible, every subsequent slot decides
 through the Backup path, and the history must *still* check out.
+
+Every verdict is about a trace recorded at the client/object interface,
+so on the wire the recording discipline *is* the evidence, and it is
+written once, for this module and :mod:`repro.faults.netcampaign`
+alike.  :func:`live_run` starts the deployment it is handed, opens one
+client transport, recorder and (when monitoring) :func:`budgeted_tap`
+per shard, lends the caller a :class:`LiveRun` to drive traffic
+through, and tears down in its one ``finally``; :meth:`LiveRun.fill` is
+the one place counters leave the data plane, into the
+:class:`RunReport` fields both runners' reports extend.  A caller
+contributes what is its own: which cluster, the traffic's pacing and
+client mix, fault actions, a wall-clock budget (``net/`` itself never
+calls ``asyncio.wait_for``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import random
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, AsyncIterator, Callable, Coroutine, Dict, List, Optional, Tuple
 
 from ..core.adt import ADT
 from ..core.fastcheck import check_linearizable
@@ -80,30 +95,194 @@ def budgeted_tap(
     return recorder.tap
 
 
-@dataclass
-class LoadReport:
+@dataclass(kw_only=True)
+class RunReport:
+    """What every live run reports, filled by :meth:`LiveRun.fill`."""
+
+    #: the post-hoc checker's composed verdict, how it was obtained, and
+    #: why it is not ``linearizable`` when it is not
+    verdict: str = "unknown"
+    strategy: str = ""
+    reason: Optional[str] = None
+    committed: int = 0
+    pending: int = 0
+    successors: int = 0
+    #: retry/hedge/overload accounting (exactly-once client sessions):
+    #: attempts re-submitted under the same op identity, duplicate
+    #: hedge enqueues, and ops shed pre-invocation by admission
+    #: control, summed over every client identity of the run
+    retries: int = 0
+    hedges: int = 0
+    shed: int = 0
+    fast: int = 0
+    slow: int = 0
+    duration: float = 0.0
+    #: main traffic rode batching pipelines; their decrees and the ops
+    #: those carried
+    pipelined: bool = False
+    decrees: int = 0
+    batched_ops: int = 0
+    #: online streaming monitor (see repro.monitor), when enabled
+    monitored: bool = False
+    monitor_verdict: Optional[str] = None
+    monitor_reason: Optional[str] = None
+    monitor_events: int = 0
+    #: shards whose certificate missed: their verdict is a search's
+    monitor_certificate_misses: int = 0
+    monitor_witness: Optional[Dict[str, Any]] = None
+
+
+class LiveRun:
+    """The live pieces of one run, as its traffic sees them."""
+
+    def __init__(self, adt: Callable[[], ADT]) -> None:
+        self.adt = adt
+        #: one client transport, recorder and (when monitored) tap per
+        #: shard, shard order
+        self.transports: List[AsyncTransport] = []
+        self.recorders: List[HistoryRecorder] = []
+        self.taps: List[MonitorTap] = []
+        #: every client identity the run minted, successors included
+        self.clients: List[PipelineClient] = []
+        #: the proposers of the main traffic, whose decrees are the
+        #: run's (a late reader probes through a pipeline of its own)
+        self.pipelines: List[SlotPipeline] = []
+        #: everything spawned for the run, in spawn order
+        self.tasks: List[asyncio.Task] = []
+        self.committed = 0
+        self.successors = 0
+        self.duration = 0.0
+        #: the taps' final reports, taken after the deployment stopped
+        self.monitor_reports: List[MonitorReport] = []
+        #: the post-hoc verdict per shard, as artifacts spell it
+        self.shard_verdicts: List[str] = []
+
+    @property
+    def violated(self) -> bool:
+        """Fail fast: a live monitor already holds a witness, and by
+        prefix closure the verdict cannot recover."""
+        return any(tap.violated for tap in self.taps)
+
+    def spawn(self, work: Coroutine) -> asyncio.Task:
+        """Run ``work`` as a task that cannot outlive the run."""
+        task = asyncio.get_running_loop().create_task(work)
+        self.tasks.append(task)
+        return task
+
+    def adopt(self, client: PipelineClient) -> PipelineClient:
+        self.clients.append(client)
+        return client
+
+    async def submit(
+        self, client: PipelineClient, command: Tuple
+    ) -> PipelineClient:
+        """One closed-loop op; answers the identity to continue under —
+        a successor once a timeout left the op pending (Jepsen's
+        discipline: the load goes on, the old id's fate stays open).
+        :exc:`~repro.net.overload.Overloaded` passes through: shed
+        pre-invocation, nothing recorded, the identity intact."""
+        try:
+            await client.submit(command)
+            self.committed += 1
+        except OperationTimeout:
+            self.successors += 1
+            client = self.adopt(client.successor())
+        return client
+
+    def fill(self, report: RunReport, check: bool = True) -> None:
+        """Tally the run into ``report``: counters, the monitors'
+        composed verdict and (unless ``check`` is off) the post-hoc one,
+        every shard's history checked independently and conjoined."""
+        results = [r for client in self.clients for r in client.results]
+        report.committed = self.committed
+        report.successors = self.successors
+        report.duration = self.duration
+        report.pending = sum(len(r.pending_clients()) for r in self.recorders)
+        report.fast = sum(1 for r in results if r.path == "fast")
+        report.slow = sum(1 for r in results if r.path == "slow")
+        report.retries = sum(client.retries for client in self.clients)
+        report.hedges = sum(client.hedges for client in self.clients)
+        report.shed = sum(p.shed for p in {c.pipeline for c in self.clients})
+        report.decrees = sum(p.decrees for p in self.pipelines)
+        report.batched_ops = sum(p.batched_ops for p in self.pipelines)
+        live = self.monitor_reports
+        if live:
+            report.monitored = True
+            report.monitor_verdict, report.monitor_reason = compose_verdicts(
+                live
+            )
+            report.monitor_events = sum(r.events for r in live)
+            report.monitor_certificate_misses = sum(
+                r.certificate_misses for r in live
+            )
+            report.monitor_witness = next(
+                (r.witness for r in live if r.witness is not None), None
+            )
+        if not check:
+            report.verdict = "skipped"
+            return
+        checks = [
+            check_linearizable(recorder.trace(), self.adt())
+            for recorder in self.recorders
+        ]
+        word = {"ok": "linearizable"}  # what artifacts call a post-hoc ok
+        composed, reason = compose_verdicts(checks)
+        report.verdict = word.get(composed, composed)
+        report.strategy = checks[0].strategy
+        # a violation's reason wins; an unknown keeps one the caller
+        # already gave (the campaign's exceeded wall-clock budget)
+        if composed == "violation" or not report.reason:
+            report.reason = reason
+        self.shard_verdicts = [word.get(c.verdict, c.verdict) for c in checks]
+
+
+@contextlib.asynccontextmanager
+async def live_run(
+    cluster: Any, adt: Callable[[], ADT], monitor: bool
+) -> AsyncIterator[LiveRun]:
+    """Start ``cluster``, lend the caller a :class:`LiveRun` over it for
+    the length of the ``async with`` body, and tear everything down —
+    also on the way out of a raising driver or fault action."""
+    run = LiveRun(adt)
+    try:
+        await cluster.start()
+        run.transports = cluster.client_transports("clients")
+        run.recorders = [
+            HistoryRecorder(clock=(lambda t: (lambda: t.now))(transport))
+            for transport in run.transports
+        ]
+        if monitor:
+            run.taps = [budgeted_tap(adt(), r) for r in run.recorders]
+        clock = run.transports[0]  # the first shard's recorder reads it too
+        started = clock.now
+        yield run
+        run.duration = clock.now - started
+    finally:
+        # no task, listener or monitor outlives the run, and a WAL
+        # directory is only ever removed under stopped nodes
+        for task in run.tasks:
+            task.cancel()
+        await asyncio.gather(*run.tasks, return_exceptions=True)
+        await cluster.stop()
+        run.monitor_reports = [await tap.close() for tap in run.taps]
+
+
+def write_artifact(path: str, payload: Dict[str, Any]) -> None:
+    """Write one artifact of a run (its report and recorded history, a
+    monitor's witness, a shrunk violation) as JSON."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, default=repr)
+
+
+@dataclass(kw_only=True)
+class LoadReport(RunReport):
     """What a loadgen run did, and whether its history is linearizable."""
 
     replicas: int
     clients: int
     ops_requested: int
-    committed: int
-    pending: int
-    fast: int
-    slow: int
-    duration: float
     latencies: List[float] = field(default_factory=list)
-    verdict: str = "unknown"
-    strategy: str = ""
-    reason: Optional[str] = None
     killed: Optional[int] = None
-    successors: int = 0
-    #: retry/hedge/overload accounting (exactly-once client sessions):
-    #: attempts re-submitted under the same op identity, duplicate
-    #: hedge enqueues, and ops shed pre-invocation by admission control
-    retries: int = 0
-    hedges: int = 0
-    shed: int = 0
     endpoint_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     #: data-plane configuration; not ``pipelined`` is the paper's
     #: client: window 1, batch 1, one pipeline per client
@@ -114,20 +293,11 @@ class LoadReport:
     codec: str = "binary"
     #: per-shard linearizability verdicts, shard order
     shard_verdicts: List[str] = field(default_factory=list)
-    #: decrees proposed / ops they carried, summed over shards
-    decrees: int = 0
-    batched_ops: int = 0
-    #: online streaming monitor (see repro.monitor), when enabled
-    monitored: bool = False
-    monitor_verdict: Optional[str] = None
-    monitor_reason: Optional[str] = None
-    monitor_events: int = 0
+    #: the monitors' economics: the largest shard's retained-event peak
+    #: (the GC bound), events collected, and each shard's live verdict
     monitor_peak_retained: int = 0
     monitor_gc_drops: int = 0
-    #: shards whose certificate missed: their verdict is a search's
-    monitor_certificate_misses: int = 0
     monitor_shard_verdicts: List[str] = field(default_factory=list)
-    monitor_witness: Optional[Dict[str, Any]] = None
 
     @property
     def linearizable(self) -> bool:
@@ -281,191 +451,126 @@ async def _run(
         codec=codec,
         group_commit=group_commit,
     )
-    await sharded.start()
-    transports = sharded.client_transports("clients")
-    recorders = [
-        HistoryRecorder(clock=(lambda t: (lambda: t.now))(transport))
-        for transport in transports
-    ]
-    taps: List[MonitorTap] = (
-        [budgeted_tap(kv_store_adt(), recorder) for recorder in recorders]
-        if monitor
-        else []
-    )
-    #: every proposer of the run: one per shard, or one per client of it
-    pipelines: List[SlotPipeline] = []
-
-    def open_pipeline(name: str, shard: int) -> SlotPipeline:
-        pipelines.append(
-            SlotPipeline(
-                name,
-                replicas,
-                transports[shard],
-                window=window,
-                max_batch=batch,
-                quorum_timeout=quorum_timeout,
-            )
-        )
-        return pipelines[-1]
-
-    shared = (
-        [open_pipeline(f"shard{s}", s) for s in range(shards)]
-        if pipeline
-        else []
-    )
-    committed = [0]
-    successors = [0]
-    killed = [False]
+    killed = False
     kill_threshold = max(1, int(ops * kill_after)) if kill is not None else None
-    all_clients: List[PipelineClient] = []
-
-    def make_routed(index: int) -> Dict[int, PipelineClient]:
-        routed = {}
-        for s in range(shards):
-            client = PipelineClient(
-                f"c{index}",
-                shared[s] if pipeline else open_pipeline(f"c{index}", s),
-                recorders[s],
-                op_timeout=op_timeout,
-            )
-            routed[s] = client
-            all_clients.append(client)
-        return routed
-
     per_client = [ops // clients] * clients
     for i in range(ops % clients):
         per_client[i] += 1
 
-    async def drive(index: int) -> None:
-        routed = make_routed(index)
-        stream = _command_stream(
-            random.Random(f"loadgen:{seed}:{index}"), keys
+    async with live_run(sharded, kv_store_adt, monitor) as run:
+
+        def open_pipeline(name: str, shard: int) -> SlotPipeline:
+            # every proposer of the run: one per shard, or one per
+            # client of it
+            run.pipelines.append(
+                SlotPipeline(
+                    name,
+                    replicas,
+                    run.transports[shard],
+                    window=window,
+                    max_batch=batch,
+                    quorum_timeout=quorum_timeout,
+                )
+            )
+            return run.pipelines[-1]
+
+        shared = (
+            [open_pipeline(f"shard{s}", s) for s in range(shards)]
+            if pipeline
+            else []
         )
-        for _ in range(per_client[index]):
-            if taps and any(tap.violated for tap in taps):
-                # fail fast (prefix closure: the verdict cannot recover)
-                return
-            command = next(stream)
-            target = shard_of(command[1], shards)
-            try:
-                await routed[target].submit(command)
-            except Overloaded:
-                # shed pre-invocation: no history entry, the identity
-                # is NOT poisoned — drop the op and keep the load going
-                # (the pipeline's own counter carries the tally)
-                continue
-            except OperationTimeout:
-                # fate-unknown: the identity is poisoned everywhere (a
-                # sequential client must not continue), successors keep
-                # the load flowing under fresh ids (Jepsen-style)
-                successors[0] += 1
-                emit(
-                    f"  c{index}: op timed out on shard{target}, left "
-                    f"pending; continuing as successor"
-                )
-                routed = {
-                    s: client.successor() for s, client in routed.items()
-                }
-                all_clients.extend(routed.values())
-                continue
-            committed[0] += 1
-            if (
-                kill_threshold is not None
-                and not killed[0]
-                and committed[0] >= kill_threshold
-            ):
-                # kill the same node index in every shard: each replica
-                # group loses one of its replicas, the Backup path takes
-                # over shard-wide
-                killed[0] = True
-                emit(
-                    f"  killing node{kill} in all {shards} shard(s) "
-                    f"after {committed[0]} commits"
-                )
-                for shard in sharded.shards:
-                    await shard.kill(kill)
 
-    start = transports[0].now
-    await asyncio.gather(*(drive(i) for i in range(clients)))
-    duration = transports[0].now - start
+        async def drive(index: int) -> None:
+            nonlocal killed
+            routed = {
+                s: run.adopt(
+                    PipelineClient(
+                        f"c{index}",
+                        shared[s] if pipeline else open_pipeline(f"c{index}", s),
+                        run.recorders[s],
+                        op_timeout=op_timeout,
+                    )
+                )
+                for s in range(shards)
+            }
+            stream = _command_stream(
+                random.Random(f"loadgen:{seed}:{index}"), keys
+            )
+            for _ in range(per_client[index]):
+                if run.violated:
+                    return
+                command = next(stream)
+                target = shard_of(command[1], shards)
+                try:
+                    heir = await run.submit(routed[target], command)
+                except Overloaded:
+                    # shed pre-invocation: no history entry, the identity
+                    # is NOT poisoned — drop the op and keep the load going
+                    # (the pipeline's own counter carries the tally)
+                    continue
+                if heir is not routed[target]:
+                    # fate-unknown: the identity is poisoned everywhere (a
+                    # sequential client must not continue), successors keep
+                    # the load flowing under fresh ids (Jepsen-style)
+                    emit(
+                        f"  c{index}: op timed out on shard{target}, left "
+                        f"pending; continuing as successor"
+                    )
+                    routed = {
+                        s: heir if s == target else run.adopt(c.successor())
+                        for s, c in routed.items()
+                    }
+                    continue
+                if (
+                    kill_threshold is not None
+                    and not killed
+                    and run.committed >= kill_threshold
+                ):
+                    # kill the same node index in every shard: each replica
+                    # group loses one of its replicas, the Backup path takes
+                    # over shard-wide
+                    killed = True
+                    emit(
+                        f"  killing node{kill} in all {shards} shard(s) "
+                        f"after {run.committed} commits"
+                    )
+                    for shard in sharded.shards:
+                        await shard.kill(kill)
 
-    monitor_reports: List[MonitorReport] = [
-        await tap.close() for tap in taps
-    ]
-    for item in monitor_reports:
+        await asyncio.gather(*(run.spawn(drive(i)) for i in range(clients)))
+        endpoint_stats = {
+            f"shard{s}/{node.endpoint}": _link_stats(node.transport)
+            for s, shard in enumerate(sharded.shards)
+            for node in shard.nodes
+        }
+
+    for item in run.monitor_reports:
         if item.verdict == "violation":
             emit(f"  {item.summary()}")
-
-    endpoint_stats = {
-        f"shard{s}/{node.endpoint}": _link_stats(node.transport)
-        for s, shard in enumerate(sharded.shards)
-        for node in shard.nodes
-    }
-    await sharded.stop()
-
-    shard_verdicts: List[str] = []
-    verdict, strategy, reason = "skipped", "", None
-    if check:
-        checks = [
-            check_linearizable(recorder.trace(), kv_store_adt())
-            for recorder in recorders
-        ]
-        word = {"ok": "linearizable"}  # what artifacts call a post-hoc ok
-        composed, reason = compose_verdicts(checks)
-        verdict = word.get(composed, composed)
-        shard_verdicts = [word.get(c.verdict, c.verdict) for c in checks]
-        strategy = checks[0].strategy
-
-    results = [r for c in all_clients for r in c.results]
     report = LoadReport(
         replicas=replicas,
         clients=clients,
         ops_requested=ops,
-        committed=committed[0],
-        pending=sum(len(r.pending_clients()) for r in recorders),
-        fast=sum(1 for r in results if r.path == "fast"),
-        slow=sum(1 for r in results if r.path == "slow"),
-        duration=duration,
-        latencies=[r.latency for r in results],
-        verdict=verdict,
-        strategy=strategy,
-        reason=reason,
-        killed=kill if killed[0] else None,
-        successors=successors[0],
-        retries=sum(c.retries for c in all_clients),
-        hedges=sum(c.hedges for c in all_clients),
-        shed=sum(p.shed for p in pipelines),
+        latencies=[r.latency for c in run.clients for r in c.results],
+        killed=kill if killed else None,
         endpoint_stats=endpoint_stats,
         shards=shards,
         pipelined=pipeline,
         window=window,
         batch=batch,
         codec=codec,
-        shard_verdicts=shard_verdicts,
-        decrees=sum(p.decrees for p in pipelines),
-        batched_ops=sum(p.batched_ops for p in pipelines),
     )
-    if monitor_reports:
-        composed, composed_reason = compose_verdicts(monitor_reports)
-        report.monitored = True
-        report.monitor_verdict = composed
-        report.monitor_reason = composed_reason
-        report.monitor_events = sum(r.events for r in monitor_reports)
+    run.fill(report, check)
+    report.shard_verdicts = run.shard_verdicts
+    if run.monitor_reports:
         report.monitor_peak_retained = max(
-            r.peak_retained for r in monitor_reports
+            r.peak_retained for r in run.monitor_reports
         )
-        report.monitor_gc_drops = sum(r.gc_drops for r in monitor_reports)
-        report.monitor_certificate_misses = sum(
-            r.certificate_misses for r in monitor_reports
-        )
+        report.monitor_gc_drops = sum(r.gc_drops for r in run.monitor_reports)
         report.monitor_shard_verdicts = [
-            r.verdict for r in monitor_reports
+            r.verdict for r in run.monitor_reports
         ]
-        for item in monitor_reports:
-            if item.witness is not None:
-                report.monitor_witness = item.witness
-                break
-    return report, recorders
+    return report, run.recorders
 
 
 def run_loadgen(
@@ -550,7 +655,6 @@ def run_loadgen(
             "report": report.to_jsonable(),
             "history": [r.to_jsonable() for r in recorders],
         }
-        with open(artifact, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, default=repr)
+        write_artifact(artifact, payload)
         emit(f"  artifact written to {artifact}")
     return report

@@ -218,7 +218,40 @@ BAD_SNIPPETS = [
         """,
         "repro/net/scratch.py",
     ),
+    # RD09: each row of the architecture table, on the tree its CI step
+    # was written against
+    ("RD09", "client = QuorumClient(pid, servers)\n", "repro/net/loadgen.py"),
+    (
+        "RD09",
+        "roles = [quorum.QuorumServer(pid), paxos.PaxosAcceptor(pid)]\n",
+        "repro/faults/campaign.py",
+    ),
+    ("RD09", "commands = value.unpack()\n", "repro/net/node.py"),
+    ("RD09", "opened = map(Packed.unpack, values)\n", "repro/smr/sessions.py"),
+    ("RD09", "from ..net.codec import Packed\n", "repro/mp/quorum.py"),
+    ("RD09", "kind = codec.Packed\n", "repro/net/wal.py"),
+    (
+        "RD09",
+        """\
+        import asyncio
+
+        async def submit(self, future):
+            return await asyncio.wait_for(future, self.op_timeout)
+        """,
+        "repro/net/client.py",
+    ),
+    ("RD09", "reader: asyncio.StreamReader = None\n", "repro/net/transport.py"),
+    ("RD09", "from ..faults import FaultSchedule\n", "repro/net/cluster.py"),
+    ("RD09", "from .. import faults\n", "repro/net/__init__.py"),
+    ("RD09", "import repro.faults.campaign\n", "repro/net/loadgen.py"),
+    ("RD09", "from ..net import HistoryRecorder\n", "repro/core/traces.py"),
+    (
+        "RD09",
+        "from ..core.fastcheck import check_linearizable\n",
+        "repro/monitor/streaming.py",
+    ),
 ]
+
 
 GOOD_SNIPPETS = [
     # seeded randomness and port clocks are the sanctioned forms
@@ -342,7 +375,29 @@ GOOD_SNIPPETS = [
         """,
         "repro/core/scratch.py",
     ),
+    # RD09 near-misses: struct's unpack takes arguments, a subclass
+    # definition constructs nothing, and the allowed modules stay allowed
+    (
+        """\
+        import struct
+
+        def header(data):
+            return struct.unpack(">I", data[:4])
+        """,
+        "repro/net/node.py",
+    ),
+    ("class Durable(QuorumServer):\n    pass\n", "repro/net/loadgen.py"),
+    ("client = QuorumClient(pid, servers)\n", "repro/mp/phases.py"),
+    ("commands = value.unpack()\n", "repro/net/pipeline.py"),
+    ("from ..net.codec import Packed\n", "repro/smr/sessions.py"),
+    ("from ..net import TransportFaults\n", "repro/faults/nemesis.py"),
+    ("from ..core.adt import ADT\n", "repro/monitor/streaming.py"),
+    (
+        "async def settle(tasks):\n    return await asyncio.wait(tasks)\n",
+        "repro/faults/netcampaign.py",
+    ),
 ]
+
 
 
 @pytest.mark.parametrize("rule,source,relpath", BAD_SNIPPETS)
@@ -369,6 +424,7 @@ def test_every_rule_has_a_failing_fixture():
         "RD06",
         "RD07",
         "RD08",
+        "RD09",
     }
 
 
@@ -785,7 +841,7 @@ def test_cli_malformed_baseline_exits_2_without_traceback(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# the CLI: --rules, --explain, --deep
+# the CLI: --rules, --explain
 # ----------------------------------------------------------------------
 
 
@@ -837,23 +893,34 @@ def test_cli_deep_reports_interprocedural_findings_as_json(tmp_path):
         "        self._next_slot = slot + 1\n"
     )
     write_tree(str(tmp_path), {"repro/net/racy.py": racy})
-    result = run_cli(str(tmp_path), "--deep", "--format", "json")
+    result = run_cli(str(tmp_path), "--format", "json")
     assert result.returncode == 1
     data = json.loads(result.stdout)
-    assert data["summary"]["deep"] is True
+    assert "deep" not in data["summary"]
     assert [f["rule"] for f in data["findings"]] == ["RD08"]
 
-    # without --deep the interprocedural rule does not run
-    result = run_cli(str(tmp_path), "--format", "json")
-    data = json.loads(result.stdout)
-    assert data["summary"]["deep"] is False
-    assert data["findings"] == []
+
+def test_cli_names_rd09_and_the_rows_reason(tmp_path):
+    write_tree(
+        str(tmp_path),
+        {"repro/net/client.py": "from ..faults import FaultSchedule\n"},
+    )
+    result = run_cli(str(tmp_path))
+    assert result.returncode == 1
+    assert "repro/net/client.py:1:0: RD09 import of repro.faults" in result.stdout
+    assert "a wire process never loads the simulator campaign" in result.stdout
+
+
+def test_cli_has_one_mode_and_refuses_the_old_flag():
+    result = run_cli("--deep")
+    assert result.returncode == 2
+    assert "unrecognized arguments: --deep" in result.stderr
 
 
 def test_cli_deep_self_hosts_clean():
-    """The deep pass (call graph + RD08 + path-sensitive RD02) finds
-
-    nothing in the committed tree — the self-hosting gate CI enforces."""
-    result = run_cli("--deep")
+    """The pass (call graph + RD08 + path-sensitive RD02 + the RD09
+    architecture table) finds nothing in the committed tree — the
+    self-hosting gate CI enforces."""
+    result = run_cli()
     assert result.returncode == 0, result.stdout + result.stderr
     assert "0 findings" in result.stdout

@@ -412,11 +412,12 @@ def test_rd08_flags_await_inside_atomic_section():
     assert any("atomic_section" in m for m in messages)
 
 
-def test_rd08_requires_the_project_context():
-    """Without ``--deep`` (no call graph) the rule does not run."""
+def test_rd08_on_a_lone_snippet_assumes_every_call_suspends():
+    """No call graph (``analyze_source`` alone): the rule still runs,
+    and an await it cannot resolve counts as a suspension."""
     source = textwrap.dedent(RD08_BAD[0])
     active, _ = analyze_source(source, "repro/net/scratch.py")
-    assert [f.rule for f in active] == []
+    assert "RD08" in [f.rule for f in active]
 
 
 def test_rd08_is_scoped_to_runtime_layers():
@@ -573,12 +574,12 @@ def test_suppressed_findings_never_consume_baseline_slots(tmp_path):
     _write_tree(tree, {"repro/net/racy.py": racy})
     baseline_file = str(tmp_path / BASELINE_NAME)
 
-    report = run_lint([tree], baseline_path=baseline_file, deep=True)
+    report = run_lint([tree], baseline_path=baseline_file)
     assert len(report.findings) == 1  # only the unsuppressed one
     assert len(report.suppressed) == 1
 
     write_baseline(baseline_file, report.all_findings())
-    report = run_lint([tree], baseline_path=baseline_file, deep=True)
+    report = run_lint([tree], baseline_path=baseline_file)
     assert report.clean
     assert len(report.baselined) == 1
     assert len(report.suppressed) == 1
@@ -589,7 +590,7 @@ def test_suppressed_findings_never_consume_baseline_slots(tmp_path):
         tree,
         {"repro/net/racy.py": racy.replace("  # repro: disable=RD08", "")},
     )
-    report = run_lint([tree], baseline_path=baseline_file, deep=True)
+    report = run_lint([tree], baseline_path=baseline_file)
     assert len(report.findings) == 1
     assert len(report.baselined) == 1
     assert report.suppressed == []
@@ -622,13 +623,13 @@ def test_race_mutant_in_pipeline_copy_is_caught(tmp_path):
 
     tree = str(tmp_path / "tree")
     _write_tree(tree, {"repro/net/pipeline.py": source})
-    report = run_lint([tree], deep=True)
+    report = run_lint([tree])
     assert report.findings == [], "\n" + report.to_text()
 
     mutated = source.replace(PIPELINE_ANCHOR, RACY_CLAIM + PIPELINE_ANCHOR)
     assert mutated != source
     _write_tree(tree, {"repro/net/pipeline.py": mutated})
-    report = run_lint([tree], deep=True)
+    report = run_lint([tree])
     rd08 = [f for f in report.findings if f.rule == "RD08"]
     assert len(rd08) == 1
     assert "self._next_slot" in rd08[0].message

@@ -514,13 +514,13 @@ wide_payloads = st.recursive(
 
 @settings(max_examples=500, deadline=None)
 @given(wide_payloads)
-def test_json_body_is_at_most_six_times_the_binary_body(value):
+def test_a_frame_is_its_body_plus_a_fixed_header(value):
+    """What ``SlotPipeline._fits`` adds up: a frame's size is its body's
+    plus a constant, in both codecs."""
     binary = len(BINARY_CODEC.encode_body(value))
     journal = len(JSON_CODEC.encode_body(value))
     assert len(BINARY_CODEC.encode_frame(value)) == 4 + 1 + binary
     assert len(JSON_CODEC.encode_frame(value)) == 4 + journal
-    # the value and the comma that may follow it
-    assert journal + 1 <= 6 * binary
 
 
 @pytest.mark.parametrize(

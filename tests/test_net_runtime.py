@@ -10,6 +10,7 @@ Timeouts are kept tight so the whole module stays in CI-smoke range.
 
 import asyncio
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -115,19 +116,13 @@ class TestLoadgen:
 
 class TestLoadReport:
     #: the artifact schema: every field but the raw latencies, plus the
-    #: values derived from them.  Adding a field is fine — add it here.
-    KEYS = {
-        "replicas", "clients", "ops_requested", "committed", "pending",
-        "fast", "slow", "duration", "throughput", "latency_p50",
-        "latency_p95", "latency_p99", "verdict", "strategy", "reason",
-        "killed", "successors", "retries", "hedges", "shed",
-        "endpoint_stats", "shards", "pipelined", "window", "batch",
-        "codec", "shard_verdicts", "decrees", "batched_ops", "monitored",
-        "monitor_verdict", "monitor_reason", "monitor_events",
-        "monitor_peak_retained", "monitor_gc_drops",
-        "monitor_certificate_misses",
-        "monitor_shard_verdicts", "monitor_witness",
-    }
+    #: values derived from them.  Adding a field is fine — add it to
+    #: ``load_report_keys`` in tests/golden/net_schedules.json.
+    with open(
+        os.path.join(os.path.dirname(__file__), "golden", "net_schedules.json"),
+        encoding="utf-8",
+    ) as _handle:
+        KEYS = set(json.load(_handle)["load_report_keys"])
 
     def report(self, latencies):
         return LoadReport(
