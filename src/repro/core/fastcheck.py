@@ -13,23 +13,22 @@ exponential into a sum of much smaller exponentials.
 
 An ADT opts in by carrying a :class:`~repro.core.adt.PartitionSpec`
 (products built by :func:`~repro.core.adt.product_adt` and the replicated
-KV-store ADT do); one without a spec is its own one partition.  Either
-way the trace is decided by the one engine that decides wire histories,
-:class:`~repro.monitor.streaming.StreamingMonitor` — global
-well-formedness, invalid-input rejection, key routing, one
-:class:`~repro.monitor.frontier.KeyFrontier` per key, typed ``unknown``
-— fed the finished trace event by event.  After the split a partition
-is a single-object history, which the frontier decides in time bounded
-by the concurrent window, not by the length.
+KV-store ADT do); one without a spec is its own one partition.
 
-What a post-hoc caller adds is the future:
-:func:`~repro.monitor.streaming.foretold` pairs every invocation with
-the response the history holds for it, so
-:func:`~repro.core.linearizability.frontier_step` never creates a
-speculative linearization that the operation's own recorded response
-refutes.  It would be killed at that response anyway, so verdicts are
-the online monitor's; only the work differs (ten puts pending on one
-key: 986,410 configurations at the first response online, one told).
+A finished trace is first its own certificate
+(:func:`~repro.monitor.streaming.decide`, docs/MONITORING.md §7): each
+key folded in response order, pending operations dropped.  That order
+respects real time, so a fold that reproduces every recorded output
+proves ``ok`` in one pass; every history the pipelined data plane
+records does.  A miss proves nothing, and the one engine that decides
+wire histories, :class:`~repro.monitor.streaming.StreamingMonitor`
+(well-formedness, invalid inputs, key routing, a frontier per key,
+typed ``unknown``), searches the trace told each recorded response
+(:meth:`~repro.monitor.streaming.StreamingMonitor.tell`), so
+:func:`~repro.core.linearizability.frontier_step` never speculates what
+that response refutes (ten puts pending on one key: 986,410
+configurations at the first response untold, one told).  Every verdict
+but ``ok``, and every budget spent, is the search's.
 
 The monolithic search (:func:`~repro.core.linearizability.linearize`,
 the paper's Defs 5-15) decides only what the engine cannot: traces with
@@ -60,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
 
-from ..monitor.streaming import StreamingMonitor, foretold
+from ..monitor.streaming import StreamingMonitor, decide
 from .adt import ADT
 from .linearizability import LinearizationResult, linearize
 from .traces import Trace
@@ -111,25 +110,12 @@ class CheckReport:
         return self.result.ok
 
 
-def _stream(
-    trace: Trace,
-    adt: ADT,
-    node_limit: Optional[int],
-    state_limit: Optional[int],
-) -> Optional[CheckReport]:
-    """Decide ``trace`` with the streaming engine, told the future.
-
-    None when some globally valid event does not fit the partition spec:
-    the engine cannot decide that (online it degrades to ``unknown``),
-    but this caller still holds the whole trace.
-    """
-    monitor = StreamingMonitor(
-        adt, node_limit=node_limit, config_limit=state_limit
-    )
-    for action, answer in foretold(trace):
-        monitor.observe(action, answer)
-        if monitor.unroutable:
-            return None
+def _compositional(monitor: StreamingMonitor) -> Optional[CheckReport]:
+    """What ``monitor``, having decided a whole trace, says of it: None
+    when a globally valid event did not fit the partition spec (online
+    that is ``unknown``; this caller still holds the whole trace)."""
+    if monitor.unroutable:
+        return None
     report = monitor.report()
     return CheckReport(
         result=LinearizationResult(
@@ -138,13 +124,23 @@ def _stream(
             unknown=report.verdict == "unknown",
         ),
         strategy=COMPOSITIONAL,
-        parts=tuple(
-            (frontier.key, frontier.events)
-            for frontier in sorted(
-                monitor.frontiers.values(), key=lambda f: repr(f.key)
-            )
-        ),
+        parts=monitor.parts(),
     )
+
+
+def _stream(
+    trace: Trace,
+    adt: ADT,
+    node_limit: Optional[int],
+    state_limit: Optional[int],
+) -> Optional[CheckReport]:
+    """Decide ``trace`` with the streaming engine, told the future: the
+    search alone, with no certificate before it."""
+    monitor = StreamingMonitor(
+        adt, node_limit=node_limit, config_limit=state_limit
+    )
+    monitor.tell(trace)
+    return _compositional(monitor)
 
 
 def check_linearizable(
@@ -155,9 +151,9 @@ def check_linearizable(
 ) -> CheckReport:
     """Linearizability with the P-compositional fast path.
 
-    The trace runs through
-    :class:`~repro.monitor.streaming.StreamingMonitor`, the one engine
-    that decides wire histories: ``node_limit`` bounds the search at one
+    The trace runs through :func:`~repro.monitor.streaming.decide`:
+    response order certifies it, or the one engine that decides wire
+    histories searches it: ``node_limit`` bounds the search at one
     response and ``state_limit`` the configurations one partition's
     frontier holds at once.  Any failing partition fails the trace (with
     the offending key in the reason); if none fails but one spent a
@@ -165,7 +161,7 @@ def check_linearizable(
     partition.  A trace that does not fit the ADT's partition spec is
     decided by the monolithic search.
     """
-    report = _stream(trace, adt, node_limit, state_limit)
+    report = _compositional(decide(trace, adt, node_limit, state_limit))
     if report is not None:
         return report
     return CheckReport(

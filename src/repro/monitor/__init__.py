@@ -5,14 +5,14 @@ The post-hoc pipeline (`loadgen` → record everything →
 the run and only yields a verdict after the run ends.  This package
 is the engine under it, and runs it online: a
 :class:`StreamingMonitor` consumes invocation/response events as they
-happen, keeps one incremental search frontier per partition key (:class:`KeyFrontier`, advanced by
-:func:`repro.core.linearizability.frontier_step`), garbage-collects
-every decided prefix so memory stays O(concurrent window), and flips to
-``violation`` — with a ddmin-shrunken witness — the moment some
-response cannot be explained.  Budgets degrade the verdict to
-``unknown`` instead of OOMing.  Beside a live data plane the search is
-the fallback: a monitor built with the recorder's history checks the
-decided log as a certificate, O(1) per event, until that fails.
+happen, keeps one incremental search frontier per partition key
+(:class:`KeyFrontier`), garbage-collects every decided prefix so memory
+stays O(concurrent window), and flips to ``violation`` — with a
+ddmin-shrunken witness — the moment some response cannot be explained.
+Budgets degrade the verdict to ``unknown`` instead of OOMing.  The
+search is the fallback: a live monitor checks the decided log as a
+certificate, O(1) per event, and a finished history is its own
+(:func:`~repro.monitor.streaming.decide`), until that fails.
 
 Wiring: :class:`MonitorTap` bridges a live
 :class:`~repro.net.client.HistoryRecorder` to a monitor through an

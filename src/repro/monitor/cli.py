@@ -33,13 +33,7 @@ from ..net.loadgen import budgeted_tap
 from ..net.pipeline import PipelineClient, probing_client
 from ..net.transport import AddressBook, AsyncTransport
 from ..smr.universal import kv_store_adt
-from .streaming import (
-    MonitorReport,
-    StreamingMonitor,
-    compose_verdicts,
-    event_action,
-    foretold,
-)
+from .streaming import MonitorReport, compose_verdicts, decide, event_action
 from .tap import MonitorTap
 
 #: the reserved canary key probes live on, outside the loadgen keyspace
@@ -111,24 +105,21 @@ def replay_history(
     node_limit: Optional[int] = None,
     config_limit: Optional[int] = None,
 ) -> Tuple[str, Optional[str], List[MonitorReport]]:
-    """Stream each shard's events through its own monitor; compose.
+    """Decide each shard's events with its own monitor; compose.
 
     The object is the one a :class:`History` names; plain lists of
     events are histories of the KV store.  The history is finished, so
-    each invocation is told the response it recorded
-    (:func:`~repro.monitor.streaming.foretold`): the verdict is the
-    untold stream's, without the search that is exponential in the open
-    window (ten puts pending on one key: 12.7 s untold, 0.2 ms told).
+    it is its own certificate (:func:`~repro.monitor.streaming.decide`);
+    where response order misses, the report says so and the search is
+    told each recorded response (ten puts pending on one key: 12.7 s
+    untold, 0.2 ms told).
     """
     adt = REPLAY_ADTS[getattr(shards, "adt", "kv_store")]
-    reports = []
-    for events in shards:
-        monitor = StreamingMonitor(
-            adt(), node_limit=node_limit, config_limit=config_limit
-        )
-        for action, answer in foretold([event_action(e) for e in events]):
-            monitor.observe(action, answer)
-        reports.append(monitor.report())
+    traces = ([event_action(e) for e in events] for events in shards)
+    reports = [
+        decide(trace, adt(), node_limit, config_limit).report()
+        for trace in traces
+    ]
     verdict, reason = compose_verdicts(reports)
     return verdict, reason, reports
 

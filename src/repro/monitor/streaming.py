@@ -20,7 +20,9 @@ one thing, the recorded response of every operation (``observe``'s
 told is the past: built with the recorder's ``history``, it checks the
 decided log as a certificate (``lin`` events, :meth:`StreamingMonitor.
 feed`) in O(1) per event, which can only say ``ok``, and becomes the
-searching engine at the first *miss* (docs/MONITORING.md §7).
+searching engine at the first *miss* (docs/MONITORING.md §7).  A
+finished history is its own, checked by the same code in response order
+(:func:`decide`).
 
 * **Global well-formedness** is tracked at the monitor level — one open
   invocation per client, response input equal to the invocation input
@@ -56,7 +58,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    Iterator,
     Optional,
     Sequence,
     Tuple,
@@ -85,34 +86,6 @@ def event_action(event: Tuple) -> Any:
     if kind == "inv":
         return Invocation(client, 1, command)
     return Response(client, 1, command, response)
-
-
-def foretold(
-    actions: Sequence[Any], unanswered: Any = NEVER_ANSWERED
-) -> Iterator[Tuple[Any, Any]]:
-    """What a held history says about each operation's future.
-
-    Yields every action of ``actions`` with its ``answer`` for
-    :meth:`StreamingMonitor.observe`: an invocation is paired with the
-    :class:`Response` that answers it later in ``actions``, or with
-    ``unanswered`` (:data:`NEVER_ANSWERED` for a finished history, None
-    for a live prefix whose open operations may yet answer); anything
-    else with None.  Only pairs a well-formed history would form are
-    made (same client, same input, no second invocation in between);
-    where the history is ill-formed the engine rejects it at that event,
-    whatever it was told before.
-    """
-    answers: Dict[int, Any] = {}
-    open_at: Dict[Hashable, int] = {}
-    for index, action in enumerate(actions):
-        if isinstance(action, Invocation):
-            open_at[action.client] = index
-            answers[index] = unanswered
-        elif isinstance(action, Response):
-            asked = open_at.pop(action.client, None)
-            if asked is not None and actions[asked].input == action.input:
-                answers[asked] = action
-    return ((action, answers.get(i)) for i, action in enumerate(actions))
 
 
 @dataclass
@@ -193,10 +166,12 @@ class StreamingMonitor:
         self.certificate_misses = 0
         self.miss_reason: Optional[str] = None
         #: client -> [command, key, projected input, output or _UNCLAIMED]
-        #: open; client -> last linearized seq; key -> [step, state]
+        #: open; client -> last linearized seq; key -> [step, state];
+        #: key -> events a finished history certified
         self._claims: Dict[Hashable, list] = {}
         self._linearized: Dict[Hashable, int] = {}
         self._cells: Dict[Hashable, list] = {}
+        self._counts: Dict[Hashable, int] = {}
         self._next_slot = self._released = 0
 
     # ------------------------------------------------------------------
@@ -248,14 +223,14 @@ class StreamingMonitor:
                 if claim[3] is not _UNCLAIMED:
                     return f"slot {slot}: {tagged!r} is linearized twice"
                 self._linearized[client] = seq
-                cell = self._cells.get(claim[1])
-                if cell is None:
-                    part = self.spec.component(claim[1])
-                    cell = [part.step, part.initial_state]
-                    self._cells[claim[1]] = cell
-                cell[1], claim[3] = cell[0](cell[1], claim[2])
+                claim[3] = self._step(claim[1], claim[2])
             return None
-        kind, client, command, response = event[:4]
+        return self._certify_action(*event[:4])
+
+    def _certify_action(
+        self, kind: str, client: Hashable, command: Any, response: Any
+    ) -> Optional[str]:
+        """:meth:`_certify` of an ``inv`` / ``res`` event."""
         claim = self._claims.get(client)
         if kind == "inv":
             if claim is not None or not self.adt.is_input(command):
@@ -289,8 +264,73 @@ class StreamingMonitor:
         self.miss_reason = miss
         self._claims, self._linearized, self._cells = {}, {}, {}
         self.events = self._op_counter = self._released = self.gauge.value = 0
-        for action, answer in foretold(actions, unanswered=None):
-            self.observe(action, answer)
+        self.tell(actions, unanswered=None)
+
+    def _certify_finished(self, actions: Sequence[Any]) -> Optional[str]:
+        """None if the finished history ``actions`` replays in response
+        order, pending operations dropped, else why not (a miss).  That
+        order respects real time and dropping what never answered is a
+        legal completion: a linearization, if every output agrees."""
+        if self.config_limit is not None and self.config_limit < 2:
+            # a fold step holds the state it replaced and its successor,
+            # as a search step holds the frontier it replaced and its own
+            return f"one step outgrows {self.config_limit} configuration(s)"
+        certify, claims, counts = self._certify_action, self._claims, {}
+        for index, action in enumerate(actions):
+            if isinstance(action, Invocation):
+                client = action.client
+                miss = certify("inv", client, action.input, None)
+                if miss is None:
+                    key = claims[client][1]
+                    counts[key] = counts.get(key, 0) + 2  # and its response
+            elif isinstance(action, Response):
+                client, claim = action.client, claims.get(action.client)
+                if claim is not None:  # response order linearizes it here
+                    claim[3] = self._step(claim[1], claim[2])
+                miss = certify("res", client, action.input, action.output)
+            else:
+                miss = f"{action!r} is no interface action"
+            if miss is not None:
+                return f"index {index}: {miss}"
+        for claim in claims.values():
+            counts[claim[1]] -= 1  # pending: no response
+        self._counts = counts
+        return None
+
+    def _step(self, key: Hashable, projected: Any) -> Any:
+        """The certificate's fold, the one per-key state either order
+        steps: ``key``'s component applied to ``projected``; its output."""
+        cell = self._cells.get(key)
+        if cell is None:
+            part = self.spec.component(key)
+            cell = self._cells[key] = [part.step, part.initial_state]
+        cell[1], output = cell[0](cell[1], projected)
+        return output
+
+    def tell(
+        self, actions: Sequence[Any], unanswered: Any = NEVER_ANSWERED
+    ) -> None:
+        """Search a history held whole, each invocation told its future:
+        the :class:`Response` answering it later in ``actions``, else
+        ``unanswered`` (:data:`NEVER_ANSWERED` when finished, None for a
+        live prefix whose open operations may yet answer), paired only
+        as a well-formed history pairs them.  A finished history stops
+        at the first event the partition spec cannot route (``unknown``
+        from there; a caller holding it has the monolithic search)."""
+        answers: Dict[int, Any] = {}
+        open_at: Dict[Hashable, int] = {}
+        for index, action in enumerate(actions):
+            if isinstance(action, Invocation):
+                open_at[action.client] = index
+                answers[index] = unanswered
+            elif isinstance(action, Response):
+                asked = open_at.pop(action.client, None)
+                if asked is not None and actions[asked].input == action.input:
+                    answers[asked] = action
+        for index, action in enumerate(actions):
+            self.observe(action, answers.get(index))
+            if self.unroutable and unanswered is NEVER_ANSWERED:
+                return
 
     def observe(self, action: Any, answer: Any = None) -> None:
         """Consume one interface action (Invocation or Response).
@@ -404,6 +444,14 @@ class StreamingMonitor:
             miss_reason=self.miss_reason,
         )
 
+    def parts(self) -> Tuple[Tuple[Hashable, int], ...]:
+        """``(key, events)`` per partition, sorted by ``repr(key)``: what
+        a certified finished history counted, else each frontier's."""
+        counts = self._counts or {
+            key: frontier.events for key, frontier in self.frontiers.items()
+        }
+        return tuple(sorted(counts.items(), key=lambda item: repr(item[0])))
+
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -473,6 +521,34 @@ def watch_trace(
     for action in trace:
         monitor.observe(action)
     return monitor.report()
+
+
+def decide(
+    actions: Sequence[Any],
+    adt: ADT,
+    node_limit: Optional[int] = None,
+    config_limit: Optional[int] = None,
+) -> StreamingMonitor:
+    """The monitor that decided the finished history ``actions``:
+    certified in response order, else searched (docs/MONITORING.md §7).
+
+    A miss proves nothing: a fresh monitor searches, told the recorded
+    responses (:meth:`StreamingMonitor.tell`), and its report carries the
+    miss.  Every verdict but ``ok``, and every budget spent, is the
+    search's; a ``config_limit`` under 2 fits no step, so it is a miss.
+    """
+    budget = dict(node_limit=node_limit, config_limit=config_limit)
+    monitor = StreamingMonitor(adt, **budget)
+    try:
+        miss = monitor._certify_finished(actions)
+    except Exception as exc:  # the spec raised
+        miss = f"{type(exc).__name__}: {exc}"
+    if miss is None:
+        return monitor
+    monitor = StreamingMonitor(adt, **budget)
+    monitor.certificate_misses, monitor.miss_reason = 1, miss
+    monitor.tell(actions)
+    return monitor
 
 
 def compose_verdicts(reports: Iterable[Any]) -> Tuple[str, Optional[str]]:

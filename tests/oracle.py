@@ -1,6 +1,6 @@
 """The differential oracle: every decider answers to every other.
 
-The repo's product is a verdict, and seven things produce one:
+The repo's product is a verdict, and eight things produce one:
 
 * ``definition`` — the paper's Defs 5-15 as a search
   (:func:`repro.core.linearizability.linearize`).  Its commit histories
@@ -11,21 +11,29 @@ The repo's product is a verdict, and seven things produce one:
   never ``violation`` where the others say ``ok``;
 * ``classical`` — Appendix A's linearizability*
   (:func:`repro.core.classical.linearize_classical`);
-* ``post hoc`` — :func:`repro.core.fastcheck.check_linearizable`, the
-  streaming engine told every recorded response;
+* ``post hoc`` — :func:`repro.core.fastcheck.check_linearizable`:
+  response order as a certificate, then the streaming engine told every
+  recorded response;
 * ``online`` — :func:`repro.monitor.watch_trace`, the same engine told
   nothing;
 * ``told`` — the engine told the future on *any* ADT, partitioned or
-  not (``check_linearizable`` only runs it where a partition spec fits);
+  not, and never certified first: the search, on every history
+  (``check_linearizable`` only searches where the certificate misses and
+  a partition spec fits);
 * ``replay`` — :func:`repro.monitor.cli.replay_history`, what ``monitor
   --replay`` and the ledger run on an artifact: the history as recorder
-  events, told its own answers, on the objects an artifact can name;
+  events, certified or told its own answers, on the objects an artifact
+  can name;
 * ``certified`` — the live monitor's front end
   (:func:`certified_report`): the history interleaved with ``lin``
   events, checked as a certificate.  Its word binds differently: given
   the reference's own witness it must say ``ok`` without a search, and
   given *any* ``lin`` events at all it must end where the reference
   does or at a typed ``unknown`` (:func:`assert_certificate_sound`);
+* ``response order`` — the off-line front end (:func:`response_order`):
+  the finished history folded in response order.  It says ``ok`` or
+  abstains, and where it says ``ok`` ``check_linearizable``'s report
+  must be the search's, field for field;
 
 and, at five operations or fewer, ``herlihy-wing`` — a deliberately
 naive transcription of the definition as the TLA+ ``IsLinearizable`` of
@@ -50,6 +58,7 @@ from repro.core.traces import Trace
 from repro.ddmin import ddmin
 from repro.monitor import StreamingMonitor, watch_trace
 from repro.monitor.cli import REPLAY_ADTS, History, replay_history
+from repro.monitor.streaming import decide
 
 #: the brute force below is factorial: beyond this it is not asked
 NAIVE_MAX_OPS = 5
@@ -156,6 +165,12 @@ def told_verdict(trace, adt):
     return _stream(trace, adt, None, None).verdict
 
 
+def response_order(trace, adt):
+    """``ok`` if the off-line front end certifies ``trace`` in response
+    order, None where it misses: it abstains."""
+    return None if decide(trace, adt).certificate_misses else "ok"
+
+
 def has_unique_inputs(trace):
     invoked = [a.input for a in trace if isinstance(a, Invocation)]
     return len(set(invoked)) == len(invoked)
@@ -163,14 +178,20 @@ def has_unique_inputs(trace):
 
 def verdicts(trace, adt):
     """``{decider: verdict}`` over every decider whose word binds."""
+    post_hoc = check_linearizable(trace, adt)
     said = {
         "classical": (
             "ok" if linearize_classical(trace, adt).ok else "violation"
         ),
-        "post hoc": check_linearizable(trace, adt).verdict,
+        "post hoc": post_hoc.verdict,
         "online": watch_trace(trace, adt).verdict,
         "told": told_verdict(trace, adt),
     }
+    if response_order(trace, adt):
+        searched = _stream(trace, adt, None, None)
+        said["response order"] = (
+            "ok" if post_hoc == searched else f"ok: {post_hoc} != {searched}"
+        )
     if adt.name in REPLAY_ADTS:
         events = [recorded(action) for action in trace]
         said["replay"] = replay_history(History([events], adt.name))[0]
@@ -427,6 +448,25 @@ def histories(draw, adt, inputs, outputs, max_ops=6, clients=4):
             if draw(st.integers(0, 5)) == 0:
                 output = draw(st.sampled_from(outputs))
             actions.append(Response(client, 1, payload, output))
+    return Trace(actions)
+
+
+@st.composite
+def sequential_histories(draw, adt, inputs, outputs, max_ops=5, clients=3):
+    """Histories in which no two operations overlap: each is answered
+    before the next is invoked, but the last may pend.  Answers are the
+    object's, or now and then something else from ``outputs``."""
+    state, actions = adt.initial_state, []
+    for _ in range(draw(st.integers(0, max_ops))):
+        client = draw(st.sampled_from([f"c{i}" for i in range(clients)]))
+        payload = draw(st.sampled_from(inputs))
+        actions.append(Invocation(client, 1, payload))
+        if draw(st.integers(0, 5)) == 0:
+            break  # the last operation pends
+        state, output = adt.transition(state, payload)
+        if draw(st.integers(0, 5)) == 0:
+            output = draw(st.sampled_from(outputs))
+        actions.append(Response(client, 1, payload, output))
     return Trace(actions)
 
 

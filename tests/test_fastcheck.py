@@ -30,6 +30,7 @@ from repro.core.fastcheck import (
     COMPOSITIONAL,
     CheckReport,
     MONOLITHIC,
+    _stream,
     check_linearizable,
     is_linearizable_fast,
 )
@@ -453,9 +454,13 @@ class TestBudgets:
         assert not linearize(self.bogus_burst(), kv_store_adt()).ok
 
     def test_a_spent_budget_is_an_unknown_naming_the_partition(self):
+        # answered out of the order the puts took effect: response order
+        # misses, and the search it falls back on spends the budget
         trace = Trace(
             [
                 Invocation("c1", 1, kv_put("a", 1)),
+                Invocation("c2", 1, kv_put("a", 2)),
+                Response("c2", 1, kv_put("a", 2), ("value", 1)),
                 Response("c1", 1, kv_put("a", 1), ("value", None)),
             ]
         )
@@ -465,6 +470,25 @@ class TestBudgets:
         assert report.result.reason.startswith("partition 'a': ")
         assert "budget" in report.result.reason
         assert check_linearizable(trace, kv_store_adt(), state_limit=2).ok
+
+    def test_a_certified_history_spends_no_budget(self):
+        # response order replays this one; searched, the put's response
+        # leaves a frontier of several configurations
+        trace = Trace(
+            [
+                Invocation("c1", 1, kv_put("a", 1)),
+                Invocation("c2", 1, kv_get("a")),
+                Invocation("c3", 1, kv_get("a")),
+                Response("c1", 1, kv_put("a", 1), ("value", None)),
+                Response("c2", 1, kv_get("a"), ("value", 1)),
+                Response("c3", 1, kv_get("a"), ("value", 1)),
+            ]
+        )
+        assert _stream(trace, kv_store_adt(), None, 2).unknown
+        report = check_linearizable(trace, kv_store_adt(), state_limit=2)
+        assert report.verdict == "ok" and report.parts == (("a", 6),)
+        # a budget no step fits in, fold or search, decides nothing
+        assert check_linearizable(trace, kv_store_adt(), state_limit=1).unknown
 
     @staticmethod
     def sequential_single_key_history(n_ops):

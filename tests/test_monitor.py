@@ -26,6 +26,7 @@ Three contracts under test, mirroring docs/MONITORING.md:
 
 import ast
 import asyncio
+import json
 import pathlib
 
 import pytest
@@ -45,11 +46,13 @@ from oracle import (
     naive_witness,
     operations,
     recorded,
+    sequential_histories,
 )
-from repro.core.actions import Invocation, Response
-from repro.core.adt import counter_adt, queue_adt, register_adt
+from repro.__main__ import main as repro_main
+from repro.core.actions import Invocation, Response, Switch
+from repro.core.adt import ADT, counter_adt, queue_adt, register_adt
 from repro.core.classical import linearize_classical
-from repro.core.fastcheck import check_linearizable
+from repro.core.fastcheck import _stream, check_linearizable
 from repro.core.linearizability import linearize
 from repro.core.strategies import wellformed_traces
 from repro.core.traces import Trace
@@ -61,7 +64,8 @@ from repro.monitor import (
     watch_trace,
 )
 from repro.monitor import frontier as frontier_module
-from repro.monitor.cli import make_probe, replay_history
+from repro.monitor.cli import load_history, make_probe, replay_history
+from repro.monitor.streaming import decide, event_action
 from repro.net.client import HistoryRecorder
 from repro.net.cluster import LocalCluster
 from repro.net.loadgen import budgeted_tap, run_loadgen
@@ -434,11 +438,19 @@ class TestKnowingTheFuture:
             return survivors[-1]
 
         monkeypatch.setattr(frontier_module, "frontier_step", counted)
-        events = [oracle.recorded(a) for a in self.waves(n_waves=1)]
+        wave = [oracle.recorded(a) for a in self.waves(n_waves=1)]
+        # answered in the order the puts took effect: certified, no search
+        verdict, reason, (report,) = replay_history([wave])
+        assert (verdict, reason, report.certificate_misses) == ("ok", None, 0)
+        assert survivors == [] and steps[0] == 0
+        # the same wave answered last put first: response order misses,
+        # and the search is told its answers
+        events = wave[:10] + wave[10:][::-1]
         verdict, reason, (report,) = replay_history([events])
         assert (verdict, reason) == ("ok", None)
+        assert report.certificate_misses == 1
         assert report.events == 20 and report.ops == 10
-        assert [len(s) for s in survivors] == [1] * 10 and steps[0] == 55
+        assert [len(s) for s in survivors] == [1] * 10 and steps[0] <= 55
         # budgets passed by `monitor --replay` still bind: puts that
         # never answer stay in the window whatever the replay is told
         silent = [
@@ -770,6 +782,130 @@ class TestTheCertificate:
         assert "the log says ('count', 1)" in report.miss_reason
         posthoc = check_linearizable(recorder.trace(), counter_adt())
         assert report.verdict == posthoc.verdict == "violation"
+
+
+# ---------------------------------------------------------------------------
+# the off-line front end: a finished history is its own certificate
+# ---------------------------------------------------------------------------
+
+
+def never_searched(*args, **kwargs):
+    raise AssertionError("the certificate path searched")
+
+
+class TestResponseOrderIsTheEighthDecider:
+    """``ok`` or abstain, against every other decider; and complete
+    where response order is the only order real time allows."""
+
+    @given(sequential_histories(KV, KV_INPUTS, VALUES))
+    @settings(max_examples=150, deadline=None)
+    def test_a_sequential_history_certifies_iff_it_is_linearizable(
+        self, trace
+    ):
+        said = oracle.response_order(trace, KV)
+        assert said == ("ok" if is_linearizable_naive(trace, KV) else None)
+        assert_deciders_agree(trace, KV)
+
+    @given(wellformed_traces(KV, KV_INPUTS, max_steps=14, honest=True))
+    @settings(max_examples=100, deadline=None)
+    def test_an_honest_multi_key_history_certifies(self, trace):
+        assert oracle.response_order(trace, KV) == "ok"
+
+    @given(
+        wellformed_traces(queue_adt(), QUEUE_INPUTS, max_steps=12, honest=True)
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_an_honest_history_without_a_partition_certifies(self, trace):
+        assert oracle.response_order(trace, queue_adt()) == "ok"
+
+    def test_the_oracle_corpus_reaches_both_branches(self):
+        # the small-scope corpus every decider answers to: if it never
+        # missed, the search behind the certificate would go unchecked
+        seen = set()
+
+        @given(histories(KV, KV_INPUTS, VALUES, max_ops=5))
+        @settings(max_examples=150, deadline=None)
+        def branch(trace):
+            seen.add(oracle.response_order(trace, KV))
+
+        branch()
+        assert seen == {"ok", None}
+
+    def test_a_miss_is_all_the_front_end_can_say(self):
+        # ill-formed, invalid, not an interface action: each is a miss,
+        # and what judges it is the search
+        put = ("put", "a", 1)
+        for actions in (
+            [inv("c1", put), inv("c1", ("get", "a"))],
+            [res("c1", put, ("value", None))],
+            [inv("c1", ("frob", "a"))],
+            [inv("c1", put), Switch("c1", 2, put, "v")],
+        ):
+            trace = Trace(actions)
+            monitor = decide(trace, KV)
+            assert monitor.certificate_misses == 1, actions
+            assert "index" in monitor.miss_reason
+            assert check_linearizable(trace, KV).verdict == "violation"
+        # a spec that raises is a miss too, and the monolithic search
+        # decides: an object that accepts what its spec cannot route
+        lax = ADT(
+            "lax_kv", (), lambda state, payload: (state, ("value", None)),
+            lambda payload: True, lambda payload: True,
+            partition=KV.partition,
+        )
+        trace = Trace([inv("c1", ("bogus",)), res("c1", ("bogus",), None)])
+        assert "ValueError" in decide(trace, lax).miss_reason
+        assert check_linearizable(trace, lax).strategy == "monolithic"
+
+
+class TestAWireHistoryIsItsOwnCertificate:
+    """What the off-line deciders' speed rests on: the pipelined plane
+    answers a shard's operations in the order it decided them.  A data
+    plane that reorders responses fails here, not as a decider five
+    times slower."""
+
+    def test_a_recorded_run_certifies_on_every_shard(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        artifact = str(tmp_path / "run.json")
+        report = run_loadgen(
+            replicas=3, clients=16, ops=600, seed=25, shards=2,
+            keys=tuple(f"key{i:02d}" for i in range(12)),
+            wal_root=str(tmp_path / "wal"), artifact=artifact,
+            check=False, emit=SILENT,
+        )
+        assert report.committed == 600
+        shards = load_history(artifact)
+        traces = [Trace(event_action(e) for e in events) for events in shards]
+        assert len(traces) == 2 and all(traces)
+        monkeypatch.setattr(frontier_module, "frontier_step", never_searched)
+        certified = [check_linearizable(trace, KV) for trace in traces]
+        verdict, _, reports = replay_history(shards)
+        assert verdict == "ok"
+        assert [r.certificate_misses for r in reports] == [0, 0]
+        assert [r.frontiers for r in reports] == [0, 0]
+        assert repro_main(["monitor", "--replay", artifact]) == 0
+        assert "searched" not in capsys.readouterr().out
+        monkeypatch.undo()
+        assert certified == [
+            _stream(trace, KV, None, None) for trace in traces
+        ]
+        assert all(check.parts for check in certified)
+
+    def test_a_replay_that_missed_says_it_searched(self, tmp_path, capsys):
+        wave = [recorded(a) for a in TestKnowingTheFuture.waves(n_waves=1)]
+        path = tmp_path / "wave.json"
+        path.write_text(json.dumps({"history": [
+            dict(zip(("kind", "client", "command", "response", "at"), e))
+            for e in wave[:10] + wave[10:][::-1]
+        ]}))
+        assert repro_main(["monitor", "--replay", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "[certificate missed, searched: index 10: 'c9': ('value', 8), "
+            "the log says ('value', None)]"
+        ) in out
+        assert "monitor replay: ok" in out
 
 
 class TestOneWayToBuildALiveMonitor:
