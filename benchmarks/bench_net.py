@@ -18,8 +18,10 @@ On localhost the delay unit is tens of microseconds, so the measured
 ratio is noisier than virtual time's exact 2/3 — but the ordering
 (Quorum < Paxos) must survive the real stack, and the end-to-end
 section shows the same effect on full SMR operations: killing a replica
-forces every slot through Backup and the op latency floor jumps by the
-Quorum timeout plus the extra delay.
+forces every later slot through Backup.  Only the decrees in flight at
+the kill wait out the Quorum timer; the pipeline then presumes the dead
+replica down, so the op latency floor rises by Backup's extra delay,
+not by the timeout.
 
 Run standalone:  python benchmarks/bench_net.py
 """
@@ -160,7 +162,8 @@ def main():
     assert healthy.linearizable and degraded.linearizable
     print(
         "\npaper: the fast path needs 2 message delays; once a replica is"
-        "\ndown, unanimity is impossible and every slot pays Backup's 3"
+        "\ndown, unanimity is impossible and every slot pays Backup's 3,"
+        "\nafter one Quorum timer rather than a timer on every op"
     )
 
 

@@ -17,12 +17,14 @@ the paper's protocol:
   has seen (waiting for at least one accept message if it has none yet).
 
 Quorum is wait-free: a correct client decides or switches at the latest
-when its timer expires (plus at most one message delay).
+when its timer expires (plus at most one message delay).  The timer
+bounds the wait and never enters safety, so a client told which servers
+are *presumed down* switches as the timer would once the rest agree.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Optional, Sequence
+from typing import Any, Callable, Collection, Dict, Hashable, Optional, Sequence
 
 from .sim import Process, Timer
 
@@ -66,6 +68,9 @@ class QuorumClient(Process):
     servers answered with the same value, ``on_switch(switch_value)`` when
     the client transfers its pending invocation to the Backup phase.
     Exactly one of the two fires per proposal.
+
+    ``presumed_down`` names servers a switch need not wait for;
+    ``on_accept(server)`` hears every accept, even after the outcome.
     """
 
     def __init__(
@@ -75,16 +80,21 @@ class QuorumClient(Process):
         on_decide: Callable[[Hashable], None],
         on_switch: Callable[[Hashable], None],
         timeout: float = 6.0,
+        presumed_down: Collection[Hashable] = (),
+        on_accept: Optional[Callable[[Hashable], None]] = None,
     ) -> None:
         super().__init__(pid)
         self.servers = tuple(servers)
         self.on_decide = on_decide
         self.on_switch = on_switch
         self.timeout = timeout
+        self.presumed_down = presumed_down
+        self.on_accept = on_accept
         self.proposal: Optional[Hashable] = None
         self.accepts: Dict[Hashable, Hashable] = {}
         self.done = False
         self.timer: Optional[Timer] = None
+        #: the timer fired before the outcome
         self.timer_expired = False
 
     def propose(self, value: Hashable) -> None:
@@ -107,7 +117,11 @@ class QuorumClient(Process):
             self.on_switch(switch)
 
     def on_message(self, src: Hashable, message: Any) -> None:
-        if self.done or message[0] != "q-accept":
+        if message[0] != "q-accept":
+            return
+        if self.on_accept is not None:
+            self.on_accept(src)
+        if self.done:
             return
         _, value = message
         self.accepts[src] = value
@@ -126,10 +140,18 @@ class QuorumClient(Process):
         if len(self.accepts) == len(self.servers):
             # Identical accepts from all servers: decide.
             self._finish(sorted(seen)[0] if len(seen) == 1 else None, None)
+        elif self.presumed_down and all(
+            server in self.accepts or server in self.presumed_down
+            for server in self.servers
+        ):
+            # All but the presumed-down answered alike: the timer's rule
+            # (a decision would make every server sticky on this value).
+            self._finish(None, value)
 
     def _on_timeout(self) -> None:
         if self.done:
             return
+        self.timer_expired = True
         if self.accepts:
             # Select one accepted value (they are all candidates the
             # Backup phase may safely adopt).
@@ -146,6 +168,5 @@ class QuorumClient(Process):
             # (retransmission supplies the reliable-channel assumption)
             # and keep the timer armed.  The next q-accept to arrive
             # completes the switch.
-            self.timer_expired = True
             self.broadcast(self.servers, ("q-propose", self.proposal))
             self.timer = self.set_timer(self.timeout, self._on_timeout)

@@ -78,7 +78,7 @@ import asyncio
 import heapq
 from collections import deque
 from dataclasses import replace
-from typing import Deque, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.sanitizer import atomic_section
 from ..core.adt import ADT
@@ -264,6 +264,9 @@ class SlotPipeline:
         self.shed = 0
         #: abandoned slots re-claimed for a fresh decree (observability)
         self.reclaimed = 0
+        #: indices of the servers a round's Quorum timer fired without,
+        #: each until it answers again: no round waits for them
+        self.presumed_down: Set[int] = set()
         self._pump_scheduled = False
         #: wire bytes of the frame around a decree, its own excluded
         self._wire_base = len(
@@ -468,6 +471,15 @@ class SlotPipeline:
         def on_switch(switch_value: Hashable) -> None:
             if settled[0]:
                 return
+            # looked up, not closed over: that would make a reference
+            # cycle of every round, left to the garbage collector
+            quorum = self.transport.processes[("qcli", sub)]
+            if quorum.timer_expired:
+                # who missed the deadline is presumed down from now on
+                self.presumed_down.update(
+                    server[2] for server in quorum.servers
+                    if server not in quorum.accepts
+                )
             for entry in group:
                 entry.switched += 1
             backup = BackupClient(
@@ -521,12 +533,19 @@ class SlotPipeline:
             self.queue.extendleft(reversed(live))
             self._pump()
 
+        def heard(server: Hashable) -> None:
+            # an answer, even after the switch, ends the presumption
+            self.presumed_down.discard(server[2])
+
+        down = self.presumed_down
         quorum = QuorumClient(
             ("qcli", sub),
             servers=[("qs", slot, j) for j in range(self.n_servers)],
             on_decide=settle,
             on_switch=on_switch,
             timeout=self.quorum_timeout,
+            presumed_down={("qs", slot, j) for j in down} if down else (),
+            on_accept=heard,
         )
         self.transport.register(quorum)
         op_pids.append(quorum.pid)

@@ -12,6 +12,7 @@ is covered here too, so the two data planes stay behaviourally aligned.
 """
 
 import asyncio
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -46,7 +47,11 @@ from repro.net.pipeline import (
     _decree,
     probing_client,
 )
-from repro.net.transport import AddressBook, AsyncTransport
+from repro.net.transport import (
+    AddressBook,
+    AsyncTransport,
+    RECONNECT_COOLDOWN,
+)
 from repro.net.wal import NodeWAL
 from repro.smr.replica import SpeculativeSMR
 from repro.smr.universal import batch_commands, kv_store_adt, make_batch
@@ -566,6 +571,113 @@ class TestPipelinedLoadgen:
         assert shards == {0, 1}
         for k in keys:
             assert shard_of(k, 2) == shard_of(k, 2)  # deterministic
+
+
+# ---------------------------------------------------------------------------
+# a dead replica costs one Quorum timer, then Backup's three delays
+# ---------------------------------------------------------------------------
+
+
+class TestADeadReplicaCostsOneTimer:
+    """A round whose timer fires without a server's accept marks that
+    server presumed down; later rounds switch to Backup as soon as the
+    others agree, and the server's next answer ends the presumption.
+    The timer is long so that nothing here depends on a fast machine."""
+
+    TIMEOUT = 1.0
+    HEALTHY, DOWN, AFTER = 3, 12, 12
+
+    def _run(self, tmp_path):
+        async def scenario():
+            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            pipeline = SlotPipeline(
+                "main", 3, transport, quorum_timeout=self.TIMEOUT
+            )
+            client = PipelineClient("c0", pipeline, recorder, op_timeout=10.0)
+            seen = []
+
+            async def ops(n):
+                for _ in range(n):
+                    await client.submit(("put", "k", len(client.results)))
+                seen.append(set(pipeline.presumed_down))
+
+            await ops(self.HEALTHY)
+            await cluster.kill(2)
+            await ops(self.DOWN)
+            await cluster.restart(2)
+            # the client transport re-dials a refused endpoint only
+            # after its reconnect cooldown
+            await asyncio.sleep(RECONNECT_COOLDOWN)
+            await ops(self.AFTER)
+            await cluster.stop()
+            return recorder, client.results, seen
+
+        return asyncio.run(scenario())
+
+    def test_kill_then_restart(self, tmp_path):
+        recorder, results, seen = self._run(tmp_path)
+        healthy = results[: self.HEALTHY]
+        down = results[self.HEALTHY : self.HEALTHY + self.DOWN]
+        after = results[self.HEALTHY + self.DOWN :]
+        assert [r.path for r in healthy] == ["fast"] * self.HEALTHY
+        assert seen[0] == set()
+        # only the first decree after the kill waits out the timer...
+        assert down[0].path == "slow" and down[0].latency >= self.TIMEOUT
+        assert seen[1] == {2}
+        # ...every later one switches to Backup at once
+        assert [r.path for r in down[1:]] == ["slow"] * (self.DOWN - 1)
+        assert max(r.latency for r in down[1:]) < self.TIMEOUT / 4
+        # the restarted replica answers, and the fast path resumes
+        first_fast = [r.path for r in after].index("fast")
+        assert first_fast <= 3
+        assert [r.path for r in after[first_fast:]] == ["fast"] * (
+            self.AFTER - first_fast
+        )
+        assert seen[2] == set()
+        assert _check(recorder).ok
+
+    def test_a_healthy_run_marks_nobody_down_and_leaves_no_cycles(self):
+        """Nobody is presumed down, and a round is freed as soon as it
+        is unregistered: a closure holding its own round would leave
+        every decree to the cyclic garbage collector."""
+
+        async def scenario():
+            cluster = LocalCluster(n_servers=3)
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            pipeline = SlotPipeline(
+                "main", 3, transport, quorum_timeout=self.TIMEOUT
+            )
+            clients = [
+                PipelineClient(f"c{i}", pipeline, recorder, op_timeout=10.0)
+                for i in range(4)
+            ]
+
+            async def drive(index, client):
+                for op in range(25):
+                    await client.submit(("put", f"k{index}", op))
+
+            gc.collect()
+            gc.disable()
+            try:
+                await asyncio.gather(
+                    *(drive(i, c) for i, c in enumerate(clients))
+                )
+                cyclic = gc.collect()
+            finally:
+                gc.enable()
+            await cluster.stop()
+            return pipeline, recorder, clients, cyclic
+
+        pipeline, recorder, clients, cyclic = asyncio.run(scenario())
+        assert pipeline.decrees >= 25 and cyclic == 0
+        assert pipeline.presumed_down == set()
+        assert all(r.path == "fast" for c in clients for r in c.results)
+        assert _check(recorder).ok
 
 
 # ---------------------------------------------------------------------------

@@ -146,3 +146,133 @@ class TestInvariantsAndSLin:
         system.run()
         for report in check_first_phase_invariants(system.trace(), 2):
             assert report.ok, report
+
+
+def _deployment(n=3, seed=0, delay=None):
+    """``n`` Quorum servers ``s0..`` on a fresh simulated network."""
+    sim = Simulator(seed=seed)
+    net = Network(sim) if delay is None else Network(sim, delay=delay)
+    servers = [net.register(QuorumServer(f"s{j}")) for j in range(n)]
+    return sim, net, servers
+
+
+def _client(net, pid, servers, outcomes, **kwargs):
+    """A client whose outcome lands in ``outcomes[pid]`` as
+    ``(kind, value, time)``."""
+
+    def report(kind):
+        return lambda value: outcomes.setdefault(
+            pid, (kind, value, net.sim.now)
+        )
+
+    return net.register(
+        QuorumClient(
+            pid,
+            [s.pid for s in servers],
+            report("decide"),
+            report("switch"),
+            **kwargs,
+        )
+    )
+
+
+class TestPresumedDown:
+    """A client told which servers are presumed down applies the timer's
+    switch rule without waiting for the timer."""
+
+    def test_switches_as_soon_as_the_rest_answer_alike(self):
+        sim, net, servers = _deployment()
+        servers[2].crash()
+        outcomes = {}
+        client = _client(
+            net, "c", servers, outcomes, timeout=6.0, presumed_down={"s2"}
+        )
+        client.propose("v")
+        sim.run()
+        # one round trip, not the 6.0 timer
+        assert outcomes["c"] == ("switch", "v", 2.0)
+        assert not client.timer_expired
+
+    def test_the_switch_value_is_a_sticky_value_never_the_own_proposal(self):
+        # c0 decides v' on the fast path; then s2 dies.  A client that
+        # presumes s2 down hears v' from the two present servers and
+        # must carry v' into Backup: s2 may hold v' too, so v' may have
+        # been decided, as it was here.
+        sim, net, servers = _deployment()
+        outcomes = {}
+        _client(net, "c0", servers, outcomes).propose("v'")
+        sim.run()
+        assert outcomes["c0"] == ("decide", "v'", 2.0)
+        servers[2].crash()
+        late = _client(
+            net, "c1", servers, outcomes, presumed_down={"s2"}
+        )
+        late.propose("v")
+        sim.run()
+        assert outcomes["c1"][:2] == ("switch", "v'")
+
+    def test_a_present_server_answering_last_still_gates_the_switch(self):
+        # s0 is presumed down but alive: its accept alone switches
+        # nobody, and once all three answered alike the client decides
+        sim, net, servers = _deployment()
+        outcomes = {}
+        client = _client(
+            net, "c", servers, outcomes, presumed_down={"s0"}
+        )
+        client.propose("v")
+        sim.run()
+        assert outcomes["c"] == ("decide", "v", 2.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_never_decides_without_every_accept(self, seed):
+        # jittered delays, a random crash, random presumptions and three
+        # contending clients: a decision always had all n accepts, and
+        # every switch value agrees with any decision
+        sim, net, servers = _deployment(seed=seed, delay=jitter)
+        rng = sim.rng
+        dead = rng.randrange(4)
+        if dead < 3:
+            net.crash_at(servers[dead].pid, rng.uniform(0.0, 4.0))
+        outcomes = {}
+        clients = []
+        for i in range(3):
+            presumed = {s.pid for s in servers if rng.random() < 0.4}
+            clients.append(
+                _client(
+                    net, f"c{i}", servers, outcomes,
+                    timeout=4.0, presumed_down=presumed,
+                )
+            )
+        for i, client in enumerate(clients):
+            # staggered: some propose after another client decided
+            sim.schedule(
+                rng.uniform(0.0, 4.0),
+                lambda c=client, i=i: c.propose(f"v{i}"),
+            )
+        sim.run()
+        decided = {v for kind, v, _ in outcomes.values() if kind == "decide"}
+        assert len(decided) <= 1
+        for client in clients:
+            kind, value, _ = outcomes[client.pid]
+            if kind == "decide":
+                assert set(client.accepts) == {s.pid for s in servers}
+            else:
+                assert value in {"v0", "v1", "v2"}
+                assert not decided or value in decided
+
+
+class TestAcceptHook:
+    def test_hears_every_accept_even_after_the_outcome(self):
+        sim, net, servers = _deployment()
+        heard = []
+        outcomes = {}
+        client = _client(
+            net, "c", servers, outcomes,
+            presumed_down={"s2"}, on_accept=heard.append,
+        )
+        client.propose("v")
+        sim.run()
+        # the switch came after s0 and s1; s2's answer still reached
+        # the hook, and changed no outcome
+        assert outcomes["c"][0] == "switch"
+        assert heard == ["s0", "s1", "s2"]
