@@ -42,7 +42,7 @@ from repro.core.adt import (  # noqa: E402
     tag_object,
 )
 from repro.core.classical import is_linearizable_classical  # noqa: E402
-from repro.core.fastcheck import is_linearizable_fast  # noqa: E402
+from repro.core.fastcheck import check_linearizable  # noqa: E402
 from repro.core.linearizability import is_linearizable  # noqa: E402
 
 FAMILIES = [
@@ -72,7 +72,7 @@ def census_row(name, adt, inputs, n_traces=120, n_steps=8, seed=0):
     classical_accepts = sum(
         1 for t in traces if is_linearizable_classical(t, adt)
     )
-    fast_accepts = sum(1 for t in traces if is_linearizable_fast(t, adt))
+    fast_accepts = sum(1 for t in traces if check_linearizable(t, adt).ok)
     return {
         "family": name,
         "traces": n_traces,

@@ -14,7 +14,7 @@ Benchmarks:
 * ``pcomp`` — P-compositional vs monolithic checking on traces over a
   3-object system (register + counter + set product).  Reports median
   times, the speedup ratio, and whether every verdict agreed.
-* ``search`` — the optimized monolithic search on a fixed consensus
+* ``search`` — the paper's reference search on a fixed consensus
   trace family, normalized by a pure-Python calibration loop so the
   number is comparable across machines.
 * ``campaign_scaling`` — one nemesis campaign at ``--jobs 1`` vs
@@ -82,7 +82,7 @@ from repro.core.adt import (
     set_adt,
     tag_object,
 )
-from repro.core.fastcheck import COMPOSITIONAL, check_linearizable
+from repro.core.fastcheck import check_linearizable
 from repro.core.linearizability import linearize
 from repro.core.traces import Trace
 from repro.stats import percentile
@@ -285,7 +285,6 @@ def bench_pcomp(quick):
 
     speedups = []
     agreement = True
-    compositional = True
     sizes = []
     mono_medians = []
     comp_medians = []
@@ -294,9 +293,6 @@ def bench_pcomp(quick):
         mono = linearize(trace, adt)
         report = check_linearizable(trace, adt)
         agreement = agreement and (mono.ok == report.ok)
-        compositional = compositional and (
-            report.strategy == COMPOSITIONAL
-        )
         mono_s = _median_seconds(lambda: linearize(trace, adt), repeats)
         comp_s = _median_seconds(
             lambda: check_linearizable(trace, adt), repeats
@@ -314,18 +310,16 @@ def bench_pcomp(quick):
             "median_compositional_s": statistics.median(comp_medians),
             "speedup": statistics.median(speedups),
             "agreement": agreement,
-            "all_compositional": compositional,
         },
         "checks": [
             {"metric": "speedup", "mode": "higher_better", "min": 3.0},
             {"metric": "agreement", "mode": "bool"},
-            {"metric": "all_compositional", "mode": "bool"},
         ],
     }
 
 
 def bench_search(quick):
-    """The optimized monolithic search, calibration-normalized."""
+    """The paper's reference search, calibration-normalized."""
     count = 6 if quick else 12
     adt, traces = consensus_trace_family(
         count, n_clients=5, n_steps=22 if quick else 26

@@ -91,6 +91,16 @@ TABLE: Tuple[Invariant, ...] = (
         why="connections are asyncio.Protocols fed by loop.create_server / "
         "create_connection, not streams with a reader task each",
     ),
+    Invariant(
+        "call", ("linearize", "is_linearizable"), within=("repro/",),
+        allowed=(
+            "repro/core/linearizability.py", "repro/core/composition.py",
+            "repro/core/report.py",
+        ),
+        why="the paper's Defs 5-15 are the reference, coarser than "
+        "Herlihy-Wing on repeated inputs; a recorded history is decided "
+        "by monitor.streaming.decide",
+    ),
 )
 
 

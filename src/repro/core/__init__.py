@@ -52,11 +52,7 @@ from .enumeration import (
     parallel_composition_sweep,
     sweep_composition_scope,
 )
-from .fastcheck import (
-    CheckReport,
-    check_linearizable,
-    is_linearizable_fast,
-)
+from .fastcheck import CheckReport, check_linearizable
 from .invariants import (
     check_first_phase_invariants,
     check_second_phase_invariants,
@@ -146,7 +142,6 @@ __all__ = [
     "inv",
     "is_linearizable",
     "is_linearizable_classical",
-    "is_linearizable_fast",
     "is_phase_wellformed",
     "is_prefix",
     "is_speculatively_linearizable",

@@ -49,10 +49,12 @@ class PartitionSpec:
     ``component(key)`` builds the per-key ADT; ``project_input`` /
     ``project_output`` rewrite payloads for the component's alphabet (for
     a tagged product they strip the object tag).  Any of the callables
-    may raise on payloads outside the declared shape — the engine then
-    falls back to the monolithic checker, so an over-narrow spec costs
-    speed, never soundness.  Attaching a spec is a *semantic claim*:
-    only attach it when the per-key independence genuinely holds.
+    may raise on payloads outside the declared shape — a finished
+    history is then searched again whole, as one partition (what an ADT
+    without a spec gets), and a live monitor says ``unknown``: an
+    over-narrow spec costs speed, never soundness.  Attaching a spec is
+    a *semantic claim*: only attach it when the per-key independence
+    genuinely holds.
     """
 
     key_of: Callable[[Input], Hashable]

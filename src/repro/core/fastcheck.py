@@ -30,14 +30,15 @@ that response refutes (ten puts pending on one key: 986,410
 configurations at the first response untold, one told).  Every verdict
 but ``ok``, and every budget spent, is the search's.
 
-The monolithic search (:func:`~repro.core.linearizability.linearize`,
-the paper's Defs 5-15) decides only what the engine cannot: traces with
-a globally valid event the spec cannot route.  It is not the decider of
-an ADT without a spec, because the paper's definition is coarser than
-Herlihy-Wing when an input repeats: it matches responses to inputs, not
-to operations, and on an order-sensitive object (a queue) accepts
-histories that no legal sequential history explains
-(``tests/test_fastcheck.py::TestRepeatedInputs``).
+A trace with an event the spec cannot route is searched again whole, as
+one partition (key ``None``): what an ADT without a spec always is, and
+sound because P-compositionality holds for every partition, the trivial
+one too.  The paper's Defs 5-15 as a search
+(:func:`~repro.core.linearizability.linearize`) decides no recorded
+history: it matches responses to inputs, not to operations, so when an
+input repeats it is coarser than Herlihy-Wing and on an order-sensitive
+object (a queue) accepts histories that no legal sequential history
+explains (``tests/test_fastcheck.py::TestRepeatedInputs``).
 
 Soundness of the split is exactly the locality theorem: real-time order
 between same-key operations is preserved by projection (projection keeps
@@ -47,11 +48,10 @@ of the product of the components, and the product of linearizable parts
 is linearizable.  Well-formedness is the one thing projections cannot
 police (a client with two pending invocations on different keys is
 ill-formed globally while every projection looks fine), which is why the
-engine tracks it across keys.  The equivalence with the monolithic
-verdict is tested over random multi-object trace families in
-``tests/test_fastcheck.py``, including a non-local mutant ADT that must
-force the fallback, and against every other decider in
-``tests/oracle.py``.
+engine tracks it across keys.  The verdict is held to every other
+decider by ``tests/oracle.py``, over random multi-object and KV trace
+families among others; ``tests/test_fastcheck.py`` adds a non-local
+mutant ADT whose naive per-name split would flip it.
 """
 
 from __future__ import annotations
@@ -61,30 +61,24 @@ from typing import Hashable, Optional, Tuple
 
 from ..monitor.streaming import StreamingMonitor, decide
 from .adt import ADT
-from .linearizability import LinearizationResult, linearize
+from .linearizability import LinearizationResult
 from .traces import Trace
-
-MONOLITHIC = "monolithic"
-COMPOSITIONAL = "compositional"
 
 
 @dataclass(frozen=True)
 class CheckReport:
     """Verdict plus how it was obtained.
 
-    ``strategy`` is :data:`COMPOSITIONAL` when the streaming engine
-    decided (an ADT without a spec being one partition, key ``None``),
-    :data:`MONOLITHIC` otherwise.  ``parts`` lists
-    ``(key, action_count)`` per partition the engine opened (empty for
-    monolithic runs; the engine stops counting at a violation).  A
-    compositional success carries no linearization witness
+    ``parts`` lists ``(key, action_count)`` per partition the engine
+    opened (the engine stops counting at a violation); an ADT without a
+    spec, or a trace its spec cannot route, is one partition, key
+    ``None``.  A success carries no linearization witness
     (``witness is None``) — the frontier folds the decided prefix into
     its states instead of keeping it; the verdict and ``unknown`` flag
     are authoritative.
     """
 
     result: LinearizationResult
-    strategy: str
     parts: Tuple[Tuple[Hashable, int], ...] = ()
 
     @property
@@ -110,12 +104,8 @@ class CheckReport:
         return self.result.ok
 
 
-def _compositional(monitor: StreamingMonitor) -> Optional[CheckReport]:
-    """What ``monitor``, having decided a whole trace, says of it: None
-    when a globally valid event did not fit the partition spec (online
-    that is ``unknown``; this caller still holds the whole trace)."""
-    if monitor.unroutable:
-        return None
+def _compositional(monitor: StreamingMonitor) -> CheckReport:
+    """What ``monitor``, having decided a whole trace, says of it."""
     report = monitor.report()
     return CheckReport(
         result=LinearizationResult(
@@ -123,7 +113,6 @@ def _compositional(monitor: StreamingMonitor) -> Optional[CheckReport]:
             reason=report.reason or "",
             unknown=report.verdict == "unknown",
         ),
-        strategy=COMPOSITIONAL,
         parts=monitor.parts(),
     )
 
@@ -133,7 +122,7 @@ def _stream(
     adt: ADT,
     node_limit: Optional[int],
     state_limit: Optional[int],
-) -> Optional[CheckReport]:
+) -> CheckReport:
     """Decide ``trace`` with the streaming engine, told the future: the
     search alone, with no certificate before it."""
     monitor = StreamingMonitor(
@@ -159,26 +148,6 @@ def check_linearizable(
     the offending key in the reason); if none fails but one spent a
     budget, the verdict is ``unknown`` and the reason names the
     partition.  A trace that does not fit the ADT's partition spec is
-    decided by the monolithic search.
+    searched whole, as one partition.
     """
-    report = _compositional(decide(trace, adt, node_limit, state_limit))
-    if report is not None:
-        return report
-    return CheckReport(
-        result=linearize(
-            trace, adt, node_limit=node_limit, state_limit=state_limit
-        ),
-        strategy=MONOLITHIC,
-    )
-
-
-def is_linearizable_fast(
-    trace: Trace,
-    adt: ADT,
-    node_limit: Optional[int] = None,
-    state_limit: Optional[int] = None,
-) -> bool:
-    """Boolean convenience wrapper around :func:`check_linearizable`."""
-    return check_linearizable(
-        trace, adt, node_limit=node_limit, state_limit=state_limit
-    ).result.ok
+    return _compositional(decide(trace, adt, node_limit, state_limit))

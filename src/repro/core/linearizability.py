@@ -39,7 +39,7 @@ Two artifacts live here:
    (appending its input and checking Explains + Validity) or *interleaves*
    the input of another invocation (e.g. one that remains pending).  The
    search is exponential in the worst case — linearizability checking is
-   NP-hard — but three engine-level optimizations keep it fast far beyond
+   NP-hard — but two engine-level optimizations keep it fast far beyond
    the trace sizes the tests use:
 
    * **incremental counters** — Validity is decided in O(1) per candidate
@@ -49,17 +49,18 @@ Two artifacts live here:
    * **state caching** (Lowe-style) — the memo key is
      ``(ADT state, committed set, consumed-input counts)`` rather than the
      full master history: two masters that are permutations of each other
-     reaching the same ADT state are explored once;
-   * **a cheap pre-pass** (:func:`prepass_reject`) rejects traces that
-     fail locally-checkable necessary conditions — Explains on forced
-     singleton commit histories, and consistency of the must-commit-before
-     order — without entering the exponential search at all.
+     reaching the same ADT state are explored once.
 
-   Search effort is bounded two ways — ``node_limit`` caps the nodes
-   expanded, ``state_limit`` the memo table — and either budget running
-   out makes the checker report ``unknown`` (see
+   ``node_limit`` caps the nodes expanded, and running out of it (or of
+   the interpreter's stack) makes the checker report ``unknown`` (see
    :class:`LinearizationResult`) instead of thrashing: the caller can
    then retry with a bigger budget or treat the run as inconclusive.
+
+   This search is the paper's reference, held to the other deciders by
+   ``tests/oracle.py``.  It decides no recorded history: matching
+   responses to inputs, it is coarser than Herlihy-Wing when an input
+   repeats (DESIGN.md, deviation 8), so those go to
+   :func:`~repro.monitor.streaming.decide`.
 """
 
 from __future__ import annotations
@@ -93,9 +94,10 @@ class LinearizationResult:
     (0-based position in the trace) to its commit history, and ``master``
     is the longest commit history (the full linearization).  On failure
     ``reason`` holds a human-readable explanation.  ``unknown`` is set
-    when the search gave up against a budget (an explicit
-    ``state_limit``, or the interpreter's recursion limit) rather than
-    proving non-linearizability: ``ok`` is False but the verdict is
+    when the search gave up against a budget (a ``node_limit``,
+    :func:`~repro.core.fastcheck.check_linearizable`'s ``state_limit``,
+    or the interpreter's recursion limit) rather than proving
+    non-linearizability: ``ok`` is False but the verdict is
     *inconclusive*, not a violation.
     """
 
@@ -269,80 +271,11 @@ class _SearchContext:
     used: Dict[Input, int] = field(default_factory=dict)
     nodes: int = 0
     node_limit: Optional[int] = None
-    state_limit: Optional[int] = None
 
 
 class _BudgetExceeded(Exception):
-    """Internal: the search outgrew ``node_limit`` or ``state_limit``;
-    the message names which (-> an ``unknown`` result)."""
-
-
-def _must_precede_cycle(
-    responses: Sequence[int], inv_pos: Mapping[int, int]
-) -> Optional[Tuple[int, int]]:
-    """A cycle in the must-commit-before order, or None.
-
-    ``i`` must commit strictly before ``j`` whenever the response at ``i``
-    precedes the invocation answered at ``j`` (the Real-Time Order
-    repair).  For positions extracted from an actual trace this order is
-    acyclic by construction (``inv_pos[i] <= i`` always), so this check
-    is a defensive guard for callers that supply their own pairing — a
-    cycle makes the strict-prefix chain impossible, so the search would
-    otherwise burn its whole budget proving the obvious.
-    """
-    for i in responses:
-        for j in responses:
-            if i != j and i < inv_pos[j] and j < inv_pos[i]:
-                return (i, j)
-    return None
-
-
-def prepass_reject(
-    trace: Trace,
-    adt: ADT,
-    responses: Sequence[int],
-    inv_pos: Mapping[int, int],
-) -> Optional[str]:
-    """Locally-checkable necessary conditions, tried before the search.
-
-    Returns a rejection reason, or None when the trace survives.  Two
-    families of O(n^2)-cheap checks:
-
-    * **Explains on singleton candidates** — a response preceded by
-      exactly one invocation has its commit history forced to the
-      singleton of its own input, so Explains can be decided outright;
-    * **must-commit-before consistency** — the Real-Time Order repair
-      induces a strict order on commit indices; a cycle in it (possible
-      only with a caller-supplied pairing) is rejected without search.
-
-    Both are *necessary* conditions: rejecting here never changes the
-    verdict, it only skips the exponential search.
-    """
-    cycle = _must_precede_cycle(responses, inv_pos)
-    if cycle is not None:
-        i, j = cycle
-        return (
-            f"must-commit-before order has a cycle between responses "
-            f"at {i} and {j}"
-        )
-    invocations_before = 0
-    position_iter = iter(sorted(responses))
-    position = next(position_iter, None)
-    for index, action in enumerate(trace.actions):
-        while position is not None and position == index:
-            if invocations_before == 1:
-                forced = (trace[position].input,)
-                if adt.output(forced) != trace[position].output:
-                    return (
-                        f"forced singleton history at {position} fails "
-                        f"Explains: f({forced!r}) = "
-                        f"{adt.output(forced)!r} but output is "
-                        f"{trace[position].output!r}"
-                    )
-            position = next(position_iter, None)
-        if isinstance(action, Invocation):
-            invocations_before += 1
-    return None
+    """Internal: the search outgrew ``node_limit`` (-> an ``unknown``
+    result)."""
 
 
 def _search(
@@ -362,11 +295,6 @@ def _search(
     if key in ctx.visited:
         return False
     ctx.visited.add(key)
-    if (
-        ctx.state_limit is not None
-        and len(ctx.visited) > ctx.state_limit
-    ):
-        raise _BudgetExceeded(f"the {ctx.state_limit}-state memo budget")
     ctx.nodes += 1
     if ctx.node_limit is not None and ctx.nodes > ctx.node_limit:
         raise _BudgetExceeded(f"the {ctx.node_limit}-node budget")
@@ -451,19 +379,16 @@ def _search(
 
 
 def linearize(
-    trace: Trace,
-    adt: ADT,
-    node_limit: Optional[int] = None,
-    state_limit: Optional[int] = None,
+    trace: Trace, adt: ADT, node_limit: Optional[int] = None
 ) -> LinearizationResult:
     """Search for a linearization function for ``trace`` (Definition 5).
 
     Returns a :class:`LinearizationResult`; on success the witness can be
     re-validated with :func:`check_linearization_function`.  ``node_limit``
-    optionally bounds the nodes the search expands and ``state_limit``
-    its memo table; running out of either returns an ``unknown`` result
-    whose reason names the budget, so callers can treat a blown budget
-    as inconclusive without exception plumbing.
+    optionally bounds the nodes the search expands; running out of it
+    returns an ``unknown`` result whose reason names the budget, so
+    callers can treat a blown budget as inconclusive without exception
+    plumbing.
     A history deeper than the interpreter's recursion limit is the same
     kind of ``unknown``, never a ``RecursionError``.
 
@@ -492,22 +417,16 @@ def linearize(
     if not responses:
         return LinearizationResult(True, witness={}, master=())
 
-    inv_pos = invocation_positions(trace)
-    reason = prepass_reject(trace, adt, responses, inv_pos)
-    if reason is not None:
-        return LinearizationResult(False, reason=f"pre-pass: {reason}")
-
     ctx = _SearchContext(
         trace=trace,
         responses=responses,
-        inv_pos=inv_pos,
+        inv_pos=invocation_positions(trace),
         inv_positions={
             payload: tuple(indices)
             for payload, indices in inv_positions.items()
         },
         step=adt.step,
         node_limit=node_limit,
-        state_limit=state_limit,
     )
     try:
         found = _search(ctx, (), adt.initial_state, frozenset(), -1)
@@ -555,7 +474,7 @@ FrontierConfig = Tuple[Hashable, FrozenSet[Tuple[Hashable, Hashable]]]
 class FrontierBudgetExceeded(Exception):
     """A single :func:`frontier_step` outgrew its node budget.
 
-    The streaming analogue of ``state_limit``: callers treat it as an
+    The streaming analogue of ``node_limit``: callers treat it as an
     *unknown* verdict (the monitor degrades instead of thrashing), never
     as a violation.
     """
@@ -674,15 +593,10 @@ def frontier_step(
 
 
 def is_linearizable(
-    trace: Trace,
-    adt: ADT,
-    node_limit: Optional[int] = None,
-    state_limit: Optional[int] = None,
+    trace: Trace, adt: ADT, node_limit: Optional[int] = None
 ) -> bool:
     """Boolean convenience wrapper around :func:`linearize`."""
-    return linearize(
-        trace, adt, node_limit=node_limit, state_limit=state_limit
-    ).ok
+    return linearize(trace, adt, node_limit=node_limit).ok
 
 
 def lin_trace_property_contains(trace: Trace, adt: ADT) -> bool:

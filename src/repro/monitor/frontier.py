@@ -217,9 +217,9 @@ class KeyFrontier:
         """Drop an open operation without checking it (and degrade).
 
         Used when a response cannot be projected into this key's
-        alphabet: the monitor cannot fall back to a monolithic check
-        mid-stream (the prefix is garbage-collected), so the honest
-        verdict is *unknown*, not a guess.
+        alphabet: a live monitor cannot search the history again as one
+        partition mid-stream (the prefix is garbage-collected), so the
+        honest verdict is *unknown*, not a guess.
         """
         self.events += 1
         self.open_inputs.pop(op_id, None)

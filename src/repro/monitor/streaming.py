@@ -13,15 +13,16 @@ maintains, at every instant, a three-way verdict on the history so far:
 It is also the engine behind the post-hoc verdict:
 :func:`repro.core.fastcheck.check_linearizable` feeds a finished trace
 through this class, so the two cannot drift apart — what they are
-checked against is the monolithic search, the classical checker and a
-brute-force reference (``tests/oracle.py``).  The post-hoc caller adds
-one thing, the recorded response of every operation (``observe``'s
-``answer``); a live monitor has no future to be told.  What it can be
-told is the past: built with the recorder's ``history``, it checks the
-decided log as a certificate (``lin`` events, :meth:`StreamingMonitor.
-feed`) in O(1) per event, which can only say ``ok``, and becomes the
-searching engine at the first *miss* (docs/MONITORING.md §7).  A
-finished history is its own, checked by the same code in response order
+checked against is the classical checker, a brute-force Herlihy-Wing
+and the paper's definition (``tests/oracle.py``); no recorded history
+is decided by that definition.  The post-hoc caller adds one thing,
+the recorded response of every operation (``observe``'s ``answer``);
+a live monitor has no future to be told.  What it can be told is the
+past: built with the recorder's ``history``, it checks the decided log
+as a certificate (``lin`` events, :meth:`StreamingMonitor.feed`) in
+O(1) per event, which can only say ``ok``, and becomes the searching
+engine at the first *miss* (docs/MONITORING.md §7).  A finished
+history is its own, checked by the same code in response order
 (:func:`decide`).
 
 * **Global well-formedness** is tracked at the monitor level — one open
@@ -30,19 +31,19 @@ finished history is its own, checked by the same code in response order
   pending invocations on different keys looks fine per key).
 * **Globally invalid inputs** (``adt.is_input`` false on the raw
   payload) are a violation at the event that carries them, matching the
-  monolithic checker's invalid-input rejection — this check runs
+  reference search's invalid-input rejection — this check runs
   *before* key routing, because an invalid payload is typically also
   unroutable.
 * **Per-key frontiers** (:class:`~repro.monitor.frontier.KeyFrontier`)
   do the incremental search, one per partition key via
   :meth:`repro.core.adt.PartitionSpec.route`; without a partition spec a
-  single monolithic frontier watches everything.
+  single frontier, key None, watches everything.
 * **Routing failures on globally-valid events** degrade the verdict to
   ``unknown`` and set :attr:`StreamingMonitor.unroutable`.  Online that
-  is all that can be said — the prefix has been garbage collected; the
-  post-hoc caller still holds the whole trace and falls back to the
-  monolithic search on it.  ``unknown`` never masks a violation:
-  violation dominates.
+  is all that can be said — the prefix has been garbage collected; a
+  finished history (:meth:`StreamingMonitor.tell`) is searched again
+  whole, as the one partition an object without a spec is.  ``unknown``
+  never masks a violation: violation dominates.
 
 Composition across shards (one monitor per shard in the pipelined data
 plane) is :func:`compose_verdicts` — the same conjunction `loadgen`
@@ -77,6 +78,14 @@ UNROUTABLE = ("unroutable",)
 
 #: the output of an open operation no ``lin`` event has reached yet
 _UNCLAIMED = object()
+
+
+def _one_partition(adt: ADT) -> PartitionSpec:
+    """``adt`` as its own one partition, key None: it routes every
+    payload, and the component is the whole object."""
+    return PartitionSpec(
+        key_of=lambda payload: None, component=lambda key: adt
+    )
 
 
 def event_action(event: Tuple) -> Any:
@@ -138,28 +147,11 @@ class StreamingMonitor:
         history: Optional[list] = None,
     ) -> None:
         self.adt = adt
-        #: an object without a spec is its own one partition, key None
-        self.spec = adt.partition or PartitionSpec(
-            key_of=lambda payload: None, component=lambda key: adt
-        )
         self.node_limit = node_limit
         self.config_limit = config_limit
         self.on_violation = on_violation
-        self.gauge = RetainedGauge()
-        self.frontiers: Dict[Hashable, KeyFrontier] = {}
-        #: client -> (raw input, op id, partition key, projected input)
-        #: of its open invocation; key ``UNROUTABLE`` = not being checked
-        self._open: Dict[Hashable, Tuple[Any, int, Hashable, Any]] = {}
-        self._op_counter = 0
-        self.events = 0
-        self.status = OK
-        self.reason: Optional[str] = None
-        self.degraded = False
-        #: a globally valid event did not fit the partition spec: what a
-        #: caller that still holds the whole trace falls back on
-        self.unroutable = False
-        self.violation_key: Optional[Hashable] = None
-        self.witness: Optional[Dict[str, Any]] = None
+        #: an object without a spec is its own one partition, key None
+        self._start(adt.partition or _one_partition(adt))
         #: the recorder's own list: with it :meth:`feed` checks certificates
         #: and reads it only after a miss; without, this is the frontier engine
         self._history = history
@@ -173,6 +165,25 @@ class StreamingMonitor:
         self._cells: Dict[Hashable, list] = {}
         self._counts: Dict[Hashable, int] = {}
         self._next_slot = self._released = 0
+
+    def _start(self, spec: PartitionSpec) -> None:
+        """An empty search over ``spec``'s partitions."""
+        self.spec = spec
+        self.gauge = RetainedGauge()
+        self.frontiers: Dict[Hashable, KeyFrontier] = {}
+        #: client -> (raw input, op id, partition key, projected input)
+        #: of its open invocation; key ``UNROUTABLE`` = not being checked
+        self._open: Dict[Hashable, Tuple[Any, int, Hashable, Any]] = {}
+        self._op_counter = 0
+        self.events = 0
+        self.status = OK
+        self.reason: Optional[str] = None
+        self.degraded = False
+        #: a globally valid event did not fit the partition spec: a
+        #: finished history is searched again as one partition
+        self.unroutable = False
+        self.violation_key: Optional[Hashable] = None
+        self.witness: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     # event intake
@@ -314,9 +325,10 @@ class StreamingMonitor:
         the :class:`Response` answering it later in ``actions``, else
         ``unanswered`` (:data:`NEVER_ANSWERED` when finished, None for a
         live prefix whose open operations may yet answer), paired only
-        as a well-formed history pairs them.  A finished history stops
-        at the first event the partition spec cannot route (``unknown``
-        from there; a caller holding it has the monolithic search)."""
+        as a well-formed history pairs them.  A finished history that
+        meets an event the partition spec cannot route is searched again
+        whole, as one partition: P-compositionality holds for every
+        partition, the trivial one too."""
         answers: Dict[int, Any] = {}
         open_at: Dict[Hashable, int] = {}
         for index, action in enumerate(actions):
@@ -330,6 +342,8 @@ class StreamingMonitor:
         for index, action in enumerate(actions):
             self.observe(action, answers.get(index))
             if self.unroutable and unanswered is NEVER_ANSWERED:
+                self._start(_one_partition(self.adt))  # routes everything
+                self.tell(actions)
                 return
 
     def observe(self, action: Any, answer: Any = None) -> None:
@@ -352,7 +366,7 @@ class StreamingMonitor:
             self._observe_response(action, index)
         else:
             # anything else (switch actions, garbage) is ill-formed at
-            # the interface; the monolithic checker rejects it the same way
+            # the interface; the reference search rejects it the same way
             self._fail("trace is not well-formed")
 
     def _observe_invocation(
@@ -470,8 +484,8 @@ class StreamingMonitor:
         return frontier
 
     def _of_partition(self, key: Hashable, reason: Optional[str]) -> str:
-        if self.adt.partition is None:
-            return reason
+        if self.spec is not self.adt.partition:
+            return reason  # one partition: the whole object
         return f"partition {key!r}: {reason}"
 
     def _unroutable(self, index: int) -> None:

@@ -99,10 +99,9 @@ def budgeted_tap(
 class RunReport:
     """What every live run reports, filled by :meth:`LiveRun.fill`."""
 
-    #: the post-hoc checker's composed verdict, how it was obtained, and
-    #: why it is not ``linearizable`` when it is not
+    #: the post-hoc checker's composed verdict, and why it is not
+    #: ``linearizable`` when it is not
     verdict: str = "unknown"
-    strategy: str = ""
     reason: Optional[str] = None
     committed: int = 0
     pending: int = 0
@@ -228,7 +227,6 @@ class LiveRun:
         word = {"ok": "linearizable"}  # what artifacts call a post-hoc ok
         composed, reason = compose_verdicts(checks)
         report.verdict = word.get(composed, composed)
-        report.strategy = checks[0].strategy
         # a violation's reason wins; an unknown keeps one the caller
         # already gave (the campaign's exceeded wall-clock budget)
         if composed == "violation" or not report.reason:
@@ -362,8 +360,6 @@ class LoadReport(RunReport):
                 )
             lines.append(monitor_line)
         verdict = f"  history: {self.verdict}"
-        if self.strategy:
-            verdict += f" ({self.strategy})"
         if self.reason:
             verdict += f" -- {self.reason}"
         if self.shard_verdicts:

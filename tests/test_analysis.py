@@ -250,6 +250,7 @@ BAD_SNIPPETS = [
         "from ..core.fastcheck import check_linearizable\n",
         "repro/monitor/streaming.py",
     ),
+    ("RD09", "verdict = linearize(trace, adt)\n", "repro/core/fastcheck.py"),
 ]
 
 
@@ -392,6 +393,7 @@ GOOD_SNIPPETS = [
     ("from ..net.codec import Packed\n", "repro/smr/sessions.py"),
     ("from ..net import TransportFaults\n", "repro/faults/nemesis.py"),
     ("from ..core.adt import ADT\n", "repro/monitor/streaming.py"),
+    ("verdict = linearize_classical(trace, adt)\n", "repro/net/loadgen.py"),
     (
         "async def settle(tasks):\n    return await asyncio.wait(tasks)\n",
         "repro/faults/netcampaign.py",

@@ -1,19 +1,20 @@
-"""P-compositional checking agrees with the monolithic search.
+"""P-compositional checking agrees with every other decider.
 
 The fast path of :mod:`repro.core.fastcheck` decomposes traces per
 partition key (object name for products, map key for the KV store) and
 checks projections independently — sound by the locality theorem.
-These tests pin the engine to the monolithic verdict over random
-multi-object trace families, exercise the KV-store partition, force the
-monolithic fallback with a *non-local* mutant ADT whose objects secretly
-share state, and cover the budget/pre-pass plumbing of the optimized
-search itself.
+These tests hold the engine to the differential oracle over random
+multi-object and KV trace families, exercise the KV-store partition,
+keep a *non-local* mutant ADT whose objects secretly share state whole,
+search a trace its spec cannot route as one partition, and cover the
+budget plumbing of the engine and of the paper's reference search.
 """
 
 import random
 
 import pytest
 
+from oracle import assert_deciders_agree
 from repro.core.actions import Invocation, Response, Switch
 from repro.core.adt import (
     ADT,
@@ -26,19 +27,8 @@ from repro.core.adt import (
     set_adt,
     tag_object,
 )
-from repro.core.fastcheck import (
-    COMPOSITIONAL,
-    CheckReport,
-    MONOLITHIC,
-    _stream,
-    check_linearizable,
-    is_linearizable_fast,
-)
-from repro.core.linearizability import (
-    _must_precede_cycle,
-    linearize,
-    prepass_reject,
-)
+from repro.core.fastcheck import CheckReport, _stream, check_linearizable
+from repro.core.linearizability import linearize
 from repro.core.traces import Trace
 from repro.smr.universal import (
     kv_cell_adt,
@@ -106,21 +96,13 @@ class TestProductAgreement:
         )
         inputs = product_inputs()
         rng = random.Random(42)
-        compositional_runs = 0
-        negatives = 0
-        for _ in range(200):
-            trace = random_trace(rng, adt, inputs)
-            mono = linearize(trace, adt)
-            report = check_linearizable(trace, adt)
-            assert mono.ok == report.ok, (trace, mono, report)
-            if report.strategy == COMPOSITIONAL:
-                compositional_runs += 1
-            if not mono.ok:
-                negatives += 1
-        # The family must actually exercise the fast path and contain
-        # genuine negatives, or the agreement above proves nothing.
-        assert compositional_runs > 150
-        assert negatives > 10
+        verdicts = [
+            assert_deciders_agree(random_trace(rng, adt, inputs), adt)
+            for _ in range(200)
+        ]
+        # the family must contain genuine negatives, or the agreement
+        # above proves nothing
+        assert verdicts.count("violation") > 10
 
     def test_parts_reported(self):
         adt = product_adt({"reg": register_adt(), "cnt": counter_adt()})
@@ -140,7 +122,6 @@ class TestProductAgreement:
         )
         report = check_linearizable(trace, adt)
         assert report.ok
-        assert report.strategy == COMPOSITIONAL
         assert dict(report.parts) == {"reg": 2, "cnt": 2}
 
 
@@ -156,11 +137,13 @@ class TestKVPartition:
             kv_get("b"),
         ]
         rng = random.Random(9)
-        for _ in range(200):
-            trace = random_trace(rng, adt, inputs, n_steps=8)
-            mono = linearize(trace, adt)
-            report = check_linearizable(trace, adt)
-            assert mono.ok == report.ok, (trace, mono, report)
+        verdicts = [
+            assert_deciders_agree(
+                random_trace(rng, adt, inputs, n_steps=8), adt
+            )
+            for _ in range(200)
+        ]
+        assert verdicts.count("violation") > 10
 
     def test_cell_component_matches_store_outputs(self):
         cell = kv_cell_adt("k")
@@ -249,7 +232,6 @@ class TestNonLocalMutantFallback:
         adt = linked_registers_adt()
         trace = self.trace_write_x_read_y()
         report = check_linearizable(trace, adt)
-        assert report.strategy == COMPOSITIONAL
         assert report.parts == ((None, len(trace)),)
         # Linearizable for the linked semantics: the write to x set y.
         assert report.verdict == "ok"
@@ -276,7 +258,7 @@ class TestNonLocalMutantFallback:
         trace = self.trace_write_x_read_y()
         assert linearize(trace, adt).ok
         report = check_linearizable(trace, naive)
-        assert report.strategy == COMPOSITIONAL
+        assert {key for key, _ in report.parts} == {"x", "y"}
         assert not report.ok  # projection of y sees read(1) from nowhere
 
 
@@ -315,7 +297,65 @@ class TestRepeatedInputs:
         assert not linearize_classical(trace, queue_adt()).ok
         report = check_linearizable(trace, queue_adt())
         assert report.verdict == "violation"
-        assert report.strategy == COMPOSITIONAL
+        assert report.parts == ((None, 6),)
+
+    def test_an_unroutable_event_buys_no_coarser_verdict(self):
+        """The history above as the queue ``"q"`` of a product that also
+        takes a global no-op its spec cannot route, invoked first.  The
+        engine searches the whole history as one partition and says
+        what Herlihy-Wing says; the paper's definition, which decided
+        every such history once, still accepts it."""
+        from repro.core.adt import EMPTY, deq, enq, queue_adt
+        from repro.core.classical import linearize_classical
+        from repro.monitor.streaming import decide
+
+        sync = ("sync",)
+        product = product_adt({"q": queue_adt()})
+
+        def transition(state, payload):
+            if payload == sync:
+                return state, ("ok",)
+            return product.transition(state, payload)
+
+        adt = ADT(
+            "queue_and_sync",
+            product.initial_state,
+            transition,
+            lambda payload: payload == sync or product.is_input(payload),
+            lambda payload: payload == ("ok",) or product.is_output(payload),
+            partition=product.partition,
+        )
+        with pytest.raises(ValueError):
+            adt.partition.route(sync)
+
+        def inv(client, payload):
+            return Invocation(client, 1, ("q", payload))
+
+        def res(client, payload, output):
+            return Response(client, 1, ("q", payload), ("q", output))
+
+        trace = Trace(
+            [
+                Invocation("s", 1, sync),
+                Response("s", 1, sync, ("ok",)),
+                inv("c1", deq()),
+                inv("c0", deq()),
+                inv("c2", enq(2)),
+                res("c2", enq(2), ("ok",)),
+                inv("c2", enq(1)),
+                res("c0", deq(), ("value", 1)),
+                inv("c0", deq()),
+                res("c1", deq(), EMPTY),
+            ]
+        )
+        assert linearize(trace, adt).ok
+        assert not linearize_classical(trace, adt).ok
+        report = check_linearizable(trace, adt)
+        assert report.verdict == "violation"
+        assert report.parts == ((None, 8),)
+        assert decide(trace, adt).report().verdict == "violation"
+        assert _stream(trace, adt, None, None).verdict == "violation"
+        assert assert_deciders_agree(trace, adt) == "violation"
 
 
 class TestPartitionTrace:
@@ -344,7 +384,7 @@ class TestPartitionTrace:
         assert report.result.reason == "invalid ADT input at index 0"
         assert report.result.reason == linearize(trace, kv_store_adt()).reason
         # ...and an ADT that accepts what its spec cannot route is
-        # decided by the monolithic search over the whole trace
+        # searched whole, as one partition
         lax = ADT(
             "lax_kv",
             (),
@@ -362,8 +402,7 @@ class TestPartitionTrace:
             ]
         )
         report = check_linearizable(trace, lax)
-        assert report.ok and report.strategy == MONOLITHIC
-        assert report.parts == ()
+        assert report.ok and report.parts == ((None, 4),)
 
     def test_projection_preserves_per_key_order(self):
         trace = Trace(
@@ -375,8 +414,7 @@ class TestPartitionTrace:
             ]
         )
         report = check_linearizable(trace, kv_store_adt())
-        assert report.ok and report.strategy == COMPOSITIONAL
-        assert report.parts == (("a", 2), ("b", 2))
+        assert report.ok and report.parts == (("a", 2), ("b", 2))
         # order within a key is kept: swap a's two events and the
         # response precedes its invocation
         actions = list(trace.actions)
@@ -399,13 +437,6 @@ class TestBudgets:
         ]
         actions.append(Response("r", 1, reg_read(), ("value", "never")))
         return adt, Trace(actions)
-
-    def test_state_limit_returns_unknown(self):
-        adt, trace = self.concurrent_corrupt_trace()
-        verdict = linearize(trace, adt, state_limit=10)
-        assert not verdict.ok
-        assert verdict.unknown
-        assert "state memo budget" in verdict.reason
 
     def test_unlimited_search_settles_it(self):
         adt, trace = self.concurrent_corrupt_trace(n_clients=5)
@@ -432,24 +463,15 @@ class TestBudgets:
         actions.append(Response("r", 1, kv_get("a"), ("value", "bogus")))
         return Trace(actions)
 
-    def test_compositional_unknown_is_reported(self):
-        """Eight puts all answered with a value nobody wrote: the
-        reference search spends a 5-state memo before it can refute
-        them, and says ``unknown``..."""
-        trace = self.bogus_burst()
-        verdict = linearize(trace, kv_store_adt(), state_limit=5)
-        assert verdict.unknown and not verdict.ok
-        assert "state memo budget" in verdict.reason
-
     def test_bogus_burst_is_a_violation_naming_the_partition(self):
-        """...while the engine, told every recorded response, never
-        creates a configuration the history refutes: the first response
-        empties the frontier within the same budget."""
+        """Eight puts all answered with a value nobody wrote: the
+        engine, told every recorded response, never creates a
+        configuration the history refutes, so the first response
+        empties the frontier within a 5-configuration budget."""
         report = check_linearizable(
             self.bogus_burst(), kv_store_adt(), state_limit=5
         )
         assert not report.ok and not report.unknown
-        assert report.strategy == COMPOSITIONAL
         assert report.result.reason.startswith("partition 'a': ")
         assert not linearize(self.bogus_burst(), kv_store_adt()).ok
 
@@ -504,13 +526,11 @@ class TestBudgets:
     def test_history_deeper_than_the_stack_is_a_typed_unknown(self):
         """The reference DFS recurses once per linearized op, so a
         1200-op sequential single-key history outruns the interpreter's
-        stack long before any memo budget: that is an ``unknown`` with a
-        reason, never a ``RecursionError`` (600 ops still decide)."""
+        stack: that is an ``unknown`` with a reason, never a
+        ``RecursionError`` (600 ops still decide)."""
         adt = kv_store_adt()
         assert linearize(self.sequential_single_key_history(600), adt).ok
-        verdict = linearize(
-            self.sequential_single_key_history(1200), adt, state_limit=10_000
-        )
+        verdict = linearize(self.sequential_single_key_history(1200), adt)
         assert verdict.unknown and not verdict.ok
         assert "recursion limit" in verdict.reason
 
@@ -534,40 +554,7 @@ class TestBudgets:
 
 
 class TestPrepass:
-    def test_singleton_explains_rejection(self):
-        adt = register_adt()
-        trace = Trace(
-            [
-                Invocation("c1", 1, reg_read()),
-                Response("c1", 1, reg_read(), ("value", "ghost")),
-            ]
-        )
-        verdict = linearize(trace, adt)
-        assert not verdict.ok
-        assert verdict.reason.startswith("pre-pass:")
-
-    def test_prepass_reject_helper(self):
-        adt = register_adt()
-        trace = Trace(
-            [
-                Invocation("c1", 1, reg_read()),
-                Response("c1", 1, reg_read(), ("value", "ghost")),
-            ]
-        )
-        reason = prepass_reject(trace, adt, responses=[1], inv_pos={1: 0})
-        assert reason is not None
-        assert "Explains" in reason
-
-    def test_must_precede_cycle_helper(self):
-        # Directly drive the defensive cycle check with a caller-supplied
-        # pairing: responses at 2 and 3 each claim an invocation *after*
-        # the other's response, which no commit order can satisfy.
-        cycle = _must_precede_cycle(responses=(2, 3), inv_pos={2: 5, 3: 4})
-        assert cycle is not None
-        acyclic = _must_precede_cycle(
-            responses=(1, 3), inv_pos={1: 0, 3: 2}
-        )
-        assert acyclic is None
+    """What the reference search rejects before it searches."""
 
     def test_invalid_invocation_input_is_clean_false(self):
         adt = register_adt()
@@ -590,4 +577,3 @@ class TestReportShape:
         assert isinstance(report, CheckReport)
         assert bool(report)
         assert report.ok and not report.unknown
-        assert is_linearizable_fast(trace, adt)

@@ -17,7 +17,7 @@ cell has no partition spec and is the engine's one partition):
 """
 
 from repro.core.actions import Invocation, Response
-from repro.core.fastcheck import COMPOSITIONAL, check_linearizable
+from repro.core.fastcheck import check_linearizable
 from repro.core.traces import Trace
 from repro.smr.universal import kv_cell_adt, kv_get, kv_put, kv_store_adt
 
@@ -45,7 +45,7 @@ class TestPendingKVStore:
         )
         report = check_linearizable(trace, kv_store_adt())
         assert report.ok
-        assert report.strategy == COMPOSITIONAL
+        assert report.parts == (("x", 3),)
 
     def test_pending_write_whose_effect_never_happened(self):
         # Same pending put, but the read sees the key absent: legal —
@@ -96,7 +96,6 @@ class TestPendingKVStore:
         )
         report = check_linearizable(trace, kv_store_adt())
         assert report.ok
-        assert report.strategy == COMPOSITIONAL
         assert {key for key, _ in report.parts} == {"x", "y"}
 
     def test_pending_then_poisoned_client_issues_nothing_else(self):
@@ -139,7 +138,6 @@ class TestPendingMonolithic:
         )
         report = check_linearizable(trace, kv_cell_adt("x"))
         assert report.verdict == "ok"
-        assert report.strategy == COMPOSITIONAL
         assert report.parts == ((None, 3),)
 
     def test_pending_write_invisible(self):
@@ -152,7 +150,6 @@ class TestPendingMonolithic:
         )
         report = check_linearizable(trace, kv_cell_adt("x"))
         assert report.verdict == "ok"
-        assert report.strategy == COMPOSITIONAL
         assert report.parts == ((None, 3),)
 
     def test_unexplained_output_still_fails(self):
