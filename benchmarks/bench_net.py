@@ -18,10 +18,11 @@ On localhost the delay unit is tens of microseconds, so the measured
 ratio is noisier than virtual time's exact 2/3 — but the ordering
 (Quorum < Paxos) must survive the real stack, and the end-to-end
 section shows the same effect on full SMR operations: killing a replica
-forces every later slot through Backup.  Only the decrees in flight at
-the kill wait out the Quorum timer; the pipeline then presumes the dead
-replica down, so the op latency floor rises by Backup's extra delay,
-not by the timeout.
+forces every later slot through Backup.  The dead replica's connections
+close at the kill, so the pipeline presumes it down at once: the
+decrees in flight switch as soon as the live replicas agree, no decree
+waits out the Quorum timer, and the op latency floor rises by Backup's
+extra delay, not by the timeout.
 
 Run standalone:  python benchmarks/bench_net.py
 """
@@ -163,7 +164,7 @@ def main():
     print(
         "\npaper: the fast path needs 2 message delays; once a replica is"
         "\ndown, unanimity is impossible and every slot pays Backup's 3,"
-        "\nafter one Quorum timer rather than a timer on every op"
+        "\nand none waits out the Quorum timer: its connections closed"
     )
 
 

@@ -13,8 +13,9 @@ binds).  This experiment measures the restart side:
   (the crash-mid-append case) must replay everything before the tear;
 * **restart throughput dip** — a live 3-replica cluster under
   closed-loop load has one replica killed and restarted from its WAL;
-  throughput dips while unanimity is impossible (one Quorum timer, then
-  every slot pays the Backup path) and recovers after the restart, once
+  throughput dips while unanimity is impossible (no Quorum timer: its
+  connections close, so every slot pays the Backup path at once) and
+  recovers after the restart, once
   the restarted replica's answers end the client's presumption that it
   is down, with the whole history still linearizable.
 
@@ -222,7 +223,7 @@ def main():
     assert dip["linearizable"]
     print(
         "\npaper: with a replica down every slot pays Backup's 3 delays"
-        "\n(the Quorum timer only once); the WAL restart restores"
+        "\n(never the Quorum timer); the WAL restart restores"
         "\nunanimity and the fast path returns when the replica answers"
     )
 

@@ -69,7 +69,8 @@ class QuorumClient(Process):
     the client transfers its pending invocation to the Backup phase.
     Exactly one of the two fires per proposal.
 
-    ``presumed_down`` names servers a switch need not wait for;
+    ``presumed_down`` names servers a switch need not wait for, and
+    :meth:`presume_down` adds one while the round is in flight;
     ``on_accept(server)`` hears every accept, even after the outcome.
     """
 
@@ -140,13 +141,25 @@ class QuorumClient(Process):
         if len(self.accepts) == len(self.servers):
             # Identical accepts from all servers: decide.
             self._finish(sorted(seen)[0] if len(seen) == 1 else None, None)
-        elif self.presumed_down and all(
+        elif self.presumed_down:
+            self._switch_without_the_down()
+
+    def presume_down(self, server: Hashable) -> None:
+        """Presume ``server`` down from now on, and switch at once if
+        every other server has already answered alike."""
+        if self.done or server in self.presumed_down:
+            return
+        self.presumed_down = {*self.presumed_down, server}
+        self._switch_without_the_down()
+
+    def _switch_without_the_down(self) -> None:
+        # All but the presumed-down answered alike (or none yet: wait):
+        # the timer's rule, as a decision makes every server sticky.
+        if self.accepts and all(
             server in self.accepts or server in self.presumed_down
             for server in self.servers
         ):
-            # All but the presumed-down answered alike: the timer's rule
-            # (a decision would make every server sticky on this value).
-            self._finish(None, value)
+            self._finish(None, next(iter(self.accepts.values())))
 
     def _on_timeout(self) -> None:
         if self.done:

@@ -97,7 +97,7 @@ from .client import (
 )
 from .codec import BINARY_CODEC, JSON_CODEC, MAX_FRAME, Packed, tuple_body
 from .overload import CircuitBreaker, Overloaded
-from .transport import AsyncTransport
+from .transport import AsyncTransport, endpoint_of_pid
 
 #: default number of decrees kept in flight
 DEFAULT_WINDOW = 8
@@ -264,9 +264,13 @@ class SlotPipeline:
         self.shed = 0
         #: abandoned slots re-claimed for a fresh decree (observability)
         self.reclaimed = 0
-        #: indices of the servers a round's Quorum timer fired without,
-        #: each until it answers again: no round waits for them
+        #: indices of the servers whose connection closed or a round's
+        #: timer fired without, each until it answers again
         self.presumed_down: Set[int] = set()
+        self._server_index = {
+            endpoint_of_pid(("qs", 0, j)): j for j in range(n_servers)
+        }
+        transport.unreachable_listeners.append(self._unreachable)
         self._pump_scheduled = False
         #: wire bytes of the frame around a decree, its own excluded
         self._wire_base = len(
@@ -484,9 +488,11 @@ class SlotPipeline:
                 entry.switched += 1
             backup = BackupClient(
                 ("bcli", sub),
-                coordinators=[
-                    ("coord", slot, j) for j in range(self.n_servers)
-                ],
+                # Paxos is safe whichever coordinator is asked: a live
+                # one pays phase 1, a dead one the retry backoff
+                coordinators=[("coord", slot, j) for j in sorted(
+                    range(self.n_servers), key=self.presumed_down.__contains__
+                )],
                 n_acceptors=self.n_servers,
                 on_decide=settle,
                 backoff=self.backoff,
@@ -550,6 +556,19 @@ class SlotPipeline:
         self.transport.register(quorum)
         op_pids.append(quorum.pid)
         quorum.propose(value)
+
+    def _unreachable(self, endpoint: str) -> None:
+        """The transport lost ``endpoint``: if it is one of this group's
+        servers, presume it down, and let every round in flight switch
+        without it (never decide: the hint may be wrong)."""
+        j = self._server_index.get(endpoint)
+        if j is None:
+            return
+        self.presumed_down.add(j)
+        for slot in list(self.in_flight):
+            quorum = self.transport.processes.get(("qcli", (self.name, slot)))
+            if quorum is not None:
+                quorum.presume_down(("qs", slot, j))
 
     # ------------------------------------------------------------------
     # applying the decided prefix

@@ -220,6 +220,8 @@ class AsyncTransport:
         self._routes: "OrderedDict[Hashable, _Route]" = OrderedDict()
         #: every open connection, dialled or accepted
         self._connections: Set[asyncio.Transport] = set()
+        #: told each endpoint that looks unreachable (:meth:`_unreachable`)
+        self.unreachable_listeners: List[Callable[[str], None]] = []
 
     # ------------------------------------------------------------------
     # the substrate port
@@ -362,6 +364,7 @@ class AsyncTransport:
             if peer.writer.is_closing():
                 peer.writer = None
                 peer.dead_until = self.now + RECONNECT_COOLDOWN
+                self._unreachable(dst_ep)
             else:
                 self._write(peer.writer, frame, link)
                 return
@@ -378,7 +381,9 @@ class AsyncTransport:
     async def _connect(self, dst_ep: str, peer: _Peer) -> None:
         address = self.book.lookup(dst_ep)
         if address is None:
-            self._drop_queue(dst_ep, peer)
+            # unpublished (a killed node): cool down as after a refused
+            # dial, or every frame to it would spawn a dial of its own
+            self._dial_failed(dst_ep, peer)
             return
         try:
             # Answers may come back over this same connection (the remote
@@ -387,8 +392,7 @@ class AsyncTransport:
                 lambda: _Connection(self), *address
             )
         except OSError:
-            peer.dead_until = self.now + RECONNECT_COOLDOWN
-            self._drop_queue(dst_ep, peer)
+            self._dial_failed(dst_ep, peer)
             return
         peer.writer = writer
         pending, peer.queue = peer.queue, []
@@ -396,12 +400,14 @@ class AsyncTransport:
         for frame in pending:
             self._write(writer, frame, link)
 
-    def _drop_queue(self, dst_ep: str, peer: _Peer) -> None:
+    def _dial_failed(self, dst_ep: str, peer: _Peer) -> None:
+        peer.dead_until = self.now + RECONNECT_COOLDOWN
         link = self.stats.link(self.endpoint, dst_ep)
         for _ in peer.queue:
             self.stats.lost += 1
             link.lost += 1
         peer.queue = []
+        self._unreachable(dst_ep)
 
     # ------------------------------------------------------------------
     # inbound plumbing
@@ -423,7 +429,7 @@ class AsyncTransport:
             del self._routes[pid]
 
     def _forget_peer(self, writer: asyncio.Transport) -> None:
-        """Unpool a connection that was lost.
+        """Unpool a connection that was lost, and announce its endpoint.
 
         A killed node's FIN closes the connection under us.  Unpooling
         it here carries no cooldown, so the next send re-dials at once
@@ -432,9 +438,19 @@ class AsyncTransport:
         closing costs a cooldown of lost frames first.  If the endpoint
         is really gone the next dial fails and sets one.
         """
-        for peer in self._peers.values():
+        for endpoint, peer in self._peers.items():
             if peer.writer is writer:
                 peer.writer = None
+                self._unreachable(endpoint)
+
+    def _unreachable(self, endpoint: str) -> None:
+        """Tell the listeners that ``endpoint`` looks unreachable.  The
+        hint can be wrong (a connection to a live server may close too),
+        so it is for liveness only.  A closing transport announces
+        nothing."""
+        if not self.closed:
+            for listener in self.unreachable_listeners:
+                listener(endpoint)
 
     def _dispatch(self, envelope: Any, route: _Route) -> None:
         if not (isinstance(envelope, tuple) and len(envelope) == 3):

@@ -864,3 +864,104 @@ class TestReadSide:
         (hung_up, closed, left), errors = run_quiet(scenario)
         assert errors == []
         assert closed and hung_up == b"" and left == set()
+
+
+# ---------------------------------------------------------------------------
+# an unreachable endpoint: announced at once, dialled once per cooldown
+# ---------------------------------------------------------------------------
+
+
+class TestUnreachable:
+    SERVER_PID = ("qs", 0, 0)  # resolves statically to node0
+
+    async def _node0(self, book):
+        server = AsyncTransport("node0", book, codec=BINARY_CODEC)
+        sink = server.register(_Sink(self.SERVER_PID))
+        book.add("node0", *await server.start_server())
+        return server, sink
+
+    def test_a_killed_node_costs_one_dial_per_cooldown(self):
+        """Frames to a killed (unpublished) node are lost without a dial
+        each: one dial per cooldown, and the restarted node is reached
+        again one cooldown after the last miss."""
+        cooldown = transport_module.RECONNECT_COOLDOWN
+        span = 2.4 * cooldown
+
+        async def scenario():
+            book = AddressBook()
+            server, _ = await self._node0(book)
+            client = AsyncTransport("cli", book, codec=BINARY_CODEC)
+            heard, dials = [], []
+            client.unreachable_listeners.append(heard.append)
+            connect = client._connect
+
+            def counting(dst_ep, peer):
+                dials.append(dst_ep)
+                return connect(dst_ep, peer)
+
+            client._connect = counting
+            client.send(("cli", 0), self.SERVER_PID, "before")
+            await asyncio.sleep(0.05)
+            await server.close()
+            await asyncio.sleep(0.01)
+            killed_at, before = client.now, len(dials)
+            while client.now < killed_at + span:
+                client.send(("cli", 0), self.SERVER_PID, "lost")
+                await asyncio.sleep(0.005)
+            redials = len(dials) - before
+            server, sink = await self._node0(book)
+            await asyncio.sleep(cooldown)
+            client.send(("cli", 0), self.SERVER_PID, "after")
+            await asyncio.sleep(0.05)
+            await client.close()
+            await server.close()
+            return heard, redials, sink.got
+
+        (heard, redials, got), errors = run_quiet(scenario)
+        assert errors == []
+        # the FIN, then each failed lookup, announced node0
+        assert heard[0] == "node0" and set(heard) == {"node0"}
+        assert 1 <= redials <= 3
+        assert got == ["after"]
+
+    def test_every_way_of_losing_an_endpoint_announces_it(self):
+        """A closed connection, a pooled writer found closing, a refused
+        dial: each announces the endpoint once; a transport closing
+        itself announces nothing."""
+
+        async def scenario():
+            book = AddressBook()
+            server, _ = await self._node0(book)
+            client = AsyncTransport("cli", book, codec=BINARY_CODEC)
+            heard = []
+            client.unreachable_listeners.append(heard.append)
+            client.send(("cli", 0), self.SERVER_PID, "dial")
+            await asyncio.sleep(0.05)
+            steps = [list(heard)]
+            # the send path finds the pooled writer closing first
+            client._peers["node0"].writer.close()
+            client.send(("cli", 0), self.SERVER_PID, "lost")
+            await asyncio.sleep(0.05)
+            steps.append(list(heard))
+            # a refused dial: node0's port is published but closed
+            address = book.lookup("node0")
+            await server.close()
+            book.add("node0", *address)
+            client._peers["node0"].dead_until = 0.0
+            client.send(("cli", 0), self.SERVER_PID, "refused")
+            await asyncio.sleep(0.05)
+            steps.append(list(heard))
+            # a transport closing itself
+            server, _ = await self._node0(book)
+            client._peers["node0"].dead_until = 0.0
+            client.send(("cli", 0), self.SERVER_PID, "redial")
+            await asyncio.sleep(0.05)
+            await client.close()
+            await asyncio.sleep(0.05)
+            steps.append(list(heard))
+            await server.close()
+            return steps
+
+        steps, errors = run_quiet(scenario)
+        assert errors == []
+        assert steps == [[], ["node0"], ["node0"] * 2, ["node0"] * 2]

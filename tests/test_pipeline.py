@@ -13,6 +13,7 @@ is covered here too, so the two data planes stay behaviourally aligned.
 
 import asyncio
 import gc
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.fastcheck import check_linearizable
 from repro.mp.backoff import BackoffPolicy
 from repro.mp.quorum import QuorumClient
-from repro.net.client import HistoryRecorder
+from repro.net.client import DEFAULT_BACKOFF, HistoryRecorder
 from repro.net.cluster import LocalCluster, shard_of
 from repro.net.codec import (
     BINARY_CODEC,
@@ -574,20 +575,21 @@ class TestPipelinedLoadgen:
 
 
 # ---------------------------------------------------------------------------
-# a dead replica costs one Quorum timer, then Backup's three delays
+# a dead replica costs no Quorum timer, and Backup asks a live coordinator
 # ---------------------------------------------------------------------------
 
 
-class TestADeadReplicaCostsOneTimer:
-    """A round whose timer fires without a server's accept marks that
-    server presumed down; later rounds switch to Backup as soon as the
-    others agree, and the server's next answer ends the presumption.
-    The timer is long so that nothing here depends on a fast machine."""
+class TestADeadReplicaCostsNoTimer:
+    """A closed connection presumes its server down at once: the rounds
+    in flight switch to Backup as soon as the others agree, later rounds
+    do not wait for it, Backup asks it last, and its next answer ends
+    the presumption.  The timer is long so that nothing here depends on
+    a fast machine: no decree below may wait it out."""
 
     TIMEOUT = 1.0
     HEALTHY, DOWN, AFTER = 3, 12, 12
 
-    def _run(self, tmp_path):
+    def _run(self, tmp_path, victim):
         async def scenario():
             cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
             await cluster.start()
@@ -605,10 +607,10 @@ class TestADeadReplicaCostsOneTimer:
                 seen.append(set(pipeline.presumed_down))
 
             await ops(self.HEALTHY)
-            await cluster.kill(2)
+            await cluster.kill(victim)
             await ops(self.DOWN)
-            await cluster.restart(2)
-            # the client transport re-dials a refused endpoint only
+            await cluster.restart(victim)
+            # the client transport re-dials an unpublished endpoint only
             # after its reconnect cooldown
             await asyncio.sleep(RECONNECT_COOLDOWN)
             await ops(self.AFTER)
@@ -617,19 +619,23 @@ class TestADeadReplicaCostsOneTimer:
 
         return asyncio.run(scenario())
 
+    def _phases(self, results):
+        return (
+            results[: self.HEALTHY],
+            results[self.HEALTHY : self.HEALTHY + self.DOWN],
+            results[self.HEALTHY + self.DOWN :],
+        )
+
     def test_kill_then_restart(self, tmp_path):
-        recorder, results, seen = self._run(tmp_path)
-        healthy = results[: self.HEALTHY]
-        down = results[self.HEALTHY : self.HEALTHY + self.DOWN]
-        after = results[self.HEALTHY + self.DOWN :]
+        recorder, results, seen = self._run(tmp_path, victim=2)
+        healthy, down, after = self._phases(results)
         assert [r.path for r in healthy] == ["fast"] * self.HEALTHY
         assert seen[0] == set()
-        # only the first decree after the kill waits out the timer...
-        assert down[0].path == "slow" and down[0].latency >= self.TIMEOUT
+        # every decree after the kill switches to Backup at once: the
+        # closed connection told the pipeline, not the timer
+        assert [r.path for r in down] == ["slow"] * self.DOWN
+        assert max(r.latency for r in down) < self.TIMEOUT / 4
         assert seen[1] == {2}
-        # ...every later one switches to Backup at once
-        assert [r.path for r in down[1:]] == ["slow"] * (self.DOWN - 1)
-        assert max(r.latency for r in down[1:]) < self.TIMEOUT / 4
         # the restarted replica answers, and the fast path resumes
         first_fast = [r.path for r in after].index("fast")
         assert first_fast <= 3
@@ -637,6 +643,67 @@ class TestADeadReplicaCostsOneTimer:
             self.AFTER - first_fast
         )
         assert seen[2] == set()
+        assert _check(recorder).ok
+
+    def test_a_dead_ballot_owner_costs_no_backoff(self, tmp_path):
+        # node 0 owns ballot 0, so Backup used to ask it first and wait
+        # out the retry backoff (>= 0.1 s) on every decree; now a live
+        # coordinator is asked first and pays phase 1 instead
+        recorder, results, seen = self._run(tmp_path, victim=0)
+        _, down, _ = self._phases(results)
+        assert [r.path for r in down] == ["slow"] * self.DOWN
+        assert max(r.latency for r in down) < self.TIMEOUT / 4
+        shortest_backoff = DEFAULT_BACKOFF.base * (1 - DEFAULT_BACKOFF.jitter)
+        assert statistics.median(r.latency for r in down) < shortest_backoff
+        assert seen[1] == {0}
+        assert _check(recorder).ok
+
+    def test_a_closed_connection_to_a_live_node_costs_little(self):
+        # a wrong hint: node 1 is alive, only the client's connection to
+        # it closes.  At most the decrees in flight lose their fast path,
+        # the next answer from node 1 ends the presumption, and no
+        # decree waits out the timer
+        WINDOW, OPS = 4, 80
+
+        async def scenario():
+            cluster = LocalCluster(n_servers=3)
+            await cluster.start()
+            transport = cluster.client_transport("clients")
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            pipeline = SlotPipeline(
+                "main", 3, transport, window=WINDOW,
+                quorum_timeout=self.TIMEOUT,
+            )
+            clients = [
+                PipelineClient(f"c{i}", pipeline, recorder, op_timeout=10.0)
+                for i in range(WINDOW)
+            ]
+
+            async def drive(index, client):
+                for op in range(OPS // WINDOW):
+                    await client.submit(("put", f"k{index}", op))
+
+            async def cut():
+                while pipeline._applied_upto < 3 or not pipeline.in_flight:
+                    await asyncio.sleep(0)
+                transport._peers["node1"].writer.close()
+
+            await asyncio.gather(
+                cut(), *(drive(i, c) for i, c in enumerate(clients))
+            )
+            await cluster.stop()
+            return pipeline, recorder, clients
+
+        pipeline, recorder, clients = asyncio.run(scenario())
+        results = sorted(
+            (r for c in clients for r in c.results), key=lambda r: r.slot
+        )
+        slow = {r.slot for r in results if r.path != "fast"}
+        assert len(slow) <= 2 * WINDOW
+        # the fast path resumes: the last decrees are all fast
+        assert all(r.path == "fast" for r in results[-WINDOW:])
+        assert max(r.latency for r in results) < self.TIMEOUT / 4
+        assert pipeline.presumed_down == set()
         assert _check(recorder).ok
 
     def test_a_healthy_run_marks_nobody_down_and_leaves_no_cycles(self):

@@ -261,6 +261,104 @@ class TestPresumedDown:
                 assert not decided or value in decided
 
 
+class TestPresumeDown:
+    """``presume_down`` is the same rule, applied when the presumption
+    arrives instead of at the next accept.  It only ever switches."""
+
+    def test_switches_at_once_with_the_sticky_value(self):
+        # c0 decides v' on the fast path; then s2 dies.  c1 hears v' from
+        # s0 and s1 and waits for s2 until told it is down: it switches
+        # then, with v', not its own v (v' may have been decided, as here)
+        sim, net, servers = _deployment()
+        outcomes = {}
+        _client(net, "c0", servers, outcomes).propose("v'")
+        sim.run()
+        servers[2].crash()
+        late = _client(net, "c1", servers, outcomes, timeout=6.0)
+        late.propose("v")  # at 2.0: s0 and s1 answer at 4.0
+        sim.schedule(3.0, lambda: late.presume_down("s2"))
+        sim.run()
+        assert outcomes["c1"] == ("switch", "v'", 5.0)
+        assert set(late.accepts) == {"s0", "s1"}
+        assert not late.timer_expired
+
+    def test_with_no_accept_yet_it_waits_for_one(self):
+        # every server presumed down before any answer: no outcome, and
+        # the first accept to arrive is the value the round switches with
+        sim, net, servers = _deployment()
+        outcomes = {}
+        client = _client(net, "c", servers, outcomes, timeout=6.0)
+        client.propose("v")
+        sim.run(until=1.5)
+        for server in servers:
+            client.presume_down(server.pid)
+        assert outcomes == {}
+        sim.run()
+        assert outcomes["c"] == ("switch", "v", 2.0)
+
+    def test_after_the_outcome_it_does_nothing(self):
+        sim, net, servers = _deployment()
+        outcomes = {}
+        client = _client(net, "c", servers, outcomes)
+        client.propose("v")
+        sim.run()
+        client.presume_down("s0")
+        assert outcomes["c"] == ("decide", "v", 2.0)
+        assert client.presumed_down == ()
+
+    def test_never_decides_even_when_the_presumed_server_agrees(self):
+        # s2 is slow, not dead: presumed down after s0 and s1 answered,
+        # the round switches; s2's identical accept comes too late to
+        # turn that into a decision
+        sim, net, servers = _deployment()
+        outcomes = {}
+        client = _client(net, "c", servers, outcomes, timeout=6.0)
+        net.crash_at("s2", 0.5)
+        client.propose("v")
+        sim.schedule(3.0, lambda: client.presume_down("s2"))
+        sim.schedule(4.0, lambda: client.on_message("s2", ("q-accept", "v")))
+        sim.run()
+        assert outcomes["c"] == ("switch", "v", 3.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_presumptions_in_flight_never_decide(self, seed):
+        # jittered delays, a random crash, three contending clients and
+        # presumptions arriving at random times, right or wrong: a
+        # decision always had all n accepts, and every switch value is a
+        # proposal that agrees with any decision
+        sim, net, servers = _deployment(seed=seed, delay=jitter)
+        rng = sim.rng
+        dead = rng.randrange(4)
+        if dead < 3:
+            net.crash_at(servers[dead].pid, rng.uniform(0.0, 4.0))
+        outcomes = {}
+        clients = [
+            _client(net, f"c{i}", servers, outcomes, timeout=4.0)
+            for i in range(3)
+        ]
+        for i, client in enumerate(clients):
+            sim.schedule(
+                rng.uniform(0.0, 4.0),
+                lambda c=client, i=i: c.propose(f"v{i}"),
+            )
+            for server in servers:
+                if rng.random() < 0.4:
+                    sim.schedule(
+                        rng.uniform(0.0, 6.0),
+                        lambda c=client, s=server.pid: c.presume_down(s),
+                    )
+        sim.run()
+        decided = {v for kind, v, _ in outcomes.values() if kind == "decide"}
+        assert len(decided) <= 1
+        for client in clients:
+            kind, value, _ = outcomes[client.pid]
+            if kind == "decide":
+                assert set(client.accepts) == {s.pid for s in servers}
+            else:
+                assert value in {"v0", "v1", "v2"}
+                assert not decided or value in decided
+
+
 class TestAcceptHook:
     def test_hears_every_accept_even_after_the_outcome(self):
         sim, net, servers = _deployment()
