@@ -44,7 +44,7 @@ from repro.faults.netcampaign import (
     asymmetric_bridge,
     run_net_campaign,
 )
-from repro.net import LocalCluster, probing_client
+from repro.net import ShardedCluster, probing_client
 from repro.net.client import HistoryRecorder
 from repro.net.faultfs import tear_tail
 from repro.smr.universal import kv_store_adt
@@ -131,7 +131,7 @@ async def _torn_restart(kill_at=0.7, restart_at=1.2, deadline=2.4):
     """Kill node1 mid-run, tear its WAL tail, time the restart."""
     loop = asyncio.get_running_loop()
     with tempfile.TemporaryDirectory() as wal_root:
-        cluster = LocalCluster(n_servers=3, wal_root=wal_root)
+        cluster = ShardedCluster(n_servers=3, wal_root=wal_root)
         await cluster.start()
         transport = cluster.client_transport("bench")
         recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -152,10 +152,10 @@ async def _torn_restart(kill_at=0.7, restart_at=1.2, deadline=2.4):
         async def nemesis():
             await asyncio.sleep(kill_at)
             await cluster.kill(1)
-            tear_tail(os.path.join(wal_root, "node1", "wal.log"), cut=3)
+            tear_tail(os.path.join(cluster.wal_dir(1), "wal.log"), cut=3)
             await asyncio.sleep(restart_at - kill_at)
             t0 = time.perf_counter()
-            node = await cluster.restart(1)
+            (node,) = await cluster.restart(1)
             outcome["restart_s"] = time.perf_counter() - t0
             outcome["torn_recovered"] = bool(node.wal.recovered.torn_tail)
             outcome["records_replayed"] = node.wal.recovered.records_replayed

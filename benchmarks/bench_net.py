@@ -32,7 +32,7 @@ import statistics
 
 from repro.mp.backup import BackupClient
 from repro.mp.quorum import QuorumClient
-from repro.net import LocalCluster
+from repro.net import ShardedCluster
 from repro.net.loadgen import run_loadgen
 
 SAMPLES = 30
@@ -110,7 +110,7 @@ async def _backup_samples(cluster, transport, n_samples, slot_base):
 
 
 async def phase_latencies():
-    cluster = LocalCluster(n_servers=N_SERVERS)
+    cluster = ShardedCluster(n_servers=N_SERVERS)
     await cluster.start()
     transport = cluster.client_transport("bench")
     try:

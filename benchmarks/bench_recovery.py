@@ -32,7 +32,7 @@ import tempfile
 import time
 
 from repro.core.fastcheck import check_linearizable
-from repro.net import LocalCluster, NodeWAL, probing_client
+from repro.net import NodeWAL, ShardedCluster, probing_client
 from repro.net.client import HistoryRecorder
 from repro.smr.universal import kv_store_adt
 
@@ -121,7 +121,7 @@ async def _restart_dip(kill_at=0.7, restart_at=1.2, deadline=2.2):
     """Closed-loop ops through a kill/restart; per-window throughput."""
     loop = asyncio.get_running_loop()
     with tempfile.TemporaryDirectory() as wal_root:
-        cluster = LocalCluster(n_servers=3, wal_root=wal_root)
+        cluster = ShardedCluster(n_servers=3, wal_root=wal_root)
         await cluster.start()
         transport = cluster.client_transport("bench")
         recorder = HistoryRecorder(clock=lambda: transport.now)

@@ -28,7 +28,7 @@ import time
 
 from repro.core.fastcheck import check_linearizable
 from repro.net.client import HistoryRecorder
-from repro.net.cluster import LocalCluster
+from repro.net.cluster import ShardedCluster
 from repro.net.pipeline import PipelineClient, SlotPipeline
 from repro.smr.sessions import SessionedApplier, untag_command
 from repro.smr.universal import kv_store_adt
@@ -52,7 +52,7 @@ class RawApplier:
 
 
 async def _burst(n_clients, ops_per_client, sessioned):
-    cluster = LocalCluster(n_servers=3, codec="binary")
+    cluster = ShardedCluster(n_servers=3, codec="binary")
     await cluster.start()
     transport = cluster.client_transport("clients")
     recorder = HistoryRecorder(clock=lambda: transport.now)

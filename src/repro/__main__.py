@@ -230,26 +230,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Host a replica cluster over TCP until interrupted."""
     import asyncio
 
-    from repro.net import LocalCluster, Supervisor
+    from repro.net import ShardedCluster
 
     async def serve() -> int:
-        cluster = LocalCluster(
+        cluster = ShardedCluster(
             n_servers=args.replicas,
             host=args.host,
             port_base=args.port_base,
             wal_root=args.wal_dir,
         )
         await cluster.start()
-        supervisor = None
-        if args.supervise:
-            supervisor = Supervisor(cluster)
-            supervisor.start()
         for node in cluster.nodes:
             print(f"  {node.endpoint} listening on {args.host}:{node.port}")
         if args.wal_dir:
             print(f"  WALs under {args.wal_dir}")
-        if supervisor is not None:
-            print("  supervisor: dead replicas restart from their WALs")
         probe = tap = None
         if args.monitor:
             from repro.monitor.cli import make_probe
@@ -274,8 +268,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             await asyncio.Event().wait()
             return 0
         finally:
-            if supervisor is not None:
-                await supervisor.stop()
             await cluster.stop()
 
     try:
@@ -485,11 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-dir",
         default=None,
         help="persist each replica's WAL under this directory",
-    )
-    p_srv.add_argument(
-        "--supervise",
-        action="store_true",
-        help="auto-restart dead replicas from their WALs",
     )
     p_srv.add_argument(
         "--monitor",

@@ -3,11 +3,12 @@
 An AST-based lint framework whose rules encode the invariants the type
 system cannot see: seeded determinism in the simulated layers (RD01),
 persist-before-reply durability in the TCP runtime (RD02, checked as a
-typestate property over CFG paths), atomic-only shared-memory access in
-``sm/`` (RD03), asyncio hygiene in ``net/`` (RD04), I/O-automaton
-well-formedness in ``ioa/`` (RD05), and the RD08 interleaving race
-detector built on the whole-program dataflow engine (:mod:`.cfg` /
-:mod:`.dataflow` / :mod:`.callgraph`).
+typestate property over CFG paths), asyncio hygiene in ``net/``
+(RD04), I/O-automaton well-formedness in ``ioa/`` (RD05), the RD08
+interleaving race detector built on the whole-program dataflow engine
+(:mod:`.cfg` / :mod:`.dataflow` / :mod:`.callgraph`), and the RD09
+architecture table (layering, atomic-only shared-memory access in
+``sm/``).
 
 Run it as ``python -m repro lint [--format text|json]
 [--rules RD01,RD08] [--explain RDxx] [--baseline]``; findings can be

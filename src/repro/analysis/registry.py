@@ -43,8 +43,8 @@ class Rule:
     ``scope`` is a tuple of path prefixes relative to the package root;
     a module is analyzed iff its relpath starts with one of them (an
     empty tuple means every module).  ``exclude`` removes exact paths
-    from the scope — e.g. RD03 must not flag ``sm/memory.py`` for
-    touching its own cells.
+    from the scope — e.g. RD07 must not flag ``smr/sessions.py`` for
+    implementing the seam it guards.
     """
 
     id: str = "RD00"

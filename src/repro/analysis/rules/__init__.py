@@ -5,7 +5,6 @@ Importing this package registers every rule with
 
 * :mod:`.rd01_determinism` — no wall clocks / unseeded RNG in simulation code
 * :mod:`.rd02_durability` — persist-before-reply in durable net roles
-* :mod:`.rd03_atomicity` — shared-memory cells only via read/write/cas
 * :mod:`.rd04_async` — no orphan tasks or silent broad excepts in net/
 * :mod:`.rd05_ioa` — IOA signatures total, preconditions mutation-free
 * :mod:`.rd06_monitor` — responses recorded only after an awaited reply
@@ -19,7 +18,6 @@ Importing this package registers every rule with
 from . import (  # noqa: F401
     rd01_determinism,
     rd02_durability,
-    rd03_atomicity,
     rd04_async,
     rd05_ioa,
     rd06_monitor,

@@ -3,7 +3,7 @@
 PR 1's campaign attacks the simulator; this module drives the same
 discipline — seeded declarative fault schedules, every recorded history
 checked for linearizability, ddmin shrinking of violating schedules —
-against :class:`~repro.net.cluster.LocalCluster` over real sockets,
+against :class:`~repro.net.cluster.ShardedCluster` over real sockets,
 while closed-loop :func:`~repro.net.pipeline.probing_client` traffic
 flows.
 
@@ -93,7 +93,7 @@ from ..analysis import sanitizer
 from ..core.adt import ADT, counter_adt
 from ..mp.backoff import BackoffPolicy
 from ..net.client import HistoryRecorder
-from ..net.cluster import LocalCluster
+from ..net.cluster import ShardedCluster
 from ..net.faultfs import FaultyFS, flip_record_body, tear_tail
 from ..net.loadgen import (
     DEFAULT_KEYS,
@@ -153,7 +153,7 @@ class NetTarget(NemesisTarget):
     """The live cluster as the nemesis sees it.
 
     Owns everything a wire action can touch — the
-    :class:`~repro.net.cluster.LocalCluster`, its
+    :class:`~repro.net.cluster.ShardedCluster`, its
     :class:`~repro.net.netfaults.TransportFaults`, the WAL paths, one
     :class:`~repro.net.faultfs.FaultyFS` per node (a passthrough until
     an action arms it) — and the run's counters.  The
@@ -176,13 +176,12 @@ class NetTarget(NemesisTarget):
         schedule.check(self)
         self.seed = schedule.seed
         self.result = result
-        self.wal_root = wal_root
         self.on_restart: Callable[[], None] = lambda: None
         self.faults = TransportFaults(seed=schedule.seed)
         self.wal_fs = {
             i: FaultyFS(seed=schedule.seed) for i in range(REPLICAS)
         }
-        self.cluster = LocalCluster(
+        self.cluster = ShardedCluster(
             n_servers=REPLICAS,
             faults=self.faults,
             wal_root=wal_root,
@@ -241,7 +240,7 @@ class NetTarget(NemesisTarget):
         :mod:`repro.net.faultfs` on its WAL file.  A mutator that found
         nothing to mutate — no file, a log too short — is counted: a
         run must not report a tear that tore nothing."""
-        path = os.path.join(self.wal_root, f"node{node}", "wal.log")
+        path = os.path.join(self.cluster.wal_dir(node), "wal.log")
         if await self.kill(node) and not mutate(path, **how):
             self.result.storage_noops += 1
 
@@ -1066,7 +1065,7 @@ def run_net_campaign(
 ) -> NetCampaignReport:
     """Run seeded chaos campaigns against live localhost clusters.
 
-    Each schedule boots a fresh three-replica :class:`LocalCluster`
+    Each schedule boots a fresh three-replica :class:`ShardedCluster`
     (WAL-backed; the ``amnesiac`` replica, if any, gets none), drives
     closed-loop client traffic while the nemesis kills/restarts
     replicas and perturbs the transport, then feeds the recorded

@@ -69,8 +69,8 @@ class QuorumClient(Process):
     the client transfers its pending invocation to the Backup phase.
     Exactly one of the two fires per proposal.
 
-    ``presumed_down`` names servers a switch need not wait for, and
-    :meth:`presume_down` adds one while the round is in flight;
+    :meth:`presume_down` names a server a switch need not wait for,
+    before the proposal or while the round is in flight;
     ``on_accept(server)`` hears every accept, even after the outcome.
     """
 
@@ -81,7 +81,6 @@ class QuorumClient(Process):
         on_decide: Callable[[Hashable], None],
         on_switch: Callable[[Hashable], None],
         timeout: float = 6.0,
-        presumed_down: Collection[Hashable] = (),
         on_accept: Optional[Callable[[Hashable], None]] = None,
     ) -> None:
         super().__init__(pid)
@@ -89,7 +88,7 @@ class QuorumClient(Process):
         self.on_decide = on_decide
         self.on_switch = on_switch
         self.timeout = timeout
-        self.presumed_down = presumed_down
+        self.presumed_down: Collection[Hashable] = ()
         self.on_accept = on_accept
         self.proposal: Optional[Hashable] = None
         self.accepts: Dict[Hashable, Hashable] = {}

@@ -33,8 +33,9 @@ Modules:
   and the nemesis in :mod:`repro.faults` only drives it;
 * :mod:`repro.net.node` — :class:`ReplicaNode`, one server's roles
   (lazily instantiated per SMR slot) behind a TCP listener;
-* :mod:`repro.net.cluster` — :class:`LocalCluster`, an in-process
-  n-replica launcher with clean shutdown and mid-run kill;
+* :mod:`repro.net.cluster` — :class:`ShardedCluster`, the in-process
+  deployment (one or more replica groups) with clean shutdown, mid-run
+  kill and restart;
 * :mod:`repro.net.client` — the wire-level :class:`HistoryRecorder`
   and the typed fate-unknown failures every client shares;
 * :mod:`repro.net.overload` — the typed :exc:`Overloaded` rejection
@@ -45,13 +46,12 @@ Modules:
 * :mod:`repro.net.wal` — the durable substrate: an append-only,
   checksummed, fsync'd :class:`WriteAheadLog` with snapshot compaction,
   folded per node into a :class:`NodeWAL` so a killed replica restarts
-  (:meth:`LocalCluster.restart`, or automatically via
-  :class:`Supervisor`) with its acceptor triples, sticky Quorum
+  (:meth:`ShardedCluster.restart`) with its acceptor triples, sticky Quorum
   acceptances and decided log intact.
 """
 
 from .client import HistoryRecorder, OperationTimeout, RetriesExhausted
-from .cluster import LocalCluster, ShardedCluster, Supervisor, shard_of
+from .cluster import ShardedCluster, shard_of
 from .codec import (
     BINARY_CODEC,
     FrameDecoder,
@@ -87,7 +87,6 @@ __all__ = [
     "HistoryRecorder",
     "JSON_CODEC",
     "LoadReport",
-    "LocalCluster",
     "MAX_FRAME",
     "NodeWAL",
     "OperationTimeout",
@@ -99,7 +98,6 @@ __all__ = [
     "RetriesExhausted",
     "ShardedCluster",
     "SlotPipeline",
-    "Supervisor",
     "WriteAheadLog",
     "decode_payload",
     "encode_frame",

@@ -236,7 +236,7 @@ class LiveRun:
 
 @contextlib.asynccontextmanager
 async def live_run(
-    cluster: Any, adt: Callable[[], ADT], monitor: bool
+    cluster: ShardedCluster, adt: Callable[[], ADT], monitor: bool
 ) -> AsyncIterator[LiveRun]:
     """Start ``cluster``, lend the caller a :class:`LiveRun` over it for
     the length of the ``async with`` body, and tear everything down —
@@ -244,7 +244,10 @@ async def live_run(
     run = LiveRun(adt)
     try:
         await cluster.start()
-        run.transports = cluster.client_transports("clients")
+        run.transports = [
+            cluster.client_transport("clients", s)
+            for s in range(cluster.n_shards)
+        ]
         run.recorders = [
             HistoryRecorder(clock=(lambda t: (lambda: t.now))(transport))
             for transport in run.transports
@@ -440,7 +443,7 @@ async def _run(
     and is checked independently; the run's verdict is the conjunction
     (P-compositionality shard-locally, composition across shards).
     """
-    sharded = ShardedCluster(
+    cluster = ShardedCluster(
         n_shards=shards,
         n_servers=replicas,
         wal_root=wal_root,
@@ -453,7 +456,7 @@ async def _run(
     for i in range(ops % clients):
         per_client[i] += 1
 
-    async with live_run(sharded, kv_store_adt, monitor) as run:
+    async with live_run(cluster, kv_store_adt, monitor) as run:
 
         def open_pipeline(name: str, shard: int) -> SlotPipeline:
             # every proposer of the run: one per shard, or one per
@@ -530,14 +533,13 @@ async def _run(
                         f"  killing node{kill} in all {shards} shard(s) "
                         f"after {run.committed} commits"
                     )
-                    for shard in sharded.shards:
-                        await shard.kill(kill)
+                    await cluster.kill(kill)
 
         await asyncio.gather(*(run.spawn(drive(i)) for i in range(clients)))
         endpoint_stats = {
             f"shard{s}/{node.endpoint}": _link_stats(node.transport)
-            for s, shard in enumerate(sharded.shards)
-            for node in shard.nodes
+            for s, shard in enumerate(cluster.shards)
+            for node in shard
         }
 
     for item in run.monitor_reports:

@@ -543,16 +543,16 @@ class SlotPipeline:
             # an answer, even after the switch, ends the presumption
             self.presumed_down.discard(server[2])
 
-        down = self.presumed_down
         quorum = QuorumClient(
             ("qcli", sub),
             servers=[("qs", slot, j) for j in range(self.n_servers)],
             on_decide=settle,
             on_switch=on_switch,
             timeout=self.quorum_timeout,
-            presumed_down={("qs", slot, j) for j in down} if down else (),
             on_accept=heard,
         )
+        for j in self.presumed_down:
+            quorum.presume_down(("qs", slot, j))
         self.transport.register(quorum)
         op_pids.append(quorum.pid)
         quorum.propose(value)

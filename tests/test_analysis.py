@@ -102,23 +102,6 @@ BAD_SNIPPETS = [
         """,
         "repro/core/scratch.py",
     ),
-    # RD03: bypassing the atomic shared-memory API
-    (
-        "RD03",
-        """\
-        def sneak(memory, name):
-            return memory._cells[name]
-        """,
-        "repro/sm/scratch.py",
-    ),
-    (
-        "RD03",
-        """\
-        def sneak(memory, name):
-            return memory.peek(name)
-        """,
-        "repro/sm/scratch.py",
-    ),
     # RD04: orphan tasks and silent broad excepts in net/
     (
         "RD04",
@@ -251,6 +234,23 @@ BAD_SNIPPETS = [
         "repro/monitor/streaming.py",
     ),
     ("RD09", "verdict = linearize(trace, adt)\n", "repro/core/fastcheck.py"),
+    # RD09: bypassing the atomic shared-memory API
+    (
+        "RD09",
+        """\
+        def sneak(memory, name):
+            return memory._cells[name]
+        """,
+        "repro/sm/scratch.py",
+    ),
+    (
+        "RD09",
+        """\
+        def sneak(memory, name):
+            return memory.peek(name)
+        """,
+        "repro/sm/scratch.py",
+    ),
 ]
 
 
@@ -420,7 +420,6 @@ def test_every_rule_has_a_failing_fixture():
     assert covered == set(rule_ids()) == {
         "RD01",
         "RD02",
-        "RD03",
         "RD04",
         "RD05",
         "RD06",
@@ -613,7 +612,7 @@ def test_standalone_suppression_shields_next_line():
 
 
 def test_suppression_is_rule_specific():
-    source = "import time\nstamp = time.time()  # repro: disable=RD03\n"
+    source = "import time\nstamp = time.time()  # repro: disable=RD05\n"
     active, suppressed = analyze_source(source, "repro/mp/scratch.py")
     assert [f.rule for f in active] == ["RD01"]
     assert suppressed == []
@@ -849,9 +848,9 @@ def test_cli_malformed_baseline_exits_2_without_traceback(tmp_path):
 
 def test_cli_rules_filter_limits_the_active_set(tmp_path):
     write_tree(str(tmp_path), {"repro/mp/bad.py": BAD_MODULE})
-    result = run_cli(str(tmp_path), "--rules", "RD03")
+    result = run_cli(str(tmp_path), "--rules", "RD05")
     assert result.returncode == 0, result.stdout + result.stderr
-    result = run_cli(str(tmp_path), "--rules", "RD01,RD03")
+    result = run_cli(str(tmp_path), "--rules", "RD01,RD05")
     assert result.returncode == 1
     assert "RD01" in result.stdout
 

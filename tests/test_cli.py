@@ -65,6 +65,15 @@ def test_flags_that_only_opted_in_to_the_default_plane_are_gone(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_serve_has_no_supervisor(capsys):
+    # a served node dies only by a kill nobody there issues: there was
+    # never anything for a supervisor to restart
+    with pytest.raises(SystemExit) as refused:
+        build_parser().parse_args(["serve", "--supervise"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_the_plane_is_sized_not_selected():
     parse = build_parser().parse_args
     args = parse(["loadgen", "--shards", "2", "--window", "4"])

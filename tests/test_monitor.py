@@ -67,7 +67,7 @@ from repro.monitor import frontier as frontier_module
 from repro.monitor.cli import load_history, make_probe, replay_history
 from repro.monitor.streaming import decide, event_action
 from repro.net.client import HistoryRecorder
-from repro.net.cluster import LocalCluster
+from repro.net.cluster import ShardedCluster
 from repro.net.loadgen import budgeted_tap, run_loadgen
 from repro.net.pipeline import PipelineClient, SlotPipeline
 from repro.smr.universal import kv_store_adt
@@ -692,7 +692,7 @@ class TestTheCertificate:
 
     def test_lin_events_reach_the_tap_and_never_the_history(self):
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -720,7 +720,7 @@ class TestTheCertificate:
         """Two replica groups that never met stand in for a fork: their
         pipelines report different commands for slot 0."""
         async def scenario():
-            left, right = LocalCluster(n_servers=3), LocalCluster(n_servers=3)
+            left, right = ShardedCluster(n_servers=3), ShardedCluster(n_servers=3)
             await left.start()
             await right.start()
             transport = left.client_transport("clients")
@@ -758,7 +758,7 @@ class TestTheCertificate:
         """``dedup=False``: the system folds a duplicate decree twice,
         the monitor's own fold skips it as the session seam would."""
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -942,7 +942,7 @@ class TestOneWayToBuildALiveMonitor:
 
     def test_the_canary_probe_is_certified_and_budgeted(self):
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             client, tap = make_probe(cluster.client_transport("probe"), 3)
             await client.submit(("put", "k", 1))

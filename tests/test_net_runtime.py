@@ -1,7 +1,7 @@
 """End-to-end tests of the asyncio TCP runtime (`repro.net`).
 
 Everything here runs real localhost sockets: a
-:class:`~repro.net.cluster.LocalCluster` on ephemeral ports, clients
+:class:`~repro.net.cluster.ShardedCluster` on ephemeral ports, clients
 driving the Quorum/Backup composition over the wire codec, and the
 recorded history checked by the same
 :func:`~repro.core.fastcheck.check_linearizable` the simulator uses.
@@ -9,6 +9,7 @@ Timeouts are kept tight so the whole module stays in CI-smoke range.
 """
 
 import asyncio
+import contextlib
 import json
 import os
 from collections import Counter
@@ -22,8 +23,7 @@ from repro.mp.sim import Process
 from repro.net import (
     FrameError,
     LoadReport,
-    LocalCluster,
-    Supervisor,
+    ShardedCluster,
     probing_client,
     run_loadgen,
 )
@@ -148,7 +148,7 @@ class TestLoadReport:
 class TestClusterAndClients:
     def test_sequential_clients_see_each_other(self):
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             try:
                 # Two transports = two independent client processes with
@@ -172,12 +172,12 @@ class TestClusterAndClients:
 
     def test_kill_withdraws_endpoint(self):
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             try:
-                assert cluster.book.endpoints() == ("node0", "node1", "node2")
+                assert cluster.books[0].endpoints() == ("node0", "node1", "node2")
                 await cluster.kill(1)
-                assert cluster.book.endpoints() == ("node0", "node2")
+                assert cluster.books[0].endpoints() == ("node0", "node2")
                 assert cluster.alive() == [0, 2]
             finally:
                 await cluster.stop()
@@ -186,7 +186,7 @@ class TestClusterAndClients:
 
     def test_unencodable_command_is_refused_at_the_wire(self):
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             try:
                 transport = cluster.client_transport()
@@ -208,7 +208,7 @@ class TestCrashRecovery:
         decisions — the whole history linearizable."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            cluster = ShardedCluster(n_servers=3, wal_root=str(tmp_path))
             await cluster.start()
             try:
                 transport = cluster.client_transport("clients")
@@ -221,7 +221,7 @@ class TestCrashRecovery:
                 # With node1 dead this decides through Backup (2/3
                 # majority), so node1's WAL never hears about it.
                 assert await a.submit(("put", "x", 3)) == ("value", 1)
-                node = await cluster.restart(1)
+                (node,) = await cluster.restart(1)
                 assert cluster.alive() == [0, 1, 2]
                 # The relaunched node replayed real slots from its WAL.
                 assert node.recovered is not None
@@ -243,13 +243,13 @@ class TestCrashRecovery:
 
     def test_restart_of_never_accepted_node_is_clean(self, tmp_path):
         async def scenario():
-            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            cluster = ShardedCluster(n_servers=3, wal_root=str(tmp_path))
             await cluster.start()
             try:
                 # Kill before any traffic: the WAL is empty and the
                 # restart must come back with nothing to recover.
                 await cluster.kill(2)
-                node = await cluster.restart(2)
+                (node,) = await cluster.restart(2)
                 assert node.recovered is not None
                 assert node.recovered.empty
                 transport = cluster.client_transport("clients")
@@ -267,7 +267,7 @@ class TestCrashRecovery:
 
     def test_restarting_a_live_node_is_refused(self, tmp_path):
         async def scenario():
-            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            cluster = ShardedCluster(n_servers=3, wal_root=str(tmp_path))
             await cluster.start()
             try:
                 with pytest.raises(RuntimeError, match="still alive"):
@@ -277,47 +277,15 @@ class TestCrashRecovery:
 
         asyncio.run(scenario())
 
-    def test_supervisor_restarts_dead_nodes(self, tmp_path):
-        async def scenario():
-            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
-            await cluster.start()
-            supervisor = Supervisor(cluster, poll_interval=0.02)
-            supervisor.start()
-            try:
-                await cluster.kill(1)
-                for _ in range(100):
-                    if supervisor.restarted:
-                        break
-                    await asyncio.sleep(0.02)
-                assert [i for _, i in supervisor.restarted] == [1]
-                assert cluster.alive() == [0, 1, 2]
-                # A held node stays down until released.
-                supervisor.hold(2)
-                await cluster.kill(2)
-                await asyncio.sleep(0.2)
-                assert cluster.alive() == [0, 1]
-                supervisor.release(2)
-                for _ in range(100):
-                    if cluster.alive() == [0, 1, 2]:
-                        break
-                    await asyncio.sleep(0.02)
-                assert cluster.alive() == [0, 1, 2]
-            finally:
-                await supervisor.stop()
-                await cluster.stop()
-
-        asyncio.run(scenario())
-
     def test_a_node_that_cannot_record_its_incarnation_never_serves(
         self, tmp_path
     ):
         async def scenario():
             fs = FaultyFS(seed=0)
-            cluster = LocalCluster(
+            cluster = ShardedCluster(
                 n_servers=3, wal_root=str(tmp_path), wal_fs={0: fs}
             )
             await cluster.start()
-            supervisor = Supervisor(cluster, poll_interval=0.02)
             try:
                 await cluster.kill(0)
                 fs.fail_appends(3)
@@ -325,25 +293,23 @@ class TestCrashRecovery:
                     await cluster.restart(0)
                 assert cluster.alive() == [1, 2]
                 assert cluster.nodes[0].transport.closed
-                # the supervisor keeps trying until the disk has room
-                supervisor.start()
-                for _ in range(100):
-                    if supervisor.restarted:
+                # retried by hand until the disk has room
+                for _ in range(10):
+                    with contextlib.suppress(WALFullError):
+                        (node,) = await cluster.restart(0)
                         break
-                    await asyncio.sleep(0.02)
                 assert cluster.alive() == [0, 1, 2]
                 assert fs.stats["enospc"] == 3
                 # refused opens were not incarnations; this one is
-                assert cluster.nodes[0].recovered.incarnation == 1
+                assert node.recovered.incarnation == 1
             finally:
-                await supervisor.stop()
                 await cluster.stop()
 
         asyncio.run(scenario())
 
     def test_successor_continues_the_workload(self, tmp_path):
         async def scenario():
-            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            cluster = ShardedCluster(n_servers=3, wal_root=str(tmp_path))
             await cluster.start()
             try:
                 transport = cluster.client_transport("clients")
@@ -391,10 +357,51 @@ class TestCrashRecovery:
         assert check_linearizable(recorder.trace(), kv_store_adt()).ok
 
 
+class TestShards:
+    """A replica index names that replica in every group."""
+
+    def test_kill_and_restart_act_on_every_group(self, tmp_path):
+        async def scenario():
+            cluster = ShardedCluster(
+                n_shards=2, n_servers=3, wal_root=str(tmp_path)
+            )
+            await cluster.start()
+            try:
+                decided = []
+                for shard, ops in enumerate((2, 3)):
+                    transport = cluster.client_transport("clients", shard)
+                    recorder = HistoryRecorder(clock=lambda t=transport: t.now)
+                    client = make_client(
+                        cluster, transport, recorder, name=f"c{shard}"
+                    )
+                    for value in range(ops):
+                        await client.submit(("put", "k", value))
+                    decided.append([r.slot for r in client.results])
+                await cluster.kill(1)
+                assert cluster.alive() == [0, 2]
+                assert [node.transport.closed for node in cluster.nodes] == [
+                    False, True, False,
+                ] * 2
+                for book in cluster.books:
+                    assert book.endpoints() == ("node0", "node2")
+                fresh = await cluster.restart(1)
+                assert cluster.alive() == [0, 1, 2]
+                assert fresh == [group[1] for group in cluster.shards]
+                # each came back from its own group's directory and log
+                for shard, node in enumerate(fresh):
+                    assert node.wal.wal.directory == cluster.wal_dir(1, shard)
+                    assert node.recovered.slots() == decided[shard]
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
+        assert sorted(os.listdir(tmp_path)) == ["shard0", "shard1"]
+
+
 class TestPendingOps:
     def test_majority_dead_leaves_op_pending_and_poisons_client(self):
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             try:
                 transport = cluster.client_transport()
@@ -429,7 +436,7 @@ class TestPendingOps:
     def test_partitioned_minority_forces_backup_path(self):
         async def scenario():
             faults = TransportFaults(seed=0)
-            cluster = LocalCluster(n_servers=3, faults=faults)
+            cluster = ShardedCluster(n_servers=3, faults=faults)
             await cluster.start()
             try:
                 transport = cluster.client_transport("clients")
@@ -476,7 +483,7 @@ class TestRoleMaterialization:
         decrees = 6
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            cluster = ShardedCluster(n_servers=3, wal_root=str(tmp_path))
             await cluster.start()
             try:
                 transport = cluster.client_transport("clients")
@@ -505,7 +512,7 @@ class TestRoleMaterialization:
         # at-rest tear must be the append in flight, never that record:
         # forgetting it lets a late reader steal a decided slot.
         async def scenario():
-            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            cluster = ShardedCluster(n_servers=3, wal_root=str(tmp_path))
             await cluster.start()
             try:
                 transport = cluster.client_transport("clients")
@@ -515,7 +522,7 @@ class TestRoleMaterialization:
                     await client.submit(("put", "k", value))
                 await cluster.kill(2)
                 assert tear_tail(str(tmp_path / "node2" / "wal.log"), cut=3)
-                node = await cluster.restart(2)
+                (node,) = await cluster.restart(2)
                 assert node.recovered.torn_tail
                 assert sorted(node.recovered.quorum) == [
                     r.slot for r in client.results
@@ -585,7 +592,7 @@ class TestRoleMaterialization:
 
     def test_backup_with_a_dead_replica_decides_over_lazy_roles(self, tmp_path):
         async def scenario():
-            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            cluster = ShardedCluster(n_servers=3, wal_root=str(tmp_path))
             await cluster.start()
             try:
                 await cluster.kill(1)
@@ -616,7 +623,7 @@ class TestRoleMaterialization:
         self, tmp_path
     ):
         async def scenario():
-            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            cluster = ShardedCluster(n_servers=3, wal_root=str(tmp_path))
             await cluster.start()
             try:
                 transport = cluster.client_transport("clients")
@@ -625,7 +632,7 @@ class TestRoleMaterialization:
                 for value in range(3):
                     await client.submit(("put", "k", value))
                 await cluster.kill(0)
-                node = await cluster.restart(0)
+                (node,) = await cluster.restart(0)
                 assert node.recovered.incarnation == 1
                 # recovery is all three roles of every recovered slot,
                 # each restored from its own part of the fold
@@ -667,7 +674,7 @@ class TestRouteTable:
         monkeypatch.setattr(transport_module, "MAX_ROUTES", bound)
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             try:
                 transport = cluster.client_transport("clients")

@@ -23,7 +23,7 @@ from repro.core.fastcheck import check_linearizable
 from repro.mp.backoff import BackoffPolicy
 from repro.mp.quorum import QuorumClient
 from repro.net.client import DEFAULT_BACKOFF, HistoryRecorder
-from repro.net.cluster import LocalCluster, shard_of
+from repro.net.cluster import ShardedCluster, shard_of
 from repro.net.codec import (
     BINARY_CODEC,
     BinaryCodec,
@@ -141,7 +141,7 @@ class TestSlotPipeline:
         """Ops enqueued in one loop tick ride one decree, not eight."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3, codec="binary")
+            cluster = ShardedCluster(n_servers=3, codec="binary")
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -173,7 +173,7 @@ class TestSlotPipeline:
         big = "v" * 300_000  # 4 together > 1 MiB, any 2 fit, 1 fits
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3, codec="binary")
+            cluster = ShardedCluster(n_servers=3, codec="binary")
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -206,7 +206,7 @@ class TestSlotPipeline:
         stays clean, the connection keeps working."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -237,7 +237,7 @@ class TestSlotPipeline:
         the invocation only after the enqueue loses the race)."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3, codec="binary")
+            cluster = ShardedCluster(n_servers=3, codec="binary")
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -278,7 +278,7 @@ class TestSlotPipeline:
         decree with are answered, and the loop sees no stray error."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3, codec="binary")
+            cluster = ShardedCluster(n_servers=3, codec="binary")
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -326,7 +326,7 @@ class TestOneWakeUp:
 
     def _healthy_run(self, ops_each):
         async def scenario():
-            cluster = LocalCluster(n_servers=3, codec="binary")
+            cluster = ShardedCluster(n_servers=3, codec="binary")
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -388,7 +388,7 @@ class TestProbingClient:
         commits, and the history is linearizable."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -428,7 +428,7 @@ class TestProbingClient:
         with the last committed ``put`` — the fork-detector walk."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -468,7 +468,7 @@ class TestTheDefaultPlaneIsTheMeasuredOne:
 
     def test_a_default_cluster_group_commits_binary_frames(self, tmp_path):
         async def scenario():
-            cluster = LocalCluster(wal_root=str(tmp_path))
+            cluster = ShardedCluster(wal_root=str(tmp_path))
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -497,10 +497,10 @@ class TestTheDefaultPlaneIsTheMeasuredOne:
         cluster and a JSON client against a default one."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3, codec=cluster_codec)
+            cluster = ShardedCluster(n_servers=3, codec=cluster_codec)
             await cluster.start()
             transport = AsyncTransport(
-                "clients", cluster.book, codec=client_codec
+                "clients", cluster.books[0], codec=client_codec
             )
             recorder = HistoryRecorder(clock=lambda: transport.now)
             pipeline = SlotPipeline("main", 3, transport, quorum_timeout=0.15)
@@ -563,6 +563,13 @@ class TestPipelinedLoadgen:
         # with a replica dead Quorum unanimity is impossible: the tail
         # of the run must have committed through the Backup path
         assert report.slow > 0
+        # one WAL directory and one stats row per group and replica
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "shard0", "shard1",
+        ]
+        assert set(report.endpoint_stats) == {
+            f"shard{s}/node{i}" for s in range(2) for i in range(3)
+        }
 
     def test_shard_routing_matches_partition_key(self):
         # the router and the checker partition by the same key, which
@@ -591,7 +598,7 @@ class TestADeadReplicaCostsNoTimer:
 
     def _run(self, tmp_path, victim):
         async def scenario():
-            cluster = LocalCluster(n_servers=3, wal_root=str(tmp_path))
+            cluster = ShardedCluster(n_servers=3, wal_root=str(tmp_path))
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -666,7 +673,7 @@ class TestADeadReplicaCostsNoTimer:
         WINDOW, OPS = 4, 80
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -712,7 +719,7 @@ class TestADeadReplicaCostsNoTimer:
         every decree to the cyclic garbage collector."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -942,7 +949,7 @@ class TestEncodeOnce:
         monkeypatch.setattr(Packed, "unpack", spy_unpack)
 
         async def scenario():
-            cluster = LocalCluster(
+            cluster = ShardedCluster(
                 n_servers=3, codec="binary", wal_root=str(tmp_path),
                 group_commit=True,
             )
@@ -1051,7 +1058,7 @@ class TestBadDecree:
         on a server that did nothing wrong."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3, codec=codec_name)
+            cluster = ShardedCluster(n_servers=3, codec=codec_name)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -1122,7 +1129,7 @@ class TestOldLogs:
             wal.close()
 
         async def scenario():
-            cluster = LocalCluster(
+            cluster = ShardedCluster(
                 n_servers=3, codec="binary", wal_root=str(tmp_path),
                 group_commit=True,
             )

@@ -177,16 +177,15 @@ def _client(net, pid, servers, outcomes, **kwargs):
 
 
 class TestPresumedDown:
-    """A client told which servers are presumed down applies the timer's
-    switch rule without waiting for the timer."""
+    """A client told before its proposal which servers are presumed down
+    applies the timer's switch rule without waiting for the timer."""
 
     def test_switches_as_soon_as_the_rest_answer_alike(self):
         sim, net, servers = _deployment()
         servers[2].crash()
         outcomes = {}
-        client = _client(
-            net, "c", servers, outcomes, timeout=6.0, presumed_down={"s2"}
-        )
+        client = _client(net, "c", servers, outcomes, timeout=6.0)
+        client.presume_down("s2")
         client.propose("v")
         sim.run()
         # one round trip, not the 6.0 timer
@@ -204,9 +203,8 @@ class TestPresumedDown:
         sim.run()
         assert outcomes["c0"] == ("decide", "v'", 2.0)
         servers[2].crash()
-        late = _client(
-            net, "c1", servers, outcomes, presumed_down={"s2"}
-        )
+        late = _client(net, "c1", servers, outcomes)
+        late.presume_down("s2")
         late.propose("v")
         sim.run()
         assert outcomes["c1"][:2] == ("switch", "v'")
@@ -216,9 +214,8 @@ class TestPresumedDown:
         # nobody, and once all three answered alike the client decides
         sim, net, servers = _deployment()
         outcomes = {}
-        client = _client(
-            net, "c", servers, outcomes, presumed_down={"s0"}
-        )
+        client = _client(net, "c", servers, outcomes)
+        client.presume_down("s0")
         client.propose("v")
         sim.run()
         assert outcomes["c"] == ("decide", "v", 2.0)
@@ -237,12 +234,10 @@ class TestPresumedDown:
         clients = []
         for i in range(3):
             presumed = {s.pid for s in servers if rng.random() < 0.4}
-            clients.append(
-                _client(
-                    net, f"c{i}", servers, outcomes,
-                    timeout=4.0, presumed_down=presumed,
-                )
-            )
+            client = _client(net, f"c{i}", servers, outcomes, timeout=4.0)
+            for server in presumed:
+                client.presume_down(server)
+            clients.append(client)
         for i, client in enumerate(clients):
             # staggered: some propose after another client decided
             sim.schedule(
@@ -365,9 +360,9 @@ class TestAcceptHook:
         heard = []
         outcomes = {}
         client = _client(
-            net, "c", servers, outcomes,
-            presumed_down={"s2"}, on_accept=heard.append,
+            net, "c", servers, outcomes, on_accept=heard.append
         )
+        client.presume_down("s2")
         client.propose("v")
         sim.run()
         # the switch came after s0 and s1; s2's answer still reached

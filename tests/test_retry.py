@@ -27,7 +27,7 @@ from repro.net.client import (
     OperationTimeout,
     RetriesExhausted,
 )
-from repro.net.cluster import LocalCluster
+from repro.net.cluster import ShardedCluster
 from repro.net.pipeline import PipelineClient, SlotPipeline
 
 from helpers import client_timers, run_quiet
@@ -59,7 +59,7 @@ class TestRetryIsOneInvocation:
     def test_pipeline_client_retries_through_a_blackout(self):
         async def scenario():
             faults = TransportFaults(seed=3)
-            cluster = LocalCluster(n_servers=3, faults=faults)
+            cluster = ShardedCluster(n_servers=3, faults=faults)
             await cluster.start()
             transport = cluster.client_transport("clients")
             tap = MonitorTap(StreamingMonitor(counter_adt()))
@@ -95,7 +95,7 @@ class TestRetryIsOneInvocation:
 class TestHedging:
     def test_hedged_duplicate_answers_once(self):
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             tap = MonitorTap(StreamingMonitor(counter_adt()))
@@ -134,7 +134,7 @@ class TestRetriesExhausted:
     def test_exhaustion_leaves_pending_poisons_and_hands_over(self):
         async def scenario():
             faults = TransportFaults(seed=5)
-            cluster = LocalCluster(n_servers=3, faults=faults)
+            cluster = ShardedCluster(n_servers=3, faults=faults)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -185,7 +185,7 @@ class TestWatchdog:
 
     async def _held_cluster(self, hold, **client_kwargs):
         faults = TransportFaults(seed=11)
-        cluster = LocalCluster(n_servers=3, faults=faults)
+        cluster = ShardedCluster(n_servers=3, faults=faults)
         await cluster.start()
         transport = cluster.client_transport("clients")
         recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -328,7 +328,7 @@ class TestWatchdog:
 class TestDedupCanary:
     async def _double_decide(self, dedup):
         """One inc, a manufactured duplicate decree of it, one read."""
-        cluster = LocalCluster(n_servers=3)
+        cluster = ShardedCluster(n_servers=3)
         await cluster.start()
         transport = cluster.client_transport("clients")
         tap = MonitorTap(StreamingMonitor(counter_adt()))

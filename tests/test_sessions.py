@@ -21,7 +21,7 @@ from repro.core.fastcheck import check_linearizable
 from repro.net.netfaults import TransportFaults
 from repro.mp.backoff import BackoffPolicy
 from repro.net.client import DEFAULT_BACKOFF, HistoryRecorder
-from repro.net.cluster import LocalCluster
+from repro.net.cluster import ShardedCluster
 from repro.net.overload import CircuitBreaker, Overloaded
 from repro.net.pipeline import PipelineClient, SlotPipeline, probing_client
 from repro.net.wal import NodeWAL
@@ -217,7 +217,7 @@ class TestWireDuplicateDelivery:
         async def scenario():
             faults = TransportFaults(seed=13)
             faults.burst_duplicate(0.5, duration=30.0)
-            cluster = LocalCluster(n_servers=3, faults=faults, codec=codec)
+            cluster = ShardedCluster(n_servers=3, faults=faults, codec=codec)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -254,7 +254,7 @@ class TestOverload:
         client not poisoned, next submit proceeds."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -278,7 +278,7 @@ class TestOverload:
 
     def test_open_breaker_sheds_typed(self):
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -351,7 +351,7 @@ class TestBackoffCopies:
         private policy copy, never ``DEFAULT_BACKOFF`` itself."""
 
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
@@ -379,7 +379,7 @@ class TestBackoffCopies:
 
     def test_explicit_policy_is_copied_not_aliased(self):
         async def scenario():
-            cluster = LocalCluster(n_servers=3)
+            cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
