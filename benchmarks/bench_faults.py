@@ -37,10 +37,10 @@ def timed_campaign(n_schedules=25, base_seed=0, targets=("composed", "multiphase
     checker_time = 0.0
     original_check = campaign_mod._check
 
-    def timing_check(result, trace, adt, node_limit):
+    def timing_check(result, trace, adt):
         nonlocal checker_time
         t0 = time.perf_counter()
-        original_check(result, trace, adt, node_limit)
+        original_check(result, trace, adt)
         checker_time += time.perf_counter() - t0
 
     campaign_mod._check = timing_check

@@ -27,8 +27,10 @@ can be reproduced from its printed line alone; ``--jobs N`` fans the
 runs across N processes without changing a single output line.
 ``nemesis --net`` runs the same discipline against live localhost TCP
 clusters (kill/restart churn with WAL recovery, loss bursts,
-partitions); ``--amnesiac I`` disables replica I's WAL — the durability
-canary the campaign must catch as a linearizability violation.
+partitions) with the runtime interleaving sanitizer armed in every
+run — an interleaving recorded on honest traffic fails the campaign;
+``--amnesiac I`` disables replica I's WAL — the durability canary the
+campaign must catch as a linearizability violation.
 ``nemesis --retry-storm`` runs the exactly-once campaign instead:
 duplicate-delivery windows, loss bursts violent enough to force client
 retries and hedges, and a kill/restart pair, all on a replicated
@@ -36,9 +38,9 @@ counter whose applied state must equal the distinct increments;
 ``--no-dedup`` disables the session seam and inverts the exit code (the
 mutant must be *caught*).
 ``nemesis --net --race-mutant`` drives traffic through a pipeline whose
-slot claims suspend mid-critical-section and arms the runtime
-interleaving sanitizer; the exit code inverts (every run must record a
-catch) — the live cross-check of the static RD08 rule.
+slot claims suspend mid-critical-section; the exit code inverts (the
+sanitizer must record a catch in every run) — the live cross-check of
+the static RD08 rule.
 ``harness`` runs the benchmark regression harness
 (``benchmarks/harness.py``), writing machine-readable ``BENCH_*.json``.
 ``serve`` hosts a replica cluster on real TCP ports until interrupted;
@@ -190,19 +192,20 @@ def cmd_nemesis(args: argparse.Namespace) -> int:
             pipelined=args.pipelined,
             monitor=args.monitor,
             race_mutant=args.race_mutant,
-            sanitize=args.sanitize or args.race_mutant,
         )
         print()
         print(report.summary())
+        caught = sum(1 for r in report.runs if r.sanitizer_caught)
         if args.race_mutant:
             # mutant mode exists to prove the sanitizer catches the race
-            caught = sum(1 for r in report.runs if r.sanitizer_caught)
             print(
                 f"race-mutant: sanitizer caught the interleaving in "
                 f"{caught}/{len(report.runs)} run(s)"
             )
             return 0 if caught == len(report.runs) and report.runs else 1
-        return 0 if report.all_linearizable else 1
+        if caught:
+            print(f"sanitizer: interleaving recorded in {caught} run(s)")
+        return 0 if report.all_linearizable and not caught else 1
 
     from repro.faults import run_campaign
 
@@ -441,14 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --net: drive traffic through the RacySlotPipeline "
         "whose slot claims suspend mid-critical-section (implies "
-        "--pipelined and --sanitize); exit 0 only if the runtime "
-        "sanitizer catches the interleaving in every run",
-    )
-    p_nem.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="with --net: arm the runtime interleaving sanitizer "
-        "(repro.analysis.sanitizer) for every run",
+        "--pipelined); exit 0 only if the runtime sanitizer, armed in "
+        "every --net run, catches the interleaving in every run",
     )
     p_nem.add_argument(
         "--retry-storm",

@@ -223,11 +223,6 @@ def actions_of_client(action: Action) -> Client:
     return action.client
 
 
-def phase_of(action: Action) -> int:
-    """The phase tag of an action."""
-    return action.phase
-
-
 def client_action_set(
     client: Client, m: int, n: int
 ) -> Callable[[Action], bool]:

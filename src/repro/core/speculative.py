@@ -155,24 +155,7 @@ def singleton_rinit() -> RInit:
     )
 
 
-def first_value_rinit(
-    make_input: Callable[[Hashable], Input],
-    first_of: Callable[[History], Hashable],
-    histories_for: Callable[[SwitchValue], Sequence[History]],
-) -> RInit:
-    """An rinit keyed by the *first* logical value of a history.
 
-    This is the shape of the consensus example (Section 2.4): the switch
-    value ``v`` stands for the set of histories starting with
-    ``propose(v)``; the inverse maps a history to its first proposed
-    value.  ``histories_for`` supplies the finite candidate set used
-    during checking.
-    """
-    return RInit(
-        interpretations=histories_for,
-        value_of=lambda history: first_of(history),
-        description="first-value",
-    )
 
 
 def consensus_rinit(

@@ -31,7 +31,6 @@ from .actions import (
     Input,
     Invocation,
     Response,
-    Signature,
     Switch,
     client_action_set,
     is_invocation,
@@ -95,10 +94,6 @@ class Trace:
     def project(self, keep: Callable[[Action], bool]) -> "Trace":
         """``proj(t, A)`` with ``A`` a membership predicate (Section 3)."""
         return Trace(a for a in self._actions if keep(a))
-
-    def project_signature(self, signature: Signature) -> "Trace":
-        """Project onto the actions of a signature."""
-        return self.project(signature.contains)
 
     def clients(self) -> frozenset:
         """The set of clients with at least one action in the trace."""

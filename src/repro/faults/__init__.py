@@ -22,9 +22,9 @@ clients on a counter object, with a mechanical applied-exactly-once
 witness and a dedup-disabled mutant canary.
 :class:`~repro.faults.mutants.RacySlotPipeline` is the
 interleaving-race mutant: its slot claims suspend mid-critical-section,
-and the campaign run with ``race_mutant=True, sanitize=True`` must see
-the runtime interleaving sanitizer catch it live — the dynamic
-cross-check of the static RD08 lint rule.
+and the campaign run with ``race_mutant=True`` must see the runtime
+interleaving sanitizer, which every wire run arms, catch it live — the
+dynamic cross-check of the static RD08 lint rule.
 :class:`~repro.faults.mutants.ReusedBallotCoordinator` reclaims ballot
 0 after a restart; the enumerated restart test is its catcher.
 """

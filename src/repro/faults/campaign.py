@@ -29,6 +29,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
 )
 
 from .. import engine
@@ -64,6 +65,9 @@ KV = kv_store_adt()
 CAMPAIGN_BACKOFF = BackoffPolicy(
     base=6.0, factor=2.0, cap=80.0, jitter=0.25, max_retries=5
 )
+
+#: the checker's search budget per response (see :func:`_check`)
+NODE_LIMIT = 200_000
 
 
 def _workload_rng(schedule: FaultSchedule) -> random.Random:
@@ -151,16 +155,10 @@ class CampaignTarget:
     """One deployment kind: build it, load it, perturb it, check it."""
 
     name: str = "?"
-    #: ``run_campaign(n_servers=)`` overwrites the first on an instance
     n_servers = 3
     n_clients = 4
 
-    def run(
-        self,
-        schedule: FaultSchedule,
-        mutant: bool = False,
-        node_limit: Optional[int] = 200_000,
-    ) -> RunResult:
+    def run(self, schedule: FaultSchedule, mutant: bool = False) -> RunResult:
         """Execute one deterministic run and check the observed trace."""
         raise NotImplementedError
 
@@ -175,7 +173,7 @@ class _ConsensusTarget(CampaignTarget):
         """The deployment for one run, seeded from the schedule."""
         raise NotImplementedError
 
-    def run(self, schedule, mutant=False, node_limit=200_000) -> RunResult:
+    def run(self, schedule, mutant=False) -> RunResult:
         system = self.build(schedule, mutant)
         schedule.inject(system)
         rng = _workload_rng(schedule)
@@ -201,7 +199,7 @@ class _ConsensusTarget(CampaignTarget):
             latencies=[o.latency for o in outcomes if o.latency is not None],
             stats=system.network.stats,
         )
-        _check(result, strip_phase_tags(system.trace()), CONSENSUS, node_limit)
+        _check(result, strip_phase_tags(system.trace()), CONSENSUS)
         return result
 
 
@@ -242,7 +240,7 @@ class SMRTarget(CampaignTarget):
 
     name = "smr"
 
-    def run(self, schedule, mutant=False, node_limit=200_000) -> RunResult:
+    def run(self, schedule, mutant=False) -> RunResult:
         kv = ReplicatedKVStore(
             n_servers=self.n_servers,
             seed=schedule.seed,
@@ -279,21 +277,21 @@ class SMRTarget(CampaignTarget):
             result.ok = False
             result.reason = f"duplicate command in committed log: {log!r}"
             return result
-        _check(result, kv.interface_trace(), KV, node_limit)
+        _check(result, kv.interface_trace(), KV)
         return result
 
 
-def _check(result: RunResult, trace, adt, node_limit) -> None:
+def _check(result: RunResult, trace, adt) -> None:
     """Run the linearizability checker and fold its verdict in.
 
     Uses the P-compositional fast path (:mod:`repro.core.fastcheck`) —
     the KV target decomposes per key, a consensus target is one
-    partition, and both run the streaming engine, where ``node_limit``
-    bounds the search at one response, not the whole history's.  A
-    blown budget (an ``unknown`` verdict) marks the run inconclusive
-    rather than failing it.
+    partition, and both run the streaming engine, where
+    :data:`NODE_LIMIT` bounds the search at one response, not the whole
+    history's.  A blown budget (an ``unknown`` verdict) marks the run
+    inconclusive rather than failing it.
     """
-    report = check_linearizable(trace, adt, node_limit=node_limit)
+    report = check_linearizable(trace, adt, node_limit=NODE_LIMIT)
     if report.unknown:
         result.inconclusive = True
         result.reason = report.result.reason
@@ -303,7 +301,7 @@ def _check(result: RunResult, trace, adt, node_limit) -> None:
         result.reason = report.result.reason
 
 
-TARGETS: Dict[str, Callable[[], CampaignTarget]] = {
+TARGETS: Dict[str, Type[CampaignTarget]] = {
     "composed": ComposedTarget,
     "multiphase": MultiphaseTarget,
     "smr": SMRTarget,
@@ -383,36 +381,22 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _build_target(name: str, n_servers: int) -> CampaignTarget:
-    target = TARGETS[name]()
-    if name != "multiphase":
-        target.n_servers = n_servers
-    return target
-
-
-def _run_campaign_job(
-    job: Tuple[str, int, bool, Optional[int], FaultSchedule]
-) -> RunResult:
+def _run_campaign_job(job: Tuple[str, bool, FaultSchedule]) -> RunResult:
     """One (target, schedule) run, rebuilt from picklable parameters.
 
     Module-level so spawn-started pool workers can import it; the target
     object itself never crosses the process boundary.
     """
-    name, n_servers, mutant, node_limit, schedule = job
-    target = _build_target(name, n_servers)
-    return target.run(schedule, mutant=mutant, node_limit=node_limit)
+    name, mutant, schedule = job
+    return TARGETS[name]().run(schedule, mutant=mutant)
 
 
 def run_campaign(
     n_schedules: int = 50,
     base_seed: int = 0,
     targets: Sequence[str] = ("composed", "multiphase", "smr"),
-    n_servers: int = 3,
-    horizon: float = 400.0,
-    max_actions: int = 5,
     mutant: bool = False,
     shrink: bool = True,
-    node_limit: Optional[int] = 200_000,
     verbose: bool = False,
     emit: Callable[[str], None] = print,
     jobs: int = 1,
@@ -435,34 +419,30 @@ def run_campaign(
     """
     report = CampaignReport()
     allow = MUTANT_ACTIONS if mutant else ACTION_CLASSES
-    jobs_list: List[Tuple[str, int, bool, Optional[int], FaultSchedule]] = []
-    for name in targets:
-        target_servers = _build_target(name, n_servers).n_servers
-        for k in range(n_schedules):
-            schedule = random_schedule(
+    jobs_list = [
+        (
+            name,
+            mutant,
+            random_schedule(
                 seed=base_seed + k,
-                n_servers=target_servers,
-                horizon=horizon,
-                max_actions=max_actions,
+                n_servers=TARGETS[name].n_servers,
                 allow=allow,
-            )
-            jobs_list.append(
-                (name, n_servers, mutant, node_limit, schedule)
-            )
+            ),
+        )
+        for name in targets
+        for k in range(n_schedules)
+    ]
     results = engine.parallel_map(_run_campaign_job, jobs_list, jobs=jobs)
-    for job, result in zip(jobs_list, results):
-        name, _, _, _, schedule = job
+    for (name, _, _), result in zip(jobs_list, results):
         report.results.append(result)
         if verbose:
             emit(result.line())
         if result.violation:
-            target = _build_target(name, n_servers)
+            target = TARGETS[name]()
             record_violation(
                 report,
                 result,
-                lambda candidate: target.run(
-                    candidate, mutant=mutant, node_limit=node_limit
-                ),
+                lambda candidate: target.run(candidate, mutant=mutant),
                 shrink,
                 emit,
             )

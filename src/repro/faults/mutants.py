@@ -71,9 +71,10 @@ class RacySlotPipeline(SlotPipeline):
     :func:`~repro.analysis.sanitizer.atomic_section` the real pipeline
     declares, which is the point of the mutant: statically it is an
     RD08 canary (a copy of this shape is linted in the test suite), and
-    dynamically the armed sanitizer must record the interleave the
-    moment the second task enters the held section.  The wire campaign
-    drives it with ``run_net_campaign(race_mutant=True, sanitize=True)``.
+    dynamically the sanitizer, armed in every wire campaign run, must
+    record the interleave the moment the second task enters the held
+    section.  The wire campaign drives it with
+    ``run_net_campaign(race_mutant=True)``.
     """
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:

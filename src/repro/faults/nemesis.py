@@ -300,6 +300,11 @@ class ClockSkew(_OnServer):
         )
 
 
+#: a simulated schedule's length in message delays, and the most fault
+#: draws it makes (a crash/recover draw adds two actions)
+SIM_HORIZON = 400.0
+MAX_ACTIONS = 5
+
 #: every concrete action class, for generation and (de)serialization
 ACTION_CLASSES = (
     CrashServer,
@@ -329,7 +334,7 @@ class FaultSchedule:
 
     seed: int
     actions: Tuple[FaultAction, ...] = ()
-    horizon: float = 400.0
+    horizon: float = SIM_HORIZON
 
     def check(self, target: NemesisTarget) -> None:
         """Hold every action to what ``target`` actually has.
@@ -392,8 +397,6 @@ class FaultSchedule:
 def random_schedule(
     seed: int,
     n_servers: int,
-    horizon: float = 400.0,
-    max_actions: int = 5,
     allow: Tuple[type, ...] = ACTION_CLASSES,
 ) -> FaultSchedule:
     """Draw a random fault schedule, deterministically from ``seed``.
@@ -410,10 +413,10 @@ def random_schedule(
     """
     rng = random.Random(seed)
     actions: List[FaultAction] = []
-    n_actions = rng.randint(1, max_actions)
+    n_actions = rng.randint(1, MAX_ACTIONS)
     minority = (n_servers - 1) // 2
     stopped_for_good = 0
-    fault_span = horizon * 0.5  # leave the tail for recovery/quiescence
+    fault_span = SIM_HORIZON * 0.5  # leave the tail for recovery/quiescence
 
     for _ in range(n_actions):
         cls = rng.choice(allow)
@@ -497,4 +500,4 @@ def random_schedule(
             )
 
     actions.sort(key=lambda a: a.at)
-    return FaultSchedule(seed=seed, actions=tuple(actions), horizon=horizon)
+    return FaultSchedule(seed=seed, actions=tuple(actions))

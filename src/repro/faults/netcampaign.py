@@ -71,13 +71,13 @@ tears everything down in its one ``finally`` and tallies clients,
 monitors and the checker into the result.  :func:`_run_schedule`
 contributes what is the campaign's own — the :class:`NetTarget`, the
 schedule played beside the traffic, the wall-clock budget, the
-sanitizer — and two *workloads* plug in.  The KV workload is the one
-above.  The retry storm (:func:`run_retry_storm`,
-:func:`retry_storm_schedule`) is the other: a replicated counter behind
-a sessioned pipeline, hedging and retrying clients, and the mechanical
-witness ``applied_count == distinct_incs`` — with ``dedup=False`` the
-session seam is off and the same campaign loop must *catch* the
-double-apply.
+interleaving sanitizer it arms for every run — and two *workloads*
+plug in.  The KV workload is the one above.  The retry storm
+(:func:`run_retry_storm`, :func:`retry_storm_schedule`) is the other: a
+replicated counter behind a sessioned pipeline, hedging and retrying
+clients, and the mechanical witness ``applied_count == distinct_incs``
+— with ``dedup=False`` the session seam is off and the same campaign
+loop must *catch* the double-apply.
 """
 
 from __future__ import annotations
@@ -138,10 +138,9 @@ PIPELINE_WINDOW = 8
 PIPELINE_BATCH = 16
 
 
-def _endpoints(n_servers: int) -> Tuple[str, ...]:
-    """The transport endpoints of a run: its one client transport and
-    every replica — what a :class:`NetPartition` may name."""
-    return ("clients",) + tuple(f"node{i}" for i in range(n_servers))
+#: the transport endpoints of a run: its one client transport and
+#: every replica — what a :class:`NetPartition` may name
+ENDPOINTS = ("clients",) + tuple(f"node{i}" for i in range(REPLICAS))
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +171,7 @@ class NetTarget(NemesisTarget):
         result: "NetRunResult",
     ) -> None:
         self.n_servers = REPLICAS
-        self.endpoints = _endpoints(REPLICAS)
+        self.endpoints = ENDPOINTS
         schedule.check(self)
         self.seed = schedule.seed
         self.result = result
@@ -403,7 +402,7 @@ def asymmetric_bridge(
     yet every pair stays mutually reachable through the asymmetric
     remainder — the classic gray partition in which no node looks dead
     from everywhere at once."""
-    endpoints = [f"node{i}" for i in range(REPLICAS)]
+    endpoints = ENDPOINTS[1:]
     return tuple(
         NetPartition(
             at=at,
@@ -418,15 +417,13 @@ def asymmetric_bridge(
 
 def random_net_schedule(
     seed: int,
-    n_servers: int = REPLICAS,
-    max_kills: int = 2,
     must_restart: Optional[int] = None,
     storage_faults: bool = False,
 ) -> FaultSchedule:
     """Draw a live-cluster fault schedule, deterministically from ``seed``.
 
-    Kills always come paired with a later restart, and pairs are placed
-    so at most a minority of replicas is down at any instant.
+    Up to two kills come paired with a later restart each, and pairs
+    are placed so at most a minority of replicas is down at any instant.
     ``must_restart`` forces one kill/restart pair for that node — the
     amnesiac-canary campaigns use it so the node under suspicion is
     guaranteed to lose its memory mid-run.  Network perturbations draw
@@ -438,7 +435,7 @@ def random_net_schedule(
     recovery and late readers.
     """
     rng = random.Random(f"netcampaign:{seed}")
-    minority = max(1, (n_servers - 1) // 2)
+    minority = (REPLICAS - 1) // 2
     span = 2.0  # of the 4 s horizon
     actions: List[FaultAction] = []
     down: List[Tuple[float, float, int]] = []  # (start, end, node)
@@ -470,12 +467,11 @@ def random_net_schedule(
         while not add_pair(must_restart):
             pass
     if storage_faults:
-        while not add_pair(rng.randrange(n_servers), tear=True):
+        while not add_pair(rng.randrange(REPLICAS), tear=True):
             pass
-    for _ in range(rng.randint(0, max_kills)):
-        add_pair(rng.randrange(n_servers))
+    for _ in range(rng.randint(0, 2)):
+        add_pair(rng.randrange(REPLICAS))
 
-    endpoints = _endpoints(n_servers)
     for _ in range(rng.randint(0, 2)):
         at = round(rng.uniform(0.1, span), 2)
         kind = rng.random()
@@ -488,7 +484,7 @@ def random_net_schedule(
                 )
             )
         elif kind < 0.75:
-            a, b = rng.sample(endpoints, 2)
+            a, b = rng.sample(ENDPOINTS, 2)
             actions.append(
                 NetPartition(
                     at=at,
@@ -502,7 +498,7 @@ def random_net_schedule(
             actions.append(
                 NetSlowNode(
                     at=at,
-                    node=rng.randrange(n_servers),
+                    node=rng.randrange(REPLICAS),
                     delay=round(rng.uniform(0.02, 0.08), 3),
                     duration=round(rng.uniform(0.4, 1.0), 2),
                 )
@@ -599,7 +595,8 @@ class NetRunResult(RunReport):
     dedup: bool = True
     #: the run drove the RacySlotPipeline mutant (awaits mid-claim)
     race_mutant: bool = False
-    #: the runtime interleaving sanitizer was armed for this run
+    #: the runtime interleaving sanitizer was armed for this run (every
+    #: campaign run arms it; False only on a result built by hand)
     sanitized: bool = False
     #: interleavings the sanitizer recorded during the run
     sanitizer_violations: int = 0
@@ -614,7 +611,14 @@ class NetRunResult(RunReport):
 
     @property
     def ok(self) -> bool:
-        return self.verdict == "linearizable" and self.exactly_once
+        """Linearizable and exactly-once — and, unless the race mutant
+        was driven on purpose, no interleaving recorded: on honest
+        traffic every guarded section is synchronous, so a catch is a
+        real race even when the history happens to check out."""
+        raced = self.sanitizer_violations and not self.race_mutant
+        return (
+            self.verdict == "linearizable" and self.exactly_once and not raced
+        )
 
     @property
     def violation(self) -> bool:
@@ -633,7 +637,8 @@ class NetRunResult(RunReport):
 
     def line(self) -> str:
         """One replayable report line, campaign.py style."""
-        tag = "OK " if self.ok else ("BUG" if self.caught else "???")
+        caught = self.caught or self.sanitizer_caught
+        tag = "OK " if self.ok else ("BUG" if caught else "???")
         extra = f" amnesiac=node{self.amnesiac}" if self.amnesiac is not None else ""
         if not self.dedup:
             extra += " MUTANT(dedup-off)"
@@ -754,9 +759,6 @@ class _RunConfig:
     #: pipeline (implies ``pipelined``): its slot claims suspend
     #: mid-critical-section, the lost-update shape RD08 flags statically
     race_mutant: bool = False
-    #: arm the runtime interleaving sanitizer for the run; the result
-    #: reports how many interleavings it recorded
-    sanitize: bool = False
     #: the storm's session seam; False is its double-apply mutant
     dedup: bool = True
 
@@ -935,11 +937,10 @@ async def _run_schedule(
         dedup=config.dedup,
     )
     sanitizer_was_enabled = sanitizer.enabled()
-    if config.sanitize:
-        # Per-run isolation: violations recorded by this run must not
-        # leak into the next schedule's count (or vice versa).
-        sanitizer.reset()
-        sanitizer.enable()
+    # Per-run isolation: violations recorded by this run must not leak
+    # into the next schedule's count (or vice versa).
+    sanitizer.reset()
+    sanitizer.enable()
     try:
         with tempfile.TemporaryDirectory(prefix="repro-net-wal-") as wal_root:
             target = NetTarget(schedule, config, wal_root, result)
@@ -967,11 +968,10 @@ async def _run_schedule(
                 except asyncio.TimeoutError:
                     result.reason = "run exceeded its wall-clock budget"
     finally:
-        if config.sanitize:
-            result.sanitized = True
-            result.sanitizer_violations = len(sanitizer.violations())
-            if not sanitizer_was_enabled:
-                sanitizer.disable()
+        result.sanitized = True
+        result.sanitizer_violations = len(sanitizer.violations())
+        if not sanitizer_was_enabled:
+            sanitizer.disable()
 
     run.fill(result)
     result.pipelined = bool(run.pipelines)
@@ -1060,7 +1060,6 @@ def run_net_campaign(
     pipelined: bool = False,
     monitor: bool = False,
     race_mutant: bool = False,
-    sanitize: bool = False,
     emit: Callable[[str], None] = print,
 ) -> NetCampaignReport:
     """Run seeded chaos campaigns against live localhost clusters.
@@ -1093,14 +1092,15 @@ def run_net_campaign(
     post-hoc one, and with ``artifact_dir`` a monitor-caught violation
     writes its shrunken witness as ``net-monitor-witness-{seed}.json``.
 
-    ``race_mutant=True`` swaps the main-traffic pipeline for
-    :class:`~repro.faults.mutants.RacySlotPipeline` (implying
-    ``pipelined``), whose slot claims suspend inside their critical
-    section; ``sanitize=True`` arms the runtime interleaving sanitizer
-    so each result reports the interleavings it recorded
-    (``NetRunResult.sanitizer_caught``).  The CI canary runs both
-    together and demands a catch — the dynamic cross-check of the
-    static RD08 rule.
+    Every run arms the runtime interleaving sanitizer
+    (:mod:`repro.analysis.sanitizer`) and reports the interleavings it
+    recorded; on honest traffic one makes the run fail
+    (``NetRunResult.ok``).  ``race_mutant=True`` swaps the main-traffic
+    pipeline for :class:`~repro.faults.mutants.RacySlotPipeline`
+    (implying ``pipelined``), whose slot claims suspend inside their
+    critical section: the CI canary drives it and demands a catch in
+    every run (``NetRunResult.sanitizer_caught``) — the dynamic
+    cross-check of the static RD08 rule.
     """
     config = _RunConfig(
         workload=KV_WORKLOAD,
@@ -1110,7 +1110,6 @@ def run_net_campaign(
         pipelined=pipelined or race_mutant,
         monitor=monitor,
         race_mutant=race_mutant,
-        sanitize=sanitize,
     )
     if schedules is None:
         schedules = [

@@ -34,7 +34,24 @@ from __future__ import annotations
 import math
 import random
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
+
+
+class _RateWindows(list):
+    """Additive i.i.d. rate windows, ``(rate, expiry time)`` on the fault
+    clock: loss bursts and duplicate bursts each keep one."""
+
+    def add(self, rate: float, expiry: float) -> None:
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError("rate must be in [0, 1]")
+        self.append((rate, expiry))
+
+    def rate(self, clock: Callable[[], float]) -> float:
+        """Sum of every still-open window, capped at 1."""
+        if self:
+            now = clock()
+            self[:] = [window for window in self if window[1] > now]
+        return min(1.0, sum(rate for rate, _ in self))
 
 
 class TransportFaults:
@@ -50,12 +67,10 @@ class TransportFaults:
         self.clock = time.monotonic
         #: directed endpoint pair → heal time (``math.inf`` = explicit)
         self._cuts: Dict[Tuple[str, str], float] = {}
-        #: additive loss windows: (rate, expiry time)
-        self._bursts: List[Tuple[float, float]] = []
+        self._loss = _RateWindows()
         #: slow-node windows: endpoint → (added delay seconds, expiry)
         self._slow: Dict[str, Tuple[float, float]] = {}
-        #: duplicate-delivery windows: (rate, expiry time)
-        self._dup_bursts: List[Tuple[float, float]] = []
+        self._duplicate = _RateWindows()
         #: frames delivered twice (observability)
         self.duplicated = 0
 
@@ -82,18 +97,11 @@ class TransportFaults:
     def burst_loss(self, rate: float, duration: float) -> None:
         """Add i.i.d. loss at ``rate`` for the next ``duration`` seconds
         (windows compose additively, like the simulator's BurstLoss)."""
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        self._bursts.append((rate, self.clock() + duration))
+        self._loss.add(rate, self.clock() + duration)
 
     def effective_loss_rate(self) -> float:
         """Sum of every still-open loss window."""
-        if self._bursts:
-            now = self.clock()
-            self._bursts = [
-                burst for burst in self._bursts if burst[1] > now
-            ]
-        return min(1.0, sum(rate for rate, _ in self._bursts))
+        return self._loss.rate(self.clock)
 
     def burst_duplicate(self, rate: float, duration: float) -> None:
         """Duplicate frames i.i.d. at ``rate`` for ``duration`` seconds.
@@ -107,18 +115,11 @@ class TransportFaults:
         property tests assert.  Windows compose additively, like
         :meth:`burst_loss`.
         """
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        self._dup_bursts.append((rate, self.clock() + duration))
+        self._duplicate.add(rate, self.clock() + duration)
 
     def effective_duplicate_rate(self) -> float:
         """Sum of every still-open duplicate-delivery window."""
-        if self._dup_bursts:
-            now = self.clock()
-            self._dup_bursts = [
-                burst for burst in self._dup_bursts if burst[1] > now
-            ]
-        return min(1.0, sum(rate for rate, _ in self._dup_bursts))
+        return self._duplicate.rate(self.clock)
 
     def should_duplicate(self, src_ep: str, dst_ep: str) -> bool:
         """Whether to deliver this frame a second time (counted)."""

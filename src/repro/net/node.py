@@ -152,7 +152,8 @@ class _DurableRole:
 
     # The whole handler is one critical section: buffer, persist,
     # release must not interleave with another task touching this role.
-    # The guard is free unless REPRO_SANITIZE=1 (nemesis campaigns).
+    # The guard costs one flag check unless the sanitizer is armed, as
+    # every wire chaos run arms it.
     @atomic_section
     def on_message(self, src: Hashable, message: Any) -> None:
         if self._wal is None:

@@ -382,8 +382,8 @@ class SlotPipeline:
     def _claim_slot(self) -> int:
         # The claim is an atomic section: read of _next_slot and the
         # write-back must not be separated by a suspension, or two
-        # proposers claim the same slot (the runtime sanitizer enforces
-        # this under REPRO_SANITIZE=1; statically it is RD08's job).
+        # proposers claim the same slot (the runtime sanitizer, armed in
+        # every wire chaos run, enforces this; statically it is RD08's).
         with atomic_section(self, "slot-claim"):
             # reclaimed (abandoned) slots first: the lowest undecided
             # slot gates the apply prefix, so filling holes beats

@@ -27,7 +27,6 @@ slot, virtual-time latency) feed experiment E9.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -37,7 +36,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -48,7 +46,7 @@ from ..core.traces import Trace
 from ..mp.backoff import BackoffPolicy
 from ..mp.phases import Phase, backup, host, quorum, walk
 from ..mp.sim import Network, Process, Simulator
-from .universal import UniversalFrontend, make_batch
+from .universal import UniversalFrontend
 
 
 @dataclass
@@ -179,43 +177,37 @@ class SpeculativeSMR:
     def _decree(
         self,
         slot: int,
-        value: Hashable,
-        group: Sequence[CommandOutcome],
+        outcome: CommandOutcome,
         settled: Callable[[Hashable], None],
-        abandoned: Callable[[], None],
     ) -> None:
-        """Propose ``value`` at ``slot`` on behalf of ``group``, through
-        the slot's phase chain.
+        """Propose ``outcome``'s command at ``slot``, through the slot's
+        phase chain.
 
         ``settled(winner)`` fires once the slot is decided — with the
-        slot's winner (``log[slot]``), which need not be ``value``.  If
-        Backup exhausts its retry budget the group is marked ``gave_up``
-        and ``abandoned()`` fires instead: the slot is unreachable, and
-        the commands report failure rather than hanging silently.
+        slot's winner (``log[slot]``), which need not be the command.  If
+        Backup exhausts its retry budget the command is marked
+        ``gave_up`` instead: the slot is unreachable, and the command
+        reports failure rather than hanging silently.
         """
         phases = self._ensure_slot(slot)
-        for outcome in group:
-            outcome.attempts += 1
+        outcome.attempts += 1
         self._uid += 1
 
         def decided(position: int, winner: Hashable) -> None:
             settled(self.log.setdefault(slot, winner))
 
         def switched(position: int, switch_value: Hashable) -> None:
-            for outcome in group:
-                outcome.switched_slots += 1
+            outcome.switched_slots += 1
 
         def gave_up() -> None:
-            for outcome in group:
-                outcome.gave_up = True
-                outcome.give_up_time = self.network.now
-            abandoned()
+            outcome.gave_up = True
+            outcome.give_up_time = self.network.now
 
         walk(
             self.network,
             phases,
             self._uid,
-            value,
+            outcome.command,
             self.backoff,
             decided,
             switched,
@@ -246,13 +238,7 @@ class SpeculativeSMR:
                 # Known decided: skip forward without a consensus round.
                 advance(slot, self.log[slot])
                 return
-            self._decree(
-                slot,
-                command,
-                [outcome],
-                lambda winner: advance(slot, winner),
-                lambda: None,
-            )
+            self._decree(slot, outcome, lambda winner: advance(slot, winner))
 
         def advance(slot: int, winner: Hashable) -> None:
             if outcome.commit_time is not None:
@@ -271,90 +257,6 @@ class SpeculativeSMR:
 
         self.network.call_later(at, start)
         return outcome
-
-    def submit_pipelined(
-        self,
-        client: Hashable,
-        commands: Sequence[Hashable],
-        at: float = 0.0,
-        window: int = 8,
-        max_batch: int = 8,
-    ) -> List[CommandOutcome]:
-        """Replicate ``commands`` through a window of in-flight decrees.
-
-        Where :meth:`submit` probes one slot at a time per command, this
-        keeps up to ``window`` consecutive slots in flight at once, each
-        carrying a batch of up to ``max_batch`` queued commands — the
-        simulator-side mirror of the TCP runtime's
-        :class:`repro.net.pipeline.SlotPipeline`.  A decree that loses
-        its slot re-queues its commands at the head of the line; slots
-        are claimed from a monotonic counter that skips known-decided
-        ones, so the committed log stays a contiguous prefix.
-
-        Unlike :meth:`submit`, a pipelined client keeps proposing after
-        a decree gave up: the commands of that decree are marked
-        ``gave_up``, its place in the window is freed and the queue
-        moves on, so every command ends committed or ``gave_up`` — none
-        is left silently pending behind a failed one.
-
-        Safety is :meth:`submit`'s argument verbatim: a batch value is
-        proposed at one slot at a time and re-proposed only after its
-        slot demonstrably decided a different winner, so no value is
-        ever decided twice; and batches carry their commands' unique
-        per-client tags, so distinct groups are distinct decree values.
-        """
-        outcomes = [
-            CommandOutcome(client=client, command=cmd, start=at)
-            for cmd in commands
-        ]
-        self.outcomes.extend(outcomes)
-        queue: deque = deque(outcomes)
-        in_flight = [0]
-        next_slot = [0]
-
-        def claim_slot() -> int:
-            slot = next_slot[0]
-            while slot in self.log:
-                slot += 1
-            next_slot[0] = slot + 1
-            return slot
-
-        def pump() -> None:
-            while in_flight[0] < window and queue:
-                group = [
-                    queue.popleft()
-                    for _ in range(min(max_batch, len(queue)))
-                ]
-                in_flight[0] += 1
-                propose(claim_slot(), group)
-
-        def release() -> None:
-            in_flight[0] -= 1
-            pump()
-
-        def propose(slot: int, group: List[CommandOutcome]) -> None:
-            value = make_batch(tuple(o.command for o in group))
-
-            def settled(winner: Hashable) -> None:
-                if winner == value:
-                    for outcome in group:
-                        self._commit(outcome, slot)
-                else:
-                    # losers rejoin at the head: their invocations are
-                    # oldest, and head placement keeps client order
-                    queue.extendleft(reversed(group))
-                release()
-
-            self._decree(slot, value, group, settled, release)
-
-        def start() -> None:
-            for outcome in outcomes:
-                outcome.start = self.network.now
-            next_slot[0] = self._first_open_slot()
-            pump()
-
-        self.network.call_later(at, start)
-        return outcomes
 
     def run(self, until: Optional[float] = None, max_events: int = 500000) -> None:
         """Drive the simulation to quiescence (or the given horizon)."""

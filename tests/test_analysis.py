@@ -710,6 +710,62 @@ def test_tree_is_clean():
     assert report.findings == [], "\n" + report.to_text()
 
 
+def test_every_definition_is_named_somewhere_else():
+    """No function, class or method under ``src/repro`` that nothing
+    calls, tests or documents: each name occurs in ``src/``, ``tests/``,
+    ``benchmarks/``, ``examples/`` or ``docs/`` more often than it is
+    defined.  Exempt are names a framework calls for us: ``@register``ed
+    lint rules, ``asyncio.Protocol`` callbacks and dunders."""
+    import ast
+    import asyncio
+    import re
+    from collections import Counter
+
+    mentions = Counter()
+    for tree in ("src", "tests", "benchmarks", "examples", "docs"):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, tree)):
+            for name in files:
+                if name.endswith((".py", ".md")):
+                    path = os.path.join(dirpath, name)
+                    with open(path, encoding="utf-8") as handle:
+                        mentions.update(re.findall(r"\w+", handle.read()))
+    exempt = set(dir(asyncio.Protocol))
+    defined = Counter()
+    where = {}
+    for dirpath, _, files in os.walk(os.path.join(SRC, "repro")):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(dirpath, name)
+            with open(path, encoding="utf-8") as handle:
+                module = ast.parse(handle.read())
+            for node in ast.walk(module):
+                if not isinstance(
+                    node,
+                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+                ):
+                    continue
+                if any(
+                    isinstance(d, ast.Name) and d.id == "register"
+                    for d in node.decorator_list
+                ):
+                    exempt.add(node.name)
+                defined[node.name] += 1
+                where[node.name] = (
+                    f"{node.name} ({os.path.relpath(path, ROOT)}:{node.lineno})"
+                )
+    unnamed = sorted(
+        where[name]
+        for name, count in defined.items()
+        if mentions[name] <= count
+        and name not in exempt
+        and not (name.startswith("__") and name.endswith("__"))
+    )
+    assert unnamed == [], "defined but never named elsewhere: " + ", ".join(
+        unnamed
+    )
+
+
 def test_package_relpath_normalizes_to_package_root():
     assert (
         package_relpath(os.path.join(SRC, "repro", "mp", "sim.py"))

@@ -74,6 +74,14 @@ def test_serve_has_no_supervisor(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_nemesis_has_no_sanitize_switch(capsys):
+    # every wire chaos run arms the sanitizer: there is nothing to select
+    with pytest.raises(SystemExit) as refused:
+        build_parser().parse_args(["nemesis", "--net", "--sanitize"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_the_plane_is_sized_not_selected():
     parse = build_parser().parse_args
     args = parse(["loadgen", "--shards", "2", "--window", "4"])

@@ -16,7 +16,7 @@ import os
 from repro.faults import run_campaign
 from repro.faults.campaign import CAMPAIGN_BACKOFF
 from repro.mp import ComposedConsensus, PaxosOnly, QuorumOnly, ThreePhaseConsensus
-from repro.smr import ReplicatedKVStore, SpeculativeSMR
+from repro.smr import ReplicatedKVStore
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "golden", "sim_campaign.json"
@@ -102,24 +102,6 @@ def smr_submit(seed, crash):
     }
 
 
-def smr_pipelined(seed):
-    smr = SpeculativeSMR(seed=seed, delay=jitter)
-    for i in range(CLIENTS):
-        smr.submit_pipelined(
-            f"c{i}",
-            [("put", "x", (i, k)) for k in range(4)],
-            at=0.0,
-            window=2,
-            max_batch=2,
-        )
-    smr.run()
-    return {
-        "log": repr(smr.committed_log()),
-        "stats": totals(smr.network),
-        "outcomes": smr_outcomes(smr),
-    }
-
-
 def capture():
     golden = {"campaign": campaign()}
     for name in DEPLOYMENTS:
@@ -128,7 +110,6 @@ def capture():
             golden[key] = [deployment(name, seed, crash) for seed in SEEDS]
     golden["smr_submit"] = [smr_submit(seed, False) for seed in SEEDS]
     golden["smr_submit+crash"] = [smr_submit(seed, True) for seed in SEEDS]
-    golden["smr_pipelined"] = [smr_pipelined(seed) for seed in SEEDS]
     return golden
 
 
@@ -153,7 +134,6 @@ def _covers_both_paths(golden):
         and any(o[2] is not None for o in outcomes("composed+crash"))
         and any(len(o[2]) == 2 for o in outcomes("three_phase+crash"))
         and any(o[4] == "slow" for o in outcomes("smr_submit+crash"))
-        and any(o[2] > 1 for o in outcomes("smr_pipelined"))
     )
 
 

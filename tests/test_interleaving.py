@@ -759,7 +759,7 @@ def _quiet_campaign(**kwargs):
 
 
 def test_race_mutant_campaign_is_caught_live():
-    report = _quiet_campaign(race_mutant=True, sanitize=True)
+    report = _quiet_campaign(race_mutant=True)
     run = report.runs[0]
     assert run.race_mutant and run.sanitized
     assert run.sanitizer_caught
@@ -769,7 +769,7 @@ def test_race_mutant_campaign_is_caught_live():
 
 
 def test_clean_pipeline_records_no_interleavings():
-    report = _quiet_campaign(pipelined=True, sanitize=True)
+    report = _quiet_campaign(pipelined=True)
     run = report.runs[0]
     assert run.sanitized and not run.race_mutant
     assert run.sanitizer_violations == 0

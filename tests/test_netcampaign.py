@@ -68,7 +68,7 @@ class TestScheduleGeneration:
 
     def test_kills_are_paired_with_later_restarts(self):
         for seed in range(20):
-            schedule = random_net_schedule(seed=seed, max_kills=2)
+            schedule = random_net_schedule(seed=seed)
             kills = [a for a in schedule.actions if isinstance(a, KillNode)]
             restarts = {
                 a.node: a.at
@@ -81,9 +81,7 @@ class TestScheduleGeneration:
 
     def test_majority_preserving_bounds_concurrent_downtime(self):
         for seed in range(30):
-            schedule = random_net_schedule(
-                seed=seed, n_servers=3, max_kills=2
-            )
+            schedule = random_net_schedule(seed=seed)
             windows = []
             for action in schedule.actions:
                 if isinstance(action, KillNode):
@@ -161,6 +159,40 @@ class TestScheduleGeneration:
         keys = set(NetRunResult(schedule=FaultSchedule(seed=0)).to_jsonable())
         assert set(GOLDEN["net_run_report_keys"]) <= keys
         assert set(GOLDEN["retry_storm_report_keys"]) <= keys
+
+
+class TestSanitizerVerdict:
+    """Every wire run arms the sanitizer, so it must never be silent: on
+    honest traffic a recorded interleaving fails the run and the CLI."""
+
+    @staticmethod
+    def raced(**fields):
+        fields = {"sanitizer_violations": 1, **fields}
+        return NetRunResult(
+            schedule=FaultSchedule(seed=0),
+            verdict="linearizable",
+            sanitized=True,
+            **fields,
+        )
+
+    def test_an_honest_run_that_raced_is_not_ok(self):
+        run = self.raced()
+        assert run.sanitizer_caught and not run.ok
+        assert run.line().startswith("[BUG]") and "sanitizer=1" in run.line()
+        assert self.raced(sanitizer_violations=0).ok
+        # the race mutant is driven to be caught: that catch is its pass
+        assert self.raced(race_mutant=True).ok
+
+    def test_nemesis_net_exits_1_on_a_raced_run(self, monkeypatch, capsys):
+        import repro.faults
+        from repro.faults.netcampaign import NetCampaignReport
+
+        report = NetCampaignReport(runs=[self.raced()])
+        monkeypatch.setattr(
+            repro.faults, "run_net_campaign", lambda **kwargs: report
+        )
+        assert repro_main(["nemesis", "1", "0", "--net"]) == 1
+        assert "interleaving recorded in 1 run(s)" in capsys.readouterr().out
 
 
 class _Recorder:
@@ -272,7 +304,7 @@ class TestBindingAndTeardown:
             seed=1, actions=(RestartNode(at=0.1, node=7),), horizon=1.0
         )
         with pytest.raises(ValueError, match=r"RestartNode\(at=0.1, node=7\)"):
-            run_net_campaign(schedules=[schedule], sanitize=True, emit=SILENT)
+            run_net_campaign(schedules=[schedule], emit=SILENT)
         assert not sanitizer.enabled()
 
     def test_a_schedule_naming_a_missing_endpoint_is_refused(self):
@@ -297,7 +329,6 @@ class TestBindingAndTeardown:
                 schedules=[schedule],
                 clients=2,
                 ops_per_client=40,
-                sanitize=True,
                 emit=SILENT,
             )
         (target,) = _Explode.seen

@@ -6,9 +6,6 @@ at the frame bound — but must not change *what* commits: every history
 it produces, sharded or not, killed-replica or not, has to check out
 linearizable, and oversized work has to fail as a typed per-op error
 without tearing a connection or poisoning an innocent client.
-
-The simulator-side mirror (:meth:`SpeculativeSMR.submit_pipelined`)
-is covered here too, so the two data planes stay behaviourally aligned.
 """
 
 import asyncio
@@ -20,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fastcheck import check_linearizable
-from repro.mp.backoff import BackoffPolicy
 from repro.mp.quorum import QuorumClient
 from repro.net.client import DEFAULT_BACKOFF, HistoryRecorder
 from repro.net.cluster import ShardedCluster, shard_of
@@ -54,77 +50,12 @@ from repro.net.transport import (
     RECONNECT_COOLDOWN,
 )
 from repro.net.wal import NodeWAL
-from repro.smr.replica import SpeculativeSMR
-from repro.smr.universal import batch_commands, kv_store_adt, make_batch
+from repro.smr.universal import kv_store_adt, make_batch
 
 from helpers import client_timers, run_quiet
 from .test_net_codec import wide_payloads
 
 SILENT = lambda line: None  # noqa: E731
-
-
-# ---------------------------------------------------------------------------
-# the simulator-side mirror
-# ---------------------------------------------------------------------------
-
-
-class TestSimPipelined:
-    def test_pipelined_commits_all_commands_in_order(self):
-        smr = SpeculativeSMR(n_servers=3, seed=7)
-        commands = [("put", "k", i) for i in range(20)]
-        outcomes = smr.submit_pipelined(
-            "c1", commands, at=0.0, window=4, max_batch=4
-        )
-        smr.run()
-        assert all(o.commit_time is not None for o in outcomes)
-        # the flattened decided log is exactly the submitted sequence:
-        # batches partition the commands, slots preserve their order
-        decided = []
-        for slot in sorted(smr.log):
-            decided.extend(batch_commands(smr.log[slot]))
-        assert decided == commands
-
-    def test_pipelined_batches_across_the_window(self):
-        smr = SpeculativeSMR(n_servers=3, seed=1)
-        commands = [("put", "k", i) for i in range(16)]
-        smr.submit_pipelined("c1", commands, window=4, max_batch=8)
-        smr.run()
-        # 16 commands at <=8 per decree need at least 2 decrees but far
-        # fewer than one per command — batching actually engaged
-        assert 2 <= len(smr.log) <= 4
-
-    def test_pipelined_under_crash_still_commits(self):
-        smr = SpeculativeSMR(n_servers=3, seed=3)
-        commands = [("put", "k", i) for i in range(12)]
-        outcomes = smr.submit_pipelined("c1", commands, window=4, max_batch=4)
-        smr.crash_server(2, at=5.0)
-        smr.run()
-        assert all(o.commit_time is not None for o in outcomes)
-
-    def test_a_given_up_decree_does_not_strand_the_queue(self):
-        # a dead majority: every decree exhausts Backup's retry budget.
-        # The window slot a given-up decree held is freed and the queue
-        # moves on, so no command is left silently pending behind it.
-        smr = SpeculativeSMR(
-            n_servers=3,
-            seed=1,
-            backoff=BackoffPolicy(
-                base=2.0, factor=2.0, cap=8.0, jitter=0.0, max_retries=2
-            ),
-        )
-        smr.crash_server(1, at=0.0)
-        smr.crash_server(2, at=0.0)
-        outcomes = smr.submit_pipelined(
-            "c",
-            [("put", "k", i) for i in range(6)],
-            at=1.0,
-            window=1,
-            max_batch=2,
-        )
-        smr.run(until=2000.0)
-        assert [o.path for o in outcomes] == ["gave_up"] * 6
-        assert all(o.give_up_time is not None for o in outcomes)
-        assert smr.log == {}
 
 
 # ---------------------------------------------------------------------------
