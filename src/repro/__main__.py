@@ -17,7 +17,7 @@ Usage::
     python -m repro loadgen --shards 2 --monitor        # checked live
     python -m repro monitor --replay artifact.json      # stream a trace
     python -m repro monitor --watch --port-base 9000    # probe a cluster
-    python -m repro lint [--rules IDS] [--baseline] [PATH...]
+    python -m repro lint [--rules IDS] [PATH...]
     python -m repro lint --explain RD08                 # rule doc + examples
 
 Each experiment prints the table/series described in EXPERIMENTS.md.
@@ -61,7 +61,7 @@ with a recording canary client (see docs/MONITORING.md).
 async-hygiene and IOA well-formedness rules, the interprocedural ones
 over the project call graph (RD08 interleaving races, path-sensitive
 RD02 durability) and the architecture invariants (RD09) — over
-``src/``, exiting nonzero on any non-baselined finding;
+``src/``, exiting nonzero on any finding not suppressed inline;
 ``--rules``/``--explain`` select and document individual rules (see
 docs/ANALYSIS.md).
 """

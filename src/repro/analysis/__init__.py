@@ -11,16 +11,15 @@ architecture table (layering, atomic-only shared-memory access in
 ``sm/``).
 
 Run it as ``python -m repro lint [--format text|json]
-[--rules RD01,RD08] [--explain RDxx] [--baseline]``; findings can be
-suppressed inline with ``# repro: disable=RD01`` (file-wide with
-``# repro: disable-file=RD01``) or grandfathered in the committed
-baseline file (kept empty by policy).  The static pass has a runtime
-counterpart in :mod:`.sanitizer` — a critical-section guard that turns
-actual interleavings into errors under ``REPRO_SANITIZE=1``.
+[--rules RD01,RD08] [--explain RDxx]``; a finding is accepted one way,
+an inline ``# repro: disable=RD01`` comment on a line of its span or
+alone on the line above (:mod:`.suppressions`).  The static pass has a
+runtime counterpart in :mod:`.sanitizer` — a critical-section guard
+that, once :func:`.sanitizer.enable` arms it, turns actual
+interleavings into errors.
 See ``docs/ANALYSIS.md`` for the rule catalogue.
 """
 
-from .baseline import BaselineError, load_baseline, write_baseline
 from .callgraph import CallGraph, ProjectContext, build_project
 from .cfg import CFG, CFGNode, build_cfg
 from .dataflow import Analysis, SetUnionAnalysis, solve
@@ -50,7 +49,6 @@ from .sanitizer import (
 
 __all__ = [
     "Analysis",
-    "BaselineError",
     "CFG",
     "CFGNode",
     "CallGraph",
@@ -71,11 +69,9 @@ __all__ = [
     "get_rule",
     "interleave_token",
     "iter_python_files",
-    "load_baseline",
     "package_relpath",
     "register",
     "rule_ids",
     "run_lint",
     "solve",
-    "write_baseline",
 ]

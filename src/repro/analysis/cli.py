@@ -6,15 +6,13 @@ Self-hosted usage (the CI lint job)::
     python -m repro lint --format json        # machine-readable artifact
     python -m repro lint --rules RD01,RD08    # run a subset of rules
     python -m repro lint --explain RD08       # rule doc + bad/good example
-    python -m repro lint --baseline           # grandfather current findings
     python -m repro lint path/ other.py       # lint explicit paths
 
-Exit status is 1 iff any non-suppressed, non-baselined finding (or a
-parse error) remains — the gate CI enforces; 2 on usage errors such as
-a malformed baseline file.  ``--baseline`` rewrites the baseline file
-from the current findings and exits 0; the committed baseline is empty
-by policy (``docs/ANALYSIS.md``), so using it is an explicit, reviewed
-decision.
+Exit status is 1 iff any finding not suppressed inline (or a parse
+error) remains — the gate CI enforces; 2 on usage errors such as an
+unknown rule id.  The one way to accept a finding is an inline
+``# repro: disable=RDxx`` comment (:mod:`.suppressions`,
+``docs/ANALYSIS.md``).
 """
 
 from __future__ import annotations
@@ -25,24 +23,16 @@ import os
 import sys
 from typing import List, Optional
 
-from .baseline import BASELINE_NAME, BaselineError, write_baseline
 from .engine import run_lint
 from .registry import get_rule
-
-#: .../src/repro/analysis/cli.py -> the checkout root
-_REPO_ROOT = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), "..", "..", "..")
-)
 
 
 def default_src_root() -> str:
     """The ``src/`` tree this installation lints by default."""
-    return os.path.join(_REPO_ROOT, "src")
-
-
-def default_baseline_path() -> str:
-    """The committed baseline file at the checkout root."""
-    return os.path.join(_REPO_ROOT, BASELINE_NAME)
+    # .../src/repro/analysis/cli.py -> .../src
+    return os.path.abspath(
+        os.path.join(os.path.dirname(__file__), "..", "..")
+    )
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -74,17 +64,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print a rule's documentation and a minimal bad/good "
         "example, then exit",
     )
-    parser.add_argument(
-        "--baseline",
-        action="store_true",
-        help="rewrite the baseline file from the current findings",
-    )
-    parser.add_argument(
-        "--baseline-file",
-        default=None,
-        metavar="FILE",
-        help=f"baseline location (default: {BASELINE_NAME} at the repo root)",
-    )
 
 
 def _select_rules(spec: Optional[str]):
@@ -109,18 +88,7 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     paths: List[str] = args.paths or [default_src_root()]
-    baseline_file: str = args.baseline_file or default_baseline_path()
-    try:
-        report = run_lint(paths, rules=rules, baseline_path=baseline_file)
-    except BaselineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.baseline:
-        write_baseline(baseline_file, report.all_findings())
-        print(
-            f"wrote {len(report.all_findings())} findings to {baseline_file}"
-        )
-        return 0
+    report = run_lint(paths, rules=rules)
     if args.fmt == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:

@@ -1,11 +1,11 @@
-"""The lint engine: walk files, run rules, apply suppressions + baseline.
+"""The lint engine: walk files, run rules, apply inline suppressions.
 
 The engine is deliberately dumb plumbing — every protocol-aware idea
 lives in the rules (``repro/analysis/rules/``).  It parses every module,
 folds them into the project call graph, hands each AST (and that
 :class:`ProjectContext`) to every rule whose scope matches, filters the
-raw findings through inline suppressions and the committed baseline,
-and folds the result into a :class:`LintReport` that renders as text or
+raw findings through inline suppressions (:mod:`.suppressions`), and
+folds the result into a :class:`LintReport` that renders as text or
 JSON (the CI artifact format).
 
 Scoping is by *package-relative* path: ``…/src/repro/mp/sim.py`` is
@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import ast
 import os
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Counter as CounterT, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
-from .baseline import load_baseline, split_baselined
 from .callgraph import ProjectContext, build_project
 from .findings import Finding
 from .registry import ModuleContext, Rule, all_rules
@@ -61,27 +59,21 @@ def iter_python_files(root: str) -> Iterable[str]:
 class LintReport:
     """The outcome of one lint run."""
 
-    findings: List[Finding] = field(default_factory=list)  #: new findings
-    baselined: List[Finding] = field(default_factory=list)
+    findings: List[Finding] = field(default_factory=list)  #: active findings
     suppressed: List[Finding] = field(default_factory=list)
     checked_files: int = 0
     parse_errors: List[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
-        """True iff nothing new was found and every file parsed."""
+        """True iff no active finding remains and every file parsed."""
         return not self.findings and not self.parse_errors
-
-    def all_findings(self) -> List[Finding]:
-        """New + baselined findings (what ``--baseline`` writes)."""
-        return sorted(self.findings + self.baselined)
 
     def summary(self) -> str:
         return (
             f"checked {self.checked_files} files: "
             f"{len(self.findings)} findings "
             f"({len(self.suppressed)} suppressed, "
-            f"{len(self.baselined)} baselined, "
             f"{len(self.parse_errors)} parse errors)"
         )
 
@@ -94,14 +86,12 @@ class LintReport:
     def to_json(self) -> dict:
         return {
             "findings": [f.to_json() for f in self.findings],
-            "baselined": [f.to_json() for f in self.baselined],
             "suppressed": [f.to_json() for f in self.suppressed],
             "parse_errors": list(self.parse_errors),
             "summary": {
                 "checked_files": self.checked_files,
                 "findings": len(self.findings),
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
                 "clean": self.clean,
             },
         }
@@ -131,20 +121,14 @@ def analyze_source(
     for rule in rules:
         if rule.applies(relpath):
             raw.extend(rule.check(ctx))
-    active, suppressed = split_suppressed(sorted(raw), ctx.lines)
-    return active, suppressed
+    return split_suppressed(sorted(raw), source)
 
 
 def run_lint(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-    baseline_path: Optional[str] = None,
 ) -> LintReport:
     """Lint every python file under ``paths`` against the active rules.
-
-    With ``baseline_path`` naming an existing baseline file, findings in
-    it are reported separately as grandfathered (:class:`LintReport`'s
-    ``baselined``) and do not fail the run.
 
     The pass has two phases: every module is parsed first and folded
     into a project-wide call graph with may-suspend summaries
@@ -174,7 +158,6 @@ def run_lint(
                 pass  # reported by analyze_source below
     project = build_project(parsed)
     # Phase 2: per-module rule runs (rules see the whole program).
-    collected: List[Finding] = []
     for path, relpath, source in modules:
         try:
             active, suppressed = analyze_source(
@@ -184,11 +167,7 @@ def run_lint(
             report.parse_errors.append(f"{path}: {exc}")
             continue
         report.checked_files += 1
-        collected.extend(active)
+        report.findings.extend(active)
         report.suppressed.extend(suppressed)
-    collected.sort()
-    baseline: "CounterT[str]" = Counter()
-    if baseline_path is not None and os.path.exists(baseline_path):
-        baseline = load_baseline(baseline_path)
-    report.findings, report.baselined = split_baselined(collected, baseline)
+    report.findings.sort()
     return report

@@ -1,11 +1,7 @@
-"""`Finding`: one lint result, with its baseline identity.
+"""`Finding`: one lint result.
 
 A finding pinpoints a violated invariant at ``path:line:col`` and names
-the rule that detected it.  Its *key* — ``rule|path|message`` — omits
-the line number on purpose: a baseline entry keyed this way survives
-unrelated edits above the finding, so grandfathered findings do not
-churn as the file grows (the same trade engines like pylint's and
-ESLint's baselines make).
+the rule that detected it.
 """
 
 from __future__ import annotations
@@ -28,10 +24,6 @@ class Finding:
     #: inline suppressions anywhere in line..end_line apply, so a
     #: ``# repro: disable=…`` on any line of a multi-line await works
     end_line: int = 0
-
-    def key(self) -> str:
-        """Baseline identity: stable across unrelated line shifts."""
-        return f"{self.rule}|{self.path}|{self.message}"
 
     def span(self) -> "tuple[int, int]":
         """The inclusive 1-based line range this finding covers."""

@@ -11,7 +11,7 @@ so adding a rule is one new module under ``repro/analysis/rules/``.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Type
 
 from .findings import Finding
@@ -27,14 +27,9 @@ class ModuleContext:
     relpath: str  #: posix path from the package root, e.g. "repro/sm/rcons.py"
     source: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
     #: whole-program context (call graph); None for a lone
     #: :func:`~repro.analysis.engine.analyze_source` snippet
     project: Optional["ProjectContext"] = None
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
 
 
 class Rule:

@@ -19,9 +19,8 @@ enters a section that a different task still holds:
     await self._flush()
     assert_no_interleave(self, token)
 
-Everything is a no-op unless sanitizing is enabled (``enable()`` or the
-``REPRO_SANITIZE=1`` environment variable), so production paths pay one
-truthiness check.  Violations both raise :class:`InterleaveError` in
+Everything is a no-op until :func:`enable` arms the guard (every wire
+chaos run does), so production paths pay one truthiness check.  Violations both raise :class:`InterleaveError` in
 the *intruding* task and are recorded on a module-level list so a test
 or campaign can assert on them even when the error is swallowed by a
 supervision layer.
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -82,7 +80,7 @@ class InterleaveViolation:
         )
 
 
-_enabled = os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
+_enabled = False
 _violations: List[InterleaveViolation] = []
 
 #: (owner_id, label) -> (task_name, depth)

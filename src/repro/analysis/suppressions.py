@@ -1,83 +1,69 @@
 """Inline suppression comments: ``# repro: disable=RD01[,RD04]``.
 
-A trailing comment suppresses the named rules on its own line; a
-comment standing alone on a line suppresses them on the next line (so a
-suppression can sit above an expression too long to share a line with).
-Findings carry a line *span*, so a suppression anywhere inside a
-multi-line construct (say, the closing line of a wrapped ``await``)
-suppresses findings anchored to it.  ``disable=all`` suppresses every
-rule.
+This is the one way to accept a lint finding.  A trailing comment
+suppresses the named rules on its own line; a comment standing alone on
+a line suppresses them on the next line (so a suppression can sit above
+an expression too long to share a line with).  Findings carry a line
+*span*, so a suppression anywhere inside a multi-line construct (say,
+the closing line of a wrapped ``await``) suppresses findings anchored to
+it.
 
-``# repro: disable-file=RD08`` anywhere in a module suppresses the
-named rules for the whole file — the escape hatch for a module that is
-wholesale exempt from one invariant (``disable-file=all`` exists but
-should never survive review).
+Pragmas are read from comment tokens only: the same text inside a
+string literal or a docstring is data and suppresses nothing.
 
 Suppressions are deliberate, reviewable exceptions — the report counts
-them so a diff that adds one is visible.
+them, and the test suite pins the committed tree's list, so a diff that
+adds one is visible.
 """
 
 from __future__ import annotations
 
+import io
 import re
+import tokenize
 from typing import Dict, List, Sequence, Set
 
 from .findings import Finding
 
 DISABLE_RE = re.compile(r"#\s*repro:\s*disable=([A-Za-z0-9_,\s]+)")
-DISABLE_FILE_RE = re.compile(r"#\s*repro:\s*disable-file=([A-Za-z0-9_,\s]+)")
 
 
-def _parse_rules(raw: str) -> Set[str]:
-    return {
-        token.strip().upper() for token in raw.split(",") if token.strip()
-    }
-
-
-def disabled_lines(lines: Sequence[str]) -> Dict[int, Set[str]]:
+def disabled_lines(source: str) -> Dict[int, Set[str]]:
     """Map 1-based line numbers to the rule ids disabled there."""
     disabled: Dict[int, Set[str]] = {}
-    for index, line in enumerate(lines, start=1):
-        if DISABLE_FILE_RE.search(line):
-            continue  # file-level directive, handled separately
-        match = DISABLE_RE.search(line)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = DISABLE_RE.search(token.string)
         if match is None:
             continue
-        rules = _parse_rules(match.group(1))
+        line, col = token.start
         # A comment-only line shields the line below it; a trailing
         # comment shields its own line.
-        target = index + 1 if line.lstrip().startswith("#") else index
-        disabled.setdefault(target, set()).update(rules)
-    return disabled
-
-
-def disabled_for_file(lines: Sequence[str]) -> Set[str]:
-    """The rule ids disabled for the whole module."""
-    disabled: Set[str] = set()
-    for line in lines:
-        match = DISABLE_FILE_RE.search(line)
-        if match is not None:
-            disabled.update(_parse_rules(match.group(1)))
+        target = line + 1 if not token.line[:col].strip() else line
+        disabled.setdefault(target, set()).update(
+            rule.strip().upper()
+            for rule in match.group(1).split(",")
+            if rule.strip()
+        )
     return disabled
 
 
 def split_suppressed(
-    findings: Sequence[Finding], lines: Sequence[str]
+    findings: Sequence[Finding], source: str
 ) -> "tuple[List[Finding], List[Finding]]":
     """Partition findings into (active, suppressed) per the comments."""
-    disabled = disabled_lines(lines)
-    file_wide = disabled_for_file(lines)
+    if not findings:  # most modules: skip tokenizing, a third of a pass
+        return [], []
+    disabled = disabled_lines(source)
     active: List[Finding] = []
     suppressed: List[Finding] = []
     for finding in findings:
-        if finding.rule in file_wide or "ALL" in file_wide:
-            suppressed.append(finding)
-            continue
         first, last = finding.span()
         rules: Set[str] = set()
         for line_no in range(first, last + 1):
             rules |= disabled.get(line_no, set())
-        if finding.rule in rules or "ALL" in rules:
+        if finding.rule in rules:
             suppressed.append(finding)
         else:
             active.append(finding)

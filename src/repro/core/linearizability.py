@@ -167,7 +167,6 @@ def check_linearization_function(
     trace: Trace,
     g: Mapping[int, Sequence[Input]],
     adt: ADT,
-    require_wellformed: bool = True,
 ) -> LinearizationResult:
     """Verify that ``g`` is a linearization function for ``trace`` (Def. 6).
 
@@ -175,7 +174,7 @@ def check_linearization_function(
     not response indices are ignored (the definition only constrains
     commit indices).
     """
-    if require_wellformed and not is_wellformed(trace):
+    if not is_wellformed(trace):
         return LinearizationResult(False, reason="trace is not well-formed")
 
     histories: Dict[int, History] = {}
@@ -592,11 +591,9 @@ def frontier_step(
     return frozenset(survivors)
 
 
-def is_linearizable(
-    trace: Trace, adt: ADT, node_limit: Optional[int] = None
-) -> bool:
+def is_linearizable(trace: Trace, adt: ADT) -> bool:
     """Boolean convenience wrapper around :func:`linearize`."""
-    return linearize(trace, adt, node_limit=node_limit).ok
+    return linearize(trace, adt).ok
 
 
 def lin_trace_property_contains(trace: Trace, adt: ADT) -> bool:

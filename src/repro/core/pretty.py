@@ -140,8 +140,8 @@ def format_speculative(result: SpeculativeResult) -> str:
     return "\n".join(lines)
 
 
-def side_by_side(left: str, right: str, gap: int = 4) -> str:
-    """Join two multi-line blocks horizontally (report layout helper)."""
+def side_by_side(left: str, right: str) -> str:
+    """Join two multi-line blocks horizontally, four spaces apart."""
     left_lines = left.splitlines() or [""]
     right_lines = right.splitlines() or [""]
     width = max(len(line) for line in left_lines)
@@ -149,6 +149,6 @@ def side_by_side(left: str, right: str, gap: int = 4) -> str:
     left_lines += [""] * (height - len(left_lines))
     right_lines += [""] * (height - len(right_lines))
     return "\n".join(
-        line.ljust(width + gap) + other
+        line.ljust(width + 4) + other
         for line, other in zip(left_lines, right_lines)
     )

@@ -240,7 +240,6 @@ def enumerate_interpretations(
     phase_tag: int,
     rinit: RInit,
     max_interpretations: Optional[int] = None,
-    sample_seed: int = 0,
 ) -> Iterable[Dict[int, History]]:
     """Interpretations of the switches tagged ``phase_tag``.
 
@@ -248,7 +247,7 @@ def enumerate_interpretations(
     candidate histories (a single empty mapping when the trace has no
     such switches).  The product is exponential in the number of init
     actions; ``max_interpretations`` caps it by deterministic sampling
-    (seeded by ``sample_seed``) — the check becomes an approximation of
+    (with a fixed seed) — the check becomes an approximation of
     the universal quantifier, which callers must surface (see
     ``SpeculativeResult.exhaustive``).
     """
@@ -272,7 +271,7 @@ def enumerate_interpretations(
         for combo in itertools.product(*candidate_lists):
             yield dict(zip(indices, combo))
         return
-    rng = _random.Random(sample_seed)
+    rng = _random.Random(0)
     seen = set()
     # Always include the "shortest candidates" corner (empirically the
     # most constraining interpretation: the longest lcp per length).
@@ -703,7 +702,6 @@ def speculatively_linearize(
     adt: ADT,
     rinit: RInit,
     max_interpretations: Optional[int] = None,
-    sample_seed: int = 0,
 ) -> SpeculativeResult:
     """Full check of Definition 19 over all init interpretations.
 
@@ -721,7 +719,7 @@ def speculatively_linearize(
     )
     witnesses: List[SpeculativeWitness] = []
     for finit in enumerate_interpretations(
-        trace, m, rinit, max_interpretations, sample_seed
+        trace, m, rinit, max_interpretations
     ):
         witness = speculatively_linearize_for(trace, m, n, adt, rinit, finit)
         if witness is None:

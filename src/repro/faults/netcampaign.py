@@ -418,7 +418,6 @@ def asymmetric_bridge(
 def random_net_schedule(
     seed: int,
     must_restart: Optional[int] = None,
-    storage_faults: bool = False,
 ) -> FaultSchedule:
     """Draw a live-cluster fault schedule, deterministically from ``seed``.
 
@@ -428,11 +427,8 @@ def random_net_schedule(
     amnesiac-canary campaigns use it so the node under suspicion is
     guaranteed to lose its memory mid-run.  Network perturbations draw
     from loss bursts, partitions (sometimes one-way) and slow-node
-    windows.  ``storage_faults=True`` additionally converts one
-    down-window into a :class:`WALTearTail`/:class:`RestartNode` pair,
-    so the recovered node replays a torn log under traffic.  Action
-    times land in the first part of the horizon so the tail is left for
-    recovery and late readers.
+    windows.  Action times land in the first part of the horizon so the
+    tail is left for recovery and late readers.
     """
     rng = random.Random(f"netcampaign:{seed}")
     minority = (REPLICAS - 1) // 2
@@ -448,26 +444,18 @@ def random_net_schedule(
             return False
         return len(overlapping) + 1 <= minority
 
-    def add_pair(node: int, tear: bool = False) -> bool:
+    def add_pair(node: int) -> bool:
         at = round(rng.uniform(0.2, span), 2)
         duration = round(rng.uniform(0.3, 0.7), 2)
         if not fits(at, at + duration, node):
             return False
         down.append((at, at + duration, node))
-        if tear:
-            actions.append(
-                WALTearTail(at=at, node=node, cut=rng.randrange(1, 8))
-            )
-        else:
-            actions.append(KillNode(at=at, node=node))
+        actions.append(KillNode(at=at, node=node))
         actions.append(RestartNode(at=round(at + duration, 2), node=node))
         return True
 
     if must_restart is not None:
         while not add_pair(must_restart):
-            pass
-    if storage_faults:
-        while not add_pair(rng.randrange(REPLICAS), tear=True):
             pass
     for _ in range(rng.randint(0, 2)):
         add_pair(rng.randrange(REPLICAS))

@@ -71,11 +71,10 @@ class SpecState:
 class SpecAutomaton(IOAutomaton):
     """The SLin(m, n) specification automaton over the universal ADT.
 
-    ``clients`` fixes the (finite) client universe; ``max_abort_extras``
-    bounds how many pending inputs an A4 abort value may append beyond
-    ``hist`` (the paper allows any subset of the pending inputs — small
-    scopes keep exploration finite without losing the interesting
-    behaviours, since at most ``len(clients)`` inputs can be pending).
+    ``clients`` fixes the (finite) client universe.  An A4 abort value
+    may append any sequence of distinct pending inputs to ``hist``, as
+    the paper allows; exploration stays finite since at most
+    ``len(clients)`` inputs can be pending.
     """
 
     def __init__(
@@ -83,7 +82,6 @@ class SpecAutomaton(IOAutomaton):
         m: int,
         n: int,
         clients: Iterable[Hashable],
-        max_abort_extras: Optional[int] = None,
     ) -> None:
         if not m < n:
             raise ValueError("phase bounds must satisfy m < n")
@@ -91,7 +89,6 @@ class SpecAutomaton(IOAutomaton):
         self.n = n
         self.clients = tuple(clients)
         self.index = {c: i for i, c in enumerate(self.clients)}
-        self.max_abort_extras = max_abort_extras
         self.name = f"SLinSpec({m},{n})"
 
     # -- signature ---------------------------------------------------------
@@ -280,27 +277,17 @@ class SpecAutomaton(IOAutomaton):
     ) -> Iterable[Tuple[Input, ...]]:
         """Sequences of distinct other-client pending inputs that an A2
         step may linearize ahead of the responder's input."""
-        limit = (
-            len(others)
-            if self.max_abort_extras is None
-            else min(len(others), self.max_abort_extras)
-        )
-        for size in range(limit + 1):
+        for size in range(len(others) + 1):
             yield from itertools.permutations(others, size)
 
     def _abort_values(
         self, state: SpecState, extras_pool: List[Input], min_extras: int = 0
     ) -> Iterable[History]:
         """All abort values: hist extended by a sequence of distinct
-        pending inputs (bounded by ``max_abort_extras``); ``min_extras``
-        enforces strict extension for later phases."""
-        limit = (
-            len(extras_pool)
-            if self.max_abort_extras is None
-            else min(len(extras_pool), self.max_abort_extras)
-        )
+        pending inputs; ``min_extras`` enforces strict extension for
+        later phases."""
         seen = set()
-        for size in range(min_extras, limit + 1):
+        for size in range(min_extras, len(extras_pool) + 1):
             for combo in itertools.permutations(extras_pool, size):
                 value = state.hist + combo
                 if value not in seen:

@@ -34,13 +34,13 @@ def cascons_switch_program(
 
 def cascons_propose_program(
     value: Hashable,
-    prefix: str = "cascons",
 ) -> Generator[Tuple, Any, Outcome]:
-    """``propose(value)`` for clients already past the switch: read ``D``.
+    """``propose(value)`` for clients already past the switch: read ``D``
+    of the default ``"cascons"`` instance.
 
     Figure 3's comment: "Since processes have to call switch-to-CASCons
     first, we know that the consensus has already been won, hence just
     return D."
     """
-    winner = yield ("read", (prefix, "D"))
+    winner = yield ("read", ("cascons", "D"))
     return ("decide", winner)

@@ -4,9 +4,9 @@ Each rule is demonstrated by at least one known-bad fixture snippet and
 one near-miss that must stay clean; RD02 is additionally exercised by
 deliberately reintroducing the persist-before-reply bug in a scratch
 copy of the real ``net/node.py``.  The suite also pins the framework
-contracts: inline suppressions, baseline round-tripping, and — the
-self-hosting gate — that the committed tree lints clean against the
-committed (empty) baseline.
+contracts: inline suppressions, read from comments only, and — the
+self-hosting gate — that the committed tree lints clean with exactly
+the pinned list of suppressed findings.
 """
 
 import json
@@ -19,13 +19,10 @@ import pytest
 
 from repro.analysis import (
     analyze_source,
-    load_baseline,
     package_relpath,
     rule_ids,
     run_lint,
-    write_baseline,
 )
-from repro.analysis.baseline import BASELINE_NAME
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 SRC = os.path.join(ROOT, "src")
@@ -618,15 +615,15 @@ def test_suppression_is_rule_specific():
     assert suppressed == []
 
 
-def test_disable_all_suppresses_everything():
-    source = "import time\nstamp = time.time()  # repro: disable=all\n"
+def test_pragma_text_in_a_string_suppresses_nothing():
+    source = 'import time\nstamp = (time.time(), "# repro: disable=RD01")\n'
     active, suppressed = analyze_source(source, "repro/mp/scratch.py")
-    assert active == []
-    assert [f.rule for f in suppressed] == ["RD01"]
+    assert [f.rule for f in active] == ["RD01"]
+    assert suppressed == []
 
 
 # ----------------------------------------------------------------------
-# baseline round-tripping
+# fixture trees
 # ----------------------------------------------------------------------
 
 BAD_MODULE = "import time\n\n\ndef stamp():\n    return time.time()\n"
@@ -640,74 +637,28 @@ def write_tree(root, files):
             handle.write(source)
 
 
-def test_baseline_round_trip(tmp_path):
-    """--baseline write -> clean run -> a new finding is still reported."""
-    tree = tmp_path / "tree"
-    write_tree(str(tree), {"repro/mp/old.py": BAD_MODULE})
-    baseline_file = str(tmp_path / BASELINE_NAME)
-
-    report = run_lint([str(tree)], baseline_path=baseline_file)
-    assert [f.rule for f in report.findings] == ["RD01"]
-
-    write_baseline(baseline_file, report.all_findings())
-    assert len(load_baseline(baseline_file)) == 1
-
-    report = run_lint([str(tree)], baseline_path=baseline_file)
-    assert report.clean
-    assert [f.rule for f in report.baselined] == ["RD01"]
-
-    # A fresh violation in a different file is not absorbed.
-    write_tree(str(tree), {"repro/mp/new.py": BAD_MODULE})
-    report = run_lint([str(tree)], baseline_path=baseline_file)
-    assert [f.rule for f in report.findings] == ["RD01"]
-    assert report.findings[0].path == "repro/mp/new.py"
-    assert [f.path for f in report.baselined] == ["repro/mp/old.py"]
-
-
-def test_baseline_counts_duplicates_per_file(tmp_path):
-    """Two identical findings need two baseline slots."""
-    tree = tmp_path / "tree"
-    double = (
-        "import time\n\n\ndef a():\n    return time.time()\n\n\n"
-        "def b():\n    return time.time()\n"
-    )
-    write_tree(str(tree), {"repro/mp/old.py": double})
-    baseline_file = str(tmp_path / BASELINE_NAME)
-    report = run_lint([str(tree)], baseline_path=baseline_file)
-    assert len(report.findings) == 2
-    write_baseline(baseline_file, report.all_findings())
-
-    # Fixing one and adding another identical one elsewhere in the file
-    # keeps the total at two, but the *new* one must not be absorbed by
-    # the freed slot silently growing: counts match, so it is absorbed —
-    # while a third occurrence is reported.
-    triple = double + "\n\ndef c():\n    return time.time()\n"
-    write_tree(str(tree), {"repro/mp/old.py": triple})
-    report = run_lint([str(tree)], baseline_path=baseline_file)
-    assert len(report.baselined) == 2
-    assert len(report.findings) == 1
-
-
-def test_committed_baseline_is_empty():
-    baseline = load_baseline(os.path.join(ROOT, BASELINE_NAME))
-    assert sum(baseline.values()) == 0, (
-        "the committed baseline must stay empty: fix findings instead "
-        "of grandfathering them (docs/ANALYSIS.md)"
-    )
-
-
 # ----------------------------------------------------------------------
 # the self-hosting gate: the committed tree lints clean
 # ----------------------------------------------------------------------
 
 
-def test_tree_is_clean():
-    report = run_lint(
-        [SRC], baseline_path=os.path.join(ROOT, BASELINE_NAME)
-    )
-    assert report.checked_files > 50
-    assert report.parse_errors == []
-    assert report.findings == [], "\n" + report.to_text()
+@pytest.fixture(scope="module")
+def tree_report():
+    return run_lint([SRC])
+
+
+def test_tree_is_clean(tree_report):
+    assert tree_report.checked_files > 50
+    assert tree_report.parse_errors == []
+    assert tree_report.findings == [], "\n" + tree_report.to_text()
+
+
+def test_committed_suppressions_are_pinned(tree_report):
+    """Every accepted finding in the tree, so adding an inline
+    suppression shows up as a diff of this list under review."""
+    assert [(f.path, f.rule) for f in tree_report.suppressed] == [
+        ("repro/smr/replica.py", "RD07")
+    ]
 
 
 def test_every_definition_is_named_somewhere_else():
@@ -813,88 +764,6 @@ def test_cli_text_report_names_rule_and_location(tmp_path):
     assert result.returncode == 1
     assert "repro/mp/bad.py:5" in result.stdout
     assert "RD01" in result.stdout
-
-
-def test_cli_baseline_write_then_clean(tmp_path):
-    write_tree(str(tmp_path), {"repro/mp/bad.py": BAD_MODULE})
-    baseline_file = str(tmp_path / BASELINE_NAME)
-    result = run_cli(
-        str(tmp_path), "--baseline", "--baseline-file", baseline_file
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
-    result = run_cli(str(tmp_path), "--baseline-file", baseline_file)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "1 baselined" in result.stdout
-
-# ----------------------------------------------------------------------
-# baseline hygiene: malformed / stale files fail with one clear line
-# ----------------------------------------------------------------------
-
-
-def test_malformed_baseline_json_raises_clear_error(tmp_path):
-    from repro.analysis import BaselineError
-
-    path = tmp_path / BASELINE_NAME
-    path.write_text("{not json")
-    with pytest.raises(BaselineError, match="not valid JSON"):
-        load_baseline(str(path))
-
-
-def test_baseline_with_wrong_version_is_rejected(tmp_path):
-    from repro.analysis import BaselineError
-
-    path = tmp_path / BASELINE_NAME
-    path.write_text(json.dumps({"version": 99, "findings": []}))
-    with pytest.raises(BaselineError, match="unsupported baseline version"):
-        load_baseline(str(path))
-
-
-def test_stale_baseline_naming_an_unknown_rule_is_rejected(tmp_path):
-    from repro.analysis import BaselineError
-
-    path = tmp_path / BASELINE_NAME
-    entry = {"rule": "RD99", "path": "repro/x.py", "message": "gone"}
-    path.write_text(json.dumps({"version": 1, "findings": [entry]}))
-    with pytest.raises(BaselineError, match="unknown rule 'RD99'") as exc:
-        load_baseline(str(path))
-    # the error tells the user how to recover, entry by number
-    assert "entry #1" in str(exc.value)
-    assert "regenerate" in str(exc.value)
-
-
-def test_baseline_entry_missing_fields_is_rejected(tmp_path):
-    from repro.analysis import BaselineError
-
-    path = tmp_path / BASELINE_NAME
-    entry = {"rule": "RD01", "path": "repro/x.py"}  # no message
-    path.write_text(json.dumps({"version": 1, "findings": [entry]}))
-    with pytest.raises(BaselineError, match="missing a string 'message'"):
-        load_baseline(str(path))
-
-
-@pytest.mark.parametrize("count", [0, -1, True, "2"])
-def test_baseline_rejects_non_positive_counts(tmp_path, count):
-    from repro.analysis import BaselineError
-
-    path = tmp_path / BASELINE_NAME
-    entry = {
-        "rule": "RD01",
-        "path": "repro/x.py",
-        "message": "m",
-        "count": count,
-    }
-    path.write_text(json.dumps({"version": 1, "findings": [entry]}))
-    with pytest.raises(BaselineError, match="non-positive count"):
-        load_baseline(str(path))
-
-
-def test_cli_malformed_baseline_exits_2_without_traceback(tmp_path):
-    bad = tmp_path / BASELINE_NAME
-    bad.write_text("{not json")
-    result = run_cli(str(tmp_path), "--baseline-file", str(bad))
-    assert result.returncode == 2
-    assert "error:" in result.stderr
-    assert "Traceback" not in result.stderr
 
 
 # ----------------------------------------------------------------------

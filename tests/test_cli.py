@@ -82,6 +82,18 @@ def test_nemesis_has_no_sanitize_switch(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["lint", "--baseline"], ["lint", "--baseline-file", "F"]]
+)
+def test_lint_has_no_baseline(capsys, argv):
+    # a finding is accepted one way, an inline disable comment: there
+    # is no grandfathering file to write or to point at
+    with pytest.raises(SystemExit) as refused:
+        build_parser().parse_args(argv)
+    assert refused.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_the_plane_is_sized_not_selected():
     parse = build_parser().parse_args
     args = parse(["loadgen", "--shards", "2", "--window", "4"])

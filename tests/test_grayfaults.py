@@ -367,23 +367,6 @@ class TestDurableRoleBackoff:
 
 
 class TestNetScheduleGeneration:
-    def test_storage_faults_flag_adds_a_tear_restart_pair(self):
-        for seed in range(10):
-            schedule = random_net_schedule(seed=seed, storage_faults=True)
-            assert schedule == random_net_schedule(
-                seed=seed, storage_faults=True
-            )
-            tears = [
-                a for a in schedule.actions if isinstance(a, WALTearTail)
-            ]
-            assert len(tears) == 1
-            assert any(
-                isinstance(a, RestartNode)
-                and a.node == tears[0].node
-                and a.at > tears[0].at
-                for a in schedule.actions
-            )
-
     def test_gray_shapes_are_drawn_deterministically(self):
         kinds = set()
         one_way = False

@@ -8,8 +8,8 @@ Three layers, mirroring docs/ANALYSIS.md:
   may-suspend summaries (``repro.analysis.callgraph``);
 * the rules built on them — RD08 (read-modify-write of shared state
   across an ``await``) with its known-bad fixtures and near-misses,
-  the path-sensitive RD02 rewrite, and the suppression/baseline
-  interplay over multi-line constructs;
+  the path-sensitive RD02 rewrite, and inline suppressions over
+  multi-line constructs;
 * the runtime cross-check — the interleaving sanitizer
   (``repro.analysis.sanitizer``) unit-tested directly, the race mutant
   injected into a scratch copy of the real ``net/pipeline.py`` caught
@@ -30,10 +30,8 @@ from repro.analysis import (
     build_project,
     run_lint,
     solve,
-    write_baseline,
 )
 from repro.analysis import sanitizer
-from repro.analysis.baseline import BASELINE_NAME
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.dataflow import SetUnionAnalysis
 from repro.analysis.sanitizer import (
@@ -473,7 +471,7 @@ def test_rd02_every_path_persisting_is_clean():
 
 
 # ----------------------------------------------------------------------
-# suppression interplay: multi-line constructs, file-level, baseline
+# suppressions over multi-line constructs
 # ----------------------------------------------------------------------
 
 
@@ -513,35 +511,9 @@ def test_inline_disable_on_last_line_of_multiline_write():
     assert suppressed[0].end_line > suppressed[0].line
 
 
-def test_file_level_disable_silences_the_whole_module():
-    active, suppressed = deep_findings(
-        """
-        # repro: disable-file=RD08
-        class P:
-            async def claim(self):
-                slot = self._next_slot
-                await self._flush()
-                self._next_slot = slot + 1
-        """
-    )
-    assert active == []
-    assert [f.rule for f in suppressed] == ["RD08"]
-
-
-def test_file_level_disable_is_rule_specific():
-    active, suppressed = deep_findings(
-        """
-        # repro: disable-file=RD01
-        class P:
-            async def claim(self):
-                slot = self._next_slot
-                await self._flush()
-                self._next_slot = slot + 1
-        """
-    )
-    assert [f.rule for f in active] == ["RD08"]
-    assert suppressed == []
-
+# ----------------------------------------------------------------------
+# the injected race mutant: a scratch copy of the real pipeline
+# ----------------------------------------------------------------------
 
 def _write_tree(root, files):
     for relpath, source in files.items():
@@ -550,55 +522,6 @@ def _write_tree(root, files):
         with open(path, "w") as handle:
             handle.write(source)
 
-
-def test_suppressed_findings_never_consume_baseline_slots(tmp_path):
-    """Inline suppressions and the baseline compose: a suppressed
-
-    finding is not written to (or absorbed by) the baseline, so
-    removing the comment later surfaces it as *new*."""
-    racy = textwrap.dedent(
-        """
-        class P:
-            async def a(self):
-                x = self.n
-                await self.io()
-                self.n = x + 1
-
-            async def b(self):
-                y = self.m
-                await self.io()
-                self.m = y + 1  # repro: disable=RD08
-        """
-    )
-    tree = str(tmp_path / "tree")
-    _write_tree(tree, {"repro/net/racy.py": racy})
-    baseline_file = str(tmp_path / BASELINE_NAME)
-
-    report = run_lint([tree], baseline_path=baseline_file)
-    assert len(report.findings) == 1  # only the unsuppressed one
-    assert len(report.suppressed) == 1
-
-    write_baseline(baseline_file, report.all_findings())
-    report = run_lint([tree], baseline_path=baseline_file)
-    assert report.clean
-    assert len(report.baselined) == 1
-    assert len(report.suppressed) == 1
-
-    # Dropping the suppression exposes a finding the baseline does not
-    # cover — it must be reported, not silently absorbed.
-    _write_tree(
-        tree,
-        {"repro/net/racy.py": racy.replace("  # repro: disable=RD08", "")},
-    )
-    report = run_lint([tree], baseline_path=baseline_file)
-    assert len(report.findings) == 1
-    assert len(report.baselined) == 1
-    assert report.suppressed == []
-
-
-# ----------------------------------------------------------------------
-# the injected race mutant: a scratch copy of the real pipeline
-# ----------------------------------------------------------------------
 
 RACY_CLAIM = '''\
     async def _racy_claim(self) -> int:

@@ -146,9 +146,6 @@ class TestScheduleGeneration:
             "random_net_schedule(must_restart=1)": [
                 random_net_schedule(s, must_restart=1) for s in seeds
             ],
-            "random_net_schedule(storage_faults=True)": [
-                random_net_schedule(s, storage_faults=True) for s in seeds
-            ],
             "retry_storm_schedule": [retry_storm_schedule(s) for s in seeds],
         }
         for name, schedules in drawn.items():

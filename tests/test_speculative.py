@@ -391,13 +391,13 @@ class TestInterpretationSampling:
         a = [
             tuple(sorted(f.items()))
             for f in enumerate_interpretations(
-                t, 2, RIN, max_interpretations=10, sample_seed=3
+                t, 2, RIN, max_interpretations=10
             )
         ]
         b = [
             tuple(sorted(f.items()))
             for f in enumerate_interpretations(
-                t, 2, RIN, max_interpretations=10, sample_seed=3
+                t, 2, RIN, max_interpretations=10
             )
         ]
         assert a == b
