@@ -47,14 +47,13 @@ def abort_value_census(scope):
     """Distinct abort values crossing the (1,2)->(2,3) boundary."""
     impl, _ = build(scope)
     values = set()
-    from repro.ioa.execution import successors
     from collections import deque
 
     frontier = deque(impl.initial_states())
     seen = set(frontier)
     while frontier:
         state = frontier.popleft()
-        for action, successor in successors(impl, state):
+        for action, successor in impl.transitions(state):
             if isinstance(action, Switch):
                 values.add(action.value)
             if successor not in seen:

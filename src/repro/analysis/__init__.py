@@ -20,55 +20,18 @@ interleavings into errors.
 See ``docs/ANALYSIS.md`` for the rule catalogue.
 """
 
-from .callgraph import CallGraph, ProjectContext, build_project
-from .cfg import CFG, CFGNode, build_cfg
-from .dataflow import Analysis, SetUnionAnalysis, solve
-from .engine import (
-    LintReport,
-    analyze_source,
-    iter_python_files,
-    package_relpath,
-    run_lint,
-)
-from .findings import Finding
-from .registry import (
-    ModuleContext,
-    Rule,
-    all_rules,
-    get_rule,
-    register,
-    rule_ids,
-)
-from .sanitizer import (
-    InterleaveError,
-    InterleaveViolation,
-    assert_no_interleave,
-    atomic_section,
-    interleave_token,
-)
+from .callgraph import build_project
+from .cfg import build_cfg
+from .dataflow import solve
+from .engine import analyze_source, package_relpath, run_lint
+from .registry import ModuleContext, Rule, register, rule_ids
 
 __all__ = [
-    "Analysis",
-    "CFG",
-    "CFGNode",
-    "CallGraph",
-    "Finding",
-    "InterleaveError",
-    "InterleaveViolation",
-    "LintReport",
     "ModuleContext",
-    "ProjectContext",
     "Rule",
-    "SetUnionAnalysis",
-    "all_rules",
     "analyze_source",
-    "assert_no_interleave",
-    "atomic_section",
     "build_cfg",
     "build_project",
-    "get_rule",
-    "interleave_token",
-    "iter_python_files",
     "package_relpath",
     "register",
     "rule_ids",

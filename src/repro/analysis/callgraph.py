@@ -38,7 +38,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .cfg import Suspension, _walk_same_scope
+from .cfg import Suspension, walk_same_scope
 
 FunctionAst = "ast.FunctionDef | ast.AsyncFunctionDef"
 
@@ -126,7 +126,7 @@ class CallGraph:
     def _seed(self, info: FunctionInfo) -> None:
         """Classify each await/async construct as direct or delegated."""
         node = info.node
-        for sub in _walk_same_scope(node):
+        for sub in walk_same_scope(node):
             if isinstance(sub, (ast.Yield, ast.YieldFrom)) and info.is_async:
                 info.direct_suspend = True  # async generator
             elif isinstance(sub, (ast.AsyncFor, ast.AsyncWith)):

@@ -150,7 +150,26 @@ class CFG:
         return any(node.suspensions for node in self.nodes)
 
 
-def _walk_same_scope(root: ast.AST) -> Iterator[ast.AST]:
+#: a node's ``(line, column)``: source order as a sortable key
+Pos = Tuple[int, int]
+
+
+def position(node: ast.AST) -> Pos:
+    return (node.lineno, node.col_offset)
+
+
+def attr_chain(node: ast.AST) -> List[str]:
+    """The dotted names of an attribute chain, outermost last."""
+    names: List[str] = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        names.append(node.id)
+    return names
+
+
+def walk_same_scope(root: ast.AST) -> Iterator[ast.AST]:
     """``ast.walk`` that does not descend into nested function scopes."""
     stack = [root]
     while stack:
@@ -166,7 +185,7 @@ def _walk_same_scope(root: ast.AST) -> Iterator[ast.AST]:
 
 def _find_suspensions(expr: ast.AST) -> List[Suspension]:
     found: List[Suspension] = []
-    for node in _walk_same_scope(expr):
+    for node in walk_same_scope(expr):
         if isinstance(node, ast.Await):
             found.append(Suspension(node, "await"))
         elif isinstance(node, (ast.Yield, ast.YieldFrom)):
@@ -176,7 +195,7 @@ def _find_suspensions(expr: ast.AST) -> List[Suspension]:
 
 def _is_lock_context(expr: ast.AST) -> bool:
     """Heuristic: the ``with`` item looks like a held lock/semaphore."""
-    for node in _walk_same_scope(expr):
+    for node in walk_same_scope(expr):
         name = None
         if isinstance(node, ast.Attribute):
             name = node.attr

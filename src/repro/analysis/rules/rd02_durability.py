@@ -51,9 +51,9 @@ are never analyzed.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set
 
-from ..cfg import CFG, CFGNode, build_cfg
+from ..cfg import CFG, CFGNode, Pos, attr_chain, build_cfg, position
 from ..dataflow import SetUnionAnalysis, solve
 from ..findings import Finding
 from ..registry import ModuleContext, Rule, register
@@ -67,12 +67,6 @@ FS_PERSISTS = frozenset({"append", "fsync"})
 #: typestate values: unpersisted / persisted
 _U, _P = "unpersisted", "persisted"
 
-Pos = Tuple[int, int]
-
-
-def _pos(node: ast.AST) -> Pos:
-    return (node.lineno, node.col_offset)
-
 
 def _is_super_call(call: ast.Call, attr: str) -> bool:
     """True for ``super().<attr>(...)``."""
@@ -83,17 +77,6 @@ def _is_super_call(call: ast.Call, attr: str) -> bool:
         and isinstance(call.func.value.func, ast.Name)
         and call.func.value.func.id == "super"
     )
-
-
-def _attr_chain(node: ast.AST) -> List[str]:
-    """The dotted names of an attribute chain, outermost last."""
-    names: List[str] = []
-    while isinstance(node, ast.Attribute):
-        names.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        names.append(node.id)
-    return names
 
 
 def _is_fs_name(name: str) -> bool:
@@ -114,7 +97,7 @@ def _is_wal_append(call: ast.Call) -> bool:
     direct ``<fs chain>.append/fsync(...)`` on the FaultFS seam."""
     if not isinstance(call.func, ast.Attribute):
         return False
-    chain = _attr_chain(call.func.value)
+    chain = attr_chain(call.func.value)
     if call.func.attr in WAL_APPENDS:
         return any("wal" in name.lower() for name in chain)
     if call.func.attr in FS_PERSISTS:
@@ -368,13 +351,13 @@ class Careful(_DurableRole):
                 if not isinstance(call, ast.Call):
                     continue
                 if _is_wal_append(call):
-                    persist_positions.append(_pos(call))
+                    persist_positions.append(position(call))
                 elif _is_super_call(call, "send"):
                     emits.append(call)
-        for call in sorted(emits, key=_pos):
+        for call in sorted(emits, key=position):
             if _U not in states:
                 continue
-            if persist_positions and min(persist_positions) < _pos(call):
+            if persist_positions and min(persist_positions) < position(call):
                 continue  # this very statement persisted first
             if handler_persists:
                 yield self.finding(

@@ -39,28 +39,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Tuple
 
+from ..cfg import Pos, attr_chain, position, walk_same_scope
 from ..findings import Finding
 from ..registry import ModuleContext, Rule, register
-
-Pos = Tuple[int, int]
-
-#: functions and lambdas open a new analysis scope
-_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-
-def _pos(node: ast.AST) -> Pos:
-    return (node.lineno, node.col_offset)
-
-
-def _attr_chain(node: ast.AST) -> List[str]:
-    """The dotted names of an attribute chain, outermost last."""
-    names: List[str] = []
-    while isinstance(node, ast.Attribute):
-        names.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        names.append(node.id)
-    return names
 
 
 def _is_recorder_call(call: ast.Call, method: str) -> bool:
@@ -70,19 +51,8 @@ def _is_recorder_call(call: ast.Call, method: str) -> bool:
         isinstance(call.func, ast.Attribute) and call.func.attr == method
     ):
         return False
-    chain = _attr_chain(call.func.value)
+    chain = attr_chain(call.func.value)
     return any("record" in name.lower() for name in chain)
-
-
-def _shallow_walk(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested scopes."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, _SCOPES):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 @register
@@ -118,14 +88,14 @@ async def submit(self, command):
         invokes: List[Pos] = []
         responds: List[Tuple[Pos, ast.Call]] = []
         awaits: List[Pos] = []
-        for node in _shallow_walk(func):
+        for node in walk_same_scope(func):
             if isinstance(node, ast.Call):
                 if _is_recorder_call(node, "invoke"):
-                    invokes.append(_pos(node))
+                    invokes.append(position(node))
                 elif _is_recorder_call(node, "respond"):
-                    responds.append((_pos(node), node))
+                    responds.append((position(node), node))
             elif isinstance(node, ast.Await):
-                awaits.append(_pos(node))
+                awaits.append(position(node))
         name = getattr(func, "name", "<lambda>")
         for pos, call in sorted(responds, key=lambda item: item[0]):
             before = [p for p in invokes if p < pos]

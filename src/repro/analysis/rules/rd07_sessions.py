@@ -39,33 +39,18 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Tuple
 
+from ..cfg import Pos, attr_chain, position, walk_same_scope
 from ..findings import Finding
 from ..registry import ModuleContext, Rule, register
-
-Pos = Tuple[int, int]
-
-#: functions and lambdas open a new analysis scope
-_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 #: direct-application method names on an ADT receiver
 _APPLY_METHODS = ("transition", "run")
 
 
-def _attr_chain(node: ast.AST) -> List[str]:
-    """The dotted names of an attribute chain, outermost last."""
-    names: List[str] = []
-    while isinstance(node, ast.Attribute):
-        names.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        names.append(node.id)
-    return names
-
-
 def _chain_mentions(call: ast.Call, needle: str) -> bool:
     if not isinstance(call.func, ast.Attribute):
         return False
-    chain = _attr_chain(call.func.value)
+    chain = attr_chain(call.func.value)
     return any(needle in name.lower() for name in chain)
 
 
@@ -76,17 +61,6 @@ def _is_dedup_call(call: ast.Call) -> bool:
     if isinstance(func, ast.Attribute):
         return func.attr == "dedup_commands"
     return False
-
-
-def _shallow_walk(func: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested scopes."""
-    stack = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, _SCOPES):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 @register
@@ -132,17 +106,17 @@ for slot, command in enumerate(decided_prefix):
                 continue
             responds: List[Tuple[Pos, ast.Call]] = []
             dedups: List[Pos] = []
-            for node in _shallow_walk(func):
+            for node in walk_same_scope(func):
                 if not isinstance(node, ast.Call):
                     continue
                 if _is_dedup_call(node):
-                    dedups.append((node.lineno, node.col_offset))
+                    dedups.append(position(node))
                 elif (
                     isinstance(node.func, ast.Attribute)
                     and node.func.attr == "respond"
                     and _chain_mentions(node, "frontend")
                 ):
-                    responds.append(((node.lineno, node.col_offset), node))
+                    responds.append((position(node), node))
             for pos, call in responds:
                 if not any(p < pos for p in dedups):
                     yield self.finding(

@@ -31,9 +31,7 @@ What silences a stale write-back:
   location between the suspension and the write;
 * **re-reading** the location into the local after the await;
 * a **lock-shaped guard** — suspensions under ``async with …lock`` are
-  serialized and do not mark taints crossed;
-* ``assert_no_interleave(...)`` — the runtime sanitizer's explicit
-  "nothing interleaved" check.
+  serialized and do not mark taints crossed.
 
 ``atomic_section`` is deliberately *not* a static silencer: it is a
 claim of no suspension, so a suspension point inside one is itself an
@@ -44,7 +42,7 @@ live — the static/dynamic cross-check the pair is built for).
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from ..cfg import CFG, CFGNode, build_cfg
 from ..dataflow import SetUnionAnalysis, solve
@@ -54,8 +52,6 @@ from ..registry import ModuleContext, Rule, register
 #: a taint fact: local ``var`` holds a value read from shared ``loc``;
 #: ``crossed`` is True once a real suspension point has intervened
 Taint = Tuple[str, str, bool]
-
-_SANITIZER_CHECK = "assert_no_interleave"
 
 
 def _shared_reads(expr: ast.AST, globals_declared: Set[str]) -> Set[str]:
@@ -109,21 +105,6 @@ def _write_target_loc(
     if isinstance(target, ast.Name) and target.id in globals_declared:
         return f"global {target.id}"
     return None
-
-
-def _calls_sanitizer_check(node: CFGNode) -> bool:
-    for expr in node.exprs:
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Call):
-                func = sub.func
-                name = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                if name == _SANITIZER_CHECK:
-                    return True
-    return False
 
 
 class _TaintAnalysis(SetUnionAnalysis):
@@ -196,10 +177,6 @@ class _TaintAnalysis(SetUnionAnalysis):
                 for var, loc, crossed in taints
             }
 
-        # assert_no_interleave(...) vouches for every live local.
-        if _calls_sanitizer_check(node):
-            taints = {(var, loc, False) for var, loc, _ in taints}
-
         return frozenset(taints)
 
     def _assignment(
@@ -258,8 +235,7 @@ class _TaintAnalysis(SetUnionAnalysis):
                         "and written back after it without "
                         "re-validation",
                         "re-read or re-validate the attribute after "
-                        "the await, hold a lock across the window, or "
-                        "assert_no_interleave()",
+                        "the await, or hold a lock across the window",
                     )
 
         # Name targets: old taints die, reads create fresh ones.  A

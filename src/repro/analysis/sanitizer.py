@@ -14,16 +14,11 @@ enters a section that a different task still holds:
     @atomic_section
     def _claim_slot(self): ...
 
-    # or, hand-rolled revalidation:
-    token = interleave_token(self)
-    await self._flush()
-    assert_no_interleave(self, token)
-
 Everything is a no-op until :func:`enable` arms the guard (every wire
-chaos run does), so production paths pay one truthiness check.  Violations both raise :class:`InterleaveError` in
-the *intruding* task and are recorded on a module-level list so a test
-or campaign can assert on them even when the error is swallowed by a
-supervision layer.
+chaos run does), so production paths pay one truthiness check.
+Violations both raise :class:`InterleaveError` in the *intruding* task
+and are recorded on a module-level list so a test or campaign can
+assert on them even when the error is swallowed by a supervision layer.
 
 Identity is ``id(owner)``: sections guard an object, not a code region,
 so two pipelines interleave freely while two tasks inside one pipeline
@@ -44,14 +39,12 @@ import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "InterleaveError",
     "InterleaveViolation",
     "atomic_section",
-    "assert_no_interleave",
-    "interleave_token",
     "enable",
     "disable",
     "enabled",
@@ -85,8 +78,6 @@ _violations: List[InterleaveViolation] = []
 
 #: (owner_id, label) -> (task_name, depth)
 _held: Dict[Tuple[int, str], Tuple[str, int]] = {}
-#: owner_id -> generation, bumped on every fresh (non-reentrant) entry
-_generation: Dict[int, int] = {}
 
 
 def enable() -> None:
@@ -115,7 +106,6 @@ def reset() -> None:
     """Forget recorded violations and held sections (between runs)."""
     _violations.clear()
     _held.clear()
-    _generation.clear()
 
 
 def _current_task_name() -> str:
@@ -169,7 +159,6 @@ def _guard(owner: Any, label: str):
         _record(owner, label, holder=held[0], intruder=me)
     if held is None:
         _held[key] = (me, 1)
-        _generation[id(owner)] = _generation.get(id(owner), 0) + 1
     else:
         _held[key] = (me, held[1] + 1)
     try:
@@ -217,36 +206,3 @@ def atomic_section(owner: Any = None, label: str = "atomic"):
     if not _enabled:
         return _NULL_SECTION
     return _guard(owner, label)
-
-
-def interleave_token(owner: Any) -> Optional[int]:
-    """Snapshot the interleaving generation of ``owner`` before an await."""
-    if not _enabled:
-        return None
-    return _generation.get(id(owner), 0)
-
-
-def assert_no_interleave(owner: Any, token: Optional[int] = None) -> None:
-    """Assert nothing re-entered ``owner``'s sections since ``token``.
-
-    With no token, asserts that no *other* task currently holds any
-    section on ``owner`` — the cheap form for call sites that only want
-    "I am alone right now".
-    """
-    if not _enabled:
-        return
-    me = _current_task_name()
-    if token is not None:
-        current = _generation.get(id(owner), 0)
-        if current != token:
-            _record(
-                owner,
-                "state",
-                holder=me,
-                intruder=f"generation {token}->{current}",
-            )
-        return
-    owner_id = id(owner)
-    for (held_id, held_label), (holder, _depth) in _held.items():
-        if held_id == owner_id and holder != me:
-            _record(owner, held_label, holder=holder, intruder=me)

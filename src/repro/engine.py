@@ -30,40 +30,23 @@ task is rebuilt from picklable parameters inside the worker.
 from __future__ import annotations
 
 import multiprocessing
-import os
-from typing import Callable, Iterable, List, Optional, TypeVar
+from typing import Callable, Iterable, List, TypeVar
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
 
 
-def default_jobs() -> int:
-    """The default worker count: ``REPRO_JOBS`` env var, else the CPU count."""
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def parallel_map(
-    task: Callable[[Item], Result],
-    items: Iterable[Item],
-    jobs: Optional[int] = None,
+    task: Callable[[Item], Result], items: Iterable[Item], jobs: int
 ) -> List[Result]:
     """Map ``task`` over ``items`` across ``jobs`` processes, in order.
 
     ``task`` must be an importable module-level function and every item
-    picklable (the ``spawn`` start method is used).  ``jobs=None`` means
-    :func:`default_jobs`; ``jobs <= 1`` or fewer than two items runs
-    serially in-process.  Work is stolen in about four chunks per
-    worker.
+    picklable (the ``spawn`` start method is used).  ``jobs <= 1`` or
+    fewer than two items runs serially in-process.  Work is stolen in
+    about four chunks per worker.
     """
     work = list(items)
-    if jobs is None:
-        jobs = default_jobs()
     jobs = min(max(1, jobs), len(work)) if work else 1
     if jobs <= 1:
         return [task(item) for item in work]

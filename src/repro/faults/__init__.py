@@ -8,11 +8,11 @@ and the simulator's vocabulary; :mod:`repro.faults.campaign` runs them
 against the simulated deployments and checks every trace for
 linearizability; :mod:`repro.faults.shrink` reduces violating
 schedules to minimal reproducers and files them (one
-:class:`Violation`, either substrate); :mod:`repro.faults.mutants`
-supplies intentionally broken processes that prove the harness catches
-real bugs.  :mod:`repro.faults.netcampaign` is the same discipline —
-seeded schedule / check every history / shrink on violation — against
-the *live* socket cluster: the wire vocabulary (kill/restart churn,
+:class:`~repro.faults.shrink.Violation`, either substrate);
+:mod:`repro.faults.mutants` supplies intentionally broken processes that
+prove the harness catches real bugs.  :mod:`repro.faults.netcampaign`
+is the same discipline — seeded schedule / check every history / shrink
+on violation — against the *live* socket cluster: the wire vocabulary (kill/restart churn,
 transport windows on :class:`repro.net.netfaults.TransportFaults`,
 at-rest WAL corruption), its target, and the WAL-disabled amnesiac-node
 canary.  :func:`~repro.faults.netcampaign.run_retry_storm` is a
@@ -29,24 +29,9 @@ dynamic cross-check of the static RD08 lint rule.
 0 after a restart; the enumerated restart test is its catcher.
 """
 
-from .campaign import (
-    CAMPAIGN_BACKOFF,
-    CampaignReport,
-    CampaignTarget,
-    ComposedTarget,
-    MultiphaseTarget,
-    RunResult,
-    SMRTarget,
-    TARGETS,
-    run_campaign,
-)
-from .mutants import (
-    AmnesiacAcceptor,
-    RacySlotPipeline,
-    ReusedBallotCoordinator,
-)
+from .campaign import run_campaign
+from .mutants import AmnesiacAcceptor, RacySlotPipeline
 from .nemesis import (
-    ACTION_CLASSES,
     BurstLoss,
     ClockSkew,
     CrashServer,
@@ -63,12 +48,9 @@ from .nemesis import (
 )
 from .netcampaign import (
     KillNode,
-    NET_ACTION_CLASSES,
-    NetCampaignReport,
     NetDupBurst,
     NetLossBurst,
     NetPartition,
-    NetRunResult,
     NetSlowNode,
     NetTarget,
     RestartNode,
@@ -84,39 +66,26 @@ from .netcampaign import (
 from .shrink import Violation, shrink_schedule
 
 __all__ = [
-    "ACTION_CLASSES",
     "AmnesiacAcceptor",
     "BurstLoss",
-    "CAMPAIGN_BACKOFF",
-    "CampaignReport",
-    "CampaignTarget",
     "ClockSkew",
-    "ComposedTarget",
     "CrashServer",
     "DelaySpike",
     "DuplicationStorm",
     "FaultAction",
     "FaultSchedule",
     "KillNode",
-    "MultiphaseTarget",
-    "NET_ACTION_CLASSES",
     "NemesisTarget",
-    "NetCampaignReport",
     "NetDupBurst",
     "NetLossBurst",
     "NetPartition",
-    "NetRunResult",
     "NetSlowNode",
     "NetTarget",
     "PartitionServers",
     "RacySlotPipeline",
     "RecoverServer",
     "RestartNode",
-    "ReusedBallotCoordinator",
-    "RunResult",
-    "SMRTarget",
     "SlowNode",
-    "TARGETS",
     "TimerDrift",
     "Violation",
     "WALBitFlip",

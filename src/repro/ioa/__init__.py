@@ -8,39 +8,15 @@ framework (:mod:`repro.ioa.automaton`), state exploration
 client environments (:mod:`repro.ioa.spec_automaton`).
 """
 
-from .automaton import (
-    ComposedAutomaton,
-    FunctionalAutomaton,
-    HidingAutomaton,
-    IOAutomaton,
-    compose_automata,
-    hide,
-)
+from .automaton import FunctionalAutomaton, compose_automata, hide
 from .execution import (
-    Execution,
-    StateSpaceBound,
-    Step,
     executions,
     external_traces,
     reachable_states,
     run_schedule,
 )
-from .invariants import (
-    InvariantViolation,
-    check_inductive,
-    check_invariants,
-)
-from .modelcheck import (
-    build_composition_scope,
-    composition_scope_row,
-    parallel_scope_table,
-)
-from .refinement import (
-    InclusionCounterexample,
-    RefinementCounterexample,
-    check_refinement_mapping,
-    check_trace_inclusion,
-)
+from .invariants import check_inductive, check_invariants
+from .refinement import check_refinement_mapping, check_trace_inclusion
 from .spec_automaton import (
     ABORTED,
     ClientEnvironment,
@@ -49,39 +25,25 @@ from .spec_automaton import (
     READY,
     SLEEP,
     SpecAutomaton,
-    SpecState,
 )
 
 __all__ = [
     "ABORTED",
     "ClientEnvironment",
-    "ComposedAutomaton",
-    "Execution",
     "FunctionalAutomaton",
-    "HidingAutomaton",
-    "IOAutomaton",
-    "InclusionCounterexample",
     "InitEnvironment",
-    "InvariantViolation",
     "PENDING",
     "READY",
-    "RefinementCounterexample",
     "SLEEP",
     "SpecAutomaton",
-    "SpecState",
-    "StateSpaceBound",
-    "Step",
-    "build_composition_scope",
     "check_inductive",
     "check_invariants",
     "check_refinement_mapping",
     "check_trace_inclusion",
     "compose_automata",
-    "composition_scope_row",
     "executions",
     "external_traces",
     "hide",
-    "parallel_scope_table",
     "reachable_states",
     "run_schedule",
 ]

@@ -1,21 +1,20 @@
 """Executions, reachability and trace enumeration for I/O automata.
 
 The exploration engine behind the model-checked results of Section 6:
-breadth-first search over the (closed) state space, with executions and
-their external traces enumerated up to a depth bound.  Closed systems
-(every action locally controlled) explore directly; open systems take an
-*environment* callback supplying candidate input actions per state.
+breadth-first search over the state space, with executions and their
+external traces enumerated up to a depth bound.  Every system explored is
+closed: its inputs come from a composed environment automaton (e.g.
+:class:`~repro.ioa.spec_automaton.ClientEnvironment`), so each step is
+locally controlled.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Set, Tuple
+from typing import Iterable, Iterator, Optional, Set, Tuple
 
 from .automaton import Action, IOAutomaton, State
-
-Environment = Callable[[State], Iterable[Action]]
 
 
 @dataclass(frozen=True)
@@ -54,52 +53,20 @@ class Execution:
         )
 
 
-def successors(
-    automaton: IOAutomaton,
-    state: State,
-    environment: Optional[Environment] = None,
-) -> Iterator[Tuple[Action, State]]:
-    """All one-step successors: locally controlled plus environment inputs."""
-    yield from automaton.transitions(state)
-    if environment is not None:
-        for action in environment(state):
-            yield action, automaton.input_step(state, action)
-
-
-def reachable_states(
-    automaton: IOAutomaton,
-    environment: Optional[Environment] = None,
-    max_states: Optional[int] = None,
-) -> Set[State]:
-    """BFS over the reachable state space.
-
-    ``max_states`` bounds the exploration (raising :class:`StateSpaceBound`
-    when exceeded) so callers can protect themselves against scope blowup.
-    """
+def reachable_states(automaton: IOAutomaton) -> Set[State]:
+    """BFS over the reachable state space."""
     frontier = deque(automaton.initial_states())
     seen: Set[State] = set(frontier)
     while frontier:
         state = frontier.popleft()
-        for _, successor in successors(automaton, state, environment):
+        for _, successor in automaton.transitions(state):
             if successor not in seen:
-                if max_states is not None and len(seen) >= max_states:
-                    raise StateSpaceBound(
-                        f"exploration exceeded {max_states} states"
-                    )
                 seen.add(successor)
                 frontier.append(successor)
     return seen
 
 
-class StateSpaceBound(RuntimeError):
-    """The exploration exceeded its configured state budget."""
-
-
-def executions(
-    automaton: IOAutomaton,
-    max_depth: int,
-    environment: Optional[Environment] = None,
-) -> Iterator[Execution]:
+def executions(automaton: IOAutomaton, max_depth: int) -> Iterator[Execution]:
     """Enumerate all executions of length up to ``max_depth`` (DFS).
 
     Every prefix is itself yielded, so the result is prefix-closed — the
@@ -110,9 +77,7 @@ def executions(
         yield execution
         if depth == 0:
             return
-        for action, post in successors(
-            automaton, execution.final, environment
-        ):
+        for action, post in automaton.transitions(execution.final):
             yield from dfs(execution.extend(action, post), depth - 1)
 
     for start in automaton.initial_states():
@@ -120,35 +85,30 @@ def executions(
 
 
 def external_traces(
-    automaton: IOAutomaton,
-    max_depth: int,
-    environment: Optional[Environment] = None,
+    automaton: IOAutomaton, max_depth: int
 ) -> Set[Tuple[Action, ...]]:
     """The set of external traces of executions up to ``max_depth``."""
     return {
         execution.trace(automaton)
-        for execution in executions(automaton, max_depth, environment)
+        for execution in executions(automaton, max_depth)
     }
 
 
 def run_schedule(
-    automaton: IOAutomaton,
-    schedule: Iterable[Action],
-    state: Optional[State] = None,
+    automaton: IOAutomaton, schedule: Iterable[Action]
 ) -> Optional[Execution]:
-    """Drive the automaton along an explicit action schedule.
+    """Drive the automaton along an explicit action schedule from its
+    first initial state.
 
     Each scheduled action must be either an enabled locally-controlled
     action (any matching transition is taken — the first one found) or an
     input action.  Returns ``None`` when a scheduled action is not
-    enabled.
+    enabled, or when there is no initial state.
     """
-    if state is None:
-        starts = list(automaton.initial_states())
-        if not starts:
-            return None
-        state = starts[0]
-    execution = Execution(state, ())
+    starts = list(automaton.initial_states())
+    if not starts:
+        return None
+    execution = Execution(starts[0], ())
     for action in schedule:
         if automaton.is_input(action):
             post = automaton.input_step(execution.final, action)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .automaton import Action, IOAutomaton, State
-from .execution import Environment, successors
 
 
 Invariant = Callable[[State], bool]
@@ -38,8 +37,6 @@ class InvariantViolation:
 def check_invariants(
     automaton: IOAutomaton,
     invariants: Sequence[Tuple[str, Invariant]],
-    environment: Optional[Environment] = None,
-    max_states: Optional[int] = None,
 ) -> Tuple[int, List[InvariantViolation]]:
     """Check named invariants over all reachable states (BFS).
 
@@ -66,11 +63,9 @@ def check_invariants(
         inspect(state, path)
     while frontier:
         state, path = frontier.popleft()
-        for action, successor in successors(automaton, state, environment):
+        for action, successor in automaton.transitions(state):
             if successor in seen:
                 continue
-            if max_states is not None and len(seen) >= max_states:
-                return len(seen), violations
             seen.add(successor)
             new_path = path + (action,)
             inspect(successor, new_path)
@@ -82,7 +77,6 @@ def check_inductive(
     automaton: IOAutomaton,
     invariant: Invariant,
     candidate_states: Iterable[State],
-    environment: Optional[Environment] = None,
 ) -> Tuple[bool, Optional[State]]:
     """Inductiveness check: initiation plus consecution.
 
@@ -96,7 +90,7 @@ def check_inductive(
     for state in candidate_states:
         if not invariant(state):
             continue  # consecution only constrains states inside the invariant
-        for _, successor in successors(automaton, state, environment):
+        for _, successor in automaton.transitions(state):
             if not invariant(successor):
                 return False, state
     return True, None

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .automaton import Action, IOAutomaton, State
-from .execution import Environment, successors
 
 
 @dataclass(frozen=True)
@@ -95,16 +94,12 @@ def _advance(
 def check_trace_inclusion(
     impl: IOAutomaton,
     spec: IOAutomaton,
-    environment: Optional[Environment] = None,
-    max_states: Optional[int] = None,
-    external: Optional[Callable[[Action], bool]] = None,
     normalize: Optional[Callable[[Action], Action]] = None,
 ) -> Tuple[bool, Optional[InclusionCounterexample], int]:
     """Check ``traces(impl) ⊆ traces(spec)`` over external actions.
 
-    ``external`` overrides the notion of visible action (defaults to
-    ``impl.is_external``); implementation actions that are not visible are
-    treated as stuttering on the specification side.  ``normalize`` maps
+    Implementation actions that are not external (``impl.is_external``)
+    are treated as stuttering on the specification side.  ``normalize`` maps
     actions to the equivalence class used for matching (see
     :func:`phase_tag_blind`).  Returns ``(ok, counterexample,
     pairs_explored)``.
@@ -119,9 +114,6 @@ def check_trace_inclusion(
     closure computations a diamond's re-converging paths would otherwise
     redo.
     """
-    if external is None:
-        external = impl.is_external
-
     spec_start = _internal_closure(
         spec, frozenset(spec.initial_states())
     )
@@ -152,8 +144,8 @@ def check_trace_inclusion(
     while frontier:
         impl_state, spec_set, node = frontier.popleft()
         explored += 1
-        for action, successor in successors(impl, impl_state, environment):
-            if external(action):
+        for action, successor in impl.transitions(impl_state):
+            if impl.is_external(action):
                 cache_key = (spec_set, action)
                 new_spec = advance_cache.get(cache_key)
                 if new_spec is None:
@@ -173,14 +165,15 @@ def check_trace_inclusion(
                 step = None
             key = (successor, new_spec)
             if key not in seen:
-                if max_states is not None and len(seen) >= max_states:
-                    raise RuntimeError(
-                        f"inclusion check exceeded {max_states} pairs"
-                    )
                 seen.add(key)
                 nodes.append((node, step))
                 frontier.append((successor, new_spec, len(nodes) - 1))
     return True, None, explored
+
+
+#: internal spec steps a refinement fragment may take around its one
+#: visible step
+MAX_INTERNAL = 4
 
 
 @dataclass(frozen=True)
@@ -202,9 +195,6 @@ def check_refinement_mapping(
     impl: IOAutomaton,
     spec: IOAutomaton,
     mapping: Callable[[State], State],
-    environment: Optional[Environment] = None,
-    max_internal: int = 4,
-    max_states: Optional[int] = None,
 ) -> Tuple[bool, Optional[RefinementCounterexample], int]:
     """Verify a refinement mapping over the reachable implementation states.
 
@@ -215,7 +205,7 @@ def check_refinement_mapping(
     * for every reachable step ``s -a-> s'``: from ``mapping(s)`` the spec
       can reach ``mapping(s')`` by a fragment whose external trace is
       ``[a]`` if ``a`` is external and ``[]`` otherwise, using at most
-      ``max_internal`` internal steps around the visible one.
+      ``MAX_INTERNAL`` internal steps around the visible one.
     """
 
     def fragment_exists(
@@ -229,7 +219,7 @@ def check_refinement_mapping(
             state, consumed, depth = frontier.popleft()
             if consumed and state == target:
                 return True
-            if depth >= max_internal + (0 if visible is None else 1):
+            if depth >= MAX_INTERNAL + (0 if visible is None else 1):
                 continue
             for action, successor in spec.transitions(state):
                 if spec.is_internal(action):
@@ -265,7 +255,7 @@ def check_refinement_mapping(
     while frontier:
         state = frontier.popleft()
         explored += 1
-        for action, successor in successors(impl, state, environment):
+        for action, successor in impl.transitions(state):
             visible = action if impl.is_external(action) else None
             if not fragment_exists(mapping(state), mapping(successor), visible):
                 return (
@@ -274,10 +264,6 @@ def check_refinement_mapping(
                     explored,
                 )
             if successor not in seen:
-                if max_states is not None and len(seen) >= max_states:
-                    raise RuntimeError(
-                        f"refinement check exceeded {max_states} states"
-                    )
                 seen.add(successor)
                 frontier.append(successor)
     return True, None, explored

@@ -6,9 +6,10 @@ the run and only yields a verdict after the run ends.  This package
 is the engine under it, and runs it online: a
 :class:`StreamingMonitor` consumes invocation/response events as they
 happen, keeps one incremental search frontier per partition key
-(:class:`KeyFrontier`), garbage-collects every decided prefix so memory
-stays O(concurrent window), and flips to ``violation`` — with a
-ddmin-shrunken witness — the moment some response cannot be explained.
+(:class:`~repro.monitor.frontier.KeyFrontier`), garbage-collects every
+decided prefix so memory stays O(concurrent window), and flips to
+``violation`` — with a ddmin-shrunken witness — the moment some
+response cannot be explained.
 Budgets degrade the verdict to ``unknown`` instead of OOMing.  The
 search is the fallback: a live monitor checks the decided log as a
 certificate, O(1) per event, and a finished history is its own
@@ -23,12 +24,7 @@ monitors exactly like the post-hoc sharded check.  See
 docs/MONITORING.md.
 """
 
-from .frontier import (
-    WITNESS_LIMIT,
-    KeyFrontier,
-    RetainedGauge,
-    ddmin_ops,
-)
+from .frontier import ddmin_ops
 from .streaming import (
     MonitorReport,
     StreamingMonitor,
@@ -38,11 +34,8 @@ from .streaming import (
 from .tap import MonitorTap
 
 __all__ = [
-    "WITNESS_LIMIT",
-    "KeyFrontier",
     "MonitorReport",
     "MonitorTap",
-    "RetainedGauge",
     "StreamingMonitor",
     "compose_verdicts",
     "ddmin_ops",

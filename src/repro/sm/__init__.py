@@ -8,38 +8,11 @@ An atomic-step interleaving machine (:mod:`repro.sm.memory`,
 (:mod:`repro.sm.composed`).
 """
 
-from .cascons import cascons_propose_program, cascons_switch_program
-from .composed import (
-    SMOutcome,
-    SMRun,
-    build_clients,
-    composed_client_program,
-    explore_composed,
-    run_composed,
-)
-from .memory import OpCounts, SharedMemory
-from .rcons import rcons_program
-from .scheduler import (
-    InterleavingScheduler,
-    count_schedules,
-    explore_schedules,
-)
+from .composed import explore_composed, run_composed
 from .splitter import splitter
 
 __all__ = [
-    "InterleavingScheduler",
-    "OpCounts",
-    "SMOutcome",
-    "SMRun",
-    "SharedMemory",
-    "build_clients",
-    "cascons_propose_program",
-    "cascons_switch_program",
-    "composed_client_program",
-    "count_schedules",
     "explore_composed",
-    "explore_schedules",
-    "rcons_program",
     "run_composed",
     "splitter",
 ]

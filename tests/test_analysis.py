@@ -717,6 +717,109 @@ def test_every_definition_is_named_somewhere_else():
     )
 
 
+FACADES = ("analysis", "core", "faults", "ioa", "monitor", "mp", "net", "sm",
+           "smr")
+
+
+def _dotted_facade_names(text):
+    """``(facade, name)`` for every dotted ``repro.<facade>.name``."""
+    import re
+
+    return set(re.findall(r"\brepro\.(%s)\.(\w+)" % "|".join(FACADES), text))
+
+
+def _imports_through_facades(source, package=""):
+    """``(facade, name)`` for every ``from repro.<facade> import name``
+    in ``source`` (relative forms resolved against ``package``) and
+    every dotted ``repro.<facade>.name`` in its text."""
+    import ast
+
+    found = _dotted_facade_names(source)
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = node.module.split(".") if node.module else []
+        if node.level:
+            base = package.split(".")
+            parts = base[: len(base) - node.level + 1] + parts
+        if len(parts) == 2 and parts[0] == "repro" and parts[1] in FACADES:
+            found.update((parts[1], alias.name) for alias in node.names)
+    return found
+
+
+def test_every_reexport_is_imported_through_its_package():
+    """A package ``__init__`` re-exports a name only if something
+    imports it through the package: a ``from repro.<pkg> import X``
+    (relative inside ``src/``) or a dotted ``repro.<pkg>.X`` in code,
+    in the docs (prose or python blocks), or in a CI heredoc.
+    Everything else is imported from its defining module."""
+    import ast
+    import re
+
+    facade_inits = {f"repro.{facade}" for facade in FACADES}
+    used = set()
+    for tree in ("src", "tests", "benchmarks", "examples"):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, tree)):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                package = ""
+                if tree == "src":
+                    package = os.path.relpath(dirpath, SRC).replace(os.sep, ".")
+                    if name == "__init__.py" and package in facade_inits:
+                        continue
+                with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                    used |= _imports_through_facades(f.read(), package)
+    docs = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + [
+        os.path.join("docs", name)
+        for name in os.listdir(os.path.join(ROOT, "docs"))
+    ]
+    for doc in docs:
+        with open(os.path.join(ROOT, doc), encoding="utf-8") as handle:
+            text = handle.read()
+        used |= _dotted_facade_names(text)
+        for block in re.findall(r"```python\n(.*?)```", text, re.S):
+            used |= _imports_through_facades(block)
+    with open(os.path.join(ROOT, ".github", "workflows", "ci.yml")) as f:
+        for block in re.findall(r"<<'EOF'\n(.*?)\n\s*EOF\n", f.read(), re.S):
+            used |= _imports_through_facades(textwrap.dedent(block))
+    unused = []
+    for facade in FACADES:
+        path = os.path.join(SRC, "repro", facade, "__init__.py")
+        with open(path, encoding="utf-8") as handle:
+            module = ast.parse(handle.read())
+        for node in module.body:
+            if isinstance(node, ast.ImportFrom):
+                unused += [
+                    f"repro.{facade}.{alias.name}"
+                    for alias in node.names
+                    if (facade, alias.name) not in used
+                ]
+    assert unused == [], "re-exported but never imported through: " + (
+        ", ".join(unused)
+    )
+
+
+def test_the_trace_theory_loads_alone():
+    """``import repro.core.traces`` (the paper's Sections 3-5) loads no
+    ``repro`` module outside ``repro.core``: no simulator, SMR stack,
+    monitor or wire runtime behind a package facade."""
+    loaded = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.core.traces; "
+            "print(' '.join(m for m in sys.modules if m.startswith('repro.')))",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+    ).stdout.split()
+    assert "repro.core.traces" in loaded
+    assert [m for m in loaded if not m.startswith("repro.core")] == []
+
+
 def test_package_relpath_normalizes_to_package_root():
     assert (
         package_relpath(os.path.join(SRC, "repro", "mp", "sim.py"))

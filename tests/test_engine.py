@@ -29,14 +29,6 @@ class TestParallelMap:
         # a single item never pays for a pool
         assert engine.parallel_map(abs, [-7], jobs=4) == [7]
 
-    def test_default_jobs_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        assert engine.default_jobs() == 3
-        monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-        assert engine.default_jobs() >= 1
-        monkeypatch.delenv("REPRO_JOBS")
-        assert engine.default_jobs() >= 1
-
 
 class TestSweepSharding:
     def test_shards_partition_the_enumeration(self):

@@ -1,7 +1,5 @@
 """Tests for the I/O automata framework (paper Section 6 substrate)."""
 
-import pytest
-
 from repro.ioa import (
     FunctionalAutomaton,
     check_inductive,
@@ -61,20 +59,6 @@ class TestReachability:
     def test_closed_exploration(self):
         auto = counter_automaton(limit=3)
         assert reachable_states(auto) == {0, 1, 2, 3}
-
-    def test_environment_inputs(self):
-        auto = counter_automaton(limit=2)
-        states = reachable_states(
-            auto, environment=lambda s: [("reset",)]
-        )
-        assert states == {0, 1, 2}
-
-    def test_state_budget(self):
-        from repro.ioa import StateSpaceBound
-
-        auto = counter_automaton(limit=100)
-        with pytest.raises(StateSpaceBound):
-            reachable_states(auto, max_states=5)
 
 
 class TestExecutions:

@@ -21,7 +21,6 @@ from repro.ioa import (
     SpecAutomaton,
     compose_automata,
 )
-from repro.ioa.execution import successors
 
 UNI = universal_adt()
 SINGLETON = singleton_rinit()
@@ -33,7 +32,7 @@ def random_execution(system, seed, max_steps):
     state = next(iter(system.initial_states()))
     actions = []
     for _ in range(max_steps):
-        options = list(successors(system, state))
+        options = list(system.transitions(state))
         if not options:
             break
         action, state = rng.choice(options)
