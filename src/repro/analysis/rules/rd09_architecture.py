@@ -114,6 +114,11 @@ TABLE: Tuple[Invariant, ...] = (
         "Herlihy-Wing on repeated inputs; a recorded history is decided "
         "by monitor.streaming.decide",
     ),
+    Invariant(
+        "name", ("step",), within=("repro/monitor/streaming.py",),
+        why="ADT.step is the search's memo; the certificate steps plain "
+        "transitions (docs/MONITORING.md §7)",
+    ),
 )
 
 

@@ -91,7 +91,8 @@ class ADT:
 
     ``partition`` optionally carries a :class:`PartitionSpec` declaring a
     per-key product decomposition for the fast-path checker.  :meth:`step`
-    is the memoized hot-path transition used by the search engines; it
+    is the memoized hot-path transition of the searches (the certificate
+    in ``monitor/streaming.py`` steps the plain ``_transition``); it
     skips input validation (callers validate payloads up front) and
     caches ``(state, input) -> (state', output)`` with an LRU bound,
     which is sound because transitions are deterministic pure functions

@@ -33,7 +33,7 @@ from ..net.loadgen import budgeted_tap
 from ..net.pipeline import PipelineClient, probing_client
 from ..net.transport import AddressBook, AsyncTransport
 from ..smr.universal import kv_store_adt
-from .streaming import MonitorReport, compose_verdicts, decide, event_action
+from .streaming import MonitorReport, compose_verdicts, decide
 from .tap import MonitorTap
 
 #: the reserved canary key probes live on, outside the loadgen keyspace
@@ -115,10 +115,9 @@ def replay_history(
     untold, 0.2 ms told).
     """
     adt = REPLAY_ADTS[getattr(shards, "adt", "kv_store")]
-    traces = ([event_action(e) for e in events] for events in shards)
     reports = [
-        decide(trace, adt(), node_limit, config_limit).report()
-        for trace in traces
+        decide(events, adt(), node_limit, config_limit).report()
+        for events in shards
     ]
     verdict, reason = compose_verdicts(reports)
     return verdict, reason, reports

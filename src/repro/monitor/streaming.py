@@ -157,9 +157,9 @@ class StreamingMonitor:
         self._history = history
         self.certificate_misses = 0
         self.miss_reason: Optional[str] = None
-        #: client -> [command, key, projected input, output or _UNCLAIMED]
-        #: open; client -> last linearized seq; key -> [step, state];
-        #: key -> events a finished history certified
+        #: client -> [command, key, projected input, output or _UNCLAIMED,
+        #: key's cell] open; client -> last linearized seq; key -> [plain
+        #: transition, state, events]; key -> events a finished history had
         self._claims: Dict[Hashable, list] = {}
         self._linearized: Dict[Hashable, int] = {}
         self._cells: Dict[Hashable, list] = {}
@@ -189,79 +189,138 @@ class StreamingMonitor:
     # event intake
     # ------------------------------------------------------------------
 
-    def feed(self, event: Tuple) -> None:
-        """Consume one raw `HistoryRecorder` event tuple.
+    def feed(self, *events: Tuple) -> None:
+        """Consume raw `HistoryRecorder` event tuples, in order: one, or
+        the tap's drain batch.
 
-        ``event`` is ``(kind, client, command, response, at)`` exactly as
+        An event is ``(kind, client, command, response, at)`` exactly as
         the recorder appends (and streams through its tap), or the tap's
         third kind, ``("lin", slot, commands)``: a decided slot some
         pipeline folded, which only the certificate reads.
         """
         if self._history is not None:
-            try:
-                miss = self._certify(event)
-            except Exception as exc:  # ill-formed event, or the spec raised
-                miss = f"{type(exc).__name__}: {exc}"
-            if miss is None:
+            missed = self._fold(events, finished=False)
+            if missed is None:
                 return
-            self._fall_back(miss)
-        if event[0] != "lin":
-            self.observe(event_action(event))
+            self._fall_back(missed[1])
+            events = events[missed[0]:]
+        for event in events:
+            if event[0] != "lin":
+                self.observe(event_action(event))
 
-    def _certify(self, event: Tuple) -> Optional[str]:
-        """None if ``event`` checks, else why not (a *miss*: no proof of
-        anything).  Accepted ``lin`` events name each operation at most
-        once, after its invocation and before its response, and every
-        response equals this monitor's own fold in that order: a
-        linearization, whoever supplied the ``lin`` events."""
-        if event[0] == "lin":
-            _, slot, commands = event
-            if slot < self._next_slot:
-                return None  # a pipeline of its own, folding the log again
-            if slot > self._next_slot:
-                return f"slot {slot} folded before slot {self._next_slot}"
-            self._next_slot += 1
-            for tagged in commands:
-                uid = seq_uid(tagged)
-                if uid is None:
-                    return f"slot {slot}: {tagged!r} has no session tag"
-                client, seq = uid
-                if seq <= self._linearized.get(client, 0):
-                    continue  # a duplicate occurrence: the seam skips it
-                claim = self._claims.get(client)
-                if claim is None or claim[0] != tagged[:-1]:
-                    return f"slot {slot}: {tagged!r} is no open operation"
-                if claim[3] is not _UNCLAIMED:
-                    return f"slot {slot}: {tagged!r} is linearized twice"
-                self._linearized[client] = seq
-                claim[3] = self._step(claim[1], claim[2])
-            return None
-        return self._certify_action(*event[:4])
+    def _fold(
+        self, events: Sequence[Any], finished: bool
+    ) -> Optional[Tuple[int, str]]:
+        """The certificate: None if ``events`` check, else the index of
+        the first that does not and why (a *miss*: no proof of anything).
 
-    def _certify_action(
-        self, kind: str, client: Hashable, command: Any, response: Any
-    ) -> Optional[str]:
-        """:meth:`_certify` of an ``inv`` / ``res`` event."""
-        claim = self._claims.get(client)
-        if kind == "inv":
-            if claim is not None or not self.adt.is_input(command):
-                return f"{client!r} invokes {command!r}: open, or no input"
-            key, projected = self.spec.route(command)
-            self._claims[client] = [command, key, projected, _UNCLAIMED]
-            self._op_counter += 1
-            self.gauge.add(1)
-        elif kind != "res" or claim is None or claim[0] != command:
-            return f"{client!r} has no open {command!r} to answer"
-        elif claim[3] is _UNCLAIMED:
-            return f"{client!r}'s {command!r} answered, never linearized"
-        elif self.spec.project_output(claim[1], response) != claim[3]:
-            return f"{client!r}: {response!r}, the log says {claim[3]!r}"
+        Each key's component folds its operations where they linearize:
+        at their responses in a ``finished`` history (response order
+        respects real time; dropping what never answered is a legal
+        completion), else where ``lin`` events name them, once each,
+        between invocation and response.  If every response equals the
+        fold's output, that is a linearization, whoever chose the order.
+        ``events`` are recorder tuples, or a finished history's actions;
+        cells step plain transitions (docs/MONITORING.md §7)."""
+        claims, linearized, cells = self._claims, self._linearized, self._cells
+        is_input, spec = self.adt._is_input, self.spec
+        key_of, project_input = spec.key_of, spec.project_input
+        project, component = spec.project_output, spec.component
+        ops, peak, lins, miss = self._op_counter, self.gauge.peak, 0, None
+        consumed = self.events
+        try:
+            for event in events:
+                cls = type(event)
+                if cls is Invocation or cls is Response:
+                    invoked = cls is Invocation
+                    client, command = event.client, event.input
+                elif cls is not tuple:
+                    miss = f"{event!r} is no interface action"
+                    break
+                elif event[0] != "lin" or finished:
+                    invoked, client, command = event[0] == "inv", event[1], event[2]
+                else:
+                    _, slot, commands = event
+                    if slot == self._next_slot:
+                        self._next_slot += 1
+                    elif slot < self._next_slot:
+                        commands = ()  # a pipeline of its own, folding again
+                    else:
+                        miss = f"slot {slot} folded before slot {self._next_slot}"
+                        break
+                    for tagged in commands:
+                        uid = seq_uid(tagged)
+                        if uid is None:
+                            miss = f"slot {slot}: {tagged!r} has no session tag"
+                            break
+                        client, seq = uid
+                        if seq <= linearized.get(client, 0):
+                            continue  # a duplicate: the seam skips it
+                        claim = claims.get(client)
+                        if claim is None or claim[0] != tagged[:-1]:
+                            miss = f"slot {slot}: {tagged!r} is no open operation"
+                            break
+                        if claim[3] is not _UNCLAIMED:
+                            miss = f"slot {slot}: {tagged!r} is linearized twice"
+                            break
+                        linearized[client] = seq
+                        cell = claim[4]
+                        cell[1], claim[3] = cell[0](cell[1], claim[2])
+                    else:
+                        lins += 1
+                        continue
+                    break
+                claim = claims.get(client)
+                if invoked:
+                    if claim is not None or not is_input(command):
+                        miss = f"{client!r} invokes {command!r}: open, or no input"
+                        break
+                    key = key_of(command)
+                    projected = project_input(key, command)
+                    cell = cells.get(key)
+                    if cell is None:
+                        part = component(key)
+                        cell = cells[key] = [part._transition, part.initial_state, 0]
+                    cell[2] += 2
+                    claims[client] = [command, key, projected, _UNCLAIMED, cell]
+                    ops += 1
+                    if len(claims) > peak:
+                        peak = len(claims)
+                    continue
+                if claim is None or claim[0] != command:
+                    miss = f"{client!r} has no open {command!r} to answer"
+                    break
+                if finished:  # response order linearizes it here
+                    cell = claim[4]
+                    cell[1], claim[3] = cell[0](cell[1], claim[2])
+                elif claim[3] is _UNCLAIMED:
+                    miss = f"{client!r}'s {command!r} answered, never linearized"
+                    break
+                response = event[3] if cls is tuple else event.output
+                if project(claim[1], response) != claim[3]:
+                    miss = f"{client!r}: {response!r}, the log says {claim[3]!r}"
+                    break
+                del claims[client]
+            else:
+                if finished:
+                    for claim in claims.values():
+                        claim[4][2] -= 1  # pending: no response
+                    self._counts = {k: cell[2] for k, cell in cells.items()}
+                return None
+        except Exception as exc:  # ill-formed event, or the spec raised
+            miss = f"{type(exc).__name__}: {exc}"
         else:
-            del self._claims[client]
-            self.gauge.sub(1)
-            self._released += 2
-        self.events += 1
-        return None
+            if finished:
+                miss = f"index {ops + ops - len(claims)}: {miss}"
+        finally:
+            # every invocation is an event, and so is each closed one's
+            # response; the open ones are what the window retains
+            self._op_counter, self.gauge.peak = ops, peak
+            self.gauge.value = len(claims)
+            self._released = 2 * (ops - len(claims))
+            self.events = ops + ops - len(claims)
+        # the index of the event that missed: those consumed before it
+        return self.events - consumed + lins, miss
 
     def _fall_back(self, miss: str) -> None:
         """Become the frontier engine, replaying the prefix consumed so
@@ -276,47 +335,6 @@ class StreamingMonitor:
         self._claims, self._linearized, self._cells = {}, {}, {}
         self.events = self._op_counter = self._released = self.gauge.value = 0
         self.tell(actions, unanswered=None)
-
-    def _certify_finished(self, actions: Sequence[Any]) -> Optional[str]:
-        """None if the finished history ``actions`` replays in response
-        order, pending operations dropped, else why not (a miss).  That
-        order respects real time and dropping what never answered is a
-        legal completion: a linearization, if every output agrees."""
-        if self.config_limit is not None and self.config_limit < 2:
-            # a fold step holds the state it replaced and its successor,
-            # as a search step holds the frontier it replaced and its own
-            return f"one step outgrows {self.config_limit} configuration(s)"
-        certify, claims, counts = self._certify_action, self._claims, {}
-        for index, action in enumerate(actions):
-            if isinstance(action, Invocation):
-                client = action.client
-                miss = certify("inv", client, action.input, None)
-                if miss is None:
-                    key = claims[client][1]
-                    counts[key] = counts.get(key, 0) + 2  # and its response
-            elif isinstance(action, Response):
-                client, claim = action.client, claims.get(action.client)
-                if claim is not None:  # response order linearizes it here
-                    claim[3] = self._step(claim[1], claim[2])
-                miss = certify("res", client, action.input, action.output)
-            else:
-                miss = f"{action!r} is no interface action"
-            if miss is not None:
-                return f"index {index}: {miss}"
-        for claim in claims.values():
-            counts[claim[1]] -= 1  # pending: no response
-        self._counts = counts
-        return None
-
-    def _step(self, key: Hashable, projected: Any) -> Any:
-        """The certificate's fold, the one per-key state either order
-        steps: ``key``'s component applied to ``projected``; its output."""
-        cell = self._cells.get(key)
-        if cell is None:
-            part = self.spec.component(key)
-            cell = self._cells[key] = [part.step, part.initial_state]
-        cell[1], output = cell[0](cell[1], projected)
-        return output
 
     def tell(
         self, actions: Sequence[Any], unanswered: Any = NEVER_ANSWERED
@@ -543,25 +561,29 @@ def decide(
     node_limit: Optional[int] = None,
     config_limit: Optional[int] = None,
 ) -> StreamingMonitor:
-    """The monitor that decided the finished history ``actions``:
-    certified in response order, else searched (docs/MONITORING.md §7).
+    """The monitor that decided the finished history ``actions``
+    (interface actions, or the recorder's event tuples): certified in
+    response order, else searched (docs/MONITORING.md §7).
 
     A miss proves nothing: a fresh monitor searches, told the recorded
     responses (:meth:`StreamingMonitor.tell`), and its report carries the
     miss.  Every verdict but ``ok``, and every budget spent, is the
-    search's; a ``config_limit`` under 2 fits no step, so it is a miss.
+    search's; a ``config_limit`` under 2 fits no step, so it is a miss:
+    a fold step holds the state it replaced and its successor, as a
+    search step holds the frontier it replaced and its own.
     """
     budget = dict(node_limit=node_limit, config_limit=config_limit)
     monitor = StreamingMonitor(adt, **budget)
-    try:
-        miss = monitor._certify_finished(actions)
-    except Exception as exc:  # the spec raised
-        miss = f"{type(exc).__name__}: {exc}"
-    if miss is None:
-        return monitor
+    if config_limit is not None and config_limit < 2:
+        miss = f"one step outgrows {config_limit} configuration(s)"
+    else:
+        missed = monitor._fold(actions, finished=True)
+        if missed is None:
+            return monitor
+        miss = missed[1]
     monitor = StreamingMonitor(adt, **budget)
     monitor.certificate_misses, monitor.miss_reason = 1, miss
-    monitor.tell(actions)
+    monitor.tell([event_action(e) if type(e) is tuple else e for e in actions])
     return monitor
 
 

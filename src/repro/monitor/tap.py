@@ -66,8 +66,8 @@ class MonitorTap:
         self._closed = True
         if self._task is None:
             # no loop ever saw an event; drain inline
-            while self._queue:
-                self.monitor.feed(self._queue.popleft())
+            self.monitor.feed(*self._queue)
+            self._queue.clear()
         else:
             assert self._wake is not None
             self._wake.set()
@@ -95,7 +95,7 @@ class MonitorTap:
                     continue
                 await self._wake.wait()
                 continue
-            for _ in range(min(DRAIN_BATCH, len(self._queue))):
-                self.monitor.feed(self._queue.popleft())
+            batch = min(DRAIN_BATCH, len(self._queue))
+            self.monitor.feed(*(self._queue.popleft() for _ in range(batch)))
             # yield so the data plane never stalls behind the checker
             await asyncio.sleep(0)

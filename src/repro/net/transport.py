@@ -318,24 +318,19 @@ class AsyncTransport:
 
     def _forward(self, src: Hashable, dst: Hashable, dst_ep: str, message: Any) -> None:
         """Encode and route one fault-cleared frame (possibly deferred
-        by a slow-node hold; see :meth:`send` for resolution order)."""
+        by a slow-node hold; see :meth:`send` for resolution order).  A
+        frame with nowhere to go is counted lost, never encoded."""
         if self.closed:
             return
         link = self.stats.link(self.endpoint, dst_ep)
-        try:
-            frame = self.codec.encode_frame(
-                (src, dst, message), self._body_memo
-            )
-        except FrameError:
-            logger.exception("unencodable message from %r to %r", src, dst)
-            raise
+        envelope = (src, dst, message)
         if dst in self.processes:
             # Colocated roles: codec round-trip, no socket.
-            self.loop.call_soon(self._deliver_frame, frame)
+            self.loop.call_soon(self._deliver_frame, self._encode(envelope))
             return
         route = self._route_of(dst)
         if route is not None:
-            self._write(route[0], frame, link)
+            self._write(route[0], self._encode(envelope), link)
             return
         if endpoint_of_pid(dst) is None:
             # A remote client pid with no live reply route: on a real
@@ -343,7 +338,14 @@ class AsyncTransport:
             self.stats.lost += 1
             link.lost += 1
             return
-        self._send_to_endpoint(dst_ep, frame, link)
+        self._send_to_endpoint(dst_ep, envelope, link)
+
+    def _encode(self, envelope: Tuple) -> bytes:
+        try:
+            return self.codec.encode_frame(envelope, self._body_memo)
+        except FrameError:
+            logger.exception("unencodable message from %r to %r", *envelope[:2])
+            raise
 
     # ------------------------------------------------------------------
     # outbound plumbing
@@ -356,25 +358,26 @@ class AsyncTransport:
             self.stats.lost += 1
             link.lost += 1
 
-    def _send_to_endpoint(self, dst_ep: str, frame: bytes, link) -> None:
+    def _send_to_endpoint(self, dst_ep: str, envelope: Tuple, link) -> None:
         peer = self._peers.get(dst_ep)
         if peer is None:
             peer = self._peers[dst_ep] = _Peer()
+        if peer.writer is not None and peer.writer.is_closing():
+            peer.writer = None
+            peer.dead_until = self.now + RECONNECT_COOLDOWN
+            self._unreachable(dst_ep)
+        dial = peer.writer is None and (peer.task is None or peer.task.done())
+        if dial and self.now < peer.dead_until:
+            # Known-dead endpoint inside the cooldown: the frame is
+            # lost exactly as a packet to a dead host would be.
+            self.stats.lost += 1
+            link.lost += 1
+            return
+        frame = self._encode(envelope)
         if peer.writer is not None:
-            if peer.writer.is_closing():
-                peer.writer = None
-                peer.dead_until = self.now + RECONNECT_COOLDOWN
-                self._unreachable(dst_ep)
-            else:
-                self._write(peer.writer, frame, link)
-                return
-        if peer.task is None or peer.task.done():
-            if self.now < peer.dead_until:
-                # Known-dead endpoint inside the cooldown: the frame is
-                # lost exactly as a packet to a dead host would be.
-                self.stats.lost += 1
-                link.lost += 1
-                return
+            self._write(peer.writer, frame, link)
+            return
+        if dial:
             peer.task = self.loop.create_task(self._connect(dst_ep, peer))
         peer.queue.append(frame)
 

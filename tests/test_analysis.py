@@ -231,6 +231,17 @@ BAD_SNIPPETS = [
         "repro/monitor/streaming.py",
     ),
     ("RD09", "verdict = linearize(trace, adt)\n", "repro/core/fastcheck.py"),
+    # RD09: the search's memo in the certificate, read or called
+    (
+        "RD09",
+        "cell = [part.step, part.initial_state]\n",
+        "repro/monitor/streaming.py",
+    ),
+    (
+        "RD09",
+        "state, output = part.step(state, projected)\n",
+        "repro/monitor/streaming.py",
+    ),
     # RD09: bypassing the atomic shared-memory API
     (
         "RD09",
@@ -391,6 +402,11 @@ GOOD_SNIPPETS = [
     ("from ..net import TransportFaults\n", "repro/faults/nemesis.py"),
     ("from ..core.adt import ADT\n", "repro/monitor/streaming.py"),
     ("verdict = linearize_classical(trace, adt)\n", "repro/net/loadgen.py"),
+    (
+        "cell = [part._transition, part.initial_state, 0]\n",
+        "repro/monitor/streaming.py",
+    ),
+    ("successors = adt.step(state, payload)\n", "repro/monitor/frontier.py"),
     (
         "async def settle(tasks):\n    return await asyncio.wait(tasks)\n",
         "repro/faults/netcampaign.py",

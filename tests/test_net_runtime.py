@@ -28,7 +28,7 @@ from repro.net import (
     run_loadgen,
 )
 from repro.net.client import HistoryRecorder, OperationTimeout
-from repro.net.codec import BINARY_CODEC
+from repro.net.codec import BINARY_CODEC, BinaryCodec
 from repro.net.faultfs import FaultyFS, tear_tail
 from repro.net.netfaults import TransportFaults
 from repro.net.node import ReplicaNode
@@ -972,3 +972,75 @@ class TestUnreachable:
         steps, errors = run_quiet(scenario)
         assert errors == []
         assert steps == [[], ["node0"], ["node0"] * 2, ["node0"] * 2]
+
+    def test_a_frame_to_a_dead_endpoint_is_never_encoded(self):
+        """Inside the cooldown a frame to a dead endpoint is counted lost
+        before the codec sees it, on the transport and on the link, as
+        it was counted after encoding; once the cooldown is over the
+        next send is encoded and dials again."""
+        cooldown = transport_module.RECONNECT_COOLDOWN
+
+        class Spy(BinaryCodec):
+            def __init__(self):
+                self.encoded = []
+
+            def encode_frame(self, value, memo=None):
+                self.encoded.append(value[2])
+                return super().encode_frame(value, memo)
+
+        async def scenario():
+            book = AddressBook()  # node0 never published: dials fail
+            spy = Spy()
+            client = AsyncTransport("cli", book, codec=spy)
+            dials = []
+            connect = client._connect
+
+            def counting(dst_ep, peer):
+                dials.append(dst_ep)
+                return connect(dst_ep, peer)
+
+            client._connect = counting
+            seen = []
+
+            def look():
+                link = client.stats.link("cli", "node0")
+                seen.append(
+                    (list(spy.encoded), client.stats.lost, link.lost, dials[:])
+                )
+
+            client.send(("cli", 0), self.SERVER_PID, "first")
+            await asyncio.sleep(0.01)
+            look()
+            for n in range(5):
+                client.send(("cli", 0), self.SERVER_PID, f"dead{n}")
+            look()
+            await asyncio.sleep(cooldown + 0.02)
+            client.send(("cli", 0), self.SERVER_PID, "after")
+            await asyncio.sleep(0.01)
+            look()
+            await client.close()
+            return seen
+
+        seen, errors = run_quiet(scenario)
+        assert errors == []
+        assert seen == [
+            (["first"], 1, 1, ["node0"]),
+            (["first"], 6, 6, ["node0"]),
+            (["first", "after"], 7, 7, ["node0", "node0"]),
+        ]
+
+    def test_an_unencodable_frame_raises_before_it_dials(self):
+        """The codec refuses the frame before the transport dials for it:
+        no connection attempt is left in flight with nothing to carry."""
+
+        async def scenario():
+            client = AsyncTransport("cli", AddressBook())
+            with pytest.raises(FrameError):
+                client.send(("cli", 0), self.SERVER_PID, object())
+            tasks = [peer.task for peer in client._peers.values()]
+            await client.close()
+            return tasks
+
+        tasks, errors = run_quiet(scenario)
+        assert errors == []
+        assert tasks == [None]
