@@ -50,12 +50,13 @@ the clusters ``nemesis --net`` attacks, run the plane the benchmark
 ledger measures with no flag: binary frames, WAL group commit and (for
 ``loadgen``) batching pipelines shared per shard; ``--shards``,
 ``--window`` and ``--batch`` size it.
-``--monitor`` (on both) additionally streams every event through the
+``loadgen --monitor`` additionally streams every event through the
 online :mod:`repro.monitor` checker *during* the run — fail-fast on the
 first violation, bounded memory via GC of decided prefixes — and
 ``monitor`` runs the same checker standalone: ``--replay FILE`` streams
 a recorded artifact, ``--watch`` probes a separately-served cluster
-with a recording canary client (see docs/MONITORING.md).
+with a recording canary client, ``--ops N`` of them (see
+docs/MONITORING.md).
 ``lint`` runs the protocol-aware static analysis pass
 (:mod:`repro.analysis`) — determinism, durability, atomicity,
 async-hygiene and IOA well-formedness rules, the interprocedural ones
@@ -235,7 +236,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.net import ShardedCluster
 
-    async def serve() -> int:
+    async def serve() -> None:
         cluster = ShardedCluster(
             n_servers=args.replicas,
             host=args.host,
@@ -247,34 +248,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
             print(f"  {node.endpoint} listening on {args.host}:{node.port}")
         if args.wal_dir:
             print(f"  WALs under {args.wal_dir}")
-        probe = tap = None
-        if args.monitor:
-            from repro.monitor.cli import make_probe
-
-            probe, tap = make_probe(
-                cluster.client_transport("monitor-probe"), args.replicas
-            )
-            print(
-                f"  monitor: streaming canary probes every "
-                f"{args.monitor_interval}s (fail-fast on violation)"
-            )
         print("serving; interrupt to stop")
         try:
-            if probe is not None and tap is not None:
-                from repro.monitor.cli import probe_loop
-
-                report = await probe_loop(
-                    probe, tap, None, args.monitor_interval
-                )
-                print(report.summary())
-                return 1 if report.verdict == "violation" else 0
             await asyncio.Event().wait()
-            return 0
         finally:
             await cluster.stop()
 
     try:
-        return asyncio.run(serve())
+        asyncio.run(serve())
     except KeyboardInterrupt:
         print("\nstopped")
     return 0
@@ -332,11 +313,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         except ValueError as error:
             print(f"monitor: {error}")
             return 2
-        verdict, reason, reports = replay_history(
-            shards,
-            node_limit=args.node_limit,
-            config_limit=args.config_limit,
-        )
+        verdict, reason, reports = replay_history(shards)
         for index, item in enumerate(reports):
             label = f"shard{index}: " if len(reports) > 1 else ""
             print(f"  {label}{item.summary()}")
@@ -357,8 +334,6 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                 args.replicas,
                 ops=args.ops,
                 interval=args.interval,
-                node_limit=args.node_limit,
-                config_limit=args.config_limit,
             )
         )
         print(report.summary())
@@ -374,15 +349,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.cli import run_from_args
 
     return run_from_args(args)
-
-
-def run_nemesis(argv) -> int:
-    """Importable nemesis entry point: usage errors return 1, not exit."""
-    try:
-        args = build_parser().parse_args(["nemesis", *argv])
-    except SystemExit:
-        return 1
-    return cmd_nemesis(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,18 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal-dir",
         default=None,
         help="persist each replica's WAL under this directory",
-    )
-    p_srv.add_argument(
-        "--monitor",
-        action="store_true",
-        help="run streaming canary probes against the served cluster; "
-        "exit 1 the moment a probe history stops being linearizable",
-    )
-    p_srv.add_argument(
-        "--monitor-interval",
-        type=float,
-        default=0.5,
-        help="seconds between canary probes (with --monitor)",
     )
     p_srv.set_defaults(func=cmd_serve)
 
@@ -588,18 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.05,
         help="with --watch: seconds between canary probes",
-    )
-    p_mon.add_argument(
-        "--node-limit",
-        type=int,
-        default=None,
-        help="per-event search budget (exceeding it => unknown)",
-    )
-    p_mon.add_argument(
-        "--config-limit",
-        type=int,
-        default=None,
-        help="frontier-size budget per key (exceeding it => unknown)",
     )
     p_mon.add_argument(
         "--witness",

@@ -119,6 +119,11 @@ TABLE: Tuple[Invariant, ...] = (
         why="ADT.step is the search's memo; the certificate steps plain "
         "transitions (docs/MONITORING.md §7)",
     ),
+    Invariant(
+        "name", ("dedup",), within=("repro/net/", "repro/smr/"),
+        why="the data plane has no bug switch: a mutant is a subclass in "
+        "faults/mutants.py (DoubleApplyPipeline)",
+    ),
 )
 
 

@@ -16,6 +16,7 @@ from typing import Any, Hashable, List, Optional, Tuple
 from ..analysis.sanitizer import InterleaveError, atomic_section
 from ..mp.paxos import PaxosAcceptor, PaxosCoordinator
 from ..net.pipeline import SlotPipeline
+from ..smr.sessions import SessionedApplier, untag_command
 
 
 class AmnesiacAcceptor(PaxosAcceptor):
@@ -112,3 +113,29 @@ class RacySlotPipeline(SlotPipeline):
                 slot += 1
             self._next_slot = slot + 1
             return slot
+
+
+class DoubleApplier(SessionedApplier):
+    """A session seam that never consults its table: every decided
+    occurrence of a command applies, so a retried or hedged decree that
+    decided twice takes effect twice."""
+
+    def apply(
+        self, state: Hashable, command: Tuple
+    ) -> Tuple[Hashable, Hashable, bool]:
+        state, reply = self.adt.transition(state, untag_command(command))
+        return state, reply, True
+
+
+class DoubleApplyPipeline(SlotPipeline):
+    """A :class:`~repro.net.pipeline.SlotPipeline` without exactly-once.
+
+    Its applier is a :class:`DoubleApplier`, so duplicate decrees of a
+    replicated counter's increments double-count.  The retry storm's
+    checkers must catch the result as a linearizability violation; the
+    wire campaign drives it with ``run_retry_storm(dedup=False)``.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.applier = DoubleApplier(self.adt)

@@ -76,8 +76,9 @@ plug in.  The KV workload is the one above.  The retry storm
 (:func:`run_retry_storm`, :func:`retry_storm_schedule`) is the other: a
 replicated counter behind a sessioned pipeline, hedging and retrying
 clients, and the mechanical witness ``applied_count == distinct_incs``
-— with ``dedup=False`` the session seam is off and the same campaign
-loop must *catch* the double-apply.
+— with ``dedup=False`` the pipeline is the double-apply mutant
+(:class:`~repro.faults.mutants.DoubleApplyPipeline`) and the same
+campaign loop must *catch* it.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ from ..net.pipeline import (
 from ..net.wal import WALError
 from ..smr.sessions import dedup_commands, seq_uid
 from ..smr.universal import kv_store_adt
-from .mutants import RacySlotPipeline
+from .mutants import DoubleApplyPipeline, RacySlotPipeline
 from .nemesis import FaultAction, FaultSchedule, NemesisTarget
 from .shrink import Violation, record_violation
 
@@ -692,9 +693,7 @@ class NetCampaignReport:
 
     def summary(self) -> str:
         ok = sum(1 for r in self.runs if r.ok)
-        inconclusive = sum(
-            1 for r in self.runs if not r.ok and not r.violation
-        )
+        inconclusive = sum(1 for r in self.runs if r.verdict == "unknown")
         lines = [
             f"net campaign: {len(self.runs)} runs, {ok} linearizable, "
             f"{len(self.violations)} violations, "
@@ -829,14 +828,14 @@ def _storm_traffic(
     # window sized so retried decrees actually propose while the
     # originals are still in flight (that concurrency is what
     # manufactures the duplicate-decree case the seam must fold)
-    pipeline = SlotPipeline(
+    pipeline_cls = SlotPipeline if config.dedup else DoubleApplyPipeline
+    pipeline = pipeline_cls(
         "storm",
         REPLICAS,
         run.transports[0],
         adt=counter_adt(),
         window=4 * config.clients,
         quorum_timeout=0.08,
-        dedup=config.dedup,
         # snappy per-slot Backup retries: a slot stuck behind the
         # blackout must decide quickly after the heal, or it
         # head-of-line-blocks every later response past the gap
@@ -1128,10 +1127,12 @@ def run_retry_storm(
     carries the mechanical witness ``applied_count == distinct_incs``
     (``NetRunResult.exactly_once``).
 
-    ``dedup=False`` runs the *mutant*: the session seam disabled, so a
-    duplicate decree double-applies — the campaign then exists to prove
-    the checker **catches** it (``result.caught``), closing the loop
-    from mechanism to end-to-end checked guarantee.  The catch is the
+    ``dedup=False`` runs the *mutant*: a
+    :class:`~repro.faults.mutants.DoubleApplyPipeline`, whose applier
+    skips the session table, so a duplicate decree double-applies — the
+    campaign then exists to prove the checker **catches** it
+    (``result.caught``), closing the loop from mechanism to end-to-end
+    checked guarantee.  The catch is the
     point, not its smallest schedule: violations are not shrunk.
     """
     config = _RunConfig(

@@ -17,7 +17,7 @@ certificate, O(1) per event, and a finished history is its own
 
 Wiring: :class:`MonitorTap` bridges a live
 :class:`~repro.net.client.HistoryRecorder` to a monitor through an
-async queue (`loadgen --monitor`, `serve --monitor`, the chaos
+async queue (`loadgen --monitor`, `monitor --watch`, the chaos
 campaigns' ``monitor=True``); :func:`watch_trace` replays a finished
 trace in streaming mode; :func:`compose_verdicts` conjoins per-shard
 monitors exactly like the post-hoc sharded check.  See

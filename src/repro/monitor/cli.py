@@ -15,10 +15,7 @@ Two modes, both built on the same :class:`StreamingMonitor`:
   whose responses must linearize — exactly the probe discipline the
   chaos campaigns' late readers use to detect forked histories (an
   amnesiac replica that forgot a committed prefix fails the canary's
-  next read).
-
-``serve --monitor`` runs the same probe loop in-process next to the
-cluster it hosts, turning the server into a self-checking deployment.
+  next read).  ``--ops N`` sets how many probes it issues.
 """
 
 from __future__ import annotations
@@ -102,8 +99,6 @@ def load_history(path: str) -> History:
 
 def replay_history(
     shards: List[List[Tuple]],
-    node_limit: Optional[int] = None,
-    config_limit: Optional[int] = None,
 ) -> Tuple[str, Optional[str], List[MonitorReport]]:
     """Decide each shard's events with its own monitor; compose.
 
@@ -112,13 +107,10 @@ def replay_history(
     it is its own certificate (:func:`~repro.monitor.streaming.decide`);
     where response order misses, the report says so and the search is
     told each recorded response (ten puts pending on one key: 12.7 s
-    untold, 0.2 ms told).
+    untold, 0.2 ms told).  No search budget applies.
     """
     adt = REPLAY_ADTS[getattr(shards, "adt", "kv_store")]
-    reports = [
-        decide(events, adt(), node_limit, config_limit).report()
-        for events in shards
-    ]
+    reports = [decide(events, adt()).report() for events in shards]
     verdict, reason = compose_verdicts(reports)
     return verdict, reason, reports
 
@@ -128,34 +120,25 @@ def exit_code(verdict: str) -> int:
 
 
 def make_probe(
-    transport: AsyncTransport,
-    replicas: int,
-    node_limit: Optional[int] = None,
-    config_limit: Optional[int] = None,
+    transport: AsyncTransport, replicas: int
 ) -> Tuple[PipelineClient, MonitorTap]:
     """A recording canary client whose history streams into a live
     monitor: certified while the canary is the cluster's only client (a
     decided command nobody recorded invoking is a miss), budgeted after."""
     recorder = HistoryRecorder(clock=lambda: transport.now)
-    tap = budgeted_tap(kv_store_adt(), recorder, node_limit, config_limit)
+    tap = budgeted_tap(kv_store_adt(), recorder)
     client = probing_client("monitor-probe", replicas, transport, recorder)
     return client, tap
 
 
 async def probe_loop(
-    client: PipelineClient,
-    tap: MonitorTap,
-    ops: Optional[int],
-    interval: float,
+    client: PipelineClient, tap: MonitorTap, ops: int, interval: float
 ) -> MonitorReport:
-    """Alternate canary writes and reads until done, violated or lost.
-
-    ``ops=None`` probes forever (the ``serve --monitor`` mode) — the
-    loop then only ends on a violation or an unreachable cluster.
-    """
+    """Alternate ``ops`` canary writes and reads until done, violated
+    or lost."""
     issued = 0
     counter = 0
-    while ops is None or issued < ops:
+    while issued < ops:
         if tap.violated:
             break
         command: Tuple
@@ -182,17 +165,15 @@ async def watch_cluster(
     host: str,
     port_base: int,
     replicas: int,
-    ops: Optional[int] = 40,
+    ops: int = 40,
     interval: float = 0.05,
-    node_limit: Optional[int] = None,
-    config_limit: Optional[int] = None,
 ) -> MonitorReport:
     """Probe a separately-served cluster; return the monitor's report."""
     book = AddressBook()
     for index in range(replicas):
         book.add(f"node{index}", host, port_base + index)
     transport = AsyncTransport("monitor-watch", book)
-    client, tap = make_probe(transport, replicas, node_limit, config_limit)
+    client, tap = make_probe(transport, replicas)
     try:
         report = await probe_loop(client, tap, ops, interval)
     finally:

@@ -55,7 +55,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     Any,
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -143,13 +142,11 @@ class StreamingMonitor:
         adt: ADT,
         node_limit: Optional[int] = None,
         config_limit: Optional[int] = None,
-        on_violation: Optional[Callable[["StreamingMonitor"], None]] = None,
         history: Optional[list] = None,
     ) -> None:
         self.adt = adt
         self.node_limit = node_limit
         self.config_limit = config_limit
-        self.on_violation = on_violation
         #: an object without a spec is its own one partition, key None
         self._start(adt.partition or _one_partition(adt))
         #: the recorder's own list: with it :meth:`feed` checks certificates
@@ -530,8 +527,6 @@ class StreamingMonitor:
         self.reason = reason
         self.violation_key = key
         self.witness = witness
-        if self.on_violation is not None:
-            self.on_violation(self)
 
 
 def watch_trace(

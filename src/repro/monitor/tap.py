@@ -14,8 +14,7 @@ checker will read from ``recorder.events``, with the decided slots
 (``lin`` events, never recorded) between them where they were folded.
 
 Fail-fast protocol: drivers poll :attr:`MonitorTap.violated` between
-operations (or register the monitor's ``on_violation`` callback) and
-stop issuing load; :meth:`MonitorTap.close` then drains whatever is
+operations and stop issuing load; :meth:`MonitorTap.close` then drains whatever is
 still queued so the final report accounts for every recorded event.
 """
 

@@ -94,10 +94,6 @@ class Simulator:
             processed += 1
             self.events_processed += 1
 
-    def pending_events(self) -> int:
-        """Number of queued (non-cancelled) events."""
-        return sum(1 for e in self._queue if not e.cancelled)
-
 
 class Timer:
     """A cancellable one-shot timer bound to a simulator."""

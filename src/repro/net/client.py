@@ -104,9 +104,9 @@ class HistoryRecorder:
     clients folds (:meth:`decided`): no part of the history.
     """
 
-    def __init__(self, clock, tap=None) -> None:
+    def __init__(self, clock) -> None:
         self._clock = clock
-        self.tap = tap
+        self.tap = None
         self.events: List[Tuple[str, Hashable, Tuple, Any, float]] = []
 
     def invoke(self, client: Hashable, command: Tuple) -> None:

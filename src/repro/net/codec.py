@@ -60,7 +60,7 @@ from __future__ import annotations
 import base64
 import json
 import struct
-from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, Optional, Sequence, Tuple, Union
 
 #: Maximum frame body size in bytes (1 MiB); both sides enforce it.
 MAX_FRAME = 1 << 20
@@ -466,15 +466,6 @@ def get_codec(name: str) -> Union[JsonCodec, BinaryCodec]:
         raise FrameError(f"unknown codec {name!r}") from None
 
 
-def encode_frame(value: Any) -> bytes:
-    """One wire frame in the default (JSON) format.
-
-    Module-level convenience kept for the seed call sites; transports
-    that negotiate a codec call ``codec.encode_frame`` instead.
-    """
-    return JSON_CODEC.encode_frame(value)
-
-
 class FrameDecoder:
     """Incremental frame parser: feed byte chunks, iterate messages.
 
@@ -513,10 +504,6 @@ class FrameDecoder:
             # per frame
             del buffer[:pos]
 
-    def feed_all(self, data: bytes) -> List[Any]:
-        """Eager convenience wrapper around :meth:`feed`."""
-        return list(self.feed(data))
-
 
 Codec = Union[JsonCodec, BinaryCodec]
 
@@ -536,7 +523,6 @@ __all__ = [
     "Packed",
     "decode_payload",
     "dump_json",
-    "encode_frame",
     "encode_payload",
     "get_codec",
     "tuple_body",

@@ -75,20 +75,16 @@ MONITOR_NODE_LIMIT = 200_000
 MONITOR_CONFIG_LIMIT = 65_536
 
 
-def budgeted_tap(
-    adt: ADT,
-    recorder: HistoryRecorder,
-    node_limit: Optional[int] = None,
-    config_limit: Optional[int] = None,
-) -> MonitorTap:
+def budgeted_tap(adt: ADT, recorder: HistoryRecorder) -> MonitorTap:
     """The one way to build a live monitor: tapped into ``recorder``
     (before its clients are built), checking the decided log and, once
-    that misses, searching ``recorder``'s history under these budgets."""
+    that misses, searching ``recorder``'s history under the two budgets
+    above."""
     recorder.tap = MonitorTap(
         StreamingMonitor(
             adt,
-            node_limit=node_limit or MONITOR_NODE_LIMIT,
-            config_limit=config_limit or MONITOR_CONFIG_LIMIT,
+            node_limit=MONITOR_NODE_LIMIT,
+            config_limit=MONITOR_CONFIG_LIMIT,
             history=recorder.events,
         )
     )

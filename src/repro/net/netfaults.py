@@ -15,10 +15,10 @@ streams; wall-clock interleaving stays real), and :meth:`burst_loss`
 opens additive loss windows that expire on the fault clock — the
 transport analogue of the simulator nemesis's ``BurstLoss``.
 Partitions cut pairs of *endpoints* (node/client names, not pids): a
-cut is symmetric unless installed one-way, and heals either explicitly
-via :meth:`heal` or automatically when installed with a ``duration`` —
-the heal time is checked lazily against ``clock`` on the next frame,
-so a healed pair reconnects without any timer machinery.  This matches
+cut is symmetric unless installed one-way, and heals when installed
+with a ``duration`` — the heal time is checked lazily against ``clock``
+on the next frame, so a healed pair reconnects without any timer
+machinery.  This matches
 the simulator nemesis's partition/heal pairs: a seeded schedule fully
 determines when every cut opens and closes.
 
@@ -65,7 +65,7 @@ class TransportFaults:
         self.rng = random.Random(seed)
         #: the fault clock every window expires on
         self.clock = time.monotonic
-        #: directed endpoint pair → heal time (``math.inf`` = explicit)
+        #: directed endpoint pair → heal time (``math.inf`` = never)
         self._cuts: Dict[Tuple[str, str], float] = {}
         self._loss = _RateWindows()
         #: slow-node windows: endpoint → (added delay seconds, expiry)
@@ -84,15 +84,11 @@ class TransportFaults:
         """Cut frames from endpoint ``a`` to endpoint ``b`` (and back,
         unless ``symmetric=False`` — a one-way link failure).  With
         ``duration`` the cut heals itself ``duration`` seconds from
-        now; without, it lasts until :meth:`heal`."""
+        now; without, it never heals."""
         heal_at = math.inf if duration is None else self.clock() + duration
         self._cuts[(a, b)] = heal_at
         if symmetric:
             self._cuts[(b, a)] = heal_at
-
-    def heal(self) -> None:
-        """Remove every cut."""
-        self._cuts.clear()
 
     def burst_loss(self, rate: float, duration: float) -> None:
         """Add i.i.d. loss at ``rate`` for the next ``duration`` seconds

@@ -10,8 +10,8 @@ by unbounded buffering or a silently dying identity:
   refused to attempt);
 * **circuit breaking** — repeated decree give-ups against an endpoint
   open a :class:`CircuitBreaker`; while open, work against that
-  endpoint is shed instead of queued behind a black hole.  After ``reset_after``
-  seconds the breaker goes half-open and admits one probe; a success
+  endpoint is shed instead of queued behind a black hole.  After
+  :data:`DEFAULT_RESET_AFTER` seconds the breaker goes half-open and admits one probe; a success
   closes it, a failure re-opens it;
 * **typed retry exhaustion** — a retried op that still cannot commit
   fails with :exc:`~repro.net.client.RetriesExhausted`, distinct from
@@ -25,7 +25,6 @@ breaker per replica group.
 
 from __future__ import annotations
 
-import time
 from typing import Callable
 
 #: consecutive failures that open a breaker
@@ -49,16 +48,15 @@ class CircuitBreaker:
     """A closed / open / half-open breaker over consecutive failures.
 
     ``record_failure`` / ``record_success`` feed it outcomes;
-    ``allow()`` answers whether the next attempt may proceed.  While
-    open, ``allow`` is False until ``reset_after`` seconds elapsed
-    since opening; then exactly one caller is admitted (half-open
-    probe) and its outcome decides: success closes the breaker,
-    failure re-opens it for another ``reset_after``.
+    ``allow()`` answers whether the next attempt may proceed.  It opens
+    after :data:`DEFAULT_FAILURE_THRESHOLD` failures in a row.  While
+    open, ``allow`` is False until :data:`DEFAULT_RESET_AFTER` seconds
+    elapsed since opening; then exactly one caller is admitted
+    (half-open probe) and its outcome decides: success closes the
+    breaker, failure re-opens it for another such cooldown.
     """
 
     __slots__ = (
-        "threshold",
-        "reset_after",
         "clock",
         "failures",
         "opened_at",
@@ -66,18 +64,7 @@ class CircuitBreaker:
         "trips",
     )
 
-    def __init__(
-        self,
-        threshold: int = DEFAULT_FAILURE_THRESHOLD,
-        reset_after: float = DEFAULT_RESET_AFTER,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        if reset_after < 0:
-            raise ValueError("reset_after must be non-negative")
-        self.threshold = threshold
-        self.reset_after = reset_after
+    def __init__(self, clock: Callable[[], float]) -> None:
         self.clock = clock
         self.failures = 0
         self.opened_at: float = -1.0
@@ -92,7 +79,7 @@ class CircuitBreaker:
             return "closed"
         if self._probing:
             return "half-open"
-        if self.clock() - self.opened_at >= self.reset_after:
+        if self.clock() - self.opened_at >= DEFAULT_RESET_AFTER:
             return "half-open"
         return "open"
 
@@ -104,7 +91,7 @@ class CircuitBreaker:
             # one probe at a time; everyone else stays shed until it
             # reports back
             return False
-        if self.clock() - self.opened_at >= self.reset_after:
+        if self.clock() - self.opened_at >= DEFAULT_RESET_AFTER:
             self._probing = True
             return True
         return False
@@ -125,6 +112,6 @@ class CircuitBreaker:
             self.trips += 1
             return
         self.failures += 1
-        if self.opened_at < 0 and self.failures >= self.threshold:
+        if self.opened_at < 0 and self.failures >= DEFAULT_FAILURE_THRESHOLD:
             self.opened_at = self.clock()
             self.trips += 1

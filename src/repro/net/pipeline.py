@@ -105,7 +105,7 @@ DEFAULT_WINDOW = 8
 #: default max ops coalesced into one decree
 DEFAULT_MAX_BATCH = 16
 
-#: default admission bound on queued (not yet proposed) ops
+#: admission bound on queued (not yet proposed) ops
 DEFAULT_MAX_QUEUE = 1024
 
 #: headroom between a size-checked frame and MAX_FRAME — covers the
@@ -199,9 +199,7 @@ class SlotPipeline:
     enter via :meth:`enqueue`; the pump drains the queue into decree
     batches, keeps up to ``window`` slots in flight, and resolves each
     op's future with its derived response once the op's slot joins the
-    applied contiguous prefix.  ``dedup=False`` disables the session
-    seam — the mutant knob the retry-storm canary uses to prove the
-    checker catches double-apply.
+    applied contiguous prefix.
     """
 
     def __init__(
@@ -214,9 +212,6 @@ class SlotPipeline:
         max_batch: int = DEFAULT_MAX_BATCH,
         quorum_timeout: float = DEFAULT_QUORUM_TIMEOUT,
         backoff: Optional[BackoffPolicy] = None,
-        max_queue: int = DEFAULT_MAX_QUEUE,
-        dedup: bool = True,
-        breaker: Optional[CircuitBreaker] = None,
     ) -> None:
         self.name = name
         self.n_servers = n_servers
@@ -227,14 +222,12 @@ class SlotPipeline:
         self.quorum_timeout = quorum_timeout
         # own copy: policy objects are never shared between proposers
         self.backoff = replace(backoff) if backoff else replace(DEFAULT_BACKOFF)
-        self.max_queue = max_queue
+        self.max_queue = DEFAULT_MAX_QUEUE
         #: the session-dedup seam every decided command folds through
-        self.applier = SessionedApplier(self.adt, enabled=dedup)
+        self.applier = SessionedApplier(self.adt)
         #: breaker over this replica group: decree give-ups open it,
         #: settles close it; while open, admission sheds
-        self.breaker = breaker or CircuitBreaker(
-            clock=lambda: self.transport.now
-        )
+        self.breaker = CircuitBreaker(clock=lambda: self.transport.now)
         #: slot → decided value (this proposer's decided-log cache;
         #: safe by Quorum unanimity, see the module docstring)
         self.log: Dict[int, Hashable] = {}

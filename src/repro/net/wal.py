@@ -325,10 +325,6 @@ class RecoveredState:
             set(self.acceptors) | set(self.quorum) | set(self.decided)
         )
 
-    @property
-    def empty(self) -> bool:
-        return not (self.acceptors or self.quorum or self.decided)
-
 
 class NodeWAL:
     """One node's durable state, kept as folded maps over a log.
@@ -502,10 +498,6 @@ class NodeWAL:
     ) -> None:
         """Log the acceptor triple of ``slot``."""
         self.record("acc", slot, triple)
-
-    def record_quorum(self, slot: int, accepted: Hashable) -> None:
-        """Log the sticky Quorum acceptance of ``slot``."""
-        self.record("qs", slot, accepted)
 
     def record_decided(self, slot: int, value: Hashable) -> None:
         """Log a decided value (the SMR decided log)."""

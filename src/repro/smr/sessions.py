@@ -34,16 +34,14 @@ table, which is what the crash-recovery tests assert.
 idea: an :class:`~repro.core.adt.ADT` wrapper whose state embeds the
 ``client -> (seq, cached_reply)`` table, usable by the checkers and by
 anyone who wants the session semantics as a first-class replicated
-object.  The ``enabled=False`` escape hatch on :class:`SessionTable` /
-:class:`SessionedApplier` exists for one purpose: the dedup-disabled
-*mutant* the retry-storm canary must catch as a linearizability
-violation (double-applied increments), proving the checker guards this
-exact seam.
+object.  The seam has no off switch: the retry-storm canary's
+double-apply mutant is :class:`~repro.faults.mutants.DoubleApplyPipeline`,
+which swaps its pipeline's applier for one that skips the table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, Optional, Tuple
 
 from ..core.adt import ADT
 
@@ -104,15 +102,12 @@ class SessionTable:
     ``(seq, reply)`` pair per client suffices: a duplicate occurrence
     carries ``seq <= last``, and only ``seq == last`` can still have a
     live waiter needing the cached reply (the client has since moved
-    on past anything older).  ``enabled=False`` is the mutant knob —
-    every command reports fresh, duplicates double-apply, and the
-    checker must catch it.
+    on past anything older).
     """
 
-    __slots__ = ("enabled", "duplicates", "_sessions")
+    __slots__ = ("duplicates", "_sessions")
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         #: duplicate occurrences suppressed (observability)
         self.duplicates = 0
         self._sessions: Dict[Hashable, Tuple[int, Hashable]] = {}
@@ -123,40 +118,15 @@ class SessionTable:
     def seen(self, uid: Tuple) -> Optional[Tuple[int, Hashable]]:
         """The client's ``(last seq, cached reply)`` if ``uid`` is a
         duplicate occurrence (counted), None if it must be applied."""
-        if self.enabled:
-            last = self._sessions.get(uid[0])
-            if last is not None and uid[1] <= last[0]:
-                self.duplicates += 1
-                return last
+        last = self._sessions.get(uid[0])
+        if last is not None and uid[1] <= last[0]:
+            self.duplicates += 1
+            return last
         return None
 
     def store(self, uid: Tuple, reply: Hashable) -> None:
         """Remember the reply the first occurrence of ``uid`` made."""
         self._sessions[uid[0]] = (uid[1], reply)
-
-    def fresh(self, command: Tuple) -> bool:
-        """True iff ``command`` must be applied (first occurrence)."""
-        uid = seq_uid(command)
-        return uid is None or self.seen(uid) is None
-
-    def record(self, command: Tuple, reply: Hashable) -> None:
-        """:meth:`store` for a command; an untagged one has no session."""
-        uid = seq_uid(command)
-        if uid is not None:
-            self.store(uid, reply)
-
-    def cached_reply(self, command: Tuple) -> Hashable:
-        """The remembered reply for a duplicate of ``command``.
-
-        Only the client's *current* seq has a live waiter, so the last
-        cached reply is the right answer whenever anyone is listening;
-        older duplicates get it too (no one is waiting on those).
-        """
-        uid = seq_uid(command)
-        if uid is None:
-            return None
-        last = self._sessions.get(uid[0])
-        return last[1] if last is not None else None
 
     def snapshot(self) -> Tuple:
         """The table as a canonical hashable value (spec-state embedding)."""
@@ -187,9 +157,9 @@ class SessionedApplier:
     same replies from the same decided log.
     """
 
-    def __init__(self, adt: ADT, enabled: bool = True) -> None:
+    def __init__(self, adt: ADT) -> None:
         self.adt = adt
-        self.table = SessionTable(enabled=enabled)
+        self.table = SessionTable()
 
     @property
     def duplicates(self) -> int:

@@ -36,10 +36,6 @@ class UniversalFrontend:
         """The target-ADT output for a universal response ``history``."""
         return self.adt.output(tuple(history))
 
-    def respond_prefix(self, history: Sequence, upto: int) -> Hashable:
-        """Output after only the first ``upto`` inputs of the history."""
-        return self.adt.output(tuple(history[:upto]))
-
 
 #: first element of a batch decree value (see :func:`make_batch`)
 BATCH_TAG = "batch"

@@ -242,6 +242,12 @@ BAD_SNIPPETS = [
         "state, output = part.step(state, projected)\n",
         "repro/monitor/streaming.py",
     ),
+    # RD09: a bug switch in the data plane, as the pipeline once had
+    (
+        "RD09",
+        "self.applier = SessionedApplier(self.adt, enabled=dedup)\n",
+        "repro/net/pipeline.py",
+    ),
     # RD09: bypassing the atomic shared-memory API
     (
         "RD09",
@@ -407,6 +413,7 @@ GOOD_SNIPPETS = [
         "repro/monitor/streaming.py",
     ),
     ("successors = adt.step(state, payload)\n", "repro/monitor/frontier.py"),
+    ("distinct = list(dedup_commands(decided))\n", "repro/smr/sessions.py"),
     (
         "async def settle(tasks):\n    return await asyncio.wait(tasks)\n",
         "repro/faults/netcampaign.py",
@@ -731,6 +738,93 @@ def test_every_definition_is_named_somewhere_else():
     assert unnamed == [], "defined but never named elsewhere: " + ", ".join(
         unnamed
     )
+
+
+#: the packages a running system is built from; ``core/``, ``ioa/`` and
+#: ``sm/`` are the paper's executable theory, which exists to be tested
+SYSTEM_LAYERS = ("analysis", "faults", "monitor", "mp", "net", "smr")
+
+#: reached on purpose only by tests and campaigns: the test double's
+#: fault knobs, and the reference spec with the table methods it uses
+TEST_ONLY = {
+    "FaultyFS", "sessioned_adt", "SessionTable.snapshot",
+    "SessionTable.restore",
+}
+
+
+def _definitions(body, prefix=""):
+    """``(qualified name, node)`` of every def and class in ``body``."""
+    import ast
+
+    for node in body:
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            yield prefix + node.name, node
+            yield from _definitions(node.body, f"{prefix}{node.name}.")
+
+
+def test_nothing_in_the_system_layers_is_reached_only_by_tests():
+    """Every function, class and method of the system layers and
+    ``__main__`` is reached by code in ``src/``, ``benchmarks/`` or
+    ``examples/``: an AST name, attribute or import alias names it.
+    What only ``tests/`` reach goes.  Exempt are names a framework calls
+    (dunders, ``asyncio.Protocol`` callbacks, ``@register``ed rules),
+    ``typing.Protocol`` classes, ``faults/mutants.py`` and
+    :data:`TEST_ONLY`."""
+    import ast
+    import asyncio
+    from collections import Counter
+
+    reached = Counter()
+    for tree in ("src", "benchmarks", "examples"):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, tree)):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                with open(os.path.join(dirpath, name), encoding="utf-8") as f:
+                    module = ast.parse(f.read())
+                for node in ast.walk(module):
+                    if isinstance(node, ast.Name):
+                        reached[node.id] += 1
+                    elif isinstance(node, ast.Attribute):
+                        reached[node.attr] += 1
+                    elif isinstance(node, ast.alias):
+                        reached[node.name.rsplit(".", 1)[-1]] += 1
+    package = os.path.join(SRC, "repro")
+    paths = [os.path.join(package, "__main__.py")]
+    for layer in SYSTEM_LAYERS:
+        for dirpath, _, files in os.walk(os.path.join(package, layer)):
+            paths += [os.path.join(dirpath, f) for f in files if f.endswith(".py")]
+    callbacks = set(dir(asyncio.Protocol))
+    unreached = []
+    for path in sorted(paths):
+        relpath = os.path.relpath(path, SRC)
+        if relpath == os.path.join("repro", "faults", "mutants.py"):
+            continue
+        with open(path, encoding="utf-8") as f:
+            module = ast.parse(f.read())
+        protocols = {
+            node.name
+            for node in module.body
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(b, "id", None) == "Protocol" for b in node.bases)
+        }
+        for qualname, node in _definitions(module.body):
+            parts = qualname.split(".")
+            if (
+                reached[node.name]
+                or node.name in callbacks
+                or (node.name.startswith("__") and node.name.endswith("__"))
+                or any(getattr(d, "id", None) == "register"
+                       for d in node.decorator_list)
+                or parts[0] in protocols
+                or any(".".join(parts[:i]) in TEST_ONLY
+                       for i in range(1, len(parts) + 1))
+            ):
+                continue
+            unreached.append(f"{qualname} ({relpath}:{node.lineno})")
+    assert unreached == [], "reached only by tests: " + ", ".join(unreached)
 
 
 FACADES = ("analysis", "core", "faults", "ioa", "monitor", "mp", "net", "sm",

@@ -74,6 +74,24 @@ def test_serve_has_no_supervisor(capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--monitor"],
+        ["serve", "--monitor-interval", "1"],
+        ["monitor", "--replay", "F", "--node-limit", "5"],
+        ["monitor", "--replay", "F", "--config-limit", "5"],
+    ],
+)
+def test_serve_runs_no_canary_and_monitor_takes_no_budget(capsys, argv):
+    # the canary against a served cluster is `monitor --watch --ops N`;
+    # a replay runs unbudgeted, a live monitor on the loadgen constants
+    with pytest.raises(SystemExit) as refused:
+        build_parser().parse_args(argv)
+    assert refused.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_nemesis_has_no_sanitize_switch(capsys):
     # every wire chaos run arms the sanitizer: there is nothing to select
     with pytest.raises(SystemExit) as refused:

@@ -6,6 +6,8 @@ the parallel result is *identical* to the serial one — same order, same
 verdicts, same emitted lines — only the wall-clock may differ.
 """
 
+import pytest
+
 import repro.engine as engine
 from repro.core.enumeration import (
     parallel_composition_sweep,
@@ -79,15 +81,16 @@ class TestCampaignParallelism:
 
 class TestNemesisCLI:
     def test_bad_jobs_value_is_usage_error(self):
-        from repro.__main__ import run_nemesis
+        from repro.__main__ import main
 
-        assert run_nemesis(["--jobs", "many"]) == 1
-        assert run_nemesis(["--jobs"]) == 1
-        assert run_nemesis(["1", "2", "3"]) == 1
+        for argv in (["--jobs", "many"], ["--jobs"], ["1", "2", "3"]):
+            with pytest.raises(SystemExit) as refused:
+                main(["nemesis", *argv])
+            assert refused.value.code == 2
 
     def test_jobs_flag_reaches_run_campaign(self, monkeypatch):
         import repro.faults
-        from repro.__main__ import run_nemesis
+        from repro.__main__ import main
 
         seen = {}
 
@@ -104,10 +107,10 @@ class TestNemesisCLI:
         monkeypatch.setattr(
             repro.faults, "run_campaign", fake_run_campaign
         )
-        assert run_nemesis(["7", "3", "--jobs=4"]) == 0
+        assert main(["nemesis", "7", "3", "--jobs=4"]) == 0
         assert seen["n_schedules"] == 7
         assert seen["base_seed"] == 3
         assert seen["jobs"] == 4
-        assert run_nemesis(["--jobs", "2"]) == 0
+        assert main(["nemesis", "--jobs", "2"]) == 0
         assert seen["jobs"] == 2
         assert seen["n_schedules"] == 20

@@ -56,6 +56,7 @@ from repro.core.fastcheck import _stream, check_linearizable
 from repro.core.linearizability import linearize
 from repro.core.strategies import wellformed_traces
 from repro.core.traces import Trace
+from repro.faults.mutants import DoubleApplyPipeline
 from repro.monitor import (
     MonitorTap,
     StreamingMonitor,
@@ -68,7 +69,12 @@ from repro.monitor.cli import load_history, make_probe, replay_history
 from repro.monitor.streaming import decide, event_action
 from repro.net.client import HistoryRecorder
 from repro.net.cluster import ShardedCluster
-from repro.net.loadgen import budgeted_tap, run_loadgen
+from repro.net.loadgen import (
+    MONITOR_CONFIG_LIMIT,
+    MONITOR_NODE_LIMIT,
+    budgeted_tap,
+    run_loadgen,
+)
 from repro.net.pipeline import PipelineClient, SlotPipeline
 from repro.smr.universal import kv_store_adt
 
@@ -451,8 +457,9 @@ class TestKnowingTheFuture:
         assert report.certificate_misses == 1
         assert report.events == 20 and report.ops == 10
         assert [len(s) for s in survivors] == [1] * 10 and steps[0] <= 55
-        # budgets passed by `monitor --replay` still bind: puts that
-        # never answer stay in the window whatever the replay is told
+        # the replay runs unbudgeted; a budget handed to the `decide` it
+        # runs per shard still binds: puts that never answer stay in the
+        # window whatever the search is told
         silent = [
             ("inv", f"s{i}", ("put", "k", i), None, 0.0) for i in range(6)
         ]
@@ -460,8 +467,9 @@ class TestKnowingTheFuture:
             inv("r", ("get", "k")), res("r", ("get", "k"), ("value", 3)),
         )]
         assert replay_history([silent + read])[0] == "ok"
-        verdict, reason, _ = replay_history([silent + read], node_limit=5)
-        assert verdict == "unknown" and "exceeded 5 nodes" in reason
+        report = decide(silent + read, KV, node_limit=5).report()
+        assert report.verdict == "unknown"
+        assert "exceeded 5 nodes" in report.reason
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +655,8 @@ class TestTheCertificate:
             inv("c2", ("get", "a")),
             res("c2", ("get", "a"), ("value", 3)),  # 29, 100 or 101
         ]
-        history, fired = [], []
-        monitor = StreamingMonitor(
-            KV, history=history, on_violation=fired.append
-        )
+        history = []
+        monitor = StreamingMonitor(KV, history=history)
         history.append(recorded(actions[0]))
         monitor.feed(history[0])
         monitor.feed(("lin", 0, (("put", "a", 0),)))  # untagged: a miss
@@ -659,7 +665,8 @@ class TestTheCertificate:
             assert not monitor.violated
             history.append(recorded(action))
             monitor.feed(history[-1])
-        assert len(history) > 50 and monitor.violated and len(fired) == 1
+        # it flips at the last event, the read no order explains
+        assert len(history) > 50 and monitor.violated
         report = monitor.report()
         assert report.verdict == "violation" and report.violation_key == "a"
         assert report.witness["shrunk"]
@@ -755,17 +762,16 @@ class TestTheCertificate:
         assert report.witness is not None
 
     def test_a_double_apply_misses_and_then_the_search_judges(self):
-        """``dedup=False``: the system folds a duplicate decree twice,
-        the monitor's own fold skips it as the session seam would."""
+        """The double-apply mutant folds a duplicate decree twice; the
+        monitor's own fold skips it as the session seam would."""
         async def scenario():
             cluster = ShardedCluster(n_servers=3)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
             tap = budgeted_tap(counter_adt(), recorder)
-            pipeline = SlotPipeline(
-                "dd", 3, transport, adt=counter_adt(),
-                quorum_timeout=0.15, dedup=False,
+            pipeline = DoubleApplyPipeline(
+                "dd", 3, transport, adt=counter_adt(), quorum_timeout=0.15
             )
             c1 = PipelineClient("c1", pipeline, recorder)
             c2 = PipelineClient("c2", pipeline, recorder)
@@ -933,12 +939,12 @@ class TestOneWayToBuildALiveMonitor:
 
     def test_budgets_are_never_none_and_the_history_is_the_recorders(self):
         recorder = HistoryRecorder(clock=lambda: 0.0)
-        tap = budgeted_tap(KV, recorder, node_limit=None, config_limit=None)
+        tap = budgeted_tap(KV, recorder)
         assert recorder.tap is tap
-        assert tap.monitor.node_limit and tap.monitor.config_limit
+        assert (tap.monitor.node_limit, tap.monitor.config_limit) == (
+            MONITOR_NODE_LIMIT, MONITOR_CONFIG_LIMIT,
+        )
         assert tap.monitor._history is recorder.events
-        tight = budgeted_tap(KV, recorder, node_limit=7, config_limit=9)
-        assert (tight.monitor.node_limit, tight.monitor.config_limit) == (7, 9)
 
     def test_the_canary_probe_is_certified_and_budgeted(self):
         async def scenario():
@@ -1010,14 +1016,12 @@ class TestBoundedMemory:
 
 
 class TestFailFastAndWitness:
-    def test_violation_fires_the_callback_at_the_event(self):
-        seen = []
-        monitor = StreamingMonitor(KV, on_violation=seen.append)
+    def test_violation_flips_at_the_event(self):
+        monitor = StreamingMonitor(KV)
         monitor.observe(inv("c1", ("get", "a")))
-        assert not monitor.violated and seen == []
+        assert not monitor.violated
         monitor.observe(res("c1", ("get", "a"), ("value", 3)))  # from nowhere
-        assert monitor.violated
-        assert len(seen) == 1 and seen[0].verdict == "violation"
+        assert monitor.violated and monitor.verdict == "violation"
         # later events are ignored, the verdict is final
         monitor.observe(inv("c2", ("put", "a", 1)))
         assert monitor.report().verdict == "violation"
@@ -1068,7 +1072,8 @@ class TestMonitorTap:
     def test_tap_drains_recorder_events_in_background(self):
         async def scenario():
             tap = MonitorTap(StreamingMonitor(KV))
-            recorder = HistoryRecorder(clock=lambda: 0.0, tap=tap)
+            recorder = HistoryRecorder(clock=lambda: 0.0)
+            recorder.tap = tap
             recorder.invoke("c1", ("put", "a", 1))
             recorder.respond("c1", ("put", "a", 1), ("value", None))
             await asyncio.sleep(0.01)
@@ -1083,7 +1088,8 @@ class TestMonitorTap:
     def test_tap_flags_violation_before_close(self):
         async def scenario():
             tap = MonitorTap(StreamingMonitor(KV))
-            recorder = HistoryRecorder(clock=lambda: 0.0, tap=tap)
+            recorder = HistoryRecorder(clock=lambda: 0.0)
+            recorder.tap = tap
             recorder.invoke("c1", ("get", "a"))
             recorder.respond("c1", ("get", "a"), ("value", 41))
             await asyncio.sleep(0.01)

@@ -37,7 +37,6 @@ from repro.net.codec import (
     MAX_FRAME,
     Packed,
     decode_payload,
-    encode_frame,
     encode_payload,
     get_codec,
     tuple_body,
@@ -98,7 +97,7 @@ def test_payload_round_trip(value):
 @given(payloads)
 def test_frame_round_trip(value):
     decoder = FrameDecoder()
-    (decoded,) = decoder.feed_all(encode_frame(value))
+    (decoded,) = decoder.feed(JSON_CODEC.encode_frame(value))
     assert decoded == value
 
 
@@ -106,7 +105,7 @@ def test_frame_round_trip(value):
 @given(st.lists(payloads, min_size=1, max_size=5), st.data())
 def test_stream_reassembly_at_arbitrary_chunking(values, data):
     """TCP may split/glue frames arbitrarily; the decoder must not care."""
-    stream = b"".join(encode_frame(v) for v in values)
+    stream = b"".join(JSON_CODEC.encode_frame(v) for v in values)
     decoder = FrameDecoder()
     out = []
     position = 0
@@ -160,7 +159,7 @@ MESSAGES = (
 def test_protocol_envelopes_round_trip(src, message):
     envelope = (src, PIDS[-1], message)
     decoder = FrameDecoder()
-    (decoded,) = decoder.feed_all(encode_frame(envelope))
+    (decoded,) = decoder.feed(JSON_CODEC.encode_frame(envelope))
     assert decoded == envelope
     # Exact types, not just equality: tuples must come back as tuples
     # (pids are dict keys, commands are compared with ==).
@@ -185,13 +184,13 @@ def test_frame_just_under_limit_round_trips():
     # JSON overhead: quotes around the string, so body = len + 2.
     value = "x" * (MAX_FRAME - 2)
     decoder = FrameDecoder()
-    (decoded,) = decoder.feed_all(encode_frame(value))
+    (decoded,) = decoder.feed(JSON_CODEC.encode_frame(value))
     assert decoded == value
 
 
 def test_oversized_frame_refused_by_encoder():
     with pytest.raises(FrameError, match="exceeds MAX_FRAME"):
-        encode_frame("x" * MAX_FRAME)
+        JSON_CODEC.encode_frame("x" * MAX_FRAME)
 
 
 def test_oversized_announcement_refused_by_decoder():
@@ -227,7 +226,7 @@ def test_unknown_container_tag_refused():
 
 
 def _decode_one(frame):
-    (value,) = FrameDecoder().feed_all(frame)
+    (value,) = FrameDecoder().feed(frame)
     return value
 
 
@@ -280,7 +279,7 @@ def test_mixed_codec_stream_decodes_uniformly():
         (BINARY_CODEC if i % 2 else JSON_CODEC).encode_frame(v)
         for i, v in enumerate(values)
     )
-    assert FrameDecoder().feed_all(stream) == values
+    assert list(FrameDecoder().feed(stream)) == values
 
 
 def test_binary_frames_smaller_on_floats_and_unicode():
@@ -395,7 +394,7 @@ MALFORMED = {
 @pytest.mark.parametrize("frame", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_frame_is_a_frame_error(frame):
     with pytest.raises(FrameError):
-        FrameDecoder().feed_all(frame)
+        list(FrameDecoder().feed(frame))
 
 
 def test_nesting_is_capped_at_max_depth_in_both_codecs():
@@ -474,7 +473,7 @@ def test_any_mutation_or_truncation_decodes_or_raises_frame_error(
         frame[:4] = struct.pack(">I", cut - 4)
         del frame[cut:]
     try:
-        for decoded in FrameDecoder().feed_all(bytes(frame)):
+        for decoded in FrameDecoder().feed(bytes(frame)):
             _unpack_all(decoded)
     except FrameError:
         pass

@@ -251,7 +251,7 @@ class TestCrashRecovery:
                 await cluster.kill(2)
                 (node,) = await cluster.restart(2)
                 assert node.recovered is not None
-                assert node.recovered.empty
+                assert node.recovered.slots() == []
                 transport = cluster.client_transport("clients")
                 recorder = HistoryRecorder(clock=lambda: transport.now)
                 client = make_client(cluster, transport, recorder)

@@ -191,6 +191,19 @@ class TestSanitizerVerdict:
         assert repro_main(["nemesis", "1", "0", "--net"]) == 1
         assert "interleaving recorded in 1 run(s)" in capsys.readouterr().out
 
+    def test_only_an_unknown_verdict_is_inconclusive(self):
+        from repro.faults.netcampaign import NetCampaignReport
+
+        runs = [
+            self.raced(),  # linearizable, yet not ok: it raced
+            NetRunResult(schedule=FaultSchedule(seed=0), verdict="unknown"),
+            self.raced(sanitizer_violations=0),
+        ]
+        assert NetCampaignReport(runs=runs).summary() == (
+            "net campaign: 3 runs, 1 linearizable, 0 violations, "
+            "1 inconclusive"
+        )
+
 
 class _Recorder:
     """Records every call made on it, as ``(name, args, kwargs)``."""

@@ -1052,8 +1052,8 @@ class TestOldLogs:
         for index in range(3):
             wal = NodeWAL(str(tmp_path / f"node{index}"))
             for slot, value in enumerate(fast):
-                wal.record_quorum(slot, value)
-            wal.record_quorum(3, loser if index == 1 else backup)
+                wal.record("qs", slot, value)
+            wal.record("qs", 3, loser if index == 1 else backup)
             wal.record_acceptor(3, (0, 0, backup))
             if index == 0:
                 wal.record_decided(3, backup)

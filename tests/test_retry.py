@@ -8,8 +8,8 @@ attempts of an op are **one** invocation (the post-hoc checker and the
 streaming monitor must both agree), a hedged duplicate's second
 response is ignored, and only an exhausted deadline leaves a pending
 invocation and a poisoned identity with a working successor.  The
-deterministic canary at the bottom proves the other direction: with
-dedup disabled, a duplicate decree double-applies and *both* checkers
+deterministic canary at the bottom proves the other direction: on the
+double-apply mutant, a duplicate decree double-applies and *both* checkers
 call the history a violation.
 """
 
@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.adt import counter_adt
 from repro.core.fastcheck import check_linearizable
+from repro.faults.mutants import DoubleApplyPipeline
 from repro.net.netfaults import TransportFaults
 from repro.monitor import MonitorTap, StreamingMonitor
 from repro.mp.backoff import BackoffPolicy
@@ -63,7 +64,8 @@ class TestRetryIsOneInvocation:
             await cluster.start()
             transport = cluster.client_transport("clients")
             tap = MonitorTap(StreamingMonitor(counter_adt()))
-            recorder = HistoryRecorder(clock=lambda: transport.now, tap=tap)
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            recorder.tap = tap
             pipeline = SlotPipeline(
                 "rt", 3, transport, adt=counter_adt(), quorum_timeout=0.1
             )
@@ -99,7 +101,8 @@ class TestHedging:
             await cluster.start()
             transport = cluster.client_transport("clients")
             tap = MonitorTap(StreamingMonitor(counter_adt()))
-            recorder = HistoryRecorder(clock=lambda: transport.now, tap=tap)
+            recorder = HistoryRecorder(clock=lambda: transport.now)
+            recorder.tap = tap
             pipeline = SlotPipeline(
                 "hdg", 3, transport, adt=counter_adt(), quorum_timeout=0.15
             )
@@ -152,7 +155,9 @@ class TestRetriesExhausted:
             with pytest.raises(RuntimeError, match="poisoned"):
                 await client.submit(("inc", 1))
             heir = client.successor()
-            faults.heal()
+            # fast-forward the fault clock past the blackout
+            clock = faults.clock
+            faults.clock = lambda: clock() + 30.0
             out = await heir.submit(("inc", 1))
             # the abandoned op may still decide behind our back — that
             # is exactly why its invocation must stay pending
@@ -326,16 +331,16 @@ class TestWatchdog:
 
 
 class TestDedupCanary:
-    async def _double_decide(self, dedup):
+    async def _double_decide(self, pipeline_cls):
         """One inc, a manufactured duplicate decree of it, one read."""
         cluster = ShardedCluster(n_servers=3)
         await cluster.start()
         transport = cluster.client_transport("clients")
         tap = MonitorTap(StreamingMonitor(counter_adt()))
-        recorder = HistoryRecorder(clock=lambda: transport.now, tap=tap)
-        pipeline = SlotPipeline(
-            "can", 3, transport, adt=counter_adt(),
-            quorum_timeout=0.15, dedup=dedup,
+        recorder = HistoryRecorder(clock=lambda: transport.now)
+        recorder.tap = tap
+        pipeline = pipeline_cls(
+            "can", 3, transport, adt=counter_adt(), quorum_timeout=0.15
         )
         c1 = PipelineClient("c1", pipeline, recorder)
         c2 = PipelineClient("c2", pipeline, recorder)
@@ -351,7 +356,7 @@ class TestDedupCanary:
 
     def test_seam_folds_the_duplicate(self):
         out, pipeline, recorder, report = asyncio.run(
-            self._double_decide(dedup=True)
+            self._double_decide(SlotPipeline)
         )
         assert out == ("count", 1)
         assert pipeline.duplicates == 1
@@ -360,7 +365,7 @@ class TestDedupCanary:
 
     def test_mutant_double_applies_and_both_checkers_catch_it(self):
         out, pipeline, recorder, report = asyncio.run(
-            self._double_decide(dedup=False)
+            self._double_decide(DoubleApplyPipeline)
         )
         assert out == ("count", 2)  # the impossible read
         assert pipeline.duplicates == 0

@@ -18,11 +18,17 @@ import pytest
 
 from repro.core.adt import counter_adt
 from repro.core.fastcheck import check_linearizable
+from repro.faults.mutants import DoubleApplier
 from repro.net.netfaults import TransportFaults
 from repro.mp.backoff import BackoffPolicy
 from repro.net.client import DEFAULT_BACKOFF, HistoryRecorder
 from repro.net.cluster import ShardedCluster
-from repro.net.overload import CircuitBreaker, Overloaded
+from repro.net.overload import (
+    CircuitBreaker,
+    DEFAULT_FAILURE_THRESHOLD,
+    DEFAULT_RESET_AFTER,
+    Overloaded,
+)
 from repro.net.pipeline import PipelineClient, SlotPipeline, probing_client
 from repro.net.wal import NodeWAL
 from repro.smr.sessions import (
@@ -72,34 +78,34 @@ class TestSessionVocabulary:
 class TestSessionTable:
     def test_duplicate_suppressed_with_cached_reply(self):
         table = SessionTable()
-        op = tag(("inc", 1), "c1", 1)
-        assert table.fresh(op)
-        table.record(op, ("count", 0))
-        assert not table.fresh(op)
-        assert table.cached_reply(op) == ("count", 0)
+        uid = ("c1", 1)
+        assert table.seen(uid) is None
+        table.store(uid, ("count", 0))
+        assert table.seen(uid) == (1, ("count", 0))
         assert table.duplicates == 1
         assert len(table) == 1
 
     def test_older_seq_is_duplicate_newer_is_fresh(self):
         table = SessionTable()
-        table.record(tag(("inc", 1), "c1", 3), ("count", 2))
-        assert not table.fresh(tag(("inc", 1), "c1", 2))
-        assert table.fresh(tag(("inc", 1), "c1", 4))
+        table.store(("c1", 3), ("count", 2))
+        assert table.seen(("c1", 2)) is not None
+        assert table.seen(("c1", 4)) is None
 
     def test_snapshot_restore_roundtrip(self):
         table = SessionTable()
-        table.record(tag(("inc", 1), "c2", 5), ("count", 4))
-        table.record(tag(("inc", 1), "c1", 1), ("count", 0))
+        table.store(("c2", 5), ("count", 4))
+        table.store(("c1", 1), ("count", 0))
         restored = SessionTable.restore(table.snapshot())
         assert restored.snapshot() == table.snapshot()
-        assert not restored.fresh(tag(("inc", 1), "c2", 5))
+        assert restored.seen(("c2", 5)) is not None
 
     def test_disabled_table_is_the_mutant(self):
-        table = SessionTable(enabled=False)
+        applier = DoubleApplier(counter_adt())
         op = tag(("inc", 1), "c1", 1)
-        table.record(op, ("count", 0))
-        assert table.fresh(op)  # double-apply: the canary's target
-        assert table.duplicates == 0
+        state, reply, fresh = applier.apply(0, op)
+        state, reply, fresh = applier.apply(state, op)
+        assert (state, reply, fresh) == (2, ("count", 1), True)  # double-apply
+        assert applier.duplicates == 0
 
 
 class TestSessionedApplier:
@@ -258,7 +264,8 @@ class TestOverload:
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
-            pipeline = SlotPipeline("adm", 3, transport, max_queue=0)
+            pipeline = SlotPipeline("adm", 3, transport)
+            pipeline.max_queue = 0
             client = PipelineClient("c0", pipeline, recorder)
             with pytest.raises(Overloaded):
                 await client.submit(("put", "k", "v"))
@@ -282,11 +289,9 @@ class TestOverload:
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
-            breaker = CircuitBreaker(
-                threshold=1, clock=lambda: transport.now
-            )
-            pipeline = SlotPipeline("brk", 3, transport, breaker=breaker)
-            breaker.record_failure()  # as a decree give-up would
+            pipeline = SlotPipeline("brk", 3, transport)
+            for _ in range(DEFAULT_FAILURE_THRESHOLD):
+                pipeline.breaker.record_failure()  # as decree give-ups would
             client = PipelineClient("c0", pipeline, recorder)
             with pytest.raises(Overloaded):
                 await client.submit(("put", "k", "v"))
@@ -300,11 +305,9 @@ class TestOverload:
 class TestCircuitBreaker:
     def test_closed_until_threshold_then_open(self):
         now = [0.0]
-        breaker = CircuitBreaker(
-            threshold=3, reset_after=1.0, clock=lambda: now[0]
-        )
+        breaker = CircuitBreaker(clock=lambda: now[0])
         assert breaker.state == "closed"
-        for _ in range(2):
+        for _ in range(DEFAULT_FAILURE_THRESHOLD - 1):
             breaker.record_failure()
             assert breaker.allow()
         breaker.record_failure()
@@ -314,26 +317,26 @@ class TestCircuitBreaker:
 
     def test_half_open_single_probe_then_close_or_reopen(self):
         now = [0.0]
-        breaker = CircuitBreaker(
-            threshold=1, reset_after=1.0, clock=lambda: now[0]
-        )
-        breaker.record_failure()
+        breaker = CircuitBreaker(clock=lambda: now[0])
+        for _ in range(DEFAULT_FAILURE_THRESHOLD):
+            breaker.record_failure()
         assert not breaker.allow()
-        now[0] = 1.5
+        now[0] = 1.5 * DEFAULT_RESET_AFTER
         assert breaker.state == "half-open"
         assert breaker.allow()  # the probe claims the half-open slot
         assert not breaker.allow()  # concurrent admits stay shed
         breaker.record_failure()  # probe failed: straight back to open
         assert breaker.state == "open" and breaker.trips == 2
-        now[0] = 3.0
+        now[0] = 3.0 * DEFAULT_RESET_AFTER
         assert breaker.allow()
         breaker.record_success()
         assert breaker.state == "closed"
         assert breaker.allow()
 
     def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(threshold=2, clock=lambda: 0.0)
-        breaker.record_failure()
+        breaker = CircuitBreaker(clock=lambda: 0.0)
+        for _ in range(DEFAULT_FAILURE_THRESHOLD - 1):
+            breaker.record_failure()
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state == "closed"

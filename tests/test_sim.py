@@ -49,7 +49,8 @@ class TestSimulator:
         sim.schedule(5.0, lambda: fired.append(5))
         sim.run(until=2.0)
         assert fired == [1]
-        assert sim.pending_events() == 1
+        sim.run()
+        assert fired == [1, 5]
 
     def test_max_events(self):
         sim = Simulator()

@@ -132,7 +132,7 @@ class TestUniversalFrontend:
     def test_respond_prefix(self):
         frontend = UniversalFrontend(kv_store_adt())
         history = (kv_put("k", 1), kv_put("k", 2), kv_get("k"))
-        assert frontend.respond_prefix(history, 1) == ("value", None)
+        assert frontend.respond(history[:1]) == ("value", None)
 
 
 class TestSpeculativeSMR:

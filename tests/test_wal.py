@@ -142,9 +142,9 @@ class TestWriteAheadLog:
 class TestNodeWAL:
     def test_fold_and_recovery(self, tmp_path):
         wal = NodeWAL(str(tmp_path))
-        assert wal.recovered.empty
+        assert wal.recovered.slots() == []
         wal.record_acceptor(0, (2, 2, ("put", "x", 1)))
-        wal.record_quorum(1, ("get", "x"))
+        wal.record("qs", 1, ("get", "x"))
         wal.record_decided(0, ("put", "x", 1))
         wal.record_acceptor(0, (3, 2, ("put", "x", 1)))  # overwrite wins
         wal.close()
@@ -154,7 +154,6 @@ class TestNodeWAL:
         assert state.quorum == {1: ("get", "x")}
         assert state.decided == {0: ("put", "x", 1)}
         assert state.slots() == [0, 1]
-        assert not state.empty
         assert state.records_replayed == 4
         reopened.close()
 
@@ -240,7 +239,8 @@ class TestIncarnationMarker:
         wal = NodeWAL(str(tmp_path), fs=fs)
         # durable before the constructor returns: before any listener
         assert fs.stats == {**fs.stats, "appends": 1, "fsyncs": 1}
-        assert wal.recovered.incarnation == 0 and wal.recovered.empty
+        assert wal.recovered.incarnation == 0
+        assert wal.recovered.slots() == []
         wal.close()
         assert incarnations(tmp_path, 3) == [1, 2, 3]
         log = WriteAheadLog(str(tmp_path))
@@ -250,7 +250,7 @@ class TestIncarnationMarker:
     def test_markers_are_not_slot_facts(self, tmp_path):
         assert incarnations(tmp_path, 2) == [0, 1]
         wal = NodeWAL(str(tmp_path))
-        assert wal.recovered.empty and wal.recovered.slots() == []
+        assert wal.recovered.slots() == []
         assert wal.recovered.records_replayed == 0
         wal.close()
 
@@ -422,10 +422,8 @@ class TestGroupCommit:
 class TestRecoveredState:
     def test_slots_union_and_empty(self):
         state = RecoveredState()
-        assert state.empty
         assert state.slots() == []
         state.acceptors[3] = (0, -1, None)
         state.quorum[1] = "q"
         state.decided[2] = "d"
         assert state.slots() == [1, 2, 3]
-        assert not state.empty
