@@ -51,9 +51,9 @@ TABLE: Tuple[Invariant, ...] = (
     ),
     Invariant(
         "call", ("QuorumClient", "BackupClient", "PaxosClient"),
-        allowed=("repro/mp/phases.py", "repro/net/pipeline.py"),
-        why="the walk Quorum -> Backup is written once, in mp/phases (the "
-        "pipeline keeps the wire's until that runs on a virtual loop)",
+        allowed=("repro/mp/phases.py",),
+        why="the walk Quorum -> Backup is written once, in mp/phases: the "
+        "simulator and the wire pipeline both propose through walk()",
     ),
     Invariant(
         "call", ("QuorumServer", "PaxosAcceptor", "PaxosCoordinator"),

@@ -24,10 +24,9 @@ SMR layer hosts the same two phases once per log slot
 phase of its own the same way.
 
 The walker uses only the substrate port's ``register``
-(:mod:`repro.net.port`).  The TCP data plane still walks Quorum → Backup
-by hand (``SlotPipeline._propose``: unregister-on-settle, learner frames
-and a circuit breaker the simulator has no caller for) — the one
-remaining copy until the wire runs on a virtual loop.
+(:mod:`repro.net.port`), so the TCP data plane walks the same chain per
+decree (``SlotPipeline._propose``); what only the wire needs is an
+argument of :func:`quorum` or :func:`backup`, never a step of the walk.
 """
 
 from __future__ import annotations
@@ -82,6 +81,8 @@ def quorum(
     client: str = "qcli",
     timeout: float = 6.0,
     scope: tuple = (),
+    down: Collection[int] = (),
+    on_accept: Optional[Callable[[Hashable], None]] = None,
 ) -> Phase:
     """The Quorum phase over physical servers ``0..n_servers-1``.
 
@@ -89,6 +90,9 @@ def quorum(
     argument (decide on identical accepts from *all* of its servers),
     fewer messages.  ``scope`` is spliced into the server pids — the SMR
     layer's slot number — so instances keep separate sticky state.
+
+    A client presumes the servers indexed in ``down`` down as it
+    enters; ``on_accept(server)`` hears every accept it gets.
     """
     servers = [(role, *scope, i) for i in range(n_servers)]
 
@@ -98,9 +102,10 @@ def quorum(
     def enter(
         substrate, pid, value, timeout, backoff, decide, switch, give_up
     ) -> None:
-        substrate.register(
-            QuorumClient(pid, servers, decide, switch, timeout)
-        ).propose(value)
+        proposer = QuorumClient(pid, servers, decide, switch, timeout, on_accept)
+        for i in down:
+            proposer.presume_down(servers[i])
+        substrate.register(proposer).propose(value)
 
     return Phase(client, hosts, enter, timeout)
 
@@ -114,6 +119,9 @@ def backup(
     client: str = "bcli",
     client_cls: type = BackupClient,
     begin: Callable[[Any, Hashable], None] = BackupClient.switch_to_backup,
+    down: Collection[int] = (),
+    enlist: Optional[Callable[[Hashable], None]] = None,
+    pacing: Optional[BackoffPolicy] = None,
 ) -> Phase:
     """The Backup phase: coordinated Paxos behind the switch interface.
 
@@ -124,6 +132,10 @@ def backup(
     beyond those is wired in when it enters (the SMR layer passes 0 and
     wires every client that way, since a slot cannot know who will
     switch into it).
+
+    ``enlist(pid)`` wires a client in where the acceptors are not
+    hosted here; a client asks the coordinators indexed in ``down``
+    last, and ``pacing`` replaces the walk's retry policy.
     """
     acceptors = [("acc", *scope, i) for i in range(n_servers)]
     coordinators = [("coord", *scope, i) for i in range(n_servers)]
@@ -150,7 +162,9 @@ def backup(
     def enter(
         substrate, pid, value, timeout, backoff, decide, switch, give_up
     ) -> None:
-        if pid not in learners:
+        if enlist is not None:
+            enlist(pid)
+        elif pid not in learners:
             learners.append(pid)
             for acceptor in hosted:
                 acceptor.register_learners(learners)
@@ -158,11 +172,11 @@ def backup(
             substrate.register(
                 client_cls(
                     pid,
-                    coordinators,
+                    sorted(coordinators, key=lambda coord: coord[-1] in down),
                     n_servers,
                     decide,
                     retry_delay=timeout,
-                    backoff=backoff,
+                    backoff=pacing or backoff,
                     on_give_up=give_up,
                 )
             ),
@@ -234,28 +248,26 @@ def walk(
     clients stop switching (and then retrying Backup) in lock-step, and
     growing along the chain.
     """
+    walker = (substrate, phases, suffix, backoff, decided, switched, gave_up)
+    _enter(walker, 0, value)
 
-    def enter(position: int, proposal: Hashable) -> None:
-        phase = phases[position]
-        pid = (phase.client, suffix)
-        timeout = phase.timeout
-        if backoff is not None:
-            timeout = backoff.delay(position, key=pid)
 
-        def switch(switch_value: Hashable) -> None:
-            switched(position, switch_value)
-            if position + 1 < len(phases):
-                enter(position + 1, switch_value)
+def _enter(walker: tuple, position: int, proposal: Hashable) -> None:
+    # not a closure of walk(): one that re-enters itself is a reference
+    # cycle per walk, left to the garbage collector
+    substrate, phases, suffix, backoff, decided, switched, gave_up = walker
+    phase = phases[position]
+    pid = (phase.client, suffix)
+    timeout = phase.timeout
+    if backoff is not None:
+        timeout = backoff.delay(position, key=pid)
 
-        phase.enter(
-            substrate,
-            pid,
-            proposal,
-            timeout,
-            backoff,
-            lambda decision: decided(position, decision),
-            switch,
-            gave_up,
-        )
+    def switch(switch_value: Hashable) -> None:
+        switched(position, switch_value)
+        if position + 1 < len(phases):
+            _enter(walker, position + 1, switch_value)
 
-    enter(0, value)
+    phase.enter(
+        substrate, pid, proposal, timeout, backoff,
+        lambda decision: decided(position, decision), switch, gave_up,
+    )

@@ -46,8 +46,7 @@ else, so a reader can treat a corrupt peer like a dropped connection.
 A value that consensus only stores, compares and echoes should cross
 the codec once in its life.  :class:`Packed` holds such a value as the
 bytes of its binary body.  Both codecs move those bytes unread (``p``,
-a u32 length, the bytes; base64 in JSON, so a WAL record holding one is
-still the JSON codec over a value, under its CRC); only
+a u32 length, the bytes; base64 in JSON); only
 :meth:`Packed.unpack` parses them, as strictly as a frame.  A producer
 builds one from bodies it has (``encode_body``, :func:`tuple_body`) and
 sizes it by ``len`` and ``packed_size``.  Per hop,
@@ -123,7 +122,7 @@ class Packed(bytes):
         this body decodes to, so bytes that are not exactly one binary
         body are a :exc:`FrameError` (every time, a failure is not kept)."""
         if self._value is _UNREAD:
-            self._value = _decode_body(_MAGIC + self)
+            self._value = decode_body(_MAGIC + self)
         return self._value
 
 
@@ -257,7 +256,7 @@ _TAG_t, _TAG_l, _TAG_d, _TAG_p = ord("t"), ord("l"), ord("d"), ord("p")
 def _binary_decode(body: bytes, pos: int, depth: int) -> Tuple[Any, int]:
     """Decode the value at ``body[pos]``; return it and the offset after
     it.  Running off the end raises ``IndexError`` / ``struct.error``,
-    which :func:`_decode_body` reports as a truncated frame."""
+    which :func:`decode_body` reports as a truncated frame."""
     tag = body[pos]
     pos += 1
     if tag == _TAG_s:
@@ -316,9 +315,10 @@ def _binary_decode(body: bytes, pos: int, depth: int) -> Tuple[Any, int]:
     raise FrameError(f"unknown binary tag {bytes([tag])!r}")
 
 
-def _decode_body(body: bytes) -> Any:
-    """Decode one frame body, dispatching on the magic byte.  Whatever
-    is wrong with the bytes, the caller sees a :exc:`FrameError`."""
+def decode_body(body: bytes) -> Any:
+    """Decode one frame body or WAL record, dispatching on the magic
+    byte.  Whatever is wrong with the bytes, the caller sees a
+    :exc:`FrameError`."""
     if body[:1] == _MAGIC:
         try:
             value, pos = _binary_decode(body, 1, 0)
@@ -498,7 +498,7 @@ class FrameDecoder:
                     return
                 body = bytes(buffer[pos + _LEN.size:end])
                 pos = end
-                yield _decode_body(body)
+                yield decode_body(body)
         finally:
             # consumed frames leave the buffer once per call, not once
             # per frame
@@ -521,6 +521,7 @@ __all__ = [
     "MAX_DEPTH",
     "MAX_FRAME",
     "Packed",
+    "decode_body",
     "decode_payload",
     "dump_json",
     "encode_payload",

@@ -65,7 +65,7 @@ class TransportFaults:
         self.rng = random.Random(seed)
         #: the fault clock every window expires on
         self.clock = time.monotonic
-        #: directed endpoint pair → heal time (``math.inf`` = never)
+        #: directed endpoint pair → heal time
         self._cuts: Dict[Tuple[str, str], float] = {}
         self._loss = _RateWindows()
         #: slow-node windows: endpoint → (added delay seconds, expiry)
@@ -75,17 +75,12 @@ class TransportFaults:
         self.duplicated = 0
 
     def partition(
-        self,
-        a: str,
-        b: str,
-        symmetric: bool = True,
-        duration: Optional[float] = None,
+        self, a: str, b: str, duration: float, symmetric: bool = True
     ) -> None:
         """Cut frames from endpoint ``a`` to endpoint ``b`` (and back,
-        unless ``symmetric=False`` — a one-way link failure).  With
-        ``duration`` the cut heals itself ``duration`` seconds from
-        now; without, it never heals."""
-        heal_at = math.inf if duration is None else self.clock() + duration
+        unless ``symmetric=False`` — a one-way link failure) for the
+        next ``duration`` seconds: every cut heals."""
+        heal_at = self.clock() + duration
         self._cuts[(a, b)] = heal_at
         if symmetric:
             self._cuts[(b, a)] = heal_at

@@ -1,14 +1,15 @@
 """`SlotPipeline` + `PipelineClient`: the one wire client.
 
-A client replicates KV commands by driving, per log slot, the same
-composed consensus the simulator runs — a
-:class:`~repro.mp.quorum.QuorumClient` first (fast path, two message
-delays) and, on a switch, a :class:`~repro.mp.backup.BackupClient`
-(Paxos, three delays).  The paper's client does that for one op per
-round, probing slots one at a time: :func:`probing_client`, a pipeline
-of its own with ``window=1, max_batch=1``.  That caps throughput at one
-op per protocol round trip, so the same proposer scales up for volume
-while the server roles and the consensus protocols stay untouched:
+A client replicates KV commands by walking, per log slot, the phase
+chain the simulator's SMR layer walks (:func:`repro.mp.phases.walk` over
+``[quorum(n), backup(n)]`` on the slot's pids): Quorum first (fast
+path, two message delays) and, on a switch, Backup (Paxos, three
+delays) with the switch value.  The paper's client does that for one
+op per round, probing slots one at a time: :func:`probing_client`, a
+pipeline of its own with ``window=1, max_batch=1``.  That caps
+throughput at one op per protocol round trip, so the same proposer
+scales up for volume while the server roles and the consensus
+protocols stay untouched:
 
 * **batching** — queued client ops are coalesced into a single decree
   value ``("batch", (op, ...))`` (:func:`repro.smr.universal.make_batch`),
@@ -68,8 +69,7 @@ would exceed ``MAX_FRAME`` is split in half and re-tried, and a single
 op that cannot fit a frame by itself fails with the per-op
 :exc:`PayloadTooLarge` *before* its invocation is recorded.  Sizes are
 ``len``s: an op's bytes ride its queue entry, and a decree's wire frame
-and journal record are exact arithmetic on their sum
-(:meth:`SlotPipeline._fits`).
+is exact arithmetic on their sum (:meth:`SlotPipeline._fits`).
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ from typing import Deque, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 from ..analysis.sanitizer import atomic_section
 from ..core.adt import ADT
 from ..mp.backoff import BackoffPolicy
-from ..mp.backup import BackupClient
-from ..mp.quorum import QuorumClient
+from ..mp.phases import backup, quorum, walk
 from ..smr.sessions import SessionedApplier
 from ..smr.universal import BATCH_TAG, batch_commands, kv_store_adt, make_batch
 from .client import (
@@ -113,9 +112,9 @@ DEFAULT_MAX_QUEUE = 1024
 #: frames (phase-2 broadcasts, WAL records) that carry the same value
 FRAME_SLACK = 4096
 
-#: a representative frame carrying a decree of no bytes, and the record
-#: the WAL journals its acceptance as (JSON, whatever the wire): a
-#: decree's frame and record are these plus ``packed_size`` of its bytes
+#: a representative frame carrying a decree of no bytes, and its
+#: acceptance as a JSON record (:meth:`SlotPipeline._fits`): a decree's
+#: frame and that record are these plus ``packed_size`` of its bytes
 _NO_DECREE = Packed(b"")
 _PROPOSAL = (
     ("qcli", ("probe", 0, 0)), ("qs", 0, 0), ("q-propose", _NO_DECREE)
@@ -286,10 +285,10 @@ class SlotPipeline:
         """Whether a decree of ops taking ``size`` bytes together fits
         one frame in every encoding it rides.
 
-        Two encodings bind: the wire frame, and the JSON record the WAL
-        journals a decree as under the same 1 MiB bound whichever codec
-        the wire runs (base64 there, a third larger).  Both are exact
-        and neither is encoded: the size of packed bytes is arithmetic.
+        Both sizes are exact and neither is encoded: the wire frame, and
+        the decree's acceptance as a JSON record (base64, a third
+        larger).  The WAL journals binary records, smaller than the
+        frame; the JSON term is a cap ``tests/test_pipeline.py`` pins.
         """
         size += _DECREE_HEAD
         return max(
@@ -441,114 +440,94 @@ class SlotPipeline:
     def _propose(
         self, slot: int, value: Hashable, group: List[_Entry]
     ) -> None:
+        # the slot's phase chain on the slot's pids, walked as the SMR
+        # layer walks it; what only the wire needs rides the builders
         self.in_flight[slot] = group
         sub = (self.name, slot)
-        op_pids: List[Hashable] = []
-        settled = [False]
+        down = self.presumed_down
+        phases = [
+            quorum(
+                self.n_servers, timeout=self.quorum_timeout, scope=(slot,),
+                # an answer, even after the switch, ends the presumption
+                down=down, on_accept=lambda server: down.discard(server[2]),
+            ),
+            backup(
+                self.n_servers, expected_clients=0, scope=(slot,),
+                down=down, enlist=lambda pid: self._enlist(slot, pid),
+                pacing=self.backoff,
+            ),
+        ]
+        live = [True]
 
-        def settle(winner: Hashable) -> None:
-            if settled[0]:
+        def ends_round() -> Optional[List[_Entry]]:
+            # the first outcome drops the roles of the walk and takes the
+            # slot out of flight: what rode there, or None after that
+            if not live[0]:
+                return None
+            live[0] = False
+            for phase in phases:
+                self.transport.unregister((phase.client, sub))
+            return self.in_flight.pop(slot, [])
+
+        def decided(position: int, winner: Hashable) -> None:
+            riders = ends_round()
+            if riders is None:
                 return
-            settled[0] = True
             self.breaker.record_success()
-            for pid in op_pids:
-                self.transport.unregister(pid)
             if slot not in self.log:
                 # our own object where we won: it holds the batch
                 self.log[slot] = value if winner == value else winner
-            group_ = self.in_flight.pop(slot, [])
             if self.log[slot] != value:
                 # lost the slot: the winner is someone else's decree;
                 # our ops rejoin at the head (their invocations are the
                 # oldest) and the pump reproposes at a fresh slot
-                self.queue.extendleft(reversed(group_))
+                self.queue.extendleft(reversed(riders))
             self._apply_ready()
             self._pump()
 
-        def on_switch(switch_value: Hashable) -> None:
-            if settled[0]:
-                return
+        def switched(position: int, switch_value: Hashable) -> None:
             # looked up, not closed over: that would make a reference
             # cycle of every round, left to the garbage collector
-            quorum = self.transport.processes[("qcli", sub)]
-            if quorum.timer_expired:
+            left = self.transport.processes[(phases[position].client, sub)]
+            if left.timer_expired:
                 # who missed the deadline is presumed down from now on
-                self.presumed_down.update(
-                    server[2] for server in quorum.servers
-                    if server not in quorum.accepts
+                down.update(
+                    server[2] for server in left.servers
+                    if server not in left.accepts
                 )
             for entry in group:
                 entry.switched += 1
-            backup = BackupClient(
-                ("bcli", sub),
-                # Paxos is safe whichever coordinator is asked: a live
-                # one pays phase 1, a dead one the retry backoff
-                coordinators=[("coord", slot, j) for j in sorted(
-                    range(self.n_servers), key=self.presumed_down.__contains__
-                )],
-                n_acceptors=self.n_servers,
-                on_decide=settle,
-                backoff=self.backoff,
-                on_give_up=on_give_up,
-            )
-            self.transport.register(backup)
-            op_pids.append(backup.pid)
-            for j in range(self.n_servers):
-                self.transport.send(
-                    backup.pid,
-                    ("ctl", 0, j),
-                    ("register-learner", slot, backup.pid),
-                )
-            backup.switch_to_backup(switch_value)
 
-        def on_give_up() -> None:
-            # The slot is unreachable within the retry budget.  The
-            # decree may still decide there later — but under the
-            # session seam re-proposing the same ops is safe
-            # (duplicates fold once), and an undecided hole below
-            # ``_applied_upto``'s frontier would block every response
-            # behind it forever.  So: reclaim the slot for a fresh
-            # decree and send the still-waited-on ops back through the
-            # pump.  Feed the breaker: enough give-ups in a row and
-            # admission starts shedding.
-            if settled[0]:
+        def gave_up() -> None:
+            # The decree may still decide here later, but re-proposing
+            # its ops is safe (duplicates fold once through the session
+            # seam), and an undecided hole would block every response
+            # above it forever: reclaim the slot, requeue at the head
+            # the ops still waited on, and feed the breaker.
+            riders = ends_round()
+            if riders is None:
                 return
-            settled[0] = True
             self.breaker.record_failure()
             self.reclaimed += 1
-            for pid in op_pids:
-                self.transport.unregister(pid)
-            abandoned = self.in_flight.pop(slot, [])
             heapq.heappush(self._free_slots, slot)
-            live = [
-                entry
-                for entry in abandoned
+            self.queue.extendleft(reversed([
+                entry for entry in riders
                 if self._waiters.get(entry.tagged) is entry
                 and not entry.future.done()
-            ]
-            # oldest invocations rejoin at the head; superseded or
-            # given-up ops are simply dropped (a retry copy or nobody
-            # is waiting)
-            self.queue.extendleft(reversed(live))
+            ]))
             self._pump()
 
-        def heard(server: Hashable) -> None:
-            # an answer, even after the switch, ends the presumption
-            self.presumed_down.discard(server[2])
-
-        quorum = QuorumClient(
-            ("qcli", sub),
-            servers=[("qs", slot, j) for j in range(self.n_servers)],
-            on_decide=settle,
-            on_switch=on_switch,
-            timeout=self.quorum_timeout,
-            on_accept=heard,
+        walk(
+            self.transport, phases, sub, value, None,
+            decided, switched, gave_up,
         )
-        for j in self.presumed_down:
-            quorum.presume_down(("qs", slot, j))
-        self.transport.register(quorum)
-        op_pids.append(quorum.pid)
-        quorum.propose(value)
+
+    def _enlist(self, slot: int, pid: Hashable) -> None:
+        # a Backup client learns from every node's acceptor of the slot
+        for j in range(self.n_servers):
+            self.transport.send(
+                pid, ("ctl", 0, j), ("register-learner", slot, pid)
+            )
 
     def _unreachable(self, endpoint: str) -> None:
         """The transport lost ``endpoint``: if it is one of this group's

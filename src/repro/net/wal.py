@@ -25,9 +25,11 @@ fourth once per open:
   record per process lifetime, nothing per slot.
 
 The on-disk format is deliberately boring: an append-only file of
-``[length u32][crc32 u32][payload]`` records, each payload the compact
-JSON of the tuple-preserving codec (:mod:`repro.net.codec`), fsync'd
-per append.  All filesystem access goes through the injectable
+``[length u32][crc32 u32][payload]`` records, each payload a binary
+body of the tuple-preserving codec (:mod:`repro.net.codec`) behind its
+magic byte, fsync'd per append.  Replay decodes a payload as a frame
+body, by its first byte, so older JSON records still replay.  All
+filesystem access goes through the injectable
 :class:`~repro.net.faultfs.FaultFS` seam, so the nemesis can tear
 writes, flip bits, exhaust the disk, or lie about fsync.
 
@@ -56,11 +58,11 @@ crash the event loop.
 
 Replay cost grows with log length, so :class:`NodeWAL` folds the log
 into per-slot maps and periodically **compacts**: the folded state is
-written to ``snapshot.json`` (crc32-wrapped) via an atomic tmp-file
-rename and the log is truncated.  Recovery is then snapshot + tail,
-equivalent by construction to replaying the full history (each record
-overwrites its slot's entry; the snapshot is exactly the fold of the
-dropped prefix).
+written to ``snapshot.json`` (JSON, crc32-wrapped) via an atomic
+tmp-file rename and the log is truncated.  Recovery is then snapshot +
+tail, equivalent by construction to replaying the full history (each
+record overwrites its slot's entry; the snapshot is exactly the fold of
+the dropped prefix).
 """
 
 from __future__ import annotations
@@ -74,11 +76,20 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
-from .codec import JSON_CODEC, decode_payload, dump_json
+from .codec import (
+    BINARY_CODEC,
+    BINARY_MAGIC,
+    FrameError,
+    JSON_CODEC,
+    decode_body,
+    decode_payload,
+    dump_json,
+)
 from .faultfs import FaultFS
 
 #: record header: payload length, crc32 of the payload (big-endian u32s)
 _HEADER = struct.Struct(">II")
+_MAGIC = bytes([BINARY_MAGIC])  # what every payload this log writes opens with
 
 #: sanity bound on a single record; a length field beyond this can only
 #: be garbage (matches the transport's frame guard scale)
@@ -216,8 +227,8 @@ class WriteAheadLog:
                     f"{offset} of {self.log_path}"
                 )
             try:
-                records.append(decode_payload(json.loads(body.decode("ascii"))))
-            except (ValueError, UnicodeDecodeError) as exc:
+                records.append(decode_body(body))
+            except FrameError as exc:
                 raise WALCorruptionError(
                     f"undecodable record with valid checksum at offset "
                     f"{offset}: {exc}"
@@ -242,7 +253,7 @@ class WriteAheadLog:
         unsynced records, never a middle one: replay always recovers a
         prefix, which is exactly the torn-tail contract.
         """
-        body = JSON_CODEC.encode_body(value)
+        body = _MAGIC + BINARY_CODEC.encode_body(value)
         frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
         try:
             self.fs.append(self._handle, frame)

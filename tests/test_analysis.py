@@ -201,6 +201,7 @@ BAD_SNIPPETS = [
     # RD09: each row of the architecture table, on the tree its CI step
     # was written against
     ("RD09", "client = QuorumClient(pid, servers)\n", "repro/net/loadgen.py"),
+    ("RD09", "client = QuorumClient(pid, servers)\n", "repro/net/pipeline.py"),
     (
         "RD09",
         "roles = [quorum.QuorumServer(pid), paxos.PaxosAcceptor(pid)]\n",

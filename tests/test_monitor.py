@@ -30,7 +30,7 @@ import json
 import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -237,6 +237,17 @@ class TestDifferentialOracle:
         assert_deciders_agree(trace, KV)
 
     @given(histories(queue_adt(), QUEUE_INPUTS, QUEUE_OUTPUTS, max_ops=6))
+    @example(
+        # a violation (c0 dequeues 1 only if c1 took 2 first, yet c1
+        # says empty) that the post-hoc decider once called ok, when an
+        # object without a partition fell through to `linearize`
+        trace=Trace([
+            inv("c1", ("deq",)), inv("c0", ("deq",)),
+            inv("c2", ("enq", 2)), res("c2", ("enq", 2), ("ok",)),
+            inv("c2", ("enq", 1)), res("c0", ("deq",), ("value", 1)),
+            inv("c0", ("deq",)), res("c1", ("deq",), ("empty",)),
+        ])
+    )
     @settings(max_examples=100, deadline=None)
     def test_order_sensitive_object_without_a_partition(self, trace):
         # a queue remembers the order of what it was told: the promise

@@ -443,7 +443,8 @@ class TestPendingOps:
                 # Clients cannot reach node2: Quorum can never collect
                 # accepts from all three servers, but the servers still
                 # talk to each other, so Backup (majority 2/3) decides.
-                faults.partition("clients", "node2")
+                # The cut outlasts the test.
+                faults.partition("clients", "node2", duration=600.0)
                 recorder = HistoryRecorder(clock=lambda: transport.now)
                 client = make_client(cluster, transport, recorder)
                 results = []

@@ -13,18 +13,36 @@ of the group — replay always recovers a prefix, never a hole.
 import asyncio
 import os
 import struct
+import zlib
 
 import pytest
 
-from repro.net.faultfs import FaultyFS, TornWriteCrash, flip_record_body
+from repro.net.codec import (
+    BINARY_CODEC,
+    BINARY_MAGIC,
+    JSON_CODEC,
+    MAX_FRAME,
+    Packed,
+    get_codec,
+)
+from repro.net.faultfs import (
+    FaultyFS,
+    TornWriteCrash,
+    flip_record_body,
+    tear_tail,
+)
+from repro.net.pipeline import SlotPipeline, _DECREE_HEAD
+from repro.net.transport import AddressBook, AsyncTransport
 from repro.net.wal import (
     DEFAULT_COMPACT_THRESHOLD,
+    MAX_RECORD,
     NodeWAL,
     RecoveredState,
     WALCorruptionError,
     WALFullError,
     WriteAheadLog,
 )
+from repro.smr.universal import make_batch
 
 
 def log_bytes(wal_dir):
@@ -52,7 +70,7 @@ class TestWriteAheadLog:
             wal.append(value)
         wal.close()
         reopened = WriteAheadLog(str(tmp_path))
-        # Tuples survive the JSON trip exactly — the codec's whole point.
+        # Tuples survive the codec trip exactly — the codec's whole point.
         assert reopened.records == values
         assert not reopened.torn_tail
         reopened.close()
@@ -427,3 +445,140 @@ class TestRecoveredState:
         state.quorum[1] = "q"
         state.decided[2] = "d"
         assert state.slots() == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# the record format: the binary codec, magic-prefixed; JSON still replays
+# ---------------------------------------------------------------------------
+
+
+def _decree(*ops):
+    """A decree as it travels: the binary body of its batch."""
+    return Packed(BINARY_CODEC.encode_body(make_batch(ops)))
+
+
+#: the facts a node journals, a decree among them
+FACTS = [
+    ("qs", 0, _decree(("put", "x", 1, ("seq", ("c0", 1))))),
+    ("acc", 1, (2, 2, _decree(("get", "x", ("seq", ("c1", 1)))))),
+    ("dec", 1, _decree(("get", "x", ("seq", ("c1", 1))))),
+    ("qs", 2, ("put", "y", 2.5, ("seq", ("c2", 1)))),
+]
+
+
+def _json_record(value):
+    """A record as the log wrote it before it journaled binary."""
+    body = JSON_CODEC.encode_body(value)
+    return struct.pack(">II", len(body), zlib.crc32(body)) + body
+
+
+class TestBinaryRecords:
+    def test_a_record_is_the_magic_and_the_binary_body(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append(FACTS[0])
+        wal.close()
+        body = bytes([BINARY_MAGIC]) + BINARY_CODEC.encode_body(FACTS[0])
+        assert log_bytes(tmp_path) == (
+            struct.pack(">II", len(body), zlib.crc32(body)) + body
+        )
+        # the decree's bytes went in as they are: no base64
+        assert bytes(FACTS[0][2]) in log_bytes(tmp_path)
+
+    def test_a_json_then_binary_log_replays_to_the_same_fold(self, tmp_path):
+        old, new = tmp_path / "old", tmp_path / "new"
+        # a log from before the binary format: JSON records, a marker
+        os.makedirs(str(old))
+        with open(str(old / "wal.log"), "wb") as handle:
+            handle.write(_json_record(("inc", 0, 0)))
+            for fact in FACTS[:2]:
+                handle.write(_json_record(fact))
+        # the same history, written binary throughout
+        first = NodeWAL(str(new))
+        for fact in FACTS[:2]:
+            first.record(*fact)
+        first.close()
+        for directory in (old, new):
+            wal = NodeWAL(str(directory))
+            for fact in FACTS[2:]:
+                wal.record(*fact)
+            wal.close()
+        mixed, binary = NodeWAL(str(old)), NodeWAL(str(new))
+        assert mixed.recovered == binary.recovered
+        assert mixed.recovered.records_replayed == len(FACTS)
+        assert mixed.recovered.incarnation == 2
+        assert mixed.recovered.quorum[0] == FACTS[0][2]
+        mixed.close()
+        binary.close()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_flipped_bit_in_a_binary_body_fail_stops(self, tmp_path, seed):
+        wal = WriteAheadLog(str(tmp_path))
+        for fact in FACTS:
+            wal.append(fact)
+        wal.close()
+        assert flip_record_body(str(tmp_path / "wal.log"), seed=seed)
+        with pytest.raises(WALCorruptionError):
+            WriteAheadLog(str(tmp_path))
+
+    def test_an_undecodable_body_under_a_good_checksum_fail_stops(
+        self, tmp_path
+    ):
+        body = bytes([BINARY_MAGIC]) + b"?"  # no value has tag "?"
+        os.makedirs(str(tmp_path), exist_ok=True)
+        with open(str(tmp_path / "wal.log"), "wb") as handle:
+            handle.write(struct.pack(">II", len(body), zlib.crc32(body)))
+            handle.write(body)
+        with pytest.raises(WALCorruptionError, match="undecodable"):
+            WriteAheadLog(str(tmp_path))
+
+    def test_a_torn_binary_tail_is_truncated(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        for fact in FACTS:
+            wal.append(fact)
+        wal.close()
+        assert tear_tail(str(tmp_path / "wal.log"), cut=3)
+        reopened = WriteAheadLog(str(tmp_path))
+        assert reopened.records == FACTS
+        assert reopened.torn_tail
+        reopened.close()
+
+    @pytest.mark.parametrize("codec_name", ["json", "binary"])
+    def test_the_largest_decree_a_pipeline_admits_journals(
+        self, tmp_path, codec_name
+    ):
+        async def build():
+            transport = AsyncTransport(
+                "clients", AddressBook(), codec=get_codec(codec_name)
+            )
+            return SlotPipeline("main", 3, transport)
+
+        pipeline = asyncio.run(build())
+        # the largest op bytes a decree may carry (`_fits` is monotone)
+        low, high = 0, MAX_FRAME
+        assert pipeline._fits(low) and not pipeline._fits(high)
+        while high - low > 1:
+            mid = (low + high) // 2
+            if pipeline._fits(mid):
+                low = mid
+            else:
+                high = mid
+        decree = Packed(bytes(low + _DECREE_HEAD))
+        big = 1 << 62  # slots and ballots as wide as an i64 holds
+        facts = [
+            ("qs", big, decree),
+            ("acc", big, (big, big, decree)),
+            ("dec", big, decree),
+        ]
+        wal = WriteAheadLog(str(tmp_path))
+        for fact in facts:
+            wal.append(fact)
+        wal.close()
+        data = log_bytes(tmp_path)
+        offset = 0
+        while offset < len(data):
+            (length,) = struct.unpack_from(">I", data, offset)
+            assert length <= MAX_RECORD
+            offset += 8 + length
+        reopened = WriteAheadLog(str(tmp_path))
+        assert reopened.records == facts
+        reopened.close()
