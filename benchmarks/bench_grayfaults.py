@@ -76,7 +76,7 @@ def sim_degradation(seeds):
             result = target.run(
                 FaultSchedule(seed=seed, actions=actions)
             )
-            ok += 1 if result.ok and not result.inconclusive else 0
+            ok += 1 if result.ok else 0
             committed += result.committed
             switched += result.switched
             latencies.extend(result.latencies)

@@ -170,7 +170,7 @@ def main():
     from repro.faults import run_retry_storm
 
     results = run_retry_storm(
-        n_schedules=3, base_seed=5, clients=4, ops_per_client=12,
+        n_schedules=3, base_seed=5,
         emit=lambda line: print(f"  {line}"),
     )
     assert all(r.ok for r in results), "a storm run broke exactly-once"

@@ -24,7 +24,9 @@ Each experiment prints the table/series described in EXPERIMENTS.md.
 ``nemesis`` prints one line per run — verdict, degradation metrics,
 network counters and the full fault schedule with its seed — so any run
 can be reproduced from its printed line alone; ``--jobs N`` fans the
-runs across N processes without changing a single output line.
+runs across N processes without changing a single output line.  It
+exits as ``monitor`` does: 0 ok, 1 violation, 2 unknown (a run whose
+checker spent its budget).
 ``nemesis --net`` runs the same discipline against live localhost TCP
 clusters (kill/restart churn with WAL recovery, loss bursts,
 partitions) with the runtime interleaving sanitizer armed in every
@@ -209,6 +211,8 @@ def cmd_nemesis(args: argparse.Namespace) -> int:
         return 0 if report.all_linearizable and not caught else 1
 
     from repro.faults import run_campaign
+    from repro.monitor.cli import exit_code
+    from repro.monitor.streaming import compose_verdicts
 
     report = run_campaign(
         n_schedules=args.n_schedules,
@@ -218,7 +222,7 @@ def cmd_nemesis(args: argparse.Namespace) -> int:
     )
     print()
     print(report.summary())
-    return 0 if report.all_linearizable else 1
+    return exit_code(compose_verdicts(report.results)[0])
 
 
 def cmd_harness(args: argparse.Namespace) -> int:

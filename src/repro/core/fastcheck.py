@@ -49,87 +49,21 @@ is linearizable.  Well-formedness is the one thing projections cannot
 police (a client with two pending invocations on different keys is
 ill-formed globally while every projection looks fine), which is why the
 engine tracks it across keys.  The verdict is held to every other
-decider by ``tests/oracle.py``, over random multi-object and KV trace
-families among others; ``tests/test_fastcheck.py`` adds a non-local
+decider by ``tests/oracle.py``, over random consensus, register,
+queue, counter, multi-object and KV trace families; the answer is the
+engine's own :class:`~repro.monitor.streaming.MonitorReport`, the one
+report shape every decider returns.  ``tests/test_fastcheck.py`` adds a
+non-local
 mutant ADT whose naive per-name split would flip it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Optional
 
-from ..monitor.streaming import StreamingMonitor, decide
+from ..monitor.streaming import MonitorReport, decide
 from .adt import ADT
-from .linearizability import LinearizationResult
 from .traces import Trace
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Verdict plus how it was obtained.
-
-    ``parts`` lists ``(key, action_count)`` per partition the engine
-    opened (the engine stops counting at a violation); an ADT without a
-    spec, or a trace its spec cannot route, is one partition, key
-    ``None``.  A success carries no linearization witness
-    (``witness is None``) — the frontier folds the decided prefix into
-    its states instead of keeping it; the verdict and ``unknown`` flag
-    are authoritative.
-    """
-
-    result: LinearizationResult
-    parts: Tuple[Tuple[Hashable, int], ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return self.result.ok
-
-    @property
-    def unknown(self) -> bool:
-        return self.result.unknown
-
-    @property
-    def verdict(self) -> str:
-        """``ok`` / ``violation`` / ``unknown``, the monitor's three."""
-        if self.result.unknown:
-            return "unknown"
-        return "ok" if self.result.ok else "violation"
-
-    @property
-    def reason(self) -> Optional[str]:
-        return self.result.reason or None
-
-    def __bool__(self) -> bool:
-        return self.result.ok
-
-
-def _compositional(monitor: StreamingMonitor) -> CheckReport:
-    """What ``monitor``, having decided a whole trace, says of it."""
-    report = monitor.report()
-    return CheckReport(
-        result=LinearizationResult(
-            report.ok,
-            reason=report.reason or "",
-            unknown=report.verdict == "unknown",
-        ),
-        parts=monitor.parts(),
-    )
-
-
-def _stream(
-    trace: Trace,
-    adt: ADT,
-    node_limit: Optional[int],
-    state_limit: Optional[int],
-) -> CheckReport:
-    """Decide ``trace`` with the streaming engine, told the future: the
-    search alone, with no certificate before it."""
-    monitor = StreamingMonitor(
-        adt, node_limit=node_limit, config_limit=state_limit
-    )
-    monitor.tell(trace)
-    return _compositional(monitor)
 
 
 def check_linearizable(
@@ -137,7 +71,7 @@ def check_linearizable(
     adt: ADT,
     node_limit: Optional[int] = None,
     state_limit: Optional[int] = None,
-) -> CheckReport:
+) -> MonitorReport:
     """Linearizability with the P-compositional fast path.
 
     The trace runs through :func:`~repro.monitor.streaming.decide`:
@@ -149,5 +83,12 @@ def check_linearizable(
     budget, the verdict is ``unknown`` and the reason names the
     partition.  A trace that does not fit the ADT's partition spec is
     searched whole, as one partition.
+
+    The answer is the engine's own report, the one every decider gives:
+    ``verdict`` is ``ok`` / ``violation`` / ``unknown``, and it has no
+    truth value.  A success carries no linearization witness — the
+    frontier folds the decided prefix into its states instead of keeping
+    it.  The partitions the engine opened are the deciding monitor's
+    :meth:`~repro.monitor.streaming.StreamingMonitor.parts`.
     """
-    return _compositional(decide(trace, adt, node_limit, state_limit))
+    return decide(trace, adt, node_limit, state_limit).report()

@@ -81,9 +81,9 @@ class RunResult:
 
     target: str
     schedule: FaultSchedule
-    ok: bool
-    inconclusive: bool = False
-    reason: str = ""
+    #: ``ok`` / ``violation`` / ``unknown``, as every run report says it
+    verdict: str = "ok"
+    reason: Optional[str] = None
     total: int = 0
     committed: int = 0
     switched: int = 0
@@ -92,9 +92,13 @@ class RunResult:
     stats: Optional[NetworkStats] = None
 
     @property
+    def ok(self) -> bool:
+        return self.verdict == "ok"
+
+    @property
     def violation(self) -> bool:
         """The checker refuted the trace (not merely ran out of budget)."""
-        return not self.ok and not self.inconclusive
+        return self.verdict == "violation"
 
     #: how many worst-hit links a report line names explicitly
     LINKS_SHOWN = 3
@@ -133,10 +137,8 @@ class RunResult:
     def line(self) -> str:
         """One replayable report line: verdict, metrics, NetworkStats,
         and the full schedule (seed included)."""
-        verdict = (
-            "INCONCLUSIVE"
-            if self.inconclusive
-            else ("ok" if self.ok else "VIOLATION")
+        verdict = {"ok": "ok", "unknown": "INCONCLUSIVE"}.get(
+            self.verdict, "VIOLATION"
         )
         return (
             f"[{self.target}] {verdict} "
@@ -191,7 +193,6 @@ class _ConsensusTarget(CampaignTarget):
         result = RunResult(
             target=self.name,
             schedule=schedule,
-            ok=True,
             total=len(outcomes),
             committed=sum(1 for o in outcomes if o.decided_value is not None),
             switched=sum(1 for o in outcomes if o.switched),
@@ -264,7 +265,6 @@ class SMRTarget(CampaignTarget):
         result = RunResult(
             target=self.name,
             schedule=schedule,
-            ok=True,
             total=len(outcomes),
             committed=sum(1 for o in outcomes if o.commit_time is not None),
             switched=sum(1 for o in outcomes if o.switched_slots),
@@ -274,7 +274,7 @@ class SMRTarget(CampaignTarget):
         )
         log = kv.smr.committed_log()
         if len(set(log)) != len(log):
-            result.ok = False
+            result.verdict = "violation"
             result.reason = f"duplicate command in committed log: {log!r}"
             return result
         _check(result, kv.interface_trace(), KV)
@@ -292,13 +292,7 @@ def _check(result: RunResult, trace, adt) -> None:
     inconclusive rather than failing it.
     """
     report = check_linearizable(trace, adt, node_limit=NODE_LIMIT)
-    if report.unknown:
-        result.inconclusive = True
-        result.reason = report.result.reason
-        return
-    if not report.ok:
-        result.ok = False
-        result.reason = report.result.reason
+    result.verdict, result.reason = report.verdict, report.reason
 
 
 TARGETS: Dict[str, Type[CampaignTarget]] = {
@@ -330,7 +324,7 @@ class CampaignReport:
 
     @property
     def inconclusive(self) -> int:
-        return sum(1 for r in self.results if r.inconclusive)
+        return sum(1 for r in self.results if r.verdict == "unknown")
 
     @property
     def all_linearizable(self) -> bool:

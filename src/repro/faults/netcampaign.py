@@ -123,6 +123,11 @@ from .shrink import Violation, record_violation
 #: step runs three, so one may be down with a majority left
 REPLICAS = 3
 
+#: a retry storm's size, the one every caller (CLI, CI, the E14 bench)
+#: runs: closed-loop clients on the counter, and the ops each issues
+STORM_CLIENTS = 4
+STORM_OPS_PER_CLIENT = 12
+
 #: seeded pause between a client's ops (seconds).  Nonzero gaps matter:
 #: they open single-client-in-flight windows in which slots decide on
 #: the uncontended Quorum fast path, the one code path whose durability
@@ -1109,8 +1114,6 @@ def run_net_campaign(
 def run_retry_storm(
     n_schedules: int = 3,
     base_seed: int = 0,
-    clients: int = 4,
-    ops_per_client: int = 10,
     dedup: bool = True,
     artifact_dir: Optional[str] = None,
     emit: Callable[[str], None] = print,
@@ -1122,10 +1125,11 @@ def run_retry_storm(
     increments/reads through a sessioned :class:`SlotPipeline` while
     the nemesis duplicates frames, bursts loss hard enough to force op
     timeouts (and therefore safe retries, hedges and coordinator
-    failover), and kills/restarts a replica.  Every run is monitored
-    live and checked post-hoc against the counter ADT, and additionally
-    carries the mechanical witness ``applied_count == distinct_incs``
-    (``NetRunResult.exactly_once``).
+    failover), and kills/restarts a replica; :data:`STORM_CLIENTS`
+    clients issue :data:`STORM_OPS_PER_CLIENT` ops each.  Every run is
+    monitored live and checked post-hoc against the counter ADT, and
+    additionally carries the mechanical witness ``applied_count ==
+    distinct_incs`` (``NetRunResult.exactly_once``).
 
     ``dedup=False`` runs the *mutant*: a
     :class:`~repro.faults.mutants.DoubleApplyPipeline`, whose applier
@@ -1137,8 +1141,8 @@ def run_retry_storm(
     """
     config = _RunConfig(
         workload=STORM_WORKLOAD,
-        clients=clients,
-        ops_per_client=ops_per_client,
+        clients=STORM_CLIENTS,
+        ops_per_client=STORM_OPS_PER_CLIENT,
         monitor=True,
         dedup=dedup,
     )

@@ -121,6 +121,16 @@ class MonitorReport:
     def ok(self) -> bool:
         return self.verdict == OK
 
+    @property
+    def unknown(self) -> bool:
+        """A budget was spent or an event did not route: no verdict."""
+        return self.verdict == "unknown"
+
+    def __bool__(self) -> bool:
+        raise TypeError(
+            "a verdict is ok, violation or unknown: read .ok or .verdict"
+        )
+
     def summary(self) -> str:
         line = (
             f"monitor: {self.verdict} after {self.events} events "
@@ -585,8 +595,10 @@ def decide(
 def compose_verdicts(reports: Iterable[Any]) -> Tuple[str, Optional[str]]:
     """Conjoin per-shard verdicts: violation > unknown > ok.
 
-    ``reports`` say ``verdict`` and ``reason``: :class:`MonitorReport`
-    does, and so does the post-hoc ``CheckReport``.
+    ``reports`` say ``verdict`` and ``reason``: a :class:`MonitorReport`
+    (live, or post hoc from
+    :func:`~repro.core.fastcheck.check_linearizable`), a wire run's shard
+    and a simulator run alike.
     """
     verdict: str = OK
     reason: Optional[str] = None

@@ -94,7 +94,7 @@ from .client import (
     OpResult,
     RetriesExhausted,
 )
-from .codec import BINARY_CODEC, JSON_CODEC, MAX_FRAME, Packed, tuple_body
+from .codec import BINARY_CODEC, MAX_FRAME, Packed, tuple_body
 from .overload import CircuitBreaker, Overloaded
 from .transport import AsyncTransport, endpoint_of_pid
 
@@ -109,19 +109,17 @@ DEFAULT_MAX_QUEUE = 1024
 
 #: headroom between a size-checked frame and MAX_FRAME — covers the
 #: envelope-shape differences between the sizing envelope and the real
-#: frames (phase-2 broadcasts, WAL records) that carry the same value
+#: frames (phase-2 broadcasts, announcements, wide slot numbers) and
+#: WAL records that carry the same value
 FRAME_SLACK = 4096
 
-#: a representative frame carrying a decree of no bytes, and its
-#: acceptance as a JSON record (:meth:`SlotPipeline._fits`): a decree's
-#: frame and that record are these plus ``packed_size`` of its bytes
+#: a representative frame carrying a decree of no bytes
+#: (:meth:`SlotPipeline._fits`): a decree's frame is this plus
+#: ``packed_size`` of its bytes
 _NO_DECREE = Packed(b"")
 _PROPOSAL = (
     ("qcli", ("probe", 0, 0)), ("qs", 0, 0), ("q-propose", _NO_DECREE)
 )
-_JOURNAL_BASE = len(
-    JSON_CODEC.encode_frame(("qs", 0, _NO_DECREE))
-) - JSON_CODEC.packed_size(0)
 
 
 class PayloadTooLarge(Exception):
@@ -283,18 +281,20 @@ class SlotPipeline:
 
     def _fits(self, size: int) -> bool:
         """Whether a decree of ops taking ``size`` bytes together fits
-        one frame in every encoding it rides.
+        one wire frame.
 
-        Both sizes are exact and neither is encoded: the wire frame, and
-        the decree's acceptance as a JSON record (base64, a third
-        larger).  The WAL journals binary records, smaller than the
-        frame; the JSON term is a cap ``tests/test_pipeline.py`` pins.
+        The size is exact and nothing is encoded: the frame that carries
+        the decree to a Quorum server.  Every other frame that carries
+        it differs by envelope only, within :data:`FRAME_SLACK`, and the
+        WAL journals it as a binary record, smaller than the frame.
         """
         size += _DECREE_HEAD
-        return max(
-            self._wire_base + self.transport.codec.packed_size(size),
-            _JOURNAL_BASE + JSON_CODEC.packed_size(size),
-        ) + FRAME_SLACK <= MAX_FRAME
+        return (
+            self._wire_base
+            + self.transport.codec.packed_size(size)
+            + FRAME_SLACK
+            <= MAX_FRAME
+        )
 
     def _measure(self, tagged: Tuple) -> bytes:
         """The bytes of ``tagged``, or :exc:`PayloadTooLarge` if it

@@ -8,18 +8,24 @@ The repo's product is a verdict, and eight things produce one:
   of two identical invocations fills a slot and is strictly coarser than
   the rest (DESIGN.md, deviation 8: Theorem 1's uniqueness boundary).
   It is held to what the theorem gives: equality on unique inputs, and
-  never ``violation`` where the others say ``ok``;
+  never ``violation`` where the others say ``ok``; on the objects whose
+  outputs cannot tell duplicates apart (:data:`DUPLICATE_BLIND`),
+  equality always;
 * ``classical`` — Appendix A's linearizability*
   (:func:`repro.core.classical.linearize_classical`);
 * ``post hoc`` — :func:`repro.core.fastcheck.check_linearizable`:
   response order as a certificate, then the streaming engine told every
-  recorded response;
+  recorded response; its report is the engine's ``MonitorReport``, that
+  of the monitor :func:`repro.monitor.streaming.decide` returns;
 * ``online`` — :func:`repro.monitor.watch_trace`, the same engine told
-  nothing;
+  nothing.  Where a response carries an output the partition spec cannot
+  project (:func:`unprojectable`: a product's response tagged for
+  another object) it may say ``unknown``: online there is no prefix left
+  to search again whole.  That typed degradation is all it owes there;
 * ``told`` — the engine told the future on *any* ADT, partitioned or
-  not, and never certified first: the search, on every history
-  (``check_linearizable`` only searches where the certificate misses and
-  a partition spec fits);
+  not, and never certified first (:func:`told`): the search, on every
+  history (``check_linearizable`` only searches where the certificate
+  misses);
 * ``replay`` — :func:`repro.monitor.cli.replay_history`, what ``monitor
   --replay`` and the ledger run on an artifact: the history as recorder
   events, certified or told its own answers, on the objects an artifact
@@ -32,8 +38,8 @@ The repo's product is a verdict, and eight things produce one:
   does or at a typed ``unknown`` (:func:`assert_certificate_sound`);
 * ``response order`` — the off-line front end (:func:`response_order`):
   the finished history folded in response order.  It says ``ok`` or
-  abstains, and where it says ``ok`` ``check_linearizable``'s report
-  must be the search's, field for field;
+  abstains, and where it says ``ok`` the certificate's verdict, reason,
+  ``unknown`` and ``parts()`` must be the search's;
 
 and, at five operations or fewer, ``herlihy-wing`` — a deliberately
 naive transcription of the definition as the TLA+ ``IsLinearizable`` of
@@ -50,8 +56,27 @@ from itertools import chain, combinations, permutations
 from hypothesis import strategies as st
 
 from repro.core.actions import Invocation, Response
+from repro.core.adt import (
+    EMPTY,
+    consensus_adt,
+    counter_adt,
+    counter_read,
+    decide as decided_value,
+    deq,
+    enq,
+    inc,
+    product_adt,
+    propose,
+    queue_adt,
+    reg_read,
+    reg_write,
+    register_adt,
+    set_add,
+    set_adt,
+    set_contains,
+    tag_object,
+)
 from repro.core.classical import linearize_classical
-from repro.core.fastcheck import _stream, check_linearizable
 from repro.core.linearizability import linearize
 from repro.core.pretty import format_trace
 from repro.core.traces import Trace
@@ -59,6 +84,7 @@ from repro.ddmin import ddmin
 from repro.monitor import StreamingMonitor, watch_trace
 from repro.monitor.cli import REPLAY_ADTS, History, replay_history
 from repro.monitor.streaming import decide
+from repro.smr.universal import kv_store_adt
 
 #: the brute force below is factorial: beyond this it is not asked
 NAIVE_MAX_OPS = 5
@@ -158,17 +184,56 @@ def _word(result):
     return "ok" if result.ok else "violation"
 
 
-def told_verdict(trace, adt):
-    """The streaming engine told every recorded response, on any ADT:
-    ``check_linearizable``'s own compositional path, entered without
-    asking for a partition spec."""
-    return _stream(trace, adt, None, None).verdict
+def told(trace, adt, node_limit=None, state_limit=None):
+    """The monitor that searched ``trace`` told every recorded response,
+    on any ADT: the search alone, with no certificate before it."""
+    monitor = StreamingMonitor(
+        adt, node_limit=node_limit, config_limit=state_limit
+    )
+    monitor.tell(trace)
+    return monitor
+
+
+def told_verdict(monitor, trace):
+    """The word of the ``told`` monitor that searched ``trace`` (a test
+    may plant a wrong one)."""
+    return monitor.report().verdict
+
+
+def what_it_said(monitor):
+    """The verdict, reason, ``unknown`` and partitions of a monitor that
+    decided a whole history."""
+    report = monitor.report()
+    return report.verdict, report.reason, report.unknown, monitor.parts()
 
 
 def response_order(trace, adt):
     """``ok`` if the off-line front end certifies ``trace`` in response
     order, None where it misses: it abstains."""
     return None if decide(trace, adt).certificate_misses else "ok"
+
+
+#: objects whose outputs never tell which of two identical invocations
+#: fills a history slot: there the definition is held to the others on
+#: repeated inputs too.  The queue and the counter are order-sensitive,
+#: and on them it is coarser (``test_equivalence``, ``test_fastcheck``).
+DUPLICATE_BLIND = ("consensus", "register")
+
+
+def unprojectable(trace, adt):
+    """Whether a response of ``trace`` carries an output the partition
+    spec cannot project (a product's response tagged for another
+    object): the one history the ``online`` decider may abstain on."""
+    spec = adt.partition
+    for action in trace:
+        if spec is None or not isinstance(action, Response):
+            continue
+        try:
+            key, _ = spec.route(action.input)
+            spec.project_output(key, action.output)
+        except Exception:
+            return True
+    return False
 
 
 def has_unique_inputs(trace):
@@ -178,19 +243,23 @@ def has_unique_inputs(trace):
 
 def verdicts(trace, adt):
     """``{decider: verdict}`` over every decider whose word binds."""
-    post_hoc = check_linearizable(trace, adt)
+    # check_linearizable(trace, adt) is this monitor's report
+    # (test_fastcheck.py::TestReportShape pins it)
+    post_hoc, searched = decide(trace, adt), told(trace, adt)
     said = {
         "classical": (
             "ok" if linearize_classical(trace, adt).ok else "violation"
         ),
-        "post hoc": post_hoc.verdict,
-        "online": watch_trace(trace, adt).verdict,
-        "told": told_verdict(trace, adt),
+        "post hoc": post_hoc.report().verdict,
+        "told": told_verdict(searched, trace),
     }
-    if response_order(trace, adt):
-        searched = _stream(trace, adt, None, None)
+    online = watch_trace(trace, adt).verdict
+    if online != "unknown" or not unprojectable(trace, adt):
+        said["online"] = online
+    if not post_hoc.certificate_misses:
+        fold, search = what_it_said(post_hoc), what_it_said(searched)
         said["response order"] = (
-            "ok" if post_hoc == searched else f"ok: {post_hoc} != {searched}"
+            "ok" if fold == search else f"ok: {fold} != {search}"
         )
     if adt.name in REPLAY_ADTS:
         events = [recorded(action) for action in trace]
@@ -200,7 +269,11 @@ def verdicts(trace, adt):
             "ok" if is_linearizable_naive(trace, adt) else "violation"
         )
     definition = _word(linearize(trace, adt))
-    if definition == "violation" or has_unique_inputs(trace):
+    if (
+        definition == "violation"
+        or adt.name in DUPLICATE_BLIND
+        or has_unique_inputs(trace)
+    ):
         said["definition"] = definition
     return said
 
@@ -416,25 +489,30 @@ def bent_streams(draw, trace, adt):
 
 
 @st.composite
-def histories(draw, adt, inputs, outputs, max_ops=6, clients=4):
+def histories(
+    draw, adt, inputs, outputs, max_ops=6, clients=4, unique=False
+):
     """Well-formed histories with real concurrency.
 
     Each operation takes effect on a hidden copy of the object at some
     step between its invocation and its response, and is answered with
     what the object said — or, now and then, with something else from
     ``outputs``.  Operations may stay pending, having taken effect or
-    not.  ``inputs`` should be few, so that values repeat.
+    not.  ``inputs`` should be few, so that values repeat; with
+    ``unique`` each is invoked once at most, so none does.
     """
     names = [f"c{i}" for i in range(clients)]
     state = adt.initial_state
     opened = {}  # client -> [input, output once taken effect]
-    actions, n_ops = [], 0
+    actions, n_ops, unused = [], 0, list(inputs)
     for _ in range(draw(st.integers(0, 3 * max_ops))):
         client = draw(st.sampled_from(names))
         if client not in opened:
-            if n_ops == max_ops:
+            if n_ops == max_ops or not unused:
                 continue
-            payload = draw(st.sampled_from(inputs))
+            payload = draw(st.sampled_from(unused))
+            if unique:
+                unused.remove(payload)
             opened[client] = [payload, None]
             actions.append(Invocation(client, 1, payload))
             n_ops += 1
@@ -468,6 +546,84 @@ def sequential_histories(draw, adt, inputs, outputs, max_ops=5, clients=3):
             output = draw(st.sampled_from(outputs))
         actions.append(Response(client, 1, payload, output))
     return Trace(actions)
+
+
+# ---------------------------------------------------------------------------
+# the families: objects whose histories every decider is held to
+# ---------------------------------------------------------------------------
+
+#: name -> (object, inputs, outputs a wrong answer is drawn from).  The
+#: inputs are few, so that values repeat, except in ``counter-unique``,
+#: whose histories invoke each input once (``histories(unique=True)``):
+#: there Theorem 1 binds the definition on an order-sensitive object.
+FAMILIES = {
+    "kv": (
+        kv_store_adt(),
+        [
+            ("put", "a", 1),
+            ("put", "a", 2),
+            ("get", "a"),
+            ("delete", "a"),
+            ("put", "b", 1),
+            ("get", "b"),
+        ],
+        [("value", v) for v in (None, 1, 2)],
+    ),
+    "queue": (
+        queue_adt(),
+        [enq(1), enq(2), deq()],
+        [("ok",), EMPTY, ("value", 1), ("value", 2)],
+    ),
+    "counter": (
+        counter_adt(),
+        [inc(1), inc(2), counter_read()],
+        [("count", n) for n in range(4)],
+    ),
+    "counter-unique": (
+        counter_adt(),
+        [inc(1), inc(2), inc(4), inc(8), counter_read()],
+        [("count", n) for n in (0, 1, 2, 3, 5, 15)],
+    ),
+    "consensus": (
+        consensus_adt(),
+        [propose("a"), propose("b")],
+        [decided_value(v) for v in "abc"],
+    ),
+    "register": (
+        register_adt(),
+        [reg_write(1), reg_write(2), reg_read()],
+        [("ok",)] + [("value", v) for v in (None, 1, 2)],
+    ),
+    "product": (
+        product_adt(
+            {"reg": register_adt(), "cnt": counter_adt(), "set": set_adt()}
+        ),
+        [
+            tag_object("reg", reg_write(1)),
+            tag_object("reg", reg_read()),
+            tag_object("cnt", inc()),
+            tag_object("cnt", counter_read()),
+            tag_object("set", set_add("x")),
+            tag_object("set", set_contains("x")),
+        ],
+        [
+            ("reg", ("ok",)),
+            ("reg", ("value", None)),
+            ("reg", ("value", 1)),
+            ("cnt", ("count", 0)),
+            ("cnt", ("count", 1)),
+            ("set", ("bool", False)),
+            ("set", ("bool", True)),
+        ],
+    ),
+}
+
+
+def family_histories(name, **shape):
+    """:func:`histories` of the family ``name``."""
+    adt, inputs, outputs = FAMILIES[name]
+    unique = name == "counter-unique"
+    return histories(adt, inputs, outputs, unique=unique, **shape)
 
 
 # ---------------------------------------------------------------------------

@@ -3,27 +3,34 @@
 The paper proves the definitions equivalent, while also noting that other
 definitions "assume more or less explicitly that all inputs submitted are
 unique" and that the new one "coincides with the other definitions on
-traces satisfying the assumption".  The tests below map the boundary
-precisely:
+traces satisfying the assumption".  The boundary is a clause of the
+differential oracle (``tests/oracle.py``), which every sweep below feeds:
 
 * classical  =>  new holds unconditionally (a classical witness induces a
-  linearization function);
-* the converse holds on traces with unique inputs — and empirically on
-  ADTs whose outputs are insensitive to which duplicate fills a history
-  slot (consensus, registers, queues over our input pools);
+  linearization function): the definition may never say ``violation``
+  where the others say ``ok``;
+* the converse holds on traces with unique inputs, and on repeated
+  inputs of objects whose outputs never tell which duplicate fills a
+  history slot (consensus, registers: ``oracle.DUPLICATE_BLIND``); on
+  the seeded queue and counter sweeps below it holds empirically, and
+  they pin it (``sweep(pinned=True)``);
 * with repeated inputs on an *order-sensitive* ADT (the fetch-and-add
-  counter) the new definition is strictly coarser: multiset validity
-  cannot attribute which of two identical invocations occupies a slot,
-  so a real-time edge can be laundered through a duplicate.  The exact
-  counterexample is pinned below.
+  counter, the queue) the new definition is strictly coarser: multiset
+  validity cannot attribute which of two identical invocations occupies
+  a slot, so a real-time edge can be laundered through a duplicate.  The
+  exact counterexample is pinned below.
+
+Each sweep's traces are oracle inputs, so every other decider (the
+engine post hoc and online, response order, the brute-force
+Herlihy-Wing) answers to them as well.
 """
 
 import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from oracle import assert_deciders_agree, family_histories
 from repro.core.adt import (
     consensus_adt,
     counter_adt,
@@ -41,9 +48,8 @@ from repro.core.linearizability import is_linearizable
 
 from helpers import random_wellformed_trace
 
-# Families on which the two checkers agree (outputs insensitive to which
-# duplicate input occupies a slot, or inputs effectively unique).  Seeds
-# are fixed integers: the sweeps are fully deterministic.
+# The Theorem 1 families, as seeded sweeps.  Seeds are fixed integers:
+# the sweeps are fully deterministic.
 ADT_CASES = [
     ("consensus", consensus_adt(), [propose("a"), propose("b")], 1001),
     (
@@ -61,45 +67,57 @@ ALL_CASES = ADT_CASES + [
 ]
 
 
+def sweep(adt, inputs, rng, runs, n_clients, n_steps, pinned=False):
+    """``runs`` random well-formed traces of ``adt``, each an oracle
+    input; ``n_steps(rng)`` sizes each.  The verdicts they got.
+
+    ``pinned`` also holds the definition to the classical checker on
+    every trace, repeated inputs included, where the oracle holds it
+    only on unique inputs outside ``DUPLICATE_BLIND``: on these seeded
+    traces the two are known to agree, and a change that parts them is
+    a regression.
+    """
+    verdicts = []
+    for _ in range(runs):
+        trace = random_wellformed_trace(
+            rng, adt, inputs, n_clients=n_clients, n_steps=n_steps(rng)
+        )
+        verdicts.append(assert_deciders_agree(trace, adt))
+        if pinned:
+            assert is_linearizable(trace, adt) == is_linearizable_classical(
+                trace, adt
+            ), trace.actions
+    return verdicts
+
+
 @pytest.mark.parametrize("name,adt,inputs,seed", ADT_CASES)
 def test_equivalence_on_random_traces(name, adt, inputs, seed):
-    """Both checkers agree on 150 random traces per family (Theorem 1)."""
+    """Every decider agrees on 150 random traces per family, the
+    definition with the classical checker on each, and the family holds
+    genuine negatives, or the agreement proves little."""
     rng = random.Random(seed)
-    disagreements = []
-    for i in range(150):
-        t = random_wellformed_trace(
-            rng, adt, inputs, n_clients=3, n_steps=rng.randrange(2, 9)
-        )
-        new = is_linearizable(t, adt)
-        classical = is_linearizable_classical(t, adt)
-        if new != classical:
-            disagreements.append((i, t.actions, new, classical))
-    assert not disagreements, disagreements[:2]
+    verdicts = sweep(
+        adt, inputs, rng, 150, 3, lambda r: r.randrange(2, 9), pinned=True
+    )
+    assert "violation" in verdicts and "ok" in verdicts
 
 
 @pytest.mark.parametrize("name,adt,inputs,seed", ADT_CASES)
 def test_equivalence_with_pending_invocations(name, adt, inputs, seed):
-    """Agreement also on traces with pending invocations."""
+    """Agreement also on traces with pending invocations: four clients
+    over seven steps leave most traces with an operation open."""
     rng = random.Random(seed + 7)
-    for i in range(80):
-        t = random_wellformed_trace(
-            rng, adt, inputs, n_clients=4, n_steps=7
-        )
-        assert is_linearizable(t, adt) == is_linearizable_classical(t, adt)
+    sweep(adt, inputs, rng, 80, 4, lambda r: 7, pinned=True)
 
 
 @pytest.mark.parametrize("name,adt,inputs,seed", ALL_CASES)
 def test_classical_implies_new_unconditionally(name, adt, inputs, seed):
     """One direction of Theorem 1 holds on *every* family, duplicates
     included: a classical witness always yields a linearization
-    function."""
+    function, so the oracle lets the definition say ``violation`` only
+    where the others do."""
     rng = random.Random(seed + 13)
-    for i in range(120):
-        t = random_wellformed_trace(
-            rng, adt, inputs, n_clients=3, n_steps=rng.randrange(2, 9)
-        )
-        if is_linearizable_classical(t, adt):
-            assert is_linearizable(t, adt), t.actions
+    sweep(adt, inputs, rng, 120, 3, lambda r: r.randrange(2, 9))
 
 
 def test_duplicate_inputs_on_order_sensitive_adt_diverge():
@@ -126,51 +144,25 @@ def test_duplicate_inputs_on_order_sensitive_adt_diverge():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(0, 2**30),
-    st.integers(2, 4),
-    st.integers(2, 8),
-)
-def test_equivalence_hypothesis_consensus(seed, n_clients, n_steps):
-    """Hypothesis-driven Theorem 1 check on the consensus ADT."""
-    adt = consensus_adt()
-    rng = random.Random(seed)
-    t = random_wellformed_trace(
-        rng,
-        adt,
-        [propose("a"), propose("b"), propose("c")],
-        n_clients=n_clients,
-        n_steps=n_steps,
-    )
-    assert is_linearizable(t, adt) == is_linearizable_classical(t, adt)
+@given(family_histories("consensus"))
+def test_equivalence_hypothesis_consensus(trace):
+    """Hypothesis-driven Theorem 1 check on the consensus family."""
+    assert_deciders_agree(trace, consensus_adt())
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2**30), st.integers(2, 8))
-def test_equivalence_hypothesis_register(seed, n_steps):
-    """Hypothesis-driven Theorem 1 check on the register ADT."""
-    adt = register_adt()
-    rng = random.Random(seed)
-    t = random_wellformed_trace(
-        rng,
-        adt,
-        [reg_read(), reg_write(1), reg_write(2)],
-        n_clients=3,
-        n_steps=n_steps,
-    )
-    assert is_linearizable(t, adt) == is_linearizable_classical(t, adt)
+@given(family_histories("register"))
+def test_equivalence_hypothesis_register(trace):
+    """Hypothesis-driven Theorem 1 check on the register family."""
+    assert_deciders_agree(trace, register_adt())
 
 
 def test_equivalence_on_repeated_inputs():
-    """The new definition handles repeated events; both checkers must
-    still coincide when every client proposes the same value."""
+    """The new definition handles repeated events; it must still agree
+    with every other decider when every client proposes the same
+    value."""
     adt = consensus_adt()
-    rng = random.Random(99)
-    for _ in range(60):
-        t = random_wellformed_trace(
-            rng, adt, [propose("same")], n_clients=3, n_steps=6
-        )
-        assert is_linearizable(t, adt) == is_linearizable_classical(t, adt)
+    sweep(adt, [propose("same")], random.Random(99), 60, 3, lambda r: 6)
 
 
 def test_realtime_counterexample_to_unrepaired_definition():

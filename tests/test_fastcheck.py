@@ -14,7 +14,8 @@ import random
 
 import pytest
 
-from oracle import assert_deciders_agree
+from helpers import random_wellformed_trace
+from oracle import FAMILIES, assert_deciders_agree, told
 from repro.core.actions import Invocation, Response, Switch
 from repro.core.adt import (
     ADT,
@@ -24,12 +25,12 @@ from repro.core.adt import (
     reg_read,
     reg_write,
     register_adt,
-    set_adt,
     tag_object,
 )
-from repro.core.fastcheck import CheckReport, _stream, check_linearizable
+from repro.core.fastcheck import check_linearizable
 from repro.core.linearizability import linearize
 from repro.core.traces import Trace
+from repro.monitor.streaming import MonitorReport, decide
 from repro.smr.universal import (
     kv_cell_adt,
     kv_delete,
@@ -39,62 +40,18 @@ from repro.smr.universal import (
 )
 
 
-def product_inputs():
-    from repro.core.adt import (
-        counter_read,
-        inc,
-        set_add,
-        set_contains,
+def random_trace(rng, adt, inputs, n_steps=10):
+    """A random well-formed trace, honest 60% of the time: dishonest
+    responses use outputs from a shuffled history, which usually breaks
+    linearizability."""
+    return random_wellformed_trace(
+        rng, adt, inputs, n_steps=n_steps, honest_bias=0.6
     )
-
-    return [
-        tag_object("reg", reg_write(1)),
-        tag_object("reg", reg_read()),
-        tag_object("cnt", inc()),
-        tag_object("cnt", counter_read()),
-        tag_object("set", set_add("x")),
-        tag_object("set", set_contains("x")),
-    ]
-
-
-def random_trace(rng, adt, inputs, n_clients=3, n_steps=10, honest=0.6):
-    """Random well-formed phase-1 trace; dishonest responses use outputs
-    from a shuffled history, which usually breaks linearizability."""
-    clients = [f"c{i}" for i in range(n_clients)]
-    open_input = {c: None for c in clients}
-    state = adt.initial_state
-    actions = []
-    truthful = rng.random() < honest
-    for _ in range(n_steps):
-        client = rng.choice(clients)
-        if open_input[client] is None:
-            payload = rng.choice(inputs)
-            actions.append(Invocation(client, 1, payload))
-            open_input[client] = payload
-        else:
-            payload = open_input[client]
-            if truthful:
-                state, output = adt.transition(state, payload)
-            else:
-                history = [
-                    rng.choice(inputs) for _ in range(rng.randrange(3))
-                ] + [payload]
-                output = adt.output(tuple(history))
-            actions.append(Response(client, 1, payload, output))
-            open_input[client] = None
-    return Trace(actions)
 
 
 class TestProductAgreement:
     def test_random_three_object_traces_agree(self):
-        adt = product_adt(
-            {
-                "reg": register_adt(),
-                "cnt": counter_adt(),
-                "set": set_adt(),
-            }
-        )
-        inputs = product_inputs()
+        adt, inputs, _ = FAMILIES["product"]
         rng = random.Random(42)
         verdicts = [
             assert_deciders_agree(random_trace(rng, adt, inputs), adt)
@@ -120,9 +77,9 @@ class TestProductAgreement:
                 ),
             ]
         )
-        report = check_linearizable(trace, adt)
-        assert report.ok
-        assert dict(report.parts) == {"reg": 2, "cnt": 2}
+        decided = decide(trace, adt)
+        assert decided.report().ok
+        assert dict(decided.parts()) == {"reg": 2, "cnt": 2}
 
 
 class TestKVPartition:
@@ -172,7 +129,7 @@ class TestKVPartition:
         report = check_linearizable(trace, adt)
         assert not mono.ok
         assert not report.ok
-        assert "well-formed" in report.result.reason
+        assert "well-formed" in report.reason
 
 
 def linked_registers_adt():
@@ -231,8 +188,9 @@ class TestNonLocalMutantFallback:
         # engine (key None), never projected per name
         adt = linked_registers_adt()
         trace = self.trace_write_x_read_y()
-        report = check_linearizable(trace, adt)
-        assert report.parts == ((None, len(trace)),)
+        decided = decide(trace, adt)
+        assert decided.parts() == ((None, len(trace)),)
+        report = decided.report()
         # Linearizable for the linked semantics: the write to x set y.
         assert report.verdict == "ok"
 
@@ -257,9 +215,10 @@ class TestNonLocalMutantFallback:
         )
         trace = self.trace_write_x_read_y()
         assert linearize(trace, adt).ok
-        report = check_linearizable(trace, naive)
-        assert {key for key, _ in report.parts} == {"x", "y"}
-        assert not report.ok  # projection of y sees read(1) from nowhere
+        decided = decide(trace, naive)
+        assert {key for key, _ in decided.parts()} == {"x", "y"}
+        # the projection of y sees read(1) from nowhere
+        assert not decided.report().ok
 
 
 class TestRepeatedInputs:
@@ -295,9 +254,9 @@ class TestRepeatedInputs:
         )
         assert linearize(trace, queue_adt()).ok
         assert not linearize_classical(trace, queue_adt()).ok
-        report = check_linearizable(trace, queue_adt())
-        assert report.verdict == "violation"
-        assert report.parts == ((None, 6),)
+        decided = decide(trace, queue_adt())
+        assert decided.report().verdict == "violation"
+        assert decided.parts() == ((None, 6),)
 
     def test_an_unroutable_event_buys_no_coarser_verdict(self):
         """The history above as the queue ``"q"`` of a product that also
@@ -307,7 +266,6 @@ class TestRepeatedInputs:
         every such history once, still accepts it."""
         from repro.core.adt import EMPTY, deq, enq, queue_adt
         from repro.core.classical import linearize_classical
-        from repro.monitor.streaming import decide
 
         sync = ("sync",)
         product = product_adt({"q": queue_adt()})
@@ -350,11 +308,10 @@ class TestRepeatedInputs:
         )
         assert linearize(trace, adt).ok
         assert not linearize_classical(trace, adt).ok
-        report = check_linearizable(trace, adt)
-        assert report.verdict == "violation"
-        assert report.parts == ((None, 8),)
-        assert decide(trace, adt).report().verdict == "violation"
-        assert _stream(trace, adt, None, None).verdict == "violation"
+        decided = decide(trace, adt)
+        assert decided.report().verdict == "violation"
+        assert decided.parts() == ((None, 8),)
+        assert told(trace, adt).report().verdict == "violation"
         assert assert_deciders_agree(trace, adt) == "violation"
 
 
@@ -371,8 +328,8 @@ class TestPartitionTrace:
         # the whole trace as ill-formed.
         report = check_linearizable(trace, kv_store_adt())
         assert not report.ok and not report.unknown
-        assert report.result.reason == linearize(trace, kv_store_adt()).reason
-        assert report.result.reason == "trace is not well-formed"
+        assert report.reason == linearize(trace, kv_store_adt()).reason
+        assert report.reason == "trace is not well-formed"
 
     def test_unexpected_payload_shapes_fall_back(self):
         spec = kv_store_adt().partition
@@ -381,8 +338,8 @@ class TestPartitionTrace:
         # the store rejects the payload before anyone routes it...
         trace = Trace([Invocation("c1", 1, ("bogus",))])
         report = check_linearizable(trace, kv_store_adt())
-        assert report.result.reason == "invalid ADT input at index 0"
-        assert report.result.reason == linearize(trace, kv_store_adt()).reason
+        assert report.reason == "invalid ADT input at index 0"
+        assert report.reason == linearize(trace, kv_store_adt()).reason
         # ...and an ADT that accepts what its spec cannot route is
         # searched whole, as one partition
         lax = ADT(
@@ -401,8 +358,8 @@ class TestPartitionTrace:
                 Response("c1", 1, ("bogus",), ("value", None)),
             ]
         )
-        report = check_linearizable(trace, lax)
-        assert report.ok and report.parts == ((None, 4),)
+        decided = decide(trace, lax)
+        assert decided.report().ok and decided.parts() == ((None, 4),)
 
     def test_projection_preserves_per_key_order(self):
         trace = Trace(
@@ -413,8 +370,9 @@ class TestPartitionTrace:
                 Response("c2", 1, kv_put("b", 2), ("value", None)),
             ]
         )
-        report = check_linearizable(trace, kv_store_adt())
-        assert report.ok and report.parts == (("a", 2), ("b", 2))
+        decided = decide(trace, kv_store_adt())
+        assert decided.report().ok
+        assert decided.parts() == (("a", 2), ("b", 2))
         # order within a key is kept: swap a's two events and the
         # response precedes its invocation
         actions = list(trace.actions)
@@ -472,7 +430,7 @@ class TestBudgets:
             self.bogus_burst(), kv_store_adt(), state_limit=5
         )
         assert not report.ok and not report.unknown
-        assert report.result.reason.startswith("partition 'a': ")
+        assert report.reason.startswith("partition 'a': ")
         assert not linearize(self.bogus_burst(), kv_store_adt()).ok
 
     def test_a_spent_budget_is_an_unknown_naming_the_partition(self):
@@ -489,8 +447,8 @@ class TestBudgets:
         # one step holds the frontier it replaces plus its successor
         report = check_linearizable(trace, kv_store_adt(), state_limit=1)
         assert report.unknown and not report.ok
-        assert report.result.reason.startswith("partition 'a': ")
-        assert "budget" in report.result.reason
+        assert report.reason.startswith("partition 'a': ")
+        assert "budget" in report.reason
         assert check_linearizable(trace, kv_store_adt(), state_limit=2).ok
 
     def test_a_certified_history_spends_no_budget(self):
@@ -506,9 +464,10 @@ class TestBudgets:
                 Response("c3", 1, kv_get("a"), ("value", 1)),
             ]
         )
-        assert _stream(trace, kv_store_adt(), None, 2).unknown
-        report = check_linearizable(trace, kv_store_adt(), state_limit=2)
-        assert report.verdict == "ok" and report.parts == (("a", 6),)
+        assert told(trace, kv_store_adt(), None, 2).report().unknown
+        decided = decide(trace, kv_store_adt(), None, 2)
+        assert decided.report().verdict == "ok"
+        assert decided.parts() == (("a", 6),)
         # a budget no step fits in, fold or search, decides nothing
         assert check_linearizable(trace, kv_store_adt(), state_limit=1).unknown
 
@@ -541,13 +500,11 @@ class TestBudgets:
         budget, holding two configurations at most."""
         adt = kv_store_adt()
         for n_ops in (1_200, 12_000):
-            report = check_linearizable(
-                self.sequential_single_key_history(n_ops),
-                adt,
-                state_limit=10_000,
+            decided = decide(
+                self.sequential_single_key_history(n_ops), adt, None, 10_000
             )
-            assert report.ok and not report.unknown
-            assert report.parts == (("k", 2 * n_ops),)
+            assert decided.report().ok
+            assert decided.parts() == (("k", 2 * n_ops),)
         assert check_linearizable(
             self.sequential_single_key_history(12_000), adt, state_limit=2
         ).ok
@@ -566,14 +523,22 @@ class TestPrepass:
 
 class TestReportShape:
     def test_bool_and_properties(self):
+        """``check_linearizable`` answers the engine's own report, which
+        has three verdicts and so no truth value."""
         adt = kv_store_adt()
         trace = Trace(
             [
                 Invocation("c1", 1, kv_put("a", 1)),
+                Invocation("c2", 1, kv_put("a", 2)),
+                Response("c2", 1, kv_put("a", 2), ("value", 1)),
                 Response("c1", 1, kv_put("a", 1), ("value", None)),
             ]
         )
-        report = check_linearizable(trace, adt)
-        assert isinstance(report, CheckReport)
-        assert bool(report)
-        assert report.ok and not report.unknown
+        for budget in ((None, None), (None, 1), (1, None), (100, 100)):
+            report = check_linearizable(trace, adt, *budget)
+            assert isinstance(report, MonitorReport)
+            assert report == decide(trace, adt, *budget).report()
+        assert check_linearizable(trace, adt).ok
+        assert check_linearizable(trace, adt, None, 1).unknown
+        with pytest.raises(TypeError):
+            bool(report)

@@ -19,6 +19,7 @@ cell has no partition spec and is the engine's one partition):
 from repro.core.actions import Invocation, Response
 from repro.core.fastcheck import check_linearizable
 from repro.core.traces import Trace
+from repro.monitor.streaming import decide
 from repro.smr.universal import kv_cell_adt, kv_get, kv_put, kv_store_adt
 
 
@@ -28,6 +29,13 @@ def inv(client, payload):
 
 def res(client, payload, output):
     return Response(client, 1, payload, ("value", output))
+
+
+def decided(trace, adt):
+    """What ``check_linearizable`` reports on ``trace``, and the
+    partitions the deciding engine opened."""
+    monitor = decide(trace, adt)
+    return monitor.report(), monitor.parts()
 
 
 class TestPendingKVStore:
@@ -43,9 +51,9 @@ class TestPendingKVStore:
                 res("c2", kv_get("x"), 1),
             ]
         )
-        report = check_linearizable(trace, kv_store_adt())
+        report, parts = decided(trace, kv_store_adt())
         assert report.ok
-        assert report.parts == (("x", 3),)
+        assert parts == (("x", 3),)
 
     def test_pending_write_whose_effect_never_happened(self):
         # Same pending put, but the read sees the key absent: legal —
@@ -94,9 +102,9 @@ class TestPendingKVStore:
                 res("c4", kv_get("y"), None),
             ]
         )
-        report = check_linearizable(trace, kv_store_adt())
+        report, parts = decided(trace, kv_store_adt())
         assert report.ok
-        assert {key for key, _ in report.parts} == {"x", "y"}
+        assert {key for key, _ in parts} == {"x", "y"}
 
     def test_pending_then_poisoned_client_issues_nothing_else(self):
         # The recording discipline: after a pending op the client stops.
@@ -136,9 +144,9 @@ class TestPendingMonolithic:
                 res("c2", ("get", "x"), 1),
             ]
         )
-        report = check_linearizable(trace, kv_cell_adt("x"))
+        report, parts = decided(trace, kv_cell_adt("x"))
         assert report.verdict == "ok"
-        assert report.parts == ((None, 3),)
+        assert parts == ((None, 3),)
 
     def test_pending_write_invisible(self):
         trace = Trace(
@@ -148,9 +156,9 @@ class TestPendingMonolithic:
                 res("c2", ("get", "x"), None),
             ]
         )
-        report = check_linearizable(trace, kv_cell_adt("x"))
+        report, parts = decided(trace, kv_cell_adt("x"))
         assert report.verdict == "ok"
-        assert report.parts == ((None, 3),)
+        assert parts == ((None, 3),)
 
     def test_unexplained_output_still_fails(self):
         trace = Trace(

@@ -11,6 +11,7 @@ backoff.
 
 import pytest
 
+from repro.__main__ import main as repro_main
 from repro.core.linearizability import linearize
 from repro.core.traces import strip_phase_tags
 from repro.faults import (
@@ -26,6 +27,7 @@ from repro.faults import (
     run_campaign,
     shrink_schedule,
 )
+from repro.faults import campaign
 from repro.faults.campaign import (
     CAMPAIGN_BACKOFF,
     CONSENSUS,
@@ -482,6 +484,32 @@ class TestCampaign:
         result = target.run(schedule)
         assert result.ok
         assert result.total == 4
+
+    def test_a_spent_budget_is_inconclusive_end_to_end(
+        self, monkeypatch, capsys
+    ):
+        """Seed 11's composed run answers out of response order, so its
+        certificate misses and the search decides it (a certified
+        history spends no budget).  Starved of nodes, the search says
+        ``unknown``: the run is inconclusive, not a violation, and the
+        CLI exits 2 as ``monitor`` does."""
+        kwargs = dict(
+            n_schedules=1, base_seed=11, targets=("composed",),
+            emit=lambda line: None,
+        )
+        assert run_campaign(**kwargs).results[0].verdict == "ok"
+        monkeypatch.setattr(campaign, "NODE_LIMIT", 1)
+        report = run_campaign(**kwargs)
+        (result,) = report.results
+        assert result.verdict == "unknown"
+        assert not result.ok and not result.violation
+        assert "exceeded 1 nodes" in result.reason
+        assert result.line().startswith("[composed] INCONCLUSIVE ")
+        assert report.inconclusive == 1 and not report.violations
+        assert repro_main(["nemesis", "1", "11"]) == 2
+        out = capsys.readouterr().out
+        assert "[composed] INCONCLUSIVE" in out
+        assert "violations=0 inconclusive=1" in out
 
     def test_mutant_campaign_catches_and_shrinks(self):
         # Seed 1046 is a random schedule whose churn wipes the accept

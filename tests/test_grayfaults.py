@@ -143,7 +143,6 @@ class TestSimGrayCampaigns:
             FaultSchedule(seed=9, actions=(action,))
         )
         assert result.ok
-        assert not result.inconclusive
 
     def test_gray_campaign_runs_are_reproducible(self):
         schedule = FaultSchedule(

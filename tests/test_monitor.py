@@ -2,19 +2,17 @@
 
 Three contracts under test, mirroring docs/MONITORING.md:
 
-* **agreement** — on any finite trace the streaming verdict must match
-  the verdict *category* (ok / violation / unknown) of the independent
-  references: the paper's definition as a search
-  (:func:`~repro.core.linearizability.linearize`), which the classical
-  one (:func:`~repro.core.classical.linearize_classical`) must second.
-  The post-hoc :func:`~repro.core.fastcheck.check_linearizable` *is*
-  the streaming engine, so comparing the two would compare it with
-  itself; what is pinned between them is that telling the engine the
-  recorded responses never changes a verdict.  Directed traces pin the
-  interesting shapes; Hypothesis sweeps pin the equivalence in bulk,
-  the widest through ``tests/oracle.py``: pending operations, repeated
-  values, several keys, every decider, and a brute-force transcription
-  of Herlihy-Wing at five operations or fewer.
+* **agreement** — on any finite trace the streaming verdict, online
+  and post hoc, must be every other decider's: each directed shape and
+  each generated family is an input of ``tests/oracle.py``
+  (:func:`~oracle.assert_deciders_agree`), which holds the engine to
+  the classical checker, the paper's definition within Theorem 1's
+  boundary, and a brute-force transcription of Herlihy-Wing at five
+  operations or fewer.  The families: the KV store (pending operations,
+  repeated values, several keys), the queue, the counter with and
+  without repeated inputs, consensus, the register and a three-object
+  product; a planted disagreement in any of them is shrunk to a minimal
+  history.
 * **bounded memory** — the retained-event gauge peaks at the size of
   the concurrent window, never the run length: decided prefixes are
   garbage-collected at every quiescent cut.
@@ -50,10 +48,11 @@ from oracle import (
 )
 from repro.__main__ import main as repro_main
 from repro.core.actions import Invocation, Response, Switch
-from repro.core.adt import ADT, counter_adt, queue_adt, register_adt
+from repro.core.adt import ADT, counter_adt, queue_adt
 from repro.core.classical import linearize_classical
-from repro.core.fastcheck import _stream, check_linearizable
+from repro.core.fastcheck import check_linearizable
 from repro.core.linearizability import linearize
+from repro.core.pretty import describe_action
 from repro.core.strategies import wellformed_traces
 from repro.core.traces import Trace
 from repro.faults.mutants import DoubleApplyPipeline
@@ -76,21 +75,13 @@ from repro.net.loadgen import (
     run_loadgen,
 )
 from repro.net.pipeline import PipelineClient, SlotPipeline
-from repro.smr.universal import kv_store_adt
 
 SILENT = lambda line: None  # noqa: E731
 
-KV = kv_store_adt()
-KV_INPUTS = [
-    ("put", "a", 1),
-    ("put", "a", 2),
-    ("get", "a"),
-    ("delete", "a"),
-    ("put", "b", 1),
-    ("get", "b"),
-]
-REG = register_adt()
-REG_INPUTS = [("write", 1), ("write", 2), ("read",)]
+KV, KV_INPUTS, VALUES = oracle.FAMILIES["kv"]
+REG, REG_INPUTS, _ = oracle.FAMILIES["register"]
+_, QUEUE_INPUTS, QUEUE_OUTPUTS = oracle.FAMILIES["queue"]
+_, COUNTER_INPUTS, COUNTER_OUTPUTS = oracle.FAMILIES["counter"]
 
 
 def inv(client, payload):
@@ -101,22 +92,8 @@ def res(client, payload, output):
     return Response(client, 1, payload, output)
 
 
-def posthoc_verdict(trace, adt):
-    """What the references say: the classical checker's verdict, unless
-    the definition's search was cut short.  The two are held to Theorem
-    1: classical implies the definition always, and the converse on
-    unique inputs (DESIGN.md, deviation 8)."""
-    definition = linearize(trace, adt)
-    if definition.unknown:
-        return "unknown"
-    classical = linearize_classical(trace, adt).ok
-    assert definition.ok or not classical
-    assert definition.ok == classical or not oracle.has_unique_inputs(trace)
-    return "ok" if classical else "violation"
-
-
 # ---------------------------------------------------------------------------
-# agreement with the post-hoc checker
+# agreement: directed shapes and generated families, as oracle inputs
 # ---------------------------------------------------------------------------
 
 
@@ -130,9 +107,8 @@ class TestDirectedAgreement:
                 res("c2", ("get", "a"), ("value", 1)),
             ]
         )
-        report = watch_trace(trace, KV)
-        assert report.verdict == posthoc_verdict(trace, KV) == "ok"
-        assert report.ok and report.frontiers == 1
+        assert assert_deciders_agree(trace, KV) == "ok"
+        assert watch_trace(trace, KV).frontiers == 1
 
     def test_stale_read_is_a_violation(self):
         trace = Trace(
@@ -143,8 +119,8 @@ class TestDirectedAgreement:
                 res("c2", ("get", "a"), ("value", None)),  # forgot the put
             ]
         )
+        assert assert_deciders_agree(trace, KV) == "violation"
         report = watch_trace(trace, KV)
-        assert report.verdict == posthoc_verdict(trace, KV) == "violation"
         assert report.violation_key == "a"
         assert "frontier emptied" in report.reason
 
@@ -159,8 +135,7 @@ class TestDirectedAgreement:
                     res("c1", ("put", "a", 7), ("value", None)),
                 ]
             )
-            assert watch_trace(trace, KV).verdict == "ok"
-            assert posthoc_verdict(trace, KV) == "ok"
+            assert assert_deciders_agree(trace, KV) == "ok"
 
     def test_pending_invocations_stay_ok(self):
         trace = Trace(
@@ -170,16 +145,16 @@ class TestDirectedAgreement:
                 res("c2", ("get", "a"), ("value", 1)),  # c1's put took effect
             ]
         )
-        report = watch_trace(trace, KV)
-        assert report.verdict == posthoc_verdict(trace, KV) == "ok"
+        assert assert_deciders_agree(trace, KV) == "ok"
 
     def test_ill_formed_trace_is_rejected_like_posthoc(self):
-        trace = Trace(
-            [res("c1", ("get", "a"), ("value", None))]  # respond, no invoke
-        )
+        # respond, no invoke: not an operation, so no oracle input
+        trace = Trace([res("c1", ("get", "a"), ("value", None))])
         report = watch_trace(trace, KV)
-        assert report.verdict == posthoc_verdict(trace, KV) == "violation"
-        assert "well-formed" in report.reason
+        assert report.verdict == check_linearizable(trace, KV).verdict
+        assert report.verdict == "violation" and "well-formed" in report.reason
+        assert not linearize(trace, KV).ok
+        assert not linearize_classical(trace, KV).ok
 
     def test_monolithic_adt_without_partition_spec(self):
         trace = Trace(
@@ -190,8 +165,7 @@ class TestDirectedAgreement:
                 res("c2", ("read",), ("value", 2)),  # never written
             ]
         )
-        report = watch_trace(trace, REG)
-        assert report.verdict == posthoc_verdict(trace, REG) == "violation"
+        assert assert_deciders_agree(trace, REG) == "violation"
 
 
 class TestPropertyAgreement:
@@ -200,26 +174,20 @@ class TestPropertyAgreement:
     def test_kv_streaming_matches_posthoc(self, trace):
         # dishonest outputs: a mix of linearizable and violating traces,
         # partitioned per key — the P-compositional equivalence
-        assert watch_trace(trace, KV).verdict == posthoc_verdict(trace, KV)
+        assert_deciders_agree(trace, KV)
 
     @given(wellformed_traces(KV, KV_INPUTS, max_steps=14, honest=True))
     @settings(max_examples=60, deadline=None)
     def test_honest_kv_traces_are_always_ok(self, trace):
-        report = watch_trace(trace, KV)
-        assert report.verdict == posthoc_verdict(trace, KV) == "ok"
+        assert assert_deciders_agree(trace, KV) == "ok"
 
     @given(wellformed_traces(REG, REG_INPUTS, max_steps=12))
     @settings(max_examples=120, deadline=None)
     def test_register_streaming_matches_posthoc(self, trace):
         # no partition spec: the whole trace rides one frontier
-        assert watch_trace(trace, REG).verdict == posthoc_verdict(trace, REG)
+        assert_deciders_agree(trace, REG)
 
 
-VALUES = [("value", v) for v in (None, 1, 2)]
-QUEUE_INPUTS = [("enq", 1), ("enq", 2), ("deq",)]
-QUEUE_OUTPUTS = [("ok",), ("empty",), ("value", 1), ("value", 2)]
-COUNTER_INPUTS = [("inc", 1), ("inc", 2), ("cread",)]
-COUNTER_OUTPUTS = [("count", n) for n in range(4)]
 
 
 class TestDifferentialOracle:
@@ -265,9 +233,9 @@ class TestDifferentialOracle:
     @given(histories(KV, KV_INPUTS, VALUES, max_ops=12, clients=6))
     @settings(max_examples=100, deadline=None)
     def test_the_recorded_response_cut_never_changes_a_verdict(self, trace):
-        told = check_linearizable(trace, KV)
-        assert told.verdict == watch_trace(trace, KV).verdict
-        assert {key for key, _ in told.parts} <= {"a", "b"}
+        told = decide(trace, KV)
+        assert told.report().verdict == watch_trace(trace, KV).verdict
+        assert {key for key, _ in told.parts()} <= {"a", "b"}
 
     def test_the_definition_is_coarser_on_repeated_inputs(self):
         """Found by this oracle: three identical puts, and a real-time
@@ -319,8 +287,8 @@ class TestDifferentialOracle:
     def test_a_disagreement_is_shrunk_to_a_minimal_history(self, monkeypatch):
         """Plant a decider that is wrong about one read; the oracle must
         hand back that read alone, not the noise around it."""
-        def wrong(trace, adt):
-            honest = watch_trace(trace, adt).verdict
+        def wrong(monitor, trace):
+            honest = monitor.report().verdict
             poisoned = any(a.input == ("get", "b") for a in trace)
             return "violation" if poisoned else honest
 
@@ -344,6 +312,45 @@ class TestDifferentialOracle:
             raise AssertionError("the planted disagreement went unnoticed")
         assert "minimal history" in report and "'told': 'violation'" in report
         assert report.count("inv[1]") == 1 and "put" not in report
+
+    @pytest.mark.parametrize("name", ["counter-unique", "product"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_decider_agrees_on_each_family(self, name, data):
+        # consensus and the register are drawn in test_equivalence, the
+        # queue and the counter with repeated inputs above
+        trace = data.draw(oracle.family_histories(name))
+        assert_deciders_agree(trace, oracle.FAMILIES[name][0])
+
+    @pytest.mark.parametrize(
+        "name", [name for name in oracle.FAMILIES if name != "kv"]
+    )
+    def test_a_planted_disagreement_is_shrunk_in_every_family(
+        self, name, monkeypatch
+    ):
+        """The family's first input, invoked first and answered as the
+        object would, then each other input in turn: a decider wrong
+        about that first input alone must be handed back that
+        operation and nothing else."""
+        adt, inputs, _ = oracle.FAMILIES[name]
+        poison = inputs[0]
+
+        def wrong(monitor, trace):
+            honest = monitor.report().verdict
+            poisoned = any(a.input == poison for a in trace)
+            return "violation" if poisoned else honest
+
+        monkeypatch.setattr(oracle, "told_verdict", wrong)
+        state, actions = adt.initial_state, []
+        for i, payload in enumerate(inputs + inputs[1:]):
+            state, output = adt.transition(state, payload)
+            actions += [inv(f"c{i}", payload), res(f"c{i}", payload, output)]
+        with pytest.raises(AssertionError) as caught:
+            assert_deciders_agree(Trace(actions), adt)
+        report = str(caught.value)
+        assert "minimal history" in report and "'told': 'violation'" in report
+        assert report.count("inv[1]") == 1
+        assert describe_action(actions[0]).split("inv[1] ")[1] in report
 
 
 class TestBudgetsAndResync:
@@ -374,11 +381,7 @@ class TestBudgetsAndResync:
         # ...and neither side guessed: with full budgets the same trace
         # has a definite verdict on both (here: violation — the get
         # pins put-3 first, yet every put claims the empty cell)
-        assert (
-            watch_trace(trace, KV).verdict
-            == posthoc_verdict(trace, KV)
-            == "violation"
-        )
+        assert assert_deciders_agree(trace, KV) == "violation"
 
     def test_node_budget_degrades_per_event_search(self):
         report = watch_trace(self.ambiguous_burst(), KV, node_limit=3)
@@ -410,11 +413,10 @@ class TestKnowingTheFuture:
         online = watch_trace(trace, KV, node_limit=1000)
         assert online.verdict == "unknown"  # degrades, does not guess
         assert "exceeded 1000 nodes" in online.reason
-        told = check_linearizable(
-            trace, KV, node_limit=1000, state_limit=10_000
-        )
-        assert told.verdict == "ok" and told.parts == (("k", 100),)
-        assert posthoc_verdict(trace, KV) == "ok"
+        told = decide(trace, KV, 1000, 10_000)
+        assert told.report().verdict == "ok"
+        assert told.parts() == (("k", 100),)
+        assert linearize_classical(trace, KV).ok and linearize(trace, KV).ok
 
     def test_the_cut_costs_nothing_it_would_not_have_killed(self):
         # one wrong answer in the last wave: still found, same budgets
@@ -873,7 +875,7 @@ class TestResponseOrderIsTheEighthDecider:
         )
         trace = Trace([inv("c1", ("bogus",)), res("c1", ("bogus",), None)])
         assert "ValueError" in decide(trace, lax).miss_reason
-        assert check_linearizable(trace, lax).parts == ((None, 2),)
+        assert decide(trace, lax).parts() == ((None, 2),)
 
 
 class TestAWireHistoryIsItsOwnCertificate:
@@ -897,7 +899,7 @@ class TestAWireHistoryIsItsOwnCertificate:
         traces = [Trace(event_action(e) for e in events) for events in shards]
         assert len(traces) == 2 and all(traces)
         monkeypatch.setattr(frontier_module, "frontier_step", never_searched)
-        certified = [check_linearizable(trace, KV) for trace in traces]
+        certified = [decide(trace, KV) for trace in traces]
         verdict, _, reports = replay_history(shards)
         assert verdict == "ok"
         assert [r.certificate_misses for r in reports] == [0, 0]
@@ -905,10 +907,10 @@ class TestAWireHistoryIsItsOwnCertificate:
         assert repro_main(["monitor", "--replay", artifact]) == 0
         assert "searched" not in capsys.readouterr().out
         monkeypatch.undo()
-        assert certified == [
-            _stream(trace, KV, None, None) for trace in traces
+        assert [oracle.what_it_said(m) for m in certified] == [
+            oracle.what_it_said(oracle.told(trace, KV)) for trace in traces
         ]
-        assert all(check.parts for check in certified)
+        assert all(monitor.parts() for monitor in certified)
 
     def test_a_replay_that_missed_says_it_searched(self, tmp_path, capsys):
         wave = [recorded(a) for a in TestKnowingTheFuture.waves(n_waves=1)]

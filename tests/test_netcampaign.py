@@ -488,8 +488,6 @@ class TestRetryStorm:
         (run,) = run_retry_storm(
             n_schedules=1,
             base_seed=5,
-            clients=3,
-            ops_per_client=6,
             artifact_dir=str(tmp_path),
             emit=SILENT,
         )
@@ -516,8 +514,6 @@ class TestRetryStorm:
         (run,) = run_retry_storm(
             n_schedules=1,
             base_seed=5,
-            clients=2,
-            ops_per_client=3,
             artifact_dir=str(tmp_path),
             emit=SILENT,
         )
@@ -549,8 +545,6 @@ class TestRetryStorm:
         (run,) = run_retry_storm(
             n_schedules=1,
             base_seed=5,
-            clients=2,
-            ops_per_client=3,
             dedup=False,
             emit=SILENT,
         )

@@ -11,6 +11,7 @@ without tearing a connection or poisoning an innocent client.
 import asyncio
 import gc
 import statistics
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +41,6 @@ from repro.net.pipeline import (
     SlotPipeline,
     _DECREE_HEAD,
     _Entry,
-    _JOURNAL_BASE,
     _decree,
     probing_client,
 )
@@ -49,7 +49,7 @@ from repro.net.transport import (
     AsyncTransport,
     RECONNECT_COOLDOWN,
 )
-from repro.net.wal import NodeWAL
+from repro.net.wal import MAX_RECORD, NodeWAL, WriteAheadLog
 from repro.smr.universal import kv_store_adt, make_batch
 
 from helpers import client_timers, run_quiet
@@ -697,25 +697,22 @@ def _real_decree(ops):
     )
 
 
-def _real_sizes(codec, decree):
+def _real_frame(codec, decree):
     """The oracle: the frame that carries ``decree`` to a Quorum server
-    in the wire codec, and the JSON frame of the record that server's
-    WAL journals its acceptance as, both actually encoded."""
-    proposal = (
-        ("qcli", ("probe", 0, 0)), ("qs", 0, 0), ("q-propose", decree)
-    )
-    return (
-        len(codec.encode_frame(proposal)),
-        len(JSON_CODEC.encode_frame(("qs", 0, decree))),
+    in the wire codec, actually encoded."""
+    return len(
+        codec.encode_frame(
+            (("qcli", ("probe", 0, 0)), ("qs", 0, 0), ("q-propose", decree))
+        )
     )
 
 
 def _exact_fits(codec, ops):
     try:
-        sizes = _real_sizes(codec, _real_decree(ops))
+        size = _real_frame(codec, _real_decree(ops))
     except FrameTooLarge:
         return False
-    return max(sizes) + FRAME_SLACK <= MAX_FRAME
+    return size + FRAME_SLACK <= MAX_FRAME
 
 
 def _offline_pipeline(codec_name):
@@ -772,10 +769,14 @@ class TestSizingContract:
                 low = mid
             else:
                 high = mid
-        # what binds is the journal, where the bytes are base64: three
-        # quarters of a frame is all a decree may take
+        # what binds is the wire frame: in binary a decree may take all
+        # of it but the slack; a JSON frame carries it as base64, a
+        # third larger
         size = len(_real_decree([op(low)]))
-        assert 0 < 3 * MAX_FRAME // 4 - size < FRAME_SLACK
+        room = MAX_FRAME - FRAME_SLACK
+        if codec_name == "json":
+            room = 3 * room // 4
+        assert 0 < room - size < 200
         for n in (0, low // 2, low - 1, low, high, high + 1, MAX_FRAME):
             if n <= low:
                 pipeline.ensure_fits(op(n))
@@ -791,16 +792,15 @@ class TestSizingContract:
     def test_decree_bytes_cover_both_exact_encodings(
         self, codec_name, values
     ):
-        """The arithmetic of `_fits` is the real frame and the real
-        record, to the byte, and the decree decodes to its batch."""
+        """The arithmetic of `_fits` is the real frame to the byte, a
+        decree is its ops' binary bodies, and it decodes to its batch."""
         pipeline = PIPELINES[codec_name]
         codec = pipeline.transport.codec
         ops = [_tag(("put", "k", v), i) for i, v in enumerate(values)]
         decree = _real_decree(ops)
         size = len(decree)
-        assert _real_sizes(codec, decree) == (
-            pipeline._wire_base + codec.packed_size(size),
-            _JOURNAL_BASE + JSON_CODEC.packed_size(size),
+        assert _real_frame(codec, decree) == (
+            pipeline._wire_base + codec.packed_size(size)
         )
         assert size == _DECREE_HEAD + sum(
             len(BINARY_CODEC.encode_body(op)) for op in ops
@@ -835,6 +835,57 @@ class TestSizingContract:
                     assert fits == _exact_fits(codec, ops), (family, n, count)
                     answers.add(fits)
         assert answers == {True, False}
+
+    @pytest.mark.parametrize("codec_name", ["json", "binary"])
+    def test_the_largest_admitted_decree_rides_every_frame_and_record(
+        self, codec_name, tmp_path
+    ):
+        """The largest decree `_fits` admits fits every frame that
+        carries a decree in the transport's codec, slots and ballots as
+        wide as an i64 holds, and the WAL journals its sticky acceptance
+        and its acceptor triple within a record and replays them."""
+        pipeline = PIPELINES[codec_name]
+        codec = pipeline.transport.codec
+        low, high = 0, MAX_FRAME
+        while high - low > 1:
+            mid = (low + high) // 2
+            if pipeline._fits(mid):
+                low = mid
+            else:
+                high = mid
+        decree = Packed(bytes(low + _DECREE_HEAD))
+        big = 1 << 62
+        client, backup = ("qcli", ("main", big)), ("bcli", ("main", big))
+        server, acceptor, coordinator = (
+            (role, big, 2) for role in ("qs", "acc", "coord")
+        )
+        frames = [
+            (client, server, ("q-propose", decree)),
+            (server, client, ("q-accept", decree)),
+            (backup, coordinator, ("request", decree)),
+            (coordinator, acceptor, ("accept", big, decree)),
+            (acceptor, coordinator, ("accepted", big, decree)),
+            (acceptor, backup, ("accepted", big, decree)),
+            (acceptor, coordinator, ("promise", big, big, decree)),
+            (coordinator, backup, ("decision", decree)),
+        ]
+        for frame in frames:
+            assert len(codec.encode_frame(frame)) <= MAX_FRAME, frame[2][0]
+        facts = [("qs", big, decree), ("acc", big, (big, big, decree))]
+        wal = WriteAheadLog(str(tmp_path))
+        for fact in facts:
+            wal.append(fact)
+        wal.close()
+        with open(tmp_path / "wal.log", "rb") as handle:
+            data = handle.read()
+        offset = 0
+        while offset < len(data):
+            (length,) = struct.unpack_from(">I", data, offset)
+            assert length <= MAX_RECORD
+            offset += 8 + length
+        reopened = WriteAheadLog(str(tmp_path))
+        assert reopened.records == facts
+        reopened.close()
 
 
 # ---------------------------------------------------------------------------
