@@ -10,18 +10,17 @@ clients most rounds are lost (15.75 decrees per committed op).
 This benchmark measures what the data-plane rebuild buys, end to end
 over real localhost TCP sockets with durability on:
 
-* **seed configuration** — ``run_loadgen(pipeline=False, codec="json",
-  group_commit=False)``, the slow values named explicitly: every
-  client a :func:`~repro.net.pipeline.probing_client`, i.e. a
+* **seed configuration** — ``run_loadgen(pipeline=False,
+  codec="json")``, the slow values named explicitly: every client a
+  :func:`~repro.net.pipeline.probing_client`, i.e. a
   :class:`~repro.net.pipeline.SlotPipeline` of its own at ``window=1,
   max_batch=1``; JSON frames, one replica group, one fsync per WAL
   append;
 * **pipelined configuration** — ``run_loadgen``'s defaults plus
   ``shards=2``: the same proposer shared per shard and sized up
   (``window`` in-flight decrees, up to ``batch`` ops per decree),
-  struct-packed binary frames, sharded replica groups routed by the
-  partition key, and WAL group commit (one fsync per event-loop tick's
-  appends).
+  struct-packed binary frames and sharded replica groups routed by the
+  partition key.  Both sync each WAL record before its reply leaves.
 
 Both runs go through the one loadgen driver, keep the WAL enabled and
 have their histories checked per shard (disjoint key sets make
@@ -62,7 +61,7 @@ def _harness():
 def run_seed_config(ops, clients=16):
     """The seed data plane: a window-1/batch-1 pipeline per client
     (one op per round), JSON, per-append fsync.  The one caller of the
-    three slow values: the denominator of the >=10x gate."""
+    two slow values: the denominator of the >=10x gate."""
     with tempfile.TemporaryDirectory(prefix="bench-tp-seed-") as wal_root:
         return run_loadgen(
             replicas=3,
@@ -73,14 +72,13 @@ def run_seed_config(ops, clients=16):
             wal_root=wal_root,
             pipeline=False,
             codec="json",
-            group_commit=False,
             emit=SILENT,
         )
 
 
 def run_pipelined_config(ops, clients=16, shards=2, window=8, batch=16):
-    """The default data plane (pipeline + batch + binary + group
-    commit), sharded, same replica count per group, WAL on."""
+    """The default data plane (pipeline + batch + binary), sharded,
+    same replica count per group, WAL on."""
     with tempfile.TemporaryDirectory(prefix="bench-tp-pipe-") as wal_root:
         return run_loadgen(
             replicas=3,
@@ -178,7 +176,7 @@ def main():
     )
     print(
         f"  data plane: window={m['window']} batch<={m['batch']} "
-        f"codec={m['codec']} group-commit; "
+        f"codec={m['codec']}; "
         f"{m['decrees']} decrees, {m['ops_per_decree']:.1f} ops/decree"
     )
     print(f"  speedup: {m['speedup']:.1f}x (gate: >=10x)")

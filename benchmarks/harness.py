@@ -30,7 +30,7 @@ Benchmarks:
   (slow node, timer drift, clock skew, torn-tail WAL restart); gates
   on every-history-linearizable and tear-tolerated booleans (E13).
 * ``throughput`` — the high-throughput data plane (slot pipelining +
-  batching + binary codec + sharding + group commit) against the seed
+  batching + binary codec + sharding) against the seed
   one-op-per-round client; gates on the dimensionless ``speedup``
   (floor 10x) and all-histories-linearizable, reports uniform
   ops/s + p50/p99 latency per configuration.

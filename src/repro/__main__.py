@@ -49,8 +49,8 @@ the static RD08 rule.
 ``loadgen`` drives a closed-loop workload against a fresh cluster and
 checks the recorded wire-level history for linearizability.  Both, and
 the clusters ``nemesis --net`` attacks, run the plane the benchmark
-ledger measures with no flag: binary frames, WAL group commit and (for
-``loadgen``) batching pipelines shared per shard; ``--shards``,
+ledger measures with no flag: binary frames, a WAL fsync per record and
+(for ``loadgen``) batching pipelines shared per shard; ``--shards``,
 ``--window`` and ``--batch`` size it.
 ``loadgen --monitor`` additionally streams every event through the
 online :mod:`repro.monitor` checker *during* the run — fail-fast on the

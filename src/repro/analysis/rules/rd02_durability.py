@@ -19,8 +19,8 @@ two-state typestate analysis — every path starts *unpersisted* and
 becomes *persisted* at a persistence point.  Persistence points are
 
 * a WAL append — ``…wal.record(...)`` / ``…wal.record_decided(...)`` /
-  ``…wal.record_durable(...)`` (the group-commit entry point whose
-  callback fires only after the shared fsync) — or a direct
+  ``…wal.record_durable(...)`` (which fsyncs the record before it
+  schedules its callback) — or a direct
   :class:`FaultFS` point (``…fs.append(...)`` / ``…fs.fsync(...)``);
 * a call to a ``self.`` method that *transitively* performs one — so
   the append may live in a helper and still count (method summaries

@@ -1069,10 +1069,10 @@ def run_net_campaign(
     history + verdict JSON, and every violation its shrunk schedule.
 
     The cluster under attack is the default one, the plane the ledger
-    measures: binary frames, group-committed WALs.  ``pipelined=True``
-    swaps the main traffic onto a shared batching
-    :class:`~repro.net.pipeline.SlotPipeline`, which is how CI proves
-    decree batching composes with the chaos vocabulary.  Late readers
+    measures: binary frames, WALs that sync each record before its
+    reply.  ``pipelined=True`` swaps the main traffic onto a shared
+    batching :class:`~repro.net.pipeline.SlotPipeline`, which is how CI
+    proves decree batching composes with the chaos vocabulary.  Late readers
     stay on probing clients with private decided-slot logs either way —
     they are the fork detectors.
 

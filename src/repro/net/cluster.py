@@ -11,9 +11,8 @@ static configuration.  Groups share nothing else: each serves the keys
 its key subset, P-compositional checking applies group-locally, and the
 whole deployment is linearizable iff every group's history is (Horn &
 Kroening's locality argument, see PAPERS.md).  Unless told otherwise a
-cluster is the measured plane: binary frames and group-committed WALs
-(``codec="json"``, ``group_commit=False`` are the seed's, kept as the
-instrument of ``bench_throughput.run_seed_config``).
+cluster is the measured plane: binary frames (``codec="json"`` is the
+seed's, kept as the instrument of ``bench_throughput.run_seed_config``).
 
 A replica index names that replica in every group: ``kill(i)`` closes
 node ``i``'s transport in each — listener gone, connections severed,
@@ -80,7 +79,6 @@ class ShardedCluster:
         amnesiac: Sequence[int] = (),
         wal_fs: Optional[Dict[int, FaultFS]] = None,
         codec: str = "binary",
-        group_commit: bool = True,
     ) -> None:
         self.n_shards = n_shards
         self.n_servers = n_servers
@@ -91,7 +89,6 @@ class ShardedCluster:
         self.amnesiac = frozenset(amnesiac)
         self.wal_fs = wal_fs or {}
         self.codec: Codec = get_codec(codec)
-        self.group_commit = group_commit
         self.books = [AddressBook() for _ in range(n_shards)]
         self.shards: List[List[ReplicaNode]] = [
             [self._make_node(s, i) for i in range(n_servers)]
@@ -118,11 +115,8 @@ class ShardedCluster:
         """Build a node, opening (and replaying) its WAL if configured."""
         wal = None
         if self.wal_root is not None and index not in self.amnesiac:
-            wal = NodeWAL(
-                self.wal_dir(index, shard),
-                fs=self.wal_fs.get(index),
-                group_commit=self.group_commit,
-            )
+            fs = self.wal_fs.get(index)
+            wal = NodeWAL(self.wal_dir(index, shard), fs=fs)
         return ReplicaNode(
             index,
             self.n_servers,

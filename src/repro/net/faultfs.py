@@ -98,6 +98,13 @@ class FaultFS:
     def replace(self, src: str, dst: str) -> None:
         os.replace(src, dst)
 
+    def remove(self, path: str) -> None:
+        """Delete a file, best effort (a snapshot tmp that did not fit)."""
+        try:
+            os.remove(path)
+        except OSError:
+            pass
+
     def fsync_dir(self, path: str) -> None:
         """Persist directory metadata (the rename), best effort."""
         try:

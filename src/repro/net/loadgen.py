@@ -420,7 +420,6 @@ async def _run(
     window: int,
     batch: int,
     codec: str,
-    group_commit: bool,
     check: bool,
     monitor: bool,
     emit,
@@ -444,7 +443,6 @@ async def _run(
         n_servers=replicas,
         wal_root=wal_root,
         codec=codec,
-        group_commit=group_commit,
     )
     killed = False
     kill_threshold = max(1, int(ops * kill_after)) if kill is not None else None
@@ -600,15 +598,17 @@ def run_loadgen(
     The defaults are the plane ``benchmarks/ledger`` measures: one
     batching :class:`~repro.net.pipeline.SlotPipeline` per shard, shared
     by its clients, with ``window`` in-flight decrees and up to ``batch``
-    ops per decree, binary frames and WAL group commit.
-    ``pipeline=False`` is the paper's client instead — one op per
-    consensus round, a pipeline of its own at window 1 and batch 1
-    (``window``/``batch`` are ignored) — and with ``codec="json"`` and
-    ``group_commit=False`` the seed's configuration, which
+    ops per decree, binary frames, and a WAL that fsyncs each record
+    before its reply leaves.  ``pipeline=False`` is the paper's client
+    instead — one op per consensus round, a pipeline of its own at
+    window 1 and batch 1 (``window``/``batch`` are ignored) — and with
+    ``codec="json"`` the seed's configuration, which
     ``bench_throughput.run_seed_config`` keeps as the instrument of the
     >=10x gate.  Either way every shard's history is checked
     independently (``check=False`` skips the verdict for pure
-    benchmarking).
+    benchmarking).  ``group_commit`` selects nothing: every WAL record
+    is synced on its own, and the keyword stays only because the
+    ledger's canonical plane passes it (ROADMAP item 1 removes it).
 
     ``monitor=True`` additionally streams every recorded event through
     an online :class:`~repro.monitor.StreamingMonitor` (one per shard,
@@ -638,7 +638,6 @@ def run_loadgen(
         window=window,
         batch=batch,
         codec=codec,
-        group_commit=group_commit,
         check=check,
         monitor=monitor,
     )

@@ -31,7 +31,7 @@ driven purely by the frames that reach it.
 
 With a :class:`~repro.net.wal.NodeWAL` attached the roles become
 *durable*: a :class:`_DurableRole` wrapper buffers every outbound
-message while a handler runs, appends the role's changed
+message while a handler runs, appends and fsyncs the role's changed
 ``durable_state()`` to the WAL, and only then releases the replies —
 the classical persist-before-reply rule, so no acknowledgement ever
 refers to state that a crash could erase.  On ``start()`` a node
@@ -69,7 +69,7 @@ from ..mp.sim import Process
 from .codec import Codec
 from .netfaults import TransportFaults
 from .transport import AddressBook, AsyncTransport
-from .wal import NodeWAL, RecoveredState, WALFullError
+from .wal import NodeWAL, RecoveredState, WALError, WALFullError
 
 logger = logging.getLogger(__name__)
 
@@ -102,22 +102,24 @@ class _DurableRole:
     """Mixin enforcing persist-before-reply around ``on_message``.
 
     While the wrapped handler runs, ``send`` only buffers; afterwards,
-    if ``durable_state()`` changed, the new state is appended (and
-    fsync'd) to the WAL, and only then are the buffered frames
-    released.  A crash inside the handler thus loses the replies but
-    never the state they would have promised — exactly the stable
-    storage discipline single-decree Paxos and Quorum's sticky
-    acceptance both assume.  Timer- and config-driven sends outside a
-    handler pass through unbuffered.  With ``wal=None`` the wrapper is
-    inert and the role behaves like its volatile base class.
+    if ``durable_state()`` changed, the new state is appended and
+    fsync'd to the WAL, and only then are the buffered frames released,
+    on the loop's next tick (:meth:`NodeWAL.record_durable`).  A crash
+    inside the handler thus loses the replies but never the state they
+    would have promised — exactly the stable storage discipline
+    single-decree Paxos and Quorum's sticky acceptance both assume.
+    Timer- and config-driven sends outside a handler pass through
+    unbuffered.  With ``wal=None`` the wrapper is inert and the role
+    behaves like its volatile base class.
 
     A full disk is survivable: when the append raises
     :exc:`~repro.net.wal.WALFullError` the replies stay buffered and a
-    backoff timer (:data:`WAL_RETRY_BACKOFF`) re-attempts the persist;
-    frames arriving while the retry is pending are dropped (the client
-    retries — answering them would promise unpersisted state).  Only
-    when the budget is exhausted does the role fail-stop by closing the
-    node's WAL, which silences every role sharing it.
+    backoff timer (:data:`WAL_RETRY_BACKOFF`) re-attempts the same
+    persist; frames arriving while the retry is pending are dropped
+    (the client retries — answering them would promise unpersisted
+    state).  When the budget is exhausted the role fail-stops the
+    node's WAL, which silences every role sharing it; any other failed
+    write has fail-stopped it already, and the replies are dropped.
     """
 
     _wal: Optional[NodeWAL] = None
@@ -144,6 +146,14 @@ class _DurableRole:
         self.on_recover(state)
         self._wal_persisted = self.durable_state()
 
+    def answerable(self) -> bool:
+        """Whether the role's live state is what its WAL holds, so a
+        message about it may leave: a volatile role, or an open WAL with
+        no persist parked on a full disk."""
+        return self._wal is None or not (
+            self._wal.closed or self._wal_retry is not None
+        )
+
     def send(self, dst: Hashable, message: Any) -> None:
         if self._wal_buffer is not None:
             self._wal_buffer.append((dst, message))
@@ -159,7 +169,7 @@ class _DurableRole:
         if self._wal is None:
             super().on_message(src, message)  # type: ignore[misc]
             return
-        if self._wal.closed or self._wal_retry is not None:
+        if not self.answerable():
             # The node is dead (stable storage released by stop() or a
             # fail-stop), or persistence is stalled on a full disk: the
             # frame must be dropped, not answered — crash semantics,
@@ -177,10 +187,18 @@ class _DurableRole:
             # durable state and may leave at once
             self._wal_release(buffered)
             return
+        self._wal_persist(state, buffered)
+
+    def _wal_persist(
+        self, state: Any, buffered: List[Tuple[Hashable, Any]]
+    ) -> None:
+        """Log ``state``; ``buffered`` leaves once it is on disk.
+
+        The role's one persist, for a handler and for the ENOSPC retry
+        alike.  A full disk parks both; any other failure has closed
+        the WAL, and nothing leaves.
+        """
         try:
-            # under group commit the callback fires after the shared
-            # fsync of this event-loop tick — one sync covers every
-            # role that recorded in it, and no reply beats its record
             self._wal.record_durable(
                 self._wal_kind,
                 self._wal_slot,
@@ -188,9 +206,12 @@ class _DurableRole:
                 lambda: self._wal_release(buffered),
             )
         except WALFullError:
-            self._wal_begin_retry(state, buffered)
+            self._wal_park(state, buffered)
+            return
+        except WALError:
             return
         self._wal_persisted = state
+        self._wal_retry = None
 
     def _wal_release(self, buffered: List[Tuple[Hashable, Any]]) -> None:
         """Let the buffered replies leave (state is durable or unchanged)."""
@@ -199,48 +220,36 @@ class _DurableRole:
 
     # -- ENOSPC backoff-and-retry --------------------------------------
 
-    def _wal_begin_retry(
+    def _wal_park(
         self, state: Any, buffered: List[Tuple[Hashable, Any]]
     ) -> None:
-        """Park the unpersisted state + replies and arm the first retry."""
-        logger.warning(
-            "%r: WAL append hit ENOSPC; holding %d replies and retrying",
-            self.pid, len(buffered),
-        )
+        """Hold the unpersisted state + replies and arm the next retry,
+        or fail-stop the WAL once the backoff budget is spent."""
+        if self._wal_retry is None:
+            logger.warning(
+                "%r: WAL append hit ENOSPC; holding %d replies and retrying",
+                self.pid, len(buffered),
+            )
+            self._wal_attempt = 0
+        else:
+            self._wal_attempt += 1
+            if WAL_RETRY_BACKOFF.exhausted(self._wal_attempt):
+                self._wal.fail_stop(
+                    f"{self.pid!r} still full after "
+                    f"{self._wal_attempt} retries"
+                )
+                return
         self._wal_retry = (state, buffered)
-        self._wal_attempt = 0
         self.set_timer(
-            WAL_RETRY_BACKOFF.delay(0, key=str(self.pid)),
+            WAL_RETRY_BACKOFF.delay(self._wal_attempt, key=str(self.pid)),
             self._wal_retry_tick,
         )
 
     @atomic_section
     def _wal_retry_tick(self) -> None:
-        """Re-attempt the parked persist; release replies on success."""
-        if self._wal is None or self._wal.closed or self._wal_retry is None:
-            return
-        state, buffered = self._wal_retry
-        try:
-            self._wal.record(self._wal_kind, self._wal_slot, state)
-        except WALFullError:
-            self._wal_attempt += 1
-            if WAL_RETRY_BACKOFF.exhausted(self._wal_attempt):
-                logger.error(
-                    "%r: WAL still full after %d retries; failing stop",
-                    self.pid, self._wal_attempt,
-                )
-                self._wal_retry = None
-                self._wal.close()  # fail-stop: closed WAL gates handlers
-                return
-            self.set_timer(
-                WAL_RETRY_BACKOFF.delay(self._wal_attempt, key=str(self.pid)),
-                self._wal_retry_tick,
-            )
-            return
-        self._wal_persisted = state
-        self._wal_retry = None
-        for dst, msg in buffered:
-            super().send(dst, msg)  # type: ignore[misc]
+        """Re-attempt the parked persist (a fail-stop cancels it)."""
+        if not self._wal.closed:
+            self._wal_persist(*self._wal_retry)
 
 
 class DurableQuorumServer(_DurableRole, QuorumServer):
@@ -266,7 +275,8 @@ class RecordingCoordinator(PaxosCoordinator):
     answers requests on settled slots from the WAL instead of paying a
     Paxos round per slot.  It is an optimization, not a safety
     requirement — losing it only costs latency, so the decision is
-    logged after the fact rather than via persist-before-reply.
+    logged after the fact rather than via persist-before-reply.  A
+    closed WAL silences it, as it does the node's durable roles.
     """
 
     def __init__(self, *args, wal=None, slot=None, **kwargs) -> None:
@@ -281,6 +291,12 @@ class RecordingCoordinator(PaxosCoordinator):
         if not had:
             self._decision_logged = True  # came *from* the WAL
 
+    def send(self, dst: Hashable, message: Any) -> None:
+        # a closed WAL (the node stopped or fail-stopped) silences the
+        # handlers and the retry timers alike
+        if self._wal is None or not self._wal.closed:
+            super().send(dst, message)
+
     def on_message(self, src: Hashable, message: Any) -> None:
         super().on_message(src, message)
         if (
@@ -291,8 +307,10 @@ class RecordingCoordinator(PaxosCoordinator):
         ):
             try:
                 self._wal.record_decided(self._slot, self.decision)
-            except WALFullError:
-                return  # optimization only; the next message retries
+            except WALError:
+                # full: optimization only, the next message retries;
+                # failed: the WAL fail-stopped and gates this role
+                return
             self._decision_logged = True
 
 
@@ -409,7 +427,8 @@ class ReplicaNode:
 
         Replays the acceptor's current acceptance to the new learner so a
         registration that loses the race against phase 2 still hears the
-        vote (duplicates are harmless: learners count votes in sets).
+        vote (duplicates are harmless: learners count votes in sets) —
+        only while that acceptance is what the WAL holds.
         """
         acceptor = self._role("acc", slot)
         # Backup is starting on this slot: a coordinator that has a
@@ -419,7 +438,7 @@ class ReplicaNode:
         if learner not in learners:
             learners.append(learner)
         acceptor.register_learners(learners)
-        if acceptor.accepted_ballot >= 0:
+        if acceptor.accepted_ballot >= 0 and acceptor.answerable():
             acceptor.send(
                 learner,
                 (

@@ -27,8 +27,9 @@ fourth once per open:
 The on-disk format is deliberately boring: an append-only file of
 ``[length u32][crc32 u32][payload]`` records, each payload a binary
 body of the tuple-preserving codec (:mod:`repro.net.codec`) behind its
-magic byte, fsync'd per append.  Replay decodes a payload as a frame
-body, by its first byte, so older JSON records still replay.  All
+magic byte, fsync'd per append: a fact is on disk before the call
+that logged it returns.  Replay decodes a payload as a frame body, by
+its first byte, so older JSON records still replay.  All
 filesystem access goes through the injectable
 :class:`~repro.net.faultfs.FaultFS` seam, so the nemesis can tear
 writes, flip bits, exhaust the disk, or lie about fsync.
@@ -51,10 +52,15 @@ responses:
   trusted: replay raises :exc:`WALCorruptionError` and the node must
   fail-stop — never serve from a corrupted fold.
 
-``ENOSPC`` on append is survivable: the partial frame is rolled back
-(the file is truncated to the last durable record) and the typed
-:exc:`WALFullError` tells the caller to back off and retry rather than
-crash the event loop.
+Every write of a running node goes through :meth:`NodeWAL.record`, and
+one failure rule covers them all.  ``ENOSPC`` from writing a log frame
+or the compaction snapshot is survivable: a partial frame is rolled
+back to the last durable record, a partial snapshot is removed, and
+the typed :exc:`WALFullError` tells the caller to back off and retry.
+Any other ``OSError`` (above all a failed fsync, after which
+durability is unknowable) closes the log, is logged once at error
+level and raises :exc:`WALError`: the caller releases nothing, and the
+closed log silences every role that shares it.
 
 Replay cost grows with log length, so :class:`NodeWAL` folds the log
 into per-slot maps and periodically **compacts**: the folded state is
@@ -70,6 +76,7 @@ from __future__ import annotations
 import asyncio
 import errno
 import json
+import logging
 import os
 import struct
 import zlib
@@ -86,6 +93,8 @@ from .codec import (
     dump_json,
 )
 from .faultfs import FaultFS
+
+logger = logging.getLogger(__name__)
 
 #: record header: payload length, crc32 of the payload (big-endian u32s)
 _HEADER = struct.Struct(">II")
@@ -247,11 +256,10 @@ class WriteAheadLog:
         stays a clean prefix of complete records) and
         :exc:`WALFullError` is raised for the caller to retry.
 
-        ``sync=False`` writes the frame without forcing it to disk —
-        the group-commit building block.  Appends are strictly ordered,
-        so a crash before the next :meth:`sync` loses a *suffix* of the
-        unsynced records, never a middle one: replay always recovers a
-        prefix, which is exactly the torn-tail contract.
+        ``sync=False`` leaves the frame unsynced until :meth:`sync`, so
+        the two can be timed apart.  Appends are strictly ordered, so a
+        crash before the sync loses a *suffix* of the unsynced records,
+        never a middle one: the torn-tail contract.
         """
         body = _MAGIC + BINARY_CODEC.encode_body(value)
         frame = _HEADER.pack(len(body), zlib.crc32(body)) + body
@@ -283,16 +291,26 @@ class WriteAheadLog:
         and renamed over ``snapshot.json`` (atomic on POSIX); only then
         is the log truncated.  A crash between the two leaves snapshot
         + full log, which replays to the same state (slot records are
-        idempotent overwrites).
+        idempotent overwrites).  ``ENOSPC`` while writing the snapshot
+        removes the tmp file and raises :exc:`WALFullError`; the log is
+        left as it was.
         """
         body = JSON_CODEC.encode_body(snapshot_value)
         tmp_path = self.snapshot_path + ".tmp"
-        self.fs.write_text(
-            tmp_path,
-            '{"crc32":%d,"snapshot":%s}'
-            % (zlib.crc32(body), body.decode("ascii")),
-            fsync=self.fsync,
-        )
+        try:
+            self.fs.write_text(
+                tmp_path,
+                '{"crc32":%d,"snapshot":%s}'
+                % (zlib.crc32(body), body.decode("ascii")),
+                fsync=self.fsync,
+            )
+        except OSError as exc:
+            if exc.errno != errno.ENOSPC:
+                raise
+            self.fs.remove(tmp_path)
+            raise WALFullError(
+                f"snapshot of {len(body)} bytes hit ENOSPC; log kept"
+            ) from exc
         self.fs.replace(tmp_path, self.snapshot_path)
         self.fs.fsync_dir(self.directory)
         self.fs.truncate(self._handle, 0)
@@ -355,14 +373,7 @@ class NodeWAL:
     out of the constructor: a node that cannot record its incarnation
     must not serve.
 
-    With ``group_commit`` (the default), :meth:`record_durable` coalesces
-    every append issued in one event-loop tick into a *single* fsync:
-    records are written unsynced, their ``on_durable`` callbacks queue,
-    and one scheduled flush syncs the batch then releases all callbacks.
-    Persist-before-reply is preserved — no callback (and therefore no
-    buffered reply) fires before the fsync that covers its record — it
-    is only the fsync *count* that drops from N to 1 per tick.
-    ``group_commit=False`` is one fsync per append, the seed's policy.
+    :meth:`record` is the one write path (module docstring).
     """
 
     def __init__(
@@ -371,17 +382,9 @@ class NodeWAL:
         fsync: bool = True,
         compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
         fs: Optional[FaultFS] = None,
-        group_commit: bool = True,
     ) -> None:
         self.wal = WriteAheadLog(directory, fsync=fsync, fs=fs)
         self.compact_threshold = compact_threshold
-        self.group_commit = group_commit
-        #: callbacks awaiting the next group fsync
-        self._pending_durable: List[Any] = []
-        self._flush_scheduled = False
-        #: observability: group flushes performed / records they covered
-        self.group_flushes = 0
-        self.group_records = 0
         state = RecoveredState(torn_tail=self.wal.torn_tail)
         if self.wal.snapshot is not None:
             self._apply_snapshot(state, self.wal.snapshot)
@@ -434,18 +437,23 @@ class NodeWAL:
 
         Raises :exc:`WALFullError` if the disk is full (the fact is
         *not* durable; retry after backoff).  A full disk during the
-        follow-on compaction is swallowed: compaction is an
-        optimization, and retrying the append would double-log the
-        fact.
+        follow-on compaction is swallowed: the fact is durable, and the
+        next record retries the compaction.  Any other failed write
+        fail-stops the log (:meth:`fail_stop`) and raises
+        :exc:`WALError`.
         """
         record = (kind, slot, payload)
-        self.wal.append(record)
-        self._apply(self.state, record)
-        if self.wal.record_count >= self.compact_threshold:
-            try:
-                self.compact()
-            except WALFullError:
-                pass  # deferred: next record retries compaction
+        try:
+            self.wal.append(record)
+            self._apply(self.state, record)
+            if self.wal.record_count >= self.compact_threshold:
+                try:
+                    self.compact()
+                except WALFullError:
+                    pass  # deferred: next record retries compaction
+        except OSError as exc:
+            self.fail_stop(f"writing {kind!r} of slot {slot} failed: {exc}")
+            raise WALError(f"{self.directory}: {exc}") from exc
 
     def record_durable(
         self,
@@ -454,55 +462,25 @@ class NodeWAL:
         payload: Any,
         on_durable: Any,
     ) -> None:
-        """Log one fact and invoke ``on_durable`` once it is on disk.
+        """:meth:`record` one fact, then hand ``on_durable`` to the loop.
 
-        Without group commit this is ``record`` + an immediate callback.
-        With it, the record is appended unsynced and the callback joins
-        the batch released by the next scheduled flush — one fsync per
-        event-loop tick, however many roles recorded in it.  Raises
-        :exc:`WALFullError` exactly like :meth:`record` (the callback
-        does not fire; the caller owns the retry).
+        The fact is on disk when this returns; the callback runs on the
+        next tick of the running event loop, or at once when none runs.
+        Raises exactly what :meth:`record` raises, and then the callback
+        never runs: the caller owns the retry.
         """
-        if not self.group_commit:
-            self.record(kind, slot, payload)
-            on_durable()
-            return
-        record = (kind, slot, payload)
-        self.wal.append(record, sync=False)
-        self._apply(self.state, record)
-        self._pending_durable.append(on_durable)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            try:
-                loop = asyncio.get_running_loop()
-            except RuntimeError:
-                self._flush_group()  # no loop: degenerate to sync mode
-            else:
-                loop.call_soon(self._flush_group)
-
-    def _flush_group(self) -> None:
-        """One fsync for every append queued this tick, then release."""
-        self._flush_scheduled = False
-        pending, self._pending_durable = self._pending_durable, []
-        if not pending:
-            return
+        self.record(kind, slot, payload)
         try:
-            self.wal.sync()
-        except OSError:
-            # a failed fsync means durability is unknowable: fail-stop
-            # without releasing any reply (persist-before-reply holds
-            # vacuously; the node wedges rather than lies)
-            self.close()
-            return
-        self.group_flushes += 1
-        self.group_records += len(pending)
-        for callback in pending:
-            callback()
-        if self.wal.record_count >= self.compact_threshold:
-            try:
-                self.compact()
-            except WALFullError:
-                pass  # deferred: next flush retries compaction
+            loop = asyncio.get_running_loop()
+        except RuntimeError:
+            on_durable()
+        else:
+            loop.call_soon(on_durable)
+
+    def fail_stop(self, reason: str) -> None:
+        """Close the log for good, saying why once at error level."""
+        logger.error("WAL %s: %s; failing stop", self.directory, reason)
+        self.close()
 
     def record_acceptor(
         self, slot: int, triple: Tuple[int, int, Optional[Hashable]]

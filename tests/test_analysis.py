@@ -467,20 +467,7 @@ GOOD_BODY = """\
             # durable state and may leave at once
             self._wal_release(buffered)
             return
-        try:
-            # under group commit the callback fires after the shared
-            # fsync of this event-loop tick — one sync covers every
-            # role that recorded in it, and no reply beats its record
-            self._wal.record_durable(
-                self._wal_kind,
-                self._wal_slot,
-                state,
-                lambda: self._wal_release(buffered),
-            )
-        except WALFullError:
-            self._wal_begin_retry(state, buffered)
-            return
-        self._wal_persisted = state
+        self._wal_persist(state, buffered)
 """
 
 BUGGED_BODY = """\

@@ -263,31 +263,29 @@ class TestWALFaultMatrix:
             NodeWAL(str(tmp_path), fs=fs)
         assert fs.stats["flipped_reads"] == 1
 
-    def test_lying_fsync_under_group_commit_loses_a_clean_suffix(
-        self, tmp_path
-    ):
-        # Group commit batches a tick's appends behind one fsync; if
-        # that fsync lies, the power cut drops the *whole batch* back
-        # to the last honest sync — a clean prefix replay, exactly the
-        # per-append-fsync story.  Coalescing must not change the
-        # failure shape, only the fsync count.
+    def test_lying_fsync_per_record_loses_a_clean_suffix(self, tmp_path):
+        # record_durable syncs each record before it queues the reply;
+        # if every fsync lies, the power cut drops the whole run back to
+        # the last honest sync — a clean prefix replay, exactly the
+        # per-append story of the bare log above.
         import asyncio
 
         fs = FaultyFS(seed=5, lying_fsync=True)
-        wal = NodeWAL(str(tmp_path), fs=fs, group_commit=True)
+        wal = NodeWAL(str(tmp_path), fs=fs)
+        opened = fs.stats["fsyncs"]
 
         async def tick():
             for slot in range(4):
                 wal.record_durable("dec", slot, f"v{slot}", lambda: None)
-            await asyncio.sleep(0)  # the (lying) group flush
+            await asyncio.sleep(0)  # the replies' tick
 
         asyncio.run(tick())
-        assert wal.group_flushes == 1  # the flush "succeeded"
+        assert fs.stats["fsyncs"] == opened + 4  # each "succeeded"
         wal.close()
         fs.drop_unsynced(os.path.join(str(tmp_path), "wal.log"))
         replay = NodeWAL(str(tmp_path))
-        # nothing was honestly durable: the batch is gone together, the
-        # log reads as a clean (empty) prefix, never corruption
+        # nothing was honestly durable: the records are gone together,
+        # the log reads as a clean (empty) prefix, never corruption
         assert replay.recovered.decided == {}
         assert not replay.recovered.torn_tail
         replay.close()

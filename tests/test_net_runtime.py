@@ -58,7 +58,7 @@ def make_client(cluster, transport, recorder, name="c0", **kwargs):
 #: the seed's plane, named: the paper's one-op-per-round client on JSON
 #: frames with one fsync per append (what ``run_loadgen`` ran by default
 #: before the measured plane became the default)
-PAPER_CLIENT = dict(pipeline=False, codec="json", group_commit=False)
+PAPER_CLIENT = dict(pipeline=False, codec="json")
 
 
 class TestLoadgen:

@@ -32,6 +32,7 @@ from repro.net.codec import (
     _UNREAD,
     get_codec,
 )
+from repro.net.faultfs import FaultyFS
 from repro.net.loadgen import run_loadgen
 from repro.net.pipeline import (
     BadDecree,
@@ -387,8 +388,8 @@ class TestProbingClient:
 
 class TestTheDefaultPlaneIsTheMeasuredOne:
     """Saying nothing gets what ``benchmarks/ledger`` measures: batching
-    pipelines, binary frames, WAL group commit (DESIGN.md, "Defaults are
-    the measured plane")."""
+    pipelines, binary frames, a WAL fsync per record (DESIGN.md,
+    "Defaults are the measured plane")."""
 
     def test_run_loadgen_with_no_plane_argument(self, tmp_path):
         report = run_loadgen(ops=96, wal_root=str(tmp_path), emit=SILENT)
@@ -397,24 +398,28 @@ class TestTheDefaultPlaneIsTheMeasuredOne:
         assert (report.window, report.batch) == (8, 16)
         assert report.batched_ops > report.decrees > 0
 
-    def test_a_default_cluster_group_commits_binary_frames(self, tmp_path):
+    def test_a_default_cluster_syncs_every_record(self, tmp_path):
+        fs = {i: FaultyFS(seed=i) for i in range(3)}
+
         async def scenario():
-            cluster = ShardedCluster(wal_root=str(tmp_path))
+            cluster = ShardedCluster(wal_root=str(tmp_path), wal_fs=fs)
             await cluster.start()
             transport = cluster.client_transport("clients")
             recorder = HistoryRecorder(clock=lambda: transport.now)
             client = probing_client("c0", 3, transport, recorder)
             await client.submit(("put", "k", 1))
-            wals = [node.wal for node in cluster.nodes]
             await cluster.stop()
             bare = AsyncTransport("bare", AddressBook())
-            return cluster, transport, wals, bare
+            return cluster, transport, bare
 
-        cluster, transport, wals, bare = asyncio.run(scenario())
+        cluster, transport, bare = asyncio.run(scenario())
         assert transport.codec is bare.codec is BINARY_CODEC
         assert all(n.transport.codec is BINARY_CODEC for n in cluster.nodes)
-        assert all(wal.group_commit and wal.group_flushes > 0 for wal in wals)
-        assert NodeWAL(str(tmp_path / "fresh")).group_commit
+        # no record waits on another's fsync
+        assert all(
+            disk.stats["fsyncs"] >= disk.stats["appends"] > 1
+            for disk in fs.values()
+        )
 
     @pytest.mark.parametrize(
         "cluster_codec, client_codec",
@@ -932,8 +937,7 @@ class TestEncodeOnce:
 
         async def scenario():
             cluster = ShardedCluster(
-                n_servers=3, codec="binary", wal_root=str(tmp_path),
-                group_commit=True,
+                n_servers=3, codec="binary", wal_root=str(tmp_path)
             )
             await cluster.start()
             transport = cluster.client_transport("clients")
@@ -1112,8 +1116,7 @@ class TestOldLogs:
 
         async def scenario():
             cluster = ShardedCluster(
-                n_servers=3, codec="binary", wal_root=str(tmp_path),
-                group_commit=True,
+                n_servers=3, codec="binary", wal_root=str(tmp_path)
             )
             await cluster.start()
             transport = cluster.client_transport("clients")

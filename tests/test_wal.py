@@ -4,13 +4,14 @@ The WAL is the stable storage of the TCP runtime: everything here
 exercises the crash cases the runtime's recovery depends on — a clean
 replay, torn tails of every flavour (short header, short body, corrupt
 checksum), the snapshot-compaction invariant that snapshot + tail
-replays to the same fold as the full history, and the group-commit
-contract: one fsync covers a tick's appends, no callback fires before
-the fsync that covers its record, and a crash mid-group loses a suffix
-of the group — replay always recovers a prefix, never a hole.
+replays to the same fold as the full history, and the write path's
+contract: each record is fsync'd before its callback is queued, a
+crash loses a suffix — replay always recovers a prefix, never a hole —
+and a failed write fail-stops the log without releasing anything.
 """
 
 import asyncio
+import errno
 import os
 import struct
 import zlib
@@ -39,6 +40,7 @@ from repro.net.wal import (
     NodeWAL,
     RecoveredState,
     WALCorruptionError,
+    WALError,
     WALFullError,
     WriteAheadLog,
 )
@@ -48,6 +50,18 @@ from repro.smr.universal import make_batch
 def log_bytes(wal_dir):
     with open(os.path.join(str(wal_dir), "wal.log"), "rb") as handle:
         return handle.read()
+
+
+def fill_the_disk_for_snapshots(fs):
+    """Make ``fs`` too full for a snapshot: half of it lands in the tmp
+    file, then ``ENOSPC``.  ``del fs.write_text`` frees the space."""
+    real = fs.write_text
+
+    def full(path, text, fsync=True):
+        real(path, text[: len(text) // 2], fsync=False)
+        raise OSError(errno.ENOSPC, "no space left on device (injected)")
+
+    fs.write_text = full
 
 
 class TestWriteAheadLog:
@@ -248,6 +262,44 @@ def incarnations(directory, opens, **kwargs):
     return seen
 
 
+class TestCompactionOnAFullDisk:
+    def test_the_snapshot_is_dropped_and_the_log_kept(self, tmp_path):
+        fs = FaultyFS(seed=0)
+        log = WriteAheadLog(str(tmp_path), fs=fs)
+        log.append(("dec", 0, "v"))
+        fill_the_disk_for_snapshots(fs)
+        with pytest.raises(WALFullError):
+            log.compact({"dec": {0: "v"}})
+        assert os.listdir(str(tmp_path)) == ["wal.log"]  # no .tmp left
+        log.close()
+        replay = WriteAheadLog(str(tmp_path))
+        assert replay.records == [("dec", 0, "v")]
+        replay.close()
+
+    def test_every_record_is_still_answered(self, tmp_path):
+        fs = FaultyFS(seed=0)
+        wal = NodeWAL(str(tmp_path), fs=fs, compact_threshold=3)
+        fill_the_disk_for_snapshots(fs)
+        released = []
+        for slot in range(5):
+            wal.record_durable(
+                "dec", slot, f"v{slot}",
+                lambda slot=slot: released.append(slot),
+            )
+        # each record is durable, so each reply leaves; no .tmp is left
+        assert released == [0, 1, 2, 3, 4]
+        assert os.listdir(str(tmp_path)) == ["wal.log"]
+        del fs.write_text  # space comes back: the next record compacts
+        wal.record("dec", 5, "v5")
+        assert wal.wal.snapshot is not None and wal.wal.record_count == 0
+        wal.close()
+        reopened = NodeWAL(str(tmp_path))
+        assert reopened.recovered.decided == {
+            s: f"v{s}" for s in range(6)
+        }
+        reopened.close()
+
+
 class TestIncarnationMarker:
     """One durable marker per open: only a directory that proves it was
     never opened is incarnation 0 (and may claim ballot 0 unasked)."""
@@ -338,70 +390,59 @@ class TestIncarnationMarker:
 
 
 class TestGroupCommit:
-    def test_one_fsync_covers_a_ticks_appends(self, tmp_path):
+    """What group commit promised, held by the one write path: every
+    record is fsync'd before ``record_durable`` returns, no callback
+    runs before that fsync, a crash leaves a prefix, and a failed fsync
+    releases nothing."""
+
+    def test_each_record_is_synced_before_its_callback_is_queued(
+        self, tmp_path
+    ):
         fs = FaultyFS(seed=0)
-        wal = NodeWAL(str(tmp_path), fs=fs, group_commit=True)
+        wal = NodeWAL(str(tmp_path), fs=fs)
         released = []
 
         async def tick():
-            for slot in range(5):
+            for slot in range(3):
+                before = fs.stats["fsyncs"]
                 wal.record_durable(
                     "dec", slot, f"v{slot}",
                     lambda slot=slot: released.append(slot),
                 )
-            # persist-before-reply: nothing released before the flush
+                assert fs.stats["fsyncs"] == before + 1
+            # on disk already, released on the loop's next tick
             assert released == []
-            before = fs.stats["fsyncs"]
-            await asyncio.sleep(0)  # run the scheduled flush
-            assert released == [0, 1, 2, 3, 4]
-            assert fs.stats["fsyncs"] == before + 1
+            await asyncio.sleep(0)
+            assert released == [0, 1, 2]
 
         asyncio.run(tick())
-        assert wal.group_flushes == 1
-        assert wal.group_records == 5
+        # no loop running: the callback runs at once
+        wal.record_durable("dec", 3, "v3", lambda: released.append(3))
+        assert released == [0, 1, 2, 3]
         wal.close()
         reopened = NodeWAL(str(tmp_path))
         assert reopened.recovered.decided == {
-            s: f"v{s}" for s in range(5)
+            s: f"v{s}" for s in range(4)
         }
         reopened.close()
 
-    def test_without_a_loop_degenerates_to_per_record_sync(self, tmp_path):
-        wal = NodeWAL(str(tmp_path), group_commit=True)
-        released = []
-        wal.record_durable("dec", 0, "v", lambda: released.append(0))
-        assert released == [0]  # flushed inline, no loop to defer to
-        wal.close()
-
-    def test_group_commit_off_is_record_plus_callback(self, tmp_path):
-        fs = FaultyFS(seed=0)
-        wal = NodeWAL(str(tmp_path), fs=fs, group_commit=False)
-        opened = fs.stats["fsyncs"]  # the incarnation marker's own
-        released = []
-        wal.record_durable("dec", 0, "v", lambda: released.append(0))
-        wal.record_durable("dec", 1, "w", lambda: released.append(1))
-        assert released == [0, 1]
-        # one per record, the seed path
-        assert fs.stats["fsyncs"] == opened + 2
-        wal.close()
-
     def test_crash_mid_group_replays_to_prefix_never_a_hole(self, tmp_path):
-        wal = NodeWAL(str(tmp_path), group_commit=True)
+        wal = NodeWAL(str(tmp_path))
         head = len(log_bytes(tmp_path))  # the incarnation marker
         released = []
 
-        async def crash_before_flush():
+        async def crash_before_the_release():
             for slot in range(3):
                 wal.record_durable(
                     "dec", slot, f"v{slot}",
                     lambda slot=slot: released.append(slot),
                 )
-            # the process dies before the scheduled flush runs: no
-            # reply was released, so nothing was promised to anyone
+            # the process dies before the next tick: no reply was
+            # released, so nothing was promised to anyone
             wal.close()
+            assert released == []
 
-        asyncio.run(crash_before_flush())
-        assert released == []
+        asyncio.run(crash_before_the_release())
         # appends are strictly ordered: whatever writeback persisted is
         # a byte prefix — model the worst case, a tear inside record 1
         path = os.path.join(str(tmp_path), "wal.log")
@@ -418,16 +459,20 @@ class TestGroupCommit:
 
     def test_fsync_failure_wedges_without_releasing(self, tmp_path):
         fs = FaultyFS(seed=0)
-        wal = NodeWAL(str(tmp_path), fs=fs, group_commit=True)
+        wal = NodeWAL(str(tmp_path), fs=fs)
         released = []
 
+        def broken_fsync(handle):
+            raise OSError(errno.EIO, "injected fsync failure")
+
+        fs.fsync = broken_fsync
+
         async def tick():
-            wal.record_durable("dec", 0, "v", lambda: released.append(0))
-
-            def broken_fsync(handle):
-                raise OSError("injected fsync failure")
-
-            fs.fsync = broken_fsync
+            with pytest.raises(WALError) as raised:
+                wal.record_durable(
+                    "dec", 0, "v", lambda: released.append(0)
+                )
+            assert not isinstance(raised.value, WALFullError)
             await asyncio.sleep(0)
 
         asyncio.run(tick())
