@@ -43,7 +43,10 @@ class PartitionSpec:
     theorem (Herlihy–Wing, §4.3 — reproduced in ``test_locality.py``) a
     trace of such an ADT is linearizable iff each per-key projection is
     linearizable against its component ADT, which is what the fast-path
-    engine in :mod:`repro.core.fastcheck` exploits.
+    engine in :mod:`repro.core.fastcheck` exploits.  The claim has a
+    second reader: the replicated apply
+    (:meth:`repro.net.pipeline.SlotPipeline._fold`) keeps the ADT's own
+    state per ``key_of`` key and answers each command from its key's.
 
     ``key_of(input)`` maps an input payload to its partition key;
     ``component(key)`` builds the per-key ADT; ``project_input`` /

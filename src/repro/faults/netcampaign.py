@@ -898,7 +898,7 @@ def _storm_witness(run: LiveRun, result: NetRunResult) -> None:
     result.distinct_incs = len(
         {seq_uid(c) or id(c) for c in dedup_commands(incs)}
     )
-    result.applied_count = pipeline._state
+    result.applied_count = pipeline._state.get(None, 0)  # the counter's cell
 
 
 KV_WORKLOAD = _Workload(

@@ -57,6 +57,7 @@ broadcast message behind each destination's header (:class:`BodyMemo`).
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import struct
 from typing import Any, Iterator, Optional, Sequence, Tuple, Union
@@ -110,7 +111,7 @@ class Packed(bytes):
     pays to read it back.
     """
 
-    _value: Any
+    _value: Any = _UNREAD  # a decoder's Packed skips __new__
 
     def __new__(cls, body: bytes, value: Any = _UNREAD) -> "Packed":
         self = super().__new__(cls, body)
@@ -200,6 +201,14 @@ _TAG_I64 = struct.Struct(">cq")
 _TAG_F64 = struct.Struct(">cd")
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _str_body(value: str) -> bytes:
+    """A short string's binary body, tag, length and UTF-8: every frame
+    repeats the same message kinds, role names, keys and clients."""
+    raw = value.encode("utf-8")
+    return _TAG_U32.pack(b"s", len(raw)) + raw
+
+
 def _binary_encode(value: Any, out: bytearray) -> None:
     # exact-type dispatch, commonest leaves first (a decree is tuples of
     # strs and ints); subclasses take the isinstance chain below
@@ -211,7 +220,17 @@ def _binary_encode(value: Any, out: bytearray) -> None:
     elif kind is tuple:
         out += _TAG_U32.pack(b"t", len(value))
         for item in value:
-            _binary_encode(item, out)
+            # a tuple's commonest items inline, the rest one call down
+            kind = type(item)
+            if kind is str and len(item) <= 64:  # bounds the memo's bytes
+                out += _str_body(item)
+            elif kind is int and -(1 << 63) <= item < 1 << 63:
+                out += _TAG_I64.pack(b"i", item)
+            elif kind is Packed:
+                out += _TAG_U32.pack(b"p", len(item))
+                out += item
+            else:
+                _binary_encode(item, out)
     elif kind is int:
         try:
             out += _TAG_I64.pack(b"i", value)
@@ -253,66 +272,60 @@ _TAG_i, _TAG_I, _TAG_f, _TAG_s = ord("i"), ord("I"), ord("f"), ord("s")
 _TAG_t, _TAG_l, _TAG_d, _TAG_p = ord("t"), ord("l"), ord("d"), ord("p")
 
 
-def _binary_decode(body: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+def _binary_decode(body: bytes, pos: int) -> Tuple[Any, int]:
     """Decode the value at ``body[pos]``; return it and the offset after
-    it.  Running off the end raises ``IndexError`` / ``struct.error``,
-    which :func:`decode_body` reports as a truncated frame."""
-    tag = body[pos]
-    pos += 1
-    if tag == _TAG_s:
-        (size,) = _U32.unpack_from(body, pos)
-        pos += 4
-        end = pos + size
-        if end > len(body):
-            raise IndexError(end)
-        return body[pos:end].decode("utf-8"), end
-    if tag == _TAG_t or tag == _TAG_l:
-        (count,) = _U32.unpack_from(body, pos)
-        pos += 4
-        if depth >= MAX_DEPTH:
-            raise _too_deep()
-        depth += 1
-        items = []
-        for _ in range(count):
-            item, pos = _binary_decode(body, pos, depth)
-            items.append(item)
-        return (tuple(items) if tag == _TAG_t else items), pos
-    if tag == _TAG_i:
-        return _I64.unpack_from(body, pos)[0], pos + 8
-    if tag == _TAG_p:
-        (size,) = _U32.unpack_from(body, pos)
-        pos += 4
-        end = pos + size
-        if end > len(body):
-            raise IndexError(end)
-        return Packed(body[pos:end]), end
-    if tag == _TAG_N:
-        return None, pos
-    if tag == _TAG_f:
-        return _F64.unpack_from(body, pos)[0], pos + 8
-    if tag == _TAG_T:
-        return True, pos
-    if tag == _TAG_F:
-        return False, pos
-    if tag == _TAG_d:
-        (count,) = _U32.unpack_from(body, pos)
-        pos += 4
-        if depth >= MAX_DEPTH:
-            raise _too_deep()
-        depth += 1
-        table = {}
-        for _ in range(count):
-            key, pos = _binary_decode(body, pos, depth)
-            table[key], pos = _binary_decode(body, pos, depth)
-        return table, pos
-    if tag == _TAG_I:
-        (size,) = _U32.unpack_from(body, pos)
-        pos += 4
-        end = pos + size
-        if end > len(body):
-            raise IndexError(end)
-        return int(body[pos:end].decode("ascii")), end
-    raise FrameError(f"unknown binary tag {bytes([tag])!r}")
+    it.  One loop: ``items`` fills the innermost open container (a
+    dict's keys and values alternate) up to ``count``, and ``stack``
+    holds the enclosing ones'.  Running off the end raises
+    ``IndexError`` / ``struct.error``: a truncated frame."""
+    stack: list = []
+    kind, items, count = 0, None, 0
+    while True:
+        tag = body[pos]
+        if tag == _TAG_s or tag == _TAG_p or tag == _TAG_I:
+            (size,) = _U32.unpack_from(body, pos + 1)
+            pos += 5 + size
+            if pos > len(body):
+                raise IndexError(pos)
+            raw = body[pos - size:pos]
+            value = (
+                raw.decode("utf-8") if tag == _TAG_s
+                else bytes.__new__(Packed, raw) if tag == _TAG_p
+                else int(raw.decode("ascii"))
+            )
+        elif tag == _TAG_t or tag == _TAG_l or tag == _TAG_d:
+            (size,) = _U32.unpack_from(body, pos + 1)
+            pos += 5
+            if len(stack) >= MAX_DEPTH:
+                raise _too_deep()
+            if size:
+                stack.append((kind, items, count))
+                kind, items = tag, []
+                count = 2 * size if tag == _TAG_d else size
+                continue
+            value = () if tag == _TAG_t else [] if tag == _TAG_l else {}
+        elif tag == _TAG_i:
+            value = _I64.unpack_from(body, pos + 1)[0]
+            pos += 9
+        elif tag == _TAG_N or tag == _TAG_T or tag == _TAG_F:
+            value, pos = None if tag == _TAG_N else tag == _TAG_T, pos + 1
+        elif tag == _TAG_f:
+            value = _F64.unpack_from(body, pos + 1)[0]
+            pos += 9
+        else:
+            raise FrameError(f"unknown binary tag {bytes([tag])!r}")
+        # hand the value to its container, closing every one it fills
+        while items is not None:
+            items.append(value)
+            if len(items) < count:
+                break
+            value = (
+                tuple(items) if kind == _TAG_t else items if kind == _TAG_l
+                else dict(zip(items[::2], items[1::2]))
+            )
+            kind, items, count = stack.pop()
+        else:
+            return value, pos
 
 
 def decode_body(body: bytes) -> Any:
@@ -321,7 +334,7 @@ def decode_body(body: bytes) -> Any:
     :exc:`FrameError`."""
     if body[:1] == _MAGIC:
         try:
-            value, pos = _binary_decode(body, 1, 0)
+            value, pos = _binary_decode(body, 1)
         except FrameError:
             raise
         except (IndexError, struct.error) as exc:
@@ -478,16 +491,23 @@ class FrameDecoder:
     """
 
     def __init__(self) -> None:
+        #: the start of a frame no chunk has completed yet
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> Iterator[Any]:
-        """Consume ``data``; yield every message completed by it."""
+        """Consume ``data``; yield every message completed by it.
+
+        Frames are parsed straight from the chunk, one copy per body;
+        only a frame that a read split is buffered."""
         buffer = self._buffer
-        buffer += data
-        pos, size = 0, len(buffer)
+        if buffer or type(data) is not bytes:
+            buffer += data
+            data = bytes(buffer)
+            buffer.clear()
+        pos, size = 0, len(data)
         try:
             while size - pos >= _LEN.size:
-                (length,) = _LEN.unpack_from(buffer, pos)
+                (length,) = _LEN.unpack_from(data, pos)
                 if length > MAX_FRAME:
                     raise FrameError(
                         f"peer announced a {length}-byte frame "
@@ -496,13 +516,11 @@ class FrameDecoder:
                 end = pos + _LEN.size + length
                 if end > size:
                     return
-                body = bytes(buffer[pos + _LEN.size:end])
+                body = data[pos + _LEN.size:end]
                 pos = end
                 yield decode_body(body)
         finally:
-            # consumed frames leave the buffer once per call, not once
-            # per frame
-            del buffer[:pos]
+            buffer += data[pos:]
 
 
 Codec = Union[JsonCodec, BinaryCodec]

@@ -121,20 +121,20 @@ class FaultFS:
     # -- append-log handle ops -----------------------------------------
 
     def open_append(self, path: str) -> LogHandle:
-        # a+b creates the file if missing; O_APPEND writes always land
-        # at the (possibly just truncated) end of file
-        return LogHandle(open(path, "a+b"), path)
+        # unbuffered, created if missing; O_APPEND writes always land at
+        # the (possibly just truncated) end of file
+        return LogHandle(open(path, "ab", buffering=0), path)
 
     def append(self, handle: LogHandle, data: bytes) -> None:
-        handle.file.write(data)
-        handle.file.flush()
+        done = handle.file.write(data)  # a raw write may take a prefix
+        while done < len(data):
+            done += handle.file.write(data[done:])
 
     def fsync(self, handle: LogHandle) -> None:
         self._fsync_file(handle.file, handle.path)
 
     def truncate(self, handle: LogHandle, size: int) -> None:
         handle.file.truncate(size)
-        handle.file.flush()
 
     def close(self, handle: LogHandle) -> None:
         if not handle.file.closed:
@@ -200,11 +200,12 @@ class FaultyFS(FaultFS):
     def drop_unsynced(self, path: str) -> None:
         """Simulate the power cut after a lying fsync: truncate ``path``
         back to its last honestly-durable size.  Call with the WAL
-        closed (the node killed); the next open replays the loss."""
-        durable = self._durable.get(path, 0)
+        closed (the node killed); the next open replays the loss.  A
+        path this filesystem never opened is durable as it stands: an
+        earlier process synced it."""
         try:
-            os.truncate(path, durable)
-        except OSError:
+            os.truncate(path, self._durable[path])
+        except (KeyError, OSError):
             pass
 
     # -- faulted hooks ---------------------------------------------------
@@ -224,8 +225,7 @@ class FaultyFS(FaultFS):
             self._dead = True
             self.stats["torn"] += 1
             cut = self.rng.randrange(1, len(data)) if len(data) > 1 else 0
-            handle.file.write(data[:cut])
-            handle.file.flush()
+            super().append(handle, data[:cut])
             os.fsync(handle.file.fileno())
             raise TornWriteCrash(f"append tore after {cut}/{len(data)} bytes")
         if self._enospc_left > 0:
@@ -233,8 +233,7 @@ class FaultyFS(FaultFS):
             self.stats["enospc"] += 1
             if self._enospc_partial and len(data) > 1:
                 cut = self.rng.randrange(1, len(data))
-                handle.file.write(data[:cut])
-                handle.file.flush()
+                super().append(handle, data[:cut])
             raise OSError(errno.ENOSPC, "no space left on device (injected)")
         super().append(handle, data)
 

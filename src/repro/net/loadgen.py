@@ -278,9 +278,12 @@ class LoadReport(RunReport):
     replicas: int
     clients: int
     ops_requested: int
-    latencies: List[float] = field(default_factory=list)
+    # not in the repr, which asyncio.run formats on its way out
+    latencies: List[float] = field(default_factory=list, repr=False)
     killed: Optional[int] = None
-    endpoint_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    endpoint_stats: Dict[str, Dict[str, int]] = field(
+        default_factory=dict, repr=False
+    )
     #: data-plane configuration; not ``pipelined`` is the paper's
     #: client: window 1, batch 1, one pipeline per client
     shards: int = 1

@@ -27,10 +27,11 @@ protocols stay untouched:
   their callers by their unique ``("seq", (client, seq))`` tags through
   the pipeline's waiter map, the moral equivalent of correlation ids on
   a multiplexed request/response socket;
-* **incremental responses** — decided slots are folded into a running
-  ADT state through the session-dedup seam
-  (:class:`~repro.smr.sessions.SessionedApplier`, O(1) amortized per
-  op) instead of re-deriving each response from the whole log prefix.
+* **incremental responses** — decided slots are folded into running
+  ADT states, one per partition key (O(1) per op whatever the store
+  holds), through the session-dedup seam
+  (:class:`~repro.smr.sessions.SessionedApplier`) instead of
+  re-deriving each response from the whole log prefix.
 
 Safety rests on three arguments, the session rule closing the retry
 gap:
@@ -84,7 +85,7 @@ from ..analysis.sanitizer import atomic_section
 from ..core.adt import ADT
 from ..mp.backoff import BackoffPolicy
 from ..mp.phases import backup, quorum, walk
-from ..smr.sessions import SessionedApplier
+from ..smr.sessions import SessionedApplier, untag_command
 from ..smr.universal import BATCH_TAG, batch_commands, kv_store_adt, make_batch
 from .client import (
     DEFAULT_BACKOFF,
@@ -243,7 +244,10 @@ class SlotPipeline:
         #: that head-of-line-blocks the apply prefix forever
         self._free_slots: List[int] = []
         self._applied_upto = 0
-        self._state = self.adt.initial_state
+        #: partition key → the ADT's state after that key's ops (_fold)
+        self._state: Dict[Hashable, Hashable] = {}
+        spec = self.adt.partition
+        self._key_of = spec.key_of if spec else lambda command: None
         #: the clients' recorder, if its tap is to hear every slot folded
         self.tapped: Optional[HistoryRecorder] = None
         #: decrees proposed / ops they carried (observability)
@@ -565,9 +569,7 @@ class SlotPipeline:
                     # before any future below resolves: inv < lin < res
                     self.tapped.decided(self._applied_upto, commands)
                 for command in commands:
-                    self._state, output, _fresh = self.applier.apply(
-                        self._state, command
-                    )
+                    output = self._fold(command)
                     entry = self._waiters.pop(command, None)
                     if entry is not None and not entry.future.done():
                         entry.future.set_result(
@@ -582,6 +584,18 @@ class SlotPipeline:
                 if not entry.future.done():
                     entry.future.set_exception(error)
             self._waiters.clear()
+
+    def _fold(self, command: Hashable) -> Hashable:
+        """Apply one decided command in its key's cell: its reply, the
+        whole store's by the :class:`~repro.core.adt.PartitionSpec`
+        claim.  A command with no key is a :exc:`ValueError`."""
+        try:
+            key = self._key_of(untag_command(command))
+            state = self._state.get(key, self.adt.initial_state)
+        except Exception as exc:  # a spec may raise anything off its shape
+            raise ValueError(f"{command!r} has no partition key") from exc
+        self._state[key], output, _fresh = self.applier.apply(state, command)
+        return output
 
 
 class PipelineClient:

@@ -140,11 +140,13 @@ def kv_store_adt() -> ADT:
 
     State is the tuple of (key, value) pairs sorted by ``repr(key)``:
     canonical, so equal stores are equal states in every process.  A
-    write splices its one pair in and rebuilds nothing: a held key is
-    found by equality (``1``, ``1.0`` and ``True`` are one key, as in
-    ``dict`` and in the checker's partitioning) and keeps its place and
-    its key object; only a key not yet held is bisected in, so a write
-    costs log K ``repr`` calls and no sort.
+    write splices its one pair in and sorts nothing: a held key is found
+    by equality (``1``, ``1.0`` and ``True`` are one key, as in ``dict``
+    and in the checker's partitioning) and keeps its place and its key
+    object; only a key not yet held is bisected in, with log K ``repr``
+    calls.  Finding the key copies the store, so a step is still O(K):
+    the replicated apply steps each key's own one-pair state instead
+    (:meth:`repro.net.pipeline.SlotPipeline._fold`).
     """
 
     def is_input(payload) -> bool:

@@ -49,8 +49,19 @@ simple to be wrong, which is the point.
 :func:`assert_deciders_agree` runs them all; a disagreement is shrunk
 with the repo's one :func:`repro.ddmin.ddmin` over whole operations and
 raised as a minimal history.
+
+Two more families check the replica rather than the verdict.  The
+*apply* family (:func:`assert_apply_agrees`) holds the pipeline's
+per-key fold to one state for the whole object over decided command
+streams with replayed session tags; a disagreement is shrunk to a
+minimal stream.  The *decoder* family (:func:`assert_decoders_agree`)
+holds ``decode_body`` and ``FrameDecoder.feed`` to the recursive binary
+decoder they replaced (:func:`recursive_decode`): the same value, or
+all :exc:`~repro.net.codec.FrameError`.
 """
 
+import asyncio
+import struct
 from itertools import chain, combinations, permutations
 
 from hypothesis import strategies as st
@@ -84,6 +95,21 @@ from repro.ddmin import ddmin
 from repro.monitor import StreamingMonitor, watch_trace
 from repro.monitor.cli import REPLAY_ADTS, History, replay_history
 from repro.monitor.streaming import decide
+from repro.net.codec import (
+    _F64,
+    _I64,
+    _LEN,
+    _U32,
+    BINARY_MAGIC,
+    MAX_DEPTH,
+    FrameDecoder,
+    FrameError,
+    Packed,
+    decode_body,
+)
+from repro.net.pipeline import SlotPipeline
+from repro.net.transport import AddressBook, AsyncTransport
+from repro.smr.sessions import SessionedApplier, dedup_commands, untag_command
 from repro.smr.universal import kv_store_adt
 
 #: the brute force below is factorial: beyond this it is not asked
@@ -677,3 +703,230 @@ def kv_command_sequences(max_size=40):
         ),
         max_size=max_size,
     )
+
+
+# ---------------------------------------------------------------------------
+# the replicated apply: one cell per partition key against one whole store
+# ---------------------------------------------------------------------------
+
+
+def whole_store_fold(adt, commands):
+    """Each decided command's reply and the final state, folded through
+    the session seam into one state for the whole object: the apply as
+    it was before the pipeline kept a state per key, and the reference."""
+    applier, state, replies = SessionedApplier(adt), adt.initial_state, []
+    for command in commands:
+        state, reply, _fresh = applier.apply(state, command)
+        replies.append(reply)
+    return replies, state
+
+
+def fold_pipeline(adt):
+    """A pipeline on an unconnected transport, to fold commands by hand
+    (a test may plant a wrong one)."""
+
+    async def build():
+        transport = AsyncTransport("fold", AddressBook())
+        return SlotPipeline("fold", 3, transport, adt=adt)
+
+    return asyncio.run(build())
+
+
+def per_key_fold(adt, commands):
+    """The replies the pipeline's own fold gives, and its cells."""
+    pipeline = fold_pipeline(adt)
+    return [pipeline._fold(command) for command in commands], pipeline._state
+
+
+def sub_histories(adt, commands):
+    """Each partition key's first occurrences, untagged, in log order:
+    what the key's cell must be the object's own state after."""
+    key_of = adt.partition.key_of if adt.partition else lambda _: None
+    keyed = {}
+    for command in dedup_commands(commands):
+        command = untag_command(command)
+        keyed.setdefault(key_of(command), []).append(command)
+    return keyed
+
+
+def apply_disagrees(adt, commands):
+    """Why the per-key fold and the whole-store fold part on
+    ``commands``, or None where they agree."""
+    replies, _whole = whole_store_fold(adt, commands)
+    folded, cells = per_key_fold(adt, commands)
+    if folded != replies:
+        return f"replies {folded} against {replies}"
+    expected = {
+        key: adt.run(history)[0]
+        for key, history in sub_histories(adt, commands).items()
+    }
+    if cells != expected:
+        return f"cells {cells} against {expected}"
+    return None
+
+
+def assert_apply_agrees(adt, commands):
+    """Per-key apply against whole-store apply on one decided command
+    stream: the same reply to every command, and every cell the object's
+    own state after its key's sub-history.  A disagreement is shrunk to
+    a minimal stream."""
+    commands = list(commands)
+    if apply_disagrees(adt, commands) is None:
+        return
+    minimal = ddmin(
+        commands, lambda kept: apply_disagrees(adt, kept) is not None
+    )
+    raise AssertionError(
+        "per-key and whole-store apply disagree; a minimal stream on "
+        f"which they do:\n{minimal}\n{apply_disagrees(adt, minimal)}"
+    )
+
+
+def counter_command_sequences(max_size=30):
+    """Increment / read sequences of the counter, whose one cell is
+    key None."""
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("inc"), st.integers(-3, 3)),
+            st.just(("cread",)),
+        ),
+        max_size=max_size,
+    )
+
+
+@st.composite
+def session_streams(draw, commands, clients=3):
+    """``commands`` as a decided log carries them: each tagged by one of
+    ``clients`` sequential clients, and some decided again later (a
+    retried or hedged op whose earlier decree also landed)."""
+    stream, seqs = [], {}
+    for command in draw(commands):
+        client = f"c{draw(st.integers(0, clients - 1))}"
+        seqs[client] = seqs.get(client, 0) + 1
+        stream.append(command + (("seq", (client, seqs[client])),))
+        if draw(st.integers(0, 3)) == 0:
+            stream.append(draw(st.sampled_from(stream)))
+    return stream
+
+
+# ---------------------------------------------------------------------------
+# the decoder: one loop against the recursion it replaced
+# ---------------------------------------------------------------------------
+
+
+def recursive_decode(body, pos, depth):
+    """Decode the value at ``body[pos]``; return it and the offset after
+    it: the binary decoder as it was, one call per value.  Running off
+    the end raises ``IndexError`` / ``struct.error``."""
+    tag = body[pos]
+    pos += 1
+    if tag == ord("s"):
+        (size,) = _U32.unpack_from(body, pos)
+        pos += 4
+        end = pos + size
+        if end > len(body):
+            raise IndexError(end)
+        return body[pos:end].decode("utf-8"), end
+    if tag == ord("t") or tag == ord("l"):
+        (count,) = _U32.unpack_from(body, pos)
+        pos += 4
+        if depth >= MAX_DEPTH:
+            raise FrameError("too deep")
+        depth += 1
+        items = []
+        for _ in range(count):
+            item, pos = recursive_decode(body, pos, depth)
+            items.append(item)
+        return (tuple(items) if tag == ord("t") else items), pos
+    if tag == ord("i"):
+        return _I64.unpack_from(body, pos)[0], pos + 8
+    if tag == ord("p"):
+        (size,) = _U32.unpack_from(body, pos)
+        pos += 4
+        end = pos + size
+        if end > len(body):
+            raise IndexError(end)
+        return Packed(body[pos:end]), end
+    if tag == ord("N"):
+        return None, pos
+    if tag == ord("f"):
+        return _F64.unpack_from(body, pos)[0], pos + 8
+    if tag == ord("T"):
+        return True, pos
+    if tag == ord("F"):
+        return False, pos
+    if tag == ord("d"):
+        (count,) = _U32.unpack_from(body, pos)
+        pos += 4
+        if depth >= MAX_DEPTH:
+            raise FrameError("too deep")
+        depth += 1
+        table = {}
+        for _ in range(count):
+            key, pos = recursive_decode(body, pos, depth)
+            table[key], pos = recursive_decode(body, pos, depth)
+        return table, pos
+    if tag == ord("I"):
+        (size,) = _U32.unpack_from(body, pos)
+        pos += 4
+        end = pos + size
+        if end > len(body):
+            raise IndexError(end)
+        return int(body[pos:end].decode("ascii")), end
+    raise FrameError(f"unknown binary tag {bytes([tag])!r}")
+
+
+def reference_decode(body):
+    """A binary frame body (magic byte first) through
+    :func:`recursive_decode`, failing as :func:`decode_body` fails:
+    :exc:`FrameError` and nothing else."""
+    if body[:1] != bytes([BINARY_MAGIC]):
+        raise FrameError("not a binary body")
+    try:
+        value, pos = recursive_decode(body, 1, 0)
+    except (IndexError, struct.error, ValueError, TypeError) as exc:
+        raise FrameError(str(exc)) from exc
+    if pos != len(body):
+        raise FrameError("trailing bytes")
+    return value
+
+
+def framed_decode(body, split):
+    """``body`` as one wire frame through a fresh :class:`FrameDecoder`,
+    fed in two reads cut at ``split``: the one value it decodes."""
+    frame = _LEN.pack(len(body)) + body
+    decoder = FrameDecoder()
+    values = list(decoder.feed(frame[:split])) + list(decoder.feed(frame[split:]))
+    (value,) = values
+    return value
+
+
+def decoded(decode, body, *args):
+    """What ``decode`` made of ``body``: the value's ``repr`` (``1``,
+    ``1.0`` and ``True`` are equal values, not equal decodings), or
+    ``FrameError``.  Any other exception escapes."""
+    try:
+        return repr(decode(body, *args))
+    except FrameError:
+        return "FrameError"
+
+
+def decode_disagrees(body, split=0):
+    """Why the decoders part on ``body``, or None where they agree."""
+    said = {
+        "decode_body": decoded(decode_body, body),
+        "FrameDecoder.feed": decoded(framed_decode, body, split),
+        "recursive": decoded(reference_decode, body),
+    }
+    if len(set(said.values())) == 1:
+        return None
+    return f"on {body!r}: {said}"
+
+
+def assert_decoders_agree(body, split=0):
+    """``decode_body`` and ``FrameDecoder.feed`` against the recursive
+    reference on one binary body: the same value, or all
+    :exc:`FrameError`."""
+    why = decode_disagrees(body, split)
+    if why is not None:
+        raise AssertionError(f"the decoders disagree {why}")

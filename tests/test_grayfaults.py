@@ -256,6 +256,16 @@ class TestWALFaultMatrix:
         assert replay.records == []
         replay.close()
 
+    def test_a_power_cut_keeps_what_an_earlier_process_synced(self, tmp_path):
+        # this FaultyFS never opened the log, so it knows nothing unsynced
+        wal = NodeWAL(str(tmp_path))
+        wal.record_decided(0, ("put", "x", 1))
+        wal.close()
+        FaultyFS().drop_unsynced(os.path.join(str(tmp_path), "wal.log"))
+        replay = NodeWAL(str(tmp_path))
+        assert replay.recovered.decided == {0: ("put", "x", 1)}
+        replay.close()
+
     def test_corrupt_reads_fail_stop_the_fold(self, tmp_path):
         self.seeded_log(tmp_path)
         fs = FaultyFS(seed=4, corrupt_reads=True)

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fastcheck import check_linearizable
+from repro.mp.backup import BackupClient
 from repro.mp.quorum import QuorumClient
 from repro.net.client import DEFAULT_BACKOFF, HistoryRecorder
 from repro.net.cluster import ShardedCluster, shard_of
@@ -588,14 +589,23 @@ class TestADeadReplicaCostsNoTimer:
         assert seen[2] == set()
         assert _check(recorder).ok
 
-    def test_a_dead_ballot_owner_costs_no_backoff(self, tmp_path):
+    def test_a_dead_ballot_owner_costs_no_backoff(self, tmp_path, monkeypatch):
         # node 0 owns ballot 0, so Backup used to ask it first and wait
         # out the retry backoff (>= 0.1 s) on every decree; now a live
         # coordinator is asked first and pays phase 1 instead
+        attempts = {}  # slot -> retries its Backup client made
+        decide = BackupClient._decide
+
+        def counted(client, value):
+            attempts[client.pid[1][1]] = client.attempt
+            decide(client, value)
+
+        monkeypatch.setattr(BackupClient, "_decide", counted)
         recorder, results, seen = self._run(tmp_path, victim=0)
         _, down, _ = self._phases(results)
         assert [r.path for r in down] == ["slow"] * self.DOWN
-        assert max(r.latency for r in down) < self.TIMEOUT / 4
+        # a count, not a clock: no down decree's client asked twice
+        assert [attempts[r.slot] for r in down] == [0] * self.DOWN
         shortest_backoff = DEFAULT_BACKOFF.base * (1 - DEFAULT_BACKOFF.jitter)
         assert statistics.median(r.latency for r in down) < shortest_backoff
         assert seen[1] == {0}
@@ -1010,6 +1020,10 @@ UNFOLDABLE = {
     "undecodable-bytes": Packed(b"\xff"),
     "packed-non-command": Packed(bytes(BINARY_CODEC.encode_body(("bogus",)))),
     "plain-non-command": ("bogus",),
+    # no partition key: the spec raises IndexError, TypeError, ValueError
+    "empty-tuple": (),
+    "scalar": 7,
+    "short-put": ("put",),
 }
 
 
