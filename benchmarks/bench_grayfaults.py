@@ -157,8 +157,8 @@ async def _torn_restart(kill_at=0.7, restart_at=1.2, deadline=2.4):
             t0 = time.perf_counter()
             (node,) = await cluster.restart(1)
             outcome["restart_s"] = time.perf_counter() - t0
-            outcome["torn_recovered"] = bool(node.wal.recovered.torn_tail)
-            outcome["records_replayed"] = node.wal.recovered.records_replayed
+            outcome["torn_recovered"] = bool(node.wal.state.torn_tail)
+            outcome["records_replayed"] = node.wal.state.records_replayed
 
         await asyncio.gather(drive(), nemesis())
         await cluster.stop()

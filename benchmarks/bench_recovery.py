@@ -88,9 +88,9 @@ def replay_costs(lengths, repeats=3):
             a = NodeWAL(full_dir, fsync=False)
             b = NodeWAL(compact_dir, fsync=False)
             equal = (
-                a.recovered.acceptors == b.recovered.acceptors
-                and a.recovered.quorum == b.recovered.quorum
-                and a.recovered.decided == b.recovered.decided
+                a.state.acceptors == b.state.acceptors
+                and a.state.quorum == b.state.quorum
+                and a.state.decided == b.state.decided
             )
             a.close()
             b.close()
@@ -110,8 +110,8 @@ def torn_tail_tolerated(length=200):
             handle.write(data[:-3])
         wal = NodeWAL(directory, fsync=False)
         ok = (
-            wal.recovered.torn_tail
-            and wal.recovered.records_replayed == length - 1
+            wal.state.torn_tail
+            and wal.state.records_replayed == length - 1
         )
         wal.close()
         return ok

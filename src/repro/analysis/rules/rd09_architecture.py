@@ -88,8 +88,13 @@ TABLE: Tuple[Invariant, ...] = (
     ),
     Invariant(
         "name", ("StreamReader", "StreamWriter"), within=("repro/net/",),
-        why="connections are asyncio.Protocols fed by loop.create_server / "
+        why="connections are BufferedProtocols fed by loop.create_server / "
         "create_connection, not streams with a reader task each",
+    ),
+    Invariant(
+        "attribute", ("Protocol",), within=("repro/net/",),
+        why="a socket reader reads into a reused buffer (a BufferedProtocol): "
+        "an asyncio.Protocol is handed a fresh 256 KiB read each time",
     ),
     Invariant(
         "name", ("_cells",),

@@ -82,8 +82,8 @@ class RacySlotPipeline(SlotPipeline):
         super().__init__(*args, **kwargs)
         self._racy_tasks: List[asyncio.Task] = []
 
-    def enqueue(self, tagged: Tuple) -> asyncio.Future:
-        future = super().enqueue(tagged)
+    def enqueue(self, tagged: Tuple, body: bytes) -> asyncio.Future:
+        future = super().enqueue(tagged, body)
         for _ in range(2):
             task = self.transport.loop.create_task(self._racy_claim())
             self._racy_tasks.append(task)

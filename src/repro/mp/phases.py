@@ -135,16 +135,23 @@ def backup(
 
     ``enlist(pid)`` wires a client in where the acceptors are not
     hosted here; a client asks the coordinators indexed in ``down``
-    last, and ``pacing`` replaces the walk's retry policy.
+    last, and ``pacing`` replaces the walk's retry policy.  The pids
+    are made on first use: a phase never entered makes none.
     """
-    acceptors = [("acc", *scope, i) for i in range(n_servers)]
-    coordinators = [("coord", *scope, i) for i in range(n_servers)]
-    learners: List[Hashable] = [
-        (client, c) for c in range(expected_clients)
-    ] + coordinators
     hosted: List[PaxosAcceptor] = []
+    wiring: List[List[Hashable]] = []  # acceptors, coordinators, learners
+
+    def wired() -> List[List[Hashable]]:
+        if not wiring:
+            coordinators = [("coord", *scope, i) for i in range(n_servers)]
+            wiring.extend((
+                [("acc", *scope, i) for i in range(n_servers)], coordinators,
+                [(client, c) for c in range(expected_clients)] + coordinators,
+            ))
+        return wiring
 
     def hosts(i: int) -> Sequence[Process]:
+        acceptors, coordinators, learners = wired()
         acceptor = acceptor_cls(acceptors[i])
         acceptor.register_learners(learners)
         hosted.append(acceptor)
@@ -162,6 +169,7 @@ def backup(
     def enter(
         substrate, pid, value, timeout, backoff, decide, switch, give_up
     ) -> None:
+        _acceptors, coordinators, learners = wired()
         if enlist is not None:
             enlist(pid)
         elif pid not in learners:

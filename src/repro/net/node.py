@@ -36,12 +36,14 @@ message while a handler runs, appends and fsyncs the role's changed
 the classical persist-before-reply rule, so no acknowledgement ever
 refers to state that a crash could erase.  On ``start()`` a node
 replays its WAL *before* binding the listener: every recovered slot is
-materialized, and each role restores its own part of the fold as it is
-built — acceptor triples and sticky Quorum acceptances via the roles'
-``on_recover`` hooks, decided values with
+materialized, and each role restores its own part of the WAL's running
+fold as it is built — acceptor triples and sticky Quorum acceptances
+via the roles' ``on_recover`` hooks, decided values with
 ``PaxosCoordinator.adopt_decision`` — only then can a frame reach the
-node.  Without a WAL the node is **amnesiac**: it restarts blank, which
-is the intentional safety bug the net nemesis campaign exists to catch
+node.  A role built later finds what recovery held: a slot's entry of
+one kind changes only through that slot's role of that kind.  Without
+a WAL the node is **amnesiac**: it restarts blank, which is the
+intentional safety bug the net nemesis campaign exists to catch
 (:mod:`repro.faults.netcampaign`).  Blank includes the incarnation: an
 amnesiac node 0 claims ballot 0 on every restart, one more way for
 that canary to fork and not a supported configuration.
@@ -333,9 +335,10 @@ class ReplicaNode:
         self.host = host
         self.port = port
         self.wal = wal
-        #: the fold as of open time; blank (incarnation 0) without a WAL
-        self.recovered: RecoveredState = (
-            wal.recovered if wal is not None else RecoveredState()
+        #: the WAL's running fold, roles restore from it as they are
+        #: built; blank (incarnation 0) without a WAL
+        self.fold: RecoveredState = (
+            wal.state if wal is not None else RecoveredState()
         )
         self.transport = AsyncTransport(
             f"node{index}", book, faults, codec=codec
@@ -358,7 +361,7 @@ class ReplicaNode:
         the WAL mentions is materialized with its durable state
         restored, so no frame can race a half-recovered node.
         """
-        for slot in self.recovered.slots():
+        for slot in self.fold.slots():
             self.ensure_slot(slot)
         # self.port stays the port asked for: the bound one is published
         host, port = await self.transport.start_server(self.host, self.port)
@@ -378,9 +381,9 @@ class ReplicaNode:
     def _role(self, kind: str, slot: int) -> Any:
         """This node's ``kind`` role of ``slot``, built on first use.
 
-        A role restores its own part of the recovered fold as it is
-        built, so it does not matter whether recovery or a frame
-        materializes it, nor in what order.
+        A role restores its own part of the fold as it is built, so it
+        does not matter whether recovery or a frame materializes it,
+        nor in what order.
         """
         pid = (kind, slot, self.index)
         role = self.transport.processes.get(pid)
@@ -388,12 +391,12 @@ class ReplicaNode:
             return role
         if kind == "qs":
             role = DurableQuorumServer(pid, wal=self.wal)
-            sticky = self.recovered.quorum.get(slot)
+            sticky = self.fold.quorum.get(slot)
             if sticky is not None:
                 role.restore(sticky)
         elif kind == "acc":
             role = DurableAcceptor(pid, wal=self.wal)
-            triple = self.recovered.acceptors.get(slot)
+            triple = self.fold.acceptors.get(slot)
             if triple is not None:
                 role.restore(triple)
             learners = [("coord", slot, j) for j in range(self.n_servers)]
@@ -407,11 +410,11 @@ class ReplicaNode:
                 acceptors=[("acc", slot, j) for j in range(self.n_servers)],
                 pre_prepare=(self.index == 0),
                 retry_delay=COORDINATOR_RETRY_DELAY,
-                first_round=self.recovered.incarnation,
+                first_round=self.fold.incarnation,
                 wal=self.wal,
                 slot=slot,
             )
-            decided = self.recovered.decided.get(slot)
+            decided = self.fold.decided.get(slot)
             if decided is not None:
                 role.adopt_decision(decided)
         return self.transport.register(role)

@@ -270,9 +270,6 @@ class SlotPipeline:
         self._wire_base = len(
             transport.codec.encode_frame(_PROPOSAL)
         ) - transport.codec.packed_size(0)
-        #: the last op :meth:`ensure_fits` passed, and its bytes:
-        #: ``submit`` checks an op and then enqueues that same object
-        self._measured: Tuple[Optional[Tuple], bytes] = (None, b"")
 
     @property
     def duplicates(self) -> int:
@@ -300,32 +297,24 @@ class SlotPipeline:
             <= MAX_FRAME
         )
 
-    def _measure(self, tagged: Tuple) -> bytes:
+    def ensure_fits(self, tagged: Tuple) -> bytes:
         """The bytes of ``tagged``, or :exc:`PayloadTooLarge` if it
-        cannot frame even as a decree of one."""
-        checked, body = self._measured
-        if checked is tagged:
-            return body
+        cannot frame even as a decree of one.
+
+        Callers run this *before* recording the invocation: an
+        unframeable op must fail per-op with the history and the client
+        untouched, and nothing of it may ever be queued or sent.  This
+        is the one place an op is encoded on the client side: every
+        :meth:`enqueue` of the op, retries and hedges too, takes the
+        bytes returned here, and its decree is those bytes.
+        """
         body = BINARY_CODEC.encode_body(tagged)
         if not self._fits(len(body)):
             raise PayloadTooLarge(
                 f"operation {tagged[:-1]!r} cannot fit one wire frame "
                 f"(MAX_FRAME={MAX_FRAME})"
             )
-        self._measured = (tagged, body)
         return body
-
-    def ensure_fits(self, tagged: Tuple) -> None:
-        """Raise :exc:`PayloadTooLarge` unless ``tagged`` can frame alone.
-
-        Callers run this *before* recording the invocation: an
-        unframeable op must fail per-op with the history and the client
-        untouched, and nothing of it may ever be queued or sent.  This
-        is the one place an op is encoded on the client side:
-        :meth:`enqueue` of the same object reuses the bytes, and its
-        decree is those bytes.
-        """
-        self._measure(tagged)
 
     def admit(self) -> None:
         """Admission control: raise :exc:`Overloaded` instead of queueing.
@@ -348,17 +337,15 @@ class SlotPipeline:
                 f"({self.max_queue} ops waiting)"
             )
 
-    def enqueue(self, tagged: Tuple) -> asyncio.Future:
-        """Queue one tagged op; the future resolves with its response.
+    def enqueue(self, tagged: Tuple, body: bytes) -> asyncio.Future:
+        """Queue one tagged op, ``body`` the bytes :meth:`ensure_fits`
+        returned for it; the future resolves with its response.
 
-        Raises :exc:`PayloadTooLarge` if the op cannot fit a frame even
-        as a batch of one (nothing is queued or sent in that case).
         Re-enqueueing the same tagged op (a retry or hedge) is safe:
         the new entry supersedes the old in the waiter map, a still
         queued older copy is dropped by the pump, and duplicate decrees
         fold once through the session seam.
         """
-        body = self._measure(tagged)
         future: asyncio.Future = self.transport.loop.create_future()
         entry = _Entry(tagged, body, future)
         self.queue.append(entry)
@@ -416,7 +403,7 @@ class SlotPipeline:
             ):
                 # split-and-retry: halve until the batch frames; the
                 # cut tail rejoins the queue head.  Terminates because
-                # a singleton always fits (the enqueue pre-check).
+                # a singleton always fits (ensure_fits checked it).
                 self.splits += 1
                 half = (len(group) + 1) // 2
                 self.queue.extendleft(reversed(group[half:]))
@@ -733,7 +720,7 @@ class PipelineClient:
         # enqueued it can decide and take effect even if this task dies
         # — a submitter cancelled mid-flight must leave a *pending*
         # invocation in the history, never an effect with no invocation.
-        self.pipeline.ensure_fits(tagged)
+        body = self.pipeline.ensure_fits(tagged)
         self.pipeline.admit()
         start = self.pipeline.transport.now
         deadline = start + self.op_timeout
@@ -741,7 +728,7 @@ class PipelineClient:
         # Only the newest entry of a tagged op is ever resolved (enqueue
         # supersedes the older one in the waiter map), so the op has one
         # live future at a time and awaiting it is the whole wait.
-        future = self.pipeline.enqueue(tagged)
+        future = self.pipeline.enqueue(tagged, body)
         # when the attempt in flight (or the pause after it) is over,
         # and when to launch the one hedge (never = at the deadline)
         retry_at = start + self.attempt_timeout
@@ -775,12 +762,12 @@ class PipelineClient:
                 # folds as a duplicate
                 hedge_at = deadline
                 self.hedges += 1
-                future = self.pipeline.enqueue(tagged)
+                future = self.pipeline.enqueue(tagged, body)
             elif pausing:
                 # the pause is over: re-submit the same tagged op
                 pausing = False
                 retry_at = self.pipeline.transport.now + self.attempt_timeout
-                future = self.pipeline.enqueue(tagged)
+                future = self.pipeline.enqueue(tagged, body)
             elif self.retry_backoff.exhausted(round_no):
                 self._retire()
                 raise RetriesExhausted(

@@ -12,12 +12,13 @@ implement the port of :mod:`repro.net.port`:
   sends one message object to several destinations; its body is
   encoded once and spliced behind each ``(src, dst)`` header, which is
   sound because a message is never mutated after ``send``;
-* inbound, each connection is an :class:`asyncio.Protocol`: the bytes
-  a socket read returns are fed to that connection's
-  :class:`~repro.net.codec.FrameDecoder` (the one buffer, and the one
-  place a length, a tag or a depth is checked) and every frame they
-  complete is dispatched there and then, in the same callback;
-* ``call_later`` is ``loop.call_later`` behind a cancellable handle;
+* inbound, each connection is an :class:`asyncio.BufferedProtocol`:
+  a socket read lands in the connection's one reused buffer of
+  :data:`READ_BUFFER` bytes, and the bytes it read are fed to that
+  connection's :class:`~repro.net.codec.FrameDecoder` (the one place a
+  length, a tag or a depth is checked); every frame they complete is
+  dispatched there and then, in the same callback;
+* ``call_later`` is ``loop.call_later``, its handle asyncio's own;
 * ``now`` is the event-loop wall clock.
 
 Routing has two sources:
@@ -68,6 +69,11 @@ SERVER_ROLES = frozenset({"qs", "acc", "coord", "ctl"})
 #: tolerates and the stats count.
 MAX_ROUTES = 4096
 
+#: bytes one socket read takes at most.  The buffer is reused: a fresh
+#: large buffer per read (asyncio's default is 256 KiB) is served by
+#: mmap until the allocator raises its threshold, two page faults a read
+READ_BUFFER = 1 << 16
+
 #: time an unreachable endpoint stays blacklisted before a reconnect
 #: attempt (seconds); sends during the cooldown are counted as lost
 RECONNECT_COOLDOWN = 0.25
@@ -114,29 +120,12 @@ class AddressBook:
         return tuple(sorted(self._addresses))
 
 
-class _TimerHandle:
-    """Port timer handle wrapping ``loop.call_later``."""
-
-    __slots__ = ("_handle", "cancelled", "fired")
-
-    def __init__(self, loop: asyncio.AbstractEventLoop, delay: float, callback):
-        self.cancelled = False
-        self.fired = False
-
-        def fire() -> None:
-            if not self.cancelled:
-                self.fired = True
-                callback()
-
-        self._handle = loop.call_later(max(0.0, delay), fire)
-
-    def cancel(self) -> None:
-        self.cancelled = True
-        self._handle.cancel()
-
-
 #: a learned reply route: the connection and its label in the link stats
 _Route = Tuple[asyncio.Transport, str]
+
+#: where :meth:`AsyncTransport._resolve` sends a frame that takes no
+#: connection: to a role hosted here, or nowhere (counted lost)
+_HERE, _NOWHERE = object(), object()
 
 
 class _Peer:
@@ -149,12 +138,14 @@ class _Peer:
         self.dead_until: float = 0.0
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One TCP connection of an endpoint, dialled or accepted."""
 
     def __init__(self, owner: "AsyncTransport") -> None:
         self.owner = owner
         self.decoder = FrameDecoder()
+        #: what a socket read lands in, allocated on the first read
+        self.buffer: Optional[memoryview] = None
 
     def connection_made(self, transport) -> None:
         peer = transport.get_extra_info("peername")
@@ -165,11 +156,16 @@ class _Connection(asyncio.Protocol):
         if self.owner.closed:  # accepted while the endpoint was closing
             transport.close()
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self.buffer is None:
+            self.buffer = memoryview(bytearray(READ_BUFFER))
+        return self.buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
         if self.owner.closed:
             return
         try:
-            for envelope in self.decoder.feed(data):
+            for envelope in self.decoder.feed(bytes(self.buffer[:nbytes])):
                 self.owner._dispatch(envelope, self.route)
         except (ConnectionError, FrameError):
             # a malformed frame or a reset costs this connection, quietly;
@@ -232,9 +228,9 @@ class AsyncTransport:
         """The wall clock of the event loop."""
         return self.loop.time()
 
-    def call_later(self, delay: float, callback) -> _TimerHandle:
+    def call_later(self, delay: float, callback) -> asyncio.TimerHandle:
         """Schedule ``callback`` after ``delay`` seconds of real time."""
-        return _TimerHandle(self.loop, delay, callback)
+        return self.loop.call_later(delay, callback)
 
     def timer_scale(self, pid: Hashable) -> float:
         """Port conformance: the TCP runtime's timers tick honestly
@@ -258,33 +254,40 @@ class AsyncTransport:
         """Drop a finished role; late frames to it count as dropped."""
         self.processes.pop(pid, None)
 
-    def _route_of(self, dst: Hashable) -> Optional[_Route]:
-        route = self._routes.get(dst)
-        if route is not None and route[0].is_closing():
-            del self._routes[dst]
-            return None
-        return route
+    def _resolve(self, dst: Hashable) -> Tuple[Any, str, Any]:
+        """Where a frame to ``dst`` goes now: ``(via, endpoint, link)``,
+        ``link`` the counters of this endpoint's frames to ``endpoint``.
+
+        Resolution order: a pid hosted here goes :data:`_HERE` (through
+        the codec, skipping the socket); a pid with a learned reply
+        route goes via that connection; a server-role pid goes to its
+        static endpoint (``via`` None); anything else, a remote client
+        pid whose connection is gone, goes :data:`_NOWHERE`.
+        """
+        if dst in self.processes:
+            via, dst_ep = _HERE, self.endpoint
+        else:
+            via, dst_ep = self._routes.get(dst, (None, None))
+            if via is not None and via.is_closing():
+                del self._routes[dst]
+                via = None
+            if via is None:
+                dst_ep = endpoint_of_pid(dst)
+                if dst_ep is None:
+                    via, dst_ep = _NOWHERE, self.endpoint
+        return via, dst_ep, self.stats.link(self.endpoint, dst_ep)
 
     def send(self, src: Hashable, dst: Hashable, message: Any) -> None:
         """Route one protocol message (fire-and-forget, may be lost).
 
-        Resolution order: a pid hosted here delivers locally (through the
-        codec, skipping the socket); a pid with a learned reply route uses
-        that connection; a server-role pid resolves statically to its
-        node endpoint; anything else — a remote client pid whose
-        connection is gone — is undeliverable and counts as lost.
+        The destination is resolved once (:meth:`_resolve`), and that
+        decides the fault verdict, the counters and the write.
         """
         if self.closed:
             return
         self.stats.sent += 1
-        route = None if dst in self.processes else self._route_of(dst)
-        if route is not None:
-            dst_ep = route[1]
-        else:
-            dst_ep = endpoint_of_pid(dst) or self.endpoint
-        if dst in self.processes:
-            dst_ep = self.endpoint
-        link = self.stats.link(self.endpoint, dst_ep)
+        hop = self._resolve(dst)
+        _via, dst_ep, link = hop
         link.sent += 1
         if self.faults is not None:
             verdict = self.faults.verdict(self.endpoint, dst_ep)
@@ -301,44 +304,41 @@ class AsyncTransport:
                 # copy of the frame next tick (a retransmit after a
                 # lost ack).  Receivers must tolerate it — duplicate
                 # decrees fold once through the session-dedup seam.
-                self.loop.call_soon(
-                    self._forward, src, dst, dst_ep, message
-                )
+                self.loop.call_soon(self._resend, src, dst, message)
             hold = self.faults.frame_delay(self.endpoint, dst_ep)
             if hold > 0.0:
                 # Slow-node gray failure: the frame exists but dawdles.
-                # Routes are re-resolved at fire time, so a connection
-                # that dies during the hold degrades to loss, exactly
-                # as a buffered packet to a dead host would.
-                self.loop.call_later(
-                    hold, self._forward, src, dst, dst_ep, message
-                )
+                self.loop.call_later(hold, self._resend, src, dst, message)
                 return
-        self._forward(src, dst, dst_ep, message)
+        self._forward(src, dst, message, hop)
 
-    def _forward(self, src: Hashable, dst: Hashable, dst_ep: str, message: Any) -> None:
-        """Encode and route one fault-cleared frame (possibly deferred
-        by a slow-node hold; see :meth:`send` for resolution order).  A
-        frame with nowhere to go is counted lost, never encoded."""
-        if self.closed:
-            return
-        link = self.stats.link(self.endpoint, dst_ep)
+    def _resend(self, src: Hashable, dst: Hashable, message: Any) -> None:
+        """Forward a frame a fault deferred (a duplicate, a slow-node
+        hold), resolving its destination again as it fires: a
+        connection that died meanwhile degrades to loss, exactly as a
+        buffered packet to a dead host would."""
+        if not self.closed:
+            self._forward(src, dst, message, self._resolve(dst))
+
+    def _forward(
+        self, src: Hashable, dst: Hashable, message: Any, hop: Tuple
+    ) -> None:
+        """Encode and write one fault-cleared frame where ``hop`` says.
+        A frame with nowhere to go is counted lost, never encoded."""
+        via, dst_ep, link = hop
         envelope = (src, dst, message)
-        if dst in self.processes:
+        if via is None:
+            self._send_to_endpoint(dst_ep, envelope, link)
+        elif via is _HERE:
             # Colocated roles: codec round-trip, no socket.
             self.loop.call_soon(self._deliver_frame, self._encode(envelope))
-            return
-        route = self._route_of(dst)
-        if route is not None:
-            self._write(route[0], self._encode(envelope), link)
-            return
-        if endpoint_of_pid(dst) is None:
+        elif via is _NOWHERE:
             # A remote client pid with no live reply route: on a real
             # network there is nowhere to send this — the peer hung up.
             self.stats.lost += 1
             link.lost += 1
-            return
-        self._send_to_endpoint(dst_ep, envelope, link)
+        else:
+            self._write(via, self._encode(envelope), link)
 
     def _encode(self, envelope: Tuple) -> bytes:
         try:

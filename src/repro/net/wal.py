@@ -127,7 +127,8 @@ class WriteAheadLog:
 
     Opening the log replays it: ``snapshot`` holds the decoded snapshot
     value (or ``None``), ``records`` the decoded log records after it,
-    and ``torn_tail`` whether a truncated tail was discarded.  The file
+    and ``torn_tail`` whether a truncated tail was discarded; a holder
+    that has folded the first two may let them go.  The file
     is truncated back to its last valid record, so appends after a torn
     open produce a clean log again.  A complete-but-corrupt record
     raises :exc:`WALCorruptionError` instead — see the module docstring
@@ -316,8 +317,6 @@ class WriteAheadLog:
         self.fs.truncate(self._handle, 0)
         if self.fsync:
             self.fs.fsync(self._handle)
-        self.snapshot = snapshot_value
-        self.records = []
         self.record_count = 0
         self._valid_bytes = 0
 
@@ -360,13 +359,14 @@ class NodeWAL:
 
     ``record(kind, slot, payload)`` durably appends one fact (the kinds
     are the module-level vocabulary: ``"acc"``, ``"qs"``, ``"dec"``) and
-    updates the in-memory fold; once ``compact_threshold`` records have
-    accumulated the fold is snapshotted and the log truncated.
-    ``recovered`` is the fold as of open time — what a restarting
-    :class:`~repro.net.node.ReplicaNode` rebuilds its roles from.
+    updates the in-memory fold, ``state``: the one copy of the node's
+    durable facts, which the open folds the replay into (and lets the
+    replay go) and a :class:`~repro.net.node.ReplicaNode` restores its
+    roles from.  Once ``compact_threshold`` records have accumulated
+    the fold is snapshotted and the log truncated.
 
     Every open appends its incarnation marker (module docstring).
-    ``recovered.incarnation`` is 0 only for a directory that proves it
+    ``state.incarnation`` is 0 only for a directory that proves it
     was never opened: no marker, record, snapshot or torn tail — so a
     log from before markers, or one whose only marker tore, counts as
     opened before.  ``ENOSPC`` on the marker is a :exc:`WALFullError`
@@ -394,14 +394,7 @@ class NodeWAL:
         if not state.incarnation and (self.wal.records or state.torn_tail):
             state.incarnation = 1  # pre-marker log, or a torn first marker
         self.state = state
-        self.recovered = RecoveredState(
-            acceptors=dict(state.acceptors),
-            quorum=dict(state.quorum),
-            decided=dict(state.decided),
-            torn_tail=state.torn_tail,
-            records_replayed=state.records_replayed,
-            incarnation=state.incarnation,
-        )
+        self.wal.snapshot, self.wal.records = None, []
         try:
             self.wal.append(("inc", 0, state.incarnation))
         except BaseException:
@@ -493,12 +486,13 @@ class NodeWAL:
         self.record("dec", slot, value)
 
     def compact(self) -> None:
-        """Snapshot the current fold and truncate the log."""
+        """Snapshot the current fold and truncate the log; the fold is
+        encoded as it stands, neither copied nor kept."""
         self.wal.compact(
             {
-                "acc": dict(self.state.acceptors),
-                "qs": dict(self.state.quorum),
-                "dec": dict(self.state.decided),
+                "acc": self.state.acceptors,
+                "qs": self.state.quorum,
+                "dec": self.state.decided,
                 "inc": self.state.incarnation,
             }
         )

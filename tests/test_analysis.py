@@ -222,6 +222,12 @@ BAD_SNIPPETS = [
         "repro/net/client.py",
     ),
     ("RD09", "reader: asyncio.StreamReader = None\n", "repro/net/transport.py"),
+    # RD09: a socket reader handed a fresh buffer per read
+    (
+        "RD09",
+        "class _Connection(asyncio.Protocol):\n    pass\n",
+        "repro/net/transport.py",
+    ),
     ("RD09", "from ..faults import FaultSchedule\n", "repro/net/cluster.py"),
     ("RD09", "from .. import faults\n", "repro/net/__init__.py"),
     ("RD09", "import repro.faults.campaign\n", "repro/net/loadgen.py"),
@@ -419,6 +425,17 @@ GOOD_SNIPPETS = [
         "async def settle(tasks):\n    return await asyncio.wait(tasks)\n",
         "repro/faults/netcampaign.py",
     ),
+    # ... a reader into a reused buffer, typing's Protocol, and an
+    # asyncio.Protocol outside net/
+    (
+        "class _Connection(asyncio.BufferedProtocol):\n    pass\n",
+        "repro/net/transport.py",
+    ),
+    (
+        "from typing import Protocol\n\nclass Port(Protocol):\n    pass\n",
+        "repro/net/port.py",
+    ),
+    ("class Probe(asyncio.Protocol):\n    pass\n", "repro/faults/probe.py"),
 ]
 
 
@@ -757,7 +774,7 @@ def test_nothing_in_the_system_layers_is_reached_only_by_tests():
     ``__main__`` is reached by code in ``src/``, ``benchmarks/`` or
     ``examples/``: an AST name, attribute or import alias names it.
     What only ``tests/`` reach goes.  Exempt are names a framework calls
-    (dunders, ``asyncio.Protocol`` callbacks, ``@register``ed rules),
+    (dunders, ``asyncio.BufferedProtocol`` callbacks, ``@register``ed rules),
     ``typing.Protocol`` classes, ``faults/mutants.py`` and
     :data:`TEST_ONLY`."""
     import ast
@@ -784,7 +801,7 @@ def test_nothing_in_the_system_layers_is_reached_only_by_tests():
     for layer in SYSTEM_LAYERS:
         for dirpath, _, files in os.walk(os.path.join(package, layer)):
             paths += [os.path.join(dirpath, f) for f in files if f.endswith(".py")]
-    callbacks = set(dir(asyncio.Protocol))
+    callbacks = set(dir(asyncio.BufferedProtocol))
     unreached = []
     for path in sorted(paths):
         relpath = os.path.relpath(path, SRC)

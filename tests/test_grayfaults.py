@@ -263,7 +263,7 @@ class TestWALFaultMatrix:
         wal.close()
         FaultyFS().drop_unsynced(os.path.join(str(tmp_path), "wal.log"))
         replay = NodeWAL(str(tmp_path))
-        assert replay.recovered.decided == {0: ("put", "x", 1)}
+        assert replay.state.decided == {0: ("put", "x", 1)}
         replay.close()
 
     def test_corrupt_reads_fail_stop_the_fold(self, tmp_path):
@@ -296,8 +296,8 @@ class TestWALFaultMatrix:
         replay = NodeWAL(str(tmp_path))
         # nothing was honestly durable: the records are gone together,
         # the log reads as a clean (empty) prefix, never corruption
-        assert replay.recovered.decided == {}
-        assert not replay.recovered.torn_tail
+        assert replay.state.decided == {}
+        assert not replay.state.torn_tail
         replay.close()
 
 

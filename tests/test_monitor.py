@@ -789,7 +789,8 @@ class TestTheCertificate:
             c1 = PipelineClient("c1", pipeline, recorder)
             c2 = PipelineClient("c2", pipeline, recorder)
             await c1.submit(("inc", 1))
-            await pipeline.enqueue(tagged(("inc", 1), "c1", 1))
+            op = tagged(("inc", 1), "c1", 1)
+            await pipeline.enqueue(op, pipeline.ensure_fits(op))
             out = await c2.submit(("cread",))
             report = await tap.close()
             await cluster.stop()

@@ -10,6 +10,7 @@ Timeouts are kept tight so the whole module stays in CI-smoke range.
 
 import asyncio
 import contextlib
+import copy
 import json
 import os
 from collections import Counter
@@ -230,8 +231,8 @@ class TestCrashRecovery:
                 (node,) = await cluster.restart(1)
                 assert cluster.alive() == [0, 1, 2]
                 # The relaunched node replayed real slots from its WAL.
-                assert node.recovered is not None
-                assert node.recovered.slots()
+                assert node.fold is not None
+                assert node.fold.slots()
                 # A fresh client (empty slot cache) replays the whole
                 # prefix, mixing recovered state into its quorum rounds.
                 b = make_client(cluster, transport, recorder, name="b")
@@ -256,8 +257,8 @@ class TestCrashRecovery:
                 # restart must come back with nothing to recover.
                 await cluster.kill(2)
                 (node,) = await cluster.restart(2)
-                assert node.recovered is not None
-                assert node.recovered.slots() == []
+                assert node.fold is not None
+                assert node.fold.slots() == []
                 transport = cluster.client_transport("clients")
                 recorder = HistoryRecorder(clock=lambda: transport.now)
                 client = make_client(cluster, transport, recorder)
@@ -307,7 +308,7 @@ class TestCrashRecovery:
                 assert cluster.alive() == [0, 1, 2]
                 assert fs.stats["enospc"] == 3
                 # refused opens were not incarnations; this one is
-                assert node.recovered.incarnation == 1
+                assert node.fold.incarnation == 1
             finally:
                 await cluster.stop()
 
@@ -396,7 +397,7 @@ class TestShards:
                 # each came back from its own group's directory and log
                 for shard, node in enumerate(fresh):
                     assert node.wal.wal.directory == cluster.wal_dir(1, shard)
-                    assert node.recovered.slots() == decided[shard]
+                    assert node.fold.slots() == decided[shard]
             finally:
                 await cluster.stop()
 
@@ -530,8 +531,8 @@ class TestRoleMaterialization:
                 await cluster.kill(2)
                 assert tear_tail(str(tmp_path / "node2" / "wal.log"), cut=3)
                 (node,) = await cluster.restart(2)
-                assert node.recovered.torn_tail
-                assert sorted(node.recovered.quorum) == [
+                assert node.fold.torn_tail
+                assert sorted(node.fold.quorum) == [
                     r.slot for r in client.results
                 ]
                 late = make_client(cluster, transport, recorder, name="late")
@@ -597,6 +598,38 @@ class TestRoleMaterialization:
 
         asyncio.run(scenario())
 
+    def test_a_role_built_late_restores_the_open_time_fact(self, tmp_path):
+        """Roles restore from the WAL's running fold: while other slots'
+        roles write to it, a slot whose roles are not built yet keeps
+        exactly what the open recovered."""
+        wal = NodeWAL(str(tmp_path))
+        wal.record("qs", 3, "v")
+        wal.record_acceptor(3, (2, 1, "v"))
+        wal.record_decided(3, "v")
+        wal.close()
+
+        async def scenario():
+            reopened = NodeWAL(str(tmp_path))
+            opened = copy.deepcopy(reopened.state)
+            node = ReplicaNode(1, 3, AddressBook(), wal=reopened)
+            assert node.fold is reopened.state
+            deliver = node.transport._deliver
+            deliver(("qcli", "x"), ("qs", 4, 1), ("q-propose", "w"))
+            deliver(("coord", 4, 0), ("acc", 4, 1), ("accept", 0, "w"))
+            await asyncio.sleep(0)
+            moved = (dict(reopened.state.quorum), reopened.state.acceptors[4])
+            qs, acc, coord = (node._role(k, 3) for k in ("qs", "acc", "coord"))
+            built = (qs.durable_state(), acc.durable_state(), coord.decision)
+            await node.stop()
+            return opened, moved, built, coord.round
+
+        opened, moved, built, round_ = asyncio.run(scenario())
+        assert moved == ({3: "v", 4: "w"}, (0, 0, "w"))
+        assert built == (
+            opened.quorum[3], opened.acceptors[3], opened.decided[3]
+        ) == ("v", (2, 1, "v"), "v")
+        assert round_ >= opened.incarnation == 1
+
     def test_backup_with_a_dead_replica_decides_over_lazy_roles(self, tmp_path):
         async def scenario():
             cluster = ShardedCluster(n_servers=3, wal_root=str(tmp_path))
@@ -640,10 +673,10 @@ class TestRoleMaterialization:
                     await client.submit(("put", "k", value))
                 await cluster.kill(0)
                 (node,) = await cluster.restart(0)
-                assert node.recovered.incarnation == 1
+                assert node.fold.incarnation == 1
                 # recovery is all three roles of every recovered slot,
                 # each restored from its own part of the fold
-                slots = node.recovered.slots()
+                slots = node.fold.slots()
                 assert slots == [r.slot for r in client.results]
                 for slot in slots:
                     hosted = node.transport.processes
@@ -776,6 +809,82 @@ class TestReadSide:
         assert [m[1] for m in first] == [0, 1, 2]
         assert [m[1] for m in got] == [0, 1, 2, 3] and delivered == 4
 
+    @pytest.mark.parametrize("buffer", [7, transport_module.READ_BUFFER])
+    def test_frames_split_across_reads_and_larger_than_the_buffer(
+        self, monkeypatch, buffer
+    ):
+        """Whatever the reads cut, every frame arrives whole: at a
+        7-byte buffer every frame spans reads, and one frame is three
+        times the real buffer."""
+        monkeypatch.setattr(transport_module, "READ_BUFFER", buffer)
+        sizes = [0, 50, 3 * transport_module.READ_BUFFER, 5]
+
+        async def scenario():
+            book, server, sink = await self._server()
+            _reader, writer = await asyncio.open_connection(
+                *book.lookup("node0")
+            )
+            writer.write(b"".join(
+                BINARY_CODEC.encode_frame(
+                    (("raw", 0), self.SERVER_PID, ("m", n, "x" * size))
+                )
+                for n, size in enumerate(sizes)
+            ))
+            await writer.drain()
+            for _ in range(500):
+                if len(sink.got) == len(sizes):
+                    break
+                await asyncio.sleep(0.01)
+            (connection,) = server._connections
+            kept = len(connection.get_protocol().buffer)
+            writer.close()
+            await server.close()
+            return sink.got, kept
+
+        (got, kept), errors = run_quiet(scenario)
+        assert errors == []
+        assert [(m[1], len(m[2])) for m in got] == list(enumerate(sizes))
+        assert kept == buffer
+
+    def test_a_thousand_reads_allocate_no_large_buffer(self):
+        """A read lands in the connection's one buffer: no read asks the
+        allocator for asyncio's 256 KiB (served by mmap in a fresh
+        process), so the traced peak stays far below it above what the
+        run keeps (the sink keeps every message)."""
+        import tracemalloc
+
+        def frame(n):
+            return BINARY_CODEC.encode_frame(
+                (("raw", 0), self.SERVER_PID, ("m", n, "x" * 600))
+            )
+
+        async def scenario():
+            book, server, sink = await self._server()
+            _reader, writer = await asyncio.open_connection(
+                *book.lookup("node0")
+            )
+
+            async def one_read(n):
+                writer.write(frame(n))
+                while len(sink.got) <= n:
+                    await asyncio.sleep(0)
+
+            await one_read(0)  # the buffer is allocated by the first
+            tracemalloc.start()
+            try:
+                for n in range(1, 1001):
+                    await one_read(n)
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            writer.close()
+            await server.close()
+            return len(sink.got), peak - current
+
+        (delivered, spike), errors = run_quiet(scenario)
+        assert errors == [] and delivered == 1001
+        assert spike < 64 * 1024
+
     def test_a_raising_role_costs_the_listening_end_one_connection(self):
         """Whatever a handler raises that is no ``FrameError`` is a bug,
         not a bad peer: the connection it arrived on is closed, the
@@ -837,7 +946,9 @@ class TestReadSide:
                 (("raw", 0), self.SERVER_PID, "late")
             )
             await server.close()
-            protocol.data_received(frame)  # read before close ran
+            # a read that landed before close ran
+            protocol.get_buffer(-1)[: len(frame)] = frame
+            protocol.buffer_updated(len(frame))
             writer.write(frame)  # and one off the socket
             await asyncio.sleep(0.05)
             hung_up = await _reader.read()
@@ -878,6 +989,62 @@ class TestReadSide:
         (hung_up, closed, left), errors = run_quiet(scenario)
         assert errors == []
         assert closed and hung_up == b"" and left == set()
+
+
+# ---------------------------------------------------------------------------
+# one of each: asyncio's timer handles, one resolution per frame
+# ---------------------------------------------------------------------------
+
+
+class TestOneOfEach:
+    def test_a_cancelled_timer_never_fires_and_a_fired_one_cancels_harmlessly(
+        self,
+    ):
+        async def scenario():
+            transport = AsyncTransport("cli", AddressBook())
+            fired = []
+            early = transport.call_later(0.01, lambda: fired.append("early"))
+            doomed = transport.call_later(0.02, lambda: fired.append("doomed"))
+            doomed.cancel()
+            await asyncio.sleep(0.05)
+            early.cancel()
+            await asyncio.sleep(0.01)
+            await transport.close()
+            return fired, early
+
+        (fired, early), errors = run_quiet(scenario)
+        assert errors == [] and fired == ["early"]
+        assert isinstance(early, asyncio.TimerHandle)
+
+    def test_a_held_frame_resolves_again_as_it_fires(self):
+        """A slow-node hold defers the write, not the lookup: the reply
+        route that was live at ``send`` is gone by the time the hold
+        ends, so the frame is counted lost, never written."""
+        pid = ("cli", 0)
+
+        async def scenario():
+            book = AddressBook()
+            faults = TransportFaults(seed=0)
+            server = AsyncTransport("node0", book, faults=faults)
+            server.register(_Sink(TestReadSide.SERVER_PID))
+            book.add("node0", *await server.start_server())
+            client = AsyncTransport("cli", book)
+            mine = client.register(_Sink(pid))
+            mine.send(TestReadSide.SERVER_PID, "hello")
+            await asyncio.sleep(0.05)
+            assert pid in server._routes  # learned from the hello
+            faults.slow("node0", 0.1)
+            server.send(TestReadSide.SERVER_PID, pid, "held")
+            lost = server.stats.lost
+            await client.close()
+            await asyncio.sleep(0.2)
+            stats = (server.stats.lost - lost, server.stats.sent)
+            await server.close()
+            return mine.got, stats
+
+        (got, (lost, sent)), errors = run_quiet(scenario)
+        assert errors == []
+        assert got == [] and lost == 1 and sent == 1
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,7 @@ def first_incarnation_of(tmp_path_factory):
     NodeWAL(directory).close()
     reopened = NodeWAL(directory)
     reopened.close()
-    return reopened.recovered.incarnation
+    return reopened.state.incarnation
 
 
 class TestRestartedOwnerOfBallotZero:

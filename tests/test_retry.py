@@ -29,6 +29,7 @@ from repro.net.client import (
     RetriesExhausted,
 )
 from repro.net.cluster import ShardedCluster
+from repro.net.codec import BinaryCodec
 from repro.net.pipeline import PipelineClient, SlotPipeline
 
 from helpers import client_timers, run_quiet
@@ -273,6 +274,47 @@ class TestWatchdog:
         assert offsets == [5.0, 0.1, 5.0]
         assert check_linearizable(recorder.trace(), counter_adt()).ok
 
+    def test_a_retry_and_a_hedge_re_enqueue_the_bytes_ensure_fits_returned(
+        self, monkeypatch
+    ):
+        """The op is encoded once, by ``ensure_fits``; the hedge at 0.1 s
+        and the retry at 0.35 s enqueue those same bytes."""
+        pace = BackoffPolicy(base=0.1, factor=1.0, cap=0.1, jitter=0.0,
+                             max_retries=5)
+        encoded, enqueued = [], []
+        real_body = BinaryCodec.encode_body
+        real_enqueue = SlotPipeline.enqueue
+
+        def spy_body(self, value):
+            encoded.append(value)
+            return real_body(self, value)
+
+        def spy_enqueue(self, tagged, body):
+            enqueued.append((tagged, body))
+            return real_enqueue(self, tagged, body)
+
+        monkeypatch.setattr(BinaryCodec, "encode_body", spy_body)
+        monkeypatch.setattr(SlotPipeline, "enqueue", spy_enqueue)
+
+        async def scenario():
+            cluster, pipeline, client, recorder = await self._held_cluster(
+                0.5, op_timeout=5.0, attempt_timeout=0.25,
+                retry_backoff=pace, hedge_after=0.1,
+            )
+            out = await client.submit(("inc", 1))
+            await asyncio.sleep(0.6)  # the other decrees fold too
+            await cluster.stop()
+            return out, client
+
+        (out, client), errors = run_quiet(scenario)
+        assert errors == [] and out == ("count", 0)
+        assert client.hedges == 1 and client.retries >= 1
+        tagged = ("inc", 1, ("seq", ("c0", 1)))
+        assert [t for t, _body in enqueued] == [tagged] * (2 + client.retries)
+        assert encoded.count(tagged) == 1
+        first = enqueued[0][1]
+        assert all(body is first for _t, body in enqueued)
+
     def test_the_deadline_leaves_the_op_pending_and_the_client_poisoned(self):
         async def scenario():
             cluster, pipeline, client, recorder = await self._held_cluster(
@@ -348,7 +390,7 @@ class TestDedupCanary:
         # redeliver the decided decree as a retry would: same tag,
         # fresh slot
         dup = ("inc", 1, ("seq", ("c1", 1)))
-        await pipeline.enqueue(dup)
+        await pipeline.enqueue(dup, pipeline.ensure_fits(dup))
         out = await c2.submit(("cread",))
         report = await tap.close()
         await cluster.stop()

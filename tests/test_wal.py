@@ -174,14 +174,14 @@ class TestWriteAheadLog:
 class TestNodeWAL:
     def test_fold_and_recovery(self, tmp_path):
         wal = NodeWAL(str(tmp_path))
-        assert wal.recovered.slots() == []
+        assert wal.state.slots() == []
         wal.record_acceptor(0, (2, 2, ("put", "x", 1)))
         wal.record("qs", 1, ("get", "x"))
         wal.record_decided(0, ("put", "x", 1))
         wal.record_acceptor(0, (3, 2, ("put", "x", 1)))  # overwrite wins
         wal.close()
         reopened = NodeWAL(str(tmp_path))
-        state = reopened.recovered
+        state = reopened.state
         assert state.acceptors == {0: (3, 2, ("put", "x", 1))}
         assert state.quorum == {1: ("get", "x")}
         assert state.decided == {0: ("put", "x", 1)}
@@ -206,8 +206,8 @@ class TestNodeWAL:
         compacted.close()
         # The compacted log really did snapshot (threshold << records).
         assert os.path.exists(os.path.join(str(snap_dir), "snapshot.json"))
-        a = NodeWAL(str(ref_dir)).recovered
-        b = NodeWAL(str(snap_dir)).recovered
+        a = NodeWAL(str(ref_dir)).state
+        b = NodeWAL(str(snap_dir)).state
         assert a.acceptors == b.acceptors
         assert a.quorum == b.quorum
         assert a.decided == b.decided
@@ -219,7 +219,7 @@ class TestNodeWAL:
         assert wal.wal.record_count < 10
         wal.close()
         reopened = NodeWAL(str(tmp_path))
-        assert len(reopened.recovered.decided) == 35
+        assert len(reopened.state.decided) == 35
         reopened.close()
 
     def test_default_threshold_matches_module_constant(self, tmp_path):
@@ -228,13 +228,27 @@ class TestNodeWAL:
         wal.close()
         assert wal.closed
 
-    def test_recovered_is_a_frozen_copy(self, tmp_path):
-        wal = NodeWAL(str(tmp_path))
-        wal.record_decided(0, "v")
-        # .state moves with new records; .recovered stays at open time.
-        assert wal.recovered.decided == {}
-        assert wal.state.decided == {0: "v"}
+    def test_the_fold_is_the_one_copy_of_the_replay(self, tmp_path):
+        wal = NodeWAL(str(tmp_path), compact_threshold=3)
+        for slot in range(4):
+            wal.record_decided(slot, f"v{slot}")
         wal.close()
+        assert os.path.exists(os.path.join(str(tmp_path), "snapshot.json"))
+        # the open folds a snapshot and a tail, and lets both go ...
+        reopened = NodeWAL(str(tmp_path), compact_threshold=3)
+        assert reopened.state.decided == {s: f"v{s}" for s in range(4)}
+        assert reopened.state.records_replayed == 2
+        assert reopened.wal.snapshot is None and reopened.wal.records == []
+        # ... the fold moves with each record, and a compaction (due at
+        # this record) keeps no copy of what it wrote
+        reopened.record_decided(4, "v4")
+        assert reopened.state.decided[4] == "v4"
+        assert reopened.wal.record_count == 0
+        assert reopened.wal.snapshot is None and reopened.wal.records == []
+        reopened.close()
+        again = NodeWAL(str(tmp_path))
+        assert again.state.decided == {s: f"v{s}" for s in range(5)}
+        again.close()
 
     def test_torn_tail_surfaces_through_recovered_state(self, tmp_path):
         wal = NodeWAL(str(tmp_path))
@@ -247,8 +261,8 @@ class TestNodeWAL:
         with open(path, "wb") as handle:
             handle.write(data[:-2])
         reopened = NodeWAL(str(tmp_path))
-        assert reopened.recovered.torn_tail
-        assert reopened.recovered.decided == {0: "keep"}
+        assert reopened.state.torn_tail
+        assert reopened.state.decided == {0: "keep"}
         reopened.close()
 
 
@@ -257,7 +271,7 @@ def incarnations(directory, opens, **kwargs):
     seen = []
     for _ in range(opens):
         wal = NodeWAL(str(directory), **kwargs)
-        seen.append(wal.recovered.incarnation)
+        seen.append(wal.state.incarnation)
         wal.close()
     return seen
 
@@ -291,10 +305,11 @@ class TestCompactionOnAFullDisk:
         assert os.listdir(str(tmp_path)) == ["wal.log"]
         del fs.write_text  # space comes back: the next record compacts
         wal.record("dec", 5, "v5")
-        assert wal.wal.snapshot is not None and wal.wal.record_count == 0
+        assert "snapshot.json" in os.listdir(str(tmp_path))
+        assert wal.wal.record_count == 0
         wal.close()
         reopened = NodeWAL(str(tmp_path))
-        assert reopened.recovered.decided == {
+        assert reopened.state.decided == {
             s: f"v{s}" for s in range(6)
         }
         reopened.close()
@@ -309,8 +324,8 @@ class TestIncarnationMarker:
         wal = NodeWAL(str(tmp_path), fs=fs)
         # durable before the constructor returns: before any listener
         assert fs.stats == {**fs.stats, "appends": 1, "fsyncs": 1}
-        assert wal.recovered.incarnation == 0
-        assert wal.recovered.slots() == []
+        assert wal.state.incarnation == 0
+        assert wal.state.slots() == []
         wal.close()
         assert incarnations(tmp_path, 3) == [1, 2, 3]
         log = WriteAheadLog(str(tmp_path))
@@ -320,14 +335,14 @@ class TestIncarnationMarker:
     def test_markers_are_not_slot_facts(self, tmp_path):
         assert incarnations(tmp_path, 2) == [0, 1]
         wal = NodeWAL(str(tmp_path))
-        assert wal.recovered.slots() == []
-        assert wal.recovered.records_replayed == 0
+        assert wal.state.slots() == []
+        assert wal.state.records_replayed == 0
         wal.close()
 
     def test_compaction_carries_the_incarnation(self, tmp_path):
         for expected in range(3):
             wal = NodeWAL(str(tmp_path), compact_threshold=4)
-            assert wal.recovered.incarnation == expected
+            assert wal.state.incarnation == expected
             for slot in range(3):
                 wal.record_decided(slot, expected)
             # marker + 3 facts reached the threshold: the snapshot
@@ -343,10 +358,10 @@ class TestIncarnationMarker:
         old.append(("acc", 0, (0, 0, ("put", "x", 1))))
         old.close()
         wal = NodeWAL(str(tmp_path))
-        assert wal.recovered.incarnation == 1
-        assert wal.recovered.quorum == {0: ("put", "x", 1)}
-        assert wal.recovered.acceptors == {0: (0, 0, ("put", "x", 1))}
-        assert wal.recovered.records_replayed == 2
+        assert wal.state.incarnation == 1
+        assert wal.state.quorum == {0: ("put", "x", 1)}
+        assert wal.state.acceptors == {0: (0, 0, ("put", "x", 1))}
+        assert wal.state.records_replayed == 2
         wal.close()
 
     def test_a_snapshot_from_before_markers_counts_too(self, tmp_path):
@@ -373,8 +388,8 @@ class TestIncarnationMarker:
         assert whole > 0
         wal = NodeWAL(str(tmp_path))
         # nobody can tell how far that open got: never incarnation 0
-        assert wal.recovered.torn_tail
-        assert wal.recovered.incarnation == 1
+        assert wal.state.torn_tail
+        assert wal.state.incarnation == 1
         wal.close()
         # the tear was truncated away, the new marker is complete
         log = WriteAheadLog(str(tmp_path))
@@ -421,7 +436,7 @@ class TestGroupCommit:
         assert released == [0, 1, 2, 3]
         wal.close()
         reopened = NodeWAL(str(tmp_path))
-        assert reopened.recovered.decided == {
+        assert reopened.state.decided == {
             s: f"v{s}" for s in range(4)
         }
         reopened.close()
@@ -453,8 +468,8 @@ class TestGroupCommit:
         reopened = NodeWAL(str(tmp_path))
         # record 0 survives, records 1 and 2 are gone together — the
         # decided map is a prefix of the group, not {0, 2}
-        assert reopened.recovered.decided == {0: "v0"}
-        assert reopened.recovered.torn_tail
+        assert reopened.state.decided == {0: "v0"}
+        assert reopened.state.torn_tail
         reopened.close()
 
     def test_fsync_failure_wedges_without_releasing(self, tmp_path):
@@ -548,10 +563,10 @@ class TestBinaryRecords:
                 wal.record(*fact)
             wal.close()
         mixed, binary = NodeWAL(str(old)), NodeWAL(str(new))
-        assert mixed.recovered == binary.recovered
-        assert mixed.recovered.records_replayed == len(FACTS)
-        assert mixed.recovered.incarnation == 2
-        assert mixed.recovered.quorum[0] == FACTS[0][2]
+        assert mixed.state == binary.state
+        assert mixed.state.records_replayed == len(FACTS)
+        assert mixed.state.incarnation == 2
+        assert mixed.state.quorum[0] == FACTS[0][2]
         mixed.close()
         binary.close()
 
