@@ -20,7 +20,12 @@ under the rug:
   never by serving the corrupted fold;
 * **lying fsync** — ``fsync`` returns success without making anything
   durable; :meth:`FaultyFS.drop_unsynced` then simulates the power cut
-  that exposes the lie.
+  that exposes the lie;
+* **unsynced rename** — a ``replace`` is directory metadata, durable
+  only once ``fsync_dir`` syncs its directory: until then a power cut
+  may or may not keep it (:meth:`FaultyFS.drop_unsynced_renames` is the
+  cut that loses it), and a whole file written without an fsync may
+  come back empty.
 
 The module-level helpers :func:`tear_tail` and :func:`flip_record_body`
 mutate a WAL file *at rest* (between a kill and a restart) and are what
@@ -172,6 +177,9 @@ class FaultyFS(FaultFS):
         self._dead = False
         #: path → byte size known durable (advanced only by honest fsync)
         self._durable: Dict[str, int] = {}
+        #: directory → its renames no fsync_dir has made durable yet, as
+        #: (src, dst, the bytes dst held before or None), oldest first
+        self._renames: Dict[str, List[Tuple[str, str, Optional[bytes]]]] = {}
         self.stats: Dict[str, int] = {
             "appends": 0,
             "fsyncs": 0,
@@ -208,7 +216,50 @@ class FaultyFS(FaultFS):
         except (KeyError, OSError):
             pass
 
+    def drop_unsynced_renames(self) -> int:
+        """Simulate a power cut that loses every rename no ``fsync_dir``
+        has made durable: newest first, the file goes back to its old
+        name and the target holds what it held before (or is gone).
+        Call with the WAL closed, before :meth:`drop_unsynced`.
+        Returns how many renames were lost."""
+        lost = 0
+        for renames in self._renames.values():
+            for src, dst, before in reversed(renames):
+                os.replace(dst, src)
+                if dst in self._durable:
+                    self._durable[src] = self._durable.pop(dst)
+                if before is not None:
+                    with open(dst, "wb") as handle:
+                        handle.write(before)
+                lost += 1
+        self._renames.clear()
+        return lost
+
     # -- faulted hooks ---------------------------------------------------
+
+    def write_text(self, path: str, text: str, fsync: bool = True) -> None:
+        super().write_text(path, text, fsync)
+        # ASCII: a character is a byte
+        honest = fsync and not self.lying_fsync
+        self._durable[path] = len(text) if honest else 0
+
+    def replace(self, src: str, dst: str) -> None:
+        try:
+            with open(dst, "rb") as handle:
+                before: Optional[bytes] = handle.read()
+        except OSError:
+            before = None
+        super().replace(src, dst)
+        if src in self._durable:
+            self._durable[dst] = self._durable.pop(src)
+        else:
+            self._durable.pop(dst, None)  # durable as it stands
+        directory = os.path.normpath(os.path.dirname(dst))
+        self._renames.setdefault(directory, []).append((src, dst, before))
+
+    def fsync_dir(self, path: str) -> None:
+        super().fsync_dir(path)
+        self._renames.pop(os.path.normpath(path), None)
 
     def open_append(self, path: str) -> LogHandle:
         self._check_dead()

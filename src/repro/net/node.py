@@ -21,13 +21,17 @@ Slots are unbounded, so roles are created **lazily and one at a time**:
 the transport's miss handler fires on the first frame addressed to a
 role that does not exist yet and builds that role only.  A decree that
 decides on the fast path therefore costs a node one
-:class:`DurableQuorumServer` and nothing else; the acceptor and the
-coordinator appear when Backup first speaks to them (a ``prepare``,
-``accept`` or ``request`` frame, or a ``register-learner``).  This is
-the networked analogue of ``SpeculativeSMR._ensure_slot`` (which hosts
-a slot's whole phase chain at once, :func:`repro.mp.phases.host`) —
-except no global coordinator exists; each node materializes roles independently,
-driven purely by the frames that reach it.
+:class:`DurableQuorumServer` and nothing else; the acceptor appears
+when Backup first speaks to it (a ``prepare`` or ``accept`` frame, or a
+``register-learner``), a coordinator when a ``request`` or a vote
+reaches it.  A ``register-learner`` also builds node 0's coordinator,
+the one that pre-prepares; any other coordinator would start nothing,
+and a degraded decree that runs through node 0 builds none elsewhere.
+This is the networked analogue of ``SpeculativeSMR._ensure_slot``
+(which hosts a slot's whole phase chain at once,
+:func:`repro.mp.phases.host`) — except no global coordinator exists;
+each node materializes roles independently, driven purely by the
+frames that reach it.
 
 With a :class:`~repro.net.wal.NodeWAL` attached the roles become
 *durable*: a :class:`_DurableRole` wrapper buffers every outbound
@@ -51,17 +55,23 @@ that canary to fork and not a supported configuration.
 The per-node control role ``("ctl", 0, index)`` handles the one piece of
 wiring that is configuration rather than protocol: Backup clients
 register themselves as learners on the slot's acceptor
-(``("register-learner", slot, pid)``).  If the acceptor has already
+(``("register-learner", slot, pid)``).  An acceptor announces a vote to
+those clients and to the coordinator whose ``accept`` it answers, and
+to no other coordinator: the paper's clients are Backup's learners, and
+a coordinator asked later about a slot it did not hear decide learns
+the value in phase 1, from the promises.  If the acceptor has already
 accepted by then, the control role replays the current acceptance to the
 late learner — "accepted" announcements are idempotent (learners count
 votes in sets), and the replay closes the race between a client's
-registration and a coordinator's phase 2 running server-to-server.
+registration and a coordinator's phase 2 running server-to-server.  A
+control frame whose slot could not name a role (:meth:`ReplicaNode.builds`)
+is dropped and counted, as a frame to such a pid is.
 """
 
 from __future__ import annotations
 
 import logging
-from typing import Any, Dict, Hashable, List, Optional, TYPE_CHECKING, Tuple
+from typing import Any, Hashable, List, Optional, TYPE_CHECKING, Tuple
 
 from ..analysis.sanitizer import atomic_section
 from ..mp.backoff import BackoffPolicy
@@ -95,9 +105,17 @@ class _ControlRole(Process):
         self.node = node
 
     def on_message(self, src: Hashable, message: Any) -> None:
-        if message[0] == "register-learner":
-            _, slot, learner = message
-            self.node.register_learner(slot, learner)
+        node = self.node
+        if (
+            isinstance(message, tuple)
+            and len(message) == 3
+            and message[0] == "register-learner"
+            # the slot must be one a frame could build a role for
+            and node.builds(("acc", message[1], node.index))
+        ):
+            node.register_learner(message[1], message[2])
+        else:
+            node.drop(self.pid, message)
 
 
 class _DurableRole:
@@ -277,8 +295,11 @@ class RecordingCoordinator(PaxosCoordinator):
     answers requests on settled slots from the WAL instead of paying a
     Paxos round per slot.  It is an optimization, not a safety
     requirement — losing it only costs latency, so the decision is
-    logged after the fact rather than via persist-before-reply.  A
-    closed WAL silences it, as it does the node's durable roles.
+    logged after the fact rather than via persist-before-reply.  Only
+    a coordinator that hears the decision logs it — the one whose
+    ballot carried it, or one that learned it in a later phase 1 — so
+    a slot costs one ``dec`` record, not one per live node.  A closed
+    WAL silences it, as it does the node's durable roles.
     """
 
     def __init__(self, *args, wal=None, slot=None, **kwargs) -> None:
@@ -344,9 +365,6 @@ class ReplicaNode:
             f"node{index}", book, faults, codec=codec
         )
         self.transport.miss_handler = self._on_miss
-        #: slot → learner pids currently registered on this node's
-        #: acceptor (an entry exists iff the acceptor does)
-        self.slot_learners: Dict[int, List[Hashable]] = {}
         self.transport.register(_ControlRole(("ctl", 0, index), self))
 
     @property
@@ -399,9 +417,6 @@ class ReplicaNode:
             triple = self.fold.acceptors.get(slot)
             if triple is not None:
                 role.restore(triple)
-            learners = [("coord", slot, j) for j in range(self.n_servers)]
-            self.slot_learners[slot] = learners
-            role.register_learners(learners)
         else:
             role = RecordingCoordinator(
                 pid,
@@ -434,13 +449,14 @@ class ReplicaNode:
         only while that acceptance is what the WAL holds.
         """
         acceptor = self._role("acc", slot)
-        # Backup is starting on this slot: a coordinator that has a
-        # promise to buy (any but ballot 0's first owner) starts now
-        self._role("coord", slot)
-        learners = self.slot_learners[slot]
-        if learner not in learners:
-            learners.append(learner)
-        acceptor.register_learners(learners)
+        if self.index == 0:
+            # Backup is starting on this slot: the pre-preparing
+            # coordinator starts now (a later incarnation buys its
+            # promise; the first owns ballot 0 for free).  Any other
+            # coordinator would start nothing, and waits for a request.
+            self._role("coord", slot)
+        if learner not in acceptor.learners:
+            acceptor.register_learners(acceptor.learners + (learner,))
         if acceptor.accepted_ballot >= 0 and acceptor.answerable():
             acceptor.send(
                 learner,
@@ -451,17 +467,28 @@ class ReplicaNode:
                 ),
             )
 
+    def builds(self, pid: Hashable) -> bool:
+        """Whether ``pid`` names a role this node builds on demand:
+        ``(kind, slot, index)`` with an int slot.  The one rule for a
+        frame that would build a role, by address or by registration;
+        a WAL fact keyed by any other slot would stop the next start."""
+        return (
+            isinstance(pid, tuple)
+            and len(pid) == 3
+            and pid[0] in ("qs", "acc", "coord")
+            and isinstance(pid[1], int)
+            and pid[2] == self.index
+        )
+
+    def drop(self, dst: Hashable, message: Any) -> None:
+        """Count a frame no role of this node may take."""
+        logger.debug("node%d dropping %r for %r", self.index, message, dst)
+        self.transport.stats.dropped_crashed += 1
+
     def _on_miss(self, src: Hashable, dst: Hashable, message: Any) -> None:
         """Materialize the role an unknown pid names, then deliver."""
-        if (
-            isinstance(dst, tuple)
-            and len(dst) == 3
-            and dst[0] in ("qs", "acc", "coord")
-            and dst[2] == self.index
-            and isinstance(dst[1], int)
-        ):
-            self.transport.stats.delivered += 1
-            self._role(dst[0], dst[1]).on_message(src, message)
+        if not self.builds(dst):
+            self.drop(dst, message)
             return
-        logger.debug("node%d dropping frame for %r", self.index, dst)
-        self.transport.stats.dropped_crashed += 1
+        self.transport.stats.delivered += 1
+        self._role(dst[0], dst[1]).on_message(src, message)

@@ -575,25 +575,80 @@ class TestRoleMaterialization:
     ):
         async def scenario():
             node = ReplicaNode(2, 3, AddressBook())
-            acc, coord, learner = ("acc", 4, 2), ("coord", 4, 2), ("bcli", "x")
-            if first_frame == "accept":
-                node.transport._deliver(
-                    ("coord", 4, 0), acc, ("accept", 0, "v")
-                )
-                assert coord not in node.transport.processes
-            else:
+            sent = []
+            node.transport.send = lambda src, dst, m: sent.append((dst, m))
+            acc, learner = ("acc", 4, 2), ("bcli", "x")
+            if first_frame == "register-learner":
                 node.transport._deliver(
                     learner, ("ctl", 0, 2), ("register-learner", 4, learner)
                 )
-                assert coord in node.transport.processes
-                assert learner in node.slot_learners[4]
-                node.transport._deliver(
-                    ("coord", 4, 0), acc, ("accept", 0, "v")
-                )
+                assert node.transport.processes[acc].learners == (learner,)
+            node.transport._deliver(("coord", 4, 0), acc, ("accept", 0, "v"))
             acceptor = node.transport.processes[acc]
             assert acceptor.accepted_value == "v"
-            assert ("coord", 4, 0) in acceptor.learners
+            # the vote goes to the coordinator that asked and to the
+            # enlisted client: no other coordinator listens
+            listeners = [("coord", 4, 0)]
+            if first_frame == "register-learner":
+                listeners.append(learner)
+            assert sorted(sent) == sorted(
+                (dst, ("accepted", 0, "v")) for dst in listeners
+            )
+            # node 2's coordinator would start nothing: nothing built it
+            assert ("coord", 4, 2) not in node.transport.processes
             assert ("qs", 4, 2) not in node.transport.processes
+            await node.stop()
+
+        asyncio.run(scenario())
+
+    def test_a_registration_builds_only_the_pre_preparing_coordinator(self):
+        async def scenario():
+            built = {}
+            for index in range(3):
+                node = ReplicaNode(index, 3, AddressBook())
+                node.transport._deliver(
+                    ("bcli", "x"), ("ctl", 0, index),
+                    ("register-learner", 4, ("bcli", "x")),
+                )
+                built[index] = ("coord", 4, index) in node.transport.processes
+                await node.stop()
+            return built
+
+        assert asyncio.run(scenario()) == {0: True, 1: False, 2: False}
+
+    def test_a_control_frame_naming_no_slot_is_dropped_and_counted(
+        self, tmp_path
+    ):
+        """A control frame passes the rule a frame's address does, so a
+        bad slot builds no role and no WAL fact: a register-learner for
+        slot "x" used to log ("acc", "x", ...) and stop the next start
+        (str and int slots do not sort)."""
+
+        async def scenario():
+            wal = NodeWAL(str(tmp_path))
+            node = ReplicaNode(0, 3, AddressBook(), wal=wal)
+            deliver, stats = node.transport._deliver, node.transport.stats
+            learner = ("bcli", "x")
+            for bad in (
+                ("register-learner", "x", learner),
+                ("register-learner", 4),
+                ("register-learner", 4, learner, 5),
+                ("forget-learner", 4, learner),
+                "register-learner",
+            ):
+                deliver(learner, ("ctl", 0, 0), bad)
+            assert stats.dropped_crashed == 5
+            deliver(("coord", "x", 0), ("acc", "x", 0), ("prepare", 1))
+            assert stats.dropped_crashed == 6
+            deliver(("qcli", "y"), ("qs", 1, 0), ("q-propose", "v"))
+            await asyncio.sleep(0)
+            assert [pid for pid in node.transport.processes] == [
+                ("ctl", 0, 0), ("qs", 1, 0),
+            ]
+            await node.stop()
+            node = ReplicaNode(0, 3, AddressBook(), wal=NodeWAL(str(tmp_path)))
+            await node.start()
+            assert node.fold.slots() == [1]
             await node.stop()
 
         asyncio.run(scenario())
@@ -658,6 +713,69 @@ class TestRoleMaterialization:
 
         asyncio.run(scenario())
         assert log_kinds(tmp_path / "node0")["acc"] >= 1
+
+    def test_a_degraded_decree_announces_only_to_who_listens(self, tmp_path):
+        """Backup's learners are its clients: a vote goes to the enlisted
+        client and to the coordinator whose accept it answers, node 1
+        builds no coordinator, and node 1's coordinator, asked after a
+        restart, learns the decision in phase 1."""
+
+        async def scenario():
+            cluster = ShardedCluster(n_servers=3, wal_root=str(tmp_path))
+            await cluster.start()
+            try:
+                await cluster.kill(2)
+                sent = []
+                for node in cluster.nodes[:2]:
+                    def capture(src, dst, message, send=node.transport.send):
+                        sent.append((src, dst, message))
+                        send(src, dst, message)
+
+                    node.transport.send = capture
+                transport = cluster.client_transport("clients")
+                recorder = HistoryRecorder(clock=lambda: transport.now)
+                client = make_client(cluster, transport, recorder)
+                assert await client.submit(("put", "k", 1)) == ("value", None)
+                assert [r.path for r in client.results] == ["slow"]
+                slot = client.results[0].slot
+                decided = client.pipeline.log[slot]
+                await asyncio.sleep(0.05)  # nothing is still in flight
+                accepts = {
+                    (src, dst[2], message[1])
+                    for src, dst, message in sent if message[0] == "accept"
+                }
+                votes = [
+                    (src, dst, message)
+                    for src, dst, message in sent if message[0] == "accepted"
+                ]
+                assert votes
+                for src, dst, (_, ballot, value) in votes:
+                    learners = cluster.nodes[src[2]].transport.processes[
+                        src
+                    ].learners
+                    assert dst in learners or (dst, src[2], ballot) in accepts
+                    assert dst[0] != "coord" or dst == ("coord", slot, 0)
+                    assert value == decided
+                hosted = cluster.nodes[1].transport.processes
+                assert ("coord", slot, 1) not in hosted
+                await cluster.kill(1)
+                # one decision record, on the node that decided
+                assert "dec" not in log_kinds(tmp_path / "node1")
+                assert log_kinds(tmp_path / "node0")["dec"] == 1
+                (node,) = await cluster.restart(1)
+                probe = transport.register(_Sink(("pcli", "probe")))
+                deadline = transport.now + 3.0
+                while not probe.got and transport.now < deadline:
+                    # asked first, it runs phase 1 and learns the value
+                    # from the promises; asked again, it answers
+                    probe.send(("coord", slot, 1), ("request", "other"))
+                    await asyncio.sleep(0.05)
+                assert probe.got[0] == ("decision", decided)
+                assert node.transport.processes[("coord", slot, 1)].ballot > 0
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
 
     def test_restart_of_node_zero_recovers_roles_and_leaves_ballot_zero(
         self, tmp_path
