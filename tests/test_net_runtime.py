@@ -642,7 +642,7 @@ class TestRoleMaterialization:
             assert stats.dropped_crashed == 6
             deliver(("qcli", "y"), ("qs", 1, 0), ("q-propose", "v"))
             await asyncio.sleep(0)
-            assert [pid for pid in node.transport.processes] == [
+            assert list(node.transport.processes) == [
                 ("ctl", 0, 0), ("qs", 1, 0),
             ]
             await node.stop()
